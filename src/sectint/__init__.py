@@ -35,6 +35,7 @@ from .groups import (
     haar_sample,
     torus_basis,
     torus_point,
+    torus_points,
 )
 from .actions import (
     ActionSpec,
@@ -67,6 +68,7 @@ from .weights import (
     OrbitMapDifferential,
     WeightValue,
     delta_d,
+    delta_e_batch,
     delta_e_closed_form,
     delta_e_generic,
     orbit_map_differential,

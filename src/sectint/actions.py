@@ -313,6 +313,21 @@ class AlgebraSplit:
     def m_rows(self) -> np.ndarray:
         return _stack_rows(self.m_basis, self.action)
 
+    @functools.cached_property
+    def m_operators(self) -> np.ndarray:
+        """Stack L (q_m, D, D) with L[b] @ vec(p) = vec(killing_field(m_basis[b], p)).
+
+        The Killing fields are linear in p, so weights at many points
+        take one contraction; built on first use, not with the split.
+        """
+        action, n = self.action, self.action.group.n
+        cols = n if isinstance(action, ConjugationAction) else action.k
+        units = [from_real_vector(action.field, n, cols, e) for e in np.eye(action.ambient_dim)]
+        ops = np.zeros((len(self.m_basis), len(units), len(units)))
+        for i, b in enumerate(self.m_basis):
+            ops[i] = np.stack([to_real_vector(killing_field(action, b, u)) for u in units], axis=1)
+        return ops
+
 
 def _stack_rows(basis: tuple[MatK, ...], action: ActionSpec) -> np.ndarray:
     if not basis:

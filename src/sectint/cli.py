@@ -37,13 +37,14 @@ from .actions import (
 from .checks import all_passed, run_action_checks
 from .ensembles import EnsembleSpec, compare_densities
 from .integrate import (
+    IllConditionedCalibration,
     calibrate_vol_gn,
     integrate_direct,
     integrate_reduced,
     make_test_function,
     mc_result_json,
 )
-from .mc import agree
+from .mc import agree, default_workers
 from .volumes import volume_table
 from .weights import delta_e_closed_form, delta_e_generic, orbit_map_differential
 
@@ -257,7 +258,7 @@ def cmd_verify(args) -> int:
 def cmd_ensemble(args) -> int:
     action = _parse_action(args.action)
     spec = EnsembleSpec(action, args.scale, args.statistic, args.stat_index)
-    cmp_ = compare_densities(spec, args.seed, args.n, args.bins, workers=args.workers)
+    cmp_ = compare_densities(spec, args.seed, args.n, args.bins)
     if args.out_csv:
         cmp_.write_csv(args.out_csv)
     report = _base_report("ensemble", action, args)
@@ -354,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        default_workers()  # a bad SECTINT_WORKERS fails here, before any work
         return args.func(args)
-    except (DimensionError, ValueError) as exc:
+    except (DimensionError, ValueError, IllConditionedCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from scipy import stats as sps
 
 from .fields import ScalarField
 from .matrices import MatK, qr
-from .groups import haar_sample, torus_point
+from .groups import Family, haar_sample, haar_sample_batch, torus_point, torus_points
 from .actions import (
     ActionSpec,
     ConjugationAction,
@@ -29,7 +29,7 @@ from .actions import (
     torus_angles,
 )
 from .integrate import _coords_to_complex_square, _torus_grid, _subseed
-from .weights import delta_e_generic
+from .weights import delta_e_batch
 from .mc import chunk_rngs, chunk_sizes
 
 TWO_PI = 2.0 * np.pi
@@ -112,13 +112,7 @@ def _reduce_batch_real(action: DirectSumAction, x: np.ndarray) -> np.ndarray:
     return np.transpose(chol, (0, 2, 1))
 
 
-def sample_ensemble(
-    spec: EnsembleSpec,
-    seed: int,
-    n: int,
-    chunks: int = 16,
-    workers: int | None = None,
-) -> np.ndarray:
+def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> np.ndarray:
     """Statistics of n ambient samples reduced to the section.
 
     Every sample is reduced to its canonical Weyl representative; the
@@ -150,8 +144,6 @@ def sample_ensemble(
         else:
             if spec.statistic != "torus_angle":
                 raise ValueError("conjugation ensembles support the torus_angle statistic")
-            from .groups import Family, haar_sample_batch
-
             if action.group.family is Family.SU:
                 # eigenvalue angles sorted ascending are exactly the
                 # canonical coordinates, so no eigenvectors are needed
@@ -189,12 +181,16 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
     rank = action.group.rank
     grid = {1: 4096, 2: 96}.get(rank, 24)
     angles = _torus_grid(rank, grid)
-    stats = np.empty(angles.shape[0])
-    weights = np.empty(angles.shape[0])
-    for i, a in enumerate(angles):
-        s = torus_point(action.group, a)
-        weights[i] = delta_e_generic(action, s)
-        stats[i] = canonical_coordinate(action, s)[spec.stat_index]
+    weights = delta_e_batch(action, torus_points(action.group, angles))
+    if action.group.family is Family.SU:
+        # sorted angles in [0, 2 pi), the dependent last one included, are
+        # the canonical coordinates, as in sample_ensemble
+        full = np.concatenate([angles, -np.sum(angles, axis=1, keepdims=True)], axis=1)
+        stats = np.sort(np.mod(full, TWO_PI), axis=1)[:, spec.stat_index]
+    else:
+        stats = np.array(
+            [canonical_coordinate(action, torus_point(action.group, a))[spec.stat_index] for a in angles]
+        )
     return stats, weights / np.sum(weights)
 
 
@@ -205,13 +201,10 @@ def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray, points_per_bin: int
     a canonical-angle bin is twice the midpoint-rule integral of the
     weight over the bin; no histogram quantization enters.
     """
-    action = spec.action
-    masses = np.empty(len(edges) - 1)
-    for i in range(len(edges) - 1):
-        theta = np.linspace(edges[i], edges[i + 1], points_per_bin, endpoint=False)
-        theta = theta + 0.5 * (edges[i + 1] - edges[i]) / points_per_bin
-        vals = [delta_e_generic(action, torus_point(action.group, [t])) for t in theta]
-        masses[i] = np.mean(vals) * (edges[i + 1] - edges[i])
+    width = np.diff(edges)
+    theta = edges[:-1, None] + width[:, None] * ((np.arange(points_per_bin) + 0.5) / points_per_bin)
+    vals = delta_e_batch(spec.action, torus_points(spec.action.group, theta.reshape(-1, 1)))
+    masses = vals.reshape(theta.shape).mean(axis=1) * width
     return masses / np.sum(masses)
 
 
@@ -274,7 +267,6 @@ def compare_densities(
     bins: int = 30,
     n_ref: int | None = None,
     chunks: int = 16,
-    workers: int | None = None,
 ) -> HistogramComparison:
     """Chi-square comparison of reduced-sample statistics vs the weighted
     section density.
@@ -283,7 +275,7 @@ def compare_densities(
     large importance sample, or exact bin quadrature for rank-one torus
     angles) so the chi-square statistic is dominated by sampling noise.
     """
-    stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks, workers)
+    stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks)
     rank1_conj = isinstance(spec.action, ConjugationAction) and spec.action.group.rank == 1
     if rank1_conj:
         edges = np.linspace(0.0, np.pi, bins + 1)

@@ -1,5 +1,5 @@
 """Scalar fields underlying the matrix spaces: the reals, the complex
-numbers and the quaternions, plus elementwise quaternion arithmetic.
+numbers and the quaternions.
 
 Quaternions are carried as float arrays whose last axis holds the four
 components (w, x, y, z) of w + x*i + y*j + z*k.  Internally the matrix
@@ -30,38 +30,6 @@ class ScalarField(enum.Enum):
             return cls(label.upper())
         except ValueError:
             raise ValueError(f"unknown scalar field {label!r}, expected one of R, C, H") from None
-
-
-def quat_mul(p, q):
-    """Hamilton product of component arrays with shape (..., 4)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ],
-        axis=-1,
-    )
-
-
-def quat_conj(q):
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def quat_abs(q):
-    q = np.asarray(q, dtype=float)
-    return np.sqrt(np.sum(q * q, axis=-1))
-
-
-QUAT_UNITS = np.eye(4)  # rows: 1, i, j, k
 
 
 def quat_to_pair(q):

@@ -24,6 +24,7 @@ from .matrices import (
     complex_embedding,
     det_modulus,
     eye,
+    from_real_vector,
     gaussian,
     inner,
     mat,
@@ -178,35 +179,41 @@ def torus_basis(group: GroupSpec) -> tuple[MatK, ...]:
 
 
 def torus_point(group: GroupSpec, angles: np.ndarray) -> MatK:
-    """Element of the standard maximal torus with the given angles.
+    """Element of the standard maximal torus with the given angles."""
+    flat = torus_points(group, np.asarray(angles, dtype=float).reshape(1, -1))
+    return from_real_vector(group.field, group.n, group.n, flat[0])
+
+
+def torus_points(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
+    """Flat real coordinates (m, D) of the torus elements at angle rows (m, r).
 
     SO(n): block rotations R(theta_a); SU(n): diag(exp(i theta_j)) with
     the last angle forced to make the sum vanish mod 2 pi (n - 1 free
     angles if n - 1 are given, otherwise all n are used as supplied);
     Sp(n): diag(exp(i theta_a)).
     """
-    n = group.n
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if group.family is Family.SO:
-        if angles.size != n // 2:
-            raise DimensionError(f"SO({n}) torus needs {n // 2} angles")
-        m = np.eye(n)
-        for a, t in enumerate(angles):
-            c, s = np.cos(t), np.sin(t)
-            m[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] = [[c, -s], [s, c]]
-        return mat(REAL, m)
-    if group.family is Family.SU:
-        if angles.size == n - 1:
-            angles = np.concatenate([angles, [-np.sum(angles)]])
-        elif angles.size != n:
-            raise DimensionError(f"SU({n}) torus needs {n - 1} (or {n}) angles")
-        return mat(COMPLEX, np.diag(np.exp(1j * angles)))
-    if angles.size != n:
-        raise DimensionError(f"Sp({n}) torus needs {n} angles")
-    m = np.zeros((n, n, 4))
-    m[np.arange(n), np.arange(n), 0] = np.cos(angles)
-    m[np.arange(n), np.arange(n), 1] = np.sin(angles)
-    return mat(QUATERNION, m)
+    n, fam = group.n, group.family
+    angles = np.asarray(angles, dtype=float)
+    m, r = angles.shape
+    if fam is Family.SU and r == n - 1:
+        full = np.empty((m, n))
+        full[:, :r], full[:, r] = angles, -np.sum(angles, axis=1)
+        angles, r = full, n
+    if r != (n // 2 if fam is Family.SO else n):
+        need = {Family.SO: n // 2, Family.SU: f"{n - 1} (or {n})", Family.SP: n}[fam]
+        raise DimensionError(f"{group} torus needs {need} angles")
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.zeros((m, n * n, 1 if fam is Family.SO else (2 if fam is Family.SU else 4)))
+    step = n + 1  # flat stride between diagonal entries
+    if fam is Family.SO:
+        # rotation block a occupies rows and columns 2a, 2a + 1
+        end, jump = 2 * r * step, 2 * step
+        out[:, 0:end:jump, 0], out[:, step:end:jump, 0] = c, c
+        out[:, 1:end:jump, 0], out[:, n:end:jump, 0] = -s, s
+        out[:, end::step, 0] = 1.0
+    else:
+        out[:, ::step, 0], out[:, ::step, 1] = c, s
+    return out.reshape(m, -1)
 
 
 def exp_map(group: GroupSpec, x: MatK) -> GroupElement:
@@ -222,10 +229,6 @@ def exp_map(group: GroupSpec, x: MatK) -> GroupElement:
     c1 = 0.5 * (e[:n, :n] + e[n:, n:].conj())
     c2 = 0.5 * (e[n:, :n].conj() - e[:n, n:])
     return GroupElement(group, MatK(QUATERNION, np.stack([c1, c2], axis=-1)))
-
-
-def group_element(group: GroupSpec, m: MatK) -> GroupElement:
-    return GroupElement(group, m)
 
 
 def unitarity_residual(g: GroupElement) -> float:

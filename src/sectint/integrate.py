@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .matrices import batch_to_real, eye, to_real_vector
-from .groups import haar_sample, haar_sample_batch
+from .groups import haar_sample, haar_sample_batch, torus_points
 from .actions import (
     ActionSpec,
     ConjugationAction,
@@ -27,9 +27,8 @@ from .actions import (
     act,
     embed_section,
     random_ambient_point,
-    torus_point,
 )
-from .weights import delta_e_generic
+from .weights import delta_e_batch, delta_e_generic
 from .mc import McEstimate, mc_run, product, ratio
 from .volumes import cached_group_volume, torus_volume
 
@@ -291,13 +290,8 @@ def _reduced_torus_quadrature(action: ConjugationAction, evaluate, grid: int) ->
     density = torus_volume(action.group) / TWO_PI ** rank
 
     def on_grid(g: int) -> float:
-        angles = _torus_grid(rank, g)
-        pts, weights = [], []
-        for a in angles:
-            s = torus_point(action.group, a)
-            pts.append(to_real_vector(s))
-            weights.append(delta_e_generic(action, s))
-        vals = evaluate(np.stack(pts)) * np.asarray(weights)
+        pts = torus_points(action.group, _torus_grid(rank, g))
+        vals = evaluate(pts) * delta_e_batch(action, pts)
         return float(np.mean(vals) * density * TWO_PI ** rank)
 
     value = on_grid(grid)

@@ -367,20 +367,25 @@ def realified_det(x: MatK) -> float:
     return float(abs(np.linalg.det(m)))
 
 
-def abs_det_between(images: np.ndarray, codomain_dim: int) -> float:
+def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray:
     """|det| of a linear map given by images of an orthonormal basis.
 
     images holds one image per row, in coordinates where the codomain
-    inner product is the Euclidean dot.  Equal-dimension maps give
-    sqrt(det Gram); maps between spaces of different dimension have
-    determinant 0 by convention.  An empty map (0 -> 0) has
-    determinant 1.
+    inner product is the Euclidean dot; a stack (..., q, D) of such
+    maps gives an array of determinants, a single (q, D) map a float.
+    Equal-dimension maps give |prod diag R| from the QR factorization
+    of the transposed images, which keeps the digits that
+    sqrt(det Gram) loses near rank deficiency; maps between spaces of
+    different dimension have determinant 0 by convention.  An empty
+    map (0 -> 0) has determinant 1.
     """
-    images = np.atleast_2d(np.asarray(images, dtype=float))
-    m = images.shape[0] if images.size else 0
-    if m != codomain_dim:
-        return 0.0
-    if m == 0:
-        return 1.0
-    g = images @ images.T
-    return float(np.sqrt(max(np.linalg.det(g), 0.0)))
+    images = np.asarray(images, dtype=float)
+    q, dim = images.shape[-2:]
+    if q != codomain_dim or dim < q:
+        out = np.zeros(images.shape[:-2])
+    elif q == 0:
+        out = np.ones(images.shape[:-2])
+    else:
+        r = np.linalg.qr(np.swapaxes(images, -1, -2), mode="r")
+        out = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    return float(out) if images.ndim == 2 else out

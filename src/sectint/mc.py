@@ -16,7 +16,10 @@ import numpy as np
 
 
 def default_workers() -> int:
-    return int(os.environ.get("SECTINT_WORKERS", "1"))
+    raw = os.environ.get("SECTINT_WORKERS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"SECTINT_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ tangent of the Weyl orbit inside the section, and the complementary
 part, mapping onto the normal space of the section.  The absolute
 determinant of the second block is the weight by which section
 integrals reproduce ambient integrals; the first block's determinant
-scales Weyl orbit volumes.  Both are evaluated generically from Gram
-matrices of Killing field images.  For the stacked standard
-representations the weight also has the closed form
+scales Weyl orbit volumes.  The weight is evaluated generically, for
+a whole batch of points at once, from precomputed linear operators
+giving the complementary Killing field images; its |det| comes from a
+batched QR factorization.  For the stacked standard representations
+the weight also has the closed form
 
     2 ** (-d k (n - k) / 2) * |det B| ** (d (n - k))
 
@@ -111,30 +113,32 @@ def orbit_map_differential(
     )
 
 
-def _local_scale(images: np.ndarray) -> float:
-    """Hadamard-style bound used to decide when a weight is exactly 0."""
-    if images.size == 0:
-        return 1.0
-    norms = np.linalg.norm(images, axis=1)
-    return float(np.prod(np.maximum(norms, 1e-6)))
+#: points per contraction block; bounds the (block, q_m, D) image array
+_BLOCK = 4096
+
+
+def delta_e_batch(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray:
+    """Weights at the section points with flat coordinates pts (m, D).
+
+    The images of the complementary Killing fields are perpendicular to
+    the section all along it, so |det| of the images onto the normal
+    space needs no frame.  A weight at or below SINGULAR_CUTOFF times
+    the Hadamard bound of its images is reported as exactly 0.
+    """
+    ops = (split or algebra_split(action)).m_operators
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], _BLOCK):
+        images = np.einsum("bij,mj->mbi", ops, pts[lo : lo + _BLOCK])
+        values = abs_det_between(images, action.normal_dim)
+        scale = np.prod(np.maximum(np.linalg.norm(images, axis=2), 1e-6), axis=1)
+        out[lo : lo + _BLOCK] = np.where(values <= SINGULAR_CUTOFF * scale, 0.0, values)
+    return out
 
 
 def delta_e_generic(action: ActionSpec, s: MatK, split=None) -> float:
-    """Weight from the Gram determinant of Killing field images.
-
-    The Killing fields of the complementary part are perpendicular to
-    the section all along it, so the Gram matrix of their raw images
-    equals that of the normal-block of the differential; no frame is
-    needed.  Values below the singular cutoff are reported as exactly 0.
-    """
-    split = split or algebra_split(action)
-    if not split.m_basis:
-        return 1.0
-    images = np.stack([to_real_vector(killing_field(action, b, s)) for b in split.m_basis])
-    value = abs_det_between(images, action.normal_dim)
-    if value <= SINGULAR_CUTOFF * _local_scale(images):
-        return 0.0
-    return value
+    """Weight at one section point; delta_e_batch on a single row."""
+    return float(delta_e_batch(action, to_real_vector(s)[None], split)[0])
 
 
 def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:

@@ -80,6 +80,23 @@ def test_bad_function_name_exits_nonzero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ill_conditioned_calibration_exits_2(capsys):
+    # the section integral of tr(g) against the SU(2) weight vanishes
+    code = main(["integrate", "--action", SU2, "--n", "1000", "--functions", "trace_power:power=1,const"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_workers_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("SECTINT_WORKERS", value)
+    code = main(["delta", "--action", SO3K2, "--point", "[[1,0],[0,1]]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "SECTINT_WORKERS" in captured.err and captured.err.count("\n") == 1
+
+
 def test_delta_malformed_point_reports_position(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["delta", "--action", SO3K2, "--point", '[[1,"x"],[0,1]]'])

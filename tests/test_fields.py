@@ -1,17 +1,38 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sectint.fields import (
-    QUAT_UNITS,
-    ScalarField,
-    pair_to_quat,
-    quat_abs,
-    quat_conj,
-    quat_mul,
-    quat_to_pair,
-)
+from sectint.fields import ScalarField, pair_to_quat, quat_to_pair
 
-ONE, I, J, K = QUAT_UNITS
+ONE, I, J, K = np.eye(4)  # quaternion components (w, x, y, z) of 1, i, j, k
+
+
+def quat_mul(p, q):
+    """Hamilton product of component arrays with shape (..., 4)."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack(
+        [
+            pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw,
+        ],
+        axis=-1,
+    )
+
+
+def quat_conj(q):
+    q = np.asarray(q, dtype=float)
+    out = q.copy()
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def quat_abs(q):
+    q = np.asarray(q, dtype=float)
+    return np.sqrt(np.sum(q * q, axis=-1))
 
 
 def test_field_dimensions():

@@ -16,6 +16,7 @@ from sectint.groups import (
     skewness_residual,
     torus_basis,
     torus_point,
+    torus_points,
     unitarity_residual,
 )
 
@@ -178,3 +179,25 @@ def test_torus_basis_and_point():
         np.testing.assert_allclose(rows @ rows.T, np.eye(g.rank), atol=1e-13)
     tp = torus_point(GroupSpec(Family.SU, 2), [0.7])
     np.testing.assert_allclose(tp.data, np.diag([np.exp(0.7j), np.exp(-0.7j)]), atol=1e-15)
+
+
+def test_torus_points_match_explicit_matrices():
+    rng = np.random.default_rng(4)
+    for g in [GroupSpec(Family.SO, 5), GroupSpec(Family.SU, 3), GroupSpec(Family.SP, 2)]:
+        angles = rng.uniform(0.0, 2 * np.pi, size=(6, g.rank))
+        flat = torus_points(g, angles)
+        for row, a in zip(flat, angles):
+            if g.family is Family.SO:
+                m = np.eye(g.n)
+                for i, t in enumerate(a):
+                    m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+                expect = mat(ScalarField.REAL, m)
+            elif g.family is Family.SU:
+                expect = mat(ScalarField.COMPLEX, np.diag(np.exp(1j * np.append(a, -a.sum()))))
+            else:
+                comp = np.zeros((g.n, g.n, 4))
+                comp[np.arange(g.n), np.arange(g.n), 0] = np.cos(a)
+                comp[np.arange(g.n), np.arange(g.n), 1] = np.sin(a)
+                expect = mat(ScalarField.QUATERNION, comp)
+            np.testing.assert_allclose(row, to_real_vector(expect), atol=1e-15)
+            np.testing.assert_allclose(to_real_vector(torus_point(g, a)), row, atol=0.0)

@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import eye, mat, zeros
-from sectint.groups import Family, GroupSpec, torus_point
+from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
+from sectint.groups import Family, GroupSpec, torus_point, torus_points
 from sectint.actions import (
+    AlgebraSplit,
     ConjugationAction,
     DirectSumAction,
     RegularityClass,
     act,
-        embed_section,
+    algebra_split,
+    embed_section,
+    killing_field,
     normalizer_sample,
     random_regular_section_point,
     section_coordinate,
 )
+from sectint.checks import all_passed, run_action_checks
 from sectint.weights import (
     delta_d,
+    delta_e_batch,
     delta_e_closed_form,
     delta_e_generic,
     orbit_map_differential,
@@ -241,3 +246,89 @@ def test_polar_scaling_reduces_to_orbit_volume_fraction():
         s = torus_point(c.group, [theta])
         expect = (4.0 * np.pi * 2.0 * np.sin(theta) ** 2) / (2.0 * np.pi)
         assert delta_e_generic(c, s) == pytest.approx(expect, rel=1e-9)
+
+
+# --- the batched Killing-operator kernel against independent references ----------
+
+ACTION_TABLE = (
+    DirectSumAction(R, 3, 2),
+    DirectSumAction(C, 4, 2),
+    DirectSumAction(H, 3, 2),
+    DirectSumAction(R, 4, 1),
+) + tuple(
+    ConjugationAction(GroupSpec(fam, n))
+    for fam, n in ((Family.SU, 2), (Family.SU, 3), (Family.SO, 3), (Family.SO, 4), (Family.SP, 1), (Family.SP, 2))
+)
+
+
+def gram_weight(action, s):
+    """Per-point reference: sqrt det Gram of the complementary Killing images."""
+    images = np.stack([to_real_vector(killing_field(action, b, s)) for b in algebra_split(action).m_basis])
+    return float(np.sqrt(np.linalg.det(images @ images.T)))
+
+
+def singular_points(action, rng):
+    if isinstance(action, ConjugationAction):
+        rank = action.group.rank
+        angles = [np.zeros(rank)]
+        if rank >= 2:  # a repeated angle is a repeated eigenvalue
+            angles.append(np.full(rank, rng.uniform(0.0, 2 * np.pi)))
+        return [torus_point(action.group, a) for a in angles]
+    points = [zeros(action.field, action.n, action.k)]
+    if action.k >= 2:
+        b = gaussian(action.field, action.k, action.k, rng)
+        b.data[1:] = b.data[0]
+        points.append(embed_section(action, b))
+    return points
+
+
+@pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
+def test_batch_matches_gram_reference_at_regular_points(action):
+    rng = np.random.default_rng(11)
+    points = [random_regular_section_point(action, rng) for _ in range(25)]
+    got = delta_e_batch(action, np.stack([to_real_vector(s) for s in points]))
+    ref = np.array([gram_weight(action, s) for s in points])
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
+def test_batch_is_exactly_zero_at_singular_points(action):
+    points = singular_points(action, np.random.default_rng(12))
+    got = delta_e_batch(action, np.stack([to_real_vector(s) for s in points]))
+    assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("field, n", [(R, 3), (C, 4), (H, 3)])
+def test_rank_deficient_points_weigh_exactly_zero(field, n):
+    # both rows of B equal: sqrt det Gram returned about 1e-8 at some of these
+    a = DirectSumAction(field, n, 2)
+    rng = np.random.default_rng(13)
+    pts = []
+    for _ in range(200):
+        b = gaussian(field, 2, 2, rng)
+        b.data[1] = b.data[0]
+        pts.append(to_real_vector(embed_section(a, b)))
+    assert np.all(delta_e_batch(a, np.stack(pts)) == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_torus_weight_is_weyl_density(n):
+    # prod_{i<j} |e^{i a_i} - e^{i a_j}|^2 with the dependent last angle
+    group = GroupSpec(Family.SU, n)
+    angles = np.random.default_rng(14).uniform(0.0, 2 * np.pi, size=(300, n - 1))
+    full = np.concatenate([angles, -angles.sum(axis=1, keepdims=True)], axis=1)
+    i, j = np.triu_indices(n, 1)
+    weyl = np.prod(np.abs(2.0 * np.sin((full[:, i] - full[:, j]) / 2.0)) ** 2, axis=1)
+    got = delta_e_batch(ConjugationAction(group), torus_points(group, angles))
+    np.testing.assert_allclose(got, weyl, rtol=1e-10, atol=1e-13)
+
+
+def test_custom_split_is_used_and_not_cached():
+    c = ConjugationAction(GroupSpec(Family.SU, 3))
+    base = algebra_split(c)
+    corrupted = AlgebraSplit(c, base.h_basis, base.w_basis, tuple(1.1 * m for m in base.m_basis))
+    pts = torus_points(c.group, np.random.default_rng(15).uniform(0.0, 2 * np.pi, size=(20, 2)))
+    plain = delta_e_batch(c, pts)
+    np.testing.assert_allclose(delta_e_batch(c, pts, corrupted), 1.1 ** len(base.m_basis) * plain, rtol=1e-12)
+    np.testing.assert_array_equal(delta_e_batch(c, pts), plain)
+    assert not all_passed(run_action_checks(c, seed=1, n_points=4, corrupt_metric=1.1))

@@ -32,8 +32,8 @@ for theta in np.linspace(0.3, np.pi - 0.3, 6):
 # %% Orbit volumes: the conjugacy class through angle theta is a round
 # sphere of radius sqrt(2) sin(theta); its area is 8 pi sin(theta)^2.
 
-gh = vol_gh_estimate(action, n_samples=300_000)
-print(f"\nvol(G/T) = {gh.mean:.4f} +- {gh.stderr:.4f}   (analytic 2 pi = {2*np.pi:.4f})")
+gh = vol_gh_estimate(action)  # exact: vol(SU(2)) / vol(T)
+print(f"\nvol(G/T) = {gh.mean:.4f}   (analytic 2 pi = {2*np.pi:.4f})")
 for theta in (np.pi / 2, 0.8):
     vol = orbit_volume(action, torus_point(action.group, [theta]), gh.mean)
     print(f"orbit volume at theta={theta:.2f}: {vol:8.4f}   sphere area {8*np.pi*np.sin(theta)**2:8.4f}")

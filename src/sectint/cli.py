@@ -279,7 +279,7 @@ def cmd_volumes(args) -> int:
     action = _parse_action(args.action)
     fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
     calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers)
-    table = volume_table(action, calib.combined, n_samples=args.n, seed=args.seed, chunks=args.chunks, workers=args.workers)
+    table = volume_table(action, calib.combined)
     gap, se = table.factorization_gap()
     report = _base_report("volumes", action, args)
     report["results"] = {
@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--action", required=True, help="action JSON or @file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--n", type=int, default=100_000)
+    common.add_argument("--n", type=int, default=100_000,
+                        help="samples per Monte Carlo estimate (volumes: the vol(G/N) calibration only)")
     common.add_argument("--chunks", type=int, default=16)
     common.add_argument("--workers", type=int, default=None)
     common.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-8)

@@ -22,7 +22,7 @@ class ScalarField(enum.Enum):
     @property
     def dim(self) -> int:
         """Real dimension of the field (1, 2 or 4)."""
-        return {ScalarField.REAL: 1, ScalarField.COMPLEX: 2, ScalarField.QUATERNION: 4}[self]
+        return _FIELD_DIMS[self.value]
 
     @classmethod
     def parse(cls, label: str) -> "ScalarField":
@@ -30,6 +30,9 @@ class ScalarField(enum.Enum):
             return cls(label.upper())
         except ValueError:
             raise ValueError(f"unknown scalar field {label!r}, expected one of R, C, H") from None
+
+
+_FIELD_DIMS = {"R": 1, "C": 2, "H": 4}  # keyed on the value: hashing a member is slow
 
 
 def quat_to_pair(q):

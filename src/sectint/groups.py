@@ -42,7 +42,7 @@ class Family(enum.Enum):
 
     @property
     def field(self) -> ScalarField:
-        return {Family.SO: REAL, Family.SU: COMPLEX, Family.SP: QUATERNION}[self]
+        return _FAMILY_FIELDS[self.value]
 
     @classmethod
     def parse(cls, label: str) -> "Family":
@@ -50,6 +50,9 @@ class Family(enum.Enum):
             if fam.value.lower() == label.lower():
                 return fam
         raise ValueError(f"unknown group family {label!r}, expected SO, SU or Sp")
+
+
+_FAMILY_FIELDS = {"SO": REAL, "SU": COMPLEX, "Sp": QUATERNION}  # keyed on the value, as in fields
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,12 @@ from .actions import (
 )
 from .weights import delta_e_batch, delta_e_generic
 from .mc import McEstimate, mc_run, product, ratio
-from .volumes import cached_group_volume, torus_volume
+from .volumes import group_volume, torus_volume
 
 TWO_PI = 2.0 * np.pi
+# relative floor of the torus quadrature's error proxy: the rule is exact on
+# the weight's trigonometric polynomials, where |fine - coarse| reads 0
+QUADRATURE_REL_FLOOR = 64 * np.finfo(float).eps
 
 
 class ContractViolation(ValueError):
@@ -269,7 +272,7 @@ def integrate_direct(
     evaluate = lambda pts: evaluate_test_function(action, f, pts)
     est = mc_run(_direct_values_fn(action, evaluate), n, seed, chunks, workers)
     if isinstance(action, ConjugationAction):
-        est = product(est, cached_group_volume(action.group))
+        est = product(est, group_volume(action.group))
     return est
 
 
@@ -284,7 +287,7 @@ def _reduced_torus_quadrature(action: ConjugationAction, evaluate, grid: int) ->
 
     The integrand is smooth and periodic, so the composite rule
     converges spectrally; the error proxy compares against the
-    half-resolution grid.
+    half-resolution grid, floored at rounding level.
     """
     rank = action.group.rank
     density = torus_volume(action.group) / TWO_PI ** rank
@@ -296,7 +299,7 @@ def _reduced_torus_quadrature(action: ConjugationAction, evaluate, grid: int) ->
 
     value = on_grid(grid)
     coarse = on_grid(max(grid // 2, 2))
-    return value, abs(value - coarse)
+    return value, max(abs(value - coarse), QUADRATURE_REL_FLOOR * abs(value))
 
 
 def integrate_reduced(

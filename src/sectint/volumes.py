@@ -1,8 +1,21 @@
 """Absolute Riemannian volumes of the compact groups and their quotients.
 
-Volumes are computed from first principles by integrating over the
-exponential chart: for a compact group with orthonormal algebra
-coordinates,
+Every volume is exact.  For the Re(tr(x^* y)) metric each classical
+group fibres over a sphere by g -> g e_1, with fibre G(n - 1).  A
+horizontal generator with first column v has norm^2 2|v|^2 and moves
+e_1 at speed |v|, which gives (Macdonald, Invent. Math. 56, 1980)
+
+    vol(SO(n)) = sqrt(2)^(n-1) |S^(n-1)| vol(SO(n-1)),          SO(1) = 1,
+    vol(SU(n)) = 2^(n-1) sqrt(n/(n-1)) |S^(2n-1)| vol(SU(n-1)), SU(1) = 1,
+    vol(Sp(n)) = 4^(n-1) |S^(4n-1)| vol(Sp(n-1)),                Sp(0) = 1.
+
+Tori and finite Weyl groups are exact too; quotient volumes come from
+the totally geodesic fibrations vol(G/H) = vol(G)/vol(H) and
+vol(G/H) = vol(G/N) vol(W).
+
+``group_volume(..., n_samples > 0)`` keeps the exponential-chart Monte
+Carlo as an independent oracle, reliable up to dimension 8: for
+orthonormal algebra coordinates,
 
     vol(G) = integral over the principal domain of |det d(exp)_X| dX,
 
@@ -11,15 +24,10 @@ eigenvalue pairs of ad_X, and the principal domain is cut out by the
 eigen-angles of X in the defining representation (all |angles| < pi,
 or angle spread < 2 pi in the trace-free unitary case).  The integral
 is done by Gaussian importance sampling in the algebra coordinates.
-
-Tori and finite Weyl groups have exact volumes; quotient volumes come
-from the totally geodesic fibrations vol(G/H) = vol(G)/vol(H) and
-vol(G/H) = vol(G/N) vol(W).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,18 +36,8 @@ import numpy as np
 from .fields import ScalarField
 from .matrices import MatK, complex_embedding, inner
 from .groups import Family, GroupSpec, algebra_basis
-from .actions import (
-    ActionSpec,
-    ConjugationAction,
-    algebra_split,
-    bracket,
-)
-from .mc import McEstimate, mc_run, ratio
-
-# volume constants are calibration artifacts of the package; a fixed
-# seed keeps every downstream payload reproducible
-DEFAULT_VOLUME_SEED = 20260808
-DEFAULT_VOLUME_SAMPLES = 300_000
+from .actions import ActionSpec, ConjugationAction, bracket
+from .mc import McEstimate, mc_run
 
 
 def _structure_constants(basis: tuple[MatK, ...]) -> np.ndarray:
@@ -51,11 +49,6 @@ def _structure_constants(basis: tuple[MatK, ...]) -> np.ndarray:
             for l in range(q):
                 c[i, j, l] = inner(basis[l], br)
     return c
-
-
-def _embedded_stack(basis: tuple[MatK, ...]) -> np.ndarray:
-    """Complex-embedded basis matrices stacked as (q, N, N)."""
-    return np.stack([complex_embedding(b) for b in basis])
 
 
 def _dexp_factors(ad_eigs: np.ndarray) -> np.ndarray:
@@ -90,7 +83,7 @@ def _chart_volume(
     if q == 0:
         return McEstimate.exact(1.0)
     cstruct = _structure_constants(basis).reshape(q, -1)
-    bstack = _embedded_stack(basis)
+    bstack = np.stack([complex_embedding(b) for b in basis])  # (q, N, N)
     nn = bstack.shape[1]
     bflat = bstack.reshape(q, -1)
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
@@ -141,89 +134,81 @@ def weyl_group_order(group: GroupSpec) -> int:
     return 2 ** max(m - 1, 0) * math.factorial(m)
 
 
+def _sphere_area(dim: int) -> float:
+    """Area of the unit sphere S^dim."""
+    return 2.0 * math.pi ** ((dim + 1) / 2) / math.gamma((dim + 1) / 2)
+
+
+def _fibration_factor(family: Family, m: int) -> float:
+    """vol(G(m)) / vol(G(m - 1)): the sphere G(m) e_1 and its metric factor."""
+    if family is Family.SO:
+        return math.sqrt(2.0) ** (m - 1) * _sphere_area(m - 1)
+    if family is Family.SU:
+        return 2.0 ** (m - 1) * math.sqrt(m / (m - 1)) * _sphere_area(2 * m - 1)
+    return 4.0 ** (m - 1) * _sphere_area(4 * m - 1)
+
+
+def _exact_group_volume(group: GroupSpec) -> float:
+    """vol(G) for the Re(tr(x^* y)) metric, from the sphere fibrations."""
+    first = 1 if group.family is Family.SP else 2
+    return math.prod(_fibration_factor(group.family, m) for m in range(first, group.n + 1))
+
+
 def group_volume(
     group: GroupSpec,
-    n_samples: int = DEFAULT_VOLUME_SAMPLES,
-    seed: int = DEFAULT_VOLUME_SEED,
+    n_samples: int = 0,
+    seed: int = 0,
     chunks: int = 16,
     workers: int | None = None,
 ) -> McEstimate:
-    """Riemannian volume of the group for the Re(tr(x^* y)) metric."""
-    if group.algebra_dim == 0:
-        return McEstimate.exact(1.0)
-    if group.family is Family.SO and group.n == 2:
-        return McEstimate.exact(torus_volume(group))
+    """Riemannian volume of the group for the Re(tr(x^* y)) metric.
+
+    Exact when n_samples is 0; n_samples > 0 integrates the exponential
+    chart by Monte Carlo instead, as an independent oracle.
+    """
+    if n_samples == 0 or group.algebra_dim == 0:
+        return McEstimate.exact(_exact_group_volume(group))
     domain = "spread" if group.family is Family.SU else "ball"
     sigma = np.pi * np.sqrt(2.0 / max(group.rank, 1)) if group.rank > 1 else np.pi
     return _chart_volume(algebra_basis(group), domain, n_samples, seed, chunks, workers, sigma)
 
 
-@functools.lru_cache(maxsize=None)
-def cached_group_volume(group: GroupSpec) -> McEstimate:
-    """Default-seeded group volume; a reproducible package constant."""
-    return group_volume(group)
+cached_group_volume = group_volume  # alias for importers; an exact value needs no cache
 
 
-def w_group_volume(
-    action: ActionSpec,
-    n_samples: int = DEFAULT_VOLUME_SAMPLES,
-    seed: int = DEFAULT_VOLUME_SEED,
-    chunks: int = 16,
-    workers: int | None = None,
-) -> McEstimate:
-    """Volume of the generalized Weyl group with its induced metric.
+def w_group_volume(action: ActionSpec) -> McEstimate:
+    """Exact volume of the generalized Weyl group with its induced metric.
 
-    Finite Weyl groups count points.  Positive-dimensional ones are
-    integrated over the exponential chart of the normalizer-mod-
-    stabilizer algebra; the O(k) case carries a factor 2 for its two
-    components.
+    Finite Weyl groups count points: the classical Weyl group of a
+    conjugation action, and {+-1} for a polar direct sum (k = 1).
+    Otherwise the Weyl group is O(k) (two copies of SO(k)), Sp(k), or
+    U(k) = (SU(k) x U(1)) / Z_k.  The circle e^(i t) 1_k of U(k) has
+    length 2 pi sqrt(k) in U(k)'s own metric, and the split's
+    trace-compensating generator stretches it by sqrt(n / (n - k)).
     """
     if isinstance(action, ConjugationAction):
         return McEstimate.exact(float(weyl_group_order(action.group)))
-    split = algebra_split(action)
-    if not split.w_basis:
-        # polar direct sum (k = 1): the Weyl group is {+-1}
+    n, k = action.n, action.k
+    if k == 1:
         return McEstimate.exact(2.0)
-    # O(k), U(k) and Sp(k) are all covered a.e. by eigen-angles < pi;
-    # the U(k) test must ignore the trace-compensating tail block
-    block = action.k if action.field is ScalarField.COMPLEX else None
-    q = len(split.w_basis)
-    sigma = np.pi * np.sqrt(2.0 / max(q ** 0.5, 1.0)) if q > 1 else np.pi
-    est = _chart_volume(split.w_basis, "ball", n_samples, seed, chunks, workers, sigma, block)
+    vol = _exact_group_volume(GroupSpec(action.group.family, k))
     if action.field is ScalarField.REAL:
-        est = McEstimate(2.0 * est.mean, 2.0 * est.stderr, est.n_samples, est.seed, est.chunks)
-    return est
+        vol *= 2.0
+    elif action.field is ScalarField.COMPLEX:
+        vol *= 2.0 * math.pi / math.sqrt(k) * math.sqrt(n / (n - k))
+    return McEstimate.exact(vol)
 
 
-def stabilizer_volume(
-    action: ActionSpec,
-    n_samples: int = DEFAULT_VOLUME_SAMPLES,
-    seed: int = DEFAULT_VOLUME_SEED,
-    chunks: int = 16,
-    workers: int | None = None,
-) -> McEstimate:
-    """Volume of the pointwise stabilizer of the section."""
+def stabilizer_volume(action: ActionSpec) -> McEstimate:
+    """Exact volume of the pointwise stabilizer of the section."""
     if isinstance(action, ConjugationAction):
         return McEstimate.exact(torus_volume(action.group))
-    sub = GroupSpec(action.group.family, action.n - action.k)
-    if sub.algebra_dim == 0:
-        return McEstimate.exact(1.0)
-    return group_volume(sub, n_samples, seed, chunks, workers)
+    return group_volume(GroupSpec(action.group.family, action.n - action.k))
 
 
-def vol_gh_estimate(
-    action: ActionSpec,
-    n_samples: int = DEFAULT_VOLUME_SAMPLES,
-    seed: int = DEFAULT_VOLUME_SEED,
-    chunks: int = 16,
-    workers: int | None = None,
-) -> McEstimate:
-    """vol(G/H) from the totally geodesic fibration vol(G)/vol(H)."""
-    vg = group_volume(action.group, n_samples, seed, chunks, workers)
-    vh = stabilizer_volume(action, n_samples, seed + 1, chunks, workers)
-    if vh.stderr == 0.0:
-        return McEstimate(vg.mean / vh.mean, vg.stderr / vh.mean, vg.n_samples, seed, chunks)
-    return ratio(vg, vh)
+def vol_gh_estimate(action: ActionSpec) -> McEstimate:
+    """vol(G/H) from the totally geodesic fibration vol(G)/vol(H); exact."""
+    return McEstimate.exact(group_volume(action.group).mean / stabilizer_volume(action).mean)
 
 
 @dataclass(frozen=True)
@@ -231,8 +216,8 @@ class VolumeTable:
     """The three quotient volumes and their factorization consistency.
 
     The identity vol(G/H) = vol(G/N) vol(W) holds when the Weyl bundle
-    over G/N factors; the consistency flag reports whether the three
-    independent estimates close that triangle within tolerance.
+    over G/N factors; the consistency flag reports whether the exact
+    vol(G/H) and vol(W) close it with the calibrated vol(G/N).
     """
 
     action: ActionSpec
@@ -254,6 +239,6 @@ class VolumeTable:
         return gap <= n_sigma * se + 1e-9 * max(1.0, abs(self.vol_gh.mean))
 
 
-def volume_table(action: ActionSpec, vol_gn: McEstimate, **kw) -> VolumeTable:
+def volume_table(action: ActionSpec, vol_gn: McEstimate) -> VolumeTable:
     """Assemble the quotient-volume triangle around a calibrated vol(G/N)."""
-    return VolumeTable(action, vol_gh_estimate(action, **kw), vol_gn, w_group_volume(action, **kw))
+    return VolumeTable(action, vol_gh_estimate(action), vol_gn, w_group_volume(action))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from sectint.actions import ConjugationAction, DirectSumAction
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
 SU2 = '{"kind":"conjugation","family":"SU","n":2}'
+H32 = '{"kind":"direct_sum","field":"H","n":3,"k":2}'
+C42 = '{"kind":"direct_sum","field":"C","n":4,"k":2}'
+SP3 = '{"kind":"conjugation","family":"Sp","n":3}'
 
 
 def run_cli(capsys, argv):
@@ -146,6 +150,12 @@ def test_integrate_conjugation(capsys):
     assert rep["results"]["vol_gn"]["mean"] == pytest.approx(np.pi, rel=0.05)
 
 
+def test_integrate_sp3_conjugation(capsys):
+    code, rep = run_cli(capsys, ["integrate", "--action", SP3, "--seed", "5", "--n", "500"])
+    assert code == 0 and rep["pass"] is True
+    assert rep["results"]["vol_gn"]["mean"] > 0
+
+
 # --- ensemble -----------------------------------------------------------------------
 
 def test_ensemble_csv_and_report(capsys, tmp_path):
@@ -173,6 +183,20 @@ def test_volumes_report(capsys):
     assert code == 0 and rep["pass"] is True
     assert rep["results"]["vol_w"]["mean"] == 2.0
     assert rep["results"]["vol_gh"]["mean"] == pytest.approx(2 * np.pi, rel=0.05)
+
+
+def test_volumes_h32_passes(capsys):
+    code, rep = run_cli(capsys, ["volumes", "--action", H32, "--seed", "3", "--n", "20000"])
+    assert code == 0 and rep["pass"] is True
+
+
+def test_volumes_c42_exact_vol_gh(capsys):
+    # vol(SU(4)) / vol(SU(2)) by the sphere recursion of SU(3) and SU(4)
+    area = lambda dim: 2 * np.pi ** ((dim + 1) / 2) / math.gamma((dim + 1) / 2)
+    expect = math.prod(2.0 ** (m - 1) * math.sqrt(m / (m - 1)) * area(2 * m - 1) for m in (3, 4))
+    code, rep = run_cli(capsys, ["volumes", "--action", C42, "--seed", "4", "--n", "20000"])
+    assert rep["results"]["vol_gh"]["mean"] == pytest.approx(expect, rel=1e-12)
+    assert rep["results"]["vol_gh"]["stderr"] == 0.0
 
 
 # --- reproducibility -----------------------------------------------------------------

@@ -114,10 +114,10 @@ def test_direct_zero_function_is_zero():
 
 def test_direct_su2_volume():
     # integrating 1 over the group recovers its Riemannian volume,
-    # the area of a radius sqrt(2) three-sphere
+    # the area of a radius sqrt(2) three-sphere, exactly
     est = integrate_direct(SU2CONJ, make_test_function("const"), seed=2, n=20_000)
-    target = 2 * np.pi ** 2 * 2 ** 1.5
-    assert abs(est.mean - target) <= 4 * est.stderr
+    assert est.stderr == 0.0
+    assert est.mean == pytest.approx(2 * np.pi ** 2 * 2 ** 1.5, rel=1e-12)
 
 
 # --- reduced integrals ------------------------------------------------------------
@@ -164,6 +164,24 @@ def test_reduced_quadrature_error_is_small():
     # smooth periodic integrands converge spectrally on the torus grid
     est = integrate_reduced(SU2CONJ, make_test_function("trace_power", power=2), 1.0, seed=0, n=0)
     assert est.stderr <= 1e-10 * max(1.0, abs(est.mean))
+
+
+@pytest.mark.parametrize("family, n", [(Family.SU, 2), (Family.SU, 3), (Family.SP, 1), (Family.SO, 4)])
+def test_reduced_quadrature_error_floored(family, n):
+    # the rule is exact on the weight, so |fine - coarse| alone reads 0
+    est = integrate_reduced(ConjugationAction(GroupSpec(family, n)), make_test_function("const"), 1.0, seed=0, n=0)
+    assert 0.0 < est.stderr <= 1e-12 * abs(est.mean)
+
+
+def test_calibration_with_exact_group_volume():
+    # the const ratio is exact up to rounding, so vol(G/N) = pi to 1e-12
+    # with an error bar at rounding level, not the 1e-150 weight clamp
+    calib = calibrate_vol_gn(
+        SU2CONJ, [make_test_function("trace_power", power=2), make_test_function("const")], seed=3, n=2_000
+    )
+    assert calib.consistent
+    assert calib.combined.mean == pytest.approx(np.pi, rel=1e-12)
+    assert 1e-15 * np.pi < calib.combined.stderr <= 1e-12 * np.pi
 
 
 def test_calibration_scaling_invariance():

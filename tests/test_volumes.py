@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma
 
 from sectint.fields import ScalarField
 from sectint.matrices import to_real_vector
@@ -97,8 +98,7 @@ def test_weyl_group_orders():
 
 def test_w_volume_o2():
     a = DirectSumAction(R, 3, 2)
-    est = w_group_volume(a, n_samples=150_000, seed=16)
-    assert abs(est.mean - 4 * np.sqrt(2.0) * np.pi) < 5 * max(est.stderr, 1e-9)
+    assert w_group_volume(a).mean == pytest.approx(4 * np.sqrt(2.0) * np.pi, rel=1e-12)
 
 
 def test_w_volume_polar_and_conjugation_counts():
@@ -109,15 +109,13 @@ def test_w_volume_polar_and_conjugation_counts():
 
 def test_vol_gh_su2_conjugation():
     c = ConjugationAction(GroupSpec(Family.SU, 2))
-    est = vol_gh_estimate(c, n_samples=250_000, seed=17)
     assert stabilizer_volume(c).mean == pytest.approx(2 * np.pi * np.sqrt(2.0))
-    assert abs(est.mean - 2 * np.pi) < 4 * est.stderr
+    assert vol_gh_estimate(c).mean == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_vol_gh_so3_k2():
     a = DirectSumAction(R, 3, 2)
-    est = vol_gh_estimate(a, n_samples=250_000, seed=18)
-    assert abs(est.mean - 16 * np.sqrt(2.0) * np.pi ** 2) < 4 * est.stderr
+    assert vol_gh_estimate(a).mean == pytest.approx(16 * np.sqrt(2.0) * np.pi ** 2, rel=1e-12)
 
 
 def test_volume_table_closes_for_so3_k2():
@@ -132,7 +130,7 @@ def test_volume_table_closes_for_so3_k2():
         seed=19,
         n=300_000,
     )
-    table = volume_table(a, calib.combined, n_samples=250_000, seed=20)
+    table = volume_table(a, calib.combined)
     assert table.consistent(4.0)
     assert abs(calib.combined.mean - 4 * np.pi) < 4 * calib.combined.stderr
 
@@ -147,7 +145,7 @@ def test_volume_table_closes_for_su2_conjugation():
         seed=21,
         n=60_000,
     )
-    table = volume_table(c, calib.combined, n_samples=250_000, seed=22)
+    table = volume_table(c, calib.combined)
     assert table.consistent(4.0)
     # vol(G/N) = vol(G/T) / |W| = pi
     assert abs(calib.combined.mean - np.pi) < 4 * calib.combined.stderr
@@ -184,3 +182,64 @@ def test_volume_estimates_deterministic():
     e1 = group_volume(a, n_samples=50_000, seed=5, chunks=8)
     e2 = group_volume(a, n_samples=50_000, seed=5, chunks=8)
     assert e1 == e2
+
+
+def sphere_area(dim: int) -> float:
+    return 2 * np.pi ** ((dim + 1) / 2) / gamma((dim + 1) / 2)
+
+
+# vol(G(m)) / vol(G(m - 1)) from the fibration G(m - 1) -> G(m) -> G(m) e_1
+FIBRATION_FACTOR = {
+    Family.SO: lambda m: np.sqrt(2.0) ** (m - 1) * sphere_area(m - 1),
+    Family.SU: lambda m: 2.0 ** (m - 1) * np.sqrt(m / (m - 1)) * sphere_area(2 * m - 1),
+    Family.SP: lambda m: 4.0 ** (m - 1) * sphere_area(4 * m - 1),
+}
+
+
+@pytest.mark.parametrize("family, sizes", [(Family.SO, range(2, 7)), (Family.SU, range(2, 6)), (Family.SP, range(1, 4))])
+def test_exact_group_volumes_follow_sphere_recursion(family, sizes):
+    for m in sizes:
+        est = group_volume(GroupSpec(family, m))
+        lower = group_volume(GroupSpec(family, m - 1)).mean if m > 1 else 1.0
+        assert est.stderr == 0.0 and est.mean > 0
+        assert est.mean / lower == pytest.approx(FIBRATION_FACTOR[family](m), rel=1e-12)
+
+
+def test_exact_group_volumes_known_values():
+    known = {
+        (Family.SO, 2): 2 * np.sqrt(2.0) * np.pi,
+        (Family.SO, 3): 16 * np.sqrt(2.0) * np.pi ** 2,
+        (Family.SU, 2): 2 * np.pi ** 2 * 2 ** 1.5,
+        (Family.SP, 1): 2 * np.pi ** 2,
+        (Family.SP, 2): 8 * np.pi ** 6 / 3,
+    }
+    for (family, n), value in known.items():
+        assert group_volume(GroupSpec(family, n)).mean == pytest.approx(value, rel=1e-12)
+    assert group_volume(GroupSpec(Family.SP, 3)).mean > 0
+
+
+def test_u2_weyl_volume_vs_chart_oracle():
+    # U(2) in C(4,2): its su(2) block plus the trace-compensating generator,
+    # whose principal-domain test ignores the determined lower block
+    from sectint.actions import algebra_split
+    from sectint.volumes import _chart_volume
+
+    a = DirectSumAction(ScalarField.COMPLEX, 4, 2)
+    exact = w_group_volume(a)
+    assert exact.stderr == 0.0
+    assert exact.mean == pytest.approx(2 * np.pi * group_volume(GroupSpec(Family.SU, 2)).mean, rel=1e-12)
+    est = _chart_volume(algebra_split(a).w_basis, "ball", 200_000, 23, 16, None, np.pi, block_size=2)
+    assert abs(est.mean - exact.mean) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("field, n, seed", [(ScalarField.COMPLEX, 4, 24), (ScalarField.QUATERNION, 3, 25)])
+def test_calibrated_vol_gn_matches_exact_quotient(field, n, seed):
+    # the independent check of the U(k) and Sp(n) factors: the calibrated
+    # vol(G/N) uses no group volume at all
+    from sectint.integrate import calibrate_vol_gn, make_test_function
+
+    a = DirectSumAction(field, n, 2)
+    fs = [make_test_function("gaussian_radial"), make_test_function("gaussian_sq_norm")]
+    calib = calibrate_vol_gn(a, fs, seed=seed, n=200_000)
+    exact = vol_gh_estimate(a).mean / w_group_volume(a).mean
+    assert abs(calib.combined.mean - exact) < 4 * calib.combined.stderr

@@ -174,13 +174,11 @@ def test_orbit_volume_su2_spheres():
     c = ConjugationAction(GroupSpec(Family.SU, 2))
     from sectint.volumes import vol_gh_estimate
 
-    gh = vol_gh_estimate(c, n_samples=200_000)
+    gh = vol_gh_estimate(c)
     for theta in (np.pi / 2, 0.8):
         s = torus_point(c.group, [theta])
-        vol = orbit_volume(c, s, gh.mean)
         expect = 4.0 * np.pi * 2.0 * np.sin(theta) ** 2
-        rel_se = gh.stderr / gh.mean
-        assert abs(vol - expect) <= 4.0 * rel_se * expect + 1e-9
+        assert orbit_volume(c, s, gh.mean) == pytest.approx(expect, rel=1e-12)
 
 
 def test_orbit_volume_rejects_singular():
@@ -209,14 +207,12 @@ def test_volume_scaling_ratio_recovers_weight():
 
     a = DirectSumAction(R, 3, 2)
     rng = np.random.default_rng(3)
-    gh = vol_gh_estimate(a, n_samples=200_000)
-    w = w_group_volume(a, n_samples=200_000)
+    gh = vol_gh_estimate(a)
+    w = w_group_volume(a)
     for b in (np.eye(2), rng.standard_normal((2, 2))):
         s = embed_section(a, b)
         ratio = orbit_volume_ratio(a, s, gh.mean, w.mean, w_orbit_length(np.asarray(b, dtype=float)))
-        expect = delta_e_generic(a, s)
-        rel_se = np.hypot(gh.stderr / gh.mean, w.stderr / w.mean)
-        assert abs(ratio - expect) <= 4.0 * rel_se * expect + 1e-6
+        assert ratio == pytest.approx(delta_e_generic(a, s), rel=1e-12)
 
 
 def test_volume_scaling_ratio_singular_is_zero():

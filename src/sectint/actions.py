@@ -208,19 +208,6 @@ def section_coordinate(action: DirectSumAction, s: MatK) -> MatK:
     return MatK(action.field, s.data[: action.k].copy())
 
 
-def section_residual(action: ActionSpec, x: MatK) -> float:
-    """Distance of x from the section (coordinate-wise, not orbit-wise)."""
-    if isinstance(action, DirectSumAction):
-        r = float(np.linalg.norm(x.data[action.k :]))
-        if action.k == 1:
-            # the k = 1 section is the real line through the first basis vector
-            v = to_real_vector(MatK(action.field, x.data[:1].copy()))
-            r = float(np.hypot(r, np.linalg.norm(v[1:])))
-        return r
-    angles = torus_angles(action, x, strict=False)
-    return (x - torus_point(action.group, angles)).norm()
-
-
 def torus_angles(action: ConjugationAction, s: MatK, strict: bool = True) -> np.ndarray:
     """Angle coordinates of a point of the standard maximal torus."""
     fam, n = action.group.family, action.group.n
@@ -615,7 +602,7 @@ def _flip_one_block(qn: np.ndarray, angles: list[float]) -> bool:
 def _reduce_conj_sp(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
     group = action.group
     n = group.n
-    t, q = scipy.linalg.schur(complex_embedding(x), output="complex")
+    t, q = scipy.linalg.schur(complex_embedding(x.field, x.data), output="complex")
     ang = np.angle(np.diag(t))
     order = np.argsort(np.abs(ang), kind="stable")
     # quaternionic eigencolumns: w = v_top + conj(v_bot) j; the plus and
@@ -701,7 +688,7 @@ def random_regular_section_point(
         s = random_section_point(action, rng, scale)
         if isinstance(action, DirectSumAction):
             b = section_coordinate(action, s)
-            sv = np.linalg.svd(complex_embedding(b), compute_uv=False)
+            sv = np.linalg.svd(complex_embedding(b.field, b.data), compute_uv=False)
             if sv[-1] > min_gap:
                 return s
         else:

@@ -51,21 +51,29 @@ from .weights import delta_e_closed_form, delta_e_generic, orbit_map_differentia
 
 def _load_json_arg(text: str):
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return json.load(fh)
+        try:
+            with open(text[1:]) as fh:
+                return json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from None
     return json.loads(text)
 
 
 def _parse_action(text: str) -> ActionSpec:
     try:
-        return action_from_json(_load_json_arg(text))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"bad --action: {exc}")
+        obj = _load_json_arg(text)
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        return action_from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"bad --action: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad --action: {exc}") from None
 
 
 def _parse_entry(field: ScalarField, raw, i: int, j: int):
     def fail(msg):
-        raise SystemExit(f"point parse error at row {i + 1}, column {j + 1}: {msg}")
+        raise ValueError(f"point parse error at row {i + 1}, column {j + 1}: {msg}")
 
     if field is ScalarField.REAL:
         if not isinstance(raw, (int, float)):
@@ -85,13 +93,16 @@ def _parse_entry(field: ScalarField, raw, i: int, j: int):
 
 
 def _parse_point(action: ActionSpec, text: str) -> MatK:
-    obj = _load_json_arg(text)
+    try:
+        obj = _load_json_arg(text)
+    except ValueError as exc:
+        raise ValueError(f"bad --point: {exc}") from None
     if isinstance(action, ConjugationAction):
         angles = obj["angles"] if isinstance(obj, dict) else obj
         return embed_section(action, np.asarray(angles, dtype=float))
     k = action.k
-    if not (isinstance(obj, list) and len(obj) == k and all(len(r) == k for r in obj)):
-        raise SystemExit(f"point must be a {k} x {k} array of entries")
+    if not (isinstance(obj, list) and len(obj) == k and all(isinstance(r, list) and len(r) == k for r in obj)):
+        raise ValueError(f"point must be a {k} x {k} array of entries")
     entries = [[_parse_entry(action.field, obj[i][j], i, j) for j in range(k)] for i in range(k)]
     if action.field is ScalarField.QUATERNION:
         return embed_section(action, np.asarray(entries, dtype=float))
@@ -195,8 +206,6 @@ def cmd_delta(args) -> int:
 def cmd_integrate(args) -> int:
     action = _parse_action(args.action)
     fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
-    if len(fs) < 2:
-        raise SystemExit("--functions needs at least two integrands for calibration")
     calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers)
     checks = [
         {

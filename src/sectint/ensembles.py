@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .fields import ScalarField
-from .matrices import MatK, qr
+from .matrices import complex_embedding, data_from_components, gram_det
 from .groups import Family, haar_sample, haar_sample_batch, torus_point, torus_points
 from .actions import (
     ActionSpec,
@@ -25,10 +25,9 @@ from .actions import (
     DirectSumAction,
     canonical_coordinate,
     reduce_to_section,
-    section_coordinate,
     torus_angles,
 )
-from .integrate import _coords_to_complex_square, _torus_grid, _subseed
+from .integrate import _subseed, _torus_grid, section_weight_batch
 from .weights import delta_e_batch
 from .mc import chunk_rngs, chunk_sizes
 
@@ -55,70 +54,43 @@ class EnsembleSpec:
         }
 
 
-def _stat_from_coordinate(spec: EnsembleSpec, b: MatK) -> float:
-    from .matrices import det_modulus
+def _stats_batch_direct(spec: EnsembleSpec, field: ScalarField, comps: np.ndarray) -> np.ndarray:
+    """Statistics of a stack of matrices given as real components (m, r, k, d).
 
+    All statistics are invariant under unitary maps from the left, so an
+    ambient sample and its section coordinate give the same value.
+    """
+    m = comps.shape[0]
     if spec.statistic == "constant":
-        return 1.0
-    if spec.statistic == "coordinate_det":
-        return det_modulus(b)
+        return np.ones(m)
     if spec.statistic == "coordinate_norm":
-        return b.norm()
-    if spec.statistic == "singular_value":
-        from .matrices import complex_embedding
-
-        sv = np.linalg.svd(complex_embedding(b), compute_uv=False)
-        d = spec.action.field.dim
-        sv = sv[:: 2] if d == 4 else sv  # quaternion embedding doubles each value
-        return float(sv[spec.stat_index])
-    raise ValueError(f"statistic {spec.statistic!r} not defined for direct sums")
-
-
-def _stats_batch_direct(spec: EnsembleSpec, z: np.ndarray) -> np.ndarray:
-    """Statistics of section coordinates given as flat rows (vectorized)."""
-    action = spec.action
-    k = action.k
-    if spec.statistic == "constant":
-        return np.ones(z.shape[0])
-    if spec.statistic == "coordinate_norm":
-        return np.linalg.norm(z, axis=1)
-    b = _coords_to_complex_square(action.field, z, k)
+        return np.linalg.norm(comps.reshape(m, -1), axis=1)
     if spec.statistic == "coordinate_det":
-        dets = np.abs(np.linalg.det(b))
-        return np.sqrt(dets) if action.field is ScalarField.QUATERNION else dets
+        return np.sqrt(gram_det(field, comps))
     if spec.statistic == "singular_value":
-        sv = np.linalg.svd(b, compute_uv=False)
-        if action.field is ScalarField.QUATERNION:
-            sv = sv[:, ::2]
+        sv = np.linalg.svd(complex_embedding(field, data_from_components(field, comps)), compute_uv=False)
+        if field is ScalarField.QUATERNION:
+            sv = sv[:, ::2]  # the embedding doubles each value
         return sv[:, spec.stat_index]
     raise ValueError(f"statistic {spec.statistic!r} not defined for direct sums")
 
 
-def _reduce_batch_real(action: DirectSumAction, x: np.ndarray) -> np.ndarray:
-    """Canonical coordinates of real samples via Cholesky of x^t x.
-
-    The canonical Weyl representative is the upper triangular QR factor
-    with nonnegative diagonal, which coincides with the transposed
-    Cholesky factor of x^t x for full-rank samples.
-    """
-    g = np.einsum("mij,mik->mjk", x, x)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        rows = []
-        for sample in x:
-            rows.append(qr(MatK(ScalarField.REAL, sample)).r.data)
-        return np.stack(rows)
-    return np.transpose(chol, (0, 2, 1))
+def _gaussian_components(action: DirectSumAction, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Components (size, n, k, d) of size draws of matrices.gaussian, from
+    the same random stream as size successive calls."""
+    n, k = action.n, action.k
+    if action.field is ScalarField.COMPLEX:
+        return np.moveaxis(rng.standard_normal((size, 2, n, k)), 1, -1)
+    return rng.standard_normal((size, n, k, action.field.dim))
 
 
 def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> np.ndarray:
     """Statistics of n ambient samples reduced to the section.
 
-    Every sample is reduced to its canonical Weyl representative; the
-    statistic is then read off the section coordinate (all supported
-    statistics are Weyl invariant, so the representative choice is
-    immaterial).
+    Every statistic is Weyl invariant, so it is read off the canonical
+    section representative of each sample.  Direct-sum statistics are
+    invariant under the whole group and come straight from the ambient
+    draws, with no reduction.
     """
     action = spec.action
     sizes = chunk_sizes(n, chunks)
@@ -128,19 +100,8 @@ def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> 
         if size == 0:
             continue
         if isinstance(action, DirectSumAction):
-            if action.field is ScalarField.REAL and action.k >= 2:
-                x = rng.standard_normal((size, action.n, action.k)) * spec.scale
-                bs = _reduce_batch_real(action, x)
-                out.append(_stats_batch_direct(spec, bs.reshape(size, -1)))
-            else:
-                vals = np.empty(size)
-                for i in range(size):
-                    from .matrices import gaussian
-
-                    x = spec.scale * gaussian(action.field, action.n, action.k, rng)
-                    s, _ = reduce_to_section(action, x)
-                    vals[i] = _stat_from_coordinate(spec, section_coordinate(action, s))
-                out.append(vals)
+            comps = spec.scale * _gaussian_components(action, rng, size)
+            out.append(_stats_batch_direct(spec, action.field, comps))
         else:
             if spec.statistic != "torus_angle":
                 raise ValueError("conjugation ensembles support the torus_angle statistic")
@@ -164,17 +125,14 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
     """Section-side statistics with importance weights prop. to p * weight."""
     action = spec.action
     if isinstance(action, DirectSumAction):
-        from .integrate import section_weight_batch
-
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         z = rng.standard_normal((n_ref, action.section_dim)) * spec.scale
         # gaussian importance at the density's own scale cancels p(s)/q(s)
         w = section_weight_batch(action, z)
-        stats = (
-            np.abs(z[:, 0])
-            if action.k == 1 and spec.statistic == "coordinate_norm"
-            else _stats_batch_direct(spec, z)
-        )
+        # the k = 1 section is the real line, so its coordinate is a real 1 x 1
+        k = action.k
+        field = action.field if k > 1 else ScalarField.REAL
+        stats = _stats_batch_direct(spec, field, z.reshape(n_ref, k, k, field.dim))
         return stats, w / np.sum(w)
     # conjugation: the ambient density is Haar, so the reference is the
     # weight on a fine angle grid, evaluated at canonical representatives
@@ -274,7 +232,10 @@ def compare_densities(
     The reference side is made much tighter than the empirical side (a
     large importance sample, or exact bin quadrature for rank-one torus
     angles) so the chi-square statistic is dominated by sampling noise.
+    Fewer than two bins would make the test vacuous and are rejected.
     """
+    if bins < 2:
+        raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
     stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks)
     rank1_conj = isinstance(spec.action, ConjugationAction) and spec.action.group.rank == 1
     if rank1_conj:

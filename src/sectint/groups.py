@@ -22,8 +22,6 @@ from .matrices import (
     DimensionError,
     MatK,
     complex_embedding,
-    det_modulus,
-    eye,
     from_real_vector,
     gaussian,
     inner,
@@ -228,23 +226,10 @@ def exp_map(group: GroupSpec, x: MatK) -> GroupElement:
     # exp commutes with the complex adjoint embedding; average the two
     # redundant blocks when projecting back
     n = x.rows
-    e = scipy.linalg.expm(complex_embedding(x))
+    e = scipy.linalg.expm(complex_embedding(x.field, x.data))
     c1 = 0.5 * (e[:n, :n] + e[n:, n:].conj())
     c2 = 0.5 * (e[n:, :n].conj() - e[:n, n:])
     return GroupElement(group, MatK(QUATERNION, np.stack([c1, c2], axis=-1)))
-
-
-def unitarity_residual(g: GroupElement) -> float:
-    m = g.matrix
-    return (m.h @ m - eye(m.field, m.rows)).norm()
-
-
-def det_residual(g: GroupElement) -> float:
-    """Deviation of the determinant from 1 (classical det for SO/SU)."""
-    m = g.matrix
-    if g.group.family is Family.SP:
-        return abs(det_modulus(m) - 1.0)
-    return float(abs(np.linalg.det(np.asarray(m.data)) - 1.0))
 
 
 def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
@@ -299,16 +284,3 @@ def adjoint(g: GroupElement, x: MatK) -> MatK:
     """Ad_g x = g x g^{-1}; an isometry of the algebra."""
     m = g.matrix
     return m @ x @ m.h
-
-
-def skewness_residual(x: MatK) -> float:
-    return (x.h + x).norm()
-
-
-def random_algebra_element(group: GroupSpec, rng: np.random.Generator, scale: float = 1.0) -> MatK:
-    basis = algebra_basis(group)
-    coeff = rng.standard_normal(len(basis)) * scale
-    out = zeros(group.field, group.n, group.n)
-    for c, b in zip(coeff, basis):
-        out = out + c * b
-    return out

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarField
-from .matrices import batch_to_real, eye, to_real_vector
+from .matrices import batch_to_real, eye, gram_det, to_real_vector
 from .groups import haar_sample, haar_sample_batch, torus_points
 from .actions import (
     ActionSpec,
@@ -95,34 +94,15 @@ def _fam_gaussian_sq_norm(action, pts, params):
     return r2 * np.exp(-r2 / (2.0 * sigma * sigma))
 
 
-def _points_as_complex(action: DirectSumAction, pts: np.ndarray) -> np.ndarray:
-    """(m, D) flat coordinates -> complex-embedded matrices (m, ., .)."""
-    m = pts.shape[0]
-    n, k, d = action.n, action.k, action.field.dim
-    if action.field is ScalarField.REAL:
-        return pts.reshape(m, n, k).astype(complex)
-    a = pts.reshape(m, n, k, d)
-    if action.field is ScalarField.COMPLEX:
-        return a[..., 0] + 1j * a[..., 1]
-    c1 = a[..., 0] + 1j * a[..., 1]
-    c2 = a[..., 2] + 1j * a[..., 3]
-    top = np.concatenate([c1, -c2], axis=2)
-    bot = np.concatenate([c2.conj(), c1.conj()], axis=2)
-    return np.concatenate([top, bot], axis=1)
-
-
 def section_coordinate_det(action: DirectSumAction, pts: np.ndarray) -> np.ndarray:
     """|det| (Dieudonne modulus over H) of the reduced k x k coordinate.
 
-    Computed invariantly as det(x^* x) ** (1/2) through the complex
-    embedding, which equals the determinant modulus of the canonical
-    section coordinate of each point.
+    Computed invariantly from the ambient points (m, D) as
+    sqrt(gram_det), which equals the determinant modulus of the
+    canonical section coordinate of each point.
     """
-    x = _points_as_complex(action, pts)
-    g = np.einsum("mij,mik->mjk", x.conj(), x)
-    dets = np.abs(np.linalg.det(g))
-    power = 0.25 if action.field is ScalarField.QUATERNION else 0.5
-    return dets ** power
+    comps = pts.reshape(pts.shape[0], action.n, action.k, action.field.dim)
+    return np.sqrt(gram_det(action.field, comps))
 
 
 def _fam_gaussian_det(action, pts, params):
@@ -189,37 +169,23 @@ def check_invariance(
 
 # --- section weights, vectorized ---------------------------------------------
 
-def _coords_to_complex_square(field: ScalarField, z: np.ndarray, k: int) -> np.ndarray:
-    m = z.shape[0]
-    d = field.dim
-    if field is ScalarField.REAL:
-        return z.reshape(m, k, k).astype(complex)
-    a = z.reshape(m, k, k, d)
-    if field is ScalarField.COMPLEX:
-        return a[..., 0] + 1j * a[..., 1]
-    c1 = a[..., 0] + 1j * a[..., 1]
-    c2 = a[..., 2] + 1j * a[..., 3]
-    top = np.concatenate([c1, -c2], axis=2)
-    bot = np.concatenate([c2.conj(), c1.conj()], axis=2)
-    return np.concatenate([top, bot], axis=1)
-
-
 @functools.lru_cache(maxsize=None)
 def _polar_unit_weight(action: DirectSumAction) -> float:
     return delta_e_generic(action, embed_section(action, eye(action.field, 1)))
 
 
 def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
-    """Weight at the section points with flat coordinates z (m, dim)."""
+    """Weight at the section points with flat coordinates z (m, dim).
+
+    For k >= 2 this is 2^(-dk(n-k)/2) |det B|^(d(n-k)) of the k x k
+    coordinate B, with |det B|^2 = gram_det(B).
+    """
     d, n, k = action.field.dim, action.n, action.k
     if k == 1:
         # homogeneous of degree (ambient - section) in the radial coordinate
         return _polar_unit_weight(action) * np.abs(z[:, 0]) ** (d * n - 1)
-    b = _coords_to_complex_square(action.field, z, k)
-    dets = np.abs(np.linalg.det(b))
-    if action.field is ScalarField.QUATERNION:
-        dets = np.sqrt(dets)
-    return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k))
+    dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
+    return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
 
 
 def _section_points_flat(action: DirectSumAction, z: np.ndarray) -> np.ndarray:

@@ -328,16 +328,53 @@ def _completion_column(field: ScalarField, n: int, qcols: list[np.ndarray]) -> n
 
 # --- determinants ----------------------------------------------------------
 
-def complex_embedding(x: MatK) -> np.ndarray:
-    """Complex matrix representing x; the 2n x 2m adjoint matrix for H."""
-    if x.field is REAL:
-        return x.data.astype(complex)
-    if x.field is COMPLEX:
-        return x.data.copy()
-    c1, c2 = x.data[..., 0], x.data[..., 1]
-    top = np.concatenate([c1, -c2], axis=1)
-    bot = np.concatenate([c2.conj(), c1.conj()], axis=1)
-    return np.concatenate([top, bot], axis=0)
+def complex_embedding(field: ScalarField, data: np.ndarray) -> np.ndarray:
+    """Complex matrices representing a stack of raw matrix data.
+
+    data is MatK data with any leading batch axes, (..., r, c[, pair]);
+    for H each matrix becomes its 2r x 2c adjoint matrix.
+    """
+    if field is not QUATERNION:
+        return np.array(data, dtype=complex)
+    c1, c2 = data[..., 0], data[..., 1]
+    top = np.concatenate([c1, -c2], axis=-1)
+    bot = np.concatenate([c2.conj(), c1.conj()], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
+
+
+def data_from_components(field: ScalarField, comps: np.ndarray) -> np.ndarray:
+    """Real components (..., r, c, d) -> raw matrix data (..., r, c[, pair])."""
+    if field is REAL:
+        return comps[..., 0]
+    if field is COMPLEX:
+        return comps[..., 0] + 1j * comps[..., 1]
+    return quat_to_pair(comps)
+
+
+def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
+    """det(x^* x) >= 0 for a stack of n x k matrices given as real
+    components (m, n, k, d); the Moore determinant of the Gram matrix for H.
+
+    This is |x|^2 for k = 1 and g11 g22 - |g12|^2 for k = 2, from real
+    arithmetic only: g12 = sum_r conj(x_r1) x_r2 is one batched product
+    of the two columns' components, contracted with the field's table of
+    conj(e_a) e_b.  Rounding in that difference is clipped at 0, so a
+    rank-deficient x gives 0 or a value of order eps * |x|^4.  Larger k
+    takes LAPACK det of the Gram matrix of the complex embedding, whose
+    determinant is the square of the Moore determinant for H.
+    """
+    m, _, k, d = comps.shape
+    if k == 1:
+        return np.einsum("mrkd,mrkd->m", comps, comps)
+    if k == 2:
+        u, v = comps[:, :, 0], comps[:, :, 1]
+        g11 = np.einsum("mrd,mrd->m", u, u)
+        g22 = np.einsum("mrd,mrd->m", v, v)
+        g12 = np.matmul(np.swapaxes(u, 1, 2), v).reshape(m, d * d) @ _CONJ_PRODUCTS[field.value]
+        return np.maximum(g11 * g22 - np.einsum("mc,mc->m", g12, g12), 0.0)
+    x = complex_embedding(field, data_from_components(field, comps))
+    det = np.abs(np.linalg.det(np.matmul(np.swapaxes(x.conj(), 1, 2), x)))
+    return np.sqrt(det) if field is QUATERNION else det
 
 
 def det_modulus(x: MatK) -> float:
@@ -345,7 +382,7 @@ def det_modulus(x: MatK) -> float:
     if not x.is_square():
         raise DimensionError("det_modulus requires a square matrix")
     if x.field is QUATERNION:
-        return float(np.sqrt(abs(np.linalg.det(complex_embedding(x)))))
+        return float(np.sqrt(abs(np.linalg.det(complex_embedding(x.field, x.data)))))
     return float(abs(np.linalg.det(x.data)))
 
 
@@ -389,3 +426,12 @@ def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray
         r = np.linalg.qr(np.swapaxes(images, -1, -2), mode="r")
         out = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
     return float(out) if images.ndim == 2 else out
+
+
+def _conj_product_table(field: ScalarField) -> np.ndarray:
+    """(d * d, d) table: row d * a + b holds the components of conj(e_a) e_b."""
+    units = [from_real_vector(field, 1, 1, e) for e in np.eye(field.dim)]
+    return np.array([to_real_vector(a.h @ b) for a in units for b in units])
+
+
+_CONJ_PRODUCTS = {f.value: _conj_product_table(f) for f in ScalarField}

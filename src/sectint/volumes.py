@@ -83,7 +83,7 @@ def _chart_volume(
     if q == 0:
         return McEstimate.exact(1.0)
     cstruct = _structure_constants(basis).reshape(q, -1)
-    bstack = np.stack([complex_embedding(b) for b in basis])  # (q, N, N)
+    bstack = complex_embedding(basis[0].field, np.stack([b.data for b in basis]))  # (q, N, N)
     nn = bstack.shape[1]
     bflat = bstack.reshape(q, -1)
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)

@@ -5,7 +5,7 @@ import pytest
 
 from sectint.fields import ScalarField
 from sectint.matrices import eye, mat, to_real_vector, zeros
-from sectint.groups import Family, GroupSpec, haar_sample
+from sectint.groups import Family, GroupSpec, haar_sample, torus_point
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -27,11 +27,24 @@ from sectint.actions import (
     reduce_to_section,
     section_coordinate,
     section_frame,
-    section_residual,
     torus_angles,
 )
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
+
+
+def section_residual(action, x):
+    """Distance of x from the section (coordinate-wise, not orbit-wise)."""
+    if isinstance(action, DirectSumAction):
+        r = float(np.linalg.norm(x.data[action.k :]))
+        if action.k == 1:
+            # the k = 1 section is the real line through the first basis vector
+            v = to_real_vector(mat(action.field, x.data[:1]))
+            r = float(np.hypot(r, np.linalg.norm(v[1:])))
+        return r
+    angles = torus_angles(action, x, strict=False)
+    return (x - torus_point(action.group, angles)).norm()
+
 
 TABLE_ACTIONS = [
     DirectSumAction(R, 3, 2),

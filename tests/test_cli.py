@@ -101,10 +101,43 @@ def test_bad_workers_env_exits_2(capsys, monkeypatch, value):
     assert "SECTINT_WORKERS" in captured.err and captured.err.count("\n") == 1
 
 
+def _exits_2_with_one_line(capsys, argv) -> str:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    return captured.err
+
+
 def test_delta_malformed_point_reports_position(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["delta", "--action", SO3K2, "--point", '[[1,"x"],[0,1]]'])
-    assert "row 1, column 2" in str(exc.value)
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", SO3K2, "--point", '[[1,"x"],[0,1]]'])
+    assert "row 1, column 2" in err
+
+
+@pytest.mark.parametrize(
+    "action",
+    ['{"kind":"direct_sum"', "[1, 2]", '{"kind":"direct_sum","field":"R","n":3}',
+     '{"kind":"direct_sum","field":"Q","n":3,"k":2}', '{"kind":"torus"}', "@no-such-action.json"],
+)
+def test_bad_action_exits_2(capsys, action):
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", "[[1,0],[0,1]]"])
+    assert "bad --action" in err
+
+
+@pytest.mark.parametrize("point", ["[[1,2]]", "[1,2]", "[[1,2],[3]]", "[[1,2"])
+def test_point_of_wrong_shape_exits_2(capsys, point):
+    _exits_2_with_one_line(capsys, ["delta", "--action", SO3K2, "--point", point])
+
+
+def test_single_integrand_exits_2(capsys):
+    err = _exits_2_with_one_line(capsys, ["integrate", "--action", SO3K2, "--functions", "const", "--n", "100"])
+    assert "two" in err
+
+
+@pytest.mark.parametrize("bins", ["0", "1"])
+def test_ensemble_needs_two_bins(capsys, bins):
+    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", SO3K2, "--n", "200", "--bins", bins])
+    assert "bins" in err
 
 
 # --- verify -------------------------------------------------------------------------

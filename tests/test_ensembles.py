@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
+from sectint.matrices import complex_embedding, det_modulus
 from sectint.groups import Family, GroupSpec
 from sectint.actions import (
     ConjugationAction,
@@ -23,6 +24,21 @@ from sectint.ensembles import (
 R, H = ScalarField.REAL, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)
 SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
+
+
+def _stat_from_coordinate(spec, b):
+    """Statistic of one section coordinate b, computed per matrix."""
+    if spec.statistic == "constant":
+        return 1.0
+    if spec.statistic == "coordinate_det":
+        return det_modulus(b)
+    if spec.statistic == "coordinate_norm":
+        return b.norm()
+    if spec.statistic == "singular_value":
+        sv = np.linalg.svd(complex_embedding(b.field, b.data), compute_uv=False)
+        sv = sv[::2] if b.field is H else sv  # quaternion embedding doubles each value
+        return float(sv[spec.stat_index])
+    raise ValueError(f"statistic {spec.statistic!r} not defined for direct sums")
 
 
 def test_empty_stream():
@@ -58,14 +74,31 @@ def test_statistics_weyl_invariant():
     rng = np.random.default_rng(1)
     for action, stat in [(SO3K2, "coordinate_det"), (SO3K2, "coordinate_norm")]:
         spec = EnsembleSpec(action, 1.0, stat)
-        from sectint.ensembles import _stat_from_coordinate
-
         s = random_regular_section_point(action, rng)
         base = _stat_from_coordinate(spec, section_coordinate(action, s))
         for _ in range(10):
             w = normalizer_sample(action, rng)
             moved = _stat_from_coordinate(spec, section_coordinate(action, act(action, w, s)))
             assert abs(moved - base) <= 1e-10 * (1.0 + abs(base))
+
+
+@pytest.mark.parametrize(
+    "action", [SO3K2, DirectSumAction(ScalarField.COMPLEX, 4, 2), DirectSumAction(H, 3, 2)], ids=str
+)
+@pytest.mark.parametrize("stat", ["coordinate_det", "coordinate_norm", "singular_value"])
+def test_batched_statistics_match_per_sample_reduction(action, stat):
+    # replay the sampling stream one matrix at a time, reduce each draw to
+    # the section and read the statistic off its coordinate
+    from sectint.matrices import gaussian
+    from sectint.mc import chunk_rngs, chunk_sizes
+
+    spec = EnsembleSpec(action, 1.5, stat, stat_index=1 if stat == "singular_value" else 0)
+    oracle = []
+    for rng, size in zip(chunk_rngs(8, 16), chunk_sizes(50, 16)):
+        for _ in range(size):
+            s, _ = reduce_to_section(action, 1.5 * gaussian(action.field, action.n, action.k, rng))
+            oracle.append(_stat_from_coordinate(spec, section_coordinate(action, s)))
+    np.testing.assert_allclose(sample_ensemble(spec, seed=8, n=50), oracle, rtol=1e-10, atol=0)
 
 
 def test_det_second_moment_two_sided():
@@ -76,6 +109,15 @@ def test_det_second_moment_two_sided():
     rs, rw = _reference_sample(spec, 4, 2_000_000)
     s_mean = np.sum(rw * rs ** 2)
     assert abs(m_mean - s_mean) <= 4 * m_se
+
+
+@pytest.mark.parametrize("field, n", [(ScalarField.COMPLEX, 3), (H, 2)])
+def test_polar_reference_det_second_moment(field, n):
+    # k = 1: |det| of the real section coordinate is |x|, whose second
+    # moment under the standard Gaussian on K^n is the real dimension d n
+    spec = EnsembleSpec(DirectSumAction(field, n, 1), 1.0, "coordinate_det")
+    rs, rw = _reference_sample(spec, 0, 200_000)
+    assert np.sum(rw * rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
 
 
 def test_reference_weights_normalized():

@@ -2,25 +2,47 @@ import numpy as np
 from scipy import stats as sps
 
 from sectint.fields import ScalarField
-from sectint.matrices import eye, inner, mat, to_real_vector
+from sectint.matrices import det_modulus, eye, inner, mat, to_real_vector, zeros
 from sectint.groups import (
     Family,
     GroupSpec,
     adjoint,
     algebra_basis,
-    det_residual,
     exp_map,
     haar_sample,
     haar_sample_batch,
-    random_algebra_element,
-    skewness_residual,
     torus_basis,
     torus_point,
     torus_points,
-    unitarity_residual,
 )
 
 ALL_GROUPS = [GroupSpec(f, n) for f in Family for n in range(2, 7)]
+
+
+def unitarity_residual(g):
+    m = g.matrix
+    return (m.h @ m - eye(m.field, m.rows)).norm()
+
+
+def det_residual(g):
+    """Deviation of the determinant from 1 (classical det for SO/SU)."""
+    m = g.matrix
+    if g.group.family is Family.SP:
+        return abs(det_modulus(m) - 1.0)
+    return float(abs(np.linalg.det(np.asarray(m.data)) - 1.0))
+
+
+def skewness_residual(x):
+    return (x.h + x).norm()
+
+
+def random_algebra_element(group, rng, scale=1.0):
+    basis = algebra_basis(group)
+    coeff = rng.standard_normal(len(basis)) * scale
+    out = zeros(group.field, group.n, group.n)
+    for c, b in zip(coeff, basis):
+        out = out + c * b
+    return out
 
 
 def test_algebra_dimension_table():

@@ -11,6 +11,7 @@ from sectint.matrices import (
     eye,
     from_real_vector,
     gaussian,
+    gram_det,
     inner,
     mat,
     qr,
@@ -232,3 +233,55 @@ def test_abs_det_between_codomain_frame_independent():
     a = abs_det_between(images, 4)
     b = abs_det_between(images @ q, 4)
     assert abs(a - b) < 1e-10 * max(1.0, a)
+
+
+# --- Gram determinant -------------------------------------------------------------
+
+def gram_det_oracle(field, comps: np.ndarray) -> np.ndarray:
+    """Per matrix, LAPACK |det| of the Gram matrix of the complex embedding;
+    its square root for H, where that is the square of the Moore determinant."""
+    out = []
+    for c in comps:
+        n, k, _ = c.shape
+        x = from_real_vector(field, n, k, c.ravel())
+        if field is H:
+            c1, c2 = x.data[..., 0], x.data[..., 1]
+            e = np.block([[c1, -c2], [c2.conj(), c1.conj()]])
+        else:
+            e = x.data.astype(complex)
+        det = abs(np.linalg.det(e.conj().T @ e))
+        out.append(np.sqrt(det) if field is H else det)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_det_matches_lapack_oracle(field, k):
+    rng = np.random.default_rng(10 * k + field.dim)
+    comps = rng.standard_normal((100, 4, k, field.dim))
+    np.testing.assert_allclose(gram_det(field, comps), gram_det_oracle(field, comps), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_det_rank_deficient_is_small_and_nonnegative(field, k):
+    # a zero column for k = 1; otherwise the last column repeats the first,
+    # or is the first times a field scalar from the right
+    rng = np.random.default_rng(20 + k)
+    rows = []
+    for i in range(200):
+        x = gaussian(field, 4, k, rng)
+        if k == 1:
+            x = zeros(field, 4, 1)
+        else:
+            col = x.data[:, :1]
+            if i % 2:
+                col = (mat(field, col) @ gaussian(field, 1, 1, rng)).data
+            x.data[:, -1:] = col
+        rows.append(to_real_vector(x).reshape(4, k, field.dim))
+    comps = np.array(rows)
+    dets = gram_det(field, comps)
+    scale = np.sum(comps ** 2, axis=(1, 2, 3)) ** k  # |x|^(2k), the degree of det(x^* x)
+    assert not np.any(np.isnan(dets))
+    assert np.all(dets >= 0.0)
+    assert np.all(dets <= 1e-12 * scale)

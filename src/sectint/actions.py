@@ -50,11 +50,12 @@ from .groups import (
     GroupSpec,
     algebra_basis,
     haar_sample,
+    haar_unitary_batch,
     torus_basis,
     torus_point,
 )
 
-SQ2 = np.sqrt(2.0)
+_ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi, as in _reduce_conj_so
 
 _FIELD_TO_FAMILY = {REAL: Family.SO, COMPLEX: Family.SU, QUATERNION: Family.SP}
 
@@ -379,45 +380,23 @@ def _mixed_trace_generator(n: int, k: int) -> MatK:
 @functools.lru_cache(maxsize=None)
 def algebra_split(action: ActionSpec) -> AlgebraSplit:
     if isinstance(action, ConjugationAction):
-        h = torus_basis(action.group)
-        m = _complement_basis(action.group, np.stack([to_real_vector(b) for b in h]))
-        return AlgebraSplit(action, tuple(h), (), tuple(m))
-
-    field, n, k = action.field, action.n, action.k
-    h = _embedded_block_algebra(field, n, k, n - k)
-    if k == 1:
-        split_rows = np.stack([to_real_vector(b) for b in h]) if h else np.zeros((0, field.dim * n * n))
-        m = _complement_basis(action.group, split_rows)
-        return AlgebraSplit(action, h, (), m)
-
-    if field is COMPLEX:
-        w = _embedded_block_algebra(field, n, 0, k) + (_mixed_trace_generator(n, k),)
+        h, w = torus_basis(action.group), ()
     else:
-        w = _embedded_block_algebra(field, n, 0, k)
-
-    d = field.dim
-    m_list = []
-    units = np.eye(4)[:d] if field is QUATERNION else None
-    for i in range(k, n):
-        for j in range(k):
-            for unit in range(d):
-                x = zeros(field, n, n)
-                if field is REAL:
-                    x.data[i, j] = 1.0 / SQ2
-                    x.data[j, i] = -1.0 / SQ2
-                elif field is COMPLEX:
-                    q = 1.0 if unit == 0 else 1j
-                    x.data[i, j] = q / SQ2
-                    x.data[j, i] = -np.conj(q) / SQ2
-                else:
-                    q = units[unit]
-                    qc = np.array([q[0], -q[1], -q[2], -q[3]])
-                    comp = np.zeros((n, n, 4))
-                    comp[i, j] = q / SQ2
-                    comp[j, i] = -qc / SQ2
-                    x = mat(QUATERNION, comp)
-                m_list.append(x)
-    return AlgebraSplit(action, h, w, tuple(m_list))
+        field, n, k = action.field, action.n, action.k
+        h = _embedded_block_algebra(field, n, k, n - k)
+        if k == 1:
+            w = ()
+        elif field is COMPLEX:
+            w = _embedded_block_algebra(field, n, 0, k) + (_mixed_trace_generator(n, k),)
+        else:
+            w = _embedded_block_algebra(field, n, 0, k)
+    m = _complement_basis(action.group, _stack_rows(h + w, action))
+    if isinstance(action, DirectSumAction):
+        # order by the (row, column, unit) of the entry below the diagonal,
+        # as the normal frame is, so the normal block of the orbit map
+        # differential is block diagonal per ambient row
+        m = tuple(sorted(m, key=lambda x: np.flatnonzero(to_real_vector(x))[-1]))
+    return AlgebraSplit(action, h, w, m)
 
 
 def bracket(x: MatK, y: MatK) -> MatK:
@@ -649,12 +628,45 @@ def canonical_coordinate(action: ActionSpec, s: MatK):
     """Canonical Weyl-orbit representative of a section point.
 
     Direct sums: the upper triangular, nonnegative-diagonal QR factor
-    of the coordinate.  Conjugation: the canonically ordered angles.
+    of the coordinate.  Conjugation: the point's canonical_angles.
     """
     if isinstance(action, DirectSumAction):
         return qr(section_coordinate(action, s)).r
-    s2, _ = reduce_to_section(action, s)
-    return torus_angles(action, s2)
+    return canonical_angles(action.group, s.data[None])[0]
+
+
+def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
+    """Canonical torus angles of a stack of group elements (m, n, n[, pair]).
+
+    The angles are the eigenphases of the complex embedding, from one
+    batched eigensolve.  SU(n): all n angles, sorted, in [0, 2 pi).  SO
+    and Sp: eigenvalues come in pairs exp(+-i theta), and the rank
+    angles are the sorted |theta|, one per pair (SO(2m+1) drops its
+    extra eigenvalue 1).  The Weyl group of SO(2m) changes an even
+    number of signs only, so there the smallest angle takes the
+    orientation of the real planes (Im v, Re v) of the exp(+i theta)
+    eigenvectors v; it stays positive when an angle is 0 or pi, where a
+    sign change costs nothing.
+    """
+    fam, n = group.family, group.n
+    if fam is Family.SU:
+        return np.sort(np.mod(np.angle(np.linalg.eigvals(data)), 2 * np.pi), axis=1)
+    even_so = fam is Family.SO and n % 2 == 0
+    if even_so:
+        vals, vecs = np.linalg.eig(data)
+    else:
+        vals = np.linalg.eigvals(complex_embedding(group.field, data) if fam is Family.SP else data)
+    theta = np.angle(vals)
+    skip = 1 if fam is Family.SO and n % 2 == 1 else 0  # the extra eigenvalue 1 sorts first
+    ang = np.sort(np.abs(theta), axis=1)[:, skip::2]
+    if even_so:
+        # a real matrix has exactly conjugate eigenpairs: the top half of
+        # the sorted angles are the exp(+i theta) ones
+        v = np.take_along_axis(vecs, np.argsort(theta, axis=1)[:, None, n // 2 :], axis=2)
+        planes = np.stack([v.imag, v.real], axis=-1).reshape(data.shape)
+        free = (ang[:, 0] < _ANGLE_TOL) | (ang[:, -1] > np.pi - _ANGLE_TOL)
+        ang[(np.linalg.det(planes) < 0) & ~free, 0] *= -1.0
+    return ang
 
 
 # --- sampling ----------------------------------------------------------------
@@ -722,10 +734,8 @@ def normalizer_sample(action: ActionSpec, rng: np.random.Generator) -> GroupElem
 
 
 def _haar_unitary_block(field: ScalarField, size: int, rng: np.random.Generator) -> MatK:
-    if size == 0:
-        return zeros(field, 0, 0)
-    g = gaussian(field, size, size, rng)
-    return qr(g).q
+    """Haar sample of O(size), U(size) or Sp(size)."""
+    return MatK(field, haar_unitary_batch(field, size, rng, 1)[0])
 
 
 def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator) -> GroupElement:

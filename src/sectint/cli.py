@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import DimensionError, MatK, mat
+from .matrices import DimensionError, MatK
 from .actions import (
     ActionSpec,
     ConjugationAction,
@@ -98,6 +98,8 @@ def _parse_point(action: ActionSpec, text: str) -> MatK:
     except ValueError as exc:
         raise ValueError(f"bad --point: {exc}") from None
     if isinstance(action, ConjugationAction):
+        if isinstance(obj, dict) and "angles" not in obj:
+            raise ValueError('bad --point: expected an angle list or {"angles": [...]}')
         angles = obj["angles"] if isinstance(obj, dict) else obj
         return embed_section(action, np.asarray(angles, dtype=float))
     k = action.k

@@ -18,20 +18,11 @@ from scipy import stats as sps
 
 from .fields import ScalarField
 from .matrices import complex_embedding, data_from_components, gram_det
-from .groups import Family, haar_sample, haar_sample_batch, torus_point, torus_points
-from .actions import (
-    ActionSpec,
-    ConjugationAction,
-    DirectSumAction,
-    canonical_coordinate,
-    reduce_to_section,
-    torus_angles,
-)
+from .groups import Family, haar_sample_batch, torus_points
+from .actions import ActionSpec, ConjugationAction, DirectSumAction, canonical_angles
 from .integrate import _subseed, _torus_grid, section_weight_batch
 from .weights import delta_e_batch
 from .mc import chunk_rngs, chunk_sizes
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -42,6 +33,19 @@ class EnsembleSpec:
     scale: float = 1.0            # gaussian scale of the ambient density
     statistic: str = "coordinate_det"
     stat_index: int = 0
+
+    def __post_init__(self):
+        # stat_index picks a column of a vector statistic; a scalar one has one column
+        action = self.action
+        if isinstance(action, ConjugationAction):
+            group = action.group
+            columns = group.n if group.family is Family.SU else group.rank
+        else:
+            columns = action.k if self.statistic == "singular_value" else 1
+        if not 0 <= self.stat_index < columns:
+            raise ValueError(
+                f"stat_index {self.stat_index} out of range: {self.statistic} on {action} has {columns} column(s)"
+            )
 
     def to_json(self) -> dict:
         from .actions import action_to_json
@@ -90,7 +94,8 @@ def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> 
     Every statistic is Weyl invariant, so it is read off the canonical
     section representative of each sample.  Direct-sum statistics are
     invariant under the whole group and come straight from the ambient
-    draws, with no reduction.
+    draws, with no reduction; a Haar draw's canonical angles are its
+    sorted eigen-angles (canonical_angles), computed for a whole chunk.
     """
     action = spec.action
     sizes = chunk_sizes(n, chunks)
@@ -105,19 +110,8 @@ def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> 
         else:
             if spec.statistic != "torus_angle":
                 raise ValueError("conjugation ensembles support the torus_angle statistic")
-            if action.group.family is Family.SU:
-                # eigenvalue angles sorted ascending are exactly the
-                # canonical coordinates, so no eigenvectors are needed
-                batch = haar_sample_batch(action.group, rng, size)
-                ang = np.sort(np.mod(np.angle(np.linalg.eigvals(batch)), TWO_PI), axis=1)
-                out.append(ang[:, spec.stat_index])
-            else:
-                vals = np.empty(size)
-                for i in range(size):
-                    g = haar_sample(action.group, rng).matrix
-                    s, _ = reduce_to_section(action, g)
-                    vals[i] = torus_angles(action, s)[spec.stat_index]
-                out.append(vals)
+            batch = haar_sample_batch(action.group, rng, size)
+            out.append(canonical_angles(action.group, batch)[:, spec.stat_index])
     return np.concatenate(out) if out else np.zeros(0)
 
 
@@ -136,19 +130,12 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
         return stats, w / np.sum(w)
     # conjugation: the ambient density is Haar, so the reference is the
     # weight on a fine angle grid, evaluated at canonical representatives
-    rank = action.group.rank
-    grid = {1: 4096, 2: 96}.get(rank, 24)
-    angles = _torus_grid(rank, grid)
-    weights = delta_e_batch(action, torus_points(action.group, angles))
-    if action.group.family is Family.SU:
-        # sorted angles in [0, 2 pi), the dependent last one included, are
-        # the canonical coordinates, as in sample_ensemble
-        full = np.concatenate([angles, -np.sum(angles, axis=1, keepdims=True)], axis=1)
-        stats = np.sort(np.mod(full, TWO_PI), axis=1)[:, spec.stat_index]
-    else:
-        stats = np.array(
-            [canonical_coordinate(action, torus_point(action.group, a))[spec.stat_index] for a in angles]
-        )
+    group = action.group
+    grid = {1: 4096, 2: 96}.get(group.rank, 24)
+    pts = torus_points(group, _torus_grid(group.rank, grid))
+    weights = delta_e_batch(action, pts)
+    data = data_from_components(action.field, pts.reshape(len(pts), group.n, group.n, action.field.dim))
+    stats = canonical_angles(group, data)[:, spec.stat_index]
     return stats, weights / np.sum(weights)
 
 

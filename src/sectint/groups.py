@@ -1,8 +1,9 @@
 """Classical compact matrix groups SO(n), SU(n), Sp(n).
 
 Provides orthonormal Lie algebra bases for the inner product
-Re(tr(x^* y)), the matrix exponential, exact Haar sampling via QR of
-Gaussian matrices, and the adjoint action.
+Re(tr(x^* y)), the matrix exponential, exact Haar sampling via one
+batched, phase-corrected QR of Gaussian matrices for every family,
+and the adjoint action.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fields import ScalarField
+from .fields import ScalarField, quat_to_pair
 from .matrices import (
     COMPLEX,
     QUATERNION,
@@ -23,11 +24,7 @@ from .matrices import (
     MatK,
     complex_embedding,
     from_real_vector,
-    gaussian,
-    inner,
     mat,
-    qr,
-    zeros,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -233,50 +230,50 @@ def exp_map(group: GroupSpec, x: MatK) -> GroupElement:
 
 
 def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
-    """Exact Haar sample: QR of a Gaussian matrix.
+    """One Haar sample: a batch of one from haar_sample_batch."""
+    return GroupElement(group, MatK(group.field, haar_sample_batch(group, rng, 1)[0]))
 
-    The factorization's nonnegative real diagonal of r is precisely the
-    phase correction that makes q Haar on O(n) / U(n) / Sp(n); for SO
-    and SU a final column scaling forces det = 1, which pushes Haar
-    forward to the subgroup.
+
+def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n[, pair]).
+
+    Batched QR of Gaussian matrices drawn from the random stream of
+    count successive matrices.gaussian calls.  Scaling each column of q
+    by the phase of the matching diagonal entry of r makes diag(r) real
+    and positive, which makes q Haar (Mezzadri, arXiv:math-ph/0609050).
+    A quaternionic matrix with columns v_a is factored through its
+    complex adjoint matrix with columns interleaved as (v_a, v_a j):
+    the phase-fixed complex QR of that matrix is quaternionic
+    Gram-Schmidt, and its even columns embed the quaternionic columns.
     """
-    n, field = group.n, group.field
-    g = gaussian(field, n, n, rng)
-    q = qr(g).q
-    if group.family is Family.SO:
-        d = np.linalg.det(q.data)
-        if d < 0:
-            q.data[:, -1] *= -1.0
-    elif group.family is Family.SU:
-        d = np.linalg.det(q.data)
-        q.data[:, -1] *= np.conj(d)
-    return GroupElement(group, q)
+    if field is REAL:
+        g = rng.standard_normal((count, n, n))
+    elif field is COMPLEX:
+        re_im = rng.standard_normal((count, 2, n, n))
+        g = re_im[:, 0] + 1j * re_im[:, 1]
+    else:
+        pair = quat_to_pair(rng.standard_normal((count, n, n, 4)))
+        g = complex_embedding(field, pair)[:, :, np.arange(2 * n).reshape(2, n).T.ravel()]
+    q, r = np.linalg.qr(g)
+    d = np.einsum("mii->mi", r)
+    q = q * (d / np.abs(d))[:, None, :]
+    if field is QUATERNION:
+        return np.stack([q[:, :n, ::2], q[:, n:, ::2].conj()], axis=-1)
+    return q
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of Haar samples as raw matrix data, (count, n, n[, pair]).
 
-    Real and complex families use a batched QR with the diagonal phase
-    correction (equivalent to haar_sample per draw); quaternionic
-    samples fall back to a loop.
+    Haar samples of O(n) / U(n) / Sp(n) from haar_unitary_batch; for SO
+    and SU a final column scaling forces det = 1, which pushes Haar
+    forward to the subgroup.
     """
-    n, field = group.n, group.field
-    if field is QUATERNION:
-        return np.stack([haar_sample(group, rng).matrix.data for _ in range(count)])
-    if field is REAL:
-        g = rng.standard_normal((count, n, n))
-    else:
-        re_im = rng.standard_normal((count, 2, n, n))
-        g = re_im[:, 0] + 1j * re_im[:, 1]
-    q, r = np.linalg.qr(g)
-    d = np.einsum("mii->mi", r)
-    phase = d / np.abs(d)
-    q = q * phase[:, None, :]
-    det = np.linalg.det(q)
+    q = haar_unitary_batch(group.field, group.n, rng, count)
     if group.family is Family.SO:
-        q[det < 0, :, -1] *= -1.0
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
     elif group.family is Family.SU:
-        q[:, :, -1] *= det.conj()[:, None]
+        q[:, :, -1] *= np.linalg.det(q).conj()[:, None]
     return q
 
 

@@ -15,6 +15,7 @@ SU2 = '{"kind":"conjugation","family":"SU","n":2}'
 H32 = '{"kind":"direct_sum","field":"H","n":3,"k":2}'
 C42 = '{"kind":"direct_sum","field":"C","n":4,"k":2}'
 SP3 = '{"kind":"conjugation","family":"Sp","n":3}'
+SO3 = '{"kind":"conjugation","family":"SO","n":3}'
 
 
 def run_cli(capsys, argv):
@@ -127,6 +128,20 @@ def test_bad_action_exits_2(capsys, action):
 @pytest.mark.parametrize("point", ["[[1,2]]", "[1,2]", "[[1,2],[3]]", "[[1,2"])
 def test_point_of_wrong_shape_exits_2(capsys, point):
     _exits_2_with_one_line(capsys, ["delta", "--action", SO3K2, "--point", point])
+
+
+def test_conjugation_point_without_angles_exits_2(capsys):
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", SU2, "--point", '{"angle":[1]}'])
+    assert "angles" in err
+
+
+@pytest.mark.parametrize(
+    "action, statistic, index",
+    [(SO3K2, "singular_value", "5"), (SO3, "torus_angle", "3"), (SO3, "torus_angle", "-1")],
+)
+def test_ensemble_stat_index_out_of_range_exits_2(capsys, action, statistic, index):
+    argv = ["ensemble", "--action", action, "--n", "200", "--statistic", statistic, "--stat-index", index]
+    assert "stat_index" in _exits_2_with_one_line(capsys, argv)
 
 
 def test_single_integrand_exits_2(capsys):

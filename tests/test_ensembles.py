@@ -3,16 +3,18 @@ import pytest
 
 from sectint.fields import ScalarField
 from sectint.matrices import complex_embedding, det_modulus
-from sectint.groups import Family, GroupSpec
+from sectint.groups import Family, GroupSpec, torus_point
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
     act,
+    canonical_angles,
     normalizer_sample,
     random_ambient_point,
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
+    torus_angles,
 )
 from sectint.ensembles import (
     EnsembleSpec,
@@ -99,6 +101,54 @@ def test_batched_statistics_match_per_sample_reduction(action, stat):
             s, _ = reduce_to_section(action, 1.5 * gaussian(action.field, action.n, action.k, rng))
             oracle.append(_stat_from_coordinate(spec, section_coordinate(action, s)))
     np.testing.assert_allclose(sample_ensemble(spec, seed=8, n=50), oracle, rtol=1e-10, atol=0)
+
+
+CONJ_REPLAY = [ConjugationAction(GroupSpec(f, n)) for f, n in
+               [(Family.SO, 3), (Family.SO, 4), (Family.SP, 1), (Family.SP, 2), (Family.SU, 3)]]
+
+
+def _per_point_angles(action, g):
+    """Canonical angles of one group element by Schur reduction to the torus."""
+    s, _ = reduce_to_section(action, g)
+    ang = torus_angles(action, s)
+    # torus_angles gives SU angles in (-pi, pi]; canonical ones are sorted in [0, 2 pi)
+    return np.sort(np.mod(ang, 2 * np.pi)) if action.group.family is Family.SU else ang
+
+
+@pytest.mark.parametrize("action", CONJ_REPLAY, ids=str)
+def test_conjugation_samples_match_per_draw_reduction(action):
+    # replay the sampling stream one Haar draw at a time: Gram-Schmidt QR
+    # of a Gaussian matrix, the SO/SU determinant fix, then reduction
+    from sectint.matrices import gaussian, qr
+    from sectint.mc import chunk_rngs, chunk_sizes
+
+    group = action.group
+    oracle = []
+    for rng, size in zip(chunk_rngs(8, 16), chunk_sizes(60, 16)):
+        for _ in range(size):
+            q = qr(gaussian(group.field, group.n, group.n, rng)).q
+            if group.family is Family.SO and np.linalg.det(q.data) < 0:
+                q.data[:, -1] *= -1.0
+            elif group.family is Family.SU:
+                q.data[:, -1] *= np.conj(np.linalg.det(q.data))
+            oracle.append(_per_point_angles(action, q))
+    oracle = np.array(oracle)
+    for i in range(oracle.shape[1]):
+        stats = sample_ensemble(EnsembleSpec(action, 1.0, "torus_angle", i), seed=8, n=60)
+        np.testing.assert_allclose(stats, oracle[:, i], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("action", [CONJ_REPLAY[1], ConjugationAction(GroupSpec(Family.SO, 5)),
+                                    CONJ_REPLAY[3], CONJ_REPLAY[4]], ids=str)
+def test_canonical_angles_match_reduction_on_reference_grid(action):
+    # every node of the reference grid, nodes at angle 0 and pi included
+    from sectint.integrate import _torus_grid
+
+    group = action.group
+    points = [torus_point(group, a) for a in _torus_grid(group.rank, 96)]
+    oracle = np.array([_per_point_angles(action, p) for p in points])
+    data = np.stack([p.data for p in points])
+    np.testing.assert_allclose(canonical_angles(group, data), oracle, rtol=0, atol=1e-12)
 
 
 def test_det_second_moment_two_sided():

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from scipy import stats as sps
 
 from sectint.fields import ScalarField
-from sectint.matrices import det_modulus, eye, inner, mat, to_real_vector, zeros
+from sectint.matrices import complex_embedding, det_modulus, eye, inner, mat, to_real_vector, zeros
 from sectint.groups import (
     Family,
     GroupSpec,
@@ -128,6 +129,19 @@ def test_haar_sample_in_group():
         h = haar_sample(g, rng)
         assert unitarity_residual(h) < 1e-10
         assert det_residual(h) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupSpec(f, n) for f, ns in [(Family.SO, (3, 4, 5)), (Family.SU, (2, 3, 4)), (Family.SP, (1, 2, 3))] for n in ns],
+    ids=str,
+)
+def test_haar_character_second_moment(group):
+    # the complex embedding is an irreducible representation, so Haar
+    # measure gives E|tr g|^2 = 1 (Schur orthogonality)
+    batch = haar_sample_batch(group, np.random.default_rng(11), 20_000)
+    tr2 = np.abs(np.trace(complex_embedding(group.field, batch), axis1=1, axis2=2)) ** 2
+    assert abs(tr2.mean() - 1.0) <= 5.0 * tr2.std(ddof=1) / np.sqrt(tr2.size)
 
 
 def test_haar_entry_mean_vanishes():

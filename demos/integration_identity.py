@@ -4,37 +4,46 @@
 # vol(G/N) * integral over the section of f times the weight.  Neither
 # side knows about the other: the left side is Gaussian importance
 # sampling on R^(n x k), the right side samples the flat section.  The
-# quotient volume vol(G/N) is calibrated as the ratio of the two sides
-# for one integrand and cross-checked on a second one.
+# quotient volume vol(G/N) = vol(G/H) / vol(W) is exact.
 
 import numpy as np
 
 from sectint import (
     DirectSumAction,
+    McEstimate,
     ScalarField,
     calibrate_vol_gn,
     integrate_direct,
     integrate_reduced,
     make_test_function,
+    vol_gh_estimate,
+    w_group_volume,
 )
 
 action = DirectSumAction(ScalarField.REAL, 3, 2)
 f = make_test_function("gaussian_radial", sigma=1.0)
 g = make_test_function("gaussian_sq_norm", sigma=1.0)
 
+vol_gn = vol_gh_estimate(action).mean / w_group_volume(action).mean
+print(f"exact vol(G/N) = vol(G/H) / vol(W) = {vol_gn:.5f}   (4 pi = {4*np.pi:.5f})\n")
+
+# %% With the exact volume, the two sides of the identity match for the
+# Gaussian integrand, whose ambient integral is (2 pi)^3.
+
+direct = integrate_direct(action, f, seed=2, n=1_000_000)
+reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn), seed=3, n=1_000_000)
+print(f"direct  integral: {direct.mean:.4f} +- {direct.stderr:.2e}")
+print(f"reduced integral: {reduced.mean:.4f} +- {reduced.stderr:.4f}")
+print(f"analytic        : {(2*np.pi)**3:.4f}\n")
+
+# %% As a check, vol(G/N) can also be calibrated as direct / reduced per
+# integrand; the ratios of two integrands must agree with each other and
+# with the exact value.
+
 calib = calibrate_vol_gn(action, [f, g], seed=1, n=500_000)
 print("per-integrand quotient volume ratios:")
 for name, r in zip(calib.names, calib.ratios):
     print(f"  {name:18s} {r.mean:.5f} +- {r.stderr:.5f}")
-print(f"combined vol(G/N) = {calib.combined.mean:.5f} +- {calib.combined.stderr:.5f}")
-print(f"(the analytic value for this action is 4 pi = {4*np.pi:.5f})")
-print(f"ratios agree within {calib.worst_sigma:.2f} combined standard errors\n")
-
-# %% With the calibrated volume, the two sides of the identity match
-# for the Gaussian integrand, whose ambient integral is (2 pi)^3.
-
-direct = integrate_direct(action, f, seed=2, n=1_000_000)
-reduced = integrate_reduced(action, f, calib.combined, seed=3, n=1_000_000)
-print(f"direct  integral: {direct.mean:.4f} +- {direct.stderr:.2e}")
-print(f"reduced integral: {reduced.mean:.4f} +- {reduced.stderr:.4f}")
-print(f"analytic        : {(2*np.pi)**3:.4f}")
+c = calib.combined
+print(f"calibrated vol(G/N) = {c.mean:.5f} +- {c.stderr:.5f}, z = {(c.mean - vol_gn) / c.stderr:+.2f} from exact")
+print(f"ratios agree within {calib.worst_sigma:.2f} combined standard errors")

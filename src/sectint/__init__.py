@@ -31,7 +31,6 @@ from .groups import (
     GroupSpec,
     adjoint,
     algebra_basis,
-    exp_map,
     haar_sample,
     torus_basis,
     torus_point,
@@ -73,21 +72,17 @@ from .weights import (
     delta_e_generic,
     orbit_map_differential,
     orbit_volume,
-    orbit_volume_ratio,
     weight_value,
 )
 from .mc import McEstimate, agree, mc_run
 from .integrate import (
     CalibrationReport,
     ContractViolation,
-    LpIsometryReport,
     TestFunction,
     calibrate_vol_gn,
-    check_invariance,
     custom_test_function,
     integrate_direct,
     integrate_reduced,
-    lp_isometry_check,
     make_test_function,
 )
 from .volumes import (

@@ -3,10 +3,11 @@
 Subcommands:
 
 * ``delta``     -- evaluate the weight function at a section point
-* ``integrate`` -- direct vs reduced integrals with volume calibration
+* ``integrate`` -- direct vs reduced integrals, with the exact vol(G/N)
 * ``verify``    -- run the structural check suite for an action
 * ``ensemble``  -- reduced-sample histogram vs the weighted density
-* ``volumes``   -- quotient volume table and factorization consistency
+* ``volumes``   -- quotient volume table; calibrates vol(G/N) against the
+  exact vol(G/H) / vol(W)
 
 Every run is fully determined by the action, the seed, the sample
 budget and the chunk count; reports are JSON with sorted keys so a
@@ -44,8 +45,8 @@ from .integrate import (
     make_test_function,
     mc_result_json,
 )
-from .mc import agree, default_workers
-from .volumes import volume_table
+from .mc import McEstimate, agree, default_workers
+from .volumes import vol_gh_estimate, volume_table, w_group_volume
 from .weights import delta_e_closed_form, delta_e_generic, orbit_map_differential
 
 
@@ -208,22 +209,11 @@ def cmd_delta(args) -> int:
 def cmd_integrate(args) -> int:
     action = _parse_action(args.action)
     fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
-    calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers)
-    checks = [
-        {
-            "name": "calibration_consistency",
-            "value": calib.worst_sigma,
-            "threshold": args.n_sigma,
-            "pass": calib.consistent,
-        }
-    ]
-    per_function = []
+    vol_gn = McEstimate.exact(vol_gh_estimate(action).mean / w_group_volume(action).mean)
+    checks, per_function = [], []
     for i, f in enumerate(fs):
         direct = integrate_direct(action, f, args.seed + 1000 + i, args.n, args.chunks, args.workers)
-        reduced = integrate_reduced(
-            action, f, calib.combined, args.seed + 2000 + i, args.n, args.chunks, args.workers
-        )
-        ok = agree(direct, reduced, args.n_sigma)
+        reduced = integrate_reduced(action, f, vol_gn, args.seed + 2000 + i, args.n, args.chunks, args.workers)
         per_function.append(
             {
                 "function": f.to_json(),
@@ -236,15 +226,11 @@ def cmd_integrate(args) -> int:
                 "name": f"two_sided_agreement_{f.name}",
                 "value": abs(direct.mean - reduced.mean),
                 "threshold": args.n_sigma * float(np.hypot(direct.stderr, reduced.stderr)),
-                "pass": ok,
+                "pass": agree(direct, reduced, args.n_sigma),
             }
         )
     report = _base_report("integrate", action, args)
-    report["results"] = {
-        "vol_gn": calib.combined.to_json(),
-        "ratios": [r.to_json() for r in calib.ratios],
-        "per_function": per_function,
-    }
+    report["results"] = {"vol_gn": {**vol_gn.to_json(), "exact": True}, "per_function": per_function}
     report["checks"] = checks
     report["pass"] = all(c["pass"] for c in checks)
     return _emit(report, args.out)
@@ -339,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="section coordinate JSON or @file")
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("integrate", parents=[common], help="direct vs reduced integrals")
+    p = sub.add_parser("integrate", parents=[common], help="direct vs reduced integrals, exact vol(G/N)")
     p.add_argument("--functions", default=None, help="e.g. gaussian_radial:sigma=1.0,gaussian_sq_norm")
     p.set_defaults(func=cmd_integrate)
 

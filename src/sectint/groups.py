@@ -1,7 +1,7 @@
 """Classical compact matrix groups SO(n), SU(n), Sp(n).
 
 Provides orthonormal Lie algebra bases for the inner product
-Re(tr(x^* y)), the matrix exponential, exact Haar sampling via one
+Re(tr(x^* y)), maximal-torus points, exact Haar sampling via one
 batched, phase-corrected QR of Gaussian matrices for every family,
 and the adjoint action.
 """
@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fields import ScalarField, quat_to_pair
 from .matrices import (
@@ -212,21 +211,6 @@ def torus_points(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
     else:
         out[:, ::step, 0], out[:, ::step, 1] = c, s
     return out.reshape(m, -1)
-
-
-def exp_map(group: GroupSpec, x: MatK) -> GroupElement:
-    """Matrix exponential of an algebra element."""
-    if x.field is not group.field or x.shape != (group.n, group.n):
-        raise DimensionError("algebra element has wrong field or shape")
-    if x.field is not QUATERNION:
-        return GroupElement(group, MatK(x.field, scipy.linalg.expm(x.data)))
-    # exp commutes with the complex adjoint embedding; average the two
-    # redundant blocks when projecting back
-    n = x.rows
-    e = scipy.linalg.expm(complex_embedding(x.field, x.data))
-    c1 = 0.5 * (e[:n, :n] + e[n:, n:].conj())
-    c2 = 0.5 * (e[n:, :n].conj() - e[:n, n:])
-    return GroupElement(group, MatK(QUATERNION, np.stack([c1, c2], axis=-1)))
 
 
 def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:

@@ -5,9 +5,11 @@ The direct side integrates over the ambient space (Gaussian importance
 sampling on the flat matrix space, or Haar sampling scaled by the group
 volume for conjugation actions).  The reduced side integrates
 f * weight over the section, by Gaussian importance sampling on the
-flat section or by a trapezoid rule on the torus angles.  Calibration
-of the quotient volume vol(G/N) equates the two sides per integrand
-and cross-checks the ratios between integrands.
+flat section or by a trapezoid rule on the torus angles, and multiplies
+by a given vol(G/N); ``sectint integrate`` passes the exact
+vol(G/H) / vol(W).  ``calibrate_vol_gn`` estimates vol(G/N) instead, as
+direct / reduced per integrand with a cross-check of the ratios between
+integrands; ``sectint volumes`` tests it against the exact value.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import batch_to_real, eye, gram_det, to_real_vector
-from .groups import haar_sample, haar_sample_batch, torus_points
+from .matrices import batch_to_real, eye, gram_det
+from .groups import haar_sample_batch, torus_points
 from .actions import (
     ActionSpec,
     ConjugationAction,
     DirectSumAction,
-    act,
     embed_section,
-    random_ambient_point,
 )
 from .weights import delta_e_batch, delta_e_generic
 from .mc import McEstimate, mc_run, product, ratio
@@ -145,26 +145,6 @@ _FAMILIES = {
     "const": _fam_const,
     "first_coordinate": _fam_first_coordinate,
 }
-
-
-def check_invariance(
-    action: ActionSpec,
-    f: TestFunction,
-    rng: np.random.Generator,
-    n_pairs: int = 100,
-    tol: float = 1e-10,
-) -> float:
-    """Largest |f(g . x) - f(x)| over random pairs, for the contract check."""
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = random_ambient_point(action, rng)
-        g = haar_sample(action.group, rng)
-        pts = np.stack([to_real_vector(x), to_real_vector(act(action, g, x))])
-        v = evaluate_test_function(action, f, pts)
-        worst = max(worst, float(abs(v[1] - v[0])) / max(1.0, abs(float(v[0]))))
-    if f.invariant and worst > tol:
-        raise ContractViolation(f"{f.name} flagged invariant but moved by {worst:.2e}")
-    return worst
 
 
 # --- section weights, vectorized ---------------------------------------------
@@ -370,60 +350,4 @@ def calibrate_vol_gn(
     combined = McEstimate(mean, se, sum(r.n_samples for r in ratios), seed, chunks)
     return CalibrationReport(
         tuple(ratios), tuple(f.name for f in fs), combined, worst <= n_sigma, worst
-    )
-
-
-@dataclass(frozen=True)
-class LpIsometryReport:
-    p: int
-    norm_ambient: McEstimate
-    norm_section: McEstimate
-    rel_error: float
-    combined_sigma: float
-
-    def passed(self, n_sigma: float = 3.0, atol: float = 1e-9) -> bool:
-        gap = abs(self.norm_ambient.mean - self.norm_section.mean)
-        return gap <= n_sigma * self.combined_sigma + atol * max(1.0, self.norm_ambient.mean)
-
-
-def lp_isometry_check(
-    action: ActionSpec,
-    f: TestFunction,
-    p: int,
-    vol_gn: float | McEstimate,
-    seed: int,
-    n: int,
-    chunks: int = 16,
-    workers: int | None = None,
-) -> LpIsometryReport:
-    """Compare the L^p norm of f with the weighted L^p norm on the section.
-
-    The reduced norm uses the weight vol(G/N) * delta as density, so
-    equality of the two norms is the isometry property of the
-    restriction map at exponent p.
-    """
-    if not f.invariant:
-        raise ContractViolation("the isometry check needs a group-invariant function")
-    fp = custom_test_function(
-        f"abs_{f.name}_pow{p}",
-        lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p,
-        invariant=True,
-    )
-    lhs = integrate_direct(action, fp, _subseed(seed, 0), n, chunks, workers)
-    rhs = integrate_reduced(action, fp, vol_gn, _subseed(seed, 1), n, chunks, workers)
-
-    def root(e: McEstimate) -> McEstimate:
-        if e.mean <= 0:
-            return McEstimate(0.0, e.stderr, e.n_samples, e.seed, e.chunks)
-        val = e.mean ** (1.0 / p)
-        return McEstimate(val, e.stderr * val / (p * e.mean), e.n_samples, e.seed, e.chunks)
-
-    lhs_r, rhs_r = root(lhs), root(rhs)
-    denom = max(abs(lhs_r.mean), 1e-300)
-    return LpIsometryReport(
-        p,
-        lhs_r,
-        rhs_r,
-        abs(lhs_r.mean - rhs_r.mean) / denom,
-        float(np.hypot(lhs_r.stderr, rhs_r.stderr)),
     )

@@ -193,17 +193,3 @@ def orbit_volume(action: ActionSpec, s: MatK, vol_gh: float) -> float:
     if reg is RegularityClass.SINGULAR:
         raise ValueError("orbit volume through a singular point is not supported")
     return vol_gh * orbit_map_differential(action, s).total_det()
-
-
-def orbit_volume_ratio(action: ActionSpec, s: MatK, vol_gh: float, vol_w: float, vol_ws: float) -> float:
-    """Ratio (vol(orbit)/vol(G/H)) / (vol(Weyl orbit)/vol(W)).
-
-    Equals the weight at regular points; returns 0 at singular points
-    by the case split of the volume-scaling identity.
-    """
-    if classify_point(action, s) is RegularityClass.SINGULAR:
-        return 0.0
-    if min(vol_gh, vol_w, vol_ws) <= 0:
-        raise ValueError("volumes must be positive")
-    vol_orbit = orbit_volume(action, s, vol_gh)
-    return (vol_orbit / vol_gh) / (vol_ws / vol_w)

@@ -1,0 +1,66 @@
+"""L^p norm preservation of the restriction to the section, for the tests.
+
+The reduced norm uses vol(G/N) * weight as density, so equality of the
+ambient and section norms is the isometry property of the restriction
+map at exponent p.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from sectint.integrate import (
+    ContractViolation,
+    TestFunction,
+    _subseed,
+    custom_test_function,
+    evaluate_test_function,
+    integrate_direct,
+    integrate_reduced,
+)
+from sectint.mc import McEstimate
+
+
+@dataclass(frozen=True)
+class LpIsometryReport:
+    p: int
+    norm_ambient: McEstimate
+    norm_section: McEstimate
+    rel_error: float
+    combined_sigma: float
+
+    def passed(self, n_sigma: float = 3.0, atol: float = 1e-9) -> bool:
+        gap = abs(self.norm_ambient.mean - self.norm_section.mean)
+        return gap <= n_sigma * self.combined_sigma + atol * max(1.0, self.norm_ambient.mean)
+
+
+def lp_isometry_check(action, f: TestFunction, p: int, vol_gn, seed: int, n: int,
+                      chunks: int = 16, workers: int | None = None) -> LpIsometryReport:
+    """Compare the L^p norm of f with the weighted L^p norm on the section."""
+    if not f.invariant:
+        raise ContractViolation("the isometry check needs a group-invariant function")
+    fp = custom_test_function(
+        f"abs_{f.name}_pow{p}",
+        lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p,
+        invariant=True,
+    )
+    lhs = integrate_direct(action, fp, _subseed(seed, 0), n, chunks, workers)
+    rhs = integrate_reduced(action, fp, vol_gn, _subseed(seed, 1), n, chunks, workers)
+
+    def root(e: McEstimate) -> McEstimate:
+        if e.mean <= 0:
+            return McEstimate(0.0, e.stderr, e.n_samples, e.seed, e.chunks)
+        val = e.mean ** (1.0 / p)
+        return McEstimate(val, e.stderr * val / (p * e.mean), e.n_samples, e.seed, e.chunks)
+
+    lhs_r, rhs_r = root(lhs), root(rhs)
+    denom = max(abs(lhs_r.mean), 1e-300)
+    return LpIsometryReport(
+        p,
+        lhs_r,
+        rhs_r,
+        abs(lhs_r.mean - rhs_r.mean) / denom,
+        float(np.hypot(lhs_r.stderr, rhs_r.stderr)),
+    )

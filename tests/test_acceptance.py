@@ -26,11 +26,11 @@ from sectint.integrate import (
     calibrate_vol_gn,
     integrate_direct,
     integrate_reduced,
-    lp_isometry_check,
     make_test_function,
 )
 from sectint.mc import agree
 from sectint.ensembles import EnsembleSpec, compare_densities
+from lp_isometry import lp_isometry_check
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 

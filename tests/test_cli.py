@@ -8,7 +8,10 @@ from sectint.cli import main
 from sectint.checks import all_passed, run_action_checks
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
-from sectint.actions import ConjugationAction, DirectSumAction
+from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
+from sectint.integrate import integrate_direct, integrate_reduced, make_test_function, mc_result_json
+from sectint.mc import McEstimate
+from sectint.volumes import vol_gh_estimate, w_group_volume
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
 SU2 = '{"kind":"conjugation","family":"SU","n":2}'
@@ -16,6 +19,13 @@ H32 = '{"kind":"direct_sum","field":"H","n":3,"k":2}'
 C42 = '{"kind":"direct_sum","field":"C","n":4,"k":2}'
 SP3 = '{"kind":"conjugation","family":"Sp","n":3}'
 SO3 = '{"kind":"conjugation","family":"SO","n":3}'
+
+ACTION_TABLE = [
+    SO3K2, C42, H32, '{"kind":"direct_sum","field":"R","n":4,"k":1}',
+    SU2, '{"kind":"conjugation","family":"SU","n":3}', SO3,
+    '{"kind":"conjugation","family":"SO","n":4}', '{"kind":"conjugation","family":"Sp","n":1}',
+    '{"kind":"conjugation","family":"Sp","n":2}',
+]
 
 
 def run_cli(capsys, argv):
@@ -87,7 +97,7 @@ def test_bad_function_name_exits_nonzero(capsys):
 
 def test_ill_conditioned_calibration_exits_2(capsys):
     # the section integral of tr(g) against the SU(2) weight vanishes
-    code = main(["integrate", "--action", SU2, "--n", "1000", "--functions", "trace_power:power=1,const"])
+    code = main(["volumes", "--action", SU2, "--n", "1000", "--functions", "trace_power:power=1,const"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
@@ -145,8 +155,14 @@ def test_ensemble_stat_index_out_of_range_exits_2(capsys, action, statistic, ind
 
 
 def test_single_integrand_exits_2(capsys):
-    err = _exits_2_with_one_line(capsys, ["integrate", "--action", SO3K2, "--functions", "const", "--n", "100"])
+    err = _exits_2_with_one_line(capsys, ["volumes", "--action", SO3K2, "--functions", "const", "--n", "100"])
     assert "two" in err
+
+
+def test_integrate_single_integrand_exits_0(capsys):
+    code, rep = run_cli(capsys, ["integrate", "--action", SO3K2, "--functions", "gaussian_radial", "--n", "2000"])
+    assert code == 0 and rep["pass"] is True
+    assert [c["name"] for c in rep["checks"]] == ["two_sided_agreement_gaussian_radial"]
 
 
 @pytest.mark.parametrize("bins", ["0", "1"])
@@ -185,8 +201,12 @@ def test_integrate_report(capsys):
         ["integrate", "--action", SO3K2, "--seed", "7", "--n", "60000"],
     )
     assert code == 0 and rep["pass"] is True
-    assert rep["results"]["vol_gn"]["mean"] == pytest.approx(4 * np.pi, rel=0.05)
-    assert {c["name"] for c in rep["checks"]} >= {"calibration_consistency"}
+    assert rep["results"]["vol_gn"]["mean"] == pytest.approx(4 * np.pi, rel=1e-12)
+    assert rep["results"]["vol_gn"]["exact"] is True
+    assert {c["name"] for c in rep["checks"]} == {
+        "two_sided_agreement_gaussian_radial",
+        "two_sided_agreement_gaussian_sq_norm",
+    }
 
 
 def test_integrate_conjugation(capsys):
@@ -202,6 +222,42 @@ def test_integrate_sp3_conjugation(capsys):
     code, rep = run_cli(capsys, ["integrate", "--action", SP3, "--seed", "5", "--n", "500"])
     assert code == 0 and rep["pass"] is True
     assert rep["results"]["vol_gn"]["mean"] > 0
+
+
+@pytest.mark.parametrize("action_json", ACTION_TABLE)
+def test_integrate_uses_exact_vol_gn(capsys, action_json):
+    # the reduced side is scaled by the exact vol(G/H) / vol(W), and each side
+    # is one estimate on its own seed: seed + 1000 + i direct, seed + 2000 + i reduced
+    seed, n, chunks = 3, 400, 4
+    code, rep = run_cli(
+        capsys, ["integrate", "--action", action_json, "--seed", str(seed), "--n", str(n), "--chunks", str(chunks)]
+    )
+    assert code in (0, 1)
+    action = action_from_json(json.loads(action_json))
+    exact = vol_gh_estimate(action).mean / w_group_volume(action).mean
+    vol_gn = rep["results"]["vol_gn"]
+    assert vol_gn["mean"] == pytest.approx(exact, rel=1e-12)
+    assert vol_gn["stderr"] == 0.0 and vol_gn["exact"] is True
+    for i, entry in enumerate(rep["results"]["per_function"]):
+        f = make_test_function(entry["function"]["name"], **entry["function"]["params"])
+        direct = integrate_direct(action, f, seed + 1000 + i, n, chunks)
+        reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn["mean"]), seed + 2000 + i, n, chunks)
+        assert entry["direct"] == mc_result_json(action, f, direct)
+        assert entry["reduced"] == mc_result_json(action, f, reduced)
+
+
+def test_integrate_payload_keys(capsys):
+    # the keys that downstream readers of the integrate payload rely on
+    code, rep = run_cli(capsys, ["integrate", "--action", SO3K2, "--seed", "1", "--n", "1000"])
+    results = rep["results"]
+    assert set(results) == {"vol_gn", "per_function"}
+    assert set(results["vol_gn"]) == {"mean", "stderr", "n_samples", "seed", "chunks", "exact"}
+    assert len(results["per_function"]) == 2
+    for entry in results["per_function"]:
+        assert set(entry) == {"function", "direct", "reduced"}
+        assert {"name", "params"} <= set(entry["function"])
+        for side in ("direct", "reduced"):
+            assert {"mean", "stderr"} <= set(entry[side])
 
 
 # --- ensemble -----------------------------------------------------------------------
@@ -245,6 +301,25 @@ def test_volumes_c42_exact_vol_gh(capsys):
     code, rep = run_cli(capsys, ["volumes", "--action", C42, "--seed", "4", "--n", "20000"])
     assert rep["results"]["vol_gh"]["mean"] == pytest.approx(expect, rel=1e-12)
     assert rep["results"]["vol_gh"]["stderr"] == 0.0
+
+
+def test_volumes_payload_keys(capsys):
+    code, rep = run_cli(capsys, ["volumes", "--action", SU2, "--seed", "1", "--n", "1000"])
+    assert set(rep["results"]) == {"vol_gh", "vol_gn", "vol_w"}
+    for key in ("vol_gh", "vol_gn", "vol_w"):
+        assert {"mean", "stderr"} <= set(rep["results"][key])
+
+
+@pytest.mark.parametrize("action_json", [SO3K2, C42, H32, '{"kind":"direct_sum","field":"R","n":4,"k":1}'])
+def test_volume_factorization_is_z_of_calibration(capsys, action_json):
+    # vol(G/H) and vol(W) are exact, so the factorization check compares the
+    # calibrated vol(G/N) with the exact vol(G/H) / vol(W) in its own error bar
+    code, rep = run_cli(capsys, ["volumes", "--action", action_json, "--seed", "5", "--n", "20000"])
+    res = rep["results"]
+    exact = res["vol_gh"]["mean"] / res["vol_w"]["mean"]
+    z = abs(res["vol_gn"]["mean"] - exact) / (3.0 * res["vol_gn"]["stderr"])
+    check = next(c for c in rep["checks"] if c["name"] == "volume_factorization")
+    assert check["value"] / check["threshold"] == pytest.approx(z, rel=1e-9)
 
 
 # --- reproducibility -----------------------------------------------------------------

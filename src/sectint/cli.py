@@ -143,6 +143,11 @@ def _emit(report: dict, out_path: str | None) -> int:
     return 0 if report["pass"] else 1
 
 
+def _exact_json(est: McEstimate) -> dict:
+    """An exact constant, marked so that its zero stderr is not read as a one-sample estimate."""
+    return {**est.to_json(), "exact": True}
+
+
 def _base_report(command: str, action: ActionSpec, args) -> dict:
     return {
         "command": command,
@@ -230,7 +235,7 @@ def cmd_integrate(args) -> int:
             }
         )
     report = _base_report("integrate", action, args)
-    report["results"] = {"vol_gn": {**vol_gn.to_json(), "exact": True}, "per_function": per_function}
+    report["results"] = {"vol_gn": _exact_json(vol_gn), "per_function": per_function}
     report["checks"] = checks
     report["pass"] = all(c["pass"] for c in checks)
     return _emit(report, args.out)
@@ -238,6 +243,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_verify(args) -> int:
     action = _parse_action(args.action)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     results = run_action_checks(
         action,
         seed=args.seed,
@@ -254,6 +261,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ensemble(args) -> int:
     action = _parse_action(args.action)
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     spec = EnsembleSpec(action, args.scale, args.statistic, args.stat_index)
     cmp_ = compare_densities(spec, args.seed, args.n, args.bins)
     if args.out_csv:
@@ -280,9 +289,9 @@ def cmd_volumes(args) -> int:
     gap, se = table.factorization_gap()
     report = _base_report("volumes", action, args)
     report["results"] = {
-        "vol_gh": table.vol_gh.to_json(),
+        "vol_gh": _exact_json(table.vol_gh),
         "vol_gn": table.vol_gn.to_json(),
-        "vol_w": table.vol_w.to_json(),
+        "vol_w": _exact_json(table.vol_w),
     }
     report["checks"] = [
         {

@@ -5,7 +5,9 @@ sample to its canonical section representative realizes the section as
 an eigenvalue-like manifold: the distribution of any Weyl-invariant
 statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
-chi-square test.
+chi-square test.  Its p-value, the chi-square tail, is the one scipy
+call here (scipy.special.chdtrc), imported inside ``compare_densities``
+so that importing sectint loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .fields import ScalarField
 from .matrices import complex_embedding, data_from_components, gram_det
@@ -241,5 +242,7 @@ def compare_densities(
     obs, exp = _merge_small_bins(emp_counts.astype(float), n * ref_freq)
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = max(len(obs) - 1, 1)
-    p = float(sps.chi2.sf(chi2, dof))
+    from scipy.special import chdtrc
+
+    p = float(chdtrc(dof, chi2))
     return HistogramComparison(spec, edges, emp_freq, ref_freq, n, chi2, dof, p)

@@ -81,8 +81,11 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     """Estimate the mean of sample_fn(rng, size) over n draws.
 
     sample_fn must be a pure function of the generator state returning
-    a (size,) array of per-sample values.
+    a (size,) array of per-sample values.  Fewer than two samples give
+    no standard error and are rejected.
     """
+    if n < 2:
+        raise ValueError(f"a Monte Carlo estimate needs n >= 2 samples for its standard error, got {n}")
     workers = workers or default_workers()
     sizes = chunk_sizes(n, chunks)
     rngs = chunk_rngs(seed, chunks)
@@ -100,8 +103,6 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     for p in parts:  # fixed order keeps the reduction bit-identical
         total = _combine(total, p)
     count, mean, m2 = total
-    if count < 2:
-        return McEstimate(mean, 0.0, max(count, 1), seed, chunks)
     stderr = float(np.sqrt(m2 / (count - 1) / count))
     return McEstimate(mean, stderr, count, seed, chunks)
 

@@ -171,6 +171,26 @@ def test_ensemble_needs_two_bins(capsys, bins):
     assert "bins" in err
 
 
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_estimate_without_error_bar_exits_2(capsys, command, n):
+    # zero or one sample has no standard error; it must not pass as an exact value
+    err = _exits_2_with_one_line(capsys, [command, "--action", SO3K2, "--n", n])
+    assert "n >= 2" in err
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_verify_without_points_exits_2(capsys, points):
+    err = _exits_2_with_one_line(capsys, ["verify", "--action", SO3K2, "--points", points])
+    assert "--points" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ensemble_without_samples_exits_2(capsys, n):
+    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", SO3K2, "--n", n])
+    assert "--n" in err
+
+
 # --- verify -------------------------------------------------------------------------
 
 def test_verify_exit_zero(capsys):
@@ -308,6 +328,14 @@ def test_volumes_payload_keys(capsys):
     assert set(rep["results"]) == {"vol_gh", "vol_gn", "vol_w"}
     for key in ("vol_gh", "vol_gn", "vol_w"):
         assert {"mean", "stderr"} <= set(rep["results"][key])
+
+
+@pytest.mark.parametrize("action_json", [SO3K2, SU2])
+def test_volumes_marks_exact_constants(capsys, action_json):
+    code, rep = run_cli(capsys, ["volumes", "--action", action_json, "--seed", "1", "--n", "1000"])
+    res = rep["results"]
+    assert res["vol_gh"]["exact"] is True and res["vol_w"]["exact"] is True
+    assert "exact" not in res["vol_gn"] and res["vol_gn"]["stderr"] > 0
 
 
 @pytest.mark.parametrize("action_json", [SO3K2, C42, H32, '{"kind":"direct_sum","field":"R","n":4,"k":1}'])

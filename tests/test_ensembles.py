@@ -188,6 +188,21 @@ def test_chi2_su2_angle():
     assert cmp_.p_value >= 0.01
 
 
+@pytest.mark.parametrize(
+    "action, statistic",
+    [
+        (SO3K2, "coordinate_det"),
+        (DirectSumAction(ScalarField.COMPLEX, 4, 2), "coordinate_det"),
+        (ConjugationAction(GroupSpec(Family.SU, 3)), "torus_angle"),
+    ],
+)
+def test_p_value_is_chi2_survival(action, statistic):
+    from scipy import stats
+
+    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=5, n=2000, bins=20, n_ref=60_000)
+    assert cmp_.p_value == float(stats.chi2.sf(cmp_.chi2, cmp_.dof))
+
+
 def test_constant_statistic_gives_p_one():
     cmp_ = compare_densities(EnsembleSpec(SO3K2, 1.0, "constant"), seed=1, n=2000, bins=10)
     assert cmp_.p_value == pytest.approx(1.0)

@@ -1,0 +1,39 @@
+"""Import budget: the CLI's cold start loads numpy and the standard library only.
+
+Each check runs in a fresh interpreter, since this test process has
+scipy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def _run(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    out = _run(f"import sys, sectint, sectint.cli; print({LOADED_SCIPY})")
+    assert out == "[]"
+
+
+def test_flat_integrate_loads_no_scipy():
+    code = f"""
+import contextlib, io, sys
+from sectint.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["integrate", "--action", '{{"kind":"direct_sum","field":"R","n":3,"k":2}}', "--n", "400"])
+assert code == 0, code
+print({LOADED_SCIPY})
+"""
+    assert _run(code) == "[]"

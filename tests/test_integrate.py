@@ -49,6 +49,12 @@ def test_mc_run_worker_invariance():
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_mc_run_rejects_fewer_than_two_samples(n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        mc_run(lambda rng, size: rng.standard_normal(size), n, seed=0)
+
+
 # --- integrands ---------------------------------------------------------------
 
 

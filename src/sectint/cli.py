@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``delta``     -- evaluate the weight function at a section point
-* ``integrate`` -- direct vs reduced integrals, with the exact vol(G/N)
+* ``integrate`` -- direct Monte Carlo vs reduced quadrature, with the
+  exact vol(G/N)
 * ``verify``    -- run the structural check suite for an action
 * ``ensemble``  -- reduced-sample histogram vs the weighted density
 * ``volumes``   -- quotient volume table; calibrates vol(G/N) against the
@@ -217,8 +218,8 @@ def cmd_integrate(args) -> int:
     vol_gn = McEstimate.exact(vol_gh_estimate(action).mean / w_group_volume(action).mean)
     checks, per_function = [], []
     for i, f in enumerate(fs):
+        reduced = integrate_reduced(action, f, vol_gn)  # first: an oversized rule fails before any sampling
         direct = integrate_direct(action, f, args.seed + 1000 + i, args.n, args.chunks, args.workers)
-        reduced = integrate_reduced(action, f, vol_gn, args.seed + 2000 + i, args.n, args.chunks, args.workers)
         per_function.append(
             {
                 "function": f.to_json(),
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--action", required=True, help="action JSON or @file")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--n", type=int, default=100_000,
-                        help="samples per Monte Carlo estimate (volumes: the vol(G/N) calibration only)")
+                        help="samples per Monte Carlo estimate, direct side only (the reduced side is quadrature)")
     common.add_argument("--chunks", type=int, default=16)
     common.add_argument("--workers", type=int, default=None)
     common.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-8)

@@ -79,11 +79,7 @@ class OrbitMapDifferential:
 
     def delta_d(self) -> float:
         """|det| of the Weyl block as a map onto the Weyl-orbit tangent."""
-        if self.n_w == 0:
-            return 1.0
-        blk = self.w_block
-        g = blk.T @ blk
-        return float(np.sqrt(max(np.linalg.det(g), 0.0)))
+        return abs_det_between(self.w_block.T, self.n_w)
 
     def delta_e(self) -> float:
         """|det| of the complementary block onto the section normal."""
@@ -94,8 +90,7 @@ class OrbitMapDifferential:
 
     def total_det(self) -> float:
         """|det| of the whole differential onto the orbit tangent."""
-        g = self.matrix.T @ self.matrix
-        return float(np.sqrt(max(np.linalg.det(g), 0.0)))
+        return abs_det_between(self.matrix.T, self.matrix.shape[1])
 
 
 def orbit_map_differential(

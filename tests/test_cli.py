@@ -68,6 +68,20 @@ def test_delta_singular_point(capsys):
     assert rep["results"]["regularity"] == "singular"
 
 
+@pytest.mark.parametrize("point", [
+    "[[-1.3730093012585258, 1.1924141198821712], [-1.3730093012585258, 1.1924141198821712]]",
+    "[[-0.33740705907608975, 2.4785248998229314], [-0.33740705907608975, 2.4785248998229314]]",
+])
+def test_delta_rank_deficient_point_factorizes(capsys, point):
+    # the total |det| comes from QR like the weight, so it reads rounding
+    # level, not the ~1e-7 that sqrt(det(M^T M)) left at these points
+    code, rep = run_cli(capsys, ["delta", "--action", SO3K2, "--point", point])
+    assert code == 0 and rep["pass"] is True
+    assert rep["results"]["delta_generic"] == 0.0
+    assert rep["results"]["regularity"] == "singular"
+    assert rep["results"]["det_total"] <= 1e-12
+
+
 def test_delta_quaternionic_agreement(capsys):
     action = '{"kind":"direct_sum","field":"H","n":3,"k":2}'
     point = json.dumps(np.random.default_rng(5).standard_normal((2, 2, 4)).tolist())
@@ -157,6 +171,14 @@ def test_ensemble_stat_index_out_of_range_exits_2(capsys, action, statistic, ind
 def test_single_integrand_exits_2(capsys):
     err = _exits_2_with_one_line(capsys, ["volumes", "--action", SO3K2, "--functions", "const", "--n", "100"])
     assert "two" in err
+
+
+def test_reduced_rule_over_node_budget_exits_2(capsys):
+    # Sp(4) on H^(4x3): 3 diagonal and 12 off-diagonal axes, 5^15 nodes
+    err = _exits_2_with_one_line(
+        capsys, ["integrate", "--action", '{"kind":"direct_sum","field":"H","n":4,"k":3}', "--n", "400"]
+    )
+    assert "nodes" in err
 
 
 def test_integrate_single_integrand_exits_0(capsys):
@@ -261,7 +283,7 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     for i, entry in enumerate(rep["results"]["per_function"]):
         f = make_test_function(entry["function"]["name"], **entry["function"]["params"])
         direct = integrate_direct(action, f, seed + 1000 + i, n, chunks)
-        reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn["mean"]), seed + 2000 + i, n, chunks)
+        reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn["mean"]))
         assert entry["direct"] == mc_result_json(action, f, direct)
         assert entry["reduced"] == mc_result_json(action, f, reduced)
 
@@ -323,6 +345,16 @@ def test_volumes_c42_exact_vol_gh(capsys):
     assert rep["results"]["vol_gh"]["stderr"] == 0.0
 
 
+@pytest.mark.parametrize("action_json", [C42, '{"kind":"direct_sum","field":"R","n":4,"k":1}'])
+def test_volumes_small_n_is_not_ill_conditioned(capsys, action_json):
+    # the reduced side is quadrature with a rounding-level error bar, so the
+    # 5 sigma guard of the calibration does not trip on a positive integrand
+    code = main(["volumes", "--action", action_json, "--n", "400"])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert captured.err == ""
+
+
 def test_volumes_payload_keys(capsys):
     code, rep = run_cli(capsys, ["volumes", "--action", SU2, "--seed", "1", "--n", "1000"])
     assert set(rep["results"]) == {"vol_gh", "vol_gn", "vol_w"}
@@ -341,8 +373,12 @@ def test_volumes_marks_exact_constants(capsys, action_json):
 @pytest.mark.parametrize("action_json", [SO3K2, C42, H32, '{"kind":"direct_sum","field":"R","n":4,"k":1}'])
 def test_volume_factorization_is_z_of_calibration(capsys, action_json):
     # vol(G/H) and vol(W) are exact, so the factorization check compares the
-    # calibrated vol(G/N) with the exact vol(G/H) / vol(W) in its own error bar
-    code, rep = run_cli(capsys, ["volumes", "--action", action_json, "--seed", "5", "--n", "20000"])
+    # calibrated vol(G/N) with the exact vol(G/H) / vol(W) in its own error bar.
+    # Neither integrand has constant importance weights on the direct side, so
+    # the calibration carries Monte Carlo noise and z is of order 1
+    functions = "gaussian_radial:sigma=1.3,gaussian_sq_norm:sigma=1.0"
+    code, rep = run_cli(capsys, ["volumes", "--action", action_json, "--seed", "5", "--n", "20000",
+                                 "--functions", functions])
     res = rep["results"]
     exact = res["vol_gh"]["mean"] / res["vol_w"]["mean"]
     z = abs(res["vol_gn"]["mean"] - exact) / (3.0 * res["vol_gn"]["stderr"])

@@ -1,4 +1,5 @@
-"""Import budget: the CLI's cold start loads numpy and the standard library only.
+"""Import budget: the CLI's cold start loads numpy and the standard library only,
+and ``integrate`` and ``volumes`` runs load neither scipy nor numpy.polynomial.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
@@ -9,9 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+LOADED_HEAVY = (
+    "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))"
+)
 
 
 def _run(code: str) -> str:
@@ -35,5 +41,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["integrate", "--action", '{{"kind":"direct_sum","field":"R","n":3,"k":2}}', "--n", "400"])
 assert code == 0, code
 print({LOADED_SCIPY})
+"""
+    assert _run(code) == "[]"
+
+
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+def test_direct_sum_run_loads_no_scipy_or_polynomial(command):
+    # the Gauss rules of the reduced side are built by Golub-Welsch in plain numpy
+    code = f"""
+import contextlib, io, sys
+from sectint.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["{command}", "--action", '{{"kind":"direct_sum","field":"C","n":4,"k":2}}', "--n", "400"])
+assert code in (0, 1), code
+print({LOADED_HEAVY})
 """
     assert _run(code) == "[]"

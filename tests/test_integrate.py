@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,18 +11,32 @@ from sectint.mc import agree, chunk_rngs, chunk_sizes, mc_run
 from sectint.integrate import (
     ContractViolation,
     IllConditionedCalibration,
+    _bartlett_rule,
     calibrate_vol_gn,
     custom_test_function,
     evaluate_test_function,
+    half_range_rule,
+    hermite_rule,
     integrate_direct,
     integrate_reduced,
     make_test_function,
     section_coordinate_det,
 )
+from sectint.volumes import vol_gh_estimate, w_group_volume
 from lp_isometry import lp_isometry_check
+from reduced_mc import reduced_importance_sampling
 
 R = ScalarField.REAL
 SO3K2 = DirectSumAction(R, 3, 2)
+QUADRATURE_ACTIONS = [
+    SO3K2,
+    DirectSumAction(R, 5, 3),
+    DirectSumAction(ScalarField.COMPLEX, 4, 2),
+    DirectSumAction(ScalarField.QUATERNION, 3, 2),
+    DirectSumAction(R, 4, 1),
+    DirectSumAction(ScalarField.QUATERNION, 3, 1),
+    DirectSumAction(R, 10, 2),
+]
 SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
 
 
@@ -128,7 +144,7 @@ def test_direct_zero_function_is_zero():
     zero = custom_test_function("zero", lambda pts, a: np.zeros(pts.shape[0]), True)
     est = integrate_direct(SO3K2, zero, seed=1, n=10_000)
     assert est.mean == 0.0 and est.stderr == 0.0
-    est = integrate_reduced(SO3K2, zero, 1.0, seed=1, n=10_000)
+    est = integrate_reduced(SO3K2, zero, 1.0)
     assert est.mean == 0.0
 
 
@@ -144,7 +160,7 @@ def test_direct_su2_volume():
 
 def test_reduced_requires_invariance():
     with pytest.raises(ContractViolation):
-        integrate_reduced(SO3K2, make_test_function("first_coordinate"), 1.0, seed=0, n=100)
+        integrate_reduced(SO3K2, make_test_function("first_coordinate"), 1.0)
 
 
 def test_two_sided_identity_so3():
@@ -153,7 +169,7 @@ def test_two_sided_identity_so3():
     calib = calibrate_vol_gn(SO3K2, [f, g], seed=7, n=400_000)
     assert calib.consistent
     direct = integrate_direct(SO3K2, f, seed=100, n=200_000)
-    reduced = integrate_reduced(SO3K2, f, calib.combined, seed=101, n=400_000)
+    reduced = integrate_reduced(SO3K2, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 
 
@@ -167,7 +183,7 @@ def test_two_sided_identity_polar_direct_sum():
     assert calib.consistent
     assert calib.combined.mean == pytest.approx(4 * np.pi, rel=0.02)
     direct = integrate_direct(a, f, seed=56, n=100_000)
-    reduced = integrate_reduced(a, f, calib.combined, seed=57, n=300_000)
+    reduced = integrate_reduced(a, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 
 
@@ -176,20 +192,20 @@ def test_two_sided_identity_su2_conjugation():
     calib = calibrate_vol_gn(SU2CONJ, [f, make_test_function("const")], seed=6, n=50_000)
     assert calib.consistent
     direct = integrate_direct(SU2CONJ, f, seed=8, n=50_000)
-    reduced = integrate_reduced(SU2CONJ, f, calib.combined, seed=9, n=0)
+    reduced = integrate_reduced(SU2CONJ, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 
 
 def test_reduced_quadrature_error_is_small():
     # smooth periodic integrands converge spectrally on the torus grid
-    est = integrate_reduced(SU2CONJ, make_test_function("trace_power", power=2), 1.0, seed=0, n=0)
+    est = integrate_reduced(SU2CONJ, make_test_function("trace_power", power=2), 1.0)
     assert est.stderr <= 1e-10 * max(1.0, abs(est.mean))
 
 
 @pytest.mark.parametrize("family, n", [(Family.SU, 2), (Family.SU, 3), (Family.SP, 1), (Family.SO, 4)])
 def test_reduced_quadrature_error_floored(family, n):
     # the rule is exact on the weight, so |fine - coarse| alone reads 0
-    est = integrate_reduced(ConjugationAction(GroupSpec(family, n)), make_test_function("const"), 1.0, seed=0, n=0)
+    est = integrate_reduced(ConjugationAction(GroupSpec(family, n)), make_test_function("const"), 1.0)
     assert 0.0 < est.stderr <= 1e-12 * abs(est.mean)
 
 
@@ -242,11 +258,76 @@ def test_linearity_same_seed():
 
 
 def test_weighted_section_measure_positive():
-    est = integrate_reduced(SO3K2, make_test_function("const"), 1.0, seed=3, n=50_000)
-    # integral of the weight against the gaussian importance is positive
-    # (the constant is only integrable against the weighted importance,
-    # which is what the estimator actually computes)
+    est = integrate_reduced(SO3K2, make_test_function("const"), 1.0)
+    # the constant is not integrable against the weight; the rule's finite
+    # sum of positive weights at its nodes is still positive
     assert est.mean > 0
+
+
+# --- the direct-sum reduced quadrature ------------------------------------------
+
+@pytest.mark.parametrize("action", QUADRATURE_ACTIONS, ids=str)
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 3.0])
+def test_reduced_rule_matches_closed_forms(action, sigma):
+    # the section integral of the Gaussians is (closed-form ambient integral)
+    # / vol(G/N); in the coordinates B = wR the integrand is a polynomial
+    # times the rule's Gaussian, so the rule is exact at every sigma
+    vol_gn = vol_gh_estimate(action).mean / w_group_volume(action).mean
+    dim = action.ambient_dim
+    gauss = (2 * np.pi * sigma * sigma) ** (dim / 2)
+    for name, ambient in (("gaussian_radial", gauss), ("gaussian_sq_norm", dim * sigma * sigma * gauss)):
+        est = integrate_reduced(action, make_test_function(name, sigma=sigma), 1.0)
+        assert est.mean == pytest.approx(ambient / vol_gn, rel=1e-12)
+        assert est.stderr <= 1e-12 * est.mean
+
+
+@pytest.mark.parametrize("a, m", [
+    *((a, m) for a in (0, 1, 2, 3, 5, 7, 11, 15) for m in (1, 2, 4, 5, 8)),
+    # the diagonal exponents d(n-i+1)-1 grow with n; the reduced side uses m = 4, 5
+    *((a, m) for a in (23, 39, 63, 127) for m in (4, 5)),
+])
+def test_half_range_rule_reproduces_moments(a, m):
+    nodes, weights = half_range_rule(a, m)
+    assert np.all(weights > 0) and np.all(nodes > 0)
+    for j in range(2 * m):
+        exact = 2.0 ** ((a + j - 1) / 2) * math.gamma((a + j + 1) / 2)
+        assert np.sum(weights * nodes ** j) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8])
+def test_hermite_rule_reproduces_moments(m):
+    nodes, weights = hermite_rule(m)
+    assert np.all(weights > 0)
+    for j in range(2 * m):
+        # odd moments vanish by cancellation, so their tolerance is relative to sum |w x^j|
+        exact = 0.0 if j % 2 else np.sqrt(2 * np.pi) * math.prod(range(j - 1, 0, -2))
+        scale = np.sum(weights * np.abs(nodes) ** j)
+        assert np.sum(weights * nodes ** j) == pytest.approx(exact, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("action", QUADRATURE_ACTIONS, ids=str)
+@pytest.mark.parametrize("power", [1.0, 0.5])
+def test_reduced_rule_matches_importance_sampling(action, power):
+    f = make_test_function("gaussian_det", power=power)
+    rule = integrate_reduced(action, f, 1.0)
+    oracle = reduced_importance_sampling(action, f, seed=0, n=200_000)
+    assert abs(rule.mean - oracle.mean) <= 4 * oracle.stderr
+
+
+@pytest.mark.parametrize("action", QUADRATURE_ACTIONS[:4], ids=str)
+def test_reduced_rule_error_proxy_covers_a_finer_rule(action):
+    # |det|^(1/2) is not a polynomial in R, so the rule converges only
+    # algebraically, and its error proxy must say so
+    f = make_test_function("gaussian_det", power=0.5)
+    est = integrate_reduced(action, f, 1.0)
+    finer = _bartlett_rule(action, lambda pts: evaluate_test_function(action, f, pts), 1.0, 7 if action.k < 3 else 6)
+    assert est.stderr > 1e-8 * est.mean
+    assert abs(est.mean - finer) <= est.stderr
+
+
+def test_reduced_rule_node_budget():
+    with pytest.raises(ValueError, match="nodes"):
+        integrate_reduced(DirectSumAction(ScalarField.QUATERNION, 4, 3), make_test_function("gaussian_radial"), 1.0)
 
 
 # --- the isometry check ---------------------------------------------------------
@@ -285,11 +366,8 @@ def test_integrate_deterministic_across_workers():
         integrate_direct(SO3K2, f, seed=1234, n=64_000, chunks=8, workers=w) for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
-    reduced = [
-        integrate_reduced(SO3K2, f, 4 * np.pi, seed=99, n=64_000, chunks=8, workers=w)
-        for w in (1, 2, 8)
-    ]
-    assert reduced[0] == reduced[1] == reduced[2]
+    reduced = [integrate_reduced(SO3K2, f, 4 * np.pi) for _ in range(2)]
+    assert reduced[0] == reduced[1]
 
 
 def test_conjugation_direct_deterministic():

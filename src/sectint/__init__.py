@@ -3,9 +3,9 @@
 The package reduces integrals over a matrix space carrying an
 isometric action of SO(n), SU(n) or Sp(n) to weighted integrals over a
 minimal section, provides the weight function (generic and closed
-form), exact Haar and ensemble sampling, deterministic Monte Carlo
-engines for both sides of the reduction identity, and quotient-volume
-bookkeeping.
+form), exact Haar and ensemble sampling, the two sides of the reduction
+identity (deterministic Monte Carlo on the ambient side, quadrature on
+the section), and quotient-volume bookkeeping.
 """
 
 from .fields import ScalarField
@@ -47,7 +47,6 @@ from .actions import (
     action_from_json,
     action_to_json,
     algebra_split,
-    canonical_coordinate,
     classify_point,
     embed_section,
     isotropy_algebra,

@@ -17,9 +17,10 @@ Two families are implemented:
 Everything downstream is phrased in flat real coordinates, where the
 ambient inner product Re(tr(x^* y)) is the Euclidean dot product.
 
-The module needs only numpy.  The per-point conjugation reductions of
-``reduce_to_section`` (a Schur form, reached from ``verify`` and tests)
-import scipy.linalg on first use, so importing sectint loads no scipy.
+``reduce_to_section`` maps a point to the canonical point of the
+section on its orbit, by one Gram-Schmidt QR (direct sums) or one
+eigensolve (conjugation, ``canonical_angles``).  The module needs only
+numpy.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .groups import (
     torus_point,
 )
 
-_ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi, as in _reduce_conj_so
+_ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
 
 _FIELD_TO_FAMILY = {REAL: Family.SO, COMPLEX: Family.SU, QUATERNION: Family.SP}
 
@@ -341,21 +342,13 @@ def _orthonormalize(rows: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarra
 
 
 def _complement_basis(group: GroupSpec, sub_rows: np.ndarray) -> tuple[MatK, ...]:
-    """Orthonormal basis of the complement of a subspace inside the algebra."""
-    out = []
-    kept: list[np.ndarray] = [r for r in sub_rows]
-    for b in algebra_basis(group):
-        v = to_real_vector(b)
-        w = v.copy()
-        for _ in range(2):
-            for u in kept:
-                w -= (u @ w) * u
-        nw = np.linalg.norm(w)
-        if nw > 1e-9:
-            w /= nw
-            kept.append(w)
-            out.append(from_real_vector(group.field, group.n, group.n, w))
-    return tuple(out)
+    """Orthonormal basis of the complement of a subspace inside the algebra.
+
+    sub_rows must be orthonormal, so Gram-Schmidt keeps each of them and
+    the complement starts at index len(sub_rows).
+    """
+    rows = _orthonormalize(list(sub_rows) + [to_real_vector(b) for b in algebra_basis(group)])
+    return tuple(from_real_vector(group.field, group.n, group.n, w) for w in rows[len(sub_rows):])
 
 
 def _embedded_block_algebra(field: ScalarField, n: int, offset: int, size: int) -> tuple[MatK, ...]:
@@ -476,172 +469,17 @@ def orbit_normal(action: ActionSpec, p: MatK) -> np.ndarray:
 
 # --- reduction to the section ----------------------------------------------
 
-def reduce_to_section(action: ActionSpec, x: MatK) -> tuple[MatK, GroupElement]:
-    """Group element g and section point s with g . x = s.
+def reduce_to_section(action: ActionSpec, x: MatK) -> MatK:
+    """Canonical section point of the orbit through x.
 
-    Direct sums reduce by a full QR factorization (with a determinant
-    correction on a trailing column for SO/SU, which leaves the first k
-    rows untouched); the resulting coordinate is the canonical Weyl
-    representative, upper triangular with nonnegative diagonal.
-    Conjugation reduces by diagonalization into the standard torus with
-    canonically ordered angles.
+    Direct sums: the section point with coordinate R of x = QR, upper
+    triangular with nonnegative real diagonal.  Conjugation: the torus
+    point of x's canonical_angles.  Both are one representative per
+    Weyl orbit, so x and g . x give the same point.
     """
     if isinstance(action, DirectSumAction):
-        return _reduce_direct_sum(action, x)
-    fam = action.group.family
-    if fam is Family.SU:
-        return _reduce_conj_su(action, x)
-    if fam is Family.SO:
-        return _reduce_conj_so(action, x)
-    return _reduce_conj_sp(action, x)
-
-
-def _reduce_direct_sum(action: DirectSumAction, x: MatK) -> tuple[MatK, GroupElement]:
-    n, k = action.n, action.k
-    f = qr(x, full=True)
-    qmat = f.q
-    if action.group.family is Family.SO:
-        d = np.linalg.det(qmat.data)
-        if d < 0:
-            qmat.data[:, -1] *= -1.0
-    elif action.group.family is Family.SU:
-        d = np.linalg.det(qmat.data)
-        qmat.data[:, -1] *= np.conj(d)
-    g = GroupElement(action.group, qmat.h)
-    s = zeros(action.field, n, k)
-    s.data[:k] = f.r.data[:k]
-    return s, g
-
-
-def _reduce_conj_su(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
-    import scipy.linalg
-
-    group = action.group
-    t, q = scipy.linalg.schur(x.data, output="complex")
-    ang = np.mod(np.angle(np.diag(t)), 2 * np.pi)
-    order = np.argsort(ang, kind="stable")
-    q = q[:, order]
-    ang = ang[order]
-    det = np.linalg.det(q)
-    q[:, 0] *= np.conj(det)
-    gmat = MatK(COMPLEX, q.conj().T.copy())
-    return torus_point(group, ang), GroupElement(group, gmat)
-
-
-def _reduce_conj_so(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
-    import scipy.linalg
-
-    group = action.group
-    n = group.n
-    t, q = scipy.linalg.schur(x.data, output="real")
-    blocks: list[tuple[float, list[int]]] = []
-    minus, plus = [], []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > 1e-10:
-            theta = float(np.arctan2(t[i + 1, i], t[i, i]))
-            blocks.append((theta, [i, i + 1]))
-            i += 2
-        else:
-            (minus if t[i, i] < 0 else plus).append(i)
-            i += 1
-    # pair the +-1 eigenvalues into angle 0 / pi rotation blocks; det = 1
-    # forces an even count of -1 eigenvalues
-    if len(minus) % 2 == 1:
-        raise np.linalg.LinAlgError("orthogonal input does not have determinant 1")
-    for a in range(0, len(minus), 2):
-        blocks.append((np.pi, [minus[a], minus[a + 1]]))
-    for a in range(0, len(plus) // 2 * 2, 2):
-        blocks.append((0.0, [plus[a], plus[a + 1]]))
-    spare = [plus[-1]] if len(plus) % 2 == 1 else []
-
-    cols, angles = [], []
-    for theta, idx in sorted(blocks, key=lambda b: abs(b[0])):
-        if theta < 0:
-            idx = [idx[1], idx[0]]  # column swap flips the angle sign
-            theta = -theta
-        angles.append(theta)
-        cols.extend(idx)
-    cols.extend(spare)
-    qn = q[:, cols]
-    if np.linalg.det(qn) < 0:
-        if spare:
-            qn[:, -1] *= -1.0
-        else:
-            flipped = _flip_one_block(qn, angles)
-            if not flipped:
-                angles[0] = -angles[0]
-                qn[:, [0, 1]] = qn[:, [1, 0]]
-    g = GroupElement(group, MatK(REAL, qn.T.copy()))
-    return torus_point(group, np.array(angles)), g
-
-
-def _flip_one_block(qn: np.ndarray, angles: list[float]) -> bool:
-    """Swap columns inside an angle 0 / pi block; fixes det at no cost."""
-    for a, theta in enumerate(angles):
-        if abs(theta) < 1e-12 or abs(theta - np.pi) < 1e-12:
-            qn[:, [2 * a, 2 * a + 1]] = qn[:, [2 * a + 1, 2 * a]]
-            return True
-    return False
-
-
-def _reduce_conj_sp(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
-    import scipy.linalg
-
-    group = action.group
-    n = group.n
-    t, q = scipy.linalg.schur(complex_embedding(x.field, x.data), output="complex")
-    ang = np.angle(np.diag(t))
-    order = np.argsort(np.abs(ang), kind="stable")
-    # quaternionic eigencolumns: w = v_top + conj(v_bot) j; the plus and
-    # minus angle partners span the same quaternionic line, so a
-    # quaternionic Gram-Schmidt pass keeps exactly n of them
-    kept_cols: list[np.ndarray] = []
-    kept_ang: list[float] = []
-    for idx in order:
-        v = q[:, idx]
-        w = np.stack([v[:n], v[n:].conj()], axis=-1)  # (n, 2) pair column
-        if ang[idx] < 0:
-            # right multiplication by j moves to the +theta eigenvector
-            # on the same quaternionic line
-            w = np.stack([-w[:, 1], w[:, 0]], axis=-1)
-        for _ in range(2):
-            for u in kept_cols:
-                w = _pair_col_sub(u, w)
-        nw = np.linalg.norm(w)
-        if nw > 1e-8:
-            kept_cols.append(w / nw)
-            kept_ang.append(abs(float(ang[idx])))
-        if len(kept_cols) == n:
-            break
-    if len(kept_cols) != n:
-        raise np.linalg.LinAlgError("quaternionic eigenbasis extraction failed")
-    order2 = np.argsort(kept_ang, kind="stable")
-    u = np.stack([kept_cols[i] for i in order2], axis=1)  # (n, n, 2)
-    umat = MatK(QUATERNION, u)
-    g = GroupElement(group, umat.h)
-    return torus_point(group, np.array([kept_ang[i] for i in order2])), g
-
-
-def _pair_col_sub(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w -= u <u, w> for quaternionic pair columns (n, 2)."""
-    u1, u2, w1, w2 = u[:, 0], u[:, 1], w[:, 0], w[:, 1]
-    c1 = np.sum(u1.conj() * w1 + u2 * w2.conj())
-    c2 = np.sum(u1.conj() * w2 - u2 * w1.conj())
-    p1 = u1 * c1 - u2 * np.conj(c2)
-    p2 = u1 * c2 + u2 * np.conj(c1)
-    return np.stack([w1 - p1, w2 - p2], axis=-1)
-
-
-def canonical_coordinate(action: ActionSpec, s: MatK):
-    """Canonical Weyl-orbit representative of a section point.
-
-    Direct sums: the upper triangular, nonnegative-diagonal QR factor
-    of the coordinate.  Conjugation: the point's canonical_angles.
-    """
-    if isinstance(action, DirectSumAction):
-        return qr(section_coordinate(action, s)).r
-    return canonical_angles(action.group, s.data[None])[0]
+        return embed_section(action, qr(x).r)
+    return torus_point(action.group, canonical_angles(action.group, x.data[None])[0])
 
 
 def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:

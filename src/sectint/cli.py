@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -135,12 +136,19 @@ def _default_functions(action: ActionSpec):
     ]
 
 
+def _write_output(path: str, write) -> None:
+    """write(path); a path that cannot be written is bad input."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(report: dict, out_path: str | None) -> int:
     payload = json.dumps(report, sort_keys=True, indent=2)
-    print(payload)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload + "\n")
+        _write_output(out_path, lambda path: Path(path).write_text(payload + "\n"))
+    print(payload)
     return 0 if report["pass"] else 1
 
 
@@ -267,7 +275,7 @@ def cmd_ensemble(args) -> int:
     spec = EnsembleSpec(action, args.scale, args.statistic, args.stat_index)
     cmp_ = compare_densities(spec, args.seed, args.n, args.bins)
     if args.out_csv:
-        cmp_.write_csv(args.out_csv)
+        _write_output(args.out_csv, cmp_.write_csv)
     report = _base_report("ensemble", action, args)
     report["results"] = cmp_.to_json()
     report["checks"] = [
@@ -364,6 +372,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         default_workers()  # a bad SECTINT_WORKERS fails here, before any work
+        if args.workers is not None and args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (DimensionError, ValueError, IllConditionedCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,8 @@ class EnsembleSpec:
     stat_index: int = 0
 
     def __post_init__(self):
+        if self.scale == 0.0 or not np.isfinite(self.scale):
+            raise ValueError(f"ensemble scale must be finite and nonzero, got {self.scale}")
         # stat_index picks a column of a vector statistic; a scalar one has one column
         action = self.action
         if isinstance(action, ConjugationAction):

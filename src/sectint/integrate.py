@@ -78,6 +78,9 @@ class TestFunction:
 def make_test_function(name: str, **params) -> TestFunction:
     if name not in _FAMILIES:
         raise ValueError(f"unknown test function {name!r}; known: {sorted(_FAMILIES)}")
+    sigma = float(params.get("sigma", 1.0))
+    if sigma == 0.0 or not math.isfinite(sigma):
+        raise ValueError(f"{name}: sigma must be finite and nonzero, got {sigma}")
     invariant = name != "first_coordinate"
     return TestFunction(name, params, invariant)
 

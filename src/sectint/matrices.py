@@ -259,23 +259,21 @@ def _unit_col(field: ScalarField, n: int, t: int) -> np.ndarray:
     return e
 
 
-def qr(x: MatK, full: bool = False, rank_cutoff: float = 1e-12) -> QrFactors:
+def qr(x: MatK, rank_cutoff: float = 1e-12) -> QrFactors:
     """Gram-Schmidt factorization x = q r with real nonnegative diag(r).
 
     Columns of q are orthonormal for the field's Hermitian form; the
     nonnegative-diagonal convention makes the factors unique for
     full-rank input.  Rank-deficient columns give a zero diagonal entry
     in r and a completion column in q, so q stays orthonormal and
-    x = q r still holds.  With full=True, q is completed to a square
-    n x n unitary and r is padded with zero rows.
+    x = q r still holds.
     """
     n, m = x.shape
     if n < m:
         raise DimensionError("qr requires rows >= cols")
     field = x.field
-    p = n if full else m
     qcols: list[np.ndarray] = []
-    rmat = zeros(field, p, m)
+    rmat = zeros(field, m, m)
     scale = x.norm()
     cutoff = rank_cutoff * max(scale, 1e-300)
 
@@ -302,9 +300,6 @@ def qr(x: MatK, full: bool = False, rank_cutoff: float = 1e-12) -> QrFactors:
                 rmat.data[j, j] = nv
             qcols.append(v / nv)
         else:
-            qcols.append(_completion_column(field, n, qcols))
-    if full:
-        while len(qcols) < n:
             qcols.append(_completion_column(field, n, qcols))
     qdata = np.stack(qcols, axis=1)
     return QrFactors(MatK(field, qdata), rmat)

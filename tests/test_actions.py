@@ -14,7 +14,6 @@ from sectint.actions import (
     action_from_json,
     action_to_json,
     algebra_split,
-    canonical_coordinate,
     classify_point,
     embed_section,
     isotropy_algebra,
@@ -29,6 +28,7 @@ from sectint.actions import (
     section_frame,
     torus_angles,
 )
+from schur_reduction import reduce_with_witness
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 
@@ -191,21 +191,26 @@ def test_isotropy_constancy_along_regular_section():
 
 
 def test_reduce_to_section_properties():
+    # the oracle's witness g moves x onto its section point s
     rng = np.random.default_rng(4)
     for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS:
         for _ in range(5):
             x = random_ambient_point(a, rng)
-            s, g = reduce_to_section(a, x)
+            s, g = reduce_with_witness(a, x)
             assert (act(a, g, x) - s).norm() < 1e-8 * max(1.0, x.norm())
             assert section_residual(a, s) < 1e-8
 
 
-def test_reduce_rank_deficient():
-    a = DirectSumAction(R, 5, 2)
+def _rank_deficient_point():
     x = zeros(R, 5, 2)
     x.data[:, 0] = [1.0, 2.0, 0.0, 1.0, -1.0]
     x.data[:, 1] = 2.0 * x.data[:, 0]
-    s, g = reduce_to_section(a, x)
+    return DirectSumAction(R, 5, 2), x
+
+
+def test_reduce_rank_deficient():
+    a, x = _rank_deficient_point()
+    s, g = reduce_with_witness(a, x)
     assert (act(a, g, x) - s).norm() < 1e-10
     assert np.abs(s.data[2:]).max() < 1e-12
     assert classify_point(a, s) is RegularityClass.SINGULAR
@@ -217,12 +222,34 @@ def test_reduction_lands_in_same_weyl_orbit():
         for _ in range(5):
             x = random_ambient_point(a, rng)
             h = haar_sample(a.group, rng)
-            c1 = canonical_coordinate(a, reduce_to_section(a, x)[0])
-            c2 = canonical_coordinate(a, reduce_to_section(a, act(a, h, x))[0])
-            if isinstance(a, DirectSumAction):
-                assert (c1 - c2).norm() < 1e-8 * max(1.0, c1.norm())
-            else:
-                assert np.abs(c1 - c2).max() < 1e-7
+            s1 = reduce_to_section(a, x)
+            s2 = reduce_to_section(a, act(a, h, x))
+            assert (s1 - s2).norm() < 1e-8 * max(1.0, s1.norm())
+
+
+def _singular_conjugation_points():
+    """Points with eigenvalue +-1 clusters, which exercise the block pairing."""
+    so4 = ConjugationAction(GroupSpec(Family.SO, 4))
+    so5 = ConjugationAction(GroupSpec(Family.SO, 5))
+    su3 = ConjugationAction(GroupSpec(Family.SU, 3))
+    points = [(so4, torus_point(so4.group, np.array(ang))) for ang in ([np.pi, np.pi], [0.0, np.pi], [0.0, 0.0])]
+    return points + [(so5, torus_point(so5.group, np.array([np.pi, 0.0]))), (su3, eye(C, 3))]
+
+
+def _oracle_cases():
+    """(action, point) pairs: random ones on every test action, then the singular ones."""
+    rng = np.random.default_rng(15)
+    cases = [(a, random_ambient_point(a, rng)) for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS for _ in range(5)]
+    so2 = ConjugationAction(GroupSpec(Family.SO, 2))
+    cases += [(so2, torus_point(so2.group, [th])) for th in (-0.5, 0.5, 3.0, np.pi)]
+    cases += [_rank_deficient_point()] + _singular_conjugation_points()
+    return [pytest.param(a, x, id=f"{a}#{i}") for i, (a, x) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("action, x", _oracle_cases())
+def test_reduce_to_section_matches_oracle(action, x):
+    s, _ = reduce_with_witness(action, x)
+    assert (reduce_to_section(action, x) - s).norm() <= 1e-12 * max(1.0, s.norm())
 
 
 def test_normalizer_maps_section_to_section():
@@ -239,33 +266,18 @@ def test_normalizer_maps_section_to_section():
 
 
 def test_reduce_conjugation_singular_points():
-    # eigenvalue +-1 clusters exercise the block-pairing paths
-    from sectint.groups import torus_point
-
-    so4 = ConjugationAction(GroupSpec(Family.SO, 4))
-    for angles in ([np.pi, np.pi], [0.0, np.pi], [0.0, 0.0]):
-        p = torus_point(so4.group, np.array(angles))
-        s, g = reduce_to_section(so4, p)
-        assert (act(so4, g, p) - s).norm() < 1e-10
-    so5 = ConjugationAction(GroupSpec(Family.SO, 5))
-    p = torus_point(so5.group, np.array([np.pi, 0.0]))
-    s, g = reduce_to_section(so5, p)
-    assert (act(so5, g, p) - s).norm() < 1e-10
-    su3 = ConjugationAction(GroupSpec(Family.SU, 3))
-    p = eye(ScalarField.COMPLEX, 3)
-    s, g = reduce_to_section(su3, p)
-    assert (act(su3, g, p) - s).norm() < 1e-10
+    for action, p in _singular_conjugation_points():
+        s, g = reduce_with_witness(action, p)
+        assert (act(action, g, p) - s).norm() < 1e-10
 
 
 def test_reduce_abelian_conjugation_is_identity():
     # SO(2) is abelian: conjugation moves nothing, so the canonical
     # representative must be the point itself even for negative angles
-    from sectint.groups import torus_point
-
     so2 = ConjugationAction(GroupSpec(Family.SO, 2))
     for th in (-0.5, 0.5, 3.0, np.pi):
         p = torus_point(so2.group, [th])
-        s, g = reduce_to_section(so2, p)
+        s, g = reduce_with_witness(so2, p)
         assert (act(so2, g, p) - s).norm() < 1e-12
         assert (s - p).norm() < 1e-12
 
@@ -275,7 +287,7 @@ def test_reduce_sp1_conjugation():
     rng = np.random.default_rng(14)
     for _ in range(20):
         x = random_ambient_point(sp1, rng)
-        s, g = reduce_to_section(sp1, x)
+        s, g = reduce_with_witness(sp1, x)
         assert (act(sp1, g, x) - s).norm() < 1e-12
 
 

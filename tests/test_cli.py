@@ -213,6 +213,38 @@ def test_ensemble_without_samples_exits_2(capsys, n):
     assert "--n" in err
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", SO3K2, "--point", "[[1,0],[0,1]]", "--out", str(path)])
+    assert str(path) in err
+
+
+def test_unwritable_out_csv_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "h.csv"
+    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", SO3K2, "--n", "200", "--out-csv", str(path)])
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["integrate", "--functions", "gaussian_radial:sigma=0"], "sigma"),
+        (["integrate", "--functions", "gaussian_radial:sigma=nan"], "sigma"),
+        (["volumes", "--functions", "gaussian_radial:sigma=inf,gaussian_sq_norm"], "sigma"),
+        (["ensemble", "--scale", "0"], "scale"),
+        (["ensemble", "--scale", "nan"], "scale"),
+        (["ensemble", "--scale=-inf"], "scale"),
+        (["integrate", "--workers", "0"], "--workers"),
+        (["delta", "--point", "[[1,0],[0,1]]", "--workers=-1"], "--workers"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_degenerate_numeric_input_exits_2(capsys, argv, needle):
+    # each of these used to print a NaN payload (not valid JSON) or ignore the value
+    err = _exits_2_with_one_line(capsys, [argv[0], "--action", SO3K2, "--n", "200", *argv[1:]])
+    assert needle in err
+
+
 # --- verify -------------------------------------------------------------------------
 
 def test_verify_exit_zero(capsys):

@@ -22,6 +22,7 @@ from sectint.ensembles import (
     compare_densities,
     sample_ensemble,
 )
+from schur_reduction import reduce_with_witness
 
 R, H = ScalarField.REAL, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)
@@ -53,7 +54,7 @@ def test_reduction_preserves_norm():
     for action in [SO3K2, DirectSumAction(H, 3, 2)]:
         for _ in range(50):
             x = random_ambient_point(action, rng)
-            s, _ = reduce_to_section(action, x)
+            s = reduce_to_section(action, x)
             assert abs(s.norm() - x.norm()) <= 1e-10 * max(1.0, x.norm())
 
 
@@ -98,7 +99,7 @@ def test_batched_statistics_match_per_sample_reduction(action, stat):
     oracle = []
     for rng, size in zip(chunk_rngs(8, 16), chunk_sizes(50, 16)):
         for _ in range(size):
-            s, _ = reduce_to_section(action, 1.5 * gaussian(action.field, action.n, action.k, rng))
+            s = reduce_to_section(action, 1.5 * gaussian(action.field, action.n, action.k, rng))
             oracle.append(_stat_from_coordinate(spec, section_coordinate(action, s)))
     np.testing.assert_allclose(sample_ensemble(spec, seed=8, n=50), oracle, rtol=1e-10, atol=0)
 
@@ -109,7 +110,7 @@ CONJ_REPLAY = [ConjugationAction(GroupSpec(f, n)) for f, n in
 
 def _per_point_angles(action, g):
     """Canonical angles of one group element by Schur reduction to the torus."""
-    s, _ = reduce_to_section(action, g)
+    s, _ = reduce_with_witness(action, g)
     ang = torus_angles(action, s)
     # torus_angles gives SU angles in (-pi, pi]; canonical ones are sorted in [0, 2 pi)
     return np.sort(np.mod(ang, 2 * np.pi)) if action.group.family is Family.SU else ang

@@ -1,5 +1,6 @@
 """Import budget: the CLI's cold start loads numpy and the standard library only,
-and ``integrate`` and ``volumes`` runs load neither scipy nor numpy.polynomial.
+``integrate`` and ``volumes`` runs load neither scipy nor numpy.polynomial, and
+conjugation ``verify`` runs load no scipy.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
@@ -55,5 +56,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["{command}", "--action", '{{"kind":"direct_sum","field":"C","n":4,"k":2}}', "--n", "400"])
 assert code in (0, 1), code
 print({LOADED_HEAVY})
+"""
+    assert _run(code) == "[]"
+
+
+@pytest.mark.parametrize("family, n", [("SU", 3), ("SO", 4), ("Sp", 2)])
+def test_conjugation_verify_loads_no_scipy(family, n):
+    # the reduction to the torus is one numpy eigensolve, not a Schur form
+    code = f"""
+import contextlib, io, sys
+from sectint.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--action", '{{"kind":"conjugation","family":"{family}","n":{n}}}', "--points", "2"])
+assert code == 0, code
+print({LOADED_SCIPY})
 """
     assert _run(code) == "[]"

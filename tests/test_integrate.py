@@ -126,7 +126,7 @@ def test_section_coordinate_det_matches_reduction():
         for _ in range(5):
             x = random_ambient_point(action, rng)
             via_batch = section_coordinate_det(action, to_real_vector(x)[None, :])[0]
-            s, _ = reduce_to_section(action, x)
+            s = reduce_to_section(action, x)
             assert via_batch == pytest.approx(
                 det_modulus(section_coordinate(action, s)), rel=1e-10
             )

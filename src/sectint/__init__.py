@@ -12,7 +12,6 @@ from .fields import ScalarField
 from .matrices import (
     DimensionError,
     MatK,
-    QrFactors,
     abs_det_between,
     det_modulus,
     eye,
@@ -21,7 +20,6 @@ from .matrices import (
     inner,
     mat,
     qr,
-    realified_det,
     to_real_vector,
     zeros,
 )

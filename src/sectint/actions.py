@@ -18,7 +18,7 @@ Everything downstream is phrased in flat real coordinates, where the
 ambient inner product Re(tr(x^* y)) is the Euclidean dot product.
 
 ``reduce_to_section`` maps a point to the canonical point of the
-section on its orbit, by one Gram-Schmidt QR (direct sums) or one
+section on its orbit, by one QR (direct sums, ``matrices.qr``) or one
 eigensolve (conjugation, ``canonical_angles``).  The module needs only
 numpy.
 """
@@ -402,11 +402,8 @@ def bracket(x: MatK, y: MatK) -> MatK:
 # --- regularity, isotropy, orbit spaces -------------------------------------
 
 def _rank_of(x: MatK, cutoff_rel: float = 1e-8) -> int:
-    f = qr(x)
-    if x.field is QUATERNION:
-        diag = np.array([abs(f.r.data[j, j, 0]) for j in range(x.cols)])
-    else:
-        diag = np.abs(np.diag(f.r.data))
+    r, i = qr(x.field, x.data)[1], np.arange(x.cols)
+    diag = np.real(r[i, i, 0] if x.field is QUATERNION else r[i, i])
     return int(np.sum(diag > cutoff_rel * max(x.norm(), 1e-300)))
 
 
@@ -478,7 +475,7 @@ def reduce_to_section(action: ActionSpec, x: MatK) -> MatK:
     Weyl orbit, so x and g . x give the same point.
     """
     if isinstance(action, DirectSumAction):
-        return embed_section(action, qr(x).r)
+        return embed_section(action, qr(x.field, x.data)[1])
     return torus_point(action.group, canonical_angles(action.group, x.data[None])[0])
 
 

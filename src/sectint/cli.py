@@ -52,14 +52,22 @@ from .volumes import vol_gh_estimate, volume_table, w_group_volume
 from .weights import delta_e_closed_form, delta_e_generic, orbit_map_differential
 
 
+def _finite(token: str) -> float:
+    """A JSON number or NaN/Infinity token; only finite values are input."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def _load_json_arg(text: str):
     if text.startswith("@"):
         try:
             with open(text[1:]) as fh:
-                return json.load(fh)
+                text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from None
-    return json.loads(text)
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 def _parse_action(text: str) -> ActionSpec:
@@ -374,6 +382,10 @@ def main(argv=None) -> int:
         default_workers()  # a bad SECTINT_WORKERS fails here, before any work
         if args.workers is not None and args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        for name in ("tol_rel", "tol_abs", "n_sigma", "p_threshold", "corrupt_metric"):
+            value = getattr(args, name, 0.0)  # the last two belong to one subcommand each
+            if not np.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (DimensionError, ValueError, IllConditionedCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)

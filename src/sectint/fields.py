@@ -41,11 +41,3 @@ def quat_to_pair(q):
     c1 = q[..., 0] + 1j * q[..., 1]
     c2 = q[..., 2] + 1j * q[..., 3]
     return np.stack([c1, c2], axis=-1)
-
-
-def pair_to_quat(c):
-    """(..., 2) complex pair -> (..., 4) float components."""
-    c = np.asarray(c, dtype=complex)
-    return np.stack(
-        [c[..., 0].real, c[..., 0].imag, c[..., 1].real, c[..., 1].imag], axis=-1
-    )

@@ -1,9 +1,9 @@
 """Classical compact matrix groups SO(n), SU(n), Sp(n).
 
 Provides orthonormal Lie algebra bases for the inner product
-Re(tr(x^* y)), maximal-torus points, exact Haar sampling via one
-batched, phase-corrected QR of Gaussian matrices for every family,
-and the adjoint action.
+Re(tr(x^* y)), maximal-torus points, exact Haar sampling as the q
+factor of the field-generic batched QR (matrices.qr) of Gaussian
+matrices for every family, and the adjoint action.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .matrices import (
     REAL,
     DimensionError,
     MatK,
-    complex_embedding,
     from_real_vector,
     mat,
+    qr,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -221,14 +221,10 @@ def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
 def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n[, pair]).
 
-    Batched QR of Gaussian matrices drawn from the random stream of
-    count successive matrices.gaussian calls.  Scaling each column of q
-    by the phase of the matching diagonal entry of r makes diag(r) real
-    and positive, which makes q Haar (Mezzadri, arXiv:math-ph/0609050).
-    A quaternionic matrix with columns v_a is factored through its
-    complex adjoint matrix with columns interleaved as (v_a, v_a j):
-    the phase-fixed complex QR of that matrix is quaternionic
-    Gram-Schmidt, and its even columns embed the quaternionic columns.
+    The q factor of matrices.qr (diag(r) real and positive) of count
+    Gaussian matrices, drawn from the random stream of count successive
+    matrices.gaussian calls; that q is Haar (Mezzadri,
+    arXiv:math-ph/0609050).
     """
     if field is REAL:
         g = rng.standard_normal((count, n, n))
@@ -236,14 +232,8 @@ def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, cou
         re_im = rng.standard_normal((count, 2, n, n))
         g = re_im[:, 0] + 1j * re_im[:, 1]
     else:
-        pair = quat_to_pair(rng.standard_normal((count, n, n, 4)))
-        g = complex_embedding(field, pair)[:, :, np.arange(2 * n).reshape(2, n).T.ravel()]
-    q, r = np.linalg.qr(g)
-    d = np.einsum("mii->mi", r)
-    q = q * (d / np.abs(d))[:, None, :]
-    if field is QUATERNION:
-        return np.stack([q[:, :n, ::2], q[:, n:, ::2].conj()], axis=-1)
-    return q
+        g = quat_to_pair(rng.standard_normal((count, n, n, 4)))
+    return qr(field, g)[0]
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:

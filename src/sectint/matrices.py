@@ -10,6 +10,11 @@ Every matrix also has a flat real coordinate vector (its realification)
 chosen so that the ambient inner product Re(tr(x^* y)) equals the
 Euclidean dot product of the coordinate vectors.  All downstream
 geometry (frames, Gram matrices, Jacobians) works in those coordinates.
+
+``qr(field, data)`` is the one QR for all three fields: one batched
+LAPACK factorization of a stack of raw matrices, with diag(r) real and
+nonnegative.  It serves Haar sampling, the reduction of direct sums to
+the section (R of x = QR is the section coordinate) and the rank test.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, pair_to_quat, quat_to_pair
+from .fields import ScalarField, quat_to_pair
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -157,13 +162,6 @@ def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> Ma
     return MatK(QUATERNION, quat_to_pair(g))
 
 
-def quat_components(x: MatK) -> np.ndarray:
-    """Quaternion matrix as (n, m, 4) real components."""
-    if x.field is not QUATERNION:
-        raise DimensionError("quat_components needs a quaternionic matrix")
-    return pair_to_quat(x.data)
-
-
 # --- realification ---------------------------------------------------------
 
 def real_dim(field: ScalarField, n: int, m: int) -> int:
@@ -172,14 +170,7 @@ def real_dim(field: ScalarField, n: int, m: int) -> int:
 
 def to_real_vector(x: MatK) -> np.ndarray:
     """Flat real coordinates; Re(tr(x^* y)) == dot(vec(x), vec(y))."""
-    if x.field is REAL:
-        return x.data.ravel().copy()
-    if x.field is COMPLEX:
-        return np.stack([x.data.real, x.data.imag], axis=-1).ravel()
-    d = x.data
-    return np.stack(
-        [d[..., 0].real, d[..., 0].imag, d[..., 1].real, d[..., 1].imag], axis=-1
-    ).ravel()
+    return batch_to_real(x.field, x.data[None])[0]
 
 
 def batch_to_real(field: ScalarField, arr: np.ndarray) -> np.ndarray:
@@ -187,23 +178,14 @@ def batch_to_real(field: ScalarField, arr: np.ndarray) -> np.ndarray:
     count = arr.shape[0]
     if field is REAL:
         return arr.reshape(count, -1).astype(float)
-    if field is COMPLEX:
-        return np.stack([arr.real, arr.imag], axis=-1).reshape(count, -1)
-    c1, c2 = arr[..., 0], arr[..., 1]
-    return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1).reshape(count, -1)
+    return np.stack([arr.real, arr.imag], axis=-1).reshape(count, -1)  # H: c1.re, c1.im, c2.re, c2.im
 
 
 def from_real_vector(field: ScalarField, n: int, m: int, v: np.ndarray) -> MatK:
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)  # a copy: real data is a view of it
     if v.size != real_dim(field, n, m):
         raise DimensionError(f"expected {real_dim(field, n, m)} coordinates, got {v.size}")
-    if field is REAL:
-        return MatK(REAL, v.reshape(n, m).copy())
-    if field is COMPLEX:
-        a = v.reshape(n, m, 2)
-        return MatK(COMPLEX, a[..., 0] + 1j * a[..., 1])
-    a = v.reshape(n, m, 4)
-    return MatK(QUATERNION, np.stack([a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]], axis=-1))
+    return MatK(field, data_from_components(field, v.reshape(n, m, field.dim)))
 
 
 def inner(x: MatK, y: MatK) -> float:
@@ -214,111 +196,78 @@ def inner(x: MatK, y: MatK) -> float:
 
 # --- QR --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QrFactors:
-    q: MatK
-    r: MatK
+RANK_CUTOFF = 1e-12  # diagonal entries of r at or below this times |x| are set to 0
 
 
-def _col(x: MatK, j: int) -> np.ndarray:
-    return x.data[:, j].copy() if x.field is not QUATERNION else x.data[:, j, :].copy()
+def _pairs(m: int) -> np.ndarray:
+    """Index order 0, m, 1, m + 1, ...: interleaves the halves of an adjoint matrix."""
+    return np.arange(2 * m).reshape(2, m).T.ravel()
 
 
-def _herm_dot(field: ScalarField, u: np.ndarray, v: np.ndarray):
-    """sum_a conj(u_a) v_a as a field scalar (complex pair for H)."""
-    if field is REAL:
-        return float(u @ v)
-    if field is COMPLEX:
-        return complex(np.vdot(u, v))
-    u1, u2, v1, v2 = u[:, 0], u[:, 1], v[:, 0], v[:, 1]
-    p1 = np.sum(u1.conj() * v1 + u2 * v2.conj())
-    p2 = np.sum(u1.conj() * v2 - u2 * v1.conj())
-    return np.array([p1, p2], dtype=complex)
+def _phase_fixed_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched LAPACK QR; each column of q and row of r takes the phase of
+    r's diagonal entry (1 at a zero pivot), so diag(r) is real and >= 0."""
+    q, r = np.linalg.qr(a)
+    d = np.einsum("...ii->...i", r)
+    ad = np.abs(d)
+    phase = np.divide(d, ad, out=np.ones_like(d), where=ad > 0)
+    return q * phase[..., None, :], r * phase.conj()[..., :, None]
 
 
-def _scale_right(field: ScalarField, u: np.ndarray, c):
-    """Column times field scalar acting from the right."""
-    if field is not QUATERNION:
-        return u * c
-    u1, u2 = u[:, 0], u[:, 1]
-    c1, c2 = c[0], c[1]
-    return np.stack([u1 * c1 - u2 * np.conj(c2), u1 * c2 + u2 * np.conj(c1)], axis=-1)
+def qr(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
+    """x = q r for raw matrix data with any leading batch axes, (..., n, k[, pair]).
 
-
-def _col_norm(u: np.ndarray) -> float:
-    return float(np.linalg.norm(u))
-
-
-def _unit_col(field: ScalarField, n: int, t: int) -> np.ndarray:
-    if field is not QUATERNION:
-        e = np.zeros(n, dtype=float if field is REAL else complex)
-        e[t] = 1.0
-        return e
-    e = np.zeros((n, 2), dtype=complex)
-    e[t, 0] = 1.0
-    return e
-
-
-def qr(x: MatK, rank_cutoff: float = 1e-12) -> QrFactors:
-    """Gram-Schmidt factorization x = q r with real nonnegative diag(r).
-
-    Columns of q are orthonormal for the field's Hermitian form; the
-    nonnegative-diagonal convention makes the factors unique for
-    full-rank input.  Rank-deficient columns give a zero diagonal entry
-    in r and a completion column in q, so q stays orthonormal and
-    x = q r still holds.
+    Returns raw (q, r): the columns of q (..., n, k[, pair]) are
+    orthonormal for the field's Hermitian form, and r (..., k, k[, pair])
+    is upper triangular with a real diagonal >= 0, which makes the
+    factors unique at full rank.  R and C take one batched LAPACK QR.  H
+    factors the complex adjoint matrices with columns interleaved as
+    (v_a, v_a j): their phase-fixed QR is quaternionic Gram-Schmidt, and
+    the even columns of its q embed the columns of q.  Diagonal entries
+    of r at or below RANK_CUTOFF * |x| are set to 0; q then holds a
+    completion column, so q stays orthonormal and x = q r still holds.
     """
-    n, m = x.shape
-    if n < m:
+    x = np.asarray(data)
+    quat = field is QUATERNION
+    n, k = x.shape[-3:-1] if quat else x.shape[-2:]
+    if n < k:
         raise DimensionError("qr requires rows >= cols")
-    field = x.field
-    qcols: list[np.ndarray] = []
-    rmat = zeros(field, m, m)
-    scale = x.norm()
-    cutoff = rank_cutoff * max(scale, 1e-300)
-
-    def _orthogonalize(v, accumulate_to=None):
-        # two Gram-Schmidt sweeps for numerical orthogonality
-        for _ in range(2):
-            for i, qi in enumerate(qcols):
-                c = _herm_dot(field, qi, v)
-                v = v - _scale_right(field, qi, c)
-                if accumulate_to is not None:
-                    if field is QUATERNION:
-                        rmat.data[i, accumulate_to, :] += c
-                    else:
-                        rmat.data[i, accumulate_to] += c
-        return v
-
-    for j in range(m):
-        v = _orthogonalize(_col(x, j), accumulate_to=j)
-        nv = _col_norm(v)
-        if nv > cutoff:
-            if field is QUATERNION:
-                rmat.data[j, j, 0] = nv
-            else:
-                rmat.data[j, j] = nv
-            qcols.append(v / nv)
-        else:
-            qcols.append(_completion_column(field, n, qcols))
-    qdata = np.stack(qcols, axis=1)
-    return QrFactors(MatK(field, qdata), rmat)
+    cut = RANK_CUTOFF * np.sqrt(np.sum(np.abs(x) ** 2, axis=(-3, -2, -1) if quat else (-2, -1)))
+    q, r = _quaternion_qr(x, cut) if quat else _phase_fixed_qr(x)
+    diag, i = (r[..., 0] if quat else r), np.arange(k)
+    d = np.abs(diag[..., i, i])
+    diag[..., i, i] = np.where(d <= cut[..., None], 0.0, d)
+    return q, r
 
 
-def _completion_column(field: ScalarField, n: int, qcols: list[np.ndarray]) -> np.ndarray:
-    """Unit vector orthogonal to the given orthonormal columns."""
-    best, best_norm = None, -1.0
-    for t in range(n):
-        v = _unit_col(field, n, t)
-        for _ in range(2):
-            for qi in qcols:
-                v = v - _scale_right(field, qi, _herm_dot(field, qi, v))
-        nv = _col_norm(v)
-        if nv > best_norm:
-            best, best_norm = v, nv
-    if best_norm < 1e-8:
-        raise np.linalg.LinAlgError("failed to complete orthonormal basis")
-    return best / best_norm
+def _quaternion_qr(x: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qr over H, from the phase-fixed QR of the interleaved adjoint matrices e.
+
+    At a dependent column LAPACK builds the next column of q from
+    rounding noise, and the pairs (v_a, v_a j) after it lose their
+    structure.  A rank-deficient matrix is therefore factored again,
+    with one more dependent column zeroed each pass and the rows
+    interleaved as the columns are: a zero pivot then takes a unit
+    vector and its j-partner.  Its r is q^* e, exactly upper triangular.
+    """
+    n, k = x.shape[-3:-1]
+    e = complex_embedding(QUATERNION, x)[..., _pairs(k)]
+    q, r = _phase_fixed_qr(e)
+    pivots = lambda r: np.abs(np.einsum("...ii->...i", r)[..., ::2])
+    bad = np.any(pivots(r) <= cut[..., None], axis=-1)
+    if np.any(bad):
+        rows, eb, cb = _pairs(n), e[bad], cut[bad][:, None]
+        dead = np.zeros(cb.shape[:1] + (k,), dtype=bool)
+        while True:
+            qb, rb = _phase_fixed_qr(np.where(np.repeat(dead, 2, axis=-1)[:, None, :], 0.0, eb)[:, rows])
+            new = (pivots(rb) <= cb) & ~dead
+            if not np.any(new):
+                break
+            dead |= new & (np.cumsum(new, axis=-1) == 1)
+        q[bad] = qb[:, np.argsort(rows)]
+        r[bad] = np.triu(np.swapaxes(q[bad].conj(), -1, -2) @ eb)
+    q = np.stack([q[..., :n, ::2], q[..., n:, ::2].conj()], axis=-1)
+    return q, np.stack([r[..., ::2, ::2], r[..., 1::2, ::2].conj()], axis=-1)
 
 
 # --- determinants ----------------------------------------------------------
@@ -379,24 +328,6 @@ def det_modulus(x: MatK) -> float:
     if x.field is QUATERNION:
         return float(np.sqrt(abs(np.linalg.det(complex_embedding(x.field, x.data)))))
     return float(abs(np.linalg.det(x.data)))
-
-
-def realified_det(x: MatK) -> float:
-    """|det| of the real matrix of left multiplication by x on K^n.
-
-    Equals det_modulus(x) ** field.dim; computed independently by
-    assembling the realified operator column by column.
-    """
-    if not x.is_square():
-        raise DimensionError("realified_det requires a square matrix")
-    n = x.rows
-    dn = real_dim(x.field, n, 1)
-    m = np.empty((dn, dn))
-    for i in range(dn):
-        e = np.zeros(dn)
-        e[i] = 1.0
-        m[:, i] = to_real_vector(x @ from_real_vector(x.field, n, 1, e))
-    return float(abs(np.linalg.det(m)))
 
 
 def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray:

@@ -2,11 +2,11 @@
 
 ``reduce_with_witness(action, x)`` returns the canonical section point
 s together with a group element g such that g . x = s.  Direct sums
-take a square Gram-Schmidt QR with a determinant fix on its last
-column; conjugation takes a Schur form (scipy.linalg) and orders its
-blocks into the standard torus.  It is built independently of
-``actions.reduce_to_section`` (batched QR and eigensolve, no g) and
-serves as its oracle.
+take a square Gram-Schmidt QR (``matrix_oracles``) with a determinant
+fix on its last column; conjugation takes a Schur form (scipy.linalg)
+and orders its blocks into the standard torus.  It is built
+independently of ``actions.reduce_to_section`` (batched QR and
+eigensolve, no g) and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import scipy.linalg
 
 from sectint.actions import ActionSpec, ConjugationAction, DirectSumAction
 from sectint.groups import Family, GroupElement, torus_point
-from sectint.matrices import COMPLEX, QUATERNION, REAL, MatK, complex_embedding, eye, qr, zeros
+from sectint.matrices import COMPLEX, QUATERNION, REAL, MatK, complex_embedding, eye, zeros
+
+from matrix_oracles import gram_schmidt_qr
 
 
 def reduce_with_witness(action: ActionSpec, x: MatK) -> tuple[MatK, GroupElement]:
@@ -35,8 +37,7 @@ def _reduce_direct_sum(action: DirectSumAction, x: MatK) -> tuple[MatK, GroupEle
     # QR of the square [x | e_1 .. e_(n-k)]: its q is unitary, and since
     # Gram-Schmidt runs column by column, the first k columns of r are x's
     n, k = action.n, action.k
-    f = qr(MatK(x.field, np.concatenate([x.data, eye(x.field, n).data[:, : n - k]], axis=1)))
-    qmat = f.q
+    qmat, r = gram_schmidt_qr(MatK(x.field, np.concatenate([x.data, eye(x.field, n).data[:, : n - k]], axis=1)))
     # the last column of q meets only the last row of r, zero in x's columns
     if action.group.family is Family.SO:
         if np.linalg.det(qmat.data) < 0:
@@ -44,7 +45,7 @@ def _reduce_direct_sum(action: DirectSumAction, x: MatK) -> tuple[MatK, GroupEle
     elif action.group.family is Family.SU:
         qmat.data[:, -1] *= np.conj(np.linalg.det(qmat.data))
     s = zeros(action.field, n, k)
-    s.data[:k] = f.r.data[:k, :k]
+    s.data[:k] = r.data[:k, :k]
     return s, GroupElement(action.group, qmat.h)
 
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from sectint.fields import ScalarField
-from sectint.matrices import det_modulus, gaussian, realified_det, to_real_vector
+from sectint.matrices import det_modulus, gaussian, to_real_vector
 from sectint.groups import Family, GroupSpec, adjoint, torus_point
 from sectint.actions import (
     ConjugationAction,
@@ -31,6 +31,7 @@ from sectint.integrate import (
 from sectint.mc import agree
 from sectint.ensembles import EnsembleSpec, compare_densities
 from lp_isometry import lp_isometry_check
+from matrix_oracles import realified_det
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 

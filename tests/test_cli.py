@@ -236,6 +236,11 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["ensemble", "--scale=-inf"], "scale"),
         (["integrate", "--workers", "0"], "--workers"),
         (["delta", "--point", "[[1,0],[0,1]]", "--workers=-1"], "--workers"),
+        (["integrate", "--n-sigma", "nan"], "--n-sigma"),
+        (["verify", "--tol-rel", "nan"], "--tol-rel"),
+        (["delta", "--point", "[[1,0],[0,1]]", "--tol-abs", "inf"], "--tol-abs"),
+        (["ensemble", "--p-threshold", "nan"], "--p-threshold"),
+        (["verify", "--corrupt-metric=-inf"], "--corrupt-metric"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -243,6 +248,27 @@ def test_degenerate_numeric_input_exits_2(capsys, argv, needle):
     # each of these used to print a NaN payload (not valid JSON) or ignore the value
     err = _exits_2_with_one_line(capsys, [argv[0], "--action", SO3K2, "--n", "200", *argv[1:]])
     assert needle in err
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize(
+    "option, action, point",
+    [
+        ("--point", SO3K2, "[[NaN,0],[0,1]]"),
+        ("--point", SU2, "[Infinity]"),
+        ("--point", SO3K2, "[[1e999,0],[0,1]]"),
+        ("--action", '{"kind":"direct_sum","field":"R","n":3,"k":2,"x":-Infinity}', "[[1,0],[0,1]]"),
+    ],
+)
+def test_non_finite_json_exits_2(capsys, tmp_path, source, option, action, point):
+    # Python's json accepts NaN and Infinity; they used to reach the weight and print a NaN payload
+    args = {"--action": action, "--point": point}
+    if source == "file":
+        path = tmp_path / "arg.json"
+        path.write_text(args[option])
+        args[option] = f"@{path}"
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", args["--action"], "--point", args["--point"]])
+    assert f"bad {option}" in err and "non-finite" in err
 
 
 # --- verify -------------------------------------------------------------------------

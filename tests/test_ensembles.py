@@ -22,6 +22,7 @@ from sectint.ensembles import (
     compare_densities,
     sample_ensemble,
 )
+from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness
 
 R, H = ScalarField.REAL, ScalarField.QUATERNION
@@ -120,14 +121,14 @@ def _per_point_angles(action, g):
 def test_conjugation_samples_match_per_draw_reduction(action):
     # replay the sampling stream one Haar draw at a time: Gram-Schmidt QR
     # of a Gaussian matrix, the SO/SU determinant fix, then reduction
-    from sectint.matrices import gaussian, qr
+    from sectint.matrices import gaussian
     from sectint.mc import chunk_rngs, chunk_sizes
 
     group = action.group
     oracle = []
     for rng, size in zip(chunk_rngs(8, 16), chunk_sizes(60, 16)):
         for _ in range(size):
-            q = qr(gaussian(group.field, group.n, group.n, rng)).q
+            q, _ = gram_schmidt_qr(gaussian(group.field, group.n, group.n, rng))
             if group.family is Family.SO and np.linalg.det(q.data) < 0:
                 q.data[:, -1] *= -1.0
             elif group.family is Family.SU:

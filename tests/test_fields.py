@@ -1,7 +1,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sectint.fields import ScalarField, pair_to_quat, quat_to_pair
+from sectint.fields import ScalarField, quat_to_pair
+
+from matrix_oracles import pair_to_quat
 
 ONE, I, J, K = np.eye(4)  # quaternion components (w, x, y, z) of 1, i, j, k
 

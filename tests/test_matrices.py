@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from sectint.fields import ScalarField
 from sectint.matrices import (
     DimensionError,
-        abs_det_between,
+    MatK,
+    abs_det_between,
     batch_to_real,
-        det_modulus,
+    complex_embedding,
+    det_modulus,
     eye,
     from_real_vector,
     gaussian,
@@ -15,11 +17,11 @@ from sectint.matrices import (
     inner,
     mat,
     qr,
-    quat_components,
-    realified_det,
     to_real_vector,
     zeros,
 )
+
+from matrix_oracles import gram_schmidt_qr, quat_components, realified_det
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 FIELDS = (R, C, H)
@@ -97,16 +99,16 @@ def test_adjoint_involution_and_product_rule(seed):
 # --- QR -------------------------------------------------------------------------
 
 def test_qr_identity():
-    f = qr(eye(R, 3))
-    np.testing.assert_allclose(f.q.data, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(f.r.data, np.eye(3), atol=1e-15)
+    q, r = qr(R, np.eye(3))
+    np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
 
 
 def test_qr_rank_deficient_zero_diagonal():
-    f = qr(mat(R, [[1.0, 2.0], [2.0, 4.0]]))
-    assert f.r.data[1, 1] == 0.0
-    np.testing.assert_allclose((f.q @ f.r).data, [[1, 2], [2, 4]], atol=1e-12)
-    np.testing.assert_allclose((f.q.h @ f.q).data, np.eye(2), atol=1e-13)
+    q, r = qr(R, [[1.0, 2.0], [2.0, 4.0]])
+    assert r[1, 1] == 0.0
+    np.testing.assert_allclose(q @ r, [[1, 2], [2, 4]], atol=1e-12)
+    np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-13)
 
 
 def test_qr_orthonormality_bulk():
@@ -114,8 +116,8 @@ def test_qr_orthonormality_bulk():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        f = qr(gaussian(R, 4, 4, rng))
-        worst = max(worst, np.abs((f.q.h @ f.q).data - np.eye(4)).max())
+        q, _ = qr(R, gaussian(R, 4, 4, rng).data)
+        worst = max(worst, np.abs(q.T @ q - np.eye(4)).max())
     assert worst < 1e-10
 
 
@@ -125,10 +127,10 @@ def test_qr_reconstruction_all_fields(seed):
     rng = np.random.default_rng(seed)
     for field in FIELDS:
         x = gaussian(field, 5, 3, rng)
-        f = qr(x)
-        assert ((f.q @ f.r) - x).norm() <= 1e-10 * x.norm()
-        assert ((f.q.h @ f.q) - eye(field, 3)).norm() < 1e-12
-        diag = f.r.data[np.arange(3), np.arange(3)]
+        q, r = (MatK(field, a) for a in qr(field, x.data))
+        assert ((q @ r) - x).norm() <= 1e-10 * x.norm()
+        assert ((q.h @ q) - eye(field, 3)).norm() < 1e-12
+        diag = r.data[np.arange(3), np.arange(3)]
         if field is H:
             assert np.abs(diag[:, 1]).max() < 1e-15 and np.abs(diag[:, 0].imag).max() < 1e-15
             assert np.all(diag[:, 0].real >= 0)
@@ -139,7 +141,68 @@ def test_qr_reconstruction_all_fields(seed):
 
 def test_qr_requires_tall_matrix():
     with pytest.raises(DimensionError):
-        qr(zeros(R, 2, 3))
+        qr(R, zeros(R, 2, 3).data)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("shape", [(3, 2), (5, 3), (4, 1), (6, 2), (4, 4), (1, 1)])
+def test_qr_matches_gram_schmidt_oracle(field, shape):
+    rng = np.random.default_rng(30 + 7 * shape[0] + shape[1] + field.dim)
+    xs = [gaussian(field, *shape, rng) for _ in range(50)]
+    q, r = qr(field, np.stack([x.data for x in xs]))
+    for i, x in enumerate(xs):
+        gq, gr = gram_schmidt_qr(x)
+        assert np.abs(q[i] - gq.data).max() <= 1e-13 * x.norm()
+        assert np.abs(r[i] - gr.data).max() <= 1e-13 * x.norm()
+        # a batch factors each matrix as a batch of one does
+        qi, ri = qr(field, x.data)
+        np.testing.assert_array_equal(q[i], qi)
+        np.testing.assert_array_equal(r[i], ri)
+
+
+def _rank_deficient(field, rng):
+    """n x k matrices (n = 4) with dependent columns: zero, repeated, and
+    multiplied by a field scalar from the right, ahead of free columns."""
+    g = lambda k: gaussian(field, 4, k, rng)
+    scalar = lambda: gaussian(field, 1, 1, rng)
+    v = g(1)
+    vs = v @ scalar()
+    unit = zeros(field, 4, 1)
+    unit.data[1] = 1.0
+    cat = lambda *cols: MatK(field, np.concatenate([c.data for c in cols], axis=1))
+    return [
+        zeros(field, 4, 3),
+        cat(zeros(field, 4, 1), g(1)),
+        cat(zeros(field, 4, 1), unit),
+        cat(g(1), zeros(field, 4, 1), g(1)),
+        cat(v, vs),
+        cat(v, vs, g(1)),
+        cat(v, vs, v @ scalar(), g(1)),
+        cat(g(1), v, zeros(field, 4, 1), vs),
+        cat(v, g(1), vs),
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_qr_rank_deficient_is_orthonormal_and_exact(field):
+    rng = np.random.default_rng(40 + field.dim)
+    xs = _rank_deficient(field, rng)
+    for x in xs:
+        k = x.cols
+        q, r = (MatK(field, a) for a in qr(field, x.data))
+        assert ((q.h @ q) - eye(field, k)).norm() < 1e-13
+        assert ((q @ r) - x).norm() <= 1e-13 * max(1.0, x.norm())
+        i, j = np.tril_indices(k, -1)
+        assert np.all(r.data[i, j] == 0.0)
+        diag = r.data[np.arange(k), np.arange(k)]
+        rank = np.linalg.matrix_rank(complex_embedding(field, x.data)) // (2 if field is H else 1)
+        assert np.count_nonzero(diag) == rank
+    # the same matrices as one batch, where they are padded to 3 columns
+    batch = np.stack([np.concatenate([x.data, zeros(field, 4, 3 - x.cols).data], axis=1) for x in xs if x.cols <= 3])
+    q, r = qr(field, batch)
+    for qi, ri, xi in zip(q, r, batch):
+        assert ((MatK(field, qi).h @ MatK(field, qi)) - eye(field, 3)).norm() < 1e-13
+        assert ((MatK(field, qi) @ MatK(field, ri)) - MatK(field, xi)).norm() <= 1e-13 * max(1.0, np.linalg.norm(xi))
 
 
 # --- determinants -----------------------------------------------------------------

@@ -58,7 +58,6 @@ from .actions import (
     reduce_to_section,
     section_coordinate,
     section_frame,
-    torus_angles,
 )
 from .weights import (
     OrbitMapDifferential,

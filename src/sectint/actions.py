@@ -16,11 +16,18 @@ Two families are implemented:
 
 Everything downstream is phrased in flat real coordinates, where the
 ambient inner product Re(tr(x^* y)) is the Euclidean dot product.
+Batched functions take stacks of points, flat (m, D) or raw matrix data
+(m, rows, cols[, pair]), and are drawn in batches; each one-point
+function is a batch of one.
 
-``reduce_to_section`` maps a point to the canonical point of the
-section on its orbit, by one QR (direct sums, ``matrices.qr``) or one
-eigensolve (conjugation, ``canonical_angles``).  The module needs only
-numpy.
+The Killing fields are linear in the point: ``AlgebraSplit.operators``
+stacks them, one (D, D) matrix per element of the split basis h + w + m.
+The fields at a stack of points are one contraction
+(``killing_images``), and one batched SVD of them (``killing_svd``)
+gives the orbit tangent and normal spaces and the isotropy algebra.
+``reduce_to_section_batch`` takes one QR (direct sums, ``matrices.qr``)
+or one eigensolve (conjugation, ``canonical_angles``).  The module
+needs only numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -39,11 +46,16 @@ from .matrices import (
     REAL,
     DimensionError,
     MatK,
+    batch_from_real,
+    batch_to_real,
     complex_embedding,
+    conj_transpose,
+    data_from_components,
     eye,
     from_real_vector,
-    gaussian,
+    gaussian_batch,
     mat,
+    matmul,
     qr,
     to_real_vector,
     zeros,
@@ -53,10 +65,11 @@ from .groups import (
     GroupElement,
     GroupSpec,
     algebra_basis,
-    haar_sample,
+    haar_sample_batch,
     haar_unitary_batch,
     torus_basis,
     torus_point,
+    torus_points,
 )
 
 _ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
@@ -83,6 +96,11 @@ class DirectSumAction:
     @property
     def group(self) -> GroupSpec:
         return GroupSpec(_FIELD_TO_FAMILY[self.field], self.n)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Rows and columns of an ambient point."""
+        return self.n, self.k
 
     @property
     def ambient_dim(self) -> int:
@@ -120,6 +138,11 @@ class ConjugationAction:
     @property
     def field(self) -> ScalarField:
         return self.group.field
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Rows and columns of an ambient point."""
+        return self.group.n, self.group.n
 
     @property
     def ambient_dim(self) -> int:
@@ -173,16 +196,25 @@ def action_from_json(obj: dict) -> ActionSpec:
 def act(action: ActionSpec, g: GroupElement, x: MatK) -> MatK:
     """Apply the group action: g x for representations, g x g^* else."""
     m = g.matrix if isinstance(g, GroupElement) else g
+    return MatK(x.field, act_data(action, m.data, x.data))
+
+
+def act_data(action: ActionSpec, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """act on raw data of group elements g and points x, leading axes broadcast."""
+    gx = matmul(action.field, g, x)
     if isinstance(action, DirectSumAction):
-        return m @ x
-    return m @ x @ m.h
+        return gx
+    return matmul(action.field, gx, conj_transpose(action.field, g))
 
 
 def killing_field(action: ActionSpec, x_alg: MatK, p: MatK) -> MatK:
     """Value at p of the Killing field induced by the algebra element."""
-    if isinstance(action, DirectSumAction):
-        return x_alg @ p
-    return x_alg @ p - p @ x_alg
+    return MatK(p.field, _killing_data(action, x_alg.data, p.data))
+
+
+def _killing_data(action: ActionSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    xp = matmul(action.field, x, p)
+    return xp if isinstance(action, DirectSumAction) else xp - matmul(action.field, p, x)
 
 
 def embed_section(action: ActionSpec, coord) -> MatK:
@@ -195,10 +227,7 @@ def embed_section(action: ActionSpec, coord) -> MatK:
     if isinstance(action, ConjugationAction):
         return torus_point(action.group, np.asarray(coord, dtype=float))
     n, k = action.n, action.k
-    if isinstance(coord, MatK):
-        b = coord
-    else:
-        b = mat(action.field, coord)
+    b = coord if isinstance(coord, MatK) else mat(action.field, coord)
     if b.shape != (k, k):
         raise DimensionError(f"section coordinate must be {k} x {k}")
     s = zeros(action.field, n, k)
@@ -213,62 +242,71 @@ def section_coordinate(action: DirectSumAction, s: MatK) -> MatK:
     return MatK(action.field, s.data[: action.k].copy())
 
 
-def torus_angles(action: ConjugationAction, s: MatK, strict: bool = True) -> np.ndarray:
-    """Angle coordinates of a point of the standard maximal torus."""
-    fam, n = action.group.family, action.group.n
-    d = s.data
-    if fam is Family.SO:
-        ang = np.array([np.arctan2(d[2 * a + 1, 2 * a], d[2 * a, 2 * a]) for a in range(n // 2)])
-    elif fam is Family.SU:
-        ang = np.angle(np.diag(d))
-    else:
-        diag = d[np.arange(n), np.arange(n), :]
-        ang = np.arctan2(diag[:, 0].imag, diag[:, 0].real)
-    if strict and (s - torus_point(action.group, ang)).norm() > 1e-8 * max(1.0, s.norm()):
-        raise ValueError("point is not on the standard maximal torus")
-    return ang
-
-
 # --- frames -----------------------------------------------------------------
 
-def _coordinate_frame_rows(field: ScalarField, n: int, k: int, positions) -> np.ndarray:
-    """Realified orthonormal frame vectors for the given entry positions."""
-    d = field.dim
-    rows = []
-    for (a, b) in positions:
-        for unit in range(d):
-            v = np.zeros(d * n * k)
-            v[(a * k + b) * d + unit] = 1.0
-            rows.append(v)
-    return np.array(rows)
-
-
-@dataclass(frozen=True)
-class SectionFrame:
+class SectionFrame(NamedTuple):
     """Orthonormal real frames of T_s(section) and of its normal space."""
 
-    action: ActionSpec
-    s: MatK
     tangent: np.ndarray  # (dim section, D)
     normal: np.ndarray   # (normal_dim, D)
 
 
 def section_frame(action: ActionSpec, s: MatK) -> SectionFrame:
+    """section_frames at one point."""
+    tangent, normal = section_frames(action, to_real_vector(s)[None])
+    return SectionFrame(tangent[0], normal[0])
+
+
+def section_frames(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of T_s(section) (m, dim section, D) and of its normal space
+    (m, normal_dim, D) at flat section points (m, D).
+
+    Direct sums: the section's coordinates come first in the flat
+    layout, so the two frames split the identity.  Conjugation: the
+    algebra split at the identity, translated to s.
+    """
     if isinstance(action, DirectSumAction):
-        n, k, d = action.n, action.k, action.field.dim
-        if action.k == 1:
-            tangent = _coordinate_frame_rows(action.field, n, k, [(0, 0)])[:1]
-            all_rows = np.eye(d * n * k)
-            normal = all_rows[1:]
-        else:
-            tangent = _coordinate_frame_rows(action.field, n, k, [(a, b) for a in range(k) for b in range(k)])
-            normal = _coordinate_frame_rows(action.field, n, k, [(i, m) for i in range(k, n) for m in range(k)])
-        return SectionFrame(action, s, tangent, normal)
-    # conjugation: translate the algebra split at the identity to s
-    split = algebra_split(action)
-    tangent = np.stack([to_real_vector(h @ s) for h in split.h_basis])
-    normal = np.stack([to_real_vector(x @ s) for x in split.m_basis])
-    return SectionFrame(action, s, tangent, normal)
+        frames = np.broadcast_to(np.eye(action.ambient_dim), (len(pts),) + (action.ambient_dim,) * 2)
+    else:
+        s = batch_from_real(action.field, *action.shape, pts)[:, None]
+        frames = batch_to_real(action.field, matmul(action.field, algebra_split(action).data, s))
+    return frames[:, : action.section_dim], frames[:, action.section_dim :]
+
+
+def killing_images(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray:
+    """Killing fields of the split basis at flat points (m, D) in the section
+    frames, by one contraction with the operator stack: entry [i, r, b] is
+    the component along frame vector r (section tangent, then normal) of the
+    field of basis element b (h, w, then m) at point i.  The frames span T_pM.
+    """
+    images = np.einsum("bij,mj->mib", (split or algebra_split(action)).operators, pts)
+    if isinstance(action, DirectSumAction):
+        return images  # the frames split the identity
+    return np.concatenate(section_frames(action, pts), axis=1) @ images
+
+
+def killing_svd(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One batched SVD u, sv, vh of killing_images at flat points (m, D).
+
+    Columns of u with sv above orbit_ranks' cutoff span the orbit tangent,
+    in section-frame coordinates, and the rest its normal space in T_pM.
+    Rows of vh in isotropy_mask are split-basis coefficients of the
+    isotropy algebra.  sv is padded with zeros to one value per basis element.
+    """
+    images = killing_images(action, pts)
+    u, sv, vh = np.linalg.svd(images)
+    return u, np.pad(sv, ((0, 0), (0, images.shape[2] - sv.shape[1]))), vh
+
+
+def orbit_ranks(sv: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Orbit dimension at each point: singular values above 1e-8 max(|p|, 1)."""
+    return np.sum(sv > 1e-8 * np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None], axis=1)
+
+
+def isotropy_mask(sv: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Singular values at or below tol times the largest: the isotropy directions."""
+    top = sv[:, :1]
+    return sv <= tol * np.where(top > 0, top, 1.0)
 
 
 # --- the reductive algebra split -------------------------------------------
@@ -306,19 +344,34 @@ class AlgebraSplit:
         return _stack_rows(self.m_basis, self.action)
 
     @functools.cached_property
-    def m_operators(self) -> np.ndarray:
-        """Stack L (q_m, D, D) with L[b] @ vec(p) = vec(killing_field(m_basis[b], p)).
+    def rows(self) -> np.ndarray:
+        """Flat coordinates of the basis h + w + m, one row each."""
+        return np.concatenate([self.h_rows, self.w_rows, self.m_rows])
 
-        The Killing fields are linear in p, so weights at many points
-        take one contraction; built on first use, not with the split.
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        """Raw matrix data of the basis h + w + m, (q, n, n[, pair])."""
+        n = self.action.group.n
+        return batch_from_real(self.action.field, n, n, self.rows)
+
+    @functools.cached_property
+    def operators(self) -> np.ndarray:
+        """Stack L (q, D, D) with L[b] @ vec(p) = vec(killing_field(b-th of h + w + m, p)).
+
+        The Killing fields are linear in p, so the fields of the whole
+        basis at many points take one contraction.  Built on first use,
+        not with the split, by one batched product of the basis with the
+        ambient unit matrices.
         """
-        action, n = self.action, self.action.group.n
-        cols = n if isinstance(action, ConjugationAction) else action.k
-        units = [from_real_vector(action.field, n, cols, e) for e in np.eye(action.ambient_dim)]
-        ops = np.zeros((len(self.m_basis), len(units), len(units)))
-        for i, b in enumerate(self.m_basis):
-            ops[i] = np.stack([to_real_vector(killing_field(action, b, u)) for u in units], axis=1)
-        return ops
+        action, dim = self.action, self.action.ambient_dim
+        units = batch_from_real(action.field, *action.shape, np.eye(dim))
+        images = batch_to_real(action.field, _killing_data(action, self.data[:, None], units))
+        return np.ascontiguousarray(np.swapaxes(images, 1, 2))
+
+    @property
+    def m_operators(self) -> np.ndarray:
+        """The operators of m_basis, a slice of the stack."""
+        return self.operators[len(self.h_basis) + len(self.w_basis) :]
 
 
 def _stack_rows(basis: tuple[MatK, ...], action: ActionSpec) -> np.ndarray:
@@ -409,19 +462,9 @@ def _rank_of(x: MatK, cutoff_rel: float = 1e-8) -> int:
 
 def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> tuple[MatK, ...]:
     """Orthonormal basis of the algebra of the stabilizer of p."""
-    group = action.group
-    basis = algebra_basis(group)
-    cols = np.stack([to_real_vector(killing_field(action, b, p)) for b in basis], axis=1)
-    u, sv, vh = np.linalg.svd(cols)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    null = [vh[i] for i in range(len(basis)) if i >= len(sv) or sv[i] <= tol * scale]
-    out = []
-    for c in null:
-        x = zeros(group.field, group.n, group.n)
-        for ci, b in zip(c, basis):
-            x = x + float(ci) * b
-        out.append(x)
-    return tuple(out)
+    _, sv, vh = killing_svd(action, to_real_vector(p)[None])
+    rows = vh[0][isotropy_mask(sv, tol)[0]] @ algebra_split(action).rows
+    return tuple(from_real_vector(action.field, action.group.n, action.group.n, r) for r in rows)
 
 
 def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:
@@ -434,49 +477,47 @@ def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:
     """
     if isinstance(action, DirectSumAction):
         return RegularityClass.REGULAR if _rank_of(p) == action.k else RegularityClass.SINGULAR
-    iso_dim = len(isotropy_algebra(action, p))
+    iso_dim = np.sum(isotropy_mask(killing_svd(action, to_real_vector(p)[None])[1]))
     return RegularityClass.REGULAR if iso_dim == action.group.rank else RegularityClass.SINGULAR
+
+
+def _orbit_frames(action: ActionSpec, p: MatK) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal (realified) bases of the orbit tangent and of its normal space in T_p M."""
+    pts = to_real_vector(p)[None]
+    u, sv, _ = killing_svd(action, pts)
+    rows = u[0].T @ np.concatenate(section_frames(action, pts), axis=1)[0]
+    rank = orbit_ranks(sv, pts)[0]
+    return rows[:rank], rows[rank:]
 
 
 def orbit_tangent(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal (realified) basis of the tangent space of the orbit."""
-    basis = algebra_basis(action.group)
-    rows = [to_real_vector(killing_field(action, b, p)) for b in basis]
-    return np.array(_orthonormalize(rows, tol=1e-8 * max(p.norm(), 1.0)))
+    return _orbit_frames(action, p)[0]
 
 
 def orbit_normal(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal basis of the normal space of the orbit inside T_p M."""
-    tang = orbit_tangent(action, p)
-    if isinstance(action, DirectSumAction):
-        ambient = np.eye(action.ambient_dim)
-    else:
-        split = algebra_split(action)
-        ambient = np.stack(
-            [to_real_vector(b @ p) for b in split.h_basis + split.w_basis + split.m_basis]
-        )
-    rows = []
-    for v in ambient:
-        w = v.copy()
-        if tang.size:
-            w = w - tang.T @ (tang @ w)
-        rows.append(w)
-    return np.array(_orthonormalize(rows, tol=1e-8))
+    return _orbit_frames(action, p)[1]
 
 
 # --- reduction to the section ----------------------------------------------
 
 def reduce_to_section(action: ActionSpec, x: MatK) -> MatK:
-    """Canonical section point of the orbit through x.
+    """Canonical section point of the orbit through x; a batch of one."""
+    return from_real_vector(action.field, *action.shape, reduce_to_section_batch(action, x.data[None])[0])
+
+
+def reduce_to_section_batch(action: ActionSpec, data: np.ndarray) -> np.ndarray:
+    """Flat canonical section points (m, D) of the orbits through raw points (m, rows, cols[, pair]).
 
     Direct sums: the section point with coordinate R of x = QR, upper
     triangular with nonnegative real diagonal.  Conjugation: the torus
     point of x's canonical_angles.  Both are one representative per
     Weyl orbit, so x and g . x give the same point.
     """
-    if isinstance(action, DirectSumAction):
-        return embed_section(action, qr(x.field, x.data)[1])
-    return torus_point(action.group, canonical_angles(action.group, x.data[None])[0])
+    if isinstance(action, ConjugationAction):
+        return torus_points(action.group, canonical_angles(action.group, data))
+    return section_points(action, batch_to_real(action.field, qr(action.field, data)[1]))
 
 
 def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
@@ -516,131 +557,142 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
 # --- sampling ----------------------------------------------------------------
 
 def random_ambient_point(action: ActionSpec, rng: np.random.Generator, scale: float = 1.0) -> MatK:
-    """Gaussian point of K^(n x k), or a Haar point of the group."""
+    """Gaussian point of K^(n x k), or a Haar point of the group; a batch of one."""
+    return MatK(action.field, random_ambient_points(action, rng, 1, scale)[0])
+
+
+def random_ambient_points(action: ActionSpec, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
+    """Raw data (count, rows, cols[, pair]) of count random_ambient_point draws."""
     if isinstance(action, DirectSumAction):
-        return scale * gaussian(action.field, action.n, action.k, rng)
-    return haar_sample(action.group, rng).matrix
+        return scale * gaussian_batch(action.field, action.n, action.k, rng, count)
+    return haar_sample_batch(action.group, rng, count)
 
 
 def random_section_point(action: ActionSpec, rng: np.random.Generator, scale: float = 1.0) -> MatK:
-    if isinstance(action, DirectSumAction):
-        if action.k == 1:
-            b = zeros(action.field, 1, 1)
-            t = scale * rng.standard_normal()
-            if action.field is QUATERNION:
-                b.data[0, 0, 0] = t
-            else:
-                b.data[0, 0] = t
-            return embed_section(action, b)
-        return embed_section(action, gaussian(action.field, action.k, action.k, rng) * scale)
-    return embed_section(action, rng.uniform(0.0, 2 * np.pi, size=action.group.rank))
+    """Section point with Gaussian coordinate B (direct sums) or uniform torus angles (conjugation)."""
+    return from_real_vector(action.field, *action.shape, section_points(action, _section_coords(action, rng, 1, scale))[0])
 
 
 def random_regular_section_point(
     action: ActionSpec, rng: np.random.Generator, scale: float = 1.0, min_gap: float = 5e-2
 ) -> MatK:
-    """Random section point safely inside the regular set."""
+    """Random section point safely inside the regular set; a batch of one."""
+    flat = random_regular_section_points(action, rng, 1, scale, min_gap)[0]
+    return from_real_vector(action.field, *action.shape, flat)
+
+
+def random_regular_section_points(
+    action: ActionSpec, rng: np.random.Generator, count: int, scale: float = 1.0, min_gap: float = 5e-2
+) -> np.ndarray:
+    """Flat random section points (count, D) safely inside the regular
+    set: the draws within min_gap of the singular set are redrawn, as one batch."""
+    kept, need = [], count
     for _ in range(1000):
-        s = random_section_point(action, rng, scale)
-        if isinstance(action, DirectSumAction):
-            b = section_coordinate(action, s)
-            sv = np.linalg.svd(complex_embedding(b.field, b.data), compute_uv=False)
-            if sv[-1] > min_gap:
-                return s
-        else:
-            if _torus_angles_regular(action, torus_angles(action, s), min_gap):
-                return s
+        coords = _section_coords(action, rng, need, scale)
+        regular = _regular_coords(action, coords, min_gap)
+        kept.append(coords[regular])
+        need -= int(np.sum(regular))
+        if need == 0:
+            return section_points(action, np.concatenate(kept))
     raise RuntimeError("failed to sample a regular section point")
 
 
-def _torus_angles_regular(action: ConjugationAction, ang: np.ndarray, gap: float) -> bool:
+def _section_coords(action: ActionSpec, rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
+    """Flat coordinates B (a real multiple of the first basis vector when k = 1) or torus angle rows."""
+    if isinstance(action, ConjugationAction):
+        return rng.uniform(0.0, 2 * np.pi, size=(count, action.group.rank))
+    if action.k == 1:
+        return np.pad(scale * rng.standard_normal((count, 1)), ((0, 0), (0, action.field.dim - 1)))
+    return scale * batch_to_real(action.field, gaussian_batch(action.field, action.k, action.k, rng, count))
+
+
+def section_points(action: ActionSpec, coords: np.ndarray) -> np.ndarray:
+    """Flat section points (m, D) from flat coordinates B (direct sums; they
+    come first in the flat layout) or torus angle rows (conjugation)."""
+    if isinstance(action, ConjugationAction):
+        return torus_points(action.group, coords)
+    pts = np.zeros((len(coords), action.ambient_dim))
+    pts[:, : coords.shape[1]] = coords
+    return pts
+
+
+def _regular_coords(action: ActionSpec, coords: np.ndarray, gap: float) -> np.ndarray:
+    """Which section coordinates lie farther than gap from the singular set."""
+    if isinstance(action, DirectSumAction):
+        b = batch_from_real(action.field, action.k, action.k, coords)
+        return np.linalg.svd(complex_embedding(action.field, b), compute_uv=False)[:, -1] > gap
     fam, n = action.group.family, action.group.n
     if fam is Family.SU:
-        full = np.mod(ang if ang.size == n else np.append(ang, -np.sum(ang)), 2 * np.pi)
-        diffs = np.abs(full[:, None] - full[None, :])
-        diffs = np.minimum(diffs, 2 * np.pi - diffs)
-        return bool(np.all(diffs[np.triu_indices(n, 1)] > gap))
+        full = np.concatenate([coords, -np.sum(coords, axis=1, keepdims=True)], axis=1)
+        i, j = np.triu_indices(n, 1)
+        diffs = np.mod(full[:, i] - full[:, j], 2 * np.pi)
+        return np.all(np.minimum(diffs, 2 * np.pi - diffs) > gap, axis=1)
     # SO / Sp: root hyperplanes at equal or opposite angles and at 0, pi
-    a = np.mod(ang, 2 * np.pi)
+    a = np.mod(coords, 2 * np.pi)
     a = np.minimum(a, 2 * np.pi - a)
-    if np.any(a < gap) or np.any(np.abs(a - np.pi) < gap):
-        return False
-    diffs = np.abs(a[:, None] - a[None, :])
-    off = diffs[np.triu_indices(len(a), 1)]
-    return bool(np.all(off > gap)) if off.size else True
+    i, j = np.triu_indices(a.shape[1], 1)
+    off_walls = np.all((a >= gap) & (np.abs(a - np.pi) >= gap), axis=1)
+    return off_walls & np.all(np.abs(a[:, i] - a[:, j]) > gap, axis=1)
 
 
 def normalizer_sample(action: ActionSpec, rng: np.random.Generator) -> GroupElement:
-    """Haar-like sample of the normalizer of the section."""
+    """Haar-like sample of the normalizer of the section; a batch of one."""
+    return GroupElement(action.group, MatK(action.field, normalizer_samples(action, rng, 1)[0]))
+
+
+def normalizer_samples(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Raw data (count, n, n[, pair]) of count normalizer_sample draws."""
     if isinstance(action, DirectSumAction):
-        return _normalizer_direct_sum(action, rng)
-    return _normalizer_conjugation(action, rng)
+        return _normalizer_direct_sum(action, rng, count)
+    return _normalizer_conjugation(action, rng, count)
 
 
-def _haar_unitary_block(field: ScalarField, size: int, rng: np.random.Generator) -> MatK:
-    """Haar sample of O(size), U(size) or Sp(size)."""
-    return MatK(field, haar_unitary_batch(field, size, rng, 1)[0])
-
-
-def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator) -> GroupElement:
+def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Block diagonal (u, v) with det 1: u moves the section coordinate, v the normal rows."""
     field, n, k = action.field, action.n, action.k
     if k == 1 and field is not REAL:
         # the polar section is the real line, so the top block is +-1
-        u = eye(field, 1)
-        if rng.random() < 0.5:
-            u.data[0, 0] = -u.data[0, 0]
+        unit = eye(field, 1).data
+        sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+        u = sign.reshape((count,) + (1,) * unit.ndim) * unit
     else:
-        u = _haar_unitary_block(field, k, rng)
-    v = _haar_unitary_block(field, n - k, rng)
+        u = haar_unitary_batch(field, k, rng, count)
+    v = haar_unitary_batch(field, n - k, rng, count)
     if field is REAL:
-        if rng.random() < 0.5:
-            u.data[:, -1] *= -1.0
-        if np.linalg.det(u.data) * np.linalg.det(v.data) < 0:
-            v.data[:, -1] *= -1.0
+        u[rng.random(count) < 0.5, :, -1] *= -1.0
+        v[np.linalg.det(u) * np.linalg.det(v) < 0, :, -1] *= -1.0
     elif field is COMPLEX:
-        d = np.linalg.det(u.data) * np.linalg.det(v.data)
-        v.data[:, -1] *= np.conj(d)
-    m = zeros(field, n, n)
-    m.data[:k, :k] = u.data
-    m.data[k:, k:] = v.data
-    return GroupElement(action.group, m)
+        v[:, :, -1] *= np.conj(np.linalg.det(u) * np.linalg.det(v))[:, None]
+    g = np.zeros((count, n, n) + u.shape[3:], dtype=u.dtype)
+    g[:, :k, :k], g[:, k:, k:] = u, v
+    return g
 
 
-def _normalizer_conjugation(action: ConjugationAction, rng: np.random.Generator) -> GroupElement:
+def _normalizer_conjugation(action: ConjugationAction, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A torus element times a Weyl representative: a permutation matrix, with
+    sign changes in the rotation planes (SO) or entries j (Sp)."""
     group = action.group
     fam, n = group.family, group.n
-    t = torus_point(group, rng.uniform(0, 2 * np.pi, size=group.rank))
+    t = batch_from_real(group.field, n, n, torus_points(group, rng.uniform(0, 2 * np.pi, size=(count, group.rank))))
+    size = n // 2 if fam is Family.SO else n
+    rows, cols = np.arange(count)[:, None], np.arange(size)
+    perm = np.argsort(rng.random((count, size)), axis=1)
+    flips = rng.random((count, size)) < 0.5
     if fam is Family.SU:
-        perm = rng.permutation(n)
-        p = np.zeros((n, n), dtype=complex)
-        p[perm, np.arange(n)] = 1.0
-        p[:, 0] *= np.linalg.det(p).conj()
-        w = MatK(COMPLEX, p)
-    elif fam is Family.SO:
-        m = n // 2
-        perm = rng.permutation(m)
-        flips = rng.random(m) < 0.5
-        if flips.sum() % 2 == 1:
-            if n % 2 == 1:
-                pass  # compensated by the spare coordinate below
-            else:
-                flips[np.argmax(flips)] = False
-        p = np.zeros((n, n))
-        for a in range(m):
-            b = perm[a]
-            blk = np.diag([1.0, -1.0]) if flips[a] else np.eye(2)
-            p[2 * b : 2 * b + 2, 2 * a : 2 * a + 2] = blk
-        if n % 2 == 1:
-            p[n - 1, n - 1] = 1.0
-        if np.linalg.det(p) < 0:
-            # only reachable for odd n, where the spare coordinate absorbs it
-            p[:, -1] *= -1.0
-        w = MatK(REAL, p)
+        w = np.zeros((count, n, n), dtype=complex)
+        w[rows, perm, cols] = 1.0
+        w[:, :, 0] *= np.conj(np.linalg.det(w))[:, None]
+    elif fam is Family.SP:
+        comps = np.zeros((count, n, n, 4))
+        comps[rows, perm, cols, np.where(flips, 2, 0)] = 1.0
+        w = data_from_components(group.field, comps)
     else:
-        perm = rng.permutation(n)
-        flips = rng.random(n) < 0.5
-        comp = np.zeros((n, n, 4))
-        for a in range(n):
-            comp[perm[a], a] = np.array([0.0, 0.0, 1.0, 0.0]) if flips[a] else np.array([1.0, 0.0, 0.0, 0.0])
-        w = mat(QUATERNION, comp)
-    return GroupElement(group, t @ w)
+        odd = np.sum(flips, axis=1) % 2 == 1
+        if n % 2 == 0:  # SO(2m) changes an even number of signs
+            flips[odd, np.argmax(flips[odd], axis=1)] = False
+        w = np.zeros((count, n, n))
+        w[rows, 2 * perm, 2 * cols] = 1.0
+        w[rows, 2 * perm + 1, 2 * cols + 1] = np.where(flips, -1.0, 1.0)
+        if n % 2 == 1:  # the spare coordinate keeps det = 1
+            w[:, -1, -1] = np.where(odd, -1.0, 1.0)
+    return matmul(group.field, t, w)

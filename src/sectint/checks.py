@@ -8,6 +8,14 @@ differential, agreement of weight evaluators, Weyl invariance, and the
 vanishing locus of the weight.  Results carry a measured value, a
 threshold and a verdict, so the suite doubles as a machine-readable
 report and a negative-control harness (a corrupted metric must fail).
+
+Every check runs on a batch.  The points of one kind are drawn at once
+(section points, normalizer elements, ambient points and Haar
+elements).  The Killing fields of the whole split basis at all of them
+are one contraction with the operator stack ``AlgebraSplit.operators``,
+and each determinant, rank or frame is one batched LAPACK call: QR for
+the determinants, SVD for the isotropy algebra and the orbit normal
+spaces.
 """
 
 from __future__ import annotations
@@ -16,26 +24,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import MatK, eye, to_real_vector, zeros
-from .groups import adjoint, haar_sample
+from .matrices import MatK, batch_from_real, batch_to_real, conj_transpose, eye, matmul, zeros
+from .groups import haar_sample_batch
 from .actions import (
     ActionSpec,
     AlgebraSplit,
     DirectSumAction,
-    act,
+    act_data,
     algebra_split,
-    bracket,
-    isotropy_algebra,
-    killing_field,
-    normalizer_sample,
-    orbit_normal,
-    random_ambient_point,
-    random_regular_section_point,
-    reduce_to_section,
-    section_coordinate,
-    section_frame,
+    isotropy_mask,
+    killing_svd,
+    normalizer_samples,
+    orbit_ranks,
+    random_ambient_points,
+    random_regular_section_points,
+    reduce_to_section_batch,
 )
-from .weights import delta_e_closed_form, delta_e_generic, orbit_map_differential
+from .weights import delta_e_batch, delta_e_closed_form_batch, delta_e_generic, orbit_map_differentials
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,11 @@ def _result(name: str, value: float, threshold: float) -> CheckResult:
     return CheckResult(name, float(value), float(threshold), bool(value <= threshold))
 
 
+def _largest(values: np.ndarray) -> float:
+    """Largest absolute entry; 0 for no entries."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
 def _corrupted_split(action: ActionSpec, factor: float) -> AlgebraSplit:
     base = algebra_split(action)
     if factor == 1.0:
@@ -75,106 +85,74 @@ def run_action_checks(
 ) -> list[CheckResult]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     split = _corrupted_split(action, corrupt_metric)
+    field, nh, nw = action.field, len(split.h_basis), len(split.w_basis)
     out: list[CheckResult] = []
-    allb = split.h_basis + split.w_basis + split.m_basis
 
     # orthonormality of the split
-    rows = np.stack([to_real_vector(b) for b in allb])
-    gram_res = np.abs(rows @ rows.T - np.eye(len(allb))).max()
-    out.append(_result("algebra_split_orthonormal", gram_res, 1e-10))
+    rows = split.rows
+    out.append(_result("algebra_split_orthonormal", np.abs(rows @ rows.T - np.eye(len(rows))).max(), 1e-10))
 
     # reductive bracket: [normalizer, complement] stays in the complement
     # (complement here means stabilizer + perpendicular part)
-    perp_rows = split.w_rows
-    worst = 0.0
-    for x in split.h_basis + split.w_basis:
-        for y in split.m_basis:
-            br = to_real_vector(bracket(x, y))
-            if perp_rows.size:
-                worst = max(worst, np.abs(perp_rows @ br).max())
-    out.append(_result("reductive_bracket", worst, tol_rel))
+    x, y = split.data[: nh + nw, None], split.data[None, nh + nw :]
+    brackets = batch_to_real(field, matmul(field, x, y) - matmul(field, y, x))
+    out.append(_result("reductive_bracket", _largest(brackets @ split.w_rows.T), tol_rel))
 
     # adjoint invariance of the complement under the normalizer
-    worst = 0.0
-    for _ in range(20):
-        g = normalizer_sample(action, rng)
-        for y in split.m_basis:
-            v = to_real_vector(adjoint(g, y))
-            if perp_rows.size:
-                worst = max(worst, np.abs(perp_rows @ v).max())
-            if split.h_rows.size:
-                worst = max(worst, np.abs(split.h_rows @ v).max())
-    out.append(_result("ad_normalizer_invariance", worst, tol_rel))
+    g = normalizer_samples(action, rng, 20)[:, None]
+    moved = batch_to_real(field, matmul(field, matmul(field, g, y), conj_transpose(field, g)))
+    out.append(_result("ad_normalizer_invariance", _largest(moved @ rows[: nh + nw].T), tol_rel))
 
     # pointwise structure at random regular section points
-    block_worst, fact_worst, closed_worst, perp_worst, iso_worst = 0.0, 0.0, 0.0, 0.0, 0.0
-    for _ in range(n_points):
-        s = random_regular_section_point(action, rng)
-        frame = section_frame(action, s)
-        diff = orbit_map_differential(action, s, frame, split)
-        scale = max(np.abs(diff.matrix).max(), 1e-300)
-        block_worst = max(block_worst, diff.off_block_residual() / scale)
-        total, de, dd = diff.total_det(), diff.delta_e(), diff.delta_d()
-        fact_worst = max(fact_worst, abs(total - de * dd) / max(1.0, total))
-        if isinstance(action, DirectSumAction) and action.k >= 2:
-            closed = delta_e_closed_form(
-                action.field, action.n, action.k, section_coordinate(action, s)
-            )
-            generic = delta_e_generic(action, s, split)
-            closed_worst = max(closed_worst, abs(generic - closed) / (1.0 + closed))
-        for y in split.m_basis:
-            img = to_real_vector(killing_field(action, y, s))
-            perp_worst = max(perp_worst, np.abs(frame.tangent @ img).max() / max(1.0, np.linalg.norm(img)))
-        iso = isotropy_algebra(action, s)
-        if len(iso) != len(split.h_basis):
-            iso_worst = np.inf
-        elif iso:
-            h_rows = algebra_split(action).h_rows
-            mat_rows = np.stack([to_real_vector(b) for b in iso])
-            resid = mat_rows - (mat_rows @ h_rows.T) @ h_rows
-            iso_worst = max(iso_worst, np.abs(resid).max())
-    out.append(_result("block_diagonality", block_worst, tol_abs))
-    out.append(_result("differential_factorization", fact_worst, tol_rel))
+    pts = random_regular_section_points(action, rng, n_points)
+    diff = orbit_map_differentials(action, pts, split)
+    scale = np.maximum(np.max(np.abs(diff.matrix), axis=(1, 2), initial=0.0), 1e-300)
+    out.append(_result("block_diagonality", np.max(diff.off_block_residual() / scale), tol_abs))
+    total, de, dd = diff.total_det(), diff.delta_e(), diff.delta_d()
+    out.append(_result("differential_factorization", np.max(np.abs(total - de * dd) / np.maximum(1.0, total)), tol_rel))
     if isinstance(action, DirectSumAction) and action.k >= 2:
-        out.append(_result("weight_closed_vs_generic", closed_worst, tol_rel))
-    out.append(_result("complement_killing_perpendicular", perp_worst, tol_abs))
+        coords = batch_from_real(field, action.k, action.k, pts[:, : action.section_dim])
+        closed = delta_e_closed_form_batch(field, action.n, action.k, coords)
+        generic = delta_e_batch(action, pts, split)
+        out.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
+    # complementary fields in the section frames, whose section-tangent rows come first
+    perp = diff.matrix[..., nw:]
+    norms = np.maximum(1.0, np.linalg.norm(perp, axis=1))[:, None]
+    out.append(_result("complement_killing_perpendicular", _largest(perp[:, : action.section_dim] / norms), tol_abs))
+
+    # isotropy and orbits do not depend on the metric of m: the uncorrupted split
+    u, sv, vh = killing_svd(action, pts)
+    null = isotropy_mask(sv)
+    if np.any(np.sum(null, axis=1) != nh):
+        iso_worst = np.inf
+    else:  # isotropy directions in split-basis coordinates, outside h
+        iso_worst = _largest(vh[null][:, nh:] @ algebra_split(action).rows[nh:])
     out.append(_result("isotropy_constancy", iso_worst, tol_rel))
 
     # orbit normal spaces lie inside the section tangent with the right codim
-    worst = 0.0
-    codim_ok = True
-    for _ in range(5):
-        s = random_regular_section_point(action, rng)
-        frame = section_frame(action, s)
-        normal = orbit_normal(action, s)
-        proj = normal @ frame.tangent.T
-        worst = max(worst, np.abs(np.linalg.norm(normal, axis=1) ** 2 - np.linalg.norm(proj, axis=1) ** 2).max())
-        codim_ok = codim_ok and (frame.tangent.shape[0] - normal.shape[0] == action.copolarity)
-    out.append(_result("orbit_normal_in_section", worst, tol_abs))
+    ranks = orbit_ranks(sv, pts)
+    normal = np.swapaxes(u, 1, 2)  # rows [rank:] span the orbit normal, in section-frame coordinates
+    lost = np.abs(np.sum(normal ** 2, axis=2) - np.sum(normal[..., : action.section_dim] ** 2, axis=2))
+    in_normal = np.arange(normal.shape[1]) >= ranks[:, None]
+    out.append(_result("orbit_normal_in_section", _largest(lost[in_normal]), tol_abs))
+    codim_ok = np.all(action.section_dim - (normal.shape[1] - ranks) == action.copolarity)
     out.append(_result("copolarity_dimension", 0.0 if codim_ok else 1.0, 0.5))
 
     # Weyl invariance of the weight
-    worst = 0.0
-    for _ in range(n_points):
-        s = random_regular_section_point(action, rng)
-        w = normalizer_sample(action, rng)
-        de = delta_e_generic(action, s, split)
-        dew = delta_e_generic(action, act(action, w, s), split)
-        worst = max(worst, abs(de - dew) / (1.0 + de))
-    out.append(_result("weight_weyl_invariance", worst, 1e-9))
+    w = normalizer_samples(action, rng, n_points)
+    moved = batch_to_real(field, act_data(action, w, batch_from_real(field, *action.shape, pts)))
+    de, dew = delta_e_batch(action, pts, split), delta_e_batch(action, moved, split)
+    out.append(_result("weight_weyl_invariance", np.max(np.abs(de - dew) / (1.0 + de)), 1e-9))
 
     # vanishing at singular points
     sing = _singular_point(action)
     out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
 
     # canonical reduction is translation independent
-    worst = 0.0
-    for _ in range(5):
-        x = random_ambient_point(action, rng)
-        h = haar_sample(action.group, rng)
-        s1 = reduce_to_section(action, x)
-        s2 = reduce_to_section(action, act(action, h, x))
-        worst = max(worst, (s1 - s2).norm() / max(1.0, s1.norm()))
+    x = random_ambient_points(action, rng, 5)
+    h = haar_sample_batch(action.group, rng, 5)
+    s1, s2 = np.split(reduce_to_section_batch(action, np.concatenate([x, act_data(action, h, x)])), 2)
+    worst = np.max(np.linalg.norm(s1 - s2, axis=1) / np.maximum(1.0, np.linalg.norm(s1, axis=1)))
     out.append(_result("reduction_translation_invariance", worst, tol_rel))
     return out
 

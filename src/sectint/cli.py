@@ -86,20 +86,23 @@ def _parse_entry(field: ScalarField, raw, i: int, j: int):
     def fail(msg):
         raise ValueError(f"point parse error at row {i + 1}, column {j + 1}: {msg}")
 
-    if field is ScalarField.REAL:
-        if not isinstance(raw, (int, float)):
-            fail(f"expected a real number, got {raw!r}")
-        return float(raw)
-    if field is ScalarField.COMPLEX:
+    try:
+        if field is ScalarField.REAL:
+            if not isinstance(raw, (int, float)):
+                fail(f"expected a real number, got {raw!r}")
+            return float(raw)
+        if field is ScalarField.COMPLEX:
+            if isinstance(raw, (int, float)):
+                return complex(raw)
+            if isinstance(raw, list) and len(raw) == 2:
+                return complex(raw[0], raw[1])
+            fail(f"expected a number or [re, im], got {raw!r}")
         if isinstance(raw, (int, float)):
-            return complex(raw)
-        if isinstance(raw, list) and len(raw) == 2:
-            return complex(raw[0], raw[1])
-        fail(f"expected a number or [re, im], got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return [float(raw), 0.0, 0.0, 0.0]
-    if isinstance(raw, list) and len(raw) == 4:
-        return [float(v) for v in raw]
+            return [float(raw), 0.0, 0.0, 0.0]
+        if isinstance(raw, list) and len(raw) == 4:
+            return [float(v) for v in raw]
+    except OverflowError:  # a JSON integer beyond the float range
+        fail("number too large for a float")
     fail(f"expected a number or [w, x, y, z], got {raw!r}")
 
 
@@ -111,8 +114,11 @@ def _parse_point(action: ActionSpec, text: str) -> MatK:
     if isinstance(action, ConjugationAction):
         if isinstance(obj, dict) and "angles" not in obj:
             raise ValueError('bad --point: expected an angle list or {"angles": [...]}')
-        angles = obj["angles"] if isinstance(obj, dict) else obj
-        return embed_section(action, np.asarray(angles, dtype=float))
+        try:
+            angles = np.asarray(obj["angles"] if isinstance(obj, dict) else obj, dtype=float)
+        except OverflowError:
+            raise ValueError("point parse error: angle too large for a float") from None
+        return embed_section(action, angles)
     k = action.k
     if not (isinstance(obj, list) and len(obj) == k and all(isinstance(r, list) and len(r) == k for r in obj)):
         raise ValueError(f"point must be a {k} x {k} array of entries")
@@ -152,7 +158,10 @@ def _write_output(path: str, write) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit(report: dict, out_path: str | None) -> int:
+def _emit(report: dict, checks: list[dict], out_path: str | None) -> int:
+    """Print the report with its checks and verdict, and write it to out_path."""
+    report["checks"] = checks
+    report["pass"] = all(c["pass"] for c in checks)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
         _write_output(out_path, lambda path: Path(path).write_text(payload + "\n"))
@@ -166,17 +175,13 @@ def _exact_json(est: McEstimate) -> dict:
 
 
 def _base_report(command: str, action: ActionSpec, args) -> dict:
-    return {
-        "command": command,
-        "action": action_to_json(action),
-        "config": {
-            "seed": args.seed,
-            "n": args.n,
-            "chunks": args.chunks,
-            "tol_rel": args.tol_rel,
-            "tol_abs": args.tol_abs,
-        },
-    }
+    config = {name: getattr(args, name) for name in ("seed", "n", "chunks", "tol_rel", "tol_abs")}
+    return {"command": command, "action": action_to_json(action), "config": config}
+
+
+def _check(name: str, value, threshold, passed=None) -> dict:
+    """One report check; it passes when value <= threshold unless passed is given."""
+    return {"name": name, "value": value, "threshold": threshold, "pass": value <= threshold if passed is None else passed}
 
 
 def cmd_delta(args) -> int:
@@ -184,10 +189,8 @@ def cmd_delta(args) -> int:
     s = _parse_point(action, args.point)
     generic = delta_e_generic(action, s)
     diff = orbit_map_differential(action, s)
-    scale = max(float(np.abs(diff.matrix).max()), 1e-300)
-    block_res = diff.off_block_residual() / scale
-    dd = diff.delta_d()
-    total = diff.total_det()
+    block_res = diff.off_block_residual() / max(float(np.abs(diff.matrix).max()), 1e-300)
+    dd, total = diff.delta_d(), diff.total_det()
     results = {
         "delta_generic": generic,
         "delta_d": dd,
@@ -196,36 +199,16 @@ def cmd_delta(args) -> int:
         "det_total": total,
     }
     checks = [
-        {
-            "name": "block_diagonality",
-            "value": block_res,
-            "threshold": args.tol_abs,
-            "pass": block_res <= args.tol_abs,
-        },
-        {
-            "name": "differential_factorization",
-            "value": abs(total - dd * generic) / max(1.0, total),
-            "threshold": args.tol_rel,
-            "pass": abs(total - dd * generic) / max(1.0, total) <= args.tol_rel,
-        },
+        _check("block_diagonality", block_res, args.tol_abs),
+        _check("differential_factorization", abs(total - dd * generic) / max(1.0, total), args.tol_rel),
     ]
     if isinstance(action, DirectSumAction) and action.k >= 2:
         closed = delta_e_closed_form(action.field, action.n, action.k, section_coordinate(action, s))
-        gap = abs(generic - closed) / (1.0 + closed)
         results["delta_closed_form"] = closed
-        checks.append(
-            {
-                "name": "weight_closed_vs_generic",
-                "value": gap,
-                "threshold": args.tol_rel,
-                "pass": gap <= args.tol_rel,
-            }
-        )
+        checks.append(_check("weight_closed_vs_generic", abs(generic - closed) / (1.0 + closed), args.tol_rel))
     report = _base_report("delta", action, args)
     report["results"] = results
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
-    return _emit(report, args.out)
+    return _emit(report, checks, args.out)
 
 
 def cmd_integrate(args) -> int:
@@ -243,19 +226,12 @@ def cmd_integrate(args) -> int:
                 "reduced": mc_result_json(action, f, reduced),
             }
         )
-        checks.append(
-            {
-                "name": f"two_sided_agreement_{f.name}",
-                "value": abs(direct.mean - reduced.mean),
-                "threshold": args.n_sigma * float(np.hypot(direct.stderr, reduced.stderr)),
-                "pass": agree(direct, reduced, args.n_sigma),
-            }
-        )
+        threshold = args.n_sigma * float(np.hypot(direct.stderr, reduced.stderr))
+        checks.append(_check(f"two_sided_agreement_{f.name}", abs(direct.mean - reduced.mean), threshold,
+                             agree(direct, reduced, args.n_sigma)))
     report = _base_report("integrate", action, args)
     report["results"] = {"vol_gn": _exact_json(vol_gn), "per_function": per_function}
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
-    return _emit(report, args.out)
+    return _emit(report, checks, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -270,10 +246,7 @@ def cmd_verify(args) -> int:
         tol_abs=args.tol_abs,
         corrupt_metric=args.corrupt_metric,
     )
-    report = _base_report("verify", action, args)
-    report["checks"] = [r.to_json() for r in results]
-    report["pass"] = all_passed(results)
-    return _emit(report, args.out)
+    return _emit(_base_report("verify", action, args), [r.to_json() for r in results], args.out)
 
 
 def cmd_ensemble(args) -> int:
@@ -286,16 +259,8 @@ def cmd_ensemble(args) -> int:
         _write_output(args.out_csv, cmp_.write_csv)
     report = _base_report("ensemble", action, args)
     report["results"] = cmp_.to_json()
-    report["checks"] = [
-        {
-            "name": "histogram_chi2",
-            "value": cmp_.p_value,
-            "threshold": args.p_threshold,
-            "pass": cmp_.p_value >= args.p_threshold,
-        }
-    ]
-    report["pass"] = cmp_.p_value >= args.p_threshold
-    return _emit(report, args.out)
+    passed = cmp_.p_value >= args.p_threshold
+    return _emit(report, [_check("histogram_chi2", cmp_.p_value, args.p_threshold, passed)], args.out)
 
 
 def cmd_volumes(args) -> int:
@@ -310,74 +275,75 @@ def cmd_volumes(args) -> int:
         "vol_gn": table.vol_gn.to_json(),
         "vol_w": _exact_json(table.vol_w),
     }
-    report["checks"] = [
-        {
-            "name": "calibration_consistency",
-            "value": calib.worst_sigma,
-            "threshold": args.n_sigma,
-            "pass": calib.consistent,
-        },
-        {
-            "name": "volume_factorization",
-            "value": gap,
-            "threshold": args.n_sigma * se,
-            "pass": table.consistent(args.n_sigma),
-        },
-    ]
-    report["pass"] = all(c["pass"] for c in report["checks"])
-    return _emit(report, args.out)
+    return _emit(report, [
+        _check("calibration_consistency", calib.worst_sigma, args.n_sigma, calib.consistent),
+        _check("volume_factorization", gap, args.n_sigma * se, table.consistent(args.n_sigma)),
+    ], args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: options of every subcommand, as (flag, add_argument keywords); dest comes from the flag
+_COMMON = [
+    ("--action", dict(required=True, help="action JSON or @file")),
+    ("--seed", dict(type=int, default=0)),
+    ("--n", dict(type=int, default=100_000,
+                 help="samples per Monte Carlo estimate, direct side only (the reduced side is quadrature)")),
+    ("--chunks", dict(type=int, default=16)),
+    ("--workers", dict(type=int, default=None)),
+    ("--tol-rel", dict(type=float, default=1e-8)),
+    ("--tol-abs", dict(type=float, default=1e-10)),
+    ("--n-sigma", dict(type=float, default=3.0)),
+    ("--out", dict(default=None, help="also write the JSON report here")),
+]
+
+#: subcommand -> (handler, help line, its own options)
+_SUBCOMMANDS = {
+    "delta": (cmd_delta, "evaluate the weight at a section point",
+              [("--point", dict(required=True, help="section coordinate JSON or @file"))]),
+    "integrate": (cmd_integrate, "direct vs reduced integrals, exact vol(G/N)",
+                  [("--functions", dict(default=None, help="e.g. gaussian_radial:sigma=1.0,gaussian_sq_norm"))]),
+    "verify": (cmd_verify, "structural check suite", [
+        ("--points", dict(type=int, default=20)),
+        ("--corrupt-metric", dict(type=float, default=1.0,
+                                  help="debug knob: scale the complement basis to break the metric")),
+    ]),
+    "ensemble": (cmd_ensemble, "reduced-density histogram comparison", [
+        ("--statistic", dict(default="coordinate_det")),
+        ("--stat-index", dict(type=int, default=0)),
+        ("--scale", dict(type=float, default=1.0)),
+        ("--bins", dict(type=int, default=30)),
+        ("--p-threshold", dict(type=float, default=0.01)),
+        ("--out-csv", dict(default=None)),
+    ]),
+    "volumes": (cmd_volumes, "quotient volume table", [("--functions", dict(default=None))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one call, whose first argument is command.
+
+    Building argparse parsers costs more than a short op's own work, so
+    a known command gets only its own subparser.  Otherwise every
+    subcommand gets an empty subparser: enough to list them in --help
+    and to reject an unknown name.
+    """
     parser = argparse.ArgumentParser(
         prog="sectint",
         description="weighted section integration for isometric matrix group actions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--action", required=True, help="action JSON or @file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--n", type=int, default=100_000,
-                        help="samples per Monte Carlo estimate, direct side only (the reduced side is quadrature)")
-    common.add_argument("--chunks", type=int, default=16)
-    common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--tol-rel", dest="tol_rel", type=float, default=1e-8)
-    common.add_argument("--tol-abs", dest="tol_abs", type=float, default=1e-10)
-    common.add_argument("--n-sigma", dest="n_sigma", type=float, default=3.0)
-    common.add_argument("--out", default=None, help="also write the JSON report here")
-
-    p = sub.add_parser("delta", parents=[common], help="evaluate the weight at a section point")
-    p.add_argument("--point", required=True, help="section coordinate JSON or @file")
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("integrate", parents=[common], help="direct vs reduced integrals, exact vol(G/N)")
-    p.add_argument("--functions", default=None, help="e.g. gaussian_radial:sigma=1.0,gaussian_sq_norm")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("verify", parents=[common], help="structural check suite")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--corrupt-metric", dest="corrupt_metric", type=float, default=1.0,
-                   help="debug knob: scale the complement basis to break the metric")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("ensemble", parents=[common], help="reduced-density histogram comparison")
-    p.add_argument("--statistic", default="coordinate_det")
-    p.add_argument("--stat-index", dest="stat_index", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--p-threshold", dest="p_threshold", type=float, default=0.01)
-    p.add_argument("--out-csv", dest="out_csv", default=None)
-    p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser("volumes", parents=[common], help="quotient volume table")
-    p.add_argument("--functions", default=None)
-    p.set_defaults(func=cmd_volumes)
+    for name, (func, help_line, own) in _SUBCOMMANDS.items():
+        if command in _SUBCOMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=func)
+        for flag, kwargs in (_COMMON + own if name == command else ()):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         default_workers()  # a bad SECTINT_WORKERS fails here, before any work
         if args.workers is not None and args.workers < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import complex_embedding, data_from_components, gram_det
+from .matrices import complex_embedding, data_from_components, gaussian_components, gram_det
 from .groups import Family, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, canonical_angles
 from .integrate import _subseed, _torus_grid, section_weight_batch
@@ -82,15 +82,6 @@ def _stats_batch_direct(spec: EnsembleSpec, field: ScalarField, comps: np.ndarra
     raise ValueError(f"statistic {spec.statistic!r} not defined for direct sums")
 
 
-def _gaussian_components(action: DirectSumAction, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Components (size, n, k, d) of size draws of matrices.gaussian, from
-    the same random stream as size successive calls."""
-    n, k = action.n, action.k
-    if action.field is ScalarField.COMPLEX:
-        return np.moveaxis(rng.standard_normal((size, 2, n, k)), 1, -1)
-    return rng.standard_normal((size, n, k, action.field.dim))
-
-
 def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> np.ndarray:
     """Statistics of n ambient samples reduced to the section.
 
@@ -108,7 +99,7 @@ def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> 
         if size == 0:
             continue
         if isinstance(action, DirectSumAction):
-            comps = spec.scale * _gaussian_components(action, rng, size)
+            comps = spec.scale * gaussian_components(action.field, action.n, action.k, rng, size)
             out.append(_stats_batch_direct(spec, action.field, comps))
         else:
             if spec.statistic != "torus_angle":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, quat_to_pair
+from .fields import ScalarField
 from .matrices import (
     COMPLEX,
     QUATERNION,
@@ -22,6 +22,7 @@ from .matrices import (
     DimensionError,
     MatK,
     from_real_vector,
+    gaussian_batch,
     mat,
     qr,
 )
@@ -226,14 +227,7 @@ def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, cou
     matrices.gaussian calls; that q is Haar (Mezzadri,
     arXiv:math-ph/0609050).
     """
-    if field is REAL:
-        g = rng.standard_normal((count, n, n))
-    elif field is COMPLEX:
-        re_im = rng.standard_normal((count, 2, n, n))
-        g = re_im[:, 0] + 1j * re_im[:, 1]
-    else:
-        g = quat_to_pair(rng.standard_normal((count, n, n, 4)))
-    return qr(field, g)[0]
+    return qr(field, gaussian_batch(field, n, n, rng, count))[0]
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:

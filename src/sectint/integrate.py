@@ -32,6 +32,7 @@ from .actions import (
     ConjugationAction,
     DirectSumAction,
     embed_section,
+    section_points,
 )
 from .weights import delta_e_batch, delta_e_generic
 from .mc import McEstimate, mc_run, product, ratio
@@ -184,14 +185,6 @@ def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
         return _polar_unit_weight(action) * np.abs(z[:, 0]) ** (d * n - 1)
     dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
     return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
-
-
-def _section_points_flat(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
-    """Ambient flat coordinates of section points with coordinates z."""
-    m = z.shape[0]
-    pts = np.zeros((m, action.ambient_dim))
-    pts[:, : z.shape[1]] = z
-    return pts
 
 
 # --- direct and reduced integrals --------------------------------------------
@@ -365,7 +358,7 @@ def _bartlett_rule(action: DirectSumAction, evaluate, sigma: float, m: int) -> f
         for (col, _), x, wx, idx in zip(axes, nodes, weights, digits):
             z[:, col] = x[idx]
             w *= wx[idx]
-        vals = evaluate(_section_points_flat(action, z)) * section_weight_batch(action, z)
+        vals = evaluate(section_points(action, z)) * section_weight_batch(action, z)
         total += float(w @ vals)
     return total * const * sigma ** action.section_dim
 

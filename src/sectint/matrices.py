@@ -60,12 +60,7 @@ class MatK:
     @property
     def h(self) -> "MatK":
         """Adjoint (conjugate transpose); an involution."""
-        if self.field is REAL:
-            return MatK(REAL, self.data.T.copy())
-        if self.field is COMPLEX:
-            return MatK(COMPLEX, self.data.conj().T.copy())
-        c1, c2 = self.data[..., 0], self.data[..., 1]
-        return MatK(QUATERNION, np.stack([c1.conj().T, -c2.T], axis=-1))
+        return MatK(self.field, conj_transpose(self.field, self.data))
 
     def __matmul__(self, other: "MatK") -> "MatK":
         if self.field is not other.field:
@@ -74,14 +69,7 @@ class MatK:
             raise DimensionError(
                 f"matmul shape mismatch: {self.shape} @ {other.shape}"
             )
-        if self.field is not QUATERNION:
-            return MatK(self.field, self.data @ other.data)
-        a1, a2 = self.data[..., 0], self.data[..., 1]
-        b1, b2 = other.data[..., 0], other.data[..., 1]
-        return MatK(
-            QUATERNION,
-            np.stack([a1 @ b1 - a2 @ b2.conj(), a1 @ b2 + a2 @ b1.conj()], axis=-1),
-        )
+        return MatK(self.field, matmul(self.field, self.data, other.data))
 
     def __add__(self, other: "MatK") -> "MatK":
         _check_same(self, other)
@@ -153,13 +141,36 @@ def eye(field: ScalarField, n: int) -> MatK:
 
 
 def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> MatK:
-    """Matrix whose real coordinates are iid standard normal."""
-    if field is REAL:
-        return MatK(REAL, rng.standard_normal((n, m)))
-    if field is COMPLEX:
-        return MatK(COMPLEX, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-    g = rng.standard_normal((n, m, 4))
-    return MatK(QUATERNION, quat_to_pair(g))
+    """Matrix whose real coordinates are iid standard normal; a batch of one."""
+    return MatK(field, gaussian_batch(field, n, m, rng, 1)[0])
+
+
+def gaussian_batch(field: ScalarField, n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Raw data (count, n, m[, pair]) of count successive gaussian draws."""
+    return data_from_components(field, gaussian_components(field, n, m, rng, count))
+
+
+def gaussian_components(field: ScalarField, n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Real components (count, n, m, d) of gaussian_batch, from the same random stream."""
+    if field is COMPLEX:  # all real parts of a matrix are drawn before its imaginary parts
+        return np.moveaxis(rng.standard_normal((count, 2, n, m)), 1, -1)
+    return rng.standard_normal((count, n, m, field.dim))
+
+
+def matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of raw matrix data, (..., r, c[, pair]) @ (..., c, s[, pair]), leading axes broadcast."""
+    if field is not QUATERNION:
+        return np.matmul(a, b)
+    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    return np.stack([a1 @ b1 - a2 @ b2.conj(), a1 @ b2 + a2 @ b1.conj()], axis=-1)
+
+
+def conj_transpose(field: ScalarField, a: np.ndarray) -> np.ndarray:
+    """Adjoints of raw matrix data with any leading axes."""
+    if field is QUATERNION:
+        c1, c2 = np.swapaxes(a[..., 0], -1, -2), np.swapaxes(a[..., 1], -1, -2)
+        return np.stack([c1.conj(), -c2], axis=-1)
+    return np.conj(np.swapaxes(a, -1, -2))  # a new array for real data too
 
 
 # --- realification ---------------------------------------------------------
@@ -170,22 +181,28 @@ def real_dim(field: ScalarField, n: int, m: int) -> int:
 
 def to_real_vector(x: MatK) -> np.ndarray:
     """Flat real coordinates; Re(tr(x^* y)) == dot(vec(x), vec(y))."""
-    return batch_to_real(x.field, x.data[None])[0]
+    return batch_to_real(x.field, x.data)
 
 
 def batch_to_real(field: ScalarField, arr: np.ndarray) -> np.ndarray:
-    """Realify a stack of raw matrix data, (count, n, m[, pair]) -> (count, D)."""
-    count = arr.shape[0]
+    """Realify raw matrix data with any leading axes, (..., n, m[, pair]) -> (..., D)."""
+    lead = arr.shape[: arr.ndim - (3 if field is QUATERNION else 2)]
+    dim = field.dim * arr.shape[len(lead)] * arr.shape[len(lead) + 1]
     if field is REAL:
-        return arr.reshape(count, -1).astype(float)
-    return np.stack([arr.real, arr.imag], axis=-1).reshape(count, -1)  # H: c1.re, c1.im, c2.re, c2.im
+        return arr.reshape(lead + (dim,)).astype(float)
+    return np.stack([arr.real, arr.imag], axis=-1).reshape(lead + (dim,))  # H: c1.re, c1.im, c2.re, c2.im
+
+
+def batch_from_real(field: ScalarField, n: int, m: int, pts: np.ndarray) -> np.ndarray:
+    """Raw n x m matrix data from flat coordinates (..., D); inverts batch_to_real."""
+    return data_from_components(field, pts.reshape(pts.shape[:-1] + (n, m, field.dim)))
 
 
 def from_real_vector(field: ScalarField, n: int, m: int, v: np.ndarray) -> MatK:
     v = np.array(v, dtype=float)  # a copy: real data is a view of it
     if v.size != real_dim(field, n, m):
         raise DimensionError(f"expected {real_dim(field, n, m)} coordinates, got {v.size}")
-    return MatK(field, data_from_components(field, v.reshape(n, m, field.dim)))
+    return MatK(field, batch_from_real(field, n, m, v))
 
 
 def inner(x: MatK, y: MatK) -> float:
@@ -325,9 +342,14 @@ def det_modulus(x: MatK) -> float:
     """|det x|; the Dieudonne determinant modulus for quaternions."""
     if not x.is_square():
         raise DimensionError("det_modulus requires a square matrix")
-    if x.field is QUATERNION:
-        return float(np.sqrt(abs(np.linalg.det(complex_embedding(x.field, x.data)))))
-    return float(abs(np.linalg.det(x.data)))
+    return float(det_moduli(x.field, x.data))
+
+
+def det_moduli(field: ScalarField, data: np.ndarray) -> np.ndarray:
+    """det_modulus of raw square matrix data with any leading axes."""
+    if field is QUATERNION:
+        return np.sqrt(np.abs(np.linalg.det(complex_embedding(field, data))))
+    return np.abs(np.linalg.det(data))
 
 
 def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray:

@@ -7,9 +7,9 @@ tangent of the Weyl orbit inside the section, and the complementary
 part, mapping onto the normal space of the section.  The absolute
 determinant of the second block is the weight by which section
 integrals reproduce ambient integrals; the first block's determinant
-scales Weyl orbit volumes.  The weight is evaluated generically, for
-a whole batch of points at once, from precomputed linear operators
-giving the complementary Killing field images; its |det| comes from a
+scales Weyl orbit volumes.  The weight and the differential are
+evaluated for a whole batch of points at once from the split's Killing
+operator stack (its m slice for the weight); each |det| comes from one
 batched QR factorization.  For the stacked standard representations
 the weight also has the closed form
 
@@ -21,20 +21,19 @@ determinant modulus when the field is quaternionic.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import MatK, abs_det_between, det_modulus, mat, to_real_vector
+from .matrices import MatK, abs_det_between, det_moduli, mat, to_real_vector
 from .actions import (
     ActionSpec,
     RegularityClass,
-    SectionFrame,
     algebra_split,
     classify_point,
-    killing_field,
-    section_frame,
+    killing_images,
 )
 
 #: below this fraction of the local scale the weight is reported as exactly 0
@@ -43,69 +42,67 @@ SINGULAR_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class OrbitMapDifferential:
-    """Differential of the orbit map at a section point, in fixed frames.
+    """Differential of the orbit map at section points, in fixed frames.
 
     ``matrix`` has one column per algebra basis element (Weyl part
     first, then the complementary part) and one row per codomain frame
     vector (section-tangent frame first, then section-normal frame).
-    At regular points the matrix is block diagonal: Weyl columns hit
-    only tangent rows, complementary columns only normal rows.
+    A stack (m, rows, cols) holds one differential per point, and the
+    methods then return one value per point.  At regular points the
+    matrix is block diagonal: Weyl columns hit only tangent rows,
+    complementary columns only normal rows.
     """
 
     action: ActionSpec
-    s: MatK
     matrix: np.ndarray
     n_w: int   # number of Weyl-part columns
-    n_m: int   # number of complementary columns
     n_tan: int  # number of section-tangent rows
 
     @property
     def w_block(self) -> np.ndarray:
-        return self.matrix[: self.n_tan, : self.n_w]
+        return self.matrix[..., : self.n_tan, : self.n_w]
 
     @property
     def m_block(self) -> np.ndarray:
-        return self.matrix[self.n_tan :, self.n_w :]
+        return self.matrix[..., self.n_tan :, self.n_w :]
 
-    def off_block_residual(self) -> float:
+    def _value(self, x):
+        return float(x) if self.matrix.ndim == 2 else x
+
+    def off_block_residual(self) -> float | np.ndarray:
         """Largest stray entry outside the two diagonal blocks."""
-        top_right = self.matrix[: self.n_tan, self.n_w :]
-        bottom_left = self.matrix[self.n_tan :, : self.n_w]
-        worst = 0.0
-        for blk in (top_right, bottom_left):
-            if blk.size:
-                worst = max(worst, float(np.abs(blk).max()))
-        return worst
+        a = np.abs(self.matrix)
+        corners = (a[..., : self.n_tan, self.n_w :], a[..., self.n_tan :, : self.n_w])
+        return self._value(np.maximum(*(np.max(c, axis=(-2, -1), initial=0.0) for c in corners)))
 
-    def delta_d(self) -> float:
+    def delta_d(self) -> float | np.ndarray:
         """|det| of the Weyl block as a map onto the Weyl-orbit tangent."""
-        return abs_det_between(self.w_block.T, self.n_w)
+        return abs_det_between(np.swapaxes(self.w_block, -1, -2), self.n_w)
 
-    def delta_e(self) -> float:
+    def delta_e(self) -> float | np.ndarray:
         """|det| of the complementary block onto the section normal."""
         blk = self.m_block
-        if blk.shape[0] != blk.shape[1]:
-            return 0.0
-        return float(abs(np.linalg.det(blk))) if blk.size else 1.0
+        if blk.shape[-2] != blk.shape[-1]:
+            return self._value(np.zeros(blk.shape[:-2]))
+        return self._value(np.abs(np.linalg.det(blk)) if blk.shape[-1] else np.ones(blk.shape[:-2]))
 
-    def total_det(self) -> float:
+    def total_det(self) -> float | np.ndarray:
         """|det| of the whole differential onto the orbit tangent."""
-        return abs_det_between(self.matrix.T, self.matrix.shape[1])
+        return abs_det_between(np.swapaxes(self.matrix, -1, -2), self.matrix.shape[-1])
 
 
-def orbit_map_differential(
-    action: ActionSpec, s: MatK, frame: SectionFrame | None = None, split=None
-) -> OrbitMapDifferential:
+def orbit_map_differential(action: ActionSpec, s: MatK, split=None) -> OrbitMapDifferential:
+    """The differential at one section point; a batch of one."""
+    diff = orbit_map_differentials(action, to_real_vector(s)[None], split)
+    return dataclasses.replace(diff, matrix=diff.matrix[0])
+
+
+def orbit_map_differentials(action: ActionSpec, pts: np.ndarray, split=None) -> OrbitMapDifferential:
+    """Differentials at flat section points (m, D): the Weyl and
+    complementary columns of killing_images."""
     split = split or algebra_split(action)
-    frame = frame or section_frame(action, s)
-    codomain = np.concatenate([frame.tangent, frame.normal], axis=0)
-    cols = []
-    for b in split.w_basis + split.m_basis:
-        cols.append(codomain @ to_real_vector(killing_field(action, b, s)))
-    matrix = np.stack(cols, axis=1) if cols else np.zeros((codomain.shape[0], 0))
-    return OrbitMapDifferential(
-        action, s, matrix, len(split.w_basis), len(split.m_basis), frame.tangent.shape[0]
-    )
+    images = killing_images(action, pts, split)[..., len(split.h_basis) :]
+    return OrbitMapDifferential(action, images, len(split.w_basis), action.section_dim)
 
 
 #: points per contraction block; bounds the (block, q_m, D) image array
@@ -148,8 +145,13 @@ def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray
         b = mat(field, b)
     if b.shape != (k, k) or b.field is not field:
         raise ValueError(f"section coordinate must be a {k} x {k} matrix over {field.value}")
+    return float(delta_e_closed_form_batch(field, n, k, b.data))
+
+
+def delta_e_closed_form_batch(field: ScalarField, n: int, k: int, data: np.ndarray) -> np.ndarray:
+    """delta_e_closed_form at raw k x k coordinates with any leading axes, unchecked."""
     d = field.dim
-    return 2.0 ** (-d * k * (n - k) / 2.0) * det_modulus(b) ** (d * (n - k))
+    return 2.0 ** (-d * k * (n - k) / 2.0) * det_moduli(field, data) ** (d * (n - k))
 
 
 def delta_d(action: ActionSpec, s: MatK) -> float:

@@ -158,3 +158,18 @@ def _pair_col_sub(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     p1 = u1 * c1 - u2 * np.conj(c2)
     p2 = u1 * c2 + u2 * np.conj(c1)
     return np.stack([w1 - p1, w2 - p2], axis=-1)
+
+
+def torus_angles(action: ConjugationAction, s: MatK, strict: bool = True) -> np.ndarray:
+    """Angle coordinates of a point of the standard maximal torus."""
+    fam, n = action.group.family, action.group.n
+    d = s.data
+    if fam is Family.SO:
+        ang = np.array([np.arctan2(d[2 * a + 1, 2 * a], d[2 * a, 2 * a]) for a in range(n // 2)])
+    elif fam is Family.SU:
+        ang = np.angle(np.diag(d))
+    else:
+        ang = np.angle(d[np.arange(n), np.arange(n), 0])
+    if strict and (s - torus_point(action.group, ang)).norm() > 1e-8 * max(1.0, s.norm()):
+        raise ValueError("point is not on the standard maximal torus")
+    return ang

@@ -26,9 +26,8 @@ from sectint.actions import (
     reduce_to_section,
     section_coordinate,
     section_frame,
-    torus_angles,
 )
-from schur_reduction import reduce_with_witness
+from schur_reduction import reduce_with_witness, torus_angles
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 

@@ -139,6 +139,50 @@ def test_delta_malformed_point_reports_position(capsys):
     assert "row 1, column 2" in err
 
 
+HUGE = "9" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "action, point",
+    [
+        (SO3K2, f"[[{HUGE},0],[0,1]]"),
+        ('{"kind":"direct_sum","field":"C","n":3,"k":1}', f"[[[{HUGE},0]]]"),
+        (SU2, f"[{HUGE}]"),
+    ],
+    ids=["real entry", "complex entry", "conjugation angle"],
+)
+def test_huge_integer_point_exits_2(capsys, action, point):
+    # float() of these raised OverflowError with a traceback and exit 1
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", point])
+    assert "point parse error" in err and "too large" in err
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in ("delta", "integrate", "verify", "ensemble", "volumes"))
+
+
+def test_unknown_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--action", SO3K2])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_parser_builds_only_the_chosen_subcommand(capsys):
+    from sectint.cli import build_parser
+
+    sub = next(a for a in build_parser("verify")._actions if a.dest == "command")
+    assert list(sub.choices) == ["verify"]
+    assert "--corrupt-metric" in sub.choices["verify"].format_help()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--points" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "action",
     ['{"kind":"direct_sum"', "[1, 2]", '{"kind":"direct_sum","field":"R","n":3}',

@@ -14,7 +14,6 @@ from sectint.actions import (
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
-    torus_angles,
 )
 from sectint.ensembles import (
     EnsembleSpec,
@@ -23,7 +22,7 @@ from sectint.ensembles import (
     sample_ensemble,
 )
 from matrix_oracles import gram_schmidt_qr
-from schur_reduction import reduce_with_witness
+from schur_reduction import reduce_with_witness, torus_angles
 
 R, H = ScalarField.REAL, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)

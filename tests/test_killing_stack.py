@@ -1,0 +1,146 @@
+"""The Killing-operator stack and the batched check suite against per-point oracles."""
+
+import importlib
+import sys
+
+import numpy as np
+import pytest
+
+import killing_oracle as oracle
+from sectint.actions import (
+    ConjugationAction,
+    DirectSumAction,
+    algebra_split,
+    isotropy_algebra,
+    isotropy_mask,
+    killing_field,
+    killing_svd,
+    orbit_normal,
+    orbit_ranks,
+    random_ambient_point,
+    random_regular_section_points,
+    section_frames,
+)
+from sectint.checks import _corrupted_split, all_passed, run_action_checks
+from sectint.fields import ScalarField
+from sectint.groups import Family, GroupSpec
+from sectint.matrices import from_real_vector, to_real_vector
+from sectint.weights import orbit_map_differentials
+
+R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
+R32, H32 = DirectSumAction(R, 3, 2), DirectSumAction(H, 3, 2)
+SO3, SP2 = ConjugationAction(GroupSpec(Family.SO, 3)), ConjugationAction(GroupSpec(Family.SP, 2))
+ACTION_TABLE = [
+    R32, DirectSumAction(C, 4, 2), H32, DirectSumAction(R, 4, 1),
+    ConjugationAction(GroupSpec(Family.SU, 2)), ConjugationAction(GroupSpec(Family.SU, 3)), SO3,
+    ConjugationAction(GroupSpec(Family.SO, 4)), ConjugationAction(GroupSpec(Family.SP, 1)), SP2,
+]
+
+#: the suite's checks in report order, with their thresholds at the default tolerances
+CHECKS = [
+    ("algebra_split_orthonormal", 1e-10), ("reductive_bracket", 1e-8), ("ad_normalizer_invariance", 1e-8),
+    ("block_diagonality", 1e-10), ("differential_factorization", 1e-8), ("weight_closed_vs_generic", 1e-8),
+    ("complement_killing_perpendicular", 1e-10), ("isotropy_constancy", 1e-8),
+    ("orbit_normal_in_section", 1e-10), ("copolarity_dimension", 0.5), ("weight_weyl_invariance", 1e-9),
+    ("weight_singular_vanishing", 0.0), ("reduction_translation_invariance", 1e-8),
+]
+
+
+def _projector(rows):
+    return rows.T @ rows
+
+
+@pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
+def test_operator_stack_reproduces_killing_field(action):
+    split = algebra_split(action)
+    basis = split.h_basis + split.w_basis + split.m_basis
+    assert split.operators.shape == (len(basis), action.ambient_dim, action.ambient_dim)
+    np.testing.assert_array_equal(split.m_operators, split.operators[len(split.h_basis) + len(split.w_basis) :])
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        p = random_ambient_point(action, rng)
+        want = np.stack([to_real_vector(killing_field(action, b, p)) for b in basis])
+        np.testing.assert_allclose(split.operators @ to_real_vector(p), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
+def test_batched_kernels_match_per_point_oracle(action):
+    rng = np.random.default_rng(22)
+    pts = random_regular_section_points(action, rng, 8)
+    diff = orbit_map_differentials(action, pts)
+    dets = np.stack([diff.total_det(), diff.delta_e(), diff.delta_d()], axis=1)
+    u, sv, vh = killing_svd(action, pts)
+    null, ranks = isotropy_mask(sv), orbit_ranks(sv, pts)
+    frames = np.concatenate(section_frames(action, pts), axis=1)
+    split = algebra_split(action)
+    outside_h = lambda rows: np.abs(rows - (rows @ split.h_rows.T) @ split.h_rows).max(initial=0.0)
+    for i, flat in enumerate(pts):
+        s = from_real_vector(action.field, *action.shape, flat)
+        matrix = oracle.differential(action, s)
+        np.testing.assert_allclose(diff.matrix[i], matrix, rtol=0, atol=1e-12 * np.abs(matrix).max())
+        np.testing.assert_allclose(dets[i], oracle.determinants(action, matrix), rtol=1e-12)
+
+        iso = oracle.isotropy_rows(action, s)
+        got = vh[i][null[i]] @ split.rows
+        assert len(got) == len(iso) == len(split.h_basis) == len(isotropy_algebra(action, s))
+        np.testing.assert_allclose(_projector(got), _projector(iso), rtol=0, atol=1e-12)
+        assert outside_h(got) == pytest.approx(outside_h(iso), abs=1e-12)
+
+        normal = oracle.orbit_normal_rows(action, s)
+        got = (u[i].T @ frames[i])[ranks[i] :]
+        np.testing.assert_allclose(_projector(got), _projector(normal), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_projector(orbit_normal(action, s)), _projector(normal), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
+def test_verify_passes_with_the_same_checks(action):
+    expected = [c for c in CHECKS if c[0] != "weight_closed_vs_generic"
+                or (isinstance(action, DirectSumAction) and action.k >= 2)]
+    for seed in (1, 2, 3):
+        results = run_action_checks(action, seed=seed)
+        assert [(r.name, r.threshold) for r in results] == expected
+        assert all_passed(results), [r for r in results if not r.passed]
+
+
+@pytest.mark.parametrize(
+    "action, failing",
+    [(R32, {"algebra_split_orthonormal", "weight_closed_vs_generic"}), (SO3, {"algebra_split_orthonormal"})],
+    ids=str,
+)
+def test_corrupted_metric_fails_the_same_checks(action, failing):
+    base, corrupted = algebra_split(action), _corrupted_split(action, 1.1)
+    # the corrupted split's stack comes from its own scaled m_basis
+    np.testing.assert_allclose(corrupted.m_operators, 1.1 * base.m_operators, rtol=1e-15, atol=0)
+    n_normalizer = len(base.h_basis) + len(base.w_basis)
+    np.testing.assert_array_equal(corrupted.operators[:n_normalizer], base.operators[:n_normalizer])
+    for seed in (1, 2, 3):
+        results = run_action_checks(action, seed=seed, corrupt_metric=1.1)
+        assert {r.name for r in results if not r.passed} == failing
+
+
+def _count_calls(monkeypatch, module_name: str, func_name: str) -> list:
+    """Wrap a sectint function in every sectint namespace that binds it; returns the call log."""
+    original = getattr(importlib.import_module(f"sectint.{module_name}"), func_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(func_name)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sectint" or name.startswith("sectint."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("action, n_qr", [(H32, 6), (SP2, 2)], ids=str)
+def test_check_suite_does_not_loop_over_points(monkeypatch, action, n_qr):
+    # per point, the suite used to make about 95 QR and 1000 killing_field calls
+    for n_points in (5, 20, 40):
+        with monkeypatch.context() as patch:
+            qr_calls = _count_calls(patch, "matrices", "qr")
+            field_calls = _count_calls(patch, "actions", "killing_field")
+            assert all_passed(run_action_checks(action, seed=1, n_points=n_points))
+        assert (len(qr_calls), len(field_calls)) == (n_qr, 0)

@@ -150,10 +150,6 @@ class ConjugationAction:
         return self.field.dim * self.group.n ** 2
 
     @property
-    def manifold_dim(self) -> int:
-        return self.group.algebra_dim
-
-    @property
     def section_dim(self) -> int:
         return self.group.rank
 
@@ -220,9 +216,9 @@ def _killing_data(action: ActionSpec, x: np.ndarray, p: np.ndarray) -> np.ndarra
 def embed_section(action: ActionSpec, coord) -> MatK:
     """Ambient section point from its coordinate.
 
-    Direct sums: coord is the top k x k block B (real scalar times the
-    first basis vector when k = 1).  Conjugation: coord is the torus
-    angle vector.
+    Direct sums: coord is the top k x k block B (a real scalar when
+    k = 1, whose section is the real line; a non-real one raises
+    ValueError).  Conjugation: coord is the torus angle vector.
     """
     if isinstance(action, ConjugationAction):
         return torus_point(action.group, np.asarray(coord, dtype=float))
@@ -230,6 +226,8 @@ def embed_section(action: ActionSpec, coord) -> MatK:
     b = coord if isinstance(coord, MatK) else mat(action.field, coord)
     if b.shape != (k, k):
         raise DimensionError(f"section coordinate must be {k} x {k}")
+    if k == 1 and np.any(to_real_vector(b)[1:]):
+        raise ValueError("point is off the section: the polar section is the real line")
     s = zeros(action.field, n, k)
     s.data[:k] = b.data
     return s
@@ -454,12 +452,6 @@ def bracket(x: MatK, y: MatK) -> MatK:
 
 # --- regularity, isotropy, orbit spaces -------------------------------------
 
-def _rank_of(x: MatK, cutoff_rel: float = 1e-8) -> int:
-    r, i = qr(x.field, x.data)[1], np.arange(x.cols)
-    diag = np.real(r[i, i, 0] if x.field is QUATERNION else r[i, i])
-    return int(np.sum(diag > cutoff_rel * max(x.norm(), 1e-300)))
-
-
 def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> tuple[MatK, ...]:
     """Orthonormal basis of the algebra of the stabilizer of p."""
     _, sv, vh = killing_svd(action, to_real_vector(p)[None])
@@ -470,15 +462,15 @@ def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> tuple[Ma
 def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:
     """Regular / singular classification.
 
-    Direct sums: regular exactly when the point has full rank k (the
-    stabilizers along regular section points are connected, so no
-    exceptional class occurs).  Conjugation: regular exactly when the
-    centralizer has minimal dimension, i.e. the rank of the group.
+    Regular exactly when the isotropy algebra has the dimension of the
+    principal one, the stabilizer algebra h of the section (a direct
+    sum's point then has full rank k, a group element's centralizer
+    the group's rank).  The stabilizers along regular section points
+    are connected, so no exceptional class occurs.
     """
-    if isinstance(action, DirectSumAction):
-        return RegularityClass.REGULAR if _rank_of(p) == action.k else RegularityClass.SINGULAR
     iso_dim = np.sum(isotropy_mask(killing_svd(action, to_real_vector(p)[None])[1]))
-    return RegularityClass.REGULAR if iso_dim == action.group.rank else RegularityClass.SINGULAR
+    regular = iso_dim == len(algebra_split(action).h_basis)
+    return RegularityClass.REGULAR if regular else RegularityClass.SINGULAR
 
 
 def _orbit_frames(action: ActionSpec, p: MatK) -> tuple[np.ndarray, np.ndarray]:
@@ -524,7 +516,10 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
     """Canonical torus angles of a stack of group elements (m, n, n[, pair]).
 
     The angles are the eigenphases of the complex embedding, from one
-    batched eigensolve.  SU(n): all n angles, sorted, in [0, 2 pi).  SO
+    batched eigensolve.  SU(n): all n angles, summing to 0 and sorted in
+    descending order, within 2 pi of each other (the phases in
+    [0, 2 pi), the m largest lowered by 2 pi, m = their sum / 2 pi), so
+    the point moves continuously when an eigenvalue crosses 1.  SO
     and Sp: eigenvalues come in pairs exp(+-i theta), and the rank
     angles are the sorted |theta|, one per pair (SO(2m+1) drops its
     extra eigenvalue 1).  The Weyl group of SO(2m) changes an even
@@ -535,7 +530,9 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
     """
     fam, n = group.family, group.n
     if fam is Family.SU:
-        return np.sort(np.mod(np.angle(np.linalg.eigvals(data)), 2 * np.pi), axis=1)
+        phases = -np.sort(-np.mod(np.angle(np.linalg.eigvals(data)), 2 * np.pi), axis=1)
+        wraps = np.rint(np.sum(phases, axis=1, keepdims=True) / (2 * np.pi))
+        return np.sort(phases - 2 * np.pi * (np.arange(n) < wraps), axis=1)[:, ::-1]
     even_so = fam is Family.SO and n % 2 == 0
     if even_so:
         vals, vecs = np.linalg.eig(data)

@@ -40,7 +40,7 @@ from .actions import (
     random_regular_section_points,
     reduce_to_section_batch,
 )
-from .weights import delta_e_batch, delta_e_closed_form_batch, delta_e_generic, orbit_map_differentials
+from .weights import OrbitMapDifferential, delta_e_batch, delta_e_generic, orbit_map_differentials, section_weight_batch
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,35 @@ def _corrupted_split(action: ActionSpec, factor: float) -> AlgebraSplit:
     return AlgebraSplit(action, base.h_basis, base.w_basis, tuple(factor * m for m in base.m_basis))
 
 
+def pointwise_checks(
+    action: ActionSpec, pts: np.ndarray, split=None, tol_rel: float = 1e-8, tol_abs: float = 1e-10
+) -> tuple[list[CheckResult], dict[str, np.ndarray], OrbitMapDifferential]:
+    """The checks of the orbit-map differential and the weight at flat section points (m, D).
+
+    block_diagonality and differential_factorization, and on direct sums
+    weight_closed_vs_generic, each the worst over the points.  Also
+    returns the values they compare, one per point and named as
+    ``sectint delta`` reports them, and the differentials.
+    """
+    diff = orbit_map_differentials(action, pts, split)
+    scale = np.maximum(np.max(np.abs(diff.matrix), axis=(1, 2), initial=0.0), 1e-300)
+    values = {
+        "block_residual": diff.off_block_residual() / scale,
+        "det_total": diff.total_det(),
+        "delta_d": diff.delta_d(),
+        "delta_generic": delta_e_batch(action, pts, split),
+    }
+    total, dd, generic = values["det_total"], values["delta_d"], values["delta_generic"]
+    checks = [
+        _result("block_diagonality", np.max(values["block_residual"]), tol_abs),
+        _result("differential_factorization", np.max(np.abs(total - dd * generic) / np.maximum(1.0, total)), tol_rel),
+    ]
+    if isinstance(action, DirectSumAction):
+        closed = values["delta_closed_form"] = section_weight_batch(action, pts[:, : action.section_dim])
+        checks.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
+    return checks, values, diff
+
+
 def run_action_checks(
     action: ActionSpec,
     seed: int = 0,
@@ -105,16 +134,8 @@ def run_action_checks(
 
     # pointwise structure at random regular section points
     pts = random_regular_section_points(action, rng, n_points)
-    diff = orbit_map_differentials(action, pts, split)
-    scale = np.maximum(np.max(np.abs(diff.matrix), axis=(1, 2), initial=0.0), 1e-300)
-    out.append(_result("block_diagonality", np.max(diff.off_block_residual() / scale), tol_abs))
-    total, de, dd = diff.total_det(), diff.delta_e(), diff.delta_d()
-    out.append(_result("differential_factorization", np.max(np.abs(total - de * dd) / np.maximum(1.0, total)), tol_rel))
-    if isinstance(action, DirectSumAction) and action.k >= 2:
-        coords = batch_from_real(field, action.k, action.k, pts[:, : action.section_dim])
-        closed = delta_e_closed_form_batch(field, action.n, action.k, coords)
-        generic = delta_e_batch(action, pts, split)
-        out.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
+    checks, values, diff = pointwise_checks(action, pts, split, tol_rel, tol_abs)
+    out += checks
     # complementary fields in the section frames, whose section-tangent rows come first
     perp = diff.matrix[..., nw:]
     norms = np.maximum(1.0, np.linalg.norm(perp, axis=1))[:, None]
@@ -141,7 +162,7 @@ def run_action_checks(
     # Weyl invariance of the weight
     w = normalizer_samples(action, rng, n_points)
     moved = batch_to_real(field, act_data(action, w, batch_from_real(field, *action.shape, pts)))
-    de, dew = delta_e_batch(action, pts, split), delta_e_batch(action, moved, split)
+    de, dew = values["delta_generic"], delta_e_batch(action, moved, split)
     out.append(_result("weight_weyl_invariance", np.max(np.abs(de - dew) / (1.0 + de)), 1e-9))
 
     # vanishing at singular points

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``delta``     -- evaluate the weight function at a section point
+* ``delta``     -- the weight at a section point, with verify's pointwise checks
 * ``integrate`` -- direct Monte Carlo vs reduced quadrature, with the
   exact vol(G/N)
 * ``verify``    -- run the structural check suite for an action
@@ -19,6 +19,7 @@ given configuration produces byte-identical output.  The worker count
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,18 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import DimensionError, MatK
+from .matrices import DimensionError, MatK, to_real_vector
 from .actions import (
     ActionSpec,
     ConjugationAction,
-    DirectSumAction,
     action_from_json,
     action_to_json,
     classify_point,
     embed_section,
-    section_coordinate,
 )
-from .checks import all_passed, run_action_checks
+from .checks import pointwise_checks, run_action_checks
 from .ensembles import EnsembleSpec, compare_densities
 from .integrate import (
     IllConditionedCalibration,
@@ -49,7 +48,7 @@ from .integrate import (
 )
 from .mc import McEstimate, agree, default_workers
 from .volumes import vol_gh_estimate, volume_table, w_group_volume
-from .weights import delta_e_closed_form, delta_e_generic, orbit_map_differential
+from .weights import delta_e_generic  # noqa: F401  perfbench/test_perfbench.py traces this binding
 
 
 def _finite(token: str) -> float:
@@ -179,36 +178,19 @@ def _base_report(command: str, action: ActionSpec, args) -> dict:
     return {"command": command, "action": action_to_json(action), "config": config}
 
 
-def _check(name: str, value, threshold, passed=None) -> dict:
-    """One report check; it passes when value <= threshold unless passed is given."""
-    return {"name": name, "value": value, "threshold": threshold, "pass": value <= threshold if passed is None else passed}
+def _check(name: str, value, threshold, passed: bool) -> dict:
+    """One report check with its verdict."""
+    return {"name": name, "value": value, "threshold": threshold, "pass": passed}
 
 
 def cmd_delta(args) -> int:
     action = _parse_action(args.action)
     s = _parse_point(action, args.point)
-    generic = delta_e_generic(action, s)
-    diff = orbit_map_differential(action, s)
-    block_res = diff.off_block_residual() / max(float(np.abs(diff.matrix).max()), 1e-300)
-    dd, total = diff.delta_d(), diff.total_det()
-    results = {
-        "delta_generic": generic,
-        "delta_d": dd,
-        "regularity": classify_point(action, s).value,
-        "block_residual": block_res,
-        "det_total": total,
-    }
-    checks = [
-        _check("block_diagonality", block_res, args.tol_abs),
-        _check("differential_factorization", abs(total - dd * generic) / max(1.0, total), args.tol_rel),
-    ]
-    if isinstance(action, DirectSumAction) and action.k >= 2:
-        closed = delta_e_closed_form(action.field, action.n, action.k, section_coordinate(action, s))
-        results["delta_closed_form"] = closed
-        checks.append(_check("weight_closed_vs_generic", abs(generic - closed) / (1.0 + closed), args.tol_rel))
+    checks, values, _ = pointwise_checks(action, to_real_vector(s)[None], tol_rel=args.tol_rel, tol_abs=args.tol_abs)
     report = _base_report("delta", action, args)
-    report["results"] = results
-    return _emit(report, checks, args.out)
+    report["results"] = {name: float(v[0]) for name, v in values.items()}
+    report["results"]["regularity"] = classify_point(action, s).value
+    return _emit(report, [c.to_json() for c in checks], args.out)
 
 
 def cmd_integrate(args) -> int:
@@ -322,10 +304,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of one call, whose first argument is command.
 
     Building argparse parsers costs more than a short op's own work, so
-    a known command gets only its own subparser.  Otherwise every
-    subcommand gets an empty subparser: enough to list them in --help
-    and to reject an unknown name.
+    a known command gets only its own subparser, built once per process.
+    Otherwise every subcommand gets an empty subparser: enough to list
+    them in --help and to reject an unknown name.  That parser is cached
+    under None, so unknown names add no entries.
     """
+    return _parser(command if command in _SUBCOMMANDS else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectint",
         description="weighted section integration for isometric matrix group actions",

@@ -21,8 +21,8 @@ from .fields import ScalarField
 from .matrices import complex_embedding, data_from_components, gaussian_components, gram_det
 from .groups import Family, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, canonical_angles
-from .integrate import _subseed, _torus_grid, section_weight_batch
-from .weights import delta_e_batch
+from .integrate import _subseed, _torus_grid
+from .weights import delta_e_batch, section_weight_batch
 from .mc import chunk_rngs, chunk_sizes
 
 

@@ -11,10 +11,13 @@ torus angles.  Direct sums take a tensor Gauss rule in the Bartlett
 coordinates B = wR of the section coordinate (w in W = U_d(k), R upper
 triangular with a positive diagonal; Edelman and Rao, Acta Numerica
 2005): Gauss-Hermite axes above the diagonal and half-range Gauss axes,
-built by Golub-Welsch, on it.  Both rules report |fine - coarse| as
-their error.  ``calibrate_vol_gn`` estimates vol(G/N) instead, as
-direct / reduced per integrand with a cross-check of the ratios between
-integrands; ``sectint volumes`` tests it against the exact value.
+built by Golub-Welsch, on it.  Their weight is the closed form
+``weights.section_weight_batch``, a constant times prod r_ii^(d(n-k)),
+or |t|^(dn-1) on the polar line (k = 1).  Both rules report
+|fine - coarse| as their error.  ``calibrate_vol_gn`` estimates
+vol(G/N) instead, as direct / reduced per integrand with a cross-check
+of the ratios between integrands; ``sectint volumes`` tests it against
+the exact value.
 """
 
 from __future__ import annotations
@@ -25,16 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import batch_to_real, eye, gram_det
+from .matrices import batch_to_real, gram_det
 from .groups import haar_sample_batch, torus_points
-from .actions import (
-    ActionSpec,
-    ConjugationAction,
-    DirectSumAction,
-    embed_section,
-    section_points,
-)
-from .weights import delta_e_batch, delta_e_generic
+from .actions import ActionSpec, ConjugationAction, DirectSumAction, section_points
+from .weights import delta_e_batch, section_weight_batch
 from .mc import McEstimate, mc_run, product, ratio
 from .volumes import group_volume, torus_volume
 
@@ -164,27 +161,6 @@ _FAMILIES = {
     "const": _fam_const,
     "first_coordinate": _fam_first_coordinate,
 }
-
-
-# --- section weights, vectorized ---------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _polar_unit_weight(action: DirectSumAction) -> float:
-    return delta_e_generic(action, embed_section(action, eye(action.field, 1)))
-
-
-def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
-    """Weight at the section points with flat coordinates z (m, dim).
-
-    For k >= 2 this is 2^(-dk(n-k)/2) |det B|^(d(n-k)) of the k x k
-    coordinate B, with |det B|^2 = gram_det(B).
-    """
-    d, n, k = action.field.dim, action.n, action.k
-    if k == 1:
-        # homogeneous of degree (ambient - section) in the radial coordinate
-        return _polar_unit_weight(action) * np.abs(z[:, 0]) ** (d * n - 1)
-    dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
-    return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
 
 
 # --- direct and reduced integrals --------------------------------------------

@@ -14,7 +14,8 @@ geometry (frames, Gram matrices, Jacobians) works in those coordinates.
 ``qr(field, data)`` is the one QR for all three fields: one batched
 LAPACK factorization of a stack of raw matrices, with diag(r) real and
 nonnegative.  It serves Haar sampling, the reduction of direct sums to
-the section (R of x = QR is the section coordinate) and the rank test.
+the section (R of x = QR is the section coordinate) and ``gram_det``
+near rank deficiency.
 """
 
 from __future__ import annotations
@@ -214,6 +215,7 @@ def inner(x: MatK, y: MatK) -> float:
 # --- QR --------------------------------------------------------------------
 
 RANK_CUTOFF = 1e-12  # diagonal entries of r at or below this times |x| are set to 0
+GRAM_REFINE = 1e-12  # gram_det at or below this times its Hadamard bound keeps < 4 digits; qr redoes it
 
 
 def _pairs(m: int) -> np.ndarray:
@@ -319,10 +321,13 @@ def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
     This is |x|^2 for k = 1 and g11 g22 - |g12|^2 for k = 2, from real
     arithmetic only: g12 = sum_r conj(x_r1) x_r2 is one batched product
     of the two columns' components, contracted with the field's table of
-    conj(e_a) e_b.  Rounding in that difference is clipped at 0, so a
-    rank-deficient x gives 0 or a value of order eps * |x|^4.  Larger k
-    takes LAPACK det of the Gram matrix of the complex embedding, whose
-    determinant is the square of the Moore determinant for H.
+    conj(e_a) e_b.  Larger k takes LAPACK det of the Gram matrix of the
+    complex embedding, whose determinant is the square of the Moore
+    determinant for H.  Both lose digits to cancellation as x nears rank
+    deficiency (about eps times the Hadamard bound prod |x_j|^2 is left
+    at rank-deficient x), so a det at or below GRAM_REFINE times that
+    bound is taken again as prod r_ii^2 from ``qr``: exactly 0 at rank
+    deficiency, and accurate near it.
     """
     m, _, k, d = comps.shape
     if k == 1:
@@ -332,24 +337,27 @@ def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
         g11 = np.einsum("mrd,mrd->m", u, u)
         g22 = np.einsum("mrd,mrd->m", v, v)
         g12 = np.matmul(np.swapaxes(u, 1, 2), v).reshape(m, d * d) @ _CONJ_PRODUCTS[field.value]
-        return np.maximum(g11 * g22 - np.einsum("mc,mc->m", g12, g12), 0.0)
-    x = complex_embedding(field, data_from_components(field, comps))
-    det = np.abs(np.linalg.det(np.matmul(np.swapaxes(x.conj(), 1, 2), x)))
-    return np.sqrt(det) if field is QUATERNION else det
+        det, bound = np.maximum(g11 * g22 - np.einsum("mc,mc->m", g12, g12), 0.0), g11 * g22
+    else:
+        x = complex_embedding(field, data_from_components(field, comps))
+        gram = np.matmul(np.swapaxes(x.conj(), 1, 2), x)
+        det, bound = np.abs(np.linalg.det(gram)), np.prod(np.diagonal(gram, axis1=1, axis2=2).real, axis=1)
+        if field is QUATERNION:
+            det, bound = np.sqrt(det), np.sqrt(bound)
+    near = det <= GRAM_REFINE * bound
+    if np.any(near):
+        r, i = qr(field, data_from_components(field, comps[near]))[1], np.arange(k)
+        det[near] = np.prod((r[:, i, i, 0] if field is QUATERNION else r[:, i, i]).real, axis=1) ** 2
+    return det
 
 
 def det_modulus(x: MatK) -> float:
     """|det x|; the Dieudonne determinant modulus for quaternions."""
     if not x.is_square():
         raise DimensionError("det_modulus requires a square matrix")
-    return float(det_moduli(x.field, x.data))
-
-
-def det_moduli(field: ScalarField, data: np.ndarray) -> np.ndarray:
-    """det_modulus of raw square matrix data with any leading axes."""
-    if field is QUATERNION:
-        return np.sqrt(np.abs(np.linalg.det(complex_embedding(field, data))))
-    return np.abs(np.linalg.det(data))
+    if x.field is QUATERNION:
+        return float(np.sqrt(np.abs(np.linalg.det(complex_embedding(x.field, x.data)))))
+    return float(np.abs(np.linalg.det(x.data)))
 
 
 def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray:

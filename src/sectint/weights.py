@@ -7,16 +7,22 @@ tangent of the Weyl orbit inside the section, and the complementary
 part, mapping onto the normal space of the section.  The absolute
 determinant of the second block is the weight by which section
 integrals reproduce ambient integrals; the first block's determinant
-scales Weyl orbit volumes.  The weight and the differential are
-evaluated for a whole batch of points at once from the split's Killing
-operator stack (its m slice for the weight); each |det| comes from one
-batched QR factorization.  For the stacked standard representations
-the weight also has the closed form
+scales Weyl orbit volumes.
+
+The weight has two implementations.  The generic kernel
+``delta_e_batch`` serves every action: the complementary Killing fields
+at a batch of points are one contraction with the m slice of the
+split's operator stack, and their |det| one batched QR.  The closed
+form ``section_weight_batch`` serves the direct sums, 1 <= k <= n-1:
 
     2 ** (-d k (n - k) / 2) * |det B| ** (d (n - k))
 
-with B the top k x k section coordinate and |det| the Dieudonne
-determinant modulus when the field is quaternionic.
+with B the top k x k section coordinate and |det B| = sqrt(gram_det(B))
+(the Dieudonne modulus over H).  On the polar line t e_1 (k = 1) it is
+2 ** (-d (n - 1) / 2) * |t| ** (d n - 1), one more factor |t| ** (d - 1),
+times sqrt((n - 1) / n) over C, where the imaginary unit at the first
+entry lies in su(n) only with a traceless correction.
+``checks.pointwise_checks`` compares the two for ``verify`` and ``delta``.
 """
 
 from __future__ import annotations
@@ -27,12 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import MatK, abs_det_between, det_moduli, mat, to_real_vector
+from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, to_real_vector
 from .actions import (
     ActionSpec,
+    DirectSumAction,
     RegularityClass,
     algebra_split,
     classify_point,
+    embed_section,
     killing_images,
 )
 
@@ -78,13 +86,6 @@ class OrbitMapDifferential:
     def delta_d(self) -> float | np.ndarray:
         """|det| of the Weyl block as a map onto the Weyl-orbit tangent."""
         return abs_det_between(np.swapaxes(self.w_block, -1, -2), self.n_w)
-
-    def delta_e(self) -> float | np.ndarray:
-        """|det| of the complementary block onto the section normal."""
-        blk = self.m_block
-        if blk.shape[-2] != blk.shape[-1]:
-            return self._value(np.zeros(blk.shape[:-2]))
-        return self._value(np.abs(np.linalg.det(blk)) if blk.shape[-1] else np.ones(blk.shape[:-2]))
 
     def total_det(self) -> float | np.ndarray:
         """|det| of the whole differential onto the orbit tangent."""
@@ -133,25 +134,30 @@ def delta_e_generic(action: ActionSpec, s: MatK, split=None) -> float:
     return float(delta_e_batch(action, to_real_vector(s)[None], split)[0])
 
 
-def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:
-    """Closed-form weight for the stacked standard representations.
+def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
+    """Closed-form weight at the section points with flat coordinates z (m, section_dim).
 
-    Only the tabulated range 2 <= k <= n-1 is covered; the polar k = 1
-    case is served by the generic evaluator instead.
+    The coordinates are those of B (k >= 2, with |det B|^2 = gram_det(B))
+    or the real t of the polar line (k = 1).
     """
-    if not 2 <= k <= n - 1:
-        raise ValueError("closed form requires 2 <= k <= n-1")
+    d, n, k = action.field.dim, action.n, action.k
+    if k == 1:
+        const = 2.0 ** (-d * (n - 1) / 2.0) * (np.sqrt((n - 1) / n) if action.field is COMPLEX else 1.0)
+        return const * np.abs(z[:, 0]) ** (d * n - 1)
+    dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
+    return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
+
+
+def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:
+    """section_weight_batch at one section coordinate B, checked: a k x k
+    matrix over field, real when k = 1."""
+    action = DirectSumAction(field, n, k)
     if not isinstance(b, MatK):
         b = mat(field, b)
     if b.shape != (k, k) or b.field is not field:
         raise ValueError(f"section coordinate must be a {k} x {k} matrix over {field.value}")
-    return float(delta_e_closed_form_batch(field, n, k, b.data))
-
-
-def delta_e_closed_form_batch(field: ScalarField, n: int, k: int, data: np.ndarray) -> np.ndarray:
-    """delta_e_closed_form at raw k x k coordinates with any leading axes, unchecked."""
-    d = field.dim
-    return 2.0 ** (-d * k * (n - k) / 2.0) * det_moduli(field, data) ** (d * (n - k))
+    z = to_real_vector(embed_section(action, b))[None, : action.section_dim]
+    return float(section_weight_batch(action, z)[0])
 
 
 def delta_d(action: ActionSpec, s: MatK) -> float:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from sectint.actions import DirectSumAction
-from sectint.integrate import TWO_PI, TestFunction, evaluate_test_function, section_weight_batch
+from sectint.integrate import TWO_PI, TestFunction, evaluate_test_function
+from sectint.weights import section_weight_batch
 from sectint.mc import McEstimate, mc_run
 
 

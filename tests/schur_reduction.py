@@ -52,14 +52,23 @@ def _reduce_direct_sum(action: DirectSumAction, x: MatK) -> tuple[MatK, GroupEle
 def _reduce_conj_su(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
     group = action.group
     t, q = scipy.linalg.schur(x.data, output="complex")
-    ang = np.mod(np.angle(np.diag(t)), 2 * np.pi)
-    order = np.argsort(ang, kind="stable")
+    ang = su_alcove_angles(np.angle(np.diag(t)))
+    order = np.argsort(-ang, kind="stable")
     q = q[:, order]
     ang = ang[order]
     det = np.linalg.det(q)
     q[:, 0] *= np.conj(det)
     gmat = MatK(COMPLEX, q.conj().T.copy())
     return torus_point(group, ang), GroupElement(group, gmat)
+
+
+def su_alcove_angles(ang: np.ndarray) -> np.ndarray:
+    """Eigenphases of an SU(n) element lifted to sum 0: each phase in
+    [0, 2 pi), then 2 pi off the round(sum / 2 pi) largest, one at a time."""
+    ang = np.mod(np.asarray(ang, dtype=float), 2 * np.pi)
+    for _ in range(int(round(ang.sum() / (2 * np.pi)))):
+        ang[np.argmax(ang)] -= 2 * np.pi
+    return ang
 
 
 def _reduce_conj_so(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:

@@ -21,7 +21,7 @@ from sectint.actions import (
     random_regular_section_point,
     section_coordinate,
 )
-from sectint.weights import delta_e_closed_form, delta_e_generic, orbit_map_differential
+from sectint.weights import delta_e_batch, delta_e_closed_form, delta_e_generic, orbit_map_differential
 from sectint.integrate import (
     calibrate_vol_gn,
     integrate_direct,
@@ -146,7 +146,8 @@ def test_criterion_05_factorization_and_blocks():
                 worst_block, d.off_block_residual() / max(np.abs(d.matrix).max(), 1e-300)
             )
             total = d.total_det()
-            worst_fact = max(worst_fact, abs(total - d.delta_d() * d.delta_e()) / max(1.0, total))
+            delta_e = delta_e_batch(action, to_real_vector(s)[None])[0]
+            worst_fact = max(worst_fact, abs(total - d.delta_d() * delta_e) / max(1.0, total))
     elapsed = time.time() - t0
     assert worst_fact <= 1e-8 and worst_block <= 1e-10
     assert elapsed < 10.0

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import eye, mat, to_real_vector, zeros
-from sectint.groups import Family, GroupSpec, haar_sample, torus_point
+from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
+from sectint.groups import Family, GroupSpec, haar_sample, haar_sample_batch, torus_point
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
     RegularityClass,
     act,
+    act_data,
     action_from_json,
     action_to_json,
     algebra_split,
+    canonical_angles,
     classify_point,
     embed_section,
     isotropy_algebra,
@@ -24,6 +26,7 @@ from sectint.actions import (
     random_ambient_point,
     random_regular_section_point,
     reduce_to_section,
+    reduce_to_section_batch,
     section_coordinate,
     section_frame,
 )
@@ -172,6 +175,16 @@ def test_classification():
     from sectint.groups import torus_point
 
     assert classify_point(c, torus_point(c.group, [1.0])) is RegularityClass.REGULAR
+    # one rule for both families: isotropy of the dimension of the section's stabilizer algebra
+    for field in (C, H):
+        b = gaussian(field, 2, 2, np.random.default_rng(17))
+        b.data[1] = b.data[0]
+        a = DirectSumAction(field, 3, 2)
+        assert classify_point(a, embed_section(a, b)) is RegularityClass.SINGULAR
+        assert classify_point(a, embed_section(a, eye(field, 2))) is RegularityClass.REGULAR
+        polar = DirectSumAction(field, 3, 1)
+        assert classify_point(polar, embed_section(polar, eye(field, 1))) is RegularityClass.REGULAR
+        assert classify_point(polar, zeros(field, 3, 1)) is RegularityClass.SINGULAR
 
 
 def test_isotropy_constancy_along_regular_section():
@@ -268,6 +281,17 @@ def test_reduce_conjugation_singular_points():
     for action, p in _singular_conjugation_points():
         s, g = reduce_with_witness(action, p)
         assert (act(action, g, p) - s).norm() < 1e-10
+
+
+def test_su3_conjugates_of_an_eigenvalue_one_reduce_to_one_point():
+    # the eigenvalue 1 has phase 0 or 2 pi - eps by rounding; the canonical
+    # angles sum to 0 and are sorted in descending order, so both give (0.5, 0, -0.5)
+    su3 = ConjugationAction(GroupSpec(Family.SU, 3))
+    g = haar_sample_batch(su3.group, np.random.default_rng(16), 200)
+    d = np.diag(np.exp(1j * np.array([0.0, 0.5, -0.5])))
+    pts = reduce_to_section_batch(su3, act_data(su3, g, d))
+    assert np.abs(pts - pts[0]).max() <= 1e-12
+    np.testing.assert_allclose(canonical_angles(su3.group, d[None])[0], [0.5, 0.0, -0.5], rtol=0, atol=1e-12)
 
 
 def test_reduce_abelian_conjugation_is_identity():

@@ -103,6 +103,31 @@ def test_delta_conjugation_singular_angle(capsys):
     assert rep["results"]["regularity"] == "singular"
 
 
+@pytest.mark.parametrize("action, point", [
+    (SO3K2, "[[1.0, 0.5], [-0.3, 2.0]]"),
+    (C42, "[[[1.0, 0.5], [0.2, -0.3]], [[-0.3, 0.1], [2.0, 0.4]]]"),
+    ('{"kind":"direct_sum","field":"R","n":4,"k":1}', "[[1.3]]"),
+    ('{"kind":"conjugation","family":"SU","n":3}', "[0.4, 2.0]"),
+], ids=["R(3,2)", "C(4,2)", "R(4,1)", "SU(3)"])
+def test_delta_and_verify_agree_at_one_point(capsys, monkeypatch, action, point):
+    # verify's pointwise checks at the delta point are delta's checks, value for value
+    import sectint.checks
+    from sectint.cli import _parse_point
+    from sectint.matrices import to_real_vector
+
+    spec = action_from_json(json.loads(action))
+    flat = to_real_vector(_parse_point(spec, point))[None]
+    monkeypatch.setattr(sectint.checks, "random_regular_section_points", lambda *args: flat)
+    code, rep = run_cli(capsys, ["delta", "--action", action, "--point", point])
+    assert code == 0
+    verify = {c["name"]: c for c in run_cli(capsys, ["verify", "--action", action, "--points", "1"])[1]["checks"]}
+    names = ["block_diagonality", "differential_factorization"]
+    if isinstance(spec, DirectSumAction):
+        names.append("weight_closed_vs_generic")
+    assert [c["name"] for c in rep["checks"]] == names
+    assert rep["checks"] == [verify[name] for name in names]
+
+
 def test_bad_function_name_exits_nonzero(capsys):
     code = main(["integrate", "--action", SO3K2, "--functions", "nope", "--n", "100"])
     assert code == 2
@@ -157,6 +182,15 @@ def test_huge_integer_point_exits_2(capsys, action, point):
     assert "point parse error" in err and "too large" in err
 
 
+@pytest.mark.parametrize("field", ["C", "H"])
+def test_off_section_polar_point_exits_2(capsys, field):
+    # the polar section is the real line, so a non-real entry is no section point
+    action = f'{{"kind":"direct_sum","field":"{field}","n":3,"k":1}}'
+    point = "[[[0.6,0.8]]]" if field == "C" else "[[[0.6,0,0.8,0]]]"
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", point])
+    assert "off the section" in err
+
+
 def test_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -181,6 +215,15 @@ def test_parser_builds_only_the_chosen_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert "--points" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_command():
+    from sectint.cli import build_parser
+
+    assert build_parser("delta") is build_parser("delta")
+    assert build_parser("delta") is not build_parser("verify")
+    # any name that is not a subcommand shares the one parser of all names
+    assert build_parser("bogus") is build_parser("--help") is build_parser(None)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from sectint.ensembles import (
     sample_ensemble,
 )
 from matrix_oracles import gram_schmidt_qr
-from schur_reduction import reduce_with_witness, torus_angles
+from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
 
 R, H = ScalarField.REAL, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)
@@ -112,8 +112,8 @@ def _per_point_angles(action, g):
     """Canonical angles of one group element by Schur reduction to the torus."""
     s, _ = reduce_with_witness(action, g)
     ang = torus_angles(action, s)
-    # torus_angles gives SU angles in (-pi, pi]; canonical ones are sorted in [0, 2 pi)
-    return np.sort(np.mod(ang, 2 * np.pi)) if action.group.family is Family.SU else ang
+    # torus_angles gives SU angles in (-pi, pi]; canonical ones sum to 0, in descending order
+    return np.sort(su_alcove_angles(ang))[::-1] if action.group.family is Family.SU else ang
 
 
 @pytest.mark.parametrize("action", CONJ_REPLAY, ids=str)

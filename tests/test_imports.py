@@ -72,3 +72,29 @@ assert code == 0, code
 print({LOADED_SCIPY})
 """
     assert _run(code) == "[]"
+
+
+def _traced_entries():
+    """TRACED of perfbench/tracing.py, read as a literal: the harness is not imported."""
+    import ast
+
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "TRACED")
+    return ast.literal_eval(node.value)
+
+
+@pytest.mark.parametrize("module, func, counted", _traced_entries(), ids=lambda v: v if isinstance(v, str) else "")
+def test_traced_functions_resolve(module, func, counted):
+    # a function moved out of a traced module fails here rather than in a traced benchmark run
+    import importlib
+    import inspect
+
+    fn = getattr(importlib.import_module(f"sectint.{module}"), func)
+    if counted is not None:
+        assert counted[0] in inspect.signature(fn).parameters
+
+
+def test_benchmark_setup_names_resolve():
+    import sectint.volumes
+
+    assert callable(sectint.volumes.cached_group_volume)

@@ -25,13 +25,13 @@ from sectint.checks import _corrupted_split, all_passed, run_action_checks
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.matrices import from_real_vector, to_real_vector
-from sectint.weights import orbit_map_differentials
+from sectint.weights import delta_e_batch, orbit_map_differentials
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
-R32, H32 = DirectSumAction(R, 3, 2), DirectSumAction(H, 3, 2)
+R32, H32, R41 = DirectSumAction(R, 3, 2), DirectSumAction(H, 3, 2), DirectSumAction(R, 4, 1)
 SO3, SP2 = ConjugationAction(GroupSpec(Family.SO, 3)), ConjugationAction(GroupSpec(Family.SP, 2))
 ACTION_TABLE = [
-    R32, DirectSumAction(C, 4, 2), H32, DirectSumAction(R, 4, 1),
+    R32, DirectSumAction(C, 4, 2), H32, R41,
     ConjugationAction(GroupSpec(Family.SU, 2)), ConjugationAction(GroupSpec(Family.SU, 3)), SO3,
     ConjugationAction(GroupSpec(Family.SO, 4)), ConjugationAction(GroupSpec(Family.SP, 1)), SP2,
 ]
@@ -68,7 +68,7 @@ def test_batched_kernels_match_per_point_oracle(action):
     rng = np.random.default_rng(22)
     pts = random_regular_section_points(action, rng, 8)
     diff = orbit_map_differentials(action, pts)
-    dets = np.stack([diff.total_det(), diff.delta_e(), diff.delta_d()], axis=1)
+    dets = np.stack([diff.total_det(), delta_e_batch(action, pts), diff.delta_d()], axis=1)
     u, sv, vh = killing_svd(action, pts)
     null, ranks = isotropy_mask(sv), orbit_ranks(sv, pts)
     frames = np.concatenate(section_frames(action, pts), axis=1)
@@ -94,8 +94,8 @@ def test_batched_kernels_match_per_point_oracle(action):
 
 @pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
 def test_verify_passes_with_the_same_checks(action):
-    expected = [c for c in CHECKS if c[0] != "weight_closed_vs_generic"
-                or (isinstance(action, DirectSumAction) and action.k >= 2)]
+    # every direct sum, the polar R(4,1) included, compares the closed-form weight
+    expected = [c for c in CHECKS if c[0] != "weight_closed_vs_generic" or isinstance(action, DirectSumAction)]
     for seed in (1, 2, 3):
         results = run_action_checks(action, seed=seed)
         assert [(r.name, r.threshold) for r in results] == expected
@@ -104,8 +104,10 @@ def test_verify_passes_with_the_same_checks(action):
 
 @pytest.mark.parametrize(
     "action, failing",
-    [(R32, {"algebra_split_orthonormal", "weight_closed_vs_generic"}), (SO3, {"algebra_split_orthonormal"})],
-    ids=str,
+    [(R32, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
+     (R41, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
+     (SO3, {"algebra_split_orthonormal"})],
+    ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else str(v),  # a set's repr order varies by process
 )
 def test_corrupted_metric_fails_the_same_checks(action, failing):
     base, corrupted = algebra_split(action), _corrupted_split(action, 1.1)

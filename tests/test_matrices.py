@@ -348,3 +348,20 @@ def test_gram_det_rank_deficient_is_small_and_nonnegative(field, k):
     assert not np.any(np.isnan(dets))
     assert np.all(dets >= 0.0)
     assert np.all(dets <= 1e-12 * scale)
+    if k > 1:  # the Gram difference left about eps * scale here; qr reads it as 0
+        assert np.all(dets == 0.0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_gram_det_is_accurate_near_rank_deficiency(field, k):
+    # the last column is the first plus 1e-8 times a Gaussian column: |det x| is
+    # right to within qr's rank cutoff, about 1e-12 of the Hadamard bound prod |x_j|,
+    # where sqrt of the Gram difference is off by up to sqrt(eps), about 1e-8, of it
+    rng = np.random.default_rng(30 + k)
+    for _ in range(10):
+        x = gaussian(field, k, k, rng)
+        x.data[:, -1] = x.data[:, 0] + 1e-8 * gaussian(field, k, 1, rng).data[:, 0]
+        comps = to_real_vector(x).reshape(1, k, k, field.dim)
+        hadamard = np.sqrt(np.prod(np.sum(comps ** 2, axis=(1, 3))))
+        assert abs(np.sqrt(gram_det(field, comps)[0]) - det_modulus(x)) <= 1e-11 * hadamard

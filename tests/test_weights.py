@@ -17,6 +17,7 @@ from sectint.actions import (
     normalizer_sample,
     random_regular_section_point,
     section_coordinate,
+    section_points,
 )
 from sectint.checks import all_passed, run_action_checks
 from sectint.weights import (
@@ -26,6 +27,7 @@ from sectint.weights import (
     delta_e_generic,
     orbit_map_differential,
     orbit_volume,
+    section_weight_batch,
     weight_value,
 )
 
@@ -50,8 +52,9 @@ def test_worked_example_complex():
 
 
 def test_closed_form_rejects_polar_and_out_of_range():
+    # the polar section is the real line: a non-real coordinate is off it
     with pytest.raises(ValueError):
-        delta_e_closed_form(R, 3, 1, np.eye(1))
+        delta_e_closed_form(C, 3, 1, np.array([[0.6 + 0.8j]]))
     with pytest.raises(ValueError):
         delta_e_closed_form(R, 3, 3, np.eye(3))
     with pytest.raises(ValueError):
@@ -67,6 +70,29 @@ def test_generic_matches_closed_form_sampled():
             closed = delta_e_closed_form(f, n, k, section_coordinate(a, s))
             generic = delta_e_generic(a, s)
             assert abs(generic - closed) <= 1e-8 * (1.0 + closed)
+
+
+@pytest.mark.parametrize("field", [R, C, H])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_polar_closed_form_matches_generic(field, n):
+    # 2^(-d(n-1)/2) |t|^(dn-1), times sqrt((n-1)/n) over C
+    a = DirectSumAction(field, n, 1)
+    t = np.random.default_rng(n).standard_normal(20) * 2.0
+    pts = section_points(a, t[:, None])
+    closed = section_weight_batch(a, t[:, None])
+    np.testing.assert_allclose(closed, delta_e_batch(a, pts), rtol=1e-13, atol=0)
+    unit = delta_e_batch(a, pts[:1] / t[0])[0]
+    assert delta_e_closed_form(field, n, 1, eye(field, 1)) == pytest.approx(unit, rel=1e-13)
+
+
+def test_closed_form_is_exactly_zero_at_rank_deficient_coordinates():
+    # the Gram difference leaves about eps |B|^4 when the rows of B are equal; gram_det reads it as 0
+    rng = np.random.default_rng(4)
+    for field, n, k in [(R, 3, 2), (R, 4, 3), (C, 4, 2), (H, 3, 2)]:
+        a = DirectSumAction(field, n, k)
+        z = rng.standard_normal((200, k, k * field.dim))
+        z[:, -1] = z[:, 0]
+        assert np.all(section_weight_batch(a, z.reshape(200, -1)) == 0.0)
 
 
 def test_singular_weight_is_exactly_zero():
@@ -106,7 +132,7 @@ def test_block_structure_and_factorization():
             s = random_regular_section_point(a, rng)
             d = orbit_map_differential(a, s)
             assert d.off_block_residual() <= 1e-10 * max(np.abs(d.matrix).max(), 1e-300)
-            total, de, dd = d.total_det(), d.delta_e(), d.delta_d()
+            total, de, dd = d.total_det(), delta_e_batch(a, to_real_vector(s)[None])[0], d.delta_d()
             assert abs(total - de * dd) <= 1e-8 * max(1.0, total)
 
 

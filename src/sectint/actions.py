@@ -23,19 +23,24 @@ function is a batch of one.
 The Killing fields are linear in the point: ``AlgebraSplit.operators``
 stacks them, one (D, D) matrix per element of the split basis h + w + m.
 The fields at a stack of points are one contraction
-(``killing_images``), and one batched SVD of them (``killing_svd``)
-gives the orbit tangent and normal spaces and the isotropy algebra.
-``reduce_to_section_batch`` takes one QR (direct sums, ``matrices.qr``)
-or one eigensolve (conjugation, ``canonical_angles``).  The module
-needs only numpy.
+(``killing_images``), which an ``OrbitMapDifferential`` holds with
+their one batched SVD.  Every pointwise quantity is read from it: the
+orbit map's differential and determinants, the isotropy algebra, the
+orbit frames and the regularity class (regular, exceptional where a
+Weyl element fixes a regular point, or singular).  Random regular
+section points are the draws whose smallest singular value of the w + m
+fields exceeds ``min_gap``.  ``reduce_to_section_batch`` takes one QR
+(direct sums, ``matrices.qr``) or one eigensolve (conjugation,
+``canonical_angles``).  The module needs only numpy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .matrices import (
     REAL,
     DimensionError,
     MatK,
+    abs_det_between,
     batch_from_real,
     batch_to_real,
     complex_embedding,
@@ -242,19 +248,6 @@ def section_coordinate(action: DirectSumAction, s: MatK) -> MatK:
 
 # --- frames -----------------------------------------------------------------
 
-class SectionFrame(NamedTuple):
-    """Orthonormal real frames of T_s(section) and of its normal space."""
-
-    tangent: np.ndarray  # (dim section, D)
-    normal: np.ndarray   # (normal_dim, D)
-
-
-def section_frame(action: ActionSpec, s: MatK) -> SectionFrame:
-    """section_frames at one point."""
-    tangent, normal = section_frames(action, to_real_vector(s)[None])
-    return SectionFrame(tangent[0], normal[0])
-
-
 def section_frames(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frames of T_s(section) (m, dim section, D) and of its normal space
     (m, normal_dim, D) at flat section points (m, D).
@@ -283,28 +276,128 @@ def killing_images(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarra
     return np.concatenate(section_frames(action, pts), axis=1) @ images
 
 
-def killing_svd(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batched SVD u, sv, vh of killing_images at flat points (m, D).
+@dataclass(eq=False)
+class OrbitMapDifferential:
+    """The orbit maps at section points, from one killing_images call.
 
-    Columns of u with sv above orbit_ranks' cutoff span the orbit tangent,
-    in section-frame coordinates, and the rest its normal space in T_pM.
-    Rows of vh in isotropy_mask are split-basis coefficients of the
-    isotropy algebra.  sv is padded with zeros to one value per basis element.
+    ``images`` holds the fields of h + w + m at the flat points ``pts``
+    (m, D); a single point drops the leading axis of both, and the
+    methods then return one value.  The h columns vanish along the
+    section, and the w and m columns are the differential proper
+    (``matrix``): block diagonal at regular points, the Weyl columns
+    hitting only section-tangent rows and the complementary ones only
+    normal rows.  One batched SVD of the images, made on first use,
+    gives the isotropy algebra, the orbit ranks and frames, the
+    regularity class and the regularity margin.
     """
-    images = killing_images(action, pts)
-    u, sv, vh = np.linalg.svd(images)
-    return u, np.pad(sv, ((0, 0), (0, images.shape[2] - sv.shape[1]))), vh
+
+    split: AlgebraSplit
+    pts: np.ndarray
+    images: np.ndarray
+    _svd: tuple | None = dataclasses.field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.action, self.n_h, self.n_w = self.split.action, len(self.split.h_basis), len(self.split.w_basis)
+        self.n_tan = self.action.section_dim  # section-tangent rows come first
+
+    def __getitem__(self, i) -> OrbitMapDifferential:
+        """The points i (an index, slice or mask), with their SVD once it is made."""
+        svd = None if self._svd is None else tuple(a[i] for a in self._svd)
+        return OrbitMapDifferential(self.split, self.pts[i], self.images[i], svd)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.images[..., self.n_h :]
+
+    @property
+    def w_block(self) -> np.ndarray:
+        return self.matrix[..., : self.n_tan, : self.n_w]
+
+    @property
+    def m_block(self) -> np.ndarray:
+        return self.matrix[..., self.n_tan :, self.n_w :]
+
+    def off_block_residual(self) -> float | np.ndarray:
+        """Largest stray entry outside the two diagonal blocks."""
+        a = np.abs(self.matrix)
+        corners = (a[..., : self.n_tan, self.n_w :], a[..., self.n_tan :, : self.n_w])
+        worst = np.maximum(*(np.max(c, axis=(-2, -1), initial=0.0) for c in corners))
+        return float(worst) if self.pts.ndim == 1 else worst
+
+    def delta_d(self) -> float | np.ndarray:
+        """|det| of the Weyl block as a map onto the Weyl-orbit tangent."""
+        return abs_det_between(np.swapaxes(self.w_block, -1, -2), self.n_w)
+
+    def total_det(self) -> float | np.ndarray:
+        """|det| of the whole differential onto the orbit tangent."""
+        return abs_det_between(np.swapaxes(self.matrix, -1, -2), self.matrix.shape[-1])
+
+    @property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u, sv, vh of the images, sv padded with zeros to one value per
+        basis element.  The columns of u past the orbit rank span the orbit
+        normal in T_pM, in section-frame coordinates; the rows of vh in
+        isotropy_mask are split-basis coefficients of the isotropy algebra."""
+        if self._svd is None:
+            u, sv, vh = np.linalg.svd(self.images)
+            pad = [(0, 0)] * (sv.ndim - 1) + [(0, self.images.shape[-1] - sv.shape[-1])]
+            self._svd = (u, np.pad(sv, pad), vh)
+        return self._svd
+
+    def isotropy_mask(self, tol: float = 1e-8) -> np.ndarray:
+        """Singular values at or below tol times the largest: the isotropy directions."""
+        sv = self.svd[1]
+        return sv <= tol * np.where(sv[..., :1] > 0, sv[..., :1], 1.0)
+
+    def orbit_ranks(self) -> np.ndarray:
+        """Orbit dimension: the singular values above 1e-8 max(|p|, 1)."""
+        cutoff = 1e-8 * np.maximum(np.linalg.norm(self.pts, axis=-1), 1.0)
+        return np.sum(self.svd[1] > cutoff[..., None], axis=-1)
+
+    def orbit_frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal (realified) bases of the orbit tangent and of its normal space in T_pM; one point."""
+        frames = np.concatenate(section_frames(self.action, self.pts[None]), axis=1)[0]
+        rows, rank = self.svd[0].T @ frames, self.orbit_ranks()
+        return rows[:rank], rows[rank:]
+
+    def regular_margin(self) -> np.ndarray:
+        """Smallest singular value of the w + m columns; infinite where there are none (SO(2))."""
+        sv, q = self.svd[1], self.images.shape[-1] - self.n_h
+        return sv[..., q - 1] if q else np.full(sv.shape[:-1], np.inf)
+
+    def weyl_stabilizer_order(self) -> np.ndarray:
+        """Order of a regular point's stabilizer in the Weyl group: 2 where
+        SO(2m+1) has an angle at pi, or SO(2m) one at 0 and another at pi
+        (within _ANGLE_TOL), and 1 elsewhere.  SU(n) and Sp(n) are simply
+        connected, and a full-rank B has a trivial stabilizer."""
+        group, flat = self.action.group, np.atleast_2d(self.pts)
+        if not (isinstance(self.action, ConjugationAction) and group.family is Family.SO):
+            return np.ones(self.pts.shape[:-1], dtype=int)
+        ang = np.abs(canonical_angles(group, batch_from_real(REAL, group.n, group.n, flat)))
+        fixed = np.any(ang > np.pi - _ANGLE_TOL, axis=1) & (group.n % 2 == 1 or np.any(ang < _ANGLE_TOL, axis=1))
+        return np.where(fixed, 2, 1).reshape(self.pts.shape[:-1])
+
+    def regularity(self) -> RegularityClass | np.ndarray:
+        """Regular exactly when the isotropy algebra has the dimension of the
+        principal one, h's (a direct sum's point then has full rank k, a
+        group element's centralizer the group's rank); exceptional when a
+        non-identity Weyl element also fixes the point, else singular."""
+        regular = np.sum(self.isotropy_mask(), axis=-1) == self.n_h
+        return _CLASSES[np.where(regular, np.where(self.weyl_stabilizer_order() > 1, 1, 0), 2)]
 
 
-def orbit_ranks(sv: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Orbit dimension at each point: singular values above 1e-8 max(|p|, 1)."""
-    return np.sum(sv > 1e-8 * np.maximum(np.linalg.norm(pts, axis=1), 1.0)[:, None], axis=1)
+_CLASSES = np.array([RegularityClass.REGULAR, RegularityClass.EXCEPTIONAL, RegularityClass.SINGULAR])
 
 
-def isotropy_mask(sv: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Singular values at or below tol times the largest: the isotropy directions."""
-    top = sv[:, :1]
-    return sv <= tol * np.where(top > 0, top, 1.0)
+def orbit_map_differentials(action: ActionSpec, pts: np.ndarray, split=None) -> OrbitMapDifferential:
+    """The orbit maps at flat section points (m, D)."""
+    split = split or algebra_split(action)
+    return OrbitMapDifferential(split, pts, killing_images(action, pts, split))
+
+
+def orbit_map_differential(action: ActionSpec, s: MatK, split=None) -> OrbitMapDifferential:
+    """The orbit map at one section point; a batch of one."""
+    return orbit_map_differentials(action, to_real_vector(s)[None], split)[0]
 
 
 # --- the reductive algebra split -------------------------------------------
@@ -330,21 +423,17 @@ class AlgebraSplit:
         return self.h_basis + self.w_basis
 
     @functools.cached_property
-    def h_rows(self) -> np.ndarray:
-        return _stack_rows(self.h_basis, self.action)
-
-    @functools.cached_property
-    def w_rows(self) -> np.ndarray:
-        return _stack_rows(self.w_basis, self.action)
-
-    @functools.cached_property
-    def m_rows(self) -> np.ndarray:
-        return _stack_rows(self.m_basis, self.action)
-
-    @functools.cached_property
     def rows(self) -> np.ndarray:
         """Flat coordinates of the basis h + w + m, one row each."""
-        return np.concatenate([self.h_rows, self.w_rows, self.m_rows])
+        return _stack_rows(self.h_basis + self.w_basis + self.m_basis, self.action)
+
+    @property
+    def h_rows(self) -> np.ndarray:
+        return self.rows[: len(self.h_basis)]
+
+    @property
+    def w_rows(self) -> np.ndarray:
+        return self.rows[len(self.h_basis) : len(self.h_basis) + len(self.w_basis)]
 
     @functools.cached_property
     def data(self) -> np.ndarray:
@@ -454,42 +543,24 @@ def bracket(x: MatK, y: MatK) -> MatK:
 
 def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> tuple[MatK, ...]:
     """Orthonormal basis of the algebra of the stabilizer of p."""
-    _, sv, vh = killing_svd(action, to_real_vector(p)[None])
-    rows = vh[0][isotropy_mask(sv, tol)[0]] @ algebra_split(action).rows
+    diff = orbit_map_differential(action, p)
+    rows = diff.svd[2][diff.isotropy_mask(tol)] @ diff.split.rows
     return tuple(from_real_vector(action.field, action.group.n, action.group.n, r) for r in rows)
 
 
 def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:
-    """Regular / singular classification.
-
-    Regular exactly when the isotropy algebra has the dimension of the
-    principal one, the stabilizer algebra h of the section (a direct
-    sum's point then has full rank k, a group element's centralizer
-    the group's rank).  The stabilizers along regular section points
-    are connected, so no exceptional class occurs.
-    """
-    iso_dim = np.sum(isotropy_mask(killing_svd(action, to_real_vector(p)[None])[1]))
-    regular = iso_dim == len(algebra_split(action).h_basis)
-    return RegularityClass.REGULAR if regular else RegularityClass.SINGULAR
-
-
-def _orbit_frames(action: ActionSpec, p: MatK) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (realified) bases of the orbit tangent and of its normal space in T_p M."""
-    pts = to_real_vector(p)[None]
-    u, sv, _ = killing_svd(action, pts)
-    rows = u[0].T @ np.concatenate(section_frames(action, pts), axis=1)[0]
-    rank = orbit_ranks(sv, pts)[0]
-    return rows[:rank], rows[rank:]
+    """Regular / exceptional / singular classification (OrbitMapDifferential.regularity)."""
+    return orbit_map_differential(action, p).regularity()
 
 
 def orbit_tangent(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal (realified) basis of the tangent space of the orbit."""
-    return _orbit_frames(action, p)[0]
+    return orbit_map_differential(action, p).orbit_frames()[0]
 
 
 def orbit_normal(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal basis of the normal space of the orbit inside T_p M."""
-    return _orbit_frames(action, p)[1]
+    return orbit_map_differential(action, p).orbit_frames()[1]
 
 
 # --- reduction to the section ----------------------------------------------
@@ -574,23 +645,26 @@ def random_regular_section_point(
     action: ActionSpec, rng: np.random.Generator, scale: float = 1.0, min_gap: float = 5e-2
 ) -> MatK:
     """Random section point safely inside the regular set; a batch of one."""
-    flat = random_regular_section_points(action, rng, 1, scale, min_gap)[0]
+    flat = random_regular_section_points(action, rng, 1, scale, min_gap).pts[0]
     return from_real_vector(action.field, *action.shape, flat)
 
 
 def random_regular_section_points(
     action: ActionSpec, rng: np.random.Generator, count: int, scale: float = 1.0, min_gap: float = 5e-2
-) -> np.ndarray:
-    """Flat random section points (count, D) safely inside the regular
-    set: the draws within min_gap of the singular set are redrawn, as one batch."""
+) -> OrbitMapDifferential:
+    """The orbit maps at count random section points safely inside the
+    regular set: the draws whose regular_margin is at most min_gap are
+    redrawn, as one batch."""
     kept, need = [], count
     for _ in range(1000):
         coords = _section_coords(action, rng, need, scale)
-        regular = _regular_coords(action, coords, min_gap)
-        kept.append(coords[regular])
+        draws = orbit_map_differentials(action, section_points(action, coords))
+        regular = draws.regular_margin() > min_gap
+        kept.append(draws[regular])
         need -= int(np.sum(regular))
-        if need == 0:
-            return section_points(action, np.concatenate(kept))
+        if need == 0:  # one batch of the kept rows, their SVDs included
+            pts, images, *svd = (np.concatenate(a) for a in zip(*((d.pts, d.images, *d.svd) for d in kept)))
+            return OrbitMapDifferential(kept[0].split, pts, images, tuple(svd))
     raise RuntimeError("failed to sample a regular section point")
 
 
@@ -611,25 +685,6 @@ def section_points(action: ActionSpec, coords: np.ndarray) -> np.ndarray:
     pts = np.zeros((len(coords), action.ambient_dim))
     pts[:, : coords.shape[1]] = coords
     return pts
-
-
-def _regular_coords(action: ActionSpec, coords: np.ndarray, gap: float) -> np.ndarray:
-    """Which section coordinates lie farther than gap from the singular set."""
-    if isinstance(action, DirectSumAction):
-        b = batch_from_real(action.field, action.k, action.k, coords)
-        return np.linalg.svd(complex_embedding(action.field, b), compute_uv=False)[:, -1] > gap
-    fam, n = action.group.family, action.group.n
-    if fam is Family.SU:
-        full = np.concatenate([coords, -np.sum(coords, axis=1, keepdims=True)], axis=1)
-        i, j = np.triu_indices(n, 1)
-        diffs = np.mod(full[:, i] - full[:, j], 2 * np.pi)
-        return np.all(np.minimum(diffs, 2 * np.pi - diffs) > gap, axis=1)
-    # SO / Sp: root hyperplanes at equal or opposite angles and at 0, pi
-    a = np.mod(coords, 2 * np.pi)
-    a = np.minimum(a, 2 * np.pi - a)
-    i, j = np.triu_indices(a.shape[1], 1)
-    off_walls = np.all((a >= gap) & (np.abs(a - np.pi) >= gap), axis=1)
-    return off_walls & np.all(np.abs(a[:, i] - a[:, j]) > gap, axis=1)
 
 
 def normalizer_sample(action: ActionSpec, rng: np.random.Generator) -> GroupElement:

@@ -11,11 +11,12 @@ report and a negative-control harness (a corrupted metric must fail).
 
 Every check runs on a batch.  The points of one kind are drawn at once
 (section points, normalizer elements, ambient points and Haar
-elements).  The Killing fields of the whole split basis at all of them
-are one contraction with the operator stack ``AlgebraSplit.operators``,
-and each determinant, rank or frame is one batched LAPACK call: QR for
-the determinants, SVD for the isotropy algebra and the orbit normal
-spaces.
+elements).  The regular section points come with their
+``OrbitMapDifferential``, the one evaluation of the Killing fields that
+the draw made: the differential, isotropy and orbit checks all read it,
+the determinants by one batched QR and the rest from its one SVD.  The
+weight they compare with comes from the separate kernel
+``delta_e_batch``.
 """
 
 from __future__ import annotations
@@ -24,23 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import MatK, batch_from_real, batch_to_real, conj_transpose, eye, matmul, zeros
+from .matrices import batch_from_real, batch_to_real, conj_transpose, eye, matmul, zeros
 from .groups import haar_sample_batch
 from .actions import (
     ActionSpec,
     AlgebraSplit,
     DirectSumAction,
+    OrbitMapDifferential,
     act_data,
     algebra_split,
-    isotropy_mask,
-    killing_svd,
     normalizer_samples,
-    orbit_ranks,
     random_ambient_points,
     random_regular_section_points,
     reduce_to_section_batch,
 )
-from .weights import OrbitMapDifferential, delta_e_batch, delta_e_generic, orbit_map_differentials, section_weight_batch
+from .weights import delta_e_batch, delta_e_generic, section_weight_batch
 
 
 @dataclass(frozen=True)
@@ -75,23 +74,30 @@ def _corrupted_split(action: ActionSpec, factor: float) -> AlgebraSplit:
     return AlgebraSplit(action, base.h_basis, base.w_basis, tuple(factor * m for m in base.m_basis))
 
 
+def _in_split(diff: OrbitMapDifferential, split: AlgebraSplit) -> OrbitMapDifferential:
+    """diff in another basis of its algebra: the Killing fields are linear in the algebra element."""
+    change = split.rows @ diff.split.rows.T
+    return diff if split is diff.split else OrbitMapDifferential(split, diff.pts, diff.images @ change.T)
+
+
 def pointwise_checks(
-    action: ActionSpec, pts: np.ndarray, split=None, tol_rel: float = 1e-8, tol_abs: float = 1e-10
-) -> tuple[list[CheckResult], dict[str, np.ndarray], OrbitMapDifferential]:
-    """The checks of the orbit-map differential and the weight at flat section points (m, D).
+    diff: OrbitMapDifferential, tol_rel: float = 1e-8, tol_abs: float = 1e-10
+) -> tuple[list[CheckResult], dict[str, np.ndarray]]:
+    """The checks of the orbit-map differentials at a batch of section points and of the weight there.
 
     block_diagonality and differential_factorization, and on direct sums
     weight_closed_vs_generic, each the worst over the points.  Also
     returns the values they compare, one per point and named as
-    ``sectint delta`` reports them, and the differentials.
+    ``sectint delta`` reports them.  The weight comes from the generic
+    kernel delta_e_batch, independent of diff.
     """
-    diff = orbit_map_differentials(action, pts, split)
+    action, pts = diff.action, diff.pts
     scale = np.maximum(np.max(np.abs(diff.matrix), axis=(1, 2), initial=0.0), 1e-300)
     values = {
         "block_residual": diff.off_block_residual() / scale,
         "det_total": diff.total_det(),
         "delta_d": diff.delta_d(),
-        "delta_generic": delta_e_batch(action, pts, split),
+        "delta_generic": delta_e_batch(action, pts, diff.split),
     }
     total, dd, generic = values["det_total"], values["delta_d"], values["delta_generic"]
     checks = [
@@ -101,7 +107,7 @@ def pointwise_checks(
     if isinstance(action, DirectSumAction):
         closed = values["delta_closed_form"] = section_weight_batch(action, pts[:, : action.section_dim])
         checks.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
-    return checks, values, diff
+    return checks, values
 
 
 def run_action_checks(
@@ -132,26 +138,28 @@ def run_action_checks(
     moved = batch_to_real(field, matmul(field, matmul(field, g, y), conj_transpose(field, g)))
     out.append(_result("ad_normalizer_invariance", _largest(moved @ rows[: nh + nw].T), tol_rel))
 
-    # pointwise structure at random regular section points
-    pts = random_regular_section_points(action, rng, n_points)
-    checks, values, diff = pointwise_checks(action, pts, split, tol_rel, tol_abs)
+    # pointwise structure at random regular section points, whose orbit
+    # maps the draws evaluated once
+    draws = random_regular_section_points(action, rng, n_points)
+    pts, diff = draws.pts, _in_split(draws, split)
+    checks, values = pointwise_checks(diff, tol_rel, tol_abs)
     out += checks
     # complementary fields in the section frames, whose section-tangent rows come first
     perp = diff.matrix[..., nw:]
     norms = np.maximum(1.0, np.linalg.norm(perp, axis=1))[:, None]
     out.append(_result("complement_killing_perpendicular", _largest(perp[:, : action.section_dim] / norms), tol_abs))
 
-    # isotropy and orbits do not depend on the metric of m: the uncorrupted split
-    u, sv, vh = killing_svd(action, pts)
-    null = isotropy_mask(sv)
+    # isotropy and orbits do not depend on the metric of m: the draws' uncorrupted split
+    u, _, vh = draws.svd
+    null = draws.isotropy_mask()
     if np.any(np.sum(null, axis=1) != nh):
         iso_worst = np.inf
     else:  # isotropy directions in split-basis coordinates, outside h
-        iso_worst = _largest(vh[null][:, nh:] @ algebra_split(action).rows[nh:])
+        iso_worst = _largest(vh[null][:, nh:] @ draws.split.rows[nh:])
     out.append(_result("isotropy_constancy", iso_worst, tol_rel))
 
     # orbit normal spaces lie inside the section tangent with the right codim
-    ranks = orbit_ranks(sv, pts)
+    ranks = draws.orbit_ranks()
     normal = np.swapaxes(u, 1, 2)  # rows [rank:] span the orbit normal, in section-frame coordinates
     lost = np.abs(np.sum(normal ** 2, axis=2) - np.sum(normal[..., : action.section_dim] ** 2, axis=2))
     in_normal = np.arange(normal.shape[1]) >= ranks[:, None]
@@ -165,9 +173,11 @@ def run_action_checks(
     de, dew = values["delta_generic"], delta_e_batch(action, moved, split)
     out.append(_result("weight_weyl_invariance", np.max(np.abs(de - dew) / (1.0 + de)), 1e-9))
 
-    # vanishing at singular points
-    sing = _singular_point(action)
-    out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
+    # vanishing at a singular point, the origin or the identity; with m
+    # empty (SO(2)) the weight is 1 everywhere
+    if split.m_basis:
+        sing = zeros(field, *action.shape) if isinstance(action, DirectSumAction) else eye(field, action.group.n)
+        out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
 
     # canonical reduction is translation independent
     x = random_ambient_points(action, rng, 5)
@@ -176,12 +186,6 @@ def run_action_checks(
     worst = np.max(np.linalg.norm(s1 - s2, axis=1) / np.maximum(1.0, np.linalg.norm(s1, axis=1)))
     out.append(_result("reduction_translation_invariance", worst, tol_rel))
     return out
-
-
-def _singular_point(action: ActionSpec) -> MatK:
-    if isinstance(action, DirectSumAction):
-        return zeros(action.field, action.n, action.k)
-    return eye(action.field, action.group.n)
 
 
 def all_passed(results: list[CheckResult]) -> bool:

@@ -33,8 +33,8 @@ from .actions import (
     ConjugationAction,
     action_from_json,
     action_to_json,
-    classify_point,
     embed_section,
+    orbit_map_differentials,
 )
 from .checks import pointwise_checks, run_action_checks
 from .ensembles import EnsembleSpec, compare_densities
@@ -186,10 +186,11 @@ def _check(name: str, value, threshold, passed: bool) -> dict:
 def cmd_delta(args) -> int:
     action = _parse_action(args.action)
     s = _parse_point(action, args.point)
-    checks, values, _ = pointwise_checks(action, to_real_vector(s)[None], tol_rel=args.tol_rel, tol_abs=args.tol_abs)
+    diff = orbit_map_differentials(action, to_real_vector(s)[None])
+    checks, values = pointwise_checks(diff, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
     report = _base_report("delta", action, args)
     report["results"] = {name: float(v[0]) for name, v in values.items()}
-    report["results"]["regularity"] = classify_point(action, s).value
+    report["results"]["regularity"] = diff.regularity()[0].value
     return _emit(report, [c.to_json() for c in checks], args.out)
 
 
@@ -236,7 +237,7 @@ def cmd_ensemble(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     spec = EnsembleSpec(action, args.scale, args.statistic, args.stat_index)
-    cmp_ = compare_densities(spec, args.seed, args.n, args.bins)
+    cmp_ = compare_densities(spec, args.seed, args.n, args.bins, chunks=args.chunks)
     if args.out_csv:
         _write_output(args.out_csv, cmp_.write_csv)
     report = _base_report("ensemble", action, args)
@@ -248,7 +249,7 @@ def cmd_ensemble(args) -> int:
 def cmd_volumes(args) -> int:
     action = _parse_action(args.action)
     fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
-    calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers)
+    calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers, args.n_sigma)
     table = volume_table(action, calib.combined)
     gap, se = table.factorization_gap()
     report = _base_report("volumes", action, args)

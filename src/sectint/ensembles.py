@@ -222,6 +222,8 @@ def compare_densities(
     if rank1_conj:
         edges = np.linspace(0.0, np.pi, bins + 1)
         ref_freq = _rank1_bin_masses(spec, edges)
+        if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
+            edges, ref_freq = -edges[::-1], ref_freq[::-1]
     else:
         ref_stats, ref_w = _reference_sample(spec, _subseed(seed, 1), n_ref or max(30 * n, 300_000))
         lo = min(stats.min(), ref_stats.min())

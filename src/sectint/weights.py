@@ -7,7 +7,9 @@ tangent of the Weyl orbit inside the section, and the complementary
 part, mapping onto the normal space of the section.  The absolute
 determinant of the second block is the weight by which section
 integrals reproduce ambient integrals; the first block's determinant
-scales Weyl orbit volumes.
+scales Weyl orbit volumes.  The differential is
+``actions.OrbitMapDifferential``: ``delta_d``, ``weight_value`` and
+``orbit_volume`` each read one evaluation of it at their point.
 
 The weight has two implementations.  The generic kernel
 ``delta_e_batch`` serves every action: the complementary Killing fields
@@ -27,83 +29,24 @@ entry lies in su(n) only with a traceless correction.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
 from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, to_real_vector
-from .actions import (
+from .actions import (  # noqa: F401  re-exported; perfbench traces orbit_map_differential here
     ActionSpec,
     DirectSumAction,
+    OrbitMapDifferential,
     RegularityClass,
     algebra_split,
-    classify_point,
     embed_section,
-    killing_images,
+    orbit_map_differential,
 )
 
 #: below this fraction of the local scale the weight is reported as exactly 0
 SINGULAR_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class OrbitMapDifferential:
-    """Differential of the orbit map at section points, in fixed frames.
-
-    ``matrix`` has one column per algebra basis element (Weyl part
-    first, then the complementary part) and one row per codomain frame
-    vector (section-tangent frame first, then section-normal frame).
-    A stack (m, rows, cols) holds one differential per point, and the
-    methods then return one value per point.  At regular points the
-    matrix is block diagonal: Weyl columns hit only tangent rows,
-    complementary columns only normal rows.
-    """
-
-    action: ActionSpec
-    matrix: np.ndarray
-    n_w: int   # number of Weyl-part columns
-    n_tan: int  # number of section-tangent rows
-
-    @property
-    def w_block(self) -> np.ndarray:
-        return self.matrix[..., : self.n_tan, : self.n_w]
-
-    @property
-    def m_block(self) -> np.ndarray:
-        return self.matrix[..., self.n_tan :, self.n_w :]
-
-    def _value(self, x):
-        return float(x) if self.matrix.ndim == 2 else x
-
-    def off_block_residual(self) -> float | np.ndarray:
-        """Largest stray entry outside the two diagonal blocks."""
-        a = np.abs(self.matrix)
-        corners = (a[..., : self.n_tan, self.n_w :], a[..., self.n_tan :, : self.n_w])
-        return self._value(np.maximum(*(np.max(c, axis=(-2, -1), initial=0.0) for c in corners)))
-
-    def delta_d(self) -> float | np.ndarray:
-        """|det| of the Weyl block as a map onto the Weyl-orbit tangent."""
-        return abs_det_between(np.swapaxes(self.w_block, -1, -2), self.n_w)
-
-    def total_det(self) -> float | np.ndarray:
-        """|det| of the whole differential onto the orbit tangent."""
-        return abs_det_between(np.swapaxes(self.matrix, -1, -2), self.matrix.shape[-1])
-
-
-def orbit_map_differential(action: ActionSpec, s: MatK, split=None) -> OrbitMapDifferential:
-    """The differential at one section point; a batch of one."""
-    diff = orbit_map_differentials(action, to_real_vector(s)[None], split)
-    return dataclasses.replace(diff, matrix=diff.matrix[0])
-
-
-def orbit_map_differentials(action: ActionSpec, pts: np.ndarray, split=None) -> OrbitMapDifferential:
-    """Differentials at flat section points (m, D): the Weyl and
-    complementary columns of killing_images."""
-    split = split or algebra_split(action)
-    images = killing_images(action, pts, split)[..., len(split.h_basis) :]
-    return OrbitMapDifferential(action, images, len(split.w_basis), action.section_dim)
 
 
 #: points per contraction block; bounds the (block, q_m, D) image array
@@ -161,13 +104,8 @@ def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray
 
 
 def delta_d(action: ActionSpec, s: MatK) -> float:
-    """Weyl-block determinant; 1 for polar actions by the empty-product rule."""
-    split = algebra_split(action)
-    if not split.w_basis:
-        return 1.0
-    if classify_point(action, s) is RegularityClass.SINGULAR:
-        return 0.0
-    return orbit_map_differential(action, s).delta_d()
+    """Weyl-block determinant: 1 for polar actions by the empty-product rule, 0 at singular points."""
+    return weight_value(action, s).delta_d
 
 
 @dataclass(frozen=True)
@@ -178,21 +116,22 @@ class WeightValue:
 
 
 def weight_value(action: ActionSpec, s: MatK) -> WeightValue:
-    reg = classify_point(action, s)
-    de = delta_e_generic(action, s)
-    dd = delta_d(action, s)
-    return WeightValue(de, dd, reg)
+    diff = orbit_map_differential(action, s)
+    reg = diff.regularity()
+    dd = 1.0 if not diff.n_w else 0.0 if reg is RegularityClass.SINGULAR else diff.delta_d()
+    return WeightValue(delta_e_generic(action, s), dd, reg)
 
 
 def orbit_volume(action: ActionSpec, s: MatK, vol_gh: float) -> float:
     """Volume of the orbit through a non-singular section point.
 
-    vol(orbit) = vol(G/H) |det d(orbit map)|; the covering index is 1
-    because the supported actions have connected stabilizers along the
-    regular section.  Singular orbits are fiber bundles rather than
-    quotients and are not supported.
+    vol(orbit) = vol(G/H) |det d(orbit map)| / c: G/H covers the orbit c
+    times, c the order of the point's stabilizer in the Weyl group (2 at
+    the exceptional points of SO(n) conjugation, where the orbit of a
+    rotation by pi in SO(3) is RP^2, and 1 elsewhere).  Singular orbits
+    are fiber bundles rather than quotients and are not supported.
     """
-    reg = classify_point(action, s)
-    if reg is RegularityClass.SINGULAR:
+    diff = orbit_map_differential(action, s)
+    if diff.regularity() is RegularityClass.SINGULAR:
         raise ValueError("orbit volume through a singular point is not supported")
-    return vol_gh * orbit_map_differential(action, s).total_det()
+    return vol_gh * diff.total_det() / int(diff.weyl_stabilizer_order())

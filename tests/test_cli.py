@@ -103,6 +103,13 @@ def test_delta_conjugation_singular_angle(capsys):
     assert rep["results"]["regularity"] == "singular"
 
 
+def test_delta_reports_the_exceptional_class(capsys):
+    # a rotation by pi: regular isotropy, but fixed by the Weyl reflection
+    code, rep = run_cli(capsys, ["delta", "--action", SO3, "--point", "[3.141592653589793]"])
+    assert code == 0 and rep["results"]["regularity"] == "exceptional"
+    assert run_cli(capsys, ["delta", "--action", SO3, "--point", "[3.1]"])[1]["results"]["regularity"] == "regular"
+
+
 @pytest.mark.parametrize("action, point", [
     (SO3K2, "[[1.0, 0.5], [-0.3, 2.0]]"),
     (C42, "[[[1.0, 0.5], [0.2, -0.3]], [[-0.3, 0.1], [2.0, 0.4]]]"),
@@ -112,12 +119,15 @@ def test_delta_conjugation_singular_angle(capsys):
 def test_delta_and_verify_agree_at_one_point(capsys, monkeypatch, action, point):
     # verify's pointwise checks at the delta point are delta's checks, value for value
     import sectint.checks
+    from sectint.actions import orbit_map_differentials
     from sectint.cli import _parse_point
     from sectint.matrices import to_real_vector
 
     spec = action_from_json(json.loads(action))
     flat = to_real_vector(_parse_point(spec, point))[None]
-    monkeypatch.setattr(sectint.checks, "random_regular_section_points", lambda *args: flat)
+    # the draw returns the orbit maps it evaluated; here, at delta's point
+    draws = orbit_map_differentials(spec, flat)
+    monkeypatch.setattr(sectint.checks, "random_regular_section_points", lambda *args: draws)
     code, rep = run_cli(capsys, ["delta", "--action", action, "--point", point])
     assert code == 0
     verify = {c["name"]: c for c in run_cli(capsys, ["verify", "--action", action, "--points", "1"])[1]["checks"]}
@@ -464,7 +474,25 @@ def test_ensemble_csv_and_report(capsys, tmp_path):
     assert header == "bin_lo,bin_hi,empirical,reference"
 
 
+def test_ensemble_samples_with_the_chunk_count_it_reports(capsys):
+    from sectint.ensembles import EnsembleSpec, compare_densities
+
+    code, rep = run_cli(capsys, ["ensemble", "--action", SO3K2, "--n", "300", "--bins", "10", "--chunks", "4"])
+    assert rep["config"]["chunks"] == 4
+    spec = EnsembleSpec(action_from_json(json.loads(SO3K2)))
+    assert rep["results"] == compare_densities(spec, 0, 300, 10, chunks=4).to_json()
+    assert rep["results"] != compare_densities(spec, 0, 300, 10).to_json()
+
+
 # --- volumes ------------------------------------------------------------------------
+
+def test_volumes_calibration_verdict_uses_n_sigma(capsys):
+    # the calibration's worst pairwise z is 0.08 here: below the default 3, above 0.01
+    code, rep = run_cli(capsys, ["volumes", "--action", SO3, "--n", "2000", "--seed", "3", "--n-sigma", "0.01"])
+    check = rep["checks"][0]
+    assert check["name"] == "calibration_consistency" and check["threshold"] == 0.01
+    assert check["value"] > 0.01 and check["pass"] is False
+    assert code == 1
 
 def test_volumes_report(capsys):
     code, rep = run_cli(

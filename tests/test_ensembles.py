@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,19 @@ def test_chi2_direct_sum_det():
 def test_chi2_su2_angle():
     cmp_ = compare_densities(EnsembleSpec(SU2CONJ, 1.0, "torus_angle"), seed=22, n=50_000, bins=30)
     assert cmp_.p_value >= 0.01
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_su2_second_angle_is_binned_on_its_own_range(seed):
+    # SU(2)'s angles are (theta, -theta): the second one's test mirrors the first's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = (
+            compare_densities(EnsembleSpec(SU2CONJ, 1.0, "torus_angle", index), seed, 2000, 20) for index in (0, 1)
+        )
+    np.testing.assert_allclose(second.edges, -first.edges[::-1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(second.reference, first.reference[::-1], rtol=1e-12)
+    assert second.p_value == pytest.approx(first.p_value, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The Killing-operator stack and the batched check suite against per-point oracles."""
 
 import importlib
+import json
 import sys
 
 import numpy as np
@@ -10,22 +11,23 @@ import killing_oracle as oracle
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
+    action_to_json,
     algebra_split,
+    classify_point,
     isotropy_algebra,
-    isotropy_mask,
     killing_field,
-    killing_svd,
     orbit_normal,
-    orbit_ranks,
+    orbit_tangent,
     random_ambient_point,
     random_regular_section_points,
     section_frames,
 )
 from sectint.checks import _corrupted_split, all_passed, run_action_checks
+from sectint.cli import main
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.matrices import from_real_vector, to_real_vector
-from sectint.weights import delta_e_batch, orbit_map_differentials
+from sectint.weights import delta_d, delta_e_batch, orbit_volume, weight_value
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 R32, H32, R41 = DirectSumAction(R, 3, 2), DirectSumAction(H, 3, 2), DirectSumAction(R, 4, 1)
@@ -65,12 +67,13 @@ def test_operator_stack_reproduces_killing_field(action):
 
 @pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
 def test_batched_kernels_match_per_point_oracle(action):
+    # every quantity below is read from the one evaluation the draw made
     rng = np.random.default_rng(22)
-    pts = random_regular_section_points(action, rng, 8)
-    diff = orbit_map_differentials(action, pts)
+    diff = random_regular_section_points(action, rng, 8)
+    pts = diff.pts
     dets = np.stack([diff.total_det(), delta_e_batch(action, pts), diff.delta_d()], axis=1)
-    u, sv, vh = killing_svd(action, pts)
-    null, ranks = isotropy_mask(sv), orbit_ranks(sv, pts)
+    u, _, vh = diff.svd
+    null, ranks = diff.isotropy_mask(), diff.orbit_ranks()
     frames = np.concatenate(section_frames(action, pts), axis=1)
     split = algebra_split(action)
     outside_h = lambda rows: np.abs(rows - (rows @ split.h_rows.T) @ split.h_rows).max(initial=0.0)
@@ -89,6 +92,7 @@ def test_batched_kernels_match_per_point_oracle(action):
         normal = oracle.orbit_normal_rows(action, s)
         got = (u[i].T @ frames[i])[ranks[i] :]
         np.testing.assert_allclose(_projector(got), _projector(normal), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_projector(diff[i].orbit_frames()[1]), _projector(normal), rtol=0, atol=1e-12)
         np.testing.assert_allclose(_projector(orbit_normal(action, s)), _projector(normal), rtol=0, atol=1e-12)
 
 
@@ -100,6 +104,46 @@ def test_verify_passes_with_the_same_checks(action):
         results = run_action_checks(action, seed=seed)
         assert [(r.name, r.threshold) for r in results] == expected
         assert all_passed(results), [r for r in results if not r.passed]
+
+
+def _expected_checks(action):
+    """CHECKS on action: the closed-form weight only on direct sums, and the
+    vanishing at a singular point only where m is not empty."""
+    return [
+        c for c in CHECKS
+        if (c[0] != "weight_closed_vs_generic" or isinstance(action, DirectSumAction))
+        and (c[0] != "weight_singular_vanishing" or algebra_split(action).m_basis)
+    ]
+
+
+#: SO(2)-SO(6), SU(2)-SU(4) and Sp(1)-Sp(3) conjugation, and every direct sum
+#: R(n, k) with n <= 6, C(n, k) with n <= 5 and H(n, k) with n <= 4
+SWEEP = (
+    [ConjugationAction(GroupSpec(Family.SO, n)) for n in range(2, 7)]
+    + [ConjugationAction(GroupSpec(Family.SU, n)) for n in range(2, 5)]
+    + [ConjugationAction(GroupSpec(Family.SP, n)) for n in range(1, 4)]
+    + [DirectSumAction(field, n, k)
+       for field, top in ((R, 6), (C, 5), (H, 4)) for n in range(2, top + 1) for k in range(1, n)]
+)
+
+
+@pytest.mark.parametrize("action", SWEEP, ids=str)
+def test_verify_passes_on_the_whole_action_table(action):
+    for seed in (1, 2, 3):
+        results = run_action_checks(action, seed=seed)
+        assert [(r.name, r.threshold) for r in results] == _expected_checks(action)
+        assert all_passed(results), [r for r in results if not r.passed]
+
+
+def test_so2_has_no_singular_vanishing_check():
+    # SO(2) is abelian: m is empty, the weight is 1 at every point, the identity included
+    names = [r.name for r in run_action_checks(ConjugationAction(GroupSpec(Family.SO, 2)), seed=1)]
+    assert names == [
+        "algebra_split_orthonormal", "reductive_bracket", "ad_normalizer_invariance", "block_diagonality",
+        "differential_factorization", "complement_killing_perpendicular", "isotropy_constancy",
+        "orbit_normal_in_section", "copolarity_dimension", "weight_weyl_invariance",
+        "reduction_translation_invariance",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -121,12 +165,13 @@ def test_corrupted_metric_fails_the_same_checks(action, failing):
 
 
 def _count_calls(monkeypatch, module_name: str, func_name: str) -> list:
-    """Wrap a sectint function in every sectint namespace that binds it; returns the call log."""
+    """Wrap a sectint function in every sectint namespace that binds it; returns
+    the call log, the positional arguments of each call."""
     original = getattr(importlib.import_module(f"sectint.{module_name}"), func_name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(func_name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -146,3 +191,34 @@ def test_check_suite_does_not_loop_over_points(monkeypatch, action, n_qr):
             field_calls = _count_calls(patch, "actions", "killing_field")
             assert all_passed(run_action_checks(action, seed=1, n_points=n_points))
         assert (len(qr_calls), len(field_calls)) == (n_qr, 0)
+
+
+def test_delta_evaluates_the_killing_fields_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "actions", "killing_images")
+    assert main(["delta", "--action", json.dumps(action_to_json(R32)), "--point", "[[1.0, 0.5], [-0.3, 2.0]]"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["regularity"] == "regular"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
+def test_verify_evaluates_each_point_once(monkeypatch, action):
+    # the draw's evaluation serves the pointwise, isotropy and orbit checks
+    calls = _count_calls(monkeypatch, "actions", "killing_images")
+    run_action_checks(action, seed=1)
+    rows = np.concatenate([args[1] for args in calls])
+    assert len(rows) >= 20 and len(np.unique(rows, axis=0)) == len(rows)
+
+
+ONE_POINT_READS = {
+    "weight_value": weight_value, "delta_d": delta_d, "orbit_volume": lambda a, s: orbit_volume(a, s, 1.0),
+    "classify_point": classify_point, "isotropy_algebra": isotropy_algebra,
+    "orbit_tangent": orbit_tangent, "orbit_normal": orbit_normal,
+}
+
+
+@pytest.mark.parametrize("name", ONE_POINT_READS)
+def test_one_point_reads_take_one_evaluation(monkeypatch, name):
+    s = from_real_vector(R, 3, 2, np.array([1.0, 0.5, -0.3, 2.0, 0.0, 0.0]))
+    calls = _count_calls(monkeypatch, "actions", "killing_images")
+    ONE_POINT_READS[name](R32, s)
+    assert len(calls) == 1

@@ -213,6 +213,36 @@ def test_orbit_volume_rejects_singular():
         orbit_volume(c, eye(C, 2), 1.0)
 
 
+def test_so3_rotation_by_pi_has_an_exceptional_orbit():
+    # the orbit is RP^2, the image of n -> 2 n n^t - I on S^2, with |dR|^2 = 8 |dn|^2:
+    # area 8 * 4 pi / 2 = 16 pi; G/H, the unit sphere bundle, covers it twice
+    c = ConjugationAction(GroupSpec(Family.SO, 3))
+    from sectint.volumes import vol_gh_estimate
+
+    s = torus_point(c.group, [np.pi])
+    assert classify_point(c, s) is RegularityClass.EXCEPTIONAL
+    assert weight_value(c, s).regularity is RegularityClass.EXCEPTIONAL
+    assert orbit_volume(c, s, vol_gh_estimate(c).mean) == pytest.approx(16 * np.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, angles", [(4, [np.pi, 0.0]), (5, [np.pi, 0.7])])
+def test_exceptional_orbit_has_half_the_nearby_volume(n, angles):
+    c = ConjugationAction(GroupSpec(Family.SO, n))
+    s, near = torus_point(c.group, angles), torus_point(c.group, np.asarray(angles) - 1e-7)
+    assert classify_point(c, s) is RegularityClass.EXCEPTIONAL
+    assert classify_point(c, near) is RegularityClass.REGULAR
+    assert orbit_volume(c, s, 1.0) == pytest.approx(orbit_volume(c, near, 1.0) / 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("family, n", [(Family.SU, 3), (Family.SP, 2)])
+def test_simply_connected_groups_have_no_exceptional_points(family, n):
+    # angles at 0, pi and generic values, in every combination the torus takes
+    c = ConjugationAction(GroupSpec(family, n))
+    values = (0.0, np.pi / 2, np.pi, 0.7, -2.1)
+    classes = {classify_point(c, torus_point(c.group, [a, b])) for a in values for b in values}
+    assert RegularityClass.EXCEPTIONAL not in classes and RegularityClass.REGULAR in classes
+
+
 def w_orbit_length(b: np.ndarray, n_grid: int = 4000) -> float:
     """Independent quadrature of the O(2) orbit length through B."""
     total = 0.0

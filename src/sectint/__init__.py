@@ -40,6 +40,7 @@ from .actions import (
     ConjugationAction,
     DirectSumAction,
     RegularityClass,
+    SectionFrame,
     act,
     action_from_json,
     action_to_json,
@@ -56,6 +57,7 @@ from .actions import (
     random_section_point,
     reduce_to_section,
     section_coordinate,
+    section_frame,
 )
 from .weights import (
     OrbitMapDifferential,

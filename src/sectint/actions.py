@@ -23,11 +23,12 @@ function is a batch of one.
 The Killing fields are linear in the point: ``AlgebraSplit.operators``
 stacks them, one (D, D) matrix per element of the split basis h + w + m.
 The fields at a stack of points are one contraction
-(``killing_images``), which an ``OrbitMapDifferential`` holds with
-their one batched SVD.  Every pointwise quantity is read from it: the
-orbit map's differential and determinants, the isotropy algebra, the
-orbit frames and the regularity class (regular, exceptional where a
-Weyl element fixes a regular point, or singular).  Random regular
+(``killing_images``), which an ``OrbitMapDifferential`` holds in the
+section frames, with the frames and their one batched SVD.  Every
+pointwise quantity is read from it: the orbit map's differential and
+determinants, the isotropy algebra, the orbit frames and the
+regularity class (regular, exceptional where a Weyl element fixes a
+regular point, or singular).  Random regular
 section points are the draws whose smallest singular value of the w + m
 fields exceeds ``min_gap``.  ``reduce_to_section_batch`` takes one QR
 (direct sums, ``matrices.qr``) or one eigensolve (conjugation,
@@ -40,7 +41,7 @@ import dataclasses
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -248,6 +249,19 @@ def section_coordinate(action: DirectSumAction, s: MatK) -> MatK:
 
 # --- frames -----------------------------------------------------------------
 
+class SectionFrame(NamedTuple):
+    """Orthonormal real frames of T_s(section) and of its normal space."""
+
+    tangent: np.ndarray  # (dim section, D)
+    normal: np.ndarray   # (normal_dim, D)
+
+
+def section_frame(action: ActionSpec, s: MatK) -> SectionFrame:
+    """section_frames at one point."""
+    tangent, normal = section_frames(action, to_real_vector(s)[None])
+    return SectionFrame(tangent[0], normal[0])
+
+
 def section_frames(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frames of T_s(section) (m, dim section, D) and of its normal space
     (m, normal_dim, D) at flat section points (m, D).
@@ -264,16 +278,12 @@ def section_frames(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.
     return frames[:, : action.section_dim], frames[:, action.section_dim :]
 
 
-def killing_images(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray:
-    """Killing fields of the split basis at flat points (m, D) in the section
-    frames, by one contraction with the operator stack: entry [i, r, b] is
-    the component along frame vector r (section tangent, then normal) of the
-    field of basis element b (h, w, then m) at point i.  The frames span T_pM.
+def killing_images(action: ActionSpec, pts: np.ndarray) -> np.ndarray:
+    """Killing fields of the split basis at flat points (m, D), by one
+    contraction with the operator stack: entry [i, j, b] is ambient
+    coordinate j of the field of basis element b (h, w, then m) at point i.
     """
-    images = np.einsum("bij,mj->mib", (split or algebra_split(action)).operators, pts)
-    if isinstance(action, DirectSumAction):
-        return images  # the frames split the identity
-    return np.concatenate(section_frames(action, pts), axis=1) @ images
+    return np.einsum("bij,mj->mib", algebra_split(action).operators, pts)
 
 
 @dataclass(eq=False)
@@ -281,18 +291,20 @@ class OrbitMapDifferential:
     """The orbit maps at section points, from one killing_images call.
 
     ``images`` holds the fields of h + w + m at the flat points ``pts``
-    (m, D); a single point drops the leading axis of both, and the
-    methods then return one value.  The h columns vanish along the
-    section, and the w and m columns are the differential proper
-    (``matrix``): block diagonal at regular points, the Weyl columns
-    hitting only section-tangent rows and the complementary ones only
-    normal rows.  One batched SVD of the images, made on first use,
-    gives the isotropy algebra, the orbit ranks and frames, the
-    regularity class and the regularity margin.
+    (m, D) in the ``frames`` (m, D, D) of T_pM there: section tangent
+    rows, then normal ones (``section_frames``).  A single point drops
+    the leading axis of all three, and the methods then return one
+    value.  The h columns vanish along the section, and the w and m
+    columns are the differential proper (``matrix``): block diagonal at
+    regular points, the Weyl columns hitting only section-tangent rows
+    and the complementary ones only normal rows.  One batched SVD of the
+    images, made on first use, gives the isotropy algebra, the orbit
+    ranks and frames, the regularity class and the regularity margin.
     """
 
     split: AlgebraSplit
     pts: np.ndarray
+    frames: np.ndarray
     images: np.ndarray
     _svd: tuple | None = dataclasses.field(default=None, repr=False)
 
@@ -303,7 +315,7 @@ class OrbitMapDifferential:
     def __getitem__(self, i) -> OrbitMapDifferential:
         """The points i (an index, slice or mask), with their SVD once it is made."""
         svd = None if self._svd is None else tuple(a[i] for a in self._svd)
-        return OrbitMapDifferential(self.split, self.pts[i], self.images[i], svd)
+        return OrbitMapDifferential(self.split, self.pts[i], self.frames[i], self.images[i], svd)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -354,11 +366,10 @@ class OrbitMapDifferential:
         cutoff = 1e-8 * np.maximum(np.linalg.norm(self.pts, axis=-1), 1.0)
         return np.sum(self.svd[1] > cutoff[..., None], axis=-1)
 
-    def orbit_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal (realified) bases of the orbit tangent and of its normal space in T_pM; one point."""
-        frames = np.concatenate(section_frames(self.action, self.pts[None]), axis=1)[0]
-        rows, rank = self.svd[0].T @ frames, self.orbit_ranks()
-        return rows[:rank], rows[rank:]
+    def orbit_frames(self) -> np.ndarray:
+        """Orthonormal (realified) bases of T_pM, one vector per row: the first
+        orbit_ranks() rows span the orbit tangent, the rest its normal space."""
+        return np.swapaxes(self.svd[0], -1, -2) @ self.frames
 
     def regular_margin(self) -> np.ndarray:
         """Smallest singular value of the w + m columns; infinite where there are none (SO(2))."""
@@ -389,15 +400,18 @@ class OrbitMapDifferential:
 _CLASSES = np.array([RegularityClass.REGULAR, RegularityClass.EXCEPTIONAL, RegularityClass.SINGULAR])
 
 
-def orbit_map_differentials(action: ActionSpec, pts: np.ndarray, split=None) -> OrbitMapDifferential:
+def orbit_map_differentials(action: ActionSpec, pts: np.ndarray) -> OrbitMapDifferential:
     """The orbit maps at flat section points (m, D)."""
-    split = split or algebra_split(action)
-    return OrbitMapDifferential(split, pts, killing_images(action, pts, split))
+    frames = np.concatenate(section_frames(action, pts), axis=1)
+    images = killing_images(action, pts)
+    if isinstance(action, ConjugationAction):  # a direct sum's frames split the identity
+        images = frames @ images
+    return OrbitMapDifferential(algebra_split(action), pts, frames, images)
 
 
-def orbit_map_differential(action: ActionSpec, s: MatK, split=None) -> OrbitMapDifferential:
+def orbit_map_differential(action: ActionSpec, s: MatK) -> OrbitMapDifferential:
     """The orbit map at one section point; a batch of one."""
-    return orbit_map_differentials(action, to_real_vector(s)[None], split)[0]
+    return orbit_map_differentials(action, to_real_vector(s)[None])[0]
 
 
 # --- the reductive algebra split -------------------------------------------
@@ -434,6 +448,10 @@ class AlgebraSplit:
     @property
     def w_rows(self) -> np.ndarray:
         return self.rows[len(self.h_basis) : len(self.h_basis) + len(self.w_basis)]
+
+    @property
+    def m_rows(self) -> np.ndarray:
+        return self.rows[len(self.h_basis) + len(self.w_basis) :]
 
     @functools.cached_property
     def data(self) -> np.ndarray:
@@ -555,12 +573,14 @@ def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:
 
 def orbit_tangent(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal (realified) basis of the tangent space of the orbit."""
-    return orbit_map_differential(action, p).orbit_frames()[0]
+    diff = orbit_map_differential(action, p)
+    return diff.orbit_frames()[: diff.orbit_ranks()]
 
 
 def orbit_normal(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal basis of the normal space of the orbit inside T_p M."""
-    return orbit_map_differential(action, p).orbit_frames()[1]
+    diff = orbit_map_differential(action, p)
+    return diff.orbit_frames()[diff.orbit_ranks() :]
 
 
 # --- reduction to the section ----------------------------------------------
@@ -663,8 +683,10 @@ def random_regular_section_points(
         kept.append(draws[regular])
         need -= int(np.sum(regular))
         if need == 0:  # one batch of the kept rows, their SVDs included
-            pts, images, *svd = (np.concatenate(a) for a in zip(*((d.pts, d.images, *d.svd) for d in kept)))
-            return OrbitMapDifferential(kept[0].split, pts, images, tuple(svd))
+            pts, frames, images, *svd = (
+                np.concatenate(a) for a in zip(*((d.pts, d.frames, d.images, *d.svd) for d in kept))
+            )
+            return OrbitMapDifferential(kept[0].split, pts, frames, images, tuple(svd))
     raise RuntimeError("failed to sample a regular section point")
 
 

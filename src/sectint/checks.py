@@ -76,8 +76,10 @@ def _corrupted_split(action: ActionSpec, factor: float) -> AlgebraSplit:
 
 def _in_split(diff: OrbitMapDifferential, split: AlgebraSplit) -> OrbitMapDifferential:
     """diff in another basis of its algebra: the Killing fields are linear in the algebra element."""
+    if split is diff.split:
+        return diff
     change = split.rows @ diff.split.rows.T
-    return diff if split is diff.split else OrbitMapDifferential(split, diff.pts, diff.images @ change.T)
+    return OrbitMapDifferential(split, diff.pts, diff.frames, diff.images @ change.T)
 
 
 def pointwise_checks(

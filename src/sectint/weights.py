@@ -35,7 +35,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, to_real_vector
-from .actions import (  # noqa: F401  re-exported; perfbench traces orbit_map_differential here
+from .actions import (
     ActionSpec,
     DirectSumAction,
     OrbitMapDifferential,
@@ -105,7 +105,15 @@ def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray
 
 def delta_d(action: ActionSpec, s: MatK) -> float:
     """Weyl-block determinant: 1 for polar actions by the empty-product rule, 0 at singular points."""
-    return weight_value(action, s).delta_d
+    if not algebra_split(action).w_basis:
+        return 1.0
+    diff = orbit_map_differential(action, s)
+    return _weyl_det(diff, diff.regularity())
+
+
+def _weyl_det(diff: OrbitMapDifferential, reg: RegularityClass) -> float:
+    """delta_d from the evaluation diff at a point of class reg."""
+    return 1.0 if not diff.n_w else 0.0 if reg is RegularityClass.SINGULAR else float(diff.delta_d())
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,7 @@ class WeightValue:
 def weight_value(action: ActionSpec, s: MatK) -> WeightValue:
     diff = orbit_map_differential(action, s)
     reg = diff.regularity()
-    dd = 1.0 if not diff.n_w else 0.0 if reg is RegularityClass.SINGULAR else diff.delta_d()
-    return WeightValue(delta_e_generic(action, s), dd, reg)
+    return WeightValue(delta_e_generic(action, s), _weyl_det(diff, reg), reg)
 
 
 def orbit_volume(action: ActionSpec, s: MatK, vol_gh: float) -> float:

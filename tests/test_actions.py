@@ -28,7 +28,7 @@ from sectint.actions import (
     reduce_to_section,
     reduce_to_section_batch,
     section_coordinate,
-    section_frames,
+    section_frame,
 )
 from schur_reduction import reduce_with_witness, torus_angles
 
@@ -157,12 +157,12 @@ def test_orbit_normal_inside_section_tangent():
     for a in TABLE_ACTIONS + CONJ_ACTIONS[:2]:
         for _ in range(5):
             s = random_regular_section_point(a, rng)
-            tangent = section_frames(a, to_real_vector(s)[None])[0][0]
+            frame = section_frame(a, s)
             normal = orbit_normal(a, s)
-            proj = normal @ tangent.T
+            proj = normal @ frame.tangent.T
             lost = np.abs(np.linalg.norm(normal, axis=1) ** 2 - np.linalg.norm(proj, axis=1) ** 2)
             assert lost.max() < 1e-10
-            assert tangent.shape[0] - normal.shape[0] == a.copolarity
+            assert frame.tangent.shape[0] - normal.shape[0] == a.copolarity
 
 
 def test_classification():
@@ -324,10 +324,10 @@ def test_perpendicular_killing_fields_on_all_of_section():
         split = algebra_split(a)
         for _ in range(50):
             s = random_section_point(a, rng)
-            tangent = section_frames(a, to_real_vector(s)[None])[0][0]
+            frame = section_frame(a, s)
             for b in split.m_basis:
                 img = to_real_vector(killing_field(a, b, s))
-                assert np.abs(tangent @ img).max() < 1e-10 * max(1.0, np.linalg.norm(img))
+                assert np.abs(frame.tangent @ img).max() < 1e-10 * max(1.0, np.linalg.norm(img))
 
 
 def test_property_c_fifty_points():
@@ -335,12 +335,12 @@ def test_property_c_fifty_points():
     a = DirectSumAction(ScalarField.REAL, 3, 2)
     for _ in range(50):
         s = random_regular_section_point(a, rng)
-        tangent = section_frames(a, to_real_vector(s)[None])[0][0]
+        frame = section_frame(a, s)
         normal = orbit_normal(a, s)
-        proj = normal @ tangent.T
+        proj = normal @ frame.tangent.T
         lost = np.abs(np.linalg.norm(normal, axis=1) ** 2 - np.linalg.norm(proj, axis=1) ** 2)
         assert lost.max() < 1e-10
-        assert tangent.shape[0] - normal.shape[0] == a.copolarity
+        assert frame.tangent.shape[0] - normal.shape[0] == a.copolarity
 
 
 def test_torus_angles_strictness():

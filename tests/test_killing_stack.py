@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import killing_oracle as oracle
+import sectint
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -22,7 +23,7 @@ from sectint.actions import (
     random_regular_section_points,
     section_frames,
 )
-from sectint.checks import _corrupted_split, all_passed, run_action_checks
+from sectint.checks import _corrupted_split, _in_split, all_passed, run_action_checks
 from sectint.cli import main
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
@@ -92,7 +93,7 @@ def test_batched_kernels_match_per_point_oracle(action):
         normal = oracle.orbit_normal_rows(action, s)
         got = (u[i].T @ frames[i])[ranks[i] :]
         np.testing.assert_allclose(_projector(got), _projector(normal), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(_projector(diff[i].orbit_frames()[1]), _projector(normal), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_projector(diff.orbit_frames()[i][ranks[i] :]), _projector(normal), rtol=0, atol=1e-12)
         np.testing.assert_allclose(_projector(orbit_normal(action, s)), _projector(normal), rtol=0, atol=1e-12)
 
 
@@ -222,3 +223,27 @@ def test_one_point_reads_take_one_evaluation(monkeypatch, name):
     calls = _count_calls(monkeypatch, "actions", "killing_images")
     ONE_POINT_READS[name](R32, s)
     assert len(calls) == 1
+
+
+def test_delta_d_reads_the_weyl_block_only(monkeypatch):
+    # delta_d computes no weight, and on a polar action (no Weyl block) evaluates nothing
+    s = from_real_vector(R, 3, 2, np.array([1.0, 0.5, -0.3, 2.0, 0.0, 0.0]))
+    weights_calls = _count_calls(monkeypatch, "weights", "delta_e_batch")
+    image_calls = _count_calls(monkeypatch, "actions", "killing_images")
+    assert delta_d(R32, s) == weight_value(R32, s).delta_d
+    assert (len(weights_calls), len(image_calls)) == (1, 2)  # weight_value's δ_E only
+    assert delta_d(R41, from_real_vector(R, 4, 1, np.array([1.5, 0.0, 0.0, 0.0]))) == 1.0
+    assert (len(weights_calls), len(image_calls)) == (1, 2)
+
+
+@pytest.mark.parametrize("action", [R32, SO3, SP2], ids=str)
+def test_orbit_frames_of_a_batch_are_those_of_its_points(action):
+    diff = random_regular_section_points(action, np.random.default_rng(23), 4)
+    frames, ranks = diff.orbit_frames(), diff.orbit_ranks()
+    for i, flat in enumerate(diff.pts):
+        s = from_real_vector(action.field, *action.shape, flat)
+        np.testing.assert_allclose(frames[i][: ranks[i]], orbit_tangent(action, s), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(frames[i][ranks[i] :], orbit_normal(action, s), rtol=0, atol=1e-13)
+        tangent, normal = sectint.section_frame(action, s)
+        np.testing.assert_array_equal(np.concatenate([tangent, normal]), diff.frames[i])
+    assert _in_split(diff, diff.split) is diff

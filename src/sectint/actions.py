@@ -30,7 +30,7 @@ determinants, the isotropy algebra, the orbit frames and the
 regularity class (regular, exceptional where a Weyl element fixes a
 regular point, or singular).  Random regular
 section points are the draws whose smallest singular value of the w + m
-fields exceeds ``min_gap``.  ``reduce_to_section_batch`` takes one QR
+fields exceeds ``MIN_GAP``.  ``reduce_to_section_batch`` takes one QR
 (direct sums, ``matrices.qr``) or one eigensolve (conjugation,
 ``canonical_angles``).  The module needs only numpy.
 """
@@ -72,6 +72,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     algebra_basis,
+    block_algebra_basis,
     haar_sample_batch,
     haar_unitary_batch,
     torus_basis,
@@ -80,6 +81,7 @@ from .groups import (
 )
 
 _ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
+MIN_GAP = 5e-2  # smallest regular_margin of a random regular section point
 
 _FIELD_TO_FAMILY = {REAL: Family.SO, COMPLEX: Family.SU, QUATERNION: Family.SP}
 
@@ -486,7 +488,8 @@ def _stack_rows(basis: tuple[MatK, ...], action: ActionSpec) -> np.ndarray:
     return np.stack([to_real_vector(b) for b in basis])
 
 
-def _orthonormalize(rows: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def _orthonormalize(rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Gram-Schmidt, twice per row, dropping rows of norm 1e-9 or less on the way."""
     kept: list[np.ndarray] = []
     for v in rows:
         w = v.astype(float).copy()
@@ -494,7 +497,7 @@ def _orthonormalize(rows: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarra
             for u in kept:
                 w -= (u @ w) * u
         nw = np.linalg.norm(w)
-        if nw > tol:
+        if nw > 1e-9:
             kept.append(w / nw)
     return kept
 
@@ -507,19 +510,6 @@ def _complement_basis(group: GroupSpec, sub_rows: np.ndarray) -> tuple[MatK, ...
     """
     rows = _orthonormalize(list(sub_rows) + [to_real_vector(b) for b in algebra_basis(group)])
     return tuple(from_real_vector(group.field, group.n, group.n, w) for w in rows[len(sub_rows):])
-
-
-def _embedded_block_algebra(field: ScalarField, n: int, offset: int, size: int) -> tuple[MatK, ...]:
-    """Algebra basis of the subgroup acting on rows/cols [offset, offset+size)."""
-    if size < 1:
-        return ()
-    sub = algebra_basis(GroupSpec(_FIELD_TO_FAMILY[field], size))
-    out = []
-    for b in sub:
-        m = zeros(field, n, n)
-        m.data[offset : offset + size, offset : offset + size] = b.data
-        out.append(m)
-    return tuple(out)
 
 
 def _mixed_trace_generator(n: int, k: int) -> MatK:
@@ -536,14 +526,12 @@ def algebra_split(action: ActionSpec) -> AlgebraSplit:
     if isinstance(action, ConjugationAction):
         h, w = torus_basis(action.group), ()
     else:
+        # h moves the normal rows [k, n), w the section rows [0, k); the
+        # polar section (k = 1) has a finite Weyl group and no w
         field, n, k = action.field, action.n, action.k
-        h = _embedded_block_algebra(field, n, k, n - k)
-        if k == 1:
-            w = ()
-        elif field is COMPLEX:
-            w = _embedded_block_algebra(field, n, 0, k) + (_mixed_trace_generator(n, k),)
-        else:
-            w = _embedded_block_algebra(field, n, 0, k)
+        h, w = block_algebra_basis(field, n, k, n), ()
+        if k > 1:
+            w = block_algebra_basis(field, n, 0, k) + ((_mixed_trace_generator(n, k),) if field is COMPLEX else ())
     m = _complement_basis(action.group, _stack_rows(h + w, action))
     if isinstance(action, DirectSumAction):
         # order by the (row, column, unit) of the entry below the diagonal,
@@ -644,42 +632,38 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
 
 # --- sampling ----------------------------------------------------------------
 
-def random_ambient_point(action: ActionSpec, rng: np.random.Generator, scale: float = 1.0) -> MatK:
+def random_ambient_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
     """Gaussian point of K^(n x k), or a Haar point of the group; a batch of one."""
-    return MatK(action.field, random_ambient_points(action, rng, 1, scale)[0])
+    return MatK(action.field, random_ambient_points(action, rng, 1)[0])
 
 
-def random_ambient_points(action: ActionSpec, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
+def random_ambient_points(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Raw data (count, rows, cols[, pair]) of count random_ambient_point draws."""
     if isinstance(action, DirectSumAction):
-        return scale * gaussian_batch(action.field, action.n, action.k, rng, count)
+        return gaussian_batch(action.field, action.n, action.k, rng, count)
     return haar_sample_batch(action.group, rng, count)
 
 
-def random_section_point(action: ActionSpec, rng: np.random.Generator, scale: float = 1.0) -> MatK:
+def random_section_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
     """Section point with Gaussian coordinate B (direct sums) or uniform torus angles (conjugation)."""
-    return from_real_vector(action.field, *action.shape, section_points(action, _section_coords(action, rng, 1, scale))[0])
+    return from_real_vector(action.field, *action.shape, section_points(action, _section_coords(action, rng, 1))[0])
 
 
-def random_regular_section_point(
-    action: ActionSpec, rng: np.random.Generator, scale: float = 1.0, min_gap: float = 5e-2
-) -> MatK:
+def random_regular_section_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
     """Random section point safely inside the regular set; a batch of one."""
-    flat = random_regular_section_points(action, rng, 1, scale, min_gap).pts[0]
+    flat = random_regular_section_points(action, rng, 1).pts[0]
     return from_real_vector(action.field, *action.shape, flat)
 
 
-def random_regular_section_points(
-    action: ActionSpec, rng: np.random.Generator, count: int, scale: float = 1.0, min_gap: float = 5e-2
-) -> OrbitMapDifferential:
+def random_regular_section_points(action: ActionSpec, rng: np.random.Generator, count: int) -> OrbitMapDifferential:
     """The orbit maps at count random section points safely inside the
-    regular set: the draws whose regular_margin is at most min_gap are
+    regular set: the draws whose regular_margin is at most MIN_GAP are
     redrawn, as one batch."""
     kept, need = [], count
     for _ in range(1000):
-        coords = _section_coords(action, rng, need, scale)
+        coords = _section_coords(action, rng, need)
         draws = orbit_map_differentials(action, section_points(action, coords))
-        regular = draws.regular_margin() > min_gap
+        regular = draws.regular_margin() > MIN_GAP
         kept.append(draws[regular])
         need -= int(np.sum(regular))
         if need == 0:  # one batch of the kept rows, their SVDs included
@@ -690,13 +674,13 @@ def random_regular_section_points(
     raise RuntimeError("failed to sample a regular section point")
 
 
-def _section_coords(action: ActionSpec, rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
+def _section_coords(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Flat coordinates B (a real multiple of the first basis vector when k = 1) or torus angle rows."""
     if isinstance(action, ConjugationAction):
         return rng.uniform(0.0, 2 * np.pi, size=(count, action.group.rank))
     if action.k == 1:
-        return np.pad(scale * rng.standard_normal((count, 1)), ((0, 0), (0, action.field.dim - 1)))
-    return scale * batch_to_real(action.field, gaussian_batch(action.field, action.k, action.k, rng, count))
+        return np.pad(rng.standard_normal((count, 1)), ((0, 0), (0, action.field.dim - 1)))
+    return batch_to_real(action.field, gaussian_batch(action.field, action.k, action.k, rng, count))
 
 
 def section_points(action: ActionSpec, coords: np.ndarray) -> np.ndarray:

@@ -19,11 +19,13 @@ import numpy as np
 
 from .fields import ScalarField
 from .matrices import complex_embedding, data_from_components, gaussian_components, gram_det
-from .groups import Family, haar_sample_batch, torus_points
-from .actions import ActionSpec, ConjugationAction, DirectSumAction, canonical_angles
-from .integrate import _subseed, _torus_grid
+from .groups import Family, _torus_grid, haar_sample_batch, torus_points
+from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
 from .weights import delta_e_batch, section_weight_batch
-from .mc import chunk_rngs, chunk_sizes
+from .mc import _subseed, chunk_rngs, chunk_sizes
+
+MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
+BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,6 @@ class EnsembleSpec:
             )
 
     def to_json(self) -> dict:
-        from .actions import action_to_json
-
         return {
             "action": action_to_json(self.action),
             "scale": self.scale,
@@ -133,7 +133,7 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
     return stats, weights / np.sum(weights)
 
 
-def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray, points_per_bin: int = 200) -> np.ndarray:
+def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray) -> np.ndarray:
     """Exact-per-bin reference masses for a rank-one torus angle statistic.
 
     The weight is Weyl symmetric under angle reflection, so the mass of
@@ -141,7 +141,7 @@ def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray, points_per_bin: int
     weight over the bin; no histogram quantization enters.
     """
     width = np.diff(edges)
-    theta = edges[:-1, None] + width[:, None] * ((np.arange(points_per_bin) + 0.5) / points_per_bin)
+    theta = edges[:-1, None] + width[:, None] * ((np.arange(BIN_POINTS) + 0.5) / BIN_POINTS)
     vals = delta_e_batch(spec.action, torus_points(spec.action.group, theta.reshape(-1, 1)))
     masses = vals.reshape(theta.shape).mean(axis=1) * width
     return masses / np.sum(masses)
@@ -183,12 +183,12 @@ class HistogramComparison:
                 )
 
 
-def _merge_small_bins(obs: np.ndarray, exp: np.ndarray, threshold: float = 5.0):
-    """Merge adjacent bins until every expected count reaches the threshold."""
+def _merge_small_bins(obs: np.ndarray, exp: np.ndarray):
+    """Merge adjacent bins until every expected count reaches MIN_EXPECTED."""
     obs, exp = list(obs), list(exp)
     i = 0
     while i < len(exp):
-        if exp[i] < threshold and len(exp) > 1:
+        if exp[i] < MIN_EXPECTED and len(exp) > 1:
             j = i + 1 if i + 1 < len(exp) else i - 1
             exp[j] += exp[i]
             obs[j] += obs[i]
@@ -213,7 +213,9 @@ def compare_densities(
     The reference side is made much tighter than the empirical side (a
     large importance sample, or exact bin quadrature for rank-one torus
     angles) so the chi-square statistic is dominated by sampling noise.
-    Fewer than two bins would make the test vacuous and are rejected.
+    Fewer than two bins, asked for or left after merging the bins whose
+    expected count is below MIN_EXPECTED, would make the test vacuous and
+    are rejected.
     """
     if bins < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
@@ -235,8 +237,11 @@ def compare_densities(
     emp_freq = emp_counts / np.sum(emp_counts)
 
     obs, exp = _merge_small_bins(emp_counts.astype(float), n * ref_freq)
+    if len(obs) < 2:
+        raise ValueError(f"a chi-square comparison needs at least 2 bins, got {len(obs)} "
+                         f"after merging to an expected count of {MIN_EXPECTED:g}")
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
-    dof = max(len(obs) - 1, 1)
+    dof = len(obs) - 1
     from scipy.special import chdtrc
 
     p = float(chdtrc(dof, chi2))

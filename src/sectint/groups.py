@@ -1,9 +1,10 @@
 """Classical compact matrix groups SO(n), SU(n), Sp(n).
 
 Provides orthonormal Lie algebra bases for the inner product
-Re(tr(x^* y)), maximal-torus points, exact Haar sampling as the q
-factor of the field-generic batched QR (matrices.qr) of Gaussian
-matrices for every family, and the adjoint action.
+Re(tr(x^* y)), all from one rule over the field's units, maximal-torus
+points and grids, exact Haar sampling as the q factor of the
+field-generic batched QR (matrices.qr) of Gaussian matrices for every
+family, and the adjoint action.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .matrices import (
     REAL,
     DimensionError,
     MatK,
+    data_from_components,
     from_real_vector,
     gaussian_batch,
-    mat,
     qr,
 )
 
@@ -90,90 +91,47 @@ class GroupElement:
     matrix: MatK
 
 
-def _q_unit(axis: int) -> np.ndarray:
-    e = np.zeros(4)
-    e[axis] = 1.0
-    return e
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # conjugation on (w, x, y, z); R and C use the first 1 or 2
+
+
+def block_algebra_basis(field: ScalarField, n: int, lo: int, hi: int) -> tuple[MatK, ...]:
+    """Orthonormal basis of the algebra of the SO, SU or Sp block on rows and
+    columns [lo, hi) of n x n matrices, by one rule over the field's units
+    u (1; 1, i; 1, i, j, k): for each pair lo <= a < b < hi, u/sqrt(2) at
+    (b, a) and -conj(u)/sqrt(2) at (a, b); then SU's traceless imaginary
+    diagonals, or Sp's three imaginary units u = -conj(u) at each (a, a)."""
+    d, units, out = field.dim, np.eye(field.dim), []
+    slots = [(a, b, u) for a in range(lo, hi) for b in range(a + 1, hi) for u in units]
+    if field is QUATERNION:
+        slots += [(a, a, u) for a in range(lo, hi) for u in units[1:]]
+    for a, b, u in slots:
+        m, c = np.zeros((n, n, d)), (1 / SQ2 if a < b else 1.0)
+        m[b, a], m[a, b] = c * u, -c * (u * _CONJ[:d])
+        out.append(MatK(field, data_from_components(field, m)))
+    if field is COMPLEX:
+        for l in range(1, hi - lo):
+            diag = np.zeros(n, dtype=complex)
+            diag[lo : lo + l], diag[lo + l] = 1j, -1j * l
+            out.append(MatK(field, np.diag(diag / np.sqrt(l * (l + 1)))))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def algebra_basis(group: GroupSpec) -> tuple[MatK, ...]:
-    """Orthonormal basis of the Lie algebra under Re(tr(x^* y)).
-
-    Off-diagonal generators are elementary antisymmetric pairs scaled
-    by 1/sqrt(2); SU gets the usual symmetric imaginary pairs and
-    traceless imaginary diagonals, Sp the three extra imaginary units
-    per slot.
-    """
-    n, field = group.n, group.field
-    out: list[MatK] = []
-    if field is REAL:
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = np.zeros((n, n))
-                m[a, b], m[b, a] = -1.0 / SQ2, 1.0 / SQ2
-                out.append(mat(REAL, m))
-    elif field is COMPLEX:
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[a, b], m[b, a] = -1.0 / SQ2, 1.0 / SQ2
-                out.append(mat(COMPLEX, m))
-                m = np.zeros((n, n), dtype=complex)
-                m[a, b] = m[b, a] = 1j / SQ2
-                out.append(mat(COMPLEX, m))
-        for l in range(1, n):
-            diag = np.zeros(n, dtype=complex)
-            diag[:l] = 1j
-            diag[l] = -1j * l
-            out.append(mat(COMPLEX, np.diag(diag / np.sqrt(l * (l + 1)))))
-    else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                for axis in range(4):
-                    q = _q_unit(axis)
-                    qc = np.array([q[0], -q[1], -q[2], -q[3]])
-                    m = np.zeros((n, n, 4))
-                    # X[a,b] = -conj(q)/sqrt(2), X[b,a] = q/sqrt(2) keeps X skew
-                    m[a, b] = -qc / SQ2
-                    m[b, a] = q / SQ2
-                    out.append(mat(QUATERNION, m))
-        for a in range(n):
-            for axis in range(1, 4):
-                m = np.zeros((n, n, 4))
-                m[a, a] = _q_unit(axis)
-                out.append(mat(QUATERNION, m))
-    assert len(out) == group.algebra_dim
-    return tuple(out)
+    """Orthonormal basis of the Lie algebra: block_algebra_basis on all rows."""
+    return block_algebra_basis(group.field, group.n, 0, group.n)
 
 
 @functools.lru_cache(maxsize=None)
 def torus_basis(group: GroupSpec) -> tuple[MatK, ...]:
-    """Orthonormal basis of the standard maximal torus algebra.
-
-    SO(n): 2x2 rotation generators on consecutive index pairs;
-    SU(n): traceless imaginary diagonals; Sp(n): imaginary-i diagonals.
-    """
-    n, field = group.n, group.field
-    out: list[MatK] = []
-    if group.family is Family.SO:
-        for a in range(n // 2):
-            m = np.zeros((n, n))
-            m[2 * a, 2 * a + 1], m[2 * a + 1, 2 * a] = -1.0 / SQ2, 1.0 / SQ2
-            out.append(mat(REAL, m))
-    elif group.family is Family.SU:
-        for l in range(1, n):
-            diag = np.zeros(n, dtype=complex)
-            diag[:l] = 1j
-            diag[l] = -1j * l
-            out.append(mat(COMPLEX, np.diag(diag / np.sqrt(l * (l + 1)))))
-    else:
-        for a in range(n):
-            m = np.zeros((n, n, 4))
-            m[a, a] = _q_unit(1)
-            out.append(mat(QUATERNION, m))
-    assert len(out) == group.rank
-    return tuple(out)
+    """Orthonormal basis of the standard maximal torus algebra, picked out
+    of algebra_basis: SO(n)'s generators on the pairs (2a, 2a + 1), SU(n)'s
+    traceless imaginary diagonals, Sp(n)'s i-units on the diagonal."""
+    basis, n = algebra_basis(group), group.n
+    if group.family is Family.SO:  # pair (2a, 2a + 1) sits at index a(2n - 2a - 1)
+        return tuple(basis[a * (2 * n - 2 * a - 1)] for a in range(n // 2))
+    # after the d n(n - 1)/2 pair generators, d = 2 or 4
+    return basis[n * (n - 1) :] if group.family is Family.SU else basis[2 * n * (n - 1) :: 3]
 
 
 def torus_point(group: GroupSpec, angles: np.ndarray) -> MatK:
@@ -212,6 +170,13 @@ def torus_points(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
     else:
         out[:, ::step, 0], out[:, ::step, 1] = c, s
     return out.reshape(m, -1)
+
+
+def _torus_grid(rank: int, grid: int) -> np.ndarray:
+    """Angle rows (grid^rank, rank) of the uniform grid with grid nodes per angle."""
+    axes = [np.arange(grid) * (2 * np.pi / grid) for _ in range(rank)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:

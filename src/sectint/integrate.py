@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import batch_to_real, gram_det
-from .groups import haar_sample_batch, torus_points
-from .actions import ActionSpec, ConjugationAction, DirectSumAction, section_points
+from .groups import _torus_grid, haar_sample_batch, torus_points
+from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, section_points
 from .weights import delta_e_batch, section_weight_batch
-from .mc import McEstimate, mc_run, product, ratio
+from .mc import McEstimate, _subseed, mc_run, product, ratio
 from .volumes import group_volume, torus_volume
 
 TWO_PI = 2.0 * np.pi
@@ -171,8 +171,6 @@ def _direct_values_fn(action: ActionSpec, evaluate):
         log_norm = 0.5 * dim * np.log(TWO_PI)
 
         def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-            if size == 0:
-                return np.zeros(0)
             z = rng.standard_normal((size, dim))
             vals = evaluate(z)
             return vals * np.exp(0.5 * np.sum(z * z, axis=1) + log_norm)
@@ -180,8 +178,6 @@ def _direct_values_fn(action: ActionSpec, evaluate):
         return sample
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        if size == 0:
-            return np.zeros(0)
         batch = haar_sample_batch(action.group, rng, size)
         return evaluate(batch_to_real(action.field, batch))
 
@@ -207,12 +203,6 @@ def integrate_direct(
     if isinstance(action, ConjugationAction):
         est = product(est, group_volume(action.group))
     return est
-
-
-def _torus_grid(rank: int, grid: int) -> np.ndarray:
-    axes = [np.arange(grid) * (TWO_PI / grid) for _ in range(rank)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[float, float]:
@@ -374,14 +364,8 @@ def integrate_reduced(action: ActionSpec, f: TestFunction, vol_gn: float | McEst
     return product(McEstimate(value, err, m ** n_axes, 0, 1), vol_est)
 
 
-def _subseed(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
-
-
 def mc_result_json(action: ActionSpec, f: TestFunction, est: McEstimate) -> dict:
     """Flat serialization of one estimate with its full provenance."""
-    from .actions import action_to_json
-
     out = est.to_json()
     out["action"] = action_to_json(action)
     out["function"] = f.to_json()

@@ -56,6 +56,10 @@ def chunk_rngs(seed: int, chunks: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(chunks)]
 
 
+def _subseed(seed: int, *tags: int) -> int:
+    return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
+
+
 def _chunk_stats(values: np.ndarray) -> tuple[int, float, float]:
     count = int(values.size)
     if count == 0:
@@ -108,10 +112,6 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
 
 
 # --- error propagation helpers ----------------------------------------------
-
-def scaled(e: McEstimate, c: float) -> McEstimate:
-    return McEstimate(c * e.mean, abs(c) * e.stderr, e.n_samples, e.seed, e.chunks)
-
 
 def ratio(num: McEstimate, den: McEstimate) -> McEstimate:
     """First-order error propagation for num/den (independent estimates)."""

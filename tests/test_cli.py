@@ -290,6 +290,13 @@ def test_ensemble_needs_two_bins(capsys, bins):
     assert "bins" in err
 
 
+@pytest.mark.parametrize("n", ["1", "5"])
+def test_ensemble_with_one_bin_left_exits_2(capsys, n):
+    # the bins merged to an expected count of 5 leave one bin: no test to run
+    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", SO3K2, "--n", n, "--bins", "20"])
+    assert "at least 2 bins, got 1 after merging" in err
+
+
 @pytest.mark.parametrize("command", ["integrate", "volumes"])
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_estimate_without_error_bar_exits_2(capsys, command, n):
@@ -441,6 +448,21 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
         reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn["mean"]))
         assert entry["direct"] == mc_result_json(action, f, direct)
         assert entry["reduced"] == mc_result_json(action, f, reduced)
+
+
+@pytest.mark.parametrize("action_json", [H32, '{"kind":"conjugation","family":"SU","n":3}'])
+def test_integrate_with_empty_chunks(capsys, action_json):
+    # 5 samples in 16 chunks: 11 chunks draw and evaluate empty batches and add
+    # nothing, so each direct estimate is the one of the 5 non-empty chunks
+    argv = ["integrate", "--action", action_json, "--seed", "3", "--n", "5", "--chunks", "16"]
+    code, rep = run_cli(capsys, argv)
+    assert code in (0, 1)
+    action = action_from_json(json.loads(action_json))
+    for entry in rep["results"]["per_function"]:
+        direct, fn = entry["direct"], entry["function"]
+        alone = integrate_direct(action, make_test_function(fn["name"], **fn["params"]), direct["seed"], 5, chunks=5)
+        assert direct["n_samples"] == 5
+        assert (direct["mean"], direct["stderr"]) == (alone.mean, alone.stderr)
 
 
 def test_integrate_payload_keys(capsys):

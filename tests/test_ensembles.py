@@ -5,7 +5,7 @@ import pytest
 
 from sectint.fields import ScalarField
 from sectint.matrices import complex_embedding, det_modulus
-from sectint.groups import Family, GroupSpec, torus_point
+from sectint.groups import Family, GroupSpec, _torus_grid, torus_point
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -145,8 +145,6 @@ def test_conjugation_samples_match_per_draw_reduction(action):
                                     CONJ_REPLAY[3], CONJ_REPLAY[4]], ids=str)
 def test_canonical_angles_match_reduction_on_reference_grid(action):
     # every node of the reference grid, nodes at angle 0 and pi included
-    from sectint.integrate import _torus_grid
-
     group = action.group
     points = [torus_point(group, a) for a in _torus_grid(group.rank, 96)]
     oracle = np.array([_per_point_angles(action, p) for p in points])
@@ -220,8 +218,16 @@ def test_p_value_is_chi2_survival(action, statistic):
 
 
 def test_constant_statistic_gives_p_one():
-    cmp_ = compare_densities(EnsembleSpec(SO3K2, 1.0, "constant"), seed=1, n=2000, bins=10)
-    assert cmp_.p_value == pytest.approx(1.0)
+    # every sample lands in one bin: a one-bin test with p = 1 would be vacuous
+    with pytest.raises(ValueError, match="at least 2 bins, got 1 after merging"):
+        compare_densities(EnsembleSpec(SO3K2, 1.0, "constant"), seed=1, n=2000, bins=10)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_too_few_samples_for_two_bins_rejected(n):
+    # fewer than 10 samples cannot fill two bins with an expected count of 5
+    with pytest.raises(ValueError, match="at least 2 bins, got 1 after merging"):
+        compare_densities(EnsembleSpec(SO3K2), seed=1, n=n, bins=20)
 
 
 def test_histograms_seed_reproducible():

@@ -45,7 +45,7 @@ for theta in (np.pi / 2, 0.8):
 
 f = make_test_function("trace_power", power=2)
 vol_gn = gh.mean / w_group_volume(action).mean  # exact: vol(G/T) / |W|
-direct = integrate_direct(action, f, seed=5, n=100_000)
+[direct] = integrate_direct(action, [f], seed=5, n=100_000)
 reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn))
 print(f"\nvol(G/N) = vol(G/T) / |W| = {vol_gn:.5f} (analytic pi = {np.pi:.5f})")
 print(f"direct Haar integral of tr^2  : {direct.mean:.4f} +- {direct.stderr:.4f}")

@@ -31,7 +31,7 @@ print(f"exact vol(G/N) = vol(G/H) / vol(W) = {vol_gn:.5f}   (4 pi = {4*np.pi:.5f
 # %% With the exact volume, the two sides of the identity match for the
 # Gaussian integrand, whose ambient integral is (2 pi)^3.
 
-direct = integrate_direct(action, f, seed=2, n=1_000_000)
+[direct] = integrate_direct(action, [f], seed=2, n=1_000_000)
 reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn))
 print(f"direct  integral: {direct.mean:.4f} +- {direct.stderr:.2e}")
 print(f"reduced integral: {reduced.mean:.4f} +- {reduced.stderr:.1e}   ({reduced.n_samples} rule nodes)")

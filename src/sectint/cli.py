@@ -198,10 +198,10 @@ def cmd_integrate(args) -> int:
     action = _parse_action(args.action)
     fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
     vol_gn = McEstimate.exact(vol_gh_estimate(action).mean / w_group_volume(action).mean)
+    reduced_all = [integrate_reduced(action, f, vol_gn) for f in fs]  # an oversized rule fails before any sampling
+    direct_all = integrate_direct(action, fs, args.seed + 1000, args.n, args.chunks, args.workers)
     checks, per_function = [], []
-    for i, f in enumerate(fs):
-        reduced = integrate_reduced(action, f, vol_gn)  # first: an oversized rule fails before any sampling
-        direct = integrate_direct(action, f, args.seed + 1000 + i, args.n, args.chunks, args.workers)
+    for f, direct, reduced in zip(fs, direct_all, reduced_all):
         per_function.append(
             {
                 "function": f.to_json(),

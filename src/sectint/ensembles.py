@@ -68,8 +68,6 @@ def _stats_batch_direct(spec: EnsembleSpec, field: ScalarField, comps: np.ndarra
     ambient sample and its section coordinate give the same value.
     """
     m = comps.shape[0]
-    if spec.statistic == "constant":
-        return np.ones(m)
     if spec.statistic == "coordinate_norm":
         return np.linalg.norm(comps.reshape(m, -1), axis=1)
     if spec.statistic == "coordinate_det":

@@ -3,7 +3,9 @@ integration identity.
 
 The direct side integrates over the ambient space by Monte Carlo
 (Gaussian importance sampling on the flat matrix space, or Haar sampling
-scaled by the group volume for conjugation actions).  The reduced side
+scaled by the group volume for conjugation actions).  It takes a list of
+integrands and evaluates all of them on each chunk's one draw, so
+``sectint integrate`` samples once for all its integrands.  The reduced side
 integrates f * weight over the section by deterministic quadrature and
 multiplies by a given vol(G/N); ``sectint integrate`` passes the exact
 vol(G/H) / vol(W).  Conjugation actions take a trapezoid rule on the
@@ -16,7 +18,8 @@ built by Golub-Welsch, on it.  Their weight is the closed form
 or |t|^(dn-1) on the polar line (k = 1).  Both rules report
 |fine - coarse| as their error.  ``calibrate_vol_gn`` estimates
 vol(G/N) instead, as direct / reduced per integrand with a cross-check
-of the ratios between integrands; ``sectint volumes`` tests it against
+of the ratios between integrands, each direct side on its own seed so
+that the ratios are independent; ``sectint volumes`` tests it against
 the exact value.
 """
 
@@ -89,24 +92,29 @@ def custom_test_function(name: str, fn, invariant: bool) -> TestFunction:
 
 def evaluate_test_function(action: ActionSpec, f: TestFunction, pts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an (m, D) array of flat coordinates."""
-    pts = np.atleast_2d(pts)
+    return _evaluate(action, f, np.atleast_2d(pts), None)
+
+
+def _evaluate(action: ActionSpec, f: TestFunction, pts: np.ndarray, norms_sq: np.ndarray | None) -> np.ndarray:
+    """f on (m, D) points; norms_sq is their squared norms when the caller
+    already has them (the families that need them compute them otherwise)."""
     if f.fn is not None:
         return np.asarray(f.fn(pts, action), dtype=float)
-    return _FAMILIES[f.name](action, pts, f.params)
+    return _FAMILIES[f.name](action, pts, f.params, norms_sq)
 
 
-def _norms_sq(pts):
-    return np.sum(pts * pts, axis=1)
+def _norms_sq(pts, norms_sq):
+    return np.sum(pts * pts, axis=1) if norms_sq is None else norms_sq
 
 
-def _fam_gaussian_radial(action, pts, params):
+def _fam_gaussian_radial(action, pts, params, norms_sq):
     sigma = float(params.get("sigma", 1.0))
-    return np.exp(-_norms_sq(pts) / (2.0 * sigma * sigma))
+    return np.exp(-_norms_sq(pts, norms_sq) / (2.0 * sigma * sigma))
 
 
-def _fam_gaussian_sq_norm(action, pts, params):
+def _fam_gaussian_sq_norm(action, pts, params, norms_sq):
     sigma = float(params.get("sigma", 1.0))
-    r2 = _norms_sq(pts)
+    r2 = _norms_sq(pts, norms_sq)
     return r2 * np.exp(-r2 / (2.0 * sigma * sigma))
 
 
@@ -121,13 +129,13 @@ def section_coordinate_det(action: DirectSumAction, pts: np.ndarray) -> np.ndarr
     return np.sqrt(gram_det(action.field, comps))
 
 
-def _fam_gaussian_det(action, pts, params):
+def _fam_gaussian_det(action, pts, params, norms_sq):
     if not isinstance(action, DirectSumAction):
         raise ContractViolation("gaussian_det integrand needs a direct-sum action")
     sigma = float(params.get("sigma", 1.0))
     power = float(params.get("power", 1.0))
     return section_coordinate_det(action, pts) ** power * np.exp(
-        -_norms_sq(pts) / (2.0 * sigma * sigma)
+        -_norms_sq(pts, norms_sq) / (2.0 * sigma * sigma)
     )
 
 
@@ -137,18 +145,18 @@ def _real_trace(action: ConjugationAction, pts: np.ndarray) -> np.ndarray:
     return np.sum(pts[:, idx], axis=1)
 
 
-def _fam_trace_power(action, pts, params):
+def _fam_trace_power(action, pts, params, norms_sq):
     if not isinstance(action, ConjugationAction):
         raise ContractViolation("trace_power integrand needs a conjugation action")
     power = int(params.get("power", 2))
     return _real_trace(action, pts) ** power
 
 
-def _fam_const(action, pts, params):
+def _fam_const(action, pts, params, norms_sq):
     return np.full(pts.shape[0], float(params.get("value", 1.0)))
 
 
-def _fam_first_coordinate(action, pts, params):
+def _fam_first_coordinate(action, pts, params, norms_sq):
     # deliberately not invariant; used as a negative control
     return pts[:, 0]
 
@@ -165,44 +173,52 @@ _FAMILIES = {
 
 # --- direct and reduced integrals --------------------------------------------
 
-def _direct_values_fn(action: ActionSpec, evaluate):
+def _direct_values_fn(action: ActionSpec, fs):
+    """sample(rng, size): the (len(fs), size) values of every integrand on
+    one draw, ready to average."""
     if isinstance(action, DirectSumAction):
         dim = action.ambient_dim
         log_norm = 0.5 * dim * np.log(TWO_PI)
 
         def sample(rng: np.random.Generator, size: int) -> np.ndarray:
             z = rng.standard_normal((size, dim))
-            vals = evaluate(z)
-            return vals * np.exp(0.5 * np.sum(z * z, axis=1) + log_norm)
+            r2 = np.sum(z * z, axis=1)
+            vals = np.stack([_evaluate(action, f, z, r2) for f in fs])
+            return vals * np.exp(0.5 * r2 + log_norm)
 
         return sample
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        batch = haar_sample_batch(action.group, rng, size)
-        return evaluate(batch_to_real(action.field, batch))
+        pts = batch_to_real(action.field, haar_sample_batch(action.group, rng, size))
+        return np.stack([_evaluate(action, f, pts, None) for f in fs])
 
     return sample
 
 
 def integrate_direct(
     action: ActionSpec,
-    f: TestFunction,
+    fs,
     seed: int,
     n: int,
     chunks: int = 16,
     workers: int | None = None,
-) -> McEstimate:
-    """Integral of f over the ambient space with its Riemannian measure.
+) -> list[McEstimate]:
+    """Integrals of each f in fs over the ambient space with its
+    Riemannian measure, one estimate per integrand.
 
     Flat direct-sum spaces use standard-Gaussian importance sampling
-    (the integrand must decay accordingly); conjugation actions average
-    over Haar samples and scale by the group volume.
+    (the integrands must decay accordingly); conjugation actions average
+    over Haar samples and scale by the group volume.  Each chunk draws
+    once and evaluates every integrand on that draw, so the estimates
+    share their samples, and each one is bit-identical to the run of
+    integrate_direct(action, [f], seed, n, chunks) on its own.
     """
-    evaluate = lambda pts: evaluate_test_function(action, f, pts)
-    est = mc_run(_direct_values_fn(action, evaluate), n, seed, chunks, workers)
+    fs = list(fs)
+    ests = mc_run(_direct_values_fn(action, fs), n, seed, chunks, workers)
     if isinstance(action, ConjugationAction):
-        est = product(est, group_volume(action.group))
-    return est
+        vol = group_volume(action.group)
+        ests = [product(est, vol) for est in ests]
+    return ests
 
 
 def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[float, float]:
@@ -407,7 +423,7 @@ def calibrate_vol_gn(
             raise IllConditionedCalibration(
                 f"section integral of {f.name} is consistent with zero"
             )
-        direct = integrate_direct(action, f, _subseed(seed, i, 0), n, chunks, workers)
+        [direct] = integrate_direct(action, [f], _subseed(seed, i, 0), n, chunks, workers)
         ratios.append(ratio(direct, reduced_unit))
     worst = 0.0
     for i in range(len(ratios)):

@@ -81,12 +81,16 @@ def _combine(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[
     return n, m1 + delta * n2 / n, s1 + s2 + delta * delta * n1 * n2 / n
 
 
-def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = None) -> McEstimate:
+def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = None):
     """Estimate the mean of sample_fn(rng, size) over n draws.
 
     sample_fn must be a pure function of the generator state returning
-    a (size,) array of per-sample values.  Fewer than two samples give
-    no standard error and are rejected.
+    a (size,) array of per-sample values, or an (m, size) array whose
+    rows are m integrands evaluated on one draw.  Each row is reduced
+    along its contiguous last axis on its own, so a row's estimate is
+    bit-identical to the run of a 1-D sample_fn returning that row.  A
+    1-D sample_fn gives one McEstimate, a 2-D one a list of m.  Fewer
+    than two samples give no standard error and are rejected.
     """
     if n < 2:
         raise ValueError(f"a Monte Carlo estimate needs n >= 2 samples for its standard error, got {n}")
@@ -94,8 +98,9 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     sizes = chunk_sizes(n, chunks)
     rngs = chunk_rngs(seed, chunks)
 
-    def one(i: int) -> tuple[int, float, float]:
-        return _chunk_stats(np.asarray(sample_fn(rngs[i], sizes[i]), dtype=float))
+    def one(i: int) -> tuple[int, list[tuple[int, float, float]]]:
+        values = np.asarray(sample_fn(rngs[i], sizes[i]), dtype=float)
+        return values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -103,12 +108,15 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     else:
         parts = [one(i) for i in range(chunks)]
 
-    total = (0, 0.0, 0.0)
-    for p in parts:  # fixed order keeps the reduction bit-identical
-        total = _combine(total, p)
-    count, mean, m2 = total
-    stderr = float(np.sqrt(m2 / (count - 1) / count))
-    return McEstimate(mean, stderr, count, seed, chunks)
+    estimates = []
+    for row in zip(*(stats for _, stats in parts)):
+        total = (0, 0.0, 0.0)
+        for p in row:  # fixed order keeps the reduction bit-identical
+            total = _combine(total, p)
+        count, mean, m2 = total
+        stderr = float(np.sqrt(m2 / (count - 1) / count))
+        estimates.append(McEstimate(mean, stderr, count, seed, chunks))
+    return estimates if parts[0][0] == 2 else estimates[0]
 
 
 # --- error propagation helpers ----------------------------------------------

@@ -46,7 +46,7 @@ def lp_isometry_check(action, f: TestFunction, p: int, vol_gn, seed: int, n: int
         lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p,
         invariant=True,
     )
-    lhs = integrate_direct(action, fp, _subseed(seed, 0), n, chunks, workers)
+    [lhs] = integrate_direct(action, [fp], _subseed(seed, 0), n, chunks, workers)
     rhs = integrate_reduced(action, fp, vol_gn)
 
     def root(e: McEstimate) -> McEstimate:

@@ -100,7 +100,7 @@ def test_criterion_03_integration_identity():
     n = 1_000_000
     calib = calibrate_vol_gn(SO3K2, [f, g], seed=30, n=n)
     assert calib.consistent, f"volume ratios disagree at {calib.worst_sigma:.2f} sigma"
-    direct = integrate_direct(SO3K2, f, seed=31, n=n)
+    [direct] = integrate_direct(SO3K2, [f], seed=31, n=n)
     reduced = integrate_reduced(SO3K2, f, calib.combined)
     assert agree(direct, reduced, 3.0)
     analytic = (2 * np.pi) ** 3
@@ -123,7 +123,7 @@ def test_criterion_04_classical_weyl_recovery():
     assert spread <= 1e-6
     f = make_test_function("trace_power", power=2)
     calib = calibrate_vol_gn(SU2CONJ, [f, make_test_function("const")], seed=40, n=100_000)
-    direct = integrate_direct(SU2CONJ, f, seed=41, n=100_000)
+    [direct] = integrate_direct(SU2CONJ, [f], seed=41, n=100_000)
     reduced = integrate_reduced(SU2CONJ, f, calib.combined)
     assert agree(direct, reduced, 3.0)
     elapsed = time.time() - t0
@@ -225,7 +225,7 @@ def test_criterion_10_deterministic_payloads():
     f = make_test_function("gaussian_sq_norm", sigma=1.0)
     payloads = []
     for workers in (1, 2, 8):
-        direct = integrate_direct(SO3K2, f, seed=1234, n=100_000, chunks=8, workers=workers)
+        [direct] = integrate_direct(SO3K2, [f], seed=1234, n=100_000, chunks=8, workers=workers)
         reduced = integrate_reduced(SO3K2, f, 4 * np.pi)
         payloads.append(json.dumps({"direct": direct.to_json(), "reduced": reduced.to_json()},
                                    sort_keys=True))

@@ -430,8 +430,8 @@ def test_integrate_sp3_conjugation(capsys):
 
 @pytest.mark.parametrize("action_json", ACTION_TABLE)
 def test_integrate_uses_exact_vol_gn(capsys, action_json):
-    # the reduced side is scaled by the exact vol(G/H) / vol(W), and each side
-    # is one estimate on its own seed: seed + 1000 + i direct, seed + 2000 + i reduced
+    # the reduced side is scaled by the exact vol(G/H) / vol(W); the direct side
+    # is one run at seed + 1000 whose draws serve every integrand
     seed, n, chunks = 3, 400, 4
     code, rep = run_cli(
         capsys, ["integrate", "--action", action_json, "--seed", str(seed), "--n", str(n), "--chunks", str(chunks)]
@@ -442,10 +442,13 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     vol_gn = rep["results"]["vol_gn"]
     assert vol_gn["mean"] == pytest.approx(exact, rel=1e-12)
     assert vol_gn["stderr"] == 0.0 and vol_gn["exact"] is True
-    for i, entry in enumerate(rep["results"]["per_function"]):
-        f = make_test_function(entry["function"]["name"], **entry["function"]["params"])
-        direct = integrate_direct(action, f, seed + 1000 + i, n, chunks)
+    entries = rep["results"]["per_function"]
+    fs = [make_test_function(e["function"]["name"], **e["function"]["params"]) for e in entries]
+    directs = integrate_direct(action, fs, seed + 1000, n, chunks)
+    assert len(directs) == len(entries) >= 2
+    for entry, f, direct in zip(entries, fs, directs):
         reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn["mean"]))
+        assert entry["direct"]["seed"] == seed + 1000
         assert entry["direct"] == mc_result_json(action, f, direct)
         assert entry["reduced"] == mc_result_json(action, f, reduced)
 
@@ -460,7 +463,8 @@ def test_integrate_with_empty_chunks(capsys, action_json):
     action = action_from_json(json.loads(action_json))
     for entry in rep["results"]["per_function"]:
         direct, fn = entry["direct"], entry["function"]
-        alone = integrate_direct(action, make_test_function(fn["name"], **fn["params"]), direct["seed"], 5, chunks=5)
+        f = make_test_function(fn["name"], **fn["params"])
+        [alone] = integrate_direct(action, [f], direct["seed"], 5, chunks=5)
         assert direct["n_samples"] == 5
         assert (direct["mean"], direct["stderr"]) == (alone.mean, alone.stderr)
 

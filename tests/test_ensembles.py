@@ -33,8 +33,6 @@ SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
 
 def _stat_from_coordinate(spec, b):
     """Statistic of one section coordinate b, computed per matrix."""
-    if spec.statistic == "constant":
-        return 1.0
     if spec.statistic == "coordinate_det":
         return det_modulus(b)
     if spec.statistic == "coordinate_norm":
@@ -218,8 +216,9 @@ def test_p_value_is_chi2_survival(action, statistic):
 
 
 def test_constant_statistic_gives_p_one():
-    # every sample lands in one bin: a one-bin test with p = 1 would be vacuous
-    with pytest.raises(ValueError, match="at least 2 bins, got 1 after merging"):
+    # a constant statistic puts every sample in one bin, where a chi-square
+    # test says nothing, so it is not a statistic of the ensembles
+    with pytest.raises(ValueError, match="statistic 'constant' not defined for direct sums"):
         compare_densities(EnsembleSpec(SO3K2, 1.0, "constant"), seed=1, n=2000, bins=10)
 
 

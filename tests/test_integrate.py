@@ -65,6 +65,20 @@ def test_mc_run_worker_invariance():
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_mc_run_rows_match_one_dimensional_runs():
+    # an (m, size) sample reduces each row on its own: row i of the batch run
+    # is bit-identical to the 1-D run returning that row, empty chunks included
+    def rows(rng, size):
+        z = rng.standard_normal(size)
+        return np.stack([z, z * z, np.exp(z)])
+
+    for n, chunks in ((9000, 4), (5, 16)):
+        batch = mc_run(rows, n, seed=3, chunks=chunks)
+        assert len(batch) == 3
+        for i, est in enumerate(batch):
+            assert est == mc_run(lambda rng, size: rows(rng, size)[i], n, seed=3, chunks=chunks)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_mc_run_rejects_fewer_than_two_samples(n):
     with pytest.raises(ValueError, match="n >= 2"):
@@ -136,13 +150,13 @@ def test_section_coordinate_det_matches_reduction():
 
 def test_direct_gaussian_normalization():
     f = make_test_function("gaussian_radial", sigma=1.0)
-    est = integrate_direct(SO3K2, f, seed=42, n=100_000)
+    [est] = integrate_direct(SO3K2, [f], seed=42, n=100_000)
     assert abs(est.mean - (2 * np.pi) ** 3) <= 3 * est.stderr + 1e-9 * (2 * np.pi) ** 3
 
 
 def test_direct_zero_function_is_zero():
     zero = custom_test_function("zero", lambda pts, a: np.zeros(pts.shape[0]), True)
-    est = integrate_direct(SO3K2, zero, seed=1, n=10_000)
+    [est] = integrate_direct(SO3K2, [zero], seed=1, n=10_000)
     assert est.mean == 0.0 and est.stderr == 0.0
     est = integrate_reduced(SO3K2, zero, 1.0)
     assert est.mean == 0.0
@@ -151,7 +165,7 @@ def test_direct_zero_function_is_zero():
 def test_direct_su2_volume():
     # integrating 1 over the group recovers its Riemannian volume,
     # the area of a radius sqrt(2) three-sphere, exactly
-    est = integrate_direct(SU2CONJ, make_test_function("const"), seed=2, n=20_000)
+    [est] = integrate_direct(SU2CONJ, [make_test_function("const")], seed=2, n=20_000)
     assert est.stderr == 0.0
     assert est.mean == pytest.approx(2 * np.pi ** 2 * 2 ** 1.5, rel=1e-12)
 
@@ -168,7 +182,7 @@ def test_two_sided_identity_so3():
     g = make_test_function("gaussian_sq_norm", sigma=1.0)
     calib = calibrate_vol_gn(SO3K2, [f, g], seed=7, n=400_000)
     assert calib.consistent
-    direct = integrate_direct(SO3K2, f, seed=100, n=200_000)
+    [direct] = integrate_direct(SO3K2, [f], seed=100, n=200_000)
     reduced = integrate_reduced(SO3K2, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 
@@ -182,7 +196,7 @@ def test_two_sided_identity_polar_direct_sum():
     calib = calibrate_vol_gn(a, [f, g], seed=55, n=300_000)
     assert calib.consistent
     assert calib.combined.mean == pytest.approx(4 * np.pi, rel=0.02)
-    direct = integrate_direct(a, f, seed=56, n=100_000)
+    [direct] = integrate_direct(a, [f], seed=56, n=100_000)
     reduced = integrate_reduced(a, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 
@@ -191,7 +205,7 @@ def test_two_sided_identity_su2_conjugation():
     f = make_test_function("trace_power", power=2)
     calib = calibrate_vol_gn(SU2CONJ, [f, make_test_function("const")], seed=6, n=50_000)
     assert calib.consistent
-    direct = integrate_direct(SU2CONJ, f, seed=8, n=50_000)
+    [direct] = integrate_direct(SU2CONJ, [f], seed=8, n=50_000)
     reduced = integrate_reduced(SU2CONJ, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 
@@ -251,10 +265,69 @@ def test_linearity_same_seed():
         - 0.5 * evaluate_test_function(a, g, pts),
         True,
     )
-    ec = integrate_direct(SO3K2, combo, seed=77, n=30_000)
-    ef = integrate_direct(SO3K2, f, seed=77, n=30_000)
-    eg = integrate_direct(SO3K2, g, seed=77, n=30_000)
+    [ec] = integrate_direct(SO3K2, [combo], seed=77, n=30_000)
+    [ef] = integrate_direct(SO3K2, [f], seed=77, n=30_000)
+    [eg] = integrate_direct(SO3K2, [g], seed=77, n=30_000)
     assert ec.mean == pytest.approx(2.0 * ef.mean - 0.5 * eg.mean, rel=1e-12)
+
+
+SHARED_DRAW_CASES = [
+    (
+        DirectSumAction(ScalarField.QUATERNION, 3, 2),
+        [
+            make_test_function("gaussian_radial", sigma=1.0),
+            make_test_function("gaussian_sq_norm", sigma=0.8),
+            make_test_function("gaussian_det", sigma=1.2, power=2.0),
+            custom_test_function(
+                "first_sq", lambda pts, a: pts[:, 0] ** 2 * np.exp(-0.5 * np.sum(pts * pts, axis=1)), True
+            ),
+        ],
+    ),
+    (
+        ConjugationAction(GroupSpec(Family.SU, 3)),
+        [
+            make_test_function("trace_power", power=2),
+            make_test_function("const"),
+            make_test_function("trace_power", power=4),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("action, fs", SHARED_DRAW_CASES)
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("n, chunks", [(3000, 8), (5, 16)])
+def test_shared_draw_changes_no_estimate(action, fs, workers, n, chunks):
+    # every integrand of one integrate_direct call reads the chunk's one draw;
+    # its estimate is bit-identical to a one-function run at the same seed
+    shared = integrate_direct(action, fs, seed=19, n=n, chunks=chunks, workers=workers)
+    assert len(shared) == len(fs)
+    for f, est in zip(fs, shared):
+        [alone] = integrate_direct(action, [f], seed=19, n=n, chunks=chunks, workers=1)
+        assert (est.mean, est.stderr) == (alone.mean, alone.stderr)
+        assert est == alone
+
+
+@pytest.mark.parametrize(
+    "action, fs",
+    [
+        (SO3K2, [make_test_function("gaussian_radial"), make_test_function("gaussian_sq_norm")]),
+        (SU2CONJ, [make_test_function("trace_power", power=2), make_test_function("const"),
+                   make_test_function("trace_power", power=4)]),
+    ],
+)
+def test_calibration_ratios_use_independent_draws(action, fs):
+    # the consistency test combines the ratios as independent estimates, so
+    # each integrand's direct side has its own draws at _subseed(seed, i, 0)
+    from sectint.mc import _subseed, ratio
+
+    calib = calibrate_vol_gn(action, fs, seed=23, n=4000, chunks=8)
+    seeds = [r.seed for r in calib.ratios]
+    assert seeds == [_subseed(23, i, 0) for i in range(len(fs))]
+    assert len(set(seeds)) == len(fs)
+    for f, r, s in zip(fs, calib.ratios, seeds):
+        [direct] = integrate_direct(action, [f], s, 4000, chunks=8)
+        assert r == ratio(direct, integrate_reduced(action, f, 1.0))
 
 
 def test_weighted_section_measure_positive():
@@ -354,7 +427,7 @@ def test_lp_p1_reduces_to_identity_check():
     rep = lp_isometry_check(SO3K2, f, 1, 4 * np.pi, seed=21, n=50_000)
     from sectint.integrate import _subseed
 
-    direct = integrate_direct(SO3K2, f, _subseed(21, 0), 50_000)
+    [direct] = integrate_direct(SO3K2, [f], _subseed(21, 0), 50_000)
     assert rep.norm_ambient.mean == pytest.approx(direct.mean, rel=1e-12)
 
 
@@ -363,7 +436,7 @@ def test_lp_p1_reduces_to_identity_check():
 def test_integrate_deterministic_across_workers():
     f = make_test_function("gaussian_sq_norm", sigma=1.0)
     runs = [
-        integrate_direct(SO3K2, f, seed=1234, n=64_000, chunks=8, workers=w) for w in (1, 2, 8)
+        integrate_direct(SO3K2, [f], seed=1234, n=64_000, chunks=8, workers=w) for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
     reduced = [integrate_reduced(SO3K2, f, 4 * np.pi) for _ in range(2)]
@@ -372,6 +445,6 @@ def test_integrate_deterministic_across_workers():
 
 def test_conjugation_direct_deterministic():
     f = make_test_function("trace_power", power=2)
-    a = integrate_direct(SU2CONJ, f, seed=55, n=20_000, chunks=4, workers=1)
-    b = integrate_direct(SU2CONJ, f, seed=55, n=20_000, chunks=4, workers=4)
+    [a] = integrate_direct(SU2CONJ, [f], seed=55, n=20_000, chunks=4, workers=1)
+    [b] = integrate_direct(SU2CONJ, [f], seed=55, n=20_000, chunks=4, workers=4)
     assert a == b

@@ -172,7 +172,7 @@ def test_su3_conjugation_two_sided_identity():
     vol_su3 = 4.0 * np.sqrt(1.5) * np.pi ** 3 * (2 * np.pi ** 2 * 2 ** 1.5)
     analytic_gn = vol_su3 / (torus_volume(GroupSpec(Family.SU, 3)) * weyl_group_order(GroupSpec(Family.SU, 3)))
     assert abs(calib.combined.mean - analytic_gn) < 4 * calib.combined.stderr
-    direct = integrate_direct(c, f, seed=35, n=50_000)
+    [direct] = integrate_direct(c, [f], seed=35, n=50_000)
     reduced = integrate_reduced(c, f, calib.combined)
     assert agree(direct, reduced, 3.5)
 

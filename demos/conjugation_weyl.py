@@ -12,7 +12,6 @@ from sectint import (
     ConjugationAction,
     Family,
     GroupSpec,
-    McEstimate,
     calibrate_vol_gn,
     delta_e_generic,
     integrate_direct,
@@ -34,19 +33,19 @@ for theta in np.linspace(0.3, np.pi - 0.3, 6):
 # %% Orbit volumes: the conjugacy class through angle theta is a round
 # sphere of radius sqrt(2) sin(theta); its area is 8 pi sin(theta)^2.
 
-gh = vol_gh_estimate(action)  # exact: vol(SU(2)) / vol(T)
-print(f"\nvol(G/T) = {gh.mean:.4f}   (analytic 2 pi = {2*np.pi:.4f})")
+gh = vol_gh_estimate(action)  # exact, a float: vol(SU(2)) / vol(T)
+print(f"\nvol(G/T) = {gh:.4f}   (analytic 2 pi = {2*np.pi:.4f})")
 for theta in (np.pi / 2, 0.8):
-    vol = orbit_volume(action, torus_point(action.group, [theta]), gh.mean)
+    vol = orbit_volume(action, torus_point(action.group, [theta]), gh)
     print(f"orbit volume at theta={theta:.2f}: {vol:8.4f}   sphere area {8*np.pi*np.sin(theta)**2:8.4f}")
 
 # %% A class function integrated both ways: over the whole group by
 # Haar sampling, and over the torus by quadrature with the weight.
 
 f = make_test_function("trace_power", power=2)
-vol_gn = gh.mean / w_group_volume(action).mean  # exact: vol(G/T) / |W|
+vol_gn = gh / w_group_volume(action)  # exact: vol(G/T) / |W|
 [direct] = integrate_direct(action, [f], seed=5, n=100_000)
-reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn))
+[reduced] = integrate_reduced(action, [f], vol_gn)  # one estimate per integrand
 print(f"\nvol(G/N) = vol(G/T) / |W| = {vol_gn:.5f} (analytic pi = {np.pi:.5f})")
 print(f"direct Haar integral of tr^2  : {direct.mean:.4f} +- {direct.stderr:.4f}")
 print(f"reduced torus quadrature      : {reduced.mean:.4f} +- {reduced.stderr:.4f}")

@@ -11,7 +11,6 @@ import numpy as np
 
 from sectint import (
     DirectSumAction,
-    McEstimate,
     ScalarField,
     calibrate_vol_gn,
     integrate_direct,
@@ -25,17 +24,22 @@ action = DirectSumAction(ScalarField.REAL, 3, 2)
 f = make_test_function("gaussian_radial", sigma=1.0)
 g = make_test_function("gaussian_sq_norm", sigma=1.0)
 
-vol_gn = vol_gh_estimate(action).mean / w_group_volume(action).mean
+vol_gn = vol_gh_estimate(action) / w_group_volume(action)  # exact volumes are plain floats
 print(f"exact vol(G/N) = vol(G/H) / vol(W) = {vol_gn:.5f}   (4 pi = {4*np.pi:.5f})\n")
 
 # %% With the exact volume, the two sides of the identity match for the
-# Gaussian integrand, whose ambient integral is (2 pi)^3.
+# Gaussian integrand, whose ambient integral is (2 pi)^3, and for
+# |x|^2 times it, 6 (2 pi)^3.  Each side takes the list of integrands:
+# one Gaussian draw and one evaluation of the rule's weight serve both.
 
-[direct] = integrate_direct(action, [f], seed=2, n=1_000_000)
-reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn))
-print(f"direct  integral: {direct.mean:.4f} +- {direct.stderr:.2e}")
-print(f"reduced integral: {reduced.mean:.4f} +- {reduced.stderr:.1e}   ({reduced.n_samples} rule nodes)")
-print(f"analytic        : {(2*np.pi)**3:.4f}\n")
+direct = integrate_direct(action, [f, g], seed=2, n=1_000_000)
+reduced = integrate_reduced(action, [f, g], vol_gn)
+for h, d, r, exact in zip((f, g), direct, reduced, ((2*np.pi)**3, 6*(2*np.pi)**3)):
+    print(f"{h.name}:")
+    print(f"  direct  integral: {d.mean:.4f} +- {d.stderr:.2e}")
+    print(f"  reduced integral: {r.mean:.4f} +- {r.stderr:.1e}   ({r.n_samples} rule nodes)")
+    print(f"  analytic        : {exact:.4f}")
+print()
 
 # %% As a check, vol(G/N) can also be calibrated as direct / reduced per
 # integrand; the ratios of two integrands must agree with each other and

@@ -82,11 +82,9 @@ from .integrate import (
     make_test_function,
 )
 from .volumes import (
-    VolumeTable,
     group_volume,
     torus_volume,
     vol_gh_estimate,
-    volume_table,
     w_group_volume,
     weyl_group_order,
 )

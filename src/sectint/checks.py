@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import batch_from_real, batch_to_real, conj_transpose, eye, matmul, zeros
-from .groups import haar_sample_batch
+from .groups import haar_sample_batch, torus_points
 from .actions import (
     ActionSpec,
     AlgebraSplit,
+    ConjugationAction,
     DirectSumAction,
     OrbitMapDifferential,
     act_data,
@@ -181,9 +182,14 @@ def run_action_checks(
         sing = zeros(field, *action.shape) if isinstance(action, DirectSumAction) else eye(field, action.group.n)
         out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
 
-    # canonical reduction is translation independent
+    # canonical reduction is translation independent, also at a fixed torus point
+    # with an angle at 0 (the cut of the SU(n) phases) where the rank allows; it draws nothing
     x = random_ambient_points(action, rng, 5)
     h = haar_sample_batch(action.group, rng, 5)
+    if isinstance(action, ConjugationAction) and action.group.rank >= 2:
+        cut = torus_points(action.group, 0.7 * np.arange(action.group.rank)[None])
+        x = np.concatenate([x, np.repeat(batch_from_real(field, *action.shape, cut), 5, axis=0)])
+        h = np.concatenate([h, h])
     s1, s2 = np.split(reduce_to_section_batch(action, np.concatenate([x, act_data(action, h, x)])), 2)
     worst = np.max(np.linalg.norm(s1 - s2, axis=1) / np.maximum(1.0, np.linalg.norm(s1, axis=1)))
     out.append(_result("reduction_translation_invariance", worst, tol_rel))

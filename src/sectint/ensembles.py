@@ -5,14 +5,15 @@ sample to its canonical section representative realizes the section as
 an eigenvalue-like manifold: the distribution of any Weyl-invariant
 statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
-chi-square test.  Its p-value, the chi-square tail, is the one scipy
-call here (scipy.special.chdtrc), imported inside ``compare_densities``
-so that importing sectint loads no scipy.
+chi-square test.  Its p-value is the chi-square tail at an integer
+number of degrees of freedom, a finite sum in closed form, so no run
+loads scipy.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,22 @@ def _merge_small_bins(obs: np.ndarray, exp: np.ndarray):
     return np.array(obs), np.array(exp)
 
 
+def chi2_tail(dof: int, x: float) -> float:
+    """P(X >= x) for X chi-square with an integer dof >= 1 (Abramowitz and
+    Stegun 26.4.4-26.4.5): erfc(sqrt(x/2)) for odd dof, plus dof // 2
+    terms (x/2)^j / j! e^(-x/2), or sqrt(2x/pi) x^j / (3 5 ... (2j+1))
+    e^(-x/2) for odd dof.  Each term comes from the previous one, starting
+    at e^(-x/2), so a huge x gives 0 rather than NaN.
+    """
+    odd = dof % 2
+    total = math.erfc(math.sqrt(0.5 * x)) if odd else 0.0
+    term = math.exp(-0.5 * x) * (math.sqrt(2.0 * x / math.pi) if odd else 1.0)
+    for j in range(dof // 2):
+        total += term
+        term *= 0.5 * x / (j + 1 + 0.5 * odd)
+    return total
+
+
 def compare_densities(
     spec: EnsembleSpec,
     seed: int,
@@ -240,7 +257,5 @@ def compare_densities(
                          f"after merging to an expected count of {MIN_EXPECTED:g}")
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    from scipy.special import chdtrc
-
-    p = float(chdtrc(dof, chi2))
+    p = chi2_tail(dof, chi2)
     return HistogramComparison(spec, edges, emp_freq, ref_freq, n, chi2, dof, p)

@@ -8,15 +8,16 @@ integrands and evaluates all of them on each chunk's one draw, so
 ``sectint integrate`` samples once for all its integrands.  The reduced side
 integrates f * weight over the section by deterministic quadrature and
 multiplies by a given vol(G/N); ``sectint integrate`` passes the exact
-vol(G/H) / vol(W).  Conjugation actions take a trapezoid rule on the
-torus angles.  Direct sums take a tensor Gauss rule in the Bartlett
-coordinates B = wR of the section coordinate (w in W = U_d(k), R upper
-triangular with a positive diagonal; Edelman and Rao, Acta Numerica
-2005): Gauss-Hermite axes above the diagonal and half-range Gauss axes,
-built by Golub-Welsch, on it.  Their weight is the closed form
+vol(G/H) / vol(W); one call serves all its integrands.  Conjugation
+actions take a trapezoid rule on the torus angles.  Direct sums take a
+tensor Gauss rule in the Bartlett coordinates B = wR of the section
+coordinate (w in W = U_d(k), R upper triangular with a positive
+diagonal; Edelman and Rao, Acta Numerica 2005): Gauss-Hermite axes above
+the diagonal and half-range Gauss axes, built by Golub-Welsch, on it.  Their weight is the closed form
 ``weights.section_weight_batch``, a constant times prod r_ii^(d(n-k)),
 or |t|^(dn-1) on the polar line (k = 1).  Both rules report
-|fine - coarse| as their error.  ``calibrate_vol_gn`` estimates
+|fine - coarse| as their error.  Both sides refuse a ``gaussian_det``
+power whose integral diverges.  ``calibrate_vol_gn`` estimates
 vol(G/N) instead, as direct / reduced per integrand with a cross-check
 of the ratios between integrands, each direct side on its own seed so
 that the ratios are independent; ``sectint volumes`` tests it against
@@ -92,15 +93,15 @@ def custom_test_function(name: str, fn, invariant: bool) -> TestFunction:
 
 def evaluate_test_function(action: ActionSpec, f: TestFunction, pts: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an (m, D) array of flat coordinates."""
-    return _evaluate(action, f, np.atleast_2d(pts), None)
+    return _stacked_values(action, [f], np.atleast_2d(pts))[0]
 
 
-def _evaluate(action: ActionSpec, f: TestFunction, pts: np.ndarray, norms_sq: np.ndarray | None) -> np.ndarray:
-    """f on (m, D) points; norms_sq is their squared norms when the caller
-    already has them (the families that need them compute them otherwise)."""
-    if f.fn is not None:
-        return np.asarray(f.fn(pts, action), dtype=float)
-    return _FAMILIES[f.name](action, pts, f.params, norms_sq)
+def _stacked_values(action: ActionSpec, fs, pts: np.ndarray, norms_sq: np.ndarray | None = None) -> np.ndarray:
+    """The (len(fs), m) values of every f in fs at (m, D) points, one row
+    per integrand; norms_sq is their squared norms when the caller already
+    has them (the families that need them compute them otherwise)."""
+    return np.stack([_FAMILIES[f.name](action, pts, f.params, norms_sq) if f.fn is None
+                     else np.asarray(f.fn(pts, action), dtype=float) for f in fs])
 
 
 def _norms_sq(pts, norms_sq):
@@ -171,6 +172,16 @@ _FAMILIES = {
 }
 
 
+def _require_integrable(action: ActionSpec, fs) -> None:
+    """Refuse gaussian_det at a power p <= -d(n - k + 1), where the integral
+    diverges: the Jacobian of the last Bartlett axis is r^(d(n - k + 1) - 1)."""
+    bound = -action.field.dim * (action.n - action.k + 1) if isinstance(action, DirectSumAction) else -math.inf
+    for f in fs:
+        p = float(f.params.get("power", 1.0))
+        if f.fn is None and f.name == "gaussian_det" and p <= bound:
+            raise ContractViolation(f"gaussian_det: the integral of |det|^p diverges on {action} at p = {p:g}")
+
+
 # --- direct and reduced integrals --------------------------------------------
 
 def _direct_values_fn(action: ActionSpec, fs):
@@ -183,14 +194,13 @@ def _direct_values_fn(action: ActionSpec, fs):
         def sample(rng: np.random.Generator, size: int) -> np.ndarray:
             z = rng.standard_normal((size, dim))
             r2 = np.sum(z * z, axis=1)
-            vals = np.stack([_evaluate(action, f, z, r2) for f in fs])
-            return vals * np.exp(0.5 * r2 + log_norm)
+            return _stacked_values(action, fs, z, r2) * np.exp(0.5 * r2 + log_norm)
 
         return sample
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
         pts = batch_to_real(action.field, haar_sample_batch(action.group, rng, size))
-        return np.stack([_evaluate(action, f, pts, None) for f in fs])
+        return _stacked_values(action, fs, pts)
 
     return sample
 
@@ -214,6 +224,7 @@ def integrate_direct(
     integrate_direct(action, [f], seed, n, chunks) on its own.
     """
     fs = list(fs)
+    _require_integrable(action, fs)
     ests = mc_run(_direct_values_fn(action, fs), n, seed, chunks, workers)
     if isinstance(action, ConjugationAction):
         vol = group_volume(action.group)
@@ -221,23 +232,23 @@ def integrate_direct(
     return ests
 
 
-def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[float, float]:
-    """(rule(fine), error proxy): |rule(fine) - rule(coarse)|, floored at
-    rounding level, where a rule that is exact on the integrand reads 0."""
+def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rule(fine), error proxy) per integrand: |rule(fine) - rule(coarse)|,
+    floored at rounding level, where a rule exact on the integrand reads 0."""
     value = rule(fine)
-    return value, max(abs(value - rule(coarse)), QUADRATURE_REL_FLOOR * abs(value))
+    return value, np.maximum(np.abs(value - rule(coarse)), QUADRATURE_REL_FLOOR * np.abs(value))
 
 
-def _torus_rule(action: ConjugationAction, evaluate, grid: int) -> float:
-    """Trapezoid rule with grid nodes per angle of the torus cube.
+def _torus_rule(action: ConjugationAction, fs, grid: int) -> np.ndarray:
+    """Trapezoid rule with grid nodes per angle of the torus cube, one
+    value per f in fs from one evaluation of the weight.
 
     The integrand is smooth and periodic, so the composite rule
     converges spectrally.
     """
-    rank = action.group.rank
-    pts = torus_points(action.group, _torus_grid(rank, grid))
-    vals = evaluate(pts) * delta_e_batch(action, pts)
-    return float(np.mean(vals) * torus_volume(action.group))
+    pts = torus_points(action.group, _torus_grid(action.group.rank, grid))
+    vals = _stacked_values(action, fs, pts) * delta_e_batch(action, pts)
+    return np.mean(vals, axis=1) * torus_volume(action.group)
 
 
 def _golub_welsch(alpha: np.ndarray, offdiag: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
@@ -310,9 +321,9 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
     return tuple(axes), power, float(np.exp(0.5 * action.section_dim * np.log(TWO_PI) - log_mass))
 
 
-def _bartlett_rule(action: DirectSumAction, evaluate, sigma: float, m: int) -> float:
+def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndarray:
     """Tensor Gauss rule, m nodes per axis, for the section integral of
-    f * weight over the section of a direct sum.
+    f * weight over the section of a direct sum, one value per f in fs.
 
     f and the weight are invariant under W = U_d(k) acting on the section
     coordinate by B -> wB, so the integral over B = wR is one over the
@@ -322,7 +333,8 @@ def _bartlett_rule(action: DirectSumAction, evaluate, sigma: float, m: int) -> f
     exponents d(n - i + 1) - 1 of the n x k matrix (dn - 1 for k = 1).
     Each axis weight carries e^(x^2/2), and each diagonal one divides out
     x^p, so the rule applies to f * weight itself and is exact when f is
-    a polynomial times e^(-|B|^2/(2 sigma^2)), at every n.
+    a polynomial times e^(-|B|^2/(2 sigma^2)), at every n.  The f in fs
+    share sigma, so one evaluation of the weight serves them all.
     """
     axes, power, const = _bartlett_axes(action)
     rules = [hermite_rule(m) if b is None else half_range_rule(b + power, m) for _, b in axes]
@@ -332,7 +344,7 @@ def _bartlett_rule(action: DirectSumAction, evaluate, sigma: float, m: int) -> f
         for (_, b), (x, w) in zip(axes, rules)
     ]
     count = m ** len(axes)
-    total = 0.0
+    totals = np.zeros(len(fs))
     for lo in range(0, count, _RULE_BLOCK):
         digits = np.unravel_index(np.arange(lo, min(lo + _RULE_BLOCK, count)), (m,) * len(axes))
         z = np.zeros((digits[0].size, action.section_dim))
@@ -340,13 +352,14 @@ def _bartlett_rule(action: DirectSumAction, evaluate, sigma: float, m: int) -> f
         for (col, _), x, wx, idx in zip(axes, nodes, weights, digits):
             z[:, col] = x[idx]
             w *= wx[idx]
-        vals = evaluate(section_points(action, z)) * section_weight_batch(action, z)
-        total += float(w @ vals)
-    return total * const * sigma ** action.section_dim
+        vals = _stacked_values(action, fs, section_points(action, z)) * section_weight_batch(action, z)
+        totals += [w @ row for row in vals]
+    return totals * const * sigma ** action.section_dim
 
 
-def integrate_reduced(action: ActionSpec, f: TestFunction, vol_gn: float | McEstimate) -> McEstimate:
-    """vol(G/N) times the weighted section integral of an invariant f.
+def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> list[McEstimate]:
+    """vol(G/N) times the weighted section integral of each invariant f
+    in fs, one estimate per integrand.
 
     The section integral is deterministic quadrature: a trapezoid rule
     on the torus angles for conjugation actions (TORUS_GRID nodes per
@@ -354,30 +367,35 @@ def integrate_reduced(action: ActionSpec, f: TestFunction, vol_gn: float | McEst
     the coordinates B = wR for direct sums, scaled to the integrand's
     ``sigma`` (default 1).  The stderr is the gap to the coarser rule
     (half the torus nodes, one Gauss node fewer), floored at
-    QUADRATURE_REL_FLOOR relative.  A direct sum whose rule would exceed
-    MAX_RULE_NODES raises ValueError.
+    QUADRATURE_REL_FLOOR relative.  Each rule evaluates the weight once
+    for all integrands (once per distinct sigma on direct sums); each
+    estimate is bit-identical to the call with [f] alone.  A direct sum
+    whose rule would exceed MAX_RULE_NODES raises ValueError.
     """
-    if not f.invariant:
+    fs = list(fs)
+    if not all(f.invariant for f in fs):
         raise ContractViolation("reduced integration needs a group-invariant integrand")
+    _require_integrable(action, fs)
     vol_est = vol_gn if isinstance(vol_gn, McEstimate) else McEstimate.exact(float(vol_gn))
-    evaluate = lambda pts: evaluate_test_function(action, f, pts)
 
     if isinstance(action, ConjugationAction):
-        rank = action.group.rank
-        grid = TORUS_GRID.get(rank, 12)
-        value, err = _fine_vs_coarse(lambda g: _torus_rule(action, evaluate, g), grid, grid // 2)
-        return product(McEstimate(value, err, grid ** rank, 0, 1), vol_est)
-
-    m = GAUSS_NODES
-    n_axes = len(_bartlett_axes(action)[0])
-    if m ** n_axes > MAX_RULE_NODES:
-        raise ValueError(
-            f"the reduced rule of {action} needs {m ** n_axes} nodes ({m} on each of "
-            f"{n_axes} axes), more than {MAX_RULE_NODES}"
-        )
-    sigma = abs(float(f.params.get("sigma", 1.0)))
-    value, err = _fine_vs_coarse(lambda g: _bartlett_rule(action, evaluate, sigma, g), m, m - 1)
-    return product(McEstimate(value, err, m ** n_axes, 0, 1), vol_est)
+        grid = TORUS_GRID.get(action.group.rank, 12)
+        count = grid ** action.group.rank
+        value, err = _fine_vs_coarse(lambda g: _torus_rule(action, fs, g), grid, grid // 2)
+    else:
+        m = GAUSS_NODES
+        n_axes = len(_bartlett_axes(action)[0])
+        count = m ** n_axes
+        if count > MAX_RULE_NODES:
+            raise ValueError(f"the reduced rule of {action} needs {count} nodes ({m} on each of "
+                             f"{n_axes} axes), more than {MAX_RULE_NODES}")
+        sigmas = [abs(float(f.params.get("sigma", 1.0))) for f in fs]
+        value, err = np.empty(len(fs)), np.empty(len(fs))
+        for sigma in dict.fromkeys(sigmas):
+            rows = [i for i, s in enumerate(sigmas) if s == sigma]
+            group = [fs[i] for i in rows]
+            value[rows], err[rows] = _fine_vs_coarse(lambda g: _bartlett_rule(action, group, sigma, g), m, m - 1)
+    return [product(McEstimate(float(v), float(e), count, 0, 1), vol_est) for v, e in zip(value, err)]
 
 
 def mc_result_json(action: ActionSpec, f: TestFunction, est: McEstimate) -> dict:
@@ -417,12 +435,9 @@ def calibrate_vol_gn(
     if len(fs) < 2:
         raise ValueError("calibration needs at least two independent integrands")
     ratios = []
-    for i, f in enumerate(fs):
-        reduced_unit = integrate_reduced(action, f, 1.0)
+    for i, (f, reduced_unit) in enumerate(zip(fs, integrate_reduced(action, fs, 1.0))):
         if abs(reduced_unit.mean) <= max(5.0 * reduced_unit.stderr, 1e-200):
-            raise IllConditionedCalibration(
-                f"section integral of {f.name} is consistent with zero"
-            )
+            raise IllConditionedCalibration(f"section integral of {f.name} is consistent with zero")
         [direct] = integrate_direct(action, [f], _subseed(seed, i, 0), n, chunks, workers)
         ratios.append(ratio(direct, reduced_unit))
     worst = 0.0

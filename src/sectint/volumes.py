@@ -1,8 +1,9 @@
 """Absolute Riemannian volumes of the compact groups and their quotients.
 
-Every volume is exact.  For the Re(tr(x^* y)) metric each classical
-group fibres over a sphere by g -> g e_1, with fibre G(n - 1).  A
-horizontal generator with first column v has norm^2 2|v|^2 and moves
+Every volume is exact and a plain float, except that ``group_volume``
+returns an estimate (below).  For the Re(tr(x^* y)) metric each
+classical group fibres over a sphere by g -> g e_1, with fibre G(n - 1).
+A horizontal generator with first column v has norm^2 2|v|^2 and moves
 e_1 at speed |v|, which gives (Macdonald, Invent. Math. 56, 1980)
 
     vol(SO(n)) = sqrt(2)^(n-1) |S^(n-1)| vol(SO(n-1)),          SO(1) = 1,
@@ -14,8 +15,8 @@ the totally geodesic fibrations vol(G/H) = vol(G)/vol(H) and
 vol(G/H) = vol(G/N) vol(W).
 
 ``group_volume(..., n_samples > 0)`` keeps the exponential-chart Monte
-Carlo as an independent oracle, reliable up to dimension 8: for
-orthonormal algebra coordinates,
+Carlo as an independent oracle (hence its ``McEstimate``), reliable up
+to dimension 8: for orthonormal algebra coordinates,
 
     vol(G) = integral over the principal domain of |det d(exp)_X| dX,
 
@@ -29,7 +30,6 @@ is done by Gaussian importance sampling in the algebra coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def group_volume(
 cached_group_volume = group_volume  # alias for importers; an exact value needs no cache
 
 
-def w_group_volume(action: ActionSpec) -> McEstimate:
+def w_group_volume(action: ActionSpec) -> float:
     """Exact volume of the generalized Weyl group with its induced metric.
 
     Finite Weyl groups count points: the classical Weyl group of a
@@ -187,58 +187,25 @@ def w_group_volume(action: ActionSpec) -> McEstimate:
     trace-compensating generator stretches it by sqrt(n / (n - k)).
     """
     if isinstance(action, ConjugationAction):
-        return McEstimate.exact(float(weyl_group_order(action.group)))
+        return float(weyl_group_order(action.group))
     n, k = action.n, action.k
     if k == 1:
-        return McEstimate.exact(2.0)
+        return 2.0
     vol = _exact_group_volume(GroupSpec(action.group.family, k))
     if action.field is ScalarField.REAL:
         vol *= 2.0
     elif action.field is ScalarField.COMPLEX:
         vol *= 2.0 * math.pi / math.sqrt(k) * math.sqrt(n / (n - k))
-    return McEstimate.exact(vol)
+    return vol
 
 
-def stabilizer_volume(action: ActionSpec) -> McEstimate:
+def stabilizer_volume(action: ActionSpec) -> float:
     """Exact volume of the pointwise stabilizer of the section."""
     if isinstance(action, ConjugationAction):
-        return McEstimate.exact(torus_volume(action.group))
-    return group_volume(GroupSpec(action.group.family, action.n - action.k))
+        return torus_volume(action.group)
+    return _exact_group_volume(GroupSpec(action.group.family, action.n - action.k))
 
 
-def vol_gh_estimate(action: ActionSpec) -> McEstimate:
+def vol_gh_estimate(action: ActionSpec) -> float:
     """vol(G/H) from the totally geodesic fibration vol(G)/vol(H); exact."""
-    return McEstimate.exact(group_volume(action.group).mean / stabilizer_volume(action).mean)
-
-
-@dataclass(frozen=True)
-class VolumeTable:
-    """The three quotient volumes and their factorization consistency.
-
-    The identity vol(G/H) = vol(G/N) vol(W) holds when the Weyl bundle
-    over G/N factors; the consistency flag reports whether the exact
-    vol(G/H) and vol(W) close it with the calibrated vol(G/N).
-    """
-
-    action: ActionSpec
-    vol_gh: McEstimate
-    vol_gn: McEstimate
-    vol_w: McEstimate
-
-    def factorization_gap(self) -> tuple[float, float]:
-        """(|vol_gh - vol_gn * vol_w|, combined standard error)."""
-        prod_mean = self.vol_gn.mean * self.vol_w.mean
-        prod_se = float(
-            np.hypot(self.vol_gn.stderr * self.vol_w.mean, self.vol_w.stderr * self.vol_gn.mean)
-        )
-        gap = abs(self.vol_gh.mean - prod_mean)
-        return gap, float(np.hypot(prod_se, self.vol_gh.stderr))
-
-    def consistent(self, n_sigma: float = 3.0) -> bool:
-        gap, se = self.factorization_gap()
-        return gap <= n_sigma * se + 1e-9 * max(1.0, abs(self.vol_gh.mean))
-
-
-def volume_table(action: ActionSpec, vol_gn: McEstimate) -> VolumeTable:
-    """Assemble the quotient-volume triangle around a calibrated vol(G/N)."""
-    return VolumeTable(action, vol_gh_estimate(action), vol_gn, w_group_volume(action))
+    return _exact_group_volume(action.group) / stabilizer_volume(action)

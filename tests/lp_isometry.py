@@ -47,7 +47,7 @@ def lp_isometry_check(action, f: TestFunction, p: int, vol_gn, seed: int, n: int
         invariant=True,
     )
     [lhs] = integrate_direct(action, [fp], _subseed(seed, 0), n, chunks, workers)
-    rhs = integrate_reduced(action, fp, vol_gn)
+    [rhs] = integrate_reduced(action, [fp], vol_gn)
 
     def root(e: McEstimate) -> McEstimate:
         if e.mean <= 0:

@@ -101,7 +101,7 @@ def test_criterion_03_integration_identity():
     calib = calibrate_vol_gn(SO3K2, [f, g], seed=30, n=n)
     assert calib.consistent, f"volume ratios disagree at {calib.worst_sigma:.2f} sigma"
     [direct] = integrate_direct(SO3K2, [f], seed=31, n=n)
-    reduced = integrate_reduced(SO3K2, f, calib.combined)
+    [reduced] = integrate_reduced(SO3K2, [f], calib.combined)
     assert agree(direct, reduced, 3.0)
     analytic = (2 * np.pi) ** 3
     assert abs(direct.mean - analytic) <= 3 * direct.stderr + 1e-9 * analytic
@@ -124,7 +124,7 @@ def test_criterion_04_classical_weyl_recovery():
     f = make_test_function("trace_power", power=2)
     calib = calibrate_vol_gn(SU2CONJ, [f, make_test_function("const")], seed=40, n=100_000)
     [direct] = integrate_direct(SU2CONJ, [f], seed=41, n=100_000)
-    reduced = integrate_reduced(SU2CONJ, f, calib.combined)
+    [reduced] = integrate_reduced(SU2CONJ, [f], calib.combined)
     assert agree(direct, reduced, 3.0)
     elapsed = time.time() - t0
     assert elapsed < 30.0
@@ -226,7 +226,7 @@ def test_criterion_10_deterministic_payloads():
     payloads = []
     for workers in (1, 2, 8):
         [direct] = integrate_direct(SO3K2, [f], seed=1234, n=100_000, chunks=8, workers=workers)
-        reduced = integrate_reduced(SO3K2, f, 4 * np.pi)
+        [reduced] = integrate_reduced(SO3K2, [f], 4 * np.pi)
         payloads.append(json.dumps({"direct": direct.to_json(), "reduced": reduced.to_json()},
                                    sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]

@@ -10,7 +10,6 @@ from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
 from sectint.integrate import integrate_direct, integrate_reduced, make_test_function, mc_result_json
-from sectint.mc import McEstimate
 from sectint.volumes import vol_gh_estimate, w_group_volume
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
@@ -43,6 +42,28 @@ def test_checks_pass_for_reference_actions():
         ConjugationAction(GroupSpec(Family.SU, 2)),
     ]:
         assert all_passed(run_action_checks(action, seed=1, n_points=6))
+
+
+@pytest.mark.parametrize("family, n", [(Family.SU, 3), (Family.SU, 4), (Family.SO, 4), (Family.SO, 5), (Family.SP, 2)])
+def test_translation_invariance_reduces_a_point_at_the_su_cut(family, n):
+    # a fixed torus point with an angle at 0 and its Haar translates reduce to one point
+    checks = {c.name: c for c in run_action_checks(ConjugationAction(GroupSpec(family, n)), seed=2, n_points=4)}
+    assert checks["reduction_translation_invariance"].value <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_translation_invariance_catches_unwrapped_su_phases(monkeypatch, n, seed):
+    # SU(n) phases sorted in [0, 2 pi) with no wrap jump where an eigenvalue
+    # crosses 1; Haar draws almost never land there, the fixed point does
+    import sectint.actions
+
+    def unwrapped(group, data):
+        return np.sort(np.mod(np.angle(np.linalg.eigvals(data)), 2 * np.pi), axis=1)
+
+    monkeypatch.setattr(sectint.actions, "canonical_angles", unwrapped)
+    checks = {c.name: c for c in run_action_checks(ConjugationAction(GroupSpec(Family.SU, n)), seed=seed, n_points=4)}
+    assert not checks["reduction_translation_invariance"].passed
 
 
 def test_checks_negative_control():
@@ -142,6 +163,17 @@ def test_bad_function_name_exits_nonzero(capsys):
     code = main(["integrate", "--action", SO3K2, "--functions", "nope", "--n", "100"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+@pytest.mark.parametrize("action_json, power", [
+    (SO3K2, "-2"), (SO3K2, "-3"), ('{"kind":"direct_sum","field":"R","n":4,"k":1}', "-4"),
+])
+def test_divergent_det_power_exits_2(capsys, command, action_json, power):
+    # |det|^p e^(-|x|^2/2) has no finite integral at p <= -d(n - k + 1)
+    argv = [command, "--action", action_json, "--n", "2000", "--functions", f"gaussian_radial,gaussian_det:power={power}"]
+    err = _exits_2_with_one_line(capsys, argv)
+    assert "diverges" in err
 
 
 def test_ill_conditioned_calibration_exits_2(capsys):
@@ -438,7 +470,7 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     )
     assert code in (0, 1)
     action = action_from_json(json.loads(action_json))
-    exact = vol_gh_estimate(action).mean / w_group_volume(action).mean
+    exact = vol_gh_estimate(action) / w_group_volume(action)
     vol_gn = rep["results"]["vol_gn"]
     assert vol_gn["mean"] == pytest.approx(exact, rel=1e-12)
     assert vol_gn["stderr"] == 0.0 and vol_gn["exact"] is True
@@ -446,8 +478,8 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     fs = [make_test_function(e["function"]["name"], **e["function"]["params"]) for e in entries]
     directs = integrate_direct(action, fs, seed + 1000, n, chunks)
     assert len(directs) == len(entries) >= 2
-    for entry, f, direct in zip(entries, fs, directs):
-        reduced = integrate_reduced(action, f, McEstimate.exact(vol_gn["mean"]))
+    reduceds = integrate_reduced(action, fs, vol_gn["mean"])
+    for entry, f, direct, reduced in zip(entries, fs, directs, reduceds):
         assert entry["direct"]["seed"] == seed + 1000
         assert entry["direct"] == mc_result_json(action, f, direct)
         assert entry["reduced"] == mc_result_json(action, f, reduced)

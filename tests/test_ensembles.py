@@ -20,6 +20,7 @@ from sectint.actions import (
 from sectint.ensembles import (
     EnsembleSpec,
     _reference_sample,
+    chi2_tail,
     compare_densities,
     sample_ensemble,
 )
@@ -212,7 +213,25 @@ def test_p_value_is_chi2_survival(action, statistic):
     from scipy import stats
 
     cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=5, n=2000, bins=20, n_ref=60_000)
-    assert cmp_.p_value == float(stats.chi2.sf(cmp_.chi2, cmp_.dof))
+    # the closed-form tail agrees with scipy's to rounding level
+    assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
+    assert cmp_.p_value == pytest.approx(float(stats.chi2.sf(cmp_.chi2, cmp_.dof)), rel=1e-12, abs=0)
+
+
+def test_chi2_tail_matches_scipy():
+    # Abramowitz and Stegun 26.4.4-26.4.5 against scipy's incomplete gamma
+    from scipy.special import chdtrc
+
+    for dof in range(1, 60):
+        for x in np.geomspace(0.01, 400.0, 120):
+            assert chi2_tail(dof, float(x)) == pytest.approx(chdtrc(dof, x), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 7, 30, 59])
+def test_chi2_tail_of_a_huge_statistic_is_zero(dof):
+    # the terms start at e^(-x/2) = 0, so no term is 0 * inf
+    assert chi2_tail(dof, 1e12) == 0.0
+    assert chi2_tail(dof, 0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_constant_statistic_gives_p_one():

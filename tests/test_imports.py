@@ -1,6 +1,6 @@
 """Import budget: the CLI's cold start loads numpy and the standard library only,
 ``integrate`` and ``volumes`` runs load neither scipy nor numpy.polynomial, and
-conjugation ``verify`` runs load no scipy.
+conjugation ``verify`` and ``ensemble`` runs load no scipy.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.
@@ -69,6 +69,24 @@ from sectint.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["verify", "--action", '{{"kind":"conjugation","family":"{family}","n":{n}}}', "--points", "2"])
 assert code == 0, code
+print({LOADED_SCIPY})
+"""
+    assert _run(code) == "[]"
+
+
+@pytest.mark.parametrize("action, statistic", [
+    ('{"kind":"direct_sum","field":"R","n":3,"k":2}', "coordinate_det"),
+    ('{"kind":"conjugation","family":"SU","n":2}', "torus_angle"),
+    ('{"kind":"conjugation","family":"SU","n":3}', "torus_angle"),
+])
+def test_ensemble_loads_no_scipy(action, statistic):
+    # the p-value is the closed-form chi-square tail
+    code = f"""
+import contextlib, io, sys
+from sectint.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["ensemble", "--action", '{action}', "--statistic", "{statistic}", "--n", "500", "--bins", "8"])
+assert code in (0, 1), code
 print({LOADED_SCIPY})
 """
     assert _run(code) == "[]"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec, haar_sample
 from sectint.actions import ConjugationAction, DirectSumAction, act, random_ambient_point
 from sectint.matrices import to_real_vector
-from sectint.mc import agree, chunk_rngs, chunk_sizes, mc_run
+from sectint.mc import McEstimate, agree, chunk_rngs, chunk_sizes, mc_run
 from sectint.integrate import (
     ContractViolation,
     IllConditionedCalibration,
@@ -158,7 +159,7 @@ def test_direct_zero_function_is_zero():
     zero = custom_test_function("zero", lambda pts, a: np.zeros(pts.shape[0]), True)
     [est] = integrate_direct(SO3K2, [zero], seed=1, n=10_000)
     assert est.mean == 0.0 and est.stderr == 0.0
-    est = integrate_reduced(SO3K2, zero, 1.0)
+    [est] = integrate_reduced(SO3K2, [zero], 1.0)
     assert est.mean == 0.0
 
 
@@ -174,7 +175,7 @@ def test_direct_su2_volume():
 
 def test_reduced_requires_invariance():
     with pytest.raises(ContractViolation):
-        integrate_reduced(SO3K2, make_test_function("first_coordinate"), 1.0)
+        integrate_reduced(SO3K2, [make_test_function("first_coordinate")], 1.0)
 
 
 def test_two_sided_identity_so3():
@@ -183,7 +184,7 @@ def test_two_sided_identity_so3():
     calib = calibrate_vol_gn(SO3K2, [f, g], seed=7, n=400_000)
     assert calib.consistent
     [direct] = integrate_direct(SO3K2, [f], seed=100, n=200_000)
-    reduced = integrate_reduced(SO3K2, f, calib.combined)
+    [reduced] = integrate_reduced(SO3K2, [f], calib.combined)
     assert agree(direct, reduced, 3.5)
 
 
@@ -197,7 +198,7 @@ def test_two_sided_identity_polar_direct_sum():
     assert calib.consistent
     assert calib.combined.mean == pytest.approx(4 * np.pi, rel=0.02)
     [direct] = integrate_direct(a, [f], seed=56, n=100_000)
-    reduced = integrate_reduced(a, f, calib.combined)
+    [reduced] = integrate_reduced(a, [f], calib.combined)
     assert agree(direct, reduced, 3.5)
 
 
@@ -206,20 +207,20 @@ def test_two_sided_identity_su2_conjugation():
     calib = calibrate_vol_gn(SU2CONJ, [f, make_test_function("const")], seed=6, n=50_000)
     assert calib.consistent
     [direct] = integrate_direct(SU2CONJ, [f], seed=8, n=50_000)
-    reduced = integrate_reduced(SU2CONJ, f, calib.combined)
+    [reduced] = integrate_reduced(SU2CONJ, [f], calib.combined)
     assert agree(direct, reduced, 3.5)
 
 
 def test_reduced_quadrature_error_is_small():
     # smooth periodic integrands converge spectrally on the torus grid
-    est = integrate_reduced(SU2CONJ, make_test_function("trace_power", power=2), 1.0)
+    [est] = integrate_reduced(SU2CONJ, [make_test_function("trace_power", power=2)], 1.0)
     assert est.stderr <= 1e-10 * max(1.0, abs(est.mean))
 
 
 @pytest.mark.parametrize("family, n", [(Family.SU, 2), (Family.SU, 3), (Family.SP, 1), (Family.SO, 4)])
 def test_reduced_quadrature_error_floored(family, n):
     # the rule is exact on the weight, so |fine - coarse| alone reads 0
-    est = integrate_reduced(ConjugationAction(GroupSpec(family, n)), make_test_function("const"), 1.0)
+    [est] = integrate_reduced(ConjugationAction(GroupSpec(family, n)), [make_test_function("const")], 1.0)
     assert 0.0 < est.stderr <= 1e-12 * abs(est.mean)
 
 
@@ -327,11 +328,141 @@ def test_calibration_ratios_use_independent_draws(action, fs):
     assert len(set(seeds)) == len(fs)
     for f, r, s in zip(fs, calib.ratios, seeds):
         [direct] = integrate_direct(action, [f], s, 4000, chunks=8)
-        assert r == ratio(direct, integrate_reduced(action, f, 1.0))
+        assert r == ratio(direct, integrate_reduced(action, [f], 1.0)[0])
+
+
+FIRST_SQ = custom_test_function(
+    "first_sq", lambda pts, a: pts[:, 0] ** 2 * np.exp(-0.5 * np.sum(pts * pts, axis=1)), True
+)
+REDUCED_LIST_CASES = [
+    (
+        DirectSumAction(ScalarField.QUATERNION, 3, 2),
+        [
+            make_test_function("gaussian_radial", sigma=1.0),
+            make_test_function("gaussian_det", sigma=2.0, power=2.0),
+            make_test_function("gaussian_sq_norm", sigma=1.0),
+            make_test_function("gaussian_radial", sigma=2.0),
+            FIRST_SQ,
+        ],
+    ),
+    (
+        DirectSumAction(ScalarField.COMPLEX, 4, 2),
+        [
+            make_test_function("gaussian_sq_norm", sigma=0.8),
+            make_test_function("gaussian_radial", sigma=1.0),
+            make_test_function("gaussian_det", sigma=0.8, power=0.5),
+        ],
+    ),
+    (
+        DirectSumAction(R, 4, 1),
+        [
+            make_test_function("gaussian_radial", sigma=2.0),
+            make_test_function("gaussian_det", sigma=1.0, power=-1.5),
+            make_test_function("gaussian_sq_norm", sigma=-2.0),
+        ],
+    ),
+    (
+        ConjugationAction(GroupSpec(Family.SU, 3)),
+        [
+            make_test_function("trace_power", power=4),
+            make_test_function("const"),
+            make_test_function("trace_power", power=2),
+        ],
+    ),
+    (
+        ConjugationAction(GroupSpec(Family.SO, 4)),
+        [make_test_function("const"), make_test_function("trace_power", power=2)],
+    ),
+]
+
+
+@pytest.mark.parametrize("action, fs", REDUCED_LIST_CASES, ids=lambda v: str(v) if not isinstance(v, list) else "")
+@pytest.mark.parametrize("vol_gn", [1.0, 4 * np.pi, McEstimate(2.5, 0.125, 1000, 3, 4)])
+def test_reduced_list_matches_one_function_calls(action, fs, vol_gn):
+    # one rule evaluation serves every integrand of the list (one per distinct
+    # sigma on direct sums); each estimate is bit-identical to a call with f alone
+    together = integrate_reduced(action, fs, vol_gn)
+    assert len(together) == len(fs)
+    for f, est in zip(fs, together):
+        [alone] = integrate_reduced(action, [f], vol_gn)
+        assert (est.mean, est.stderr) == (alone.mean, alone.stderr)
+        assert est == alone
+
+
+def _count_calls(monkeypatch, name):
+    import sectint.integrate
+
+    calls = []
+    original = getattr(sectint.integrate, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sectint.integrate, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, n", [(Family.SU, 3), (Family.SP, 1), (Family.SO, 4)])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_torus_rule_evaluates_the_weight_once_per_node_count(monkeypatch, family, n, count):
+    # the fine and the coarse grid each evaluate the weight once, for every integrand
+    calls = _count_calls(monkeypatch, "delta_e_batch")
+    fs = [make_test_function("trace_power", power=p) for p in range(count)]
+    assert len(integrate_reduced(ConjugationAction(GroupSpec(family, n)), fs, 1.0)) == count
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("action", [SO3K2, DirectSumAction(ScalarField.QUATERNION, 3, 2), DirectSumAction(R, 4, 1)],
+                         ids=str)
+def test_bartlett_weight_evaluations_grow_with_distinct_sigmas(monkeypatch, action):
+    # the nodes scale with sigma, so the weight is evaluated once per distinct
+    # sigma (fine and coarse rule), however many integrands share it
+    calls = _count_calls(monkeypatch, "section_weight_batch")
+    integrate_reduced(action, [make_test_function("gaussian_radial")], 1.0)
+    per_sigma = len(calls)
+    assert per_sigma >= 2
+    for sigmas in ([1.0] * 4, [1.0, 2.0, 1.0, 2.0, -2.0], [0.5, 1.0, 2.0, 0.5, 1.0, 2.0]):
+        calls.clear()
+        fs = [make_test_function(name, sigma=s) for name, s in zip(
+            itertools.cycle(["gaussian_radial", "gaussian_sq_norm", "gaussian_det"]), sigmas)]
+        integrate_reduced(action, fs, 1.0)
+        assert len(calls) == per_sigma * len({abs(s) for s in sigmas})
+
+
+# --- powers of |det| at which the integral diverges -------------------------------
+
+@pytest.mark.parametrize("action, power", [
+    (SO3K2, -2.0), (SO3K2, -3.0),                       # p <= -d(n - k + 1) = -2
+    (DirectSumAction(R, 4, 1), -4.0),                   # polar line: p <= -dn = -4
+    (DirectSumAction(ScalarField.COMPLEX, 3, 1), -6.5),
+], ids=str)
+def test_divergent_det_power_refused_before_any_evaluation(monkeypatch, action, power):
+    import sectint.integrate
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated a divergent integrand")
+
+    for name in ("mc_run", "section_weight_batch", "_stacked_values"):
+        monkeypatch.setattr(sectint.integrate, name, never)
+    fs = [make_test_function("gaussian_radial"), make_test_function("gaussian_det", power=power)]
+    with pytest.raises(ContractViolation, match="diverges"):
+        integrate_reduced(action, fs, 1.0)
+    with pytest.raises(ContractViolation, match="diverges"):
+        integrate_direct(action, fs, seed=0, n=100)
+
+
+@pytest.mark.parametrize("action, power", [(SO3K2, -1.5), (DirectSumAction(R, 4, 1), -3.5)], ids=str)
+def test_integrable_negative_det_power_still_estimated(action, power):
+    f = make_test_function("gaussian_det", power=power)
+    [reduced] = integrate_reduced(action, [f], 1.0)
+    [direct] = integrate_direct(action, [f], seed=0, n=2000)
+    assert np.isfinite(reduced.mean) and reduced.mean > 0 and np.isfinite(reduced.stderr)
+    assert np.isfinite(direct.mean) and direct.mean > 0 and np.isfinite(direct.stderr)
 
 
 def test_weighted_section_measure_positive():
-    est = integrate_reduced(SO3K2, make_test_function("const"), 1.0)
+    [est] = integrate_reduced(SO3K2, [make_test_function("const")], 1.0)
     # the constant is not integrable against the weight; the rule's finite
     # sum of positive weights at its nodes is still positive
     assert est.mean > 0
@@ -345,11 +476,11 @@ def test_reduced_rule_matches_closed_forms(action, sigma):
     # the section integral of the Gaussians is (closed-form ambient integral)
     # / vol(G/N); in the coordinates B = wR the integrand is a polynomial
     # times the rule's Gaussian, so the rule is exact at every sigma
-    vol_gn = vol_gh_estimate(action).mean / w_group_volume(action).mean
+    vol_gn = vol_gh_estimate(action) / w_group_volume(action)
     dim = action.ambient_dim
     gauss = (2 * np.pi * sigma * sigma) ** (dim / 2)
     for name, ambient in (("gaussian_radial", gauss), ("gaussian_sq_norm", dim * sigma * sigma * gauss)):
-        est = integrate_reduced(action, make_test_function(name, sigma=sigma), 1.0)
+        [est] = integrate_reduced(action, [make_test_function(name, sigma=sigma)], 1.0)
         assert est.mean == pytest.approx(ambient / vol_gn, rel=1e-12)
         assert est.stderr <= 1e-12 * est.mean
 
@@ -382,7 +513,7 @@ def test_hermite_rule_reproduces_moments(m):
 @pytest.mark.parametrize("power", [1.0, 0.5])
 def test_reduced_rule_matches_importance_sampling(action, power):
     f = make_test_function("gaussian_det", power=power)
-    rule = integrate_reduced(action, f, 1.0)
+    [rule] = integrate_reduced(action, [f], 1.0)
     oracle = reduced_importance_sampling(action, f, seed=0, n=200_000)
     assert abs(rule.mean - oracle.mean) <= 4 * oracle.stderr
 
@@ -392,15 +523,15 @@ def test_reduced_rule_error_proxy_covers_a_finer_rule(action):
     # |det|^(1/2) is not a polynomial in R, so the rule converges only
     # algebraically, and its error proxy must say so
     f = make_test_function("gaussian_det", power=0.5)
-    est = integrate_reduced(action, f, 1.0)
-    finer = _bartlett_rule(action, lambda pts: evaluate_test_function(action, f, pts), 1.0, 7 if action.k < 3 else 6)
+    [est] = integrate_reduced(action, [f], 1.0)
+    [finer] = _bartlett_rule(action, [f], 1.0, 7 if action.k < 3 else 6)
     assert est.stderr > 1e-8 * est.mean
     assert abs(est.mean - finer) <= est.stderr
 
 
 def test_reduced_rule_node_budget():
     with pytest.raises(ValueError, match="nodes"):
-        integrate_reduced(DirectSumAction(ScalarField.QUATERNION, 4, 3), make_test_function("gaussian_radial"), 1.0)
+        integrate_reduced(DirectSumAction(ScalarField.QUATERNION, 4, 3), [make_test_function("gaussian_radial")], 1.0)
 
 
 # --- the isometry check ---------------------------------------------------------
@@ -439,7 +570,7 @@ def test_integrate_deterministic_across_workers():
         integrate_direct(SO3K2, [f], seed=1234, n=64_000, chunks=8, workers=w) for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
-    reduced = [integrate_reduced(SO3K2, f, 4 * np.pi) for _ in range(2)]
+    reduced = [integrate_reduced(SO3K2, [f], 4 * np.pi) for _ in range(2)]
     assert reduced[0] == reduced[1]
 
 

@@ -2,9 +2,10 @@
 #
 # SU(2) acting on itself by conjugation is polar with the diagonal
 # torus as section.  The generic weight evaluator recovers the
-# classical density 4 sin(theta)^2, conjugacy classes are round
-# two-spheres, and class-function integrals reduce to a one-dimensional
-# quadrature over the torus angle.
+# classical density 4 sin(theta)^2, which Weyl's closed form
+# torus_weight_batch (the torus quadrature's weight) gives directly;
+# conjugacy classes are round two-spheres, and class-function
+# integrals reduce to a one-dimensional quadrature over the torus angle.
 
 import numpy as np
 
@@ -19,16 +20,18 @@ from sectint import (
     make_test_function,
     orbit_volume,
     torus_point,
+    torus_weight_batch,
     vol_gh_estimate,
     w_group_volume,
 )
 
 action = ConjugationAction(GroupSpec(Family.SU, 2))
 
-print("theta    weight     4 sin^2")
+print("theta    weight     Weyl       4 sin^2")
 for theta in np.linspace(0.3, np.pi - 0.3, 6):
     w = delta_e_generic(action, torus_point(action.group, [theta]))
-    print(f"{theta:5.2f}  {w:9.6f}  {4*np.sin(theta)**2:9.6f}")
+    weyl = torus_weight_batch(action.group, [[theta]])[0]
+    print(f"{theta:5.2f}  {w:9.6f}  {weyl:9.6f}  {4*np.sin(theta)**2:9.6f}")
 
 # %% Orbit volumes: the conjugacy class through angle theta is a round
 # sphere of radius sqrt(2) sin(theta); its area is 8 pi sin(theta)^2.

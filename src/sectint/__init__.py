@@ -68,6 +68,7 @@ from .weights import (
     delta_e_generic,
     orbit_map_differential,
     orbit_volume,
+    torus_weight_batch,
     weight_value,
 )
 from .mc import McEstimate, agree, mc_run

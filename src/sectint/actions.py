@@ -75,6 +75,7 @@ from .groups import (
     block_algebra_basis,
     haar_sample_batch,
     haar_unitary_batch,
+    torus_angles,
     torus_basis,
     torus_point,
     torus_points,
@@ -382,11 +383,12 @@ class OrbitMapDifferential:
         """Order of a regular point's stabilizer in the Weyl group: 2 where
         SO(2m+1) has an angle at pi, or SO(2m) one at 0 and another at pi
         (within _ANGLE_TOL), and 1 elsewhere.  SU(n) and Sp(n) are simply
-        connected, and a full-rank B has a trivial stabilizer."""
+        connected, and a full-rank B has a trivial stabilizer.  The points
+        are torus points, whose angles are read off their rotation blocks."""
         group, flat = self.action.group, np.atleast_2d(self.pts)
         if not (isinstance(self.action, ConjugationAction) and group.family is Family.SO):
             return np.ones(self.pts.shape[:-1], dtype=int)
-        ang = np.abs(canonical_angles(group, batch_from_real(REAL, group.n, group.n, flat)))
+        ang = np.abs(torus_angles(group, flat))
         fixed = np.any(ang > np.pi - _ANGLE_TOL, axis=1) & (group.n % 2 == 1 or np.any(ang < _ANGLE_TOL, axis=1))
         return np.where(fixed, 2, 1).reshape(self.pts.shape[:-1])
 

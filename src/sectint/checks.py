@@ -4,8 +4,9 @@ Each check measures one identity the construction is supposed to
 satisfy: orthonormality of the algebra split, the reductive bracket and
 adjoint invariances, perpendicularity of the complementary Killing
 fields, block diagonality and factorization of the orbit-map
-differential, agreement of weight evaluators, Weyl invariance, and the
-vanishing locus of the weight.  Results carry a measured value, a
+differential, agreement of the generic weight kernel with the closed
+forms (Weyl's integration formula on conjugation), Weyl invariance,
+and the vanishing locus of the weight.  Results carry a measured value, a
 threshold and a verdict, so the suite doubles as a machine-readable
 report and a negative-control harness (a corrupted metric must fail).
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import batch_from_real, batch_to_real, conj_transpose, eye, matmul, zeros
-from .groups import haar_sample_batch, torus_points
+from .groups import haar_sample_batch, torus_angles, torus_points
 from .actions import (
     ActionSpec,
     AlgebraSplit,
@@ -40,7 +41,7 @@ from .actions import (
     random_regular_section_points,
     reduce_to_section_batch,
 )
-from .weights import delta_e_batch, delta_e_generic, section_weight_batch
+from .weights import delta_e_batch, delta_e_generic, section_weight_batch, torus_weight_batch
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,15 @@ def pointwise_checks(
 ) -> tuple[list[CheckResult], dict[str, np.ndarray]]:
     """The checks of the orbit-map differentials at a batch of section points and of the weight there.
 
-    block_diagonality and differential_factorization, and on direct sums
+    block_diagonality, differential_factorization and
     weight_closed_vs_generic, each the worst over the points.  Also
     returns the values they compare, one per point and named as
     ``sectint delta`` reports them.  The weight comes from the generic
-    kernel delta_e_batch, independent of diff.
+    kernel delta_e_batch, independent of diff; the closed form it is
+    compared with is section_weight_batch on direct sums and Weyl's
+    torus_weight_batch, at the angles read back from the points, on
+    conjugation.  The closed forms know nothing of the metric of m, so a
+    corrupted one fails the comparison.
     """
     action, pts = diff.action, diff.pts
     scale = np.maximum(np.max(np.abs(diff.matrix), axis=(1, 2), initial=0.0), 1e-300)
@@ -108,8 +113,11 @@ def pointwise_checks(
         _result("differential_factorization", np.max(np.abs(total - dd * generic) / np.maximum(1.0, total)), tol_rel),
     ]
     if isinstance(action, DirectSumAction):
-        closed = values["delta_closed_form"] = section_weight_batch(action, pts[:, : action.section_dim])
-        checks.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
+        closed = section_weight_batch(action, pts[:, : action.section_dim])
+    else:
+        closed = torus_weight_batch(action.group, torus_angles(action.group, pts))
+    values["delta_closed_form"] = closed
+    checks.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
     return checks, values
 
 

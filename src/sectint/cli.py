@@ -135,7 +135,10 @@ def _parse_functions(text: str):
         if rest:
             for kv in rest.split(":"):
                 key, _, val = kv.partition("=")
-                params[key.strip()] = float(val)
+                try:
+                    params[key.strip()] = _finite(val)
+                except ValueError as exc:
+                    raise ValueError(f"bad --functions parameter {kv.strip()!r} of {name}: {exc}") from None
         out.append(make_test_function(name, **params))
     return out
 

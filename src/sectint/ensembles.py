@@ -5,9 +5,10 @@ sample to its canonical section representative realizes the section as
 an eigenvalue-like manifold: the distribution of any Weyl-invariant
 statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
-chi-square test.  Its p-value is the chi-square tail at an integer
-number of degrees of freedom, a finite sum in closed form, so no run
-loads scipy.
+chi-square test.  On conjugation the section density is Weyl's
+closed-form weight ``weights.torus_weight_batch`` on the torus angles.
+The p-value is the chi-square tail at an integer number of degrees of
+freedom, a finite sum in closed form, so no run loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .fields import ScalarField
 from .matrices import complex_embedding, data_from_components, gaussian_components, gram_det
 from .groups import Family, _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
-from .weights import delta_e_batch, section_weight_batch
+from .weights import section_weight_batch, torus_weight_batch
 from .mc import _subseed, chunk_rngs, chunk_sizes
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
@@ -121,12 +122,13 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
         field = action.field if k > 1 else ScalarField.REAL
         stats = _stats_batch_direct(spec, field, z.reshape(n_ref, k, k, field.dim))
         return stats, w / np.sum(w)
-    # conjugation: the ambient density is Haar, so the reference is the
+    # conjugation: the ambient density is Haar, so the reference is Weyl's
     # weight on a fine angle grid, evaluated at canonical representatives
     group = action.group
     grid = {1: 4096, 2: 96}.get(group.rank, 24)
-    pts = torus_points(group, _torus_grid(group.rank, grid))
-    weights = delta_e_batch(action, pts)
+    angles = _torus_grid(group.rank, grid)
+    pts = torus_points(group, angles)
+    weights = torus_weight_batch(group, angles)
     data = data_from_components(action.field, pts.reshape(len(pts), group.n, group.n, action.field.dim))
     stats = canonical_angles(group, data)[:, spec.stat_index]
     return stats, weights / np.sum(weights)
@@ -136,12 +138,12 @@ def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray) -> np.ndarray:
     """Exact-per-bin reference masses for a rank-one torus angle statistic.
 
     The weight is Weyl symmetric under angle reflection, so the mass of
-    a canonical-angle bin is twice the midpoint-rule integral of the
-    weight over the bin; no histogram quantization enters.
+    a canonical-angle bin is twice the midpoint-rule integral of Weyl's
+    closed-form weight over the bin; no histogram quantization enters.
     """
     width = np.diff(edges)
     theta = edges[:-1, None] + width[:, None] * ((np.arange(BIN_POINTS) + 0.5) / BIN_POINTS)
-    vals = delta_e_batch(spec.action, torus_points(spec.action.group, theta.reshape(-1, 1)))
+    vals = torus_weight_batch(spec.action.group, theta.reshape(-1, 1))
     masses = vals.reshape(theta.shape).mean(axis=1) * width
     return masses / np.sum(masses)
 

@@ -149,15 +149,8 @@ def torus_points(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
     Sp(n): diag(exp(i theta_a)).
     """
     n, fam = group.n, group.family
-    angles = np.asarray(angles, dtype=float)
+    angles = full_torus_angles(group, angles)
     m, r = angles.shape
-    if fam is Family.SU and r == n - 1:
-        full = np.empty((m, n))
-        full[:, :r], full[:, r] = angles, -np.sum(angles, axis=1)
-        angles, r = full, n
-    if r != (n // 2 if fam is Family.SO else n):
-        need = {Family.SO: n // 2, Family.SU: f"{n - 1} (or {n})", Family.SP: n}[fam]
-        raise DimensionError(f"{group} torus needs {need} angles")
     c, s = np.cos(angles), np.sin(angles)
     out = np.zeros((m, n * n, 1 if fam is Family.SO else (2 if fam is Family.SU else 4)))
     step = n + 1  # flat stride between diagonal entries
@@ -170,6 +163,37 @@ def torus_points(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
     else:
         out[:, ::step, 0], out[:, ::step, 1] = c, s
     return out.reshape(m, -1)
+
+
+def full_torus_angles(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
+    """Angle rows (m, r) as torus_points reads them: SU(n)'s n - 1 free
+    angles gain the last one, minus their sum; any other count than the
+    rank (n on SU) raises DimensionError."""
+    n, fam = group.n, group.family
+    angles = np.asarray(angles, dtype=float)
+    m, r = angles.shape
+    if fam is Family.SU and r == n - 1:
+        full = np.empty((m, n))
+        full[:, :r], full[:, r] = angles, -np.sum(angles, axis=1)
+        return full
+    if r != (n // 2 if fam is Family.SO else n):
+        need = {Family.SO: n // 2, Family.SU: f"{n - 1} (or {n})", Family.SP: n}[fam]
+        raise DimensionError(f"{group} torus needs {need} angles")
+    return angles
+
+
+def torus_angles(group: GroupSpec, pts: np.ndarray) -> np.ndarray:
+    """Angle rows (m, r) of torus points with flat coordinates pts (m, D),
+    the inverse of torus_points up to 2 pi: atan2 of the (cos, sin) pair
+    of each diagonal entry on SU (all n angles) and Sp, of each rotation
+    block's first column on SO."""
+    n = group.n
+    if group.family is Family.SO:
+        cols = 2 * np.arange(n // 2) * (n + 1)  # flat index of entry (2a, 2a)
+        return np.arctan2(pts[:, cols + n], pts[:, cols])
+    d = group.field.dim
+    diag = np.arange(n) * (n + 1) * d  # first real component of entry (a, a)
+    return np.arctan2(pts[:, diag + 1], pts[:, diag])
 
 
 def _torus_grid(rank: int, grid: int) -> np.ndarray:

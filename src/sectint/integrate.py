@@ -9,7 +9,8 @@ integrands and evaluates all of them on each chunk's one draw, so
 integrates f * weight over the section by deterministic quadrature and
 multiplies by a given vol(G/N); ``sectint integrate`` passes the exact
 vol(G/H) / vol(W); one call serves all its integrands.  Conjugation
-actions take a trapezoid rule on the torus angles.  Direct sums take a
+actions take a trapezoid rule on the torus angles, whose weight is
+Weyl's closed form ``weights.torus_weight_batch``.  Direct sums take a
 tensor Gauss rule in the Bartlett coordinates B = wR of the section
 coordinate (w in W = U_d(k), R upper triangular with a positive
 diagonal; Edelman and Rao, Acta Numerica 2005): Gauss-Hermite axes above
@@ -35,7 +36,7 @@ import numpy as np
 from .matrices import batch_to_real, gram_det
 from .groups import _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, section_points
-from .weights import delta_e_batch, section_weight_batch
+from .weights import section_weight_batch, torus_weight_batch
 from .mc import McEstimate, _subseed, mc_run, product, ratio
 from .volumes import group_volume, torus_volume
 
@@ -149,8 +150,10 @@ def _real_trace(action: ConjugationAction, pts: np.ndarray) -> np.ndarray:
 def _fam_trace_power(action, pts, params, norms_sq):
     if not isinstance(action, ConjugationAction):
         raise ContractViolation("trace_power integrand needs a conjugation action")
-    power = int(params.get("power", 2))
-    return _real_trace(action, pts) ** power
+    power = float(params.get("power", 2))
+    if power < 0 or not power.is_integer():  # weight * tr^p is a trigonometric polynomial only at integer p
+        raise ContractViolation(f"trace_power: the power must be a nonnegative integer, got {power:g}")
+    return _real_trace(action, pts) ** int(power)
 
 
 def _fam_const(action, pts, params, norms_sq):
@@ -241,13 +244,13 @@ def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[np.ndarray, np.ndarra
 
 def _torus_rule(action: ConjugationAction, fs, grid: int) -> np.ndarray:
     """Trapezoid rule with grid nodes per angle of the torus cube, one
-    value per f in fs from one evaluation of the weight.
+    value per f in fs from one evaluation of Weyl's closed-form weight.
 
     The integrand is smooth and periodic, so the composite rule
     converges spectrally.
     """
-    pts = torus_points(action.group, _torus_grid(action.group.rank, grid))
-    vals = _stacked_values(action, fs, pts) * delta_e_batch(action, pts)
+    angles = _torus_grid(action.group.rank, grid)
+    vals = _stacked_values(action, fs, torus_points(action.group, angles)) * torus_weight_batch(action.group, angles)
     return np.mean(vals, axis=1) * torus_volume(action.group)
 
 

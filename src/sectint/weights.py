@@ -11,11 +11,18 @@ scales Weyl orbit volumes.  The differential is
 ``actions.OrbitMapDifferential``: ``delta_d``, ``weight_value`` and
 ``orbit_volume`` each read one evaluation of it at their point.
 
-The weight has two implementations.  The generic kernel
-``delta_e_batch`` serves every action: the complementary Killing fields
-at a batch of points are one contraction with the m slice of the
-split's operator stack, and their |det| one batched QR.  The closed
-form ``section_weight_batch`` serves the direct sums, 1 <= k <= n-1:
+The weight has a generic kernel and a closed form per kind of action.
+The generic kernel ``delta_e_batch`` serves every action: the
+complementary Killing fields at a batch of points are one contraction
+with the m slice of the split's operator stack, and their |det| one
+batched QR.  The closed form ``torus_weight_batch`` serves conjugation,
+where the reduced formula is Weyl's integration formula: at torus angles
+theta the weight is
+
+    prod over the positive roots alpha of 4 sin^2(alpha(theta) / 2)
+
+(1 on SO(2), which has none).  The closed form ``section_weight_batch``
+serves the direct sums, 1 <= k <= n-1:
 
     2 ** (-d k (n - k) / 2) * |det B| ** (d (n - k))
 
@@ -24,16 +31,20 @@ with B the top k x k section coordinate and |det B| = sqrt(gram_det(B))
 2 ** (-d (n - 1) / 2) * |t| ** (d n - 1), one more factor |t| ** (d - 1),
 times sqrt((n - 1) / n) over C, where the imaginary unit at the first
 entry lies in su(n) only with a traceless correction.
-``checks.pointwise_checks`` compares the two for ``verify`` and ``delta``.
+The quadrature rules and the ensemble references use the closed forms;
+``checks.pointwise_checks`` compares each with the generic kernel for
+``verify`` and ``delta``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
+from .groups import Family, GroupSpec, full_torus_angles
 from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, to_real_vector
 from .actions import (
     ActionSpec,
@@ -89,6 +100,40 @@ def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
         return const * np.abs(z[:, 0]) ** (d * n - 1)
     dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
     return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
+
+
+def torus_weight_batch(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
+    """Weyl's weight of conjugation at the torus angle rows (m, r) of torus_points.
+
+    The product of 4 sin^2(alpha / 2) over the positive roots alpha:
+    theta_i - theta_j on SU(n), the last angle minus the sum of the others
+    when n - 1 are given; theta_a +- theta_b on SO(n), and theta_a on
+    SO(2m+1); theta_a +- theta_b and 2 theta_a on Sp(n).
+    """
+    angles = full_torus_angles(group, np.atleast_2d(angles))
+    chords = 2.0 * np.sin(0.5 * (angles @ _positive_roots(group)))
+    return np.prod(chords * chords, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _positive_roots(group: GroupSpec) -> np.ndarray:
+    """Coefficients (r, roots) of the positive roots in the full angle rows
+    of full_torus_angles, each column one root.  The entries are 0, +-1
+    and 2, so a root is the angles' sum or difference rounded once: at
+    equal angles (or opposite, or a zero one) it and the weight are
+    exactly 0."""
+    unit = np.eye(group.n if group.family is Family.SU else group.rank)
+    i, j = np.triu_indices(len(unit), 1)
+    roots = [unit[i] - unit[j]]
+    if group.family is not Family.SU:
+        roots.append(unit[i] + unit[j])
+        if group.family is Family.SP:
+            roots.append(2.0 * unit)
+        elif group.n % 2:
+            roots.append(unit)
+    out = np.concatenate(roots).T
+    out.flags.writeable = False
+    return out
 
 
 def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:

@@ -152,9 +152,7 @@ def test_delta_and_verify_agree_at_one_point(capsys, monkeypatch, action, point)
     code, rep = run_cli(capsys, ["delta", "--action", action, "--point", point])
     assert code == 0
     verify = {c["name"]: c for c in run_cli(capsys, ["verify", "--action", action, "--points", "1"])[1]["checks"]}
-    names = ["block_diagonality", "differential_factorization"]
-    if isinstance(spec, DirectSumAction):
-        names.append("weight_closed_vs_generic")
+    names = ["block_diagonality", "differential_factorization", "weight_closed_vs_generic"]
     assert [c["name"] for c in rep["checks"]] == names
     assert rep["checks"] == [verify[name] for name in names]
 
@@ -174,6 +172,22 @@ def test_divergent_det_power_exits_2(capsys, command, action_json, power):
     argv = [command, "--action", action_json, "--n", "2000", "--functions", f"gaussian_radial,gaussian_det:power={power}"]
     err = _exits_2_with_one_line(capsys, argv)
     assert "diverges" in err
+
+
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+@pytest.mark.parametrize("power", ["2.5", "-1", "-2"])
+def test_non_integer_or_negative_trace_power_exits_2(capsys, command, power):
+    # weight * tr^p is a trigonometric polynomial, which the torus rule integrates, only at integer p >= 0
+    argv = [command, "--action", SU2, "--n", "200", "--functions", f"trace_power:power={power},const"]
+    err = _exits_2_with_one_line(capsys, argv)
+    assert "nonnegative integer" in err
+
+
+@pytest.mark.parametrize("functions", ["gaussian_det:power=nan", "gaussian_radial:sigma=inf",
+                                       "gaussian_radial,gaussian_det:power=-inf"])
+def test_non_finite_function_parameter_exits_2(capsys, functions):
+    err = _exits_2_with_one_line(capsys, ["integrate", "--action", SO3K2, "--n", "200", "--functions", functions])
+    assert "non-finite" in err
 
 
 def test_ill_conditioned_calibration_exits_2(capsys):

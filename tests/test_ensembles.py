@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -174,6 +175,27 @@ def test_reference_weights_normalized():
     for spec in [EnsembleSpec(SO3K2, 1.0, "coordinate_det"), EnsembleSpec(SU2CONJ, 1.0, "torus_angle")]:
         _, w = _reference_sample(spec, 0, 10_000)
         assert abs(w.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("group", [GroupSpec(Family.SU, 2), GroupSpec(Family.SU, 3), GroupSpec(Family.SP, 2)], ids=str)
+def test_conjugation_references_use_the_closed_form(monkeypatch, group):
+    # rank one bins its masses, higher ranks weigh a reference grid: both with
+    # Weyl's closed form, never the generic kernel
+    import sectint.ensembles
+    import sectint.weights
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic weight kernel called")
+
+    generic = sectint.weights.delta_e_batch
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sectint") and getattr(module, "delta_e_batch", None) is generic:
+            monkeypatch.setattr(module, "delta_e_batch", refuse)
+    calls = []
+    original = sectint.ensembles.torus_weight_batch
+    monkeypatch.setattr(sectint.ensembles, "torus_weight_batch", lambda *a: calls.append(1) or original(*a))
+    cmp_ = compare_densities(EnsembleSpec(ConjugationAction(group), 1.0, "torus_angle"), seed=5, n=2000, bins=10)
+    assert len(calls) == 1 and 0.0 <= cmp_.p_value <= 1.0
 
 
 def test_chi2_direct_sum_det():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -390,27 +391,35 @@ def test_reduced_list_matches_one_function_calls(action, fs, vol_gn):
 
 
 def _count_calls(monkeypatch, name):
-    import sectint.integrate
+    """Wrap weights.<name> in every sectint namespace that binds it; returns the call log."""
+    import sectint.weights
 
     calls = []
-    original = getattr(sectint.integrate, name)
+    original = getattr(sectint.weights, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sectint.integrate, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "sectint" or module_name.startswith("sectint."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
 
 
 @pytest.mark.parametrize("family, n", [(Family.SU, 3), (Family.SP, 1), (Family.SO, 4)])
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_torus_rule_evaluates_the_weight_once_per_node_count(monkeypatch, family, n, count):
-    # the fine and the coarse grid each evaluate the weight once, for every integrand
-    calls = _count_calls(monkeypatch, "delta_e_batch")
+    # the fine and the coarse grid each evaluate Weyl's closed form once, for
+    # every integrand, and never the generic kernel
+    calls = _count_calls(monkeypatch, "torus_weight_batch")
+    generic_calls = _count_calls(monkeypatch, "delta_e_batch")
     fs = [make_test_function("trace_power", power=p) for p in range(count)]
     assert len(integrate_reduced(ConjugationAction(GroupSpec(family, n)), fs, 1.0)) == count
     assert len(calls) == 2
+    assert len(generic_calls) == 0
 
 
 @pytest.mark.parametrize("action", [SO3K2, DirectSumAction(ScalarField.QUATERNION, 3, 2), DirectSumAction(R, 4, 1)],

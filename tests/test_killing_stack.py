@@ -99,22 +99,17 @@ def test_batched_kernels_match_per_point_oracle(action):
 
 @pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
 def test_verify_passes_with_the_same_checks(action):
-    # every direct sum, the polar R(4,1) included, compares the closed-form weight
-    expected = [c for c in CHECKS if c[0] != "weight_closed_vs_generic" or isinstance(action, DirectSumAction)]
+    # every action compares the closed-form weight: the direct sums' (the polar
+    # R(4,1) included) and Weyl's on conjugation
     for seed in (1, 2, 3):
         results = run_action_checks(action, seed=seed)
-        assert [(r.name, r.threshold) for r in results] == expected
+        assert [(r.name, r.threshold) for r in results] == CHECKS
         assert all_passed(results), [r for r in results if not r.passed]
 
 
 def _expected_checks(action):
-    """CHECKS on action: the closed-form weight only on direct sums, and the
-    vanishing at a singular point only where m is not empty."""
-    return [
-        c for c in CHECKS
-        if (c[0] != "weight_closed_vs_generic" or isinstance(action, DirectSumAction))
-        and (c[0] != "weight_singular_vanishing" or algebra_split(action).m_basis)
-    ]
+    """CHECKS on action: the vanishing at a singular point only where m is not empty."""
+    return [c for c in CHECKS if c[0] != "weight_singular_vanishing" or algebra_split(action).m_basis]
 
 
 #: SO(2)-SO(6), SU(2)-SU(4) and Sp(1)-Sp(3) conjugation, and every direct sum
@@ -141,8 +136,8 @@ def test_so2_has_no_singular_vanishing_check():
     names = [r.name for r in run_action_checks(ConjugationAction(GroupSpec(Family.SO, 2)), seed=1)]
     assert names == [
         "algebra_split_orthonormal", "reductive_bracket", "ad_normalizer_invariance", "block_diagonality",
-        "differential_factorization", "complement_killing_perpendicular", "isotropy_constancy",
-        "orbit_normal_in_section", "copolarity_dimension", "weight_weyl_invariance",
+        "differential_factorization", "weight_closed_vs_generic", "complement_killing_perpendicular",
+        "isotropy_constancy", "orbit_normal_in_section", "copolarity_dimension", "weight_weyl_invariance",
         "reduction_translation_invariance",
     ]
 
@@ -151,7 +146,8 @@ def test_so2_has_no_singular_vanishing_check():
     "action, failing",
     [(R32, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
      (R41, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
-     (SO3, {"algebra_split_orthonormal"})],
+     (SO3, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
+     (SP2, {"algebra_split_orthonormal", "weight_closed_vs_generic"})],
     ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else str(v),  # a set's repr order varies by process
 )
 def test_corrupted_metric_fails_the_same_checks(action, failing):

@@ -3,7 +3,7 @@ import pytest
 
 from sectint.fields import ScalarField
 from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
-from sectint.groups import Family, GroupSpec, torus_point, torus_points
+from sectint.groups import Family, GroupSpec, torus_angles, torus_point, torus_points
 from sectint.actions import (
     AlgebraSplit,
     ConjugationAction,
@@ -28,6 +28,7 @@ from sectint.weights import (
     orbit_map_differential,
     orbit_volume,
     section_weight_batch,
+    torus_weight_batch,
     weight_value,
 )
 
@@ -393,3 +394,44 @@ def test_custom_split_is_used_and_not_cached():
     np.testing.assert_allclose(delta_e_batch(c, pts, corrupted), 1.1 ** len(base.m_basis) * plain, rtol=1e-12)
     np.testing.assert_array_equal(delta_e_batch(c, pts), plain)
     assert not all_passed(run_action_checks(c, seed=1, n_points=4, corrupt_metric=1.1))
+
+
+#: SU(2)-SU(4), SO(2)-SO(6) and Sp(1)-Sp(3)
+TORUS_GROUPS = (
+    [GroupSpec(Family.SU, n) for n in range(2, 5)]
+    + [GroupSpec(Family.SO, n) for n in range(2, 7)]
+    + [GroupSpec(Family.SP, n) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("group", TORUS_GROUPS, ids=str)
+def test_weyl_closed_form_equals_the_generic_kernel(group):
+    # Weyl's integration formula: the conjugation weight is the product of
+    # 4 sin^2(alpha / 2) over the positive roots, with constant 1
+    angles = np.random.default_rng(17).uniform(0.0, 2 * np.pi, (2000, group.rank))
+    pts = torus_points(group, angles)
+    closed, generic = torus_weight_batch(group, angles), delta_e_batch(ConjugationAction(group), pts)
+    # the generic kernel reports a weight below its cutoff as exactly 0
+    cut = generic == 0.0
+    assert np.sum(cut) <= 2 and np.all(closed[cut] < 1e-10)
+    np.testing.assert_allclose(closed[~cut], generic[~cut], rtol=1e-10)
+    # the angles read back from the points give the same points and weights
+    back = torus_angles(group, pts)
+    np.testing.assert_allclose(torus_points(group, back), pts, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(torus_weight_batch(group, back), closed, rtol=1e-10)
+
+
+@pytest.mark.parametrize("group, angles", [
+    (GroupSpec(Family.SU, 3), [0.7, 0.7]),          # theta_1 = theta_2
+    (GroupSpec(Family.SU, 3), [0.7, -1.4]),         # theta_1 = theta_3 = -(theta_1 + theta_2)
+    (GroupSpec(Family.SU, 4), [2.1, 0.3, 2.1, -4.5]),
+    (GroupSpec(Family.SO, 5), [0.0, 1.3]),          # root theta_1
+    (GroupSpec(Family.SO, 6), [1.3, -1.3, 0.4]),    # root theta_1 + theta_2
+    (GroupSpec(Family.SP, 2), [0.9, 0.0]),          # root 2 theta_2
+], ids=str)
+def test_weyl_closed_form_vanishes_exactly_on_root_hyperplanes(group, angles):
+    assert torus_weight_batch(group, np.array([angles]))[0] == 0.0
+
+
+def test_weyl_closed_form_is_one_without_roots():
+    np.testing.assert_array_equal(torus_weight_batch(GroupSpec(Family.SO, 2), np.linspace(0, 6, 7)[:, None]), 1.0)

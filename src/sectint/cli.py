@@ -37,7 +37,7 @@ from .actions import (
     orbit_map_differentials,
 )
 from .checks import pointwise_checks, run_action_checks
-from .ensembles import EnsembleSpec, compare_densities
+from .ensembles import WEIGHT_RATIO_TOL, EnsembleSpec, compare_densities
 from .integrate import (
     IllConditionedCalibration,
     calibrate_vol_gn,
@@ -245,8 +245,11 @@ def cmd_ensemble(args) -> int:
         _write_output(args.out_csv, cmp_.write_csv)
     report = _base_report("ensemble", action, args)
     report["results"] = cmp_.to_json()
-    passed = cmp_.p_value >= args.p_threshold
-    return _emit(report, [_check("histogram_chi2", cmp_.p_value, args.p_threshold, passed)], args.out)
+    checks = [_check("histogram_chi2", cmp_.p_value, args.p_threshold, cmp_.p_value >= args.p_threshold)]
+    spread = cmp_.weight_ratio_spread
+    if spread is not None:  # direct sums: the exact reference draws against the paper's weight
+        checks.append(_check("reference_weight_ratio", spread, WEIGHT_RATIO_TOL, spread <= WEIGHT_RATIO_TOL))
+    return _emit(report, checks, args.out)
 
 
 def cmd_volumes(args) -> int:

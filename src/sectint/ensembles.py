@@ -5,10 +5,16 @@ sample to its canonical section representative realizes the section as
 an eigenvalue-like manifold: the distribution of any Weyl-invariant
 statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
-chi-square test.  On conjugation the section density is Weyl's
-closed-form weight ``weights.torus_weight_batch`` on the torus angles.
-The p-value is the chi-square tail at an integer number of degrees of
-freedom, a finite sum in closed form, so no run loads scipy.
+chi-square test.  On a direct sum the Gaussian density times the weight
+is a product law in the Bartlett coordinates B = wR, which the reference
+draws exactly (``integrate.bartlett_draws``): chi on the diagonal of R,
+normal above it.  Each draw also checks the paper's closed-form weight
+``weights.section_weight_batch``: weight times Gaussian times Jacobian
+over the draws' density must be one constant.  On conjugation the
+section density is Weyl's closed-form weight
+``weights.torus_weight_batch`` on the torus angles.  The p-value is the
+chi-square tail at an integer number of degrees of freedom, a finite
+sum in closed form, so no run loads scipy.
 """
 
 from __future__ import annotations
@@ -24,10 +30,14 @@ from .matrices import complex_embedding, data_from_components, gaussian_componen
 from .groups import Family, _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
 from .weights import section_weight_batch, torus_weight_batch
+from .integrate import _bartlett_axes, bartlett_draws
 from .mc import _subseed, chunk_rngs, chunk_sizes
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
 BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
+REF_BLOCK = 65_536  # exact reference draws per block; bounds the (block, section_dim) arrays
+#: largest relative spread of the reference draws' weight ratio: rounding level
+WEIGHT_RATIO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,19 +119,13 @@ def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> 
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray]:
-    """Section-side statistics with importance weights prop. to p * weight."""
+def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Section-side statistics, their weights (prop. to p * weight, summing
+    to 1), and the relative spread of the direct-sum draws' weight ratio
+    (None on conjugation, whose reference is a grid)."""
     action = spec.action
     if isinstance(action, DirectSumAction):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        z = rng.standard_normal((n_ref, action.section_dim)) * spec.scale
-        # gaussian importance at the density's own scale cancels p(s)/q(s)
-        w = section_weight_batch(action, z)
-        # the k = 1 section is the real line, so its coordinate is a real 1 x 1
-        k = action.k
-        field = action.field if k > 1 else ScalarField.REAL
-        stats = _stats_batch_direct(spec, field, z.reshape(n_ref, k, k, field.dim))
-        return stats, w / np.sum(w)
+        return _bartlett_reference(spec, seed, n_ref)
     # conjugation: the ambient density is Haar, so the reference is Weyl's
     # weight on a fine angle grid, evaluated at canonical representatives
     group = action.group
@@ -131,7 +135,38 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
     weights = torus_weight_batch(group, angles)
     data = data_from_components(action.field, pts.reshape(len(pts), group.n, group.n, action.field.dim))
     stats = canonical_angles(group, data)[:, spec.stat_index]
-    return stats, weights / np.sum(weights)
+    return stats, weights / np.sum(weights), None
+
+
+def _bartlett_reference(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """n_ref exact draws of the section density p * weight of a direct sum.
+
+    The draws are integrate.bartlett_draws scaled by |scale|, in blocks
+    of REF_BLOCK draws seeded (seed, block), so every draw weighs
+    1 / n_ref.  The paper's weight stays in the loop: at each draw z the
+    ratio section_weight_batch(z) * e^(-|z|^2 / (2 scale^2)) *
+    prod r_ii^(b_i) / (density of the draw) is one constant, and its
+    relative spread max / min - 1 is returned.  The statistics are read
+    off R, whose |det| is prod r_ii.
+    """
+    action, scale = spec.action, abs(spec.scale)
+    diag = [(col, b) for col, b in _bartlett_axes(action)[0] if b is not None]
+    stats, lo, hi = [], np.inf, -np.inf
+    for block, start in enumerate(range(0, n_ref, REF_BLOCK)):
+        rng = np.random.default_rng(_subseed(seed, block))
+        x, log_q = bartlett_draws(action, rng, min(REF_BLOCK, n_ref - start))
+        z = scale * x
+        diagonal = np.abs(z[:, [col for col, _ in diag]])
+        log_jacobian = np.log(diagonal) @ np.array([b for _, b in diag], dtype=float)
+        log_ratio = np.log(section_weight_batch(action, z)) - 0.5 * np.sum(x * x, axis=1) + log_jacobian - log_q
+        lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
+        if spec.statistic == "coordinate_det":
+            stats.append(np.prod(diagonal, axis=1))
+        else:  # the k = 1 section is the real line, so its coordinate is a real 1 x 1
+            k = action.k
+            field = action.field if k > 1 else ScalarField.REAL
+            stats.append(_stats_batch_direct(spec, field, z.reshape(len(z), k, k, field.dim)))
+    return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), float(np.expm1(hi - lo))
 
 
 def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray) -> np.ndarray:
@@ -158,6 +193,7 @@ class HistogramComparison:
     chi2: float
     dof: int
     p_value: float
+    weight_ratio_spread: float | None = None  # of the direct-sum reference draws (_bartlett_reference)
 
     def to_json(self) -> dict:
         return {
@@ -227,27 +263,40 @@ def compare_densities(
     """Chi-square comparison of reduced-sample statistics vs the weighted
     section density.
 
-    The reference side is made much tighter than the empirical side (a
-    large importance sample, or exact bin quadrature for rank-one torus
-    angles) so the chi-square statistic is dominated by sampling noise.
-    Fewer than two bins, asked for or left after merging the bins whose
-    expected count is below MIN_EXPECTED, would make the test vacuous and
-    are rejected.
+    The reference side is made much tighter than the empirical side so
+    that the chi-square statistic is dominated by sampling noise: exact
+    draws of the section density on direct sums (n_ref of them, by
+    default max(30 n, 60000), each of weight 1 / n_ref), exact bin
+    quadrature for rank-one torus angles, and Weyl's weight on a fine
+    angle grid at higher rank.  The bins of equal draws have equal
+    reference mass, their edges at the draws' quantiles, so that no
+    single extreme draw sets the range of the bins; the others have
+    equal widths.  On direct sums the comparison also carries the
+    relative spread of the draws' weight ratio, which exceeds
+    WEIGHT_RATIO_TOL only if section_weight_batch or the draws are off
+    the paper's density.  Fewer than two bins, asked for or left after
+    merging the bins whose expected count is below MIN_EXPECTED, would
+    make the test vacuous and are rejected.
     """
     if bins < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
     stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks)
     rank1_conj = isinstance(spec.action, ConjugationAction) and spec.action.group.rank == 1
+    spread = None
     if rank1_conj:
         edges = np.linspace(0.0, np.pi, bins + 1)
         ref_freq = _rank1_bin_masses(spec, edges)
         if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
             edges, ref_freq = -edges[::-1], ref_freq[::-1]
     else:
-        ref_stats, ref_w = _reference_sample(spec, _subseed(seed, 1), n_ref or max(30 * n, 300_000))
+        ref_stats, ref_w, spread = _reference_sample(spec, _subseed(seed, 1), n_ref or max(30 * n, 60_000))
         lo = min(stats.min(), ref_stats.min())
         hi = max(stats.max(), ref_stats.max())
-        edges = np.linspace(lo, hi + 1e-12 * max(1.0, abs(hi)), bins + 1)
+        if isinstance(spec.action, ConjugationAction):  # a weighted angle grid: equal widths
+            edges = np.linspace(lo, hi + 1e-12 * max(1.0, abs(hi)), bins + 1)
+        else:  # equal draws: equal reference masses, at the draws' quantiles
+            edges = np.quantile(ref_stats, np.linspace(0.0, 1.0, bins + 1))
+            edges[0], edges[-1] = lo, hi + 1e-12 * max(1.0, abs(hi))
         ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=ref_w)
         ref_freq = ref_freq / np.sum(ref_freq)
     emp_counts, _ = np.histogram(stats, bins=edges)
@@ -260,4 +309,4 @@ def compare_densities(
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
     p = chi2_tail(dof, chi2)
-    return HistogramComparison(spec, edges, emp_freq, ref_freq, n, chi2, dof, p)
+    return HistogramComparison(spec, edges, emp_freq, ref_freq, n, chi2, dof, p, spread)

@@ -16,7 +16,8 @@ coordinate (w in W = U_d(k), R upper triangular with a positive
 diagonal; Edelman and Rao, Acta Numerica 2005): Gauss-Hermite axes above
 the diagonal and half-range Gauss axes, built by Golub-Welsch, on it.  Their weight is the closed form
 ``weights.section_weight_batch``, a constant times prod r_ii^(d(n-k)),
-or |t|^(dn-1) on the polar line (k = 1).  Both rules report
+or |t|^(dn-1) on the polar line (k = 1); ``bartlett_draws`` samples
+the same axes exactly for the ensemble reference.  Both rules report
 |fine - coarse| as their error.  Both sides refuse a ``gaussian_det``
 power whose integral diverges.  ``calibrate_vol_gn`` estimates
 vol(G/N) instead, as direct / reduced per integrand with a cross-check
@@ -322,6 +323,35 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
         for _, b in axes
     )
     return tuple(axes), power, float(np.exp(0.5 * action.section_dim * np.log(TWO_PI) - log_mass))
+
+
+def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count exact draws (count, section_dim) of the section density
+    e^(-|B|^2/2) * weight of a direct sum, as triangular R, and the log
+    of their density in those coordinates.
+
+    In the coordinates B = wR of _bartlett_axes the law is a product
+    (Bartlett's decomposition; Edelman and Rao, Acta Numerica 2005):
+    r_ii ~ chi with nu_i = b_i + p + 1 = d(n - i + 1) degrees of freedom
+    on each diagonal axis and N(0, 1) on each axis above it; on the
+    polar line (k = 1) |t| ~ chi_(dn) with a random sign.  The axes draw
+    in their order, then the signs.
+    """
+    axes, power, _ = _bartlett_axes(action)
+    z = np.zeros((count, action.section_dim))
+    log_q = np.full(count, -np.log(2.0) if action.k == 1 else 0.0)  # the sign halves the polar density
+    for col, b in axes:
+        if b is None:
+            x = rng.standard_normal(count)
+            log_q -= 0.5 * (x * x + np.log(TWO_PI))
+        else:
+            nu = b + power + 1
+            x = np.sqrt(rng.chisquare(nu, count))
+            log_q += (nu - 1) * np.log(x) - 0.5 * x * x - (0.5 * nu - 1) * np.log(2.0) - math.lgamma(0.5 * nu)
+        z[:, col] = x
+    if action.k == 1:
+        z[:, 0] *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
+    return z, log_q
 
 
 def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from sectint.fields import ScalarField
 from sectint.matrices import det_modulus, gaussian, to_real_vector
@@ -201,6 +202,21 @@ def test_criterion_08_ensemble_densities():
     assert elapsed < 60.0
     _report(8, f"determinant statistic chi2 p={det_cmp.p_value:.3f}, torus angle "
                f"chi2 p={ang_cmp.p_value:.3f} (threshold 0.01, n=1e5), {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("field, n, k", [(C, 4, 2), (H, 3, 2), (C, 6, 4), (R, 7, 5)],
+                         ids=["C42", "H32", "C64", "R75"])
+def test_criterion_08_direct_sum_ensemble_densities(field, n, k):
+    # criterion 8 on the larger direct sums, against the exact Bartlett reference
+    t0 = time.time()
+    action = DirectSumAction(field, n, k)
+    cmp_ = compare_densities(EnsembleSpec(action, 1.0, "coordinate_det"), seed=22, n=100_000, bins=30)
+    assert cmp_.p_value >= 0.01
+    assert cmp_.weight_ratio_spread <= 1e-10
+    elapsed = time.time() - t0
+    assert elapsed < 60.0
+    _report(8, f"{action} determinant statistic chi2 p={cmp_.p_value:.3f} (threshold 0.01, n=1e5), "
+               f"reference weight ratio spread {cmp_.weight_ratio_spread:.1e}, {elapsed:.1f}s")
 
 
 def test_criterion_09_singular_vanishing_and_weyl_invariance():

@@ -556,6 +556,43 @@ def test_ensemble_samples_with_the_chunk_count_it_reports(capsys):
     assert rep["results"] != compare_densities(spec, 0, 300, 10).to_json()
 
 
+DIRECT_ROWS = [SO3K2, C42, H32] + [json.dumps({"kind": "direct_sum", "field": f, "n": n, "k": k}) for f, n, k in
+                                    [("C", 6, 4), ("R", 7, 5), ("R", 4, 1), ("C", 3, 1), ("H", 3, 1)]]
+
+
+@pytest.mark.parametrize("action", DIRECT_ROWS + [SU2, SO3])
+def test_ensemble_checks_the_reference_weight_on_direct_sums(capsys, action):
+    extra = ["--statistic", "torus_angle"] if "conjugation" in action else []
+    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--seed", "3", "--n", "300", "--bins", "10", *extra])
+    checks = {c["name"]: c for c in rep["checks"]}
+    if "conjugation" in action:  # the torus references are grids and bin quadrature: no draws to check
+        assert set(checks) == {"histogram_chi2"}
+        return
+    assert set(checks) == {"histogram_chi2", "reference_weight_ratio"}
+    ratio = checks["reference_weight_ratio"]
+    assert ratio["threshold"] == 1e-10 and ratio["pass"] and 0.0 <= ratio["value"] <= 1e-10
+
+
+@pytest.mark.parametrize("scale", ["1", "-2", "0.5"])
+@pytest.mark.parametrize("action", DIRECT_ROWS)
+def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, action, scale):
+    # a weight off the paper's by the factor 1 + |z_0| leaves the exact draws
+    # off its density, and the reference check fails the run
+    import sys
+
+    import sectint.weights
+
+    original = sectint.weights.section_weight_batch
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sectint") and getattr(module, "section_weight_batch", None) is original:
+            monkeypatch.setattr(module, "section_weight_batch", lambda a, z: original(a, z) * (1.0 + np.abs(z[:, 0])))
+    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--seed", "3", "--n", "300", "--bins", "10",
+                                 f"--scale={scale}"])
+    ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]
+    assert code == 1 and rep["pass"] is False
+    assert not ratio["pass"] and ratio["value"] > 1e-3
+
+
 # --- volumes ------------------------------------------------------------------------
 
 def test_volumes_calibration_verdict_uses_n_sigma(capsys):

@@ -25,10 +25,12 @@ from sectint.ensembles import (
     compare_densities,
     sample_ensemble,
 )
+from sectint.integrate import bartlett_draws
+from sectint.mc import _subseed
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
 
-R, H = ScalarField.REAL, ScalarField.QUATERNION
+R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)
 SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
 
@@ -157,7 +159,7 @@ def test_det_second_moment_two_sided():
     stats = sample_ensemble(spec, seed=3, n=50_000)
     m_mean = np.mean(stats ** 2)
     m_se = np.std(stats ** 2, ddof=1) / np.sqrt(stats.size)
-    rs, rw = _reference_sample(spec, 4, 2_000_000)
+    rs, rw, _ = _reference_sample(spec, 4, 2_000_000)
     s_mean = np.sum(rw * rs ** 2)
     assert abs(m_mean - s_mean) <= 4 * m_se
 
@@ -167,14 +169,62 @@ def test_polar_reference_det_second_moment(field, n):
     # k = 1: |det| of the real section coordinate is |x|, whose second
     # moment under the standard Gaussian on K^n is the real dimension d n
     spec = EnsembleSpec(DirectSumAction(field, n, 1), 1.0, "coordinate_det")
-    rs, rw = _reference_sample(spec, 0, 200_000)
+    rs, rw, _ = _reference_sample(spec, 0, 200_000)
     assert np.sum(rw * rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
 
 
 def test_reference_weights_normalized():
     for spec in [EnsembleSpec(SO3K2, 1.0, "coordinate_det"), EnsembleSpec(SU2CONJ, 1.0, "torus_angle")]:
-        _, w = _reference_sample(spec, 0, 10_000)
+        _, w, _ = _reference_sample(spec, 0, 10_000)
         assert abs(w.sum() - 1.0) < 1e-12
+    # the direct-sum draws are exact: each weighs 1 / n_ref, and the
+    # effective sample size is their count
+    _, w, _ = _reference_sample(EnsembleSpec(SO3K2, 1.0, "coordinate_det"), 0, 10_000)
+    assert np.all(w == 1.0 / 10_000)
+    assert 1.0 / np.sum(w * w) == pytest.approx(10_000, rel=1e-12)
+
+
+DIRECT_ROWS = [SO3K2] + [DirectSumAction(f, n, k) for f, n, k in
+                          [(C, 4, 2), (H, 3, 2), (C, 6, 4), (R, 7, 5), (R, 4, 1), (C, 3, 1), (H, 3, 1)]]
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
+@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
+def test_reference_draws_follow_the_weighted_density(action, scale):
+    # the weight ratio of every draw is one constant, and the second moment
+    # of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
+    rs, rw, spread = _reference_sample(EnsembleSpec(action, scale, "coordinate_det"), 5, 100_000)
+    assert spread <= 1e-10
+    d, n, k = action.field.dim, action.n, action.k
+    exact = scale ** (2 * k) * np.prod([d * (n - i) for i in range(k)])
+    stderr = np.std(rs ** 2, ddof=1) / np.sqrt(rs.size)
+    assert abs(np.sum(rw * rs ** 2) - exact) <= 4 * stderr
+
+
+def test_reference_blocks_extend_the_stream():
+    # each block of draws has its own seed, so a longer reference keeps the shorter one as its prefix
+    from sectint.ensembles import REF_BLOCK
+
+    spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "coordinate_norm")
+    short, _, _ = _reference_sample(spec, 7, REF_BLOCK + 10)
+    long, w, _ = _reference_sample(spec, 7, 2 * REF_BLOCK + 3)
+    assert long.shape == w.shape == (2 * REF_BLOCK + 3,)
+    np.testing.assert_array_equal(long[:REF_BLOCK], short[:REF_BLOCK])
+
+
+@pytest.mark.parametrize("stat", ["coordinate_det", "coordinate_norm", "singular_value"])
+@pytest.mark.parametrize("action", [DirectSumAction(H, 3, 2), DirectSumAction(C, 3, 1)], ids=str)
+def test_reference_statistics_match_per_draw_coordinates(action, stat):
+    # the batched statistics of the draws equal those of each coordinate R read as a matrix
+    from sectint.actions import section_points
+    from sectint.matrices import from_real_vector
+
+    spec = EnsembleSpec(action, 1.5, stat)
+    rs, _, _ = _reference_sample(spec, 3, 40)
+    draws, _ = bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)
+    oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
+              for p in section_points(action, 1.5 * draws)]
+    np.testing.assert_allclose(rs, oracle, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("group", [GroupSpec(Family.SU, 2), GroupSpec(Family.SU, 3), GroupSpec(Family.SP, 2)], ids=str)

@@ -10,7 +10,8 @@ is a product law in the Bartlett coordinates B = wR, which the reference
 draws exactly (``integrate.bartlett_draws``): chi on the diagonal of R,
 normal above it.  Each draw also checks the paper's closed-form weight
 ``weights.section_weight_batch``: weight times Gaussian times Jacobian
-over the draws' density must be one constant.  On conjugation the
+over the draws' density must be one constant, up to rounding on the
+draws whose columns are not nearly dependent.  On conjugation the
 section density is Weyl's closed-form weight
 ``weights.torus_weight_batch`` on the torus angles.  The p-value is the
 chi-square tail at an integer number of degrees of freedom, a finite
@@ -30,7 +31,7 @@ from .matrices import complex_embedding, data_from_components, gaussian_componen
 from .groups import Family, _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
 from .weights import section_weight_batch, torus_weight_batch
-from .integrate import _bartlett_axes, bartlett_draws
+from .integrate import bartlett_draws
 from .mc import _subseed, chunk_rngs, chunk_sizes
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
@@ -38,6 +39,9 @@ BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
 REF_BLOCK = 65_536  # exact reference draws per block; bounds the (block, section_dim) arrays
 #: largest relative spread of the reference draws' weight ratio: rounding level
 WEIGHT_RATIO_TOL = 1e-10
+#: smallest |det R|^2 over its Hadamard bound at which a draw's weight ratio
+#: counts; gram_det keeps about eps / WELL_CONDITIONED relative there
+WELL_CONDITIONED = 1e-4
 
 
 @dataclass(frozen=True)
@@ -143,30 +147,35 @@ def _bartlett_reference(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.n
 
     The draws are integrate.bartlett_draws scaled by |scale|, in blocks
     of REF_BLOCK draws seeded (seed, block), so every draw weighs
-    1 / n_ref.  The paper's weight stays in the loop: at each draw z the
-    ratio section_weight_batch(z) * e^(-|z|^2 / (2 scale^2)) *
-    prod r_ii^(b_i) / (density of the draw) is one constant, and its
-    relative spread max / min - 1 is returned.  The statistics are read
-    off R, whose |det| is prod r_ii.
+    1 / n_ref.  The paper's weight stays in the loop: at each draw the
+    weight section_weight_batch times the Gaussian and Jacobian over the
+    draws' density is one constant, and the relative spread max / min - 1
+    of that ratio is returned.  It is taken over the draws whose
+    |det R|^2 is at least WELL_CONDITIONED times its Hadamard bound, the
+    product of R's squared column norms: below that, gram_det in the
+    weight loses digits to cancellation, and the spread would grow with
+    n_ref on correct code.  The statistics are read off the triangular
+    R, whose |det| is the product of its diagonal.
     """
-    action, scale = spec.action, abs(spec.scale)
-    diag = [(col, b) for col, b in _bartlett_axes(action)[0] if b is not None]
+    action, scale, k = spec.action, abs(spec.scale), spec.action.k
+    field = action.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
     stats, lo, hi = [], np.inf, -np.inf
     for block, start in enumerate(range(0, n_ref, REF_BLOCK)):
         rng = np.random.default_rng(_subseed(seed, block))
-        x, log_q = bartlett_draws(action, rng, min(REF_BLOCK, n_ref - start))
+        x, log_factor = bartlett_draws(action, rng, min(REF_BLOCK, n_ref - start))
         z = scale * x
-        diagonal = np.abs(z[:, [col for col, _ in diag]])
-        log_jacobian = np.log(diagonal) @ np.array([b for _, b in diag], dtype=float)
-        log_ratio = np.log(section_weight_batch(action, z)) - 0.5 * np.sum(x * x, axis=1) + log_jacobian - log_q
-        lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
+        comps = z.reshape(len(z), k, k, field.dim)
+        diagonal = np.abs(comps[:, range(k), range(k), 0])  # real on R's diagonal
+        columns = np.einsum("mrcd,mrcd->mc", comps, comps)
+        kept = np.prod(diagonal * diagonal / columns, axis=1) >= WELL_CONDITIONED
+        log_ratio = (np.log(section_weight_batch(action, z)) + log_factor)[kept]
+        lo, hi = min(lo, log_ratio.min(initial=np.inf)), max(hi, log_ratio.max(initial=-np.inf))
         if spec.statistic == "coordinate_det":
             stats.append(np.prod(diagonal, axis=1))
-        else:  # the k = 1 section is the real line, so its coordinate is a real 1 x 1
-            k = action.k
-            field = action.field if k > 1 else ScalarField.REAL
-            stats.append(_stats_batch_direct(spec, field, z.reshape(len(z), k, k, field.dim)))
-    return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), float(np.expm1(hi - lo))
+        else:
+            stats.append(_stats_batch_direct(spec, field, comps))
+    spread = float(np.expm1(hi - lo)) if hi >= lo else math.inf  # inf: no draw was fit to check
+    return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread
 
 
 def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray) -> np.ndarray:
@@ -272,9 +281,9 @@ def compare_densities(
     reference mass, their edges at the draws' quantiles, so that no
     single extreme draw sets the range of the bins; the others have
     equal widths.  On direct sums the comparison also carries the
-    relative spread of the draws' weight ratio, which exceeds
-    WEIGHT_RATIO_TOL only if section_weight_batch or the draws are off
-    the paper's density.  Fewer than two bins, asked for or left after
+    relative spread of the well-conditioned draws' weight ratio, which
+    exceeds WEIGHT_RATIO_TOL only if section_weight_batch or the draws
+    are off the paper's density.  Fewer than two bins, asked for or left after
     merging the bins whose expected count is below MIN_EXPECTED, would
     make the test vacuous and are rejected.
     """

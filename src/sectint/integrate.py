@@ -327,8 +327,11 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
 
 def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """count exact draws (count, section_dim) of the section density
-    e^(-|B|^2/2) * weight of a direct sum, as triangular R, and the log
-    of their density in those coordinates.
+    e^(-|B|^2/2) * weight of a direct sum, as triangular R, and per draw
+    the log of e^(-|R|^2/2) times the Jacobian prod r_ii^(b_i) over the
+    draws' density.  That log is minus the log of the weight plus one
+    constant, so section_weight_batch times its exp is the same at every
+    draw.
 
     In the coordinates B = wR of _bartlett_axes the law is a product
     (Bartlett's decomposition; Edelman and Rao, Acta Numerica 2005):
@@ -340,6 +343,7 @@ def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int
     axes, power, _ = _bartlett_axes(action)
     z = np.zeros((count, action.section_dim))
     log_q = np.full(count, -np.log(2.0) if action.k == 1 else 0.0)  # the sign halves the polar density
+    log_jacobian = np.zeros(count)
     for col, b in axes:
         if b is None:
             x = rng.standard_normal(count)
@@ -348,10 +352,11 @@ def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int
             nu = b + power + 1
             x = np.sqrt(rng.chisquare(nu, count))
             log_q += (nu - 1) * np.log(x) - 0.5 * x * x - (0.5 * nu - 1) * np.log(2.0) - math.lgamma(0.5 * nu)
+            log_jacobian += b * np.log(x)
         z[:, col] = x
     if action.k == 1:
         z[:, 0] *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
-    return z, log_q
+    return z, log_jacobian - 0.5 * np.sum(z * z, axis=1) - log_q
 
 
 def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndarray:

@@ -593,6 +593,18 @@ def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, actio
     assert not ratio["pass"] and ratio["value"] > 1e-3
 
 
+@pytest.mark.parametrize("seed", [None, "1", "2"])
+def test_ensemble_weight_check_passes_at_the_readme_size(capsys, seed):
+    # the README's R(3,2) run at n = 1e5 takes 3e6 reference draws; some have
+    # nearly dependent columns, where gram_det in the weight loses digits, so
+    # the spread only counts well-conditioned draws and does not grow with n_ref
+    argv = ["ensemble", "--action", SO3K2, "--statistic", "coordinate_det", "--n", "100000", "--bins", "30"]
+    code, rep = run_cli(capsys, argv + (["--seed", seed] if seed else []))
+    ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]
+    assert ratio["pass"] and ratio["value"] <= 1e-10
+    assert code == 0
+
+
 # --- volumes ------------------------------------------------------------------------
 
 def test_volumes_calibration_verdict_uses_n_sigma(capsys):

@@ -713,16 +713,17 @@ def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator, co
     if k == 1 and field is not REAL:
         # the polar section is the real line, so the top block is +-1
         unit = eye(field, 1).data
-        sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        u = sign.reshape((count,) + (1,) * unit.ndim) * unit
+        u_det = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+        u = u_det.reshape((count,) + (1,) * unit.ndim) * unit
     else:
-        u = haar_unitary_batch(field, k, rng, count)
-    v = haar_unitary_batch(field, n - k, rng, count)
+        u, u_det = haar_unitary_batch(field, k, rng, count)
+    v, v_det = haar_unitary_batch(field, n - k, rng, count)
     if field is REAL:
-        u[rng.random(count) < 0.5, :, -1] *= -1.0
-        v[np.linalg.det(u) * np.linalg.det(v) < 0, :, -1] *= -1.0
+        flip = rng.random(count) < 0.5
+        u[flip, :, -1] *= -1.0
+        v[np.where(flip, -u_det, u_det) * v_det < 0, :, -1] *= -1.0
     elif field is COMPLEX:
-        v[:, :, -1] *= np.conj(np.linalg.det(u) * np.linalg.det(v))[:, None]
+        v[:, :, -1] *= np.conj(u_det * v_det)[:, None]
     g = np.zeros((count, n, n) + u.shape[3:], dtype=u.dtype)
     g[:, :k, :k], g[:, k:, k:] = u, v
     return g

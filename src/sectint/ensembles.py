@@ -280,7 +280,9 @@ def compare_densities(
     angle grid at higher rank.  The bins of equal draws have equal
     reference mass, their edges at the draws' quantiles, so that no
     single extreme draw sets the range of the bins; the others have
-    equal widths.  On direct sums the comparison also carries the
+    equal widths.  On direct sums the reference's own sampling noise
+    scales the expected chi-square statistic by 1 + n / n_ref, so the
+    statistic is divided by that; the comparison also carries the
     relative spread of the well-conditioned draws' weight ratio, which
     exceeds WEIGHT_RATIO_TOL only if section_weight_batch or the draws
     are off the paper's density.  Fewer than two bins, asked for or left after
@@ -298,7 +300,8 @@ def compare_densities(
         if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
             edges, ref_freq = -edges[::-1], ref_freq[::-1]
     else:
-        ref_stats, ref_w, spread = _reference_sample(spec, _subseed(seed, 1), n_ref or max(30 * n, 60_000))
+        n_ref = n_ref or max(30 * n, 60_000)
+        ref_stats, ref_w, spread = _reference_sample(spec, _subseed(seed, 1), n_ref)
         lo = min(stats.min(), ref_stats.min())
         hi = max(stats.max(), ref_stats.max())
         if isinstance(spec.action, ConjugationAction):  # a weighted angle grid: equal widths
@@ -316,6 +319,10 @@ def compare_densities(
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {len(obs)} "
                          f"after merging to an expected count of {MIN_EXPECTED:g}")
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    if isinstance(spec.action, DirectSumAction):
+        # n_ref equal draws set the bins' reference masses, and their own
+        # noise adds n / n_ref to the variance of each bin's count
+        chi2 /= 1.0 + n / n_ref
     dof = len(obs) - 1
     p = chi2_tail(dof, chi2)
     return HistogramComparison(spec, edges, emp_freq, ref_freq, n, chi2, dof, p, spread)

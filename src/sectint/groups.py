@@ -2,9 +2,9 @@
 
 Provides orthonormal Lie algebra bases for the inner product
 Re(tr(x^* y)), all from one rule over the field's units, maximal-torus
-points and grids, exact Haar sampling as the q factor of the
-field-generic batched QR (matrices.qr) of Gaussian matrices for every
-family, and the adjoint action.
+points and grids, exact Haar sampling as the q factor of Gaussian
+matrices from one batched Householder kernel (matrices.householder_q)
+for every family, and the adjoint action.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .matrices import (
     data_from_components,
     from_real_vector,
     gaussian_batch,
-    qr,
+    householder_q,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -208,29 +208,30 @@ def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
     return GroupElement(group, MatK(group.field, haar_sample_batch(group, rng, 1)[0]))
 
 
-def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n[, pair]).
+def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n[, pair]),
+    and the determinant of each (of its complex adjoint matrix on Sp(n)).
 
-    The q factor of matrices.qr (diag(r) real and positive) of count
-    Gaussian matrices, drawn from the random stream of count successive
-    matrices.gaussian calls; that q is Haar (Mezzadri,
-    arXiv:math-ph/0609050).
+    The q factor (diag(r) real and positive) of count Gaussian matrices,
+    drawn from the random stream of count successive matrices.gaussian
+    calls; that q is Haar (Mezzadri, arXiv:math-ph/0609050).  q and its
+    determinant come from matrices.householder_q.
     """
-    return qr(field, gaussian_batch(field, n, n, rng, count))[0]
+    return householder_q(field, gaussian_batch(field, n, n, rng, count))
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of Haar samples as raw matrix data, (count, n, n[, pair]).
 
     Haar samples of O(n) / U(n) / Sp(n) from haar_unitary_batch; for SO
-    and SU a final column scaling forces det = 1, which pushes Haar
-    forward to the subgroup.
+    and SU a final column scaling by the conjugate of the determinant
+    forces det = 1, which pushes Haar forward to the subgroup.
     """
-    q = haar_unitary_batch(group.field, group.n, rng, count)
+    q, det = haar_unitary_batch(group.field, group.n, rng, count)
     if group.family is Family.SO:
-        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        q[det < 0, :, -1] *= -1.0
     elif group.family is Family.SU:
-        q[:, :, -1] *= np.linalg.det(q).conj()[:, None]
+        q[:, :, -1] *= det.conj()[:, None]
     return q
 
 

@@ -18,8 +18,10 @@ the diagonal and half-range Gauss axes, built by Golub-Welsch, on it.  Their wei
 ``weights.section_weight_batch``, a constant times prod r_ii^(d(n-k)),
 or |t|^(dn-1) on the polar line (k = 1); ``bartlett_draws`` samples
 the same axes exactly for the ensemble reference.  Both rules report
-|fine - coarse| as their error.  Both sides refuse a ``gaussian_det``
-power whose integral diverges.  ``calibrate_vol_gn`` estimates
+|fine - coarse| as their error.  Both sides refuse an integral that
+diverges: a ``gaussian_det`` power too negative, or ``const`` on the
+flat space of a direct sum.  On conjugation ``const`` reads no point,
+so its direct side is exact and draws nothing.  ``calibrate_vol_gn`` estimates
 vol(G/N) instead, as direct / reduced per integrand with a cross-check
 of the ratios between integrands, each direct side on its own seed so
 that the ratios are independent; ``sectint volumes`` tests it against
@@ -38,7 +40,7 @@ from .matrices import batch_to_real, gram_det
 from .groups import _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, section_points
 from .weights import section_weight_batch, torus_weight_batch
-from .mc import McEstimate, _subseed, mc_run, product, ratio
+from .mc import McEstimate, _subseed, mc_run, product, ratio, require_samples
 from .volumes import group_volume, torus_volume
 
 TWO_PI = 2.0 * np.pi
@@ -176,11 +178,20 @@ _FAMILIES = {
 }
 
 
+def _is_const(f: TestFunction) -> bool:
+    return f.fn is None and f.name == "const"
+
+
 def _require_integrable(action: ActionSpec, fs) -> None:
-    """Refuse gaussian_det at a power p <= -d(n - k + 1), where the integral
-    diverges: the Jacobian of the last Bartlett axis is r^(d(n - k + 1) - 1)."""
-    bound = -action.field.dim * (action.n - action.k + 1) if isinstance(action, DirectSumAction) else -math.inf
+    """Refuse an integral that diverges: a constant over the flat space of
+    a direct sum, and gaussian_det at a power p <= -d(n - k + 1), where
+    the Jacobian of the last Bartlett axis is r^(d(n - k + 1) - 1)."""
+    if not isinstance(action, DirectSumAction):
+        return
+    bound = -action.field.dim * (action.n - action.k + 1)
     for f in fs:
+        if _is_const(f):
+            raise ContractViolation(f"const: the integral of a constant over the flat space of {action} diverges")
         p = float(f.params.get("power", 1.0))
         if f.fn is None and f.name == "gaussian_det" and p <= bound:
             raise ContractViolation(f"gaussian_det: the integral of |det|^p diverges on {action} at p = {p:g}")
@@ -225,15 +236,22 @@ def integrate_direct(
     over Haar samples and scale by the group volume.  Each chunk draws
     once and evaluates every integrand on that draw, so the estimates
     share their samples, and each one is bit-identical to the run of
-    integrate_direct(action, [f], seed, n, chunks) on its own.
+    integrate_direct(action, [f], seed, n, chunks) on its own.  On a
+    conjugation action a const integrand reads no point: its average is
+    its value with stderr 0, and the group is drawn only if some other
+    integrand reads points.
     """
     fs = list(fs)
     _require_integrable(action, fs)
-    ests = mc_run(_direct_values_fn(action, fs), n, seed, chunks, workers)
-    if isinstance(action, ConjugationAction):
-        vol = group_volume(action.group)
-        ests = [product(est, vol) for est in ests]
-    return ests
+    if isinstance(action, DirectSumAction):
+        return mc_run(_direct_values_fn(action, fs), n, seed, chunks, workers)
+    require_samples(n)
+    drawn = [f for f in fs if not _is_const(f)]
+    means = iter(mc_run(_direct_values_fn(action, drawn), n, seed, chunks, workers) if drawn else ())
+    ests = [McEstimate(float(f.params.get("value", 1.0)), 0.0, n, seed, chunks) if _is_const(f) else next(means)
+            for f in fs]
+    vol = group_volume(action.group)
+    return [product(est, vol) for est in ests]
 
 
 def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[np.ndarray, np.ndarray]:

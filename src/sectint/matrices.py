@@ -11,11 +11,13 @@ chosen so that the ambient inner product Re(tr(x^* y)) equals the
 Euclidean dot product of the coordinate vectors.  All downstream
 geometry (frames, Gram matrices, Jacobians) works in those coordinates.
 
-``qr(field, data)`` is the one QR for all three fields: one batched
+``qr(field, data)`` is the general QR for all three fields: one batched
 LAPACK factorization of a stack of raw matrices, with diag(r) real and
-nonnegative.  It serves Haar sampling, the reduction of direct sums to
-the section (R of x = QR is the section coordinate) and ``gram_det``
-near rank deficiency.
+nonnegative.  It serves the reduction of direct sums to the section (R
+of x = QR is the section coordinate) and ``gram_det`` near rank
+deficiency.  ``householder_q(field, data)`` is its q factor for stacks
+of full-rank square matrices, with det q, from Householder reflections
+applied to the whole stack at once; it serves Haar sampling.
 """
 
 from __future__ import annotations
@@ -287,6 +289,67 @@ def _quaternion_qr(x: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarr
         r[bad] = np.triu(np.swapaxes(q[bad].conj(), -1, -2) @ eb)
     q = np.stack([q[..., :n, ::2], q[..., n:, ::2].conj()], axis=-1)
     return q, np.stack([r[..., ::2, ::2], r[..., 1::2, ::2].conj()], axis=-1)
+
+
+def householder_q(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
+    """The q factor of qr for a stack of full-rank square matrices,
+    (count, m, m[, pair]), and det q per matrix.
+
+    Householder reflections triangularize the stack, one array step per
+    column over all matrices at once, with no per-matrix LAPACK call
+    (Stewart, SIAM J. Numer. Anal. 17, 1980).  The reflection of column
+    j takes it to -s|x| e_j, s the phase of its pivot entry, and the
+    last pivot is not reflected; multiplying each column of q by the
+    phase of its pivot makes diag(r) real and positive, so q is qr's q.
+    Each reflection has det -1, so det q is (-1)^(m - 1) times the
+    product of the phases, with no determinant call.  H factors the
+    complex adjoint matrices with columns interleaved as qr does; its
+    det is that of the adjoint matrix of q, which is 1 on Sp(m).  The
+    matrices must have full rank, as Gaussian ones have with probability
+    1: at a rank-deficient matrix a reflection divides by a zero norm,
+    and nothing repairs it as qr does.
+    """
+    x = np.asarray(data)
+    if field is not QUATERNION:
+        return _householder_q(x)
+    m = x.shape[-2]
+    q, det = _householder_q(complex_embedding(QUATERNION, x)[..., _pairs(m)])
+    # the interleaving is a permutation of sign (-1)^(m(m - 1)/2)
+    return np.stack([q[..., :m, ::2], q[..., m:, ::2].conj()], axis=-1), det * (-1) ** (m * (m - 1) // 2)
+
+
+def _householder_q(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """householder_q of a real or complex stack (count, m, m).
+
+    The batch is the last axis of the work array, so every step runs
+    over contiguous rows of count numbers."""
+    count, m = a.shape[0], a.shape[-1]
+    real = not np.iscomplexobj(a)
+    # a^t on top of the identity: reflecting the rows of both as the columns
+    # of a are reflected leaves conj of the unphased q in the lower block
+    w = np.empty((2 * m, m, count), dtype=a.dtype)
+    w[:m], w[m:] = np.transpose(a, (2, 1, 0)), np.eye(m)[:, :, None]
+    s = np.ones((m, count), dtype=a.dtype)  # the phase of each pivot entry; 1 at a zero entry
+    for j in range(m):
+        x = w[j, j:]  # column j of a, rows j and below, after j reflections
+        x0 = x[0]
+        ax0 = np.abs(x0)
+        if real:
+            np.copysign(1.0, x0, out=s[j])
+        else:
+            np.divide(x0, ax0, out=s[j], where=ax0 > 0)
+        if j == m - 1:
+            break
+        norm = np.sqrt(np.einsum("ib,ib->b", x.conj(), x).real)
+        half = norm * (norm + ax0)  # |v|^2 / 2 of the reflection vector v = x + s|x| e_j
+        x0 += s[j] * norm  # x becomes v; column j is not read again
+        rest = w[j + 1 :, j:]
+        rest -= np.einsum("rkb,kb->rb", rest, x.conj())[:, None, :] * (x / half)
+    det = np.prod(s, axis=0)  # (-1)^(m - 1) times the product of the phases below
+    s[:-1] *= -1.0  # reflection j took column j to -s|x| e_j, the last pivot kept its s
+    q = np.empty((count, m, m), dtype=a.dtype)
+    np.multiply(w[m:].conj(), s, out=q.transpose(1, 2, 0))
+    return q, det
 
 
 # --- determinants ----------------------------------------------------------

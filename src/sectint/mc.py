@@ -81,6 +81,12 @@ def _combine(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[
     return n, m1 + delta * n2 / n, s1 + s2 + delta * delta * n1 * n2 / n
 
 
+def require_samples(n: int) -> None:
+    """Refuse fewer than two samples, which give no standard error."""
+    if n < 2:
+        raise ValueError(f"a Monte Carlo estimate needs n >= 2 samples for its standard error, got {n}")
+
+
 def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = None):
     """Estimate the mean of sample_fn(rng, size) over n draws.
 
@@ -92,8 +98,7 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     1-D sample_fn gives one McEstimate, a 2-D one a list of m.  Fewer
     than two samples give no standard error and are rejected.
     """
-    if n < 2:
-        raise ValueError(f"a Monte Carlo estimate needs n >= 2 samples for its standard error, got {n}")
+    require_samples(n)
     workers = workers or default_workers()
     sizes = chunk_sizes(n, chunks)
     rngs = chunk_rngs(seed, chunks)

@@ -174,6 +174,14 @@ def test_divergent_det_power_exits_2(capsys, command, action_json, power):
     assert "diverges" in err
 
 
+@pytest.mark.parametrize("command, functions", [("integrate", "const"), ("volumes", "gaussian_radial,const")])
+@pytest.mark.parametrize("action_json", [SO3K2, H32])
+def test_constant_on_a_direct_sum_exits_2(capsys, command, functions, action_json):
+    # a constant over the flat matrix space has no finite integral
+    err = _exits_2_with_one_line(capsys, [command, "--action", action_json, "--n", "2000", "--functions", functions])
+    assert "const" in err and "diverges" in err
+
+
 @pytest.mark.parametrize("command", ["integrate", "volumes"])
 @pytest.mark.parametrize("power", ["2.5", "-1", "-2"])
 def test_non_integer_or_negative_trace_power_exits_2(capsys, command, power):
@@ -698,6 +706,18 @@ def test_reports_worker_independent(capsys):
     main(base + ["--workers", "4"])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+@pytest.mark.parametrize("action_json", [SU2, SO3, '{"kind":"conjugation","family":"Sp","n":2}'])
+def test_conjugation_reports_worker_independent(capsys, command, action_json):
+    # the Haar draws of each chunk come from its own generator
+    base = [command, "--action", action_json, "--seed", "5", "--n", "3000", "--chunks", "8"]
+    main(base + ["--workers", "1"])
+    out1 = capsys.readouterr().out
+    main(base + ["--workers", "2"])
+    out2 = capsys.readouterr().out
+    assert out1.startswith("{") and out1 == out2
 
 
 def test_action_from_file(capsys, tmp_path):

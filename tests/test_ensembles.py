@@ -20,6 +20,7 @@ from sectint.actions import (
 )
 from sectint.ensembles import (
     EnsembleSpec,
+    _merge_small_bins,
     _reference_sample,
     chi2_tail,
     compare_densities,
@@ -288,6 +289,30 @@ def test_p_value_is_chi2_survival(action, statistic):
     # the closed-form tail agrees with scipy's to rounding level
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
     assert cmp_.p_value == pytest.approx(float(stats.chi2.sf(cmp_.chi2, cmp_.dof)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "action, statistic, n_ref",
+    [
+        (SO3K2, "coordinate_det", 60_000),
+        (DirectSumAction(ScalarField.COMPLEX, 4, 2), "coordinate_det", 6_000),
+        (DirectSumAction(H, 3, 1), "coordinate_norm", 10_000),
+        (ConjugationAction(GroupSpec(Family.SU, 3)), "torus_angle", None),
+    ],
+    ids=str,
+)
+def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n_ref):
+    # n_ref equal reference draws add n / n_ref to each bin's variance, so
+    # the direct-sum statistic is the plain one over 1 + n / n_ref; the
+    # torus grid's masses carry no such noise and keep the plain statistic
+    n = 2000
+    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=7, n=n, bins=20, n_ref=n_ref)
+    obs, exp = _merge_small_bins(np.rint(cmp_.empirical * n), n * cmp_.reference)
+    plain = float(np.sum((obs - exp) ** 2 / exp))
+    scale = 1.0 + n / n_ref if isinstance(action, DirectSumAction) else 1.0
+    assert cmp_.dof == len(obs) - 1
+    assert cmp_.chi2 == pytest.approx(plain / scale, rel=1e-12, abs=0)
+    assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
 
 
 def test_chi2_tail_matches_scipy():

@@ -4,7 +4,20 @@ import scipy.linalg
 from scipy import stats as sps
 
 from sectint.fields import ScalarField
-from sectint.matrices import MatK, complex_embedding, det_modulus, eye, inner, mat, to_real_vector, zeros
+from sectint import matrices
+from sectint.matrices import (
+    MatK,
+    complex_embedding,
+    det_modulus,
+    eye,
+    gaussian_batch,
+    householder_q,
+    inner,
+    mat,
+    qr,
+    to_real_vector,
+    zeros,
+)
 from sectint.groups import (
     Family,
     GroupElement,
@@ -13,6 +26,7 @@ from sectint.groups import (
     algebra_basis,
     haar_sample,
     haar_sample_batch,
+    haar_unitary_batch,
     torus_basis,
     torus_point,
     torus_points,
@@ -203,6 +217,61 @@ def test_su2_trace_matches_weight_density():
     chi2 = np.sum((counts - len(theta) * masses) ** 2 / (len(theta) * masses))
     p = sps.chi2.sf(chi2, bins - 1)
     assert p > 0.01
+
+
+# --- the Householder kernel of the Haar draws ---------------------------------
+
+# SO(1-5), SU(1-4) and Sp(1-3): the groups and the normalizer blocks of the
+# direct sums, whose O(k) / U(k) / Sp(k) blocks start at 1 x 1
+KERNEL_CASES = [(ScalarField.REAL, m) for m in range(1, 6)] + [(ScalarField.COMPLEX, m) for m in range(1, 5)] + [
+    (ScalarField.QUATERNION, m) for m in range(1, 4)
+]
+
+
+@pytest.mark.parametrize("field, m", KERNEL_CASES, ids=lambda v: getattr(v, "value", v))
+def test_householder_q_is_the_q_of_qr(field, m):
+    # q is unique once diag(r) > 0, so the reflections and LAPACK agree to
+    # rounding; det q is det of the (complex adjoint matrix of) q
+    x = gaussian_batch(field, m, m, np.random.default_rng(m), 400)
+    q, det = householder_q(field, x)
+    size = np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim))))
+    gap = np.max(np.abs(q - qr(field, x)[0]).reshape(len(x), -1), axis=1)
+    assert np.all(gap <= 1e-13 * size)
+    assert np.max(np.abs(det - np.linalg.det(complex_embedding(field, q)))) <= 1e-13
+
+
+@pytest.mark.parametrize("field", list(ScalarField), ids=lambda f: f.value)
+def test_householder_q_of_an_empty_stack(field):
+    # a Monte Carlo chunk of size 0 draws an empty stack
+    x = gaussian_batch(field, 3, 3, np.random.default_rng(0), 0)
+    q, det = householder_q(field, x)
+    assert q.shape == x.shape and det.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "group", [GroupSpec(Family.SO, n) for n in range(2, 6)] + [GroupSpec(Family.SU, n) for n in range(2, 5)], ids=str
+)
+def test_haar_draws_have_det_one(group):
+    batch = haar_sample_batch(group, np.random.default_rng(12), 500)
+    assert np.max(np.abs(np.linalg.det(batch) - 1.0)) <= 1e-13
+
+
+def test_haar_draws_take_no_lapack_factorization(monkeypatch):
+    # q and its determinant both come from the reflections
+    from sectint.actions import DirectSumAction, normalizer_samples
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Haar draw called a LAPACK factorization or determinant")
+
+    for module, name in [(np.linalg, "qr"), (np.linalg, "det"), (matrices, "qr")]:
+        monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(3)
+    for g in [GroupSpec(f, n) for f in Family for n in (1, 2, 3)]:
+        haar_sample_batch(g, rng, 7)
+        haar_unitary_batch(g.field, g.n, rng, 7)
+    for field in ScalarField:
+        for n, k in [(3, 1), (3, 2), (4, 2)]:
+            normalizer_samples(DirectSumAction(field, n, k), rng, 7)
 
 
 def test_adjoint_isometry_and_closure():

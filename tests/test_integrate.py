@@ -24,7 +24,7 @@ from sectint.integrate import (
     make_test_function,
     section_coordinate_det,
 )
-from sectint.volumes import vol_gh_estimate, w_group_volume
+from sectint.volumes import group_volume, vol_gh_estimate, w_group_volume
 from lp_isometry import lp_isometry_check
 from reduced_mc import reduced_importance_sampling
 
@@ -162,6 +162,21 @@ def test_direct_zero_function_is_zero():
     assert est.mean == 0.0 and est.stderr == 0.0
     [est] = integrate_reduced(SO3K2, [zero], 1.0)
     assert est.mean == 0.0
+
+
+@pytest.mark.parametrize("group", [GroupSpec(Family.SU, 3), GroupSpec(Family.SO, 4), GroupSpec(Family.SP, 1)], ids=str)
+@pytest.mark.parametrize("value", [1.0, 2.5])
+def test_const_direct_estimate_draws_nothing(monkeypatch, group, value):
+    # a constant reads no point: its average is exact, and the group is not drawn
+    import sectint.integrate as integrate_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a const integrand drew Haar samples")
+
+    monkeypatch.setattr(integrate_module, "haar_sample_batch", refuse)
+    f = make_test_function("const", value=value)
+    [est] = integrate_direct(ConjugationAction(group), [f], seed=4, n=3000, chunks=8)
+    assert est == McEstimate(value * group_volume(group).mean, 0.0, 3000, 4, 8)
 
 
 def test_direct_su2_volume():
@@ -470,11 +485,15 @@ def test_integrable_negative_det_power_still_estimated(action, power):
     assert np.isfinite(direct.mean) and direct.mean > 0 and np.isfinite(direct.stderr)
 
 
-def test_weighted_section_measure_positive():
-    [est] = integrate_reduced(SO3K2, [make_test_function("const")], 1.0)
-    # the constant is not integrable against the weight; the rule's finite
-    # sum of positive weights at its nodes is still positive
-    assert est.mean > 0
+@pytest.mark.parametrize("action", [SO3K2, DirectSumAction(ScalarField.QUATERNION, 3, 1)], ids=str)
+def test_constant_on_a_direct_sum_is_refused(action):
+    # a constant over the flat matrix space diverges, and so does its
+    # weighted section integral; both sides refuse it before any sampling
+    f = make_test_function("const")
+    with pytest.raises(ContractViolation, match="diverges"):
+        integrate_reduced(action, [f], 1.0)
+    with pytest.raises(ContractViolation, match="diverges"):
+        integrate_direct(action, [make_test_function("gaussian_radial"), f], seed=0, n=100)
 
 
 # --- the direct-sum reduced quadrature ------------------------------------------

@@ -36,7 +36,7 @@ from .actions import (
     embed_section,
     orbit_map_differentials,
 )
-from .checks import pointwise_checks, run_action_checks
+from .checks import CheckResult, pointwise_checks, run_action_checks
 from .ensembles import WEIGHT_RATIO_TOL, EnsembleSpec, compare_densities
 from .integrate import (
     IllConditionedCalibration,
@@ -160,10 +160,10 @@ def _write_output(path: str, write) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit(report: dict, checks: list[dict], out_path: str | None) -> int:
+def _emit(report: dict, checks: list[CheckResult], out_path: str | None) -> int:
     """Print the report with its checks and verdict, and write it to out_path."""
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
+    report["checks"] = [c.to_json() for c in checks]
+    report["pass"] = all(c.passed for c in checks)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
         _write_output(out_path, lambda path: Path(path).write_text(payload + "\n"))
@@ -181,11 +181,6 @@ def _base_report(command: str, action: ActionSpec, args) -> dict:
     return {"command": command, "action": action_to_json(action), "config": config}
 
 
-def _check(name: str, value, threshold, passed: bool) -> dict:
-    """One report check with its verdict."""
-    return {"name": name, "value": value, "threshold": threshold, "pass": passed}
-
-
 def cmd_delta(args) -> int:
     action = _parse_action(args.action)
     s = _parse_point(action, args.point)
@@ -194,7 +189,7 @@ def cmd_delta(args) -> int:
     report = _base_report("delta", action, args)
     report["results"] = {name: float(v[0]) for name, v in values.items()}
     report["results"]["regularity"] = diff.regularity()[0].value
-    return _emit(report, [c.to_json() for c in checks], args.out)
+    return _emit(report, checks, args.out)
 
 
 def cmd_integrate(args) -> int:
@@ -213,8 +208,8 @@ def cmd_integrate(args) -> int:
             }
         )
         threshold = args.n_sigma * float(np.hypot(direct.stderr, reduced.stderr))
-        checks.append(_check(f"two_sided_agreement_{f.name}", abs(direct.mean - reduced.mean), threshold,
-                             agree(direct, reduced, args.n_sigma)))
+        checks.append(CheckResult(f"two_sided_agreement_{f.name}", abs(direct.mean - reduced.mean), threshold,
+                                  agree(direct, reduced, args.n_sigma)))
     report = _base_report("integrate", action, args)
     report["results"] = {"vol_gn": _exact_json(vol_gn), "per_function": per_function}
     return _emit(report, checks, args.out)
@@ -232,7 +227,7 @@ def cmd_verify(args) -> int:
         tol_abs=args.tol_abs,
         corrupt_metric=args.corrupt_metric,
     )
-    return _emit(_base_report("verify", action, args), [r.to_json() for r in results], args.out)
+    return _emit(_base_report("verify", action, args), results, args.out)
 
 
 def cmd_ensemble(args) -> int:
@@ -245,10 +240,10 @@ def cmd_ensemble(args) -> int:
         _write_output(args.out_csv, cmp_.write_csv)
     report = _base_report("ensemble", action, args)
     report["results"] = cmp_.to_json()
-    checks = [_check("histogram_chi2", cmp_.p_value, args.p_threshold, cmp_.p_value >= args.p_threshold)]
+    checks = [CheckResult("histogram_chi2", cmp_.p_value, args.p_threshold, cmp_.p_value >= args.p_threshold)]
     spread = cmp_.weight_ratio_spread
     if spread is not None:  # direct sums: the exact reference draws against the paper's weight
-        checks.append(_check("reference_weight_ratio", spread, WEIGHT_RATIO_TOL, spread <= WEIGHT_RATIO_TOL))
+        checks.append(CheckResult("reference_weight_ratio", spread, WEIGHT_RATIO_TOL, spread <= WEIGHT_RATIO_TOL))
     return _emit(report, checks, args.out)
 
 
@@ -262,9 +257,9 @@ def cmd_volumes(args) -> int:
     report = _base_report("volumes", action, args)
     report["results"] = {"vol_gh": _exact_json(vol_gh), "vol_gn": vol_gn.to_json(), "vol_w": _exact_json(vol_w)}
     return _emit(report, [
-        _check("calibration_consistency", calib.worst_sigma, args.n_sigma, calib.consistent),
-        _check("volume_factorization", gap, args.n_sigma * se,
-               bool(gap <= args.n_sigma * se + 1e-9 * max(1.0, abs(vol_gh)))),
+        CheckResult("calibration_consistency", calib.worst_sigma, args.n_sigma, calib.consistent),
+        CheckResult("volume_factorization", gap, args.n_sigma * se,
+                    bool(gap <= args.n_sigma * se + 1e-9 * max(1.0, abs(vol_gh)))),
     ], args.out)
 
 

@@ -10,9 +10,8 @@ is a product law in the Bartlett coordinates B = wR, which the reference
 draws exactly (``integrate.bartlett_draws``): chi on the diagonal of R,
 normal above it.  Each draw also checks the paper's closed-form weight
 ``weights.section_weight_batch``: weight times Gaussian times Jacobian
-over the draws' density must be one constant, up to rounding on the
-draws whose columns are not nearly dependent.  On conjugation the
-section density is Weyl's closed-form weight
+over the draws' density must be one constant, up to rounding at every
+draw.  On conjugation the section density is Weyl's closed-form weight
 ``weights.torus_weight_batch`` on the torus angles.  The p-value is the
 chi-square tail at an integer number of degrees of freedom, a finite
 sum in closed form, so no run loads scipy.
@@ -39,9 +38,6 @@ BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
 REF_BLOCK = 65_536  # exact reference draws per block; bounds the (block, section_dim) arrays
 #: largest relative spread of the reference draws' weight ratio: rounding level
 WEIGHT_RATIO_TOL = 1e-10
-#: smallest |det R|^2 over its Hadamard bound at which a draw's weight ratio
-#: counts; gram_det keeps about eps / WELL_CONDITIONED relative there
-WELL_CONDITIONED = 1e-4
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,9 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
         return _bartlett_reference(spec, seed, n_ref)
     # conjugation: the ambient density is Haar, so the reference is Weyl's
     # weight on a fine angle grid, evaluated at canonical representatives
+    # (compare_densities takes rank one's exact bin masses instead)
     group = action.group
-    grid = {1: 4096, 2: 96}.get(group.rank, 24)
+    grid = 96 if group.rank == 2 else 24
     angles = _torus_grid(group.rank, grid)
     pts = torus_points(group, angles)
     weights = torus_weight_batch(group, angles)
@@ -150,12 +147,11 @@ def _bartlett_reference(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.n
     1 / n_ref.  The paper's weight stays in the loop: at each draw the
     weight section_weight_batch times the Gaussian and Jacobian over the
     draws' density is one constant, and the relative spread max / min - 1
-    of that ratio is returned.  It is taken over the draws whose
-    |det R|^2 is at least WELL_CONDITIONED times its Hadamard bound, the
-    product of R's squared column norms: below that, gram_det in the
-    weight loses digits to cancellation, and the spread would grow with
-    n_ref on correct code.  The statistics are read off the triangular
-    R, whose |det| is the product of its diagonal.
+    of that ratio over every draw is returned.  gram_det in the weight
+    keeps its digits on draws with nearly dependent columns too, so the
+    spread stays at rounding level however many draws are taken.  The
+    statistics are read off the triangular R, whose |det| is the product
+    of its diagonal.
     """
     action, scale, k = spec.action, abs(spec.scale), spec.action.k
     field = action.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
@@ -165,16 +161,13 @@ def _bartlett_reference(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.n
         x, log_factor = bartlett_draws(action, rng, min(REF_BLOCK, n_ref - start))
         z = scale * x
         comps = z.reshape(len(z), k, k, field.dim)
-        diagonal = np.abs(comps[:, range(k), range(k), 0])  # real on R's diagonal
-        columns = np.einsum("mrcd,mrcd->mc", comps, comps)
-        kept = np.prod(diagonal * diagonal / columns, axis=1) >= WELL_CONDITIONED
-        log_ratio = (np.log(section_weight_batch(action, z)) + log_factor)[kept]
-        lo, hi = min(lo, log_ratio.min(initial=np.inf)), max(hi, log_ratio.max(initial=-np.inf))
+        log_ratio = np.log(section_weight_batch(action, z)) + log_factor
+        lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
         if spec.statistic == "coordinate_det":
-            stats.append(np.prod(diagonal, axis=1))
+            stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))  # real on R's diagonal
         else:
             stats.append(_stats_batch_direct(spec, field, comps))
-    spread = float(np.expm1(hi - lo)) if hi >= lo else math.inf  # inf: no draw was fit to check
+    spread = float(np.expm1(hi - lo))
     return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread
 
 
@@ -283,7 +276,7 @@ def compare_densities(
     equal widths.  On direct sums the reference's own sampling noise
     scales the expected chi-square statistic by 1 + n / n_ref, so the
     statistic is divided by that; the comparison also carries the
-    relative spread of the well-conditioned draws' weight ratio, which
+    relative spread of the draws' weight ratio, which
     exceeds WEIGHT_RATIO_TOL only if section_weight_batch or the draws
     are off the paper's density.  Fewer than two bins, asked for or left after
     merging the bins whose expected count is below MIN_EXPECTED, would

@@ -80,15 +80,23 @@ class TestFunction:
     def to_json(self) -> dict:
         return {"name": self.name, "params": dict(self.params), "invariant": self.invariant}
 
+    def param(self, key: str) -> float:
+        """One of the family's parameters: its given value, else the default in _FAMILIES."""
+        return float(self.params.get(key, _FAMILIES[self.name][1][key]))
+
 
 def make_test_function(name: str, **params) -> TestFunction:
     if name not in _FAMILIES:
         raise ValueError(f"unknown test function {name!r}; known: {sorted(_FAMILIES)}")
-    sigma = float(params.get("sigma", 1.0))
-    if sigma == 0.0 or not math.isfinite(sigma):
-        raise ValueError(f"{name}: sigma must be finite and nonzero, got {sigma}")
-    invariant = name != "first_coordinate"
-    return TestFunction(name, params, invariant)
+    declared = _FAMILIES[name][1]
+    for key in params:
+        if key not in declared:
+            raise ValueError(f"{name} has no parameter {key!r}; its parameters: {sorted(declared) or 'none'}")
+    if "sigma" in params:
+        sigma = float(params["sigma"])
+        if sigma == 0.0 or not math.isfinite(sigma):
+            raise ValueError(f"{name}: sigma must be finite and nonzero, got {sigma}")
+    return TestFunction(name, params, name != "first_coordinate")
 
 
 def custom_test_function(name: str, fn, invariant: bool) -> TestFunction:
@@ -104,7 +112,7 @@ def _stacked_values(action: ActionSpec, fs, pts: np.ndarray, norms_sq: np.ndarra
     """The (len(fs), m) values of every f in fs at (m, D) points, one row
     per integrand; norms_sq is their squared norms when the caller already
     has them (the families that need them compute them otherwise)."""
-    return np.stack([_FAMILIES[f.name](action, pts, f.params, norms_sq) if f.fn is None
+    return np.stack([_FAMILIES[f.name][0](action, pts, f, norms_sq) if f.fn is None
                      else np.asarray(f.fn(pts, action), dtype=float) for f in fs])
 
 
@@ -112,13 +120,13 @@ def _norms_sq(pts, norms_sq):
     return np.sum(pts * pts, axis=1) if norms_sq is None else norms_sq
 
 
-def _fam_gaussian_radial(action, pts, params, norms_sq):
-    sigma = float(params.get("sigma", 1.0))
+def _fam_gaussian_radial(action, pts, f, norms_sq):
+    sigma = f.param("sigma")
     return np.exp(-_norms_sq(pts, norms_sq) / (2.0 * sigma * sigma))
 
 
-def _fam_gaussian_sq_norm(action, pts, params, norms_sq):
-    sigma = float(params.get("sigma", 1.0))
+def _fam_gaussian_sq_norm(action, pts, f, norms_sq):
+    sigma = f.param("sigma")
     r2 = _norms_sq(pts, norms_sq)
     return r2 * np.exp(-r2 / (2.0 * sigma * sigma))
 
@@ -134,11 +142,10 @@ def section_coordinate_det(action: DirectSumAction, pts: np.ndarray) -> np.ndarr
     return np.sqrt(gram_det(action.field, comps))
 
 
-def _fam_gaussian_det(action, pts, params, norms_sq):
+def _fam_gaussian_det(action, pts, f, norms_sq):
     if not isinstance(action, DirectSumAction):
         raise ContractViolation("gaussian_det integrand needs a direct-sum action")
-    sigma = float(params.get("sigma", 1.0))
-    power = float(params.get("power", 1.0))
+    sigma, power = f.param("sigma"), f.param("power")
     return section_coordinate_det(action, pts) ** power * np.exp(
         -_norms_sq(pts, norms_sq) / (2.0 * sigma * sigma)
     )
@@ -150,31 +157,33 @@ def _real_trace(action: ConjugationAction, pts: np.ndarray) -> np.ndarray:
     return np.sum(pts[:, idx], axis=1)
 
 
-def _fam_trace_power(action, pts, params, norms_sq):
+def _fam_trace_power(action, pts, f, norms_sq):
     if not isinstance(action, ConjugationAction):
         raise ContractViolation("trace_power integrand needs a conjugation action")
-    power = float(params.get("power", 2))
+    power = f.param("power")
     if power < 0 or not power.is_integer():  # weight * tr^p is a trigonometric polynomial only at integer p
         raise ContractViolation(f"trace_power: the power must be a nonnegative integer, got {power:g}")
     return _real_trace(action, pts) ** int(power)
 
 
-def _fam_const(action, pts, params, norms_sq):
-    return np.full(pts.shape[0], float(params.get("value", 1.0)))
+def _fam_const(action, pts, f, norms_sq):
+    return np.full(pts.shape[0], f.param("value"))
 
 
-def _fam_first_coordinate(action, pts, params, norms_sq):
+def _fam_first_coordinate(action, pts, f, norms_sq):
     # deliberately not invariant; used as a negative control
     return pts[:, 0]
 
 
+#: each integrand family's function and its parameters with their defaults;
+#: make_test_function refuses any other parameter
 _FAMILIES = {
-    "gaussian_radial": _fam_gaussian_radial,
-    "gaussian_sq_norm": _fam_gaussian_sq_norm,
-    "gaussian_det": _fam_gaussian_det,
-    "trace_power": _fam_trace_power,
-    "const": _fam_const,
-    "first_coordinate": _fam_first_coordinate,
+    "gaussian_radial": (_fam_gaussian_radial, {"sigma": 1.0}),
+    "gaussian_sq_norm": (_fam_gaussian_sq_norm, {"sigma": 1.0}),
+    "gaussian_det": (_fam_gaussian_det, {"sigma": 1.0, "power": 1.0}),
+    "trace_power": (_fam_trace_power, {"power": 2.0}),
+    "const": (_fam_const, {"value": 1.0}),
+    "first_coordinate": (_fam_first_coordinate, {}),
 }
 
 
@@ -192,9 +201,9 @@ def _require_integrable(action: ActionSpec, fs) -> None:
     for f in fs:
         if _is_const(f):
             raise ContractViolation(f"const: the integral of a constant over the flat space of {action} diverges")
-        p = float(f.params.get("power", 1.0))
-        if f.fn is None and f.name == "gaussian_det" and p <= bound:
-            raise ContractViolation(f"gaussian_det: the integral of |det|^p diverges on {action} at p = {p:g}")
+        if f.fn is None and f.name == "gaussian_det" and f.param("power") <= bound:
+            raise ContractViolation(f"gaussian_det: the integral of |det|^p diverges on {action} "
+                                    f"at p = {f.param('power'):g}")
 
 
 # --- direct and reduced integrals --------------------------------------------
@@ -248,7 +257,7 @@ def integrate_direct(
     require_samples(n)
     drawn = [f for f in fs if not _is_const(f)]
     means = iter(mc_run(_direct_values_fn(action, drawn), n, seed, chunks, workers) if drawn else ())
-    ests = [McEstimate(float(f.params.get("value", 1.0)), 0.0, n, seed, chunks) if _is_const(f) else next(means)
+    ests = [McEstimate(f.param("value"), 0.0, n, seed, chunks) if _is_const(f) else next(means)
             for f in fs]
     vol = group_volume(action.group)
     return [product(est, vol) for est in ests]
@@ -445,7 +454,8 @@ def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> lis
         if count > MAX_RULE_NODES:
             raise ValueError(f"the reduced rule of {action} needs {count} nodes ({m} on each of "
                              f"{n_axes} axes), more than {MAX_RULE_NODES}")
-        sigmas = [abs(float(f.params.get("sigma", 1.0))) for f in fs]
+        # the rule scales to a Gaussian family's sigma; any other integrand takes the unit rule
+        sigmas = [abs(f.param("sigma")) if f.fn is None and "sigma" in _FAMILIES[f.name][1] else 1.0 for f in fs]
         value, err = np.empty(len(fs)), np.empty(len(fs))
         for sigma in dict.fromkeys(sigmas):
             rows = [i for i, s in enumerate(sigmas) if s == sigma]
@@ -467,7 +477,6 @@ class CalibrationReport:
     """Per-integrand quotient-volume ratios and their mutual agreement."""
 
     ratios: tuple[McEstimate, ...]
-    names: tuple[str, ...]
     combined: McEstimate
     consistent: bool
     worst_sigma: float
@@ -508,6 +517,4 @@ def calibrate_vol_gn(
     mean = float(np.sum(weights * [r.mean for r in ratios]) / np.sum(weights))
     se = float(np.sqrt(1.0 / np.sum(weights)))
     combined = McEstimate(mean, se, sum(r.n_samples for r in ratios), seed, chunks)
-    return CalibrationReport(
-        tuple(ratios), tuple(f.name for f in fs), combined, worst <= n_sigma, worst
-    )
+    return CalibrationReport(tuple(ratios), combined, worst <= n_sigma, worst)

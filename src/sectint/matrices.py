@@ -14,10 +14,16 @@ geometry (frames, Gram matrices, Jacobians) works in those coordinates.
 ``qr(field, data)`` is the general QR for all three fields: one batched
 LAPACK factorization of a stack of raw matrices, with diag(r) real and
 nonnegative.  It serves the reduction of direct sums to the section (R
-of x = QR is the section coordinate) and ``gram_det`` near rank
-deficiency.  ``householder_q(field, data)`` is its q factor for stacks
-of full-rank square matrices, with det q, from Householder reflections
-applied to the whole stack at once; it serves Haar sampling.
+of x = QR is the section coordinate) and ``gram_det``.
+``householder_q(field, data)`` is its q factor for stacks of full-rank
+square matrices, with det q, from Householder reflections applied to
+the whole stack at once; it serves Haar sampling.
+
+The determinants behind the weights follow one rule: a closed form only
+where it keeps about 12 digits (``gram_det`` at k = 1, and at k = 2
+above GRAM_REFINE of its Hadamard bound), the diagonal of a
+backward-stable QR everywhere else, and one cutoff, SINGULAR_CUTOFF in
+``abs_det_between``, for an exact 0 at a singular map.
 """
 
 from __future__ import annotations
@@ -217,7 +223,11 @@ def inner(x: MatK, y: MatK) -> float:
 # --- QR --------------------------------------------------------------------
 
 RANK_CUTOFF = 1e-12  # diagonal entries of r at or below this times |x| are set to 0
-GRAM_REFINE = 1e-12  # gram_det at or below this times its Hadamard bound keeps < 4 digits; qr redoes it
+#: gram_det's k = 2 difference keeps about 12 digits above this fraction of its
+#: Hadamard bound; qr takes the det at or below it
+GRAM_REFINE = 1e-4
+#: abs_det_between reads a |det| at or below this times its Hadamard bound as 0
+SINGULAR_CUTOFF = 1e-12
 
 
 def _pairs(m: int) -> np.ndarray:
@@ -381,33 +391,26 @@ def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
     """det(x^* x) >= 0 for a stack of n x k matrices given as real
     components (m, n, k, d); the Moore determinant of the Gram matrix for H.
 
-    This is |x|^2 for k = 1 and g11 g22 - |g12|^2 for k = 2, from real
-    arithmetic only: g12 = sum_r conj(x_r1) x_r2 is one batched product
-    of the two columns' components, contracted with the field's table of
-    conj(e_a) e_b.  Larger k takes LAPACK det of the Gram matrix of the
-    complex embedding, whose determinant is the square of the Moore
-    determinant for H.  Both lose digits to cancellation as x nears rank
-    deficiency (about eps times the Hadamard bound prod |x_j|^2 is left
-    at rank-deficient x), so a det at or below GRAM_REFINE times that
-    bound is taken again as prod r_ii^2 from ``qr``: exactly 0 at rank
-    deficiency, and accurate near it.
+    A closed form serves where it keeps its digits: |x|^2 for k = 1, and
+    g11 g22 - |g12|^2 for k = 2 above GRAM_REFINE times its Hadamard
+    bound g11 g22, from real arithmetic only (g12 = sum_r conj(x_r1) x_r2
+    is one batched product of the two columns' components, contracted
+    with the field's table of conj(e_a) e_b).  The difference loses
+    digits to cancellation as x nears rank deficiency, about eps over
+    its ratio to the bound, so below that fraction, and for every k >= 3,
+    the det is prod r_ii^2 from ``qr``, which Householder's backward
+    stability keeps accurate near rank deficiency and exactly 0 at it.
     """
     m, _, k, d = comps.shape
     if k == 1:
         return np.einsum("mrkd,mrkd->m", comps, comps)
+    det, near = np.empty(m), np.ones(m, dtype=bool)
     if k == 2:
         u, v = comps[:, :, 0], comps[:, :, 1]
-        g11 = np.einsum("mrd,mrd->m", u, u)
-        g22 = np.einsum("mrd,mrd->m", v, v)
+        bound = np.einsum("mrd,mrd->m", u, u) * np.einsum("mrd,mrd->m", v, v)
         g12 = np.matmul(np.swapaxes(u, 1, 2), v).reshape(m, d * d) @ _CONJ_PRODUCTS[field.value]
-        det, bound = np.maximum(g11 * g22 - np.einsum("mc,mc->m", g12, g12), 0.0), g11 * g22
-    else:
-        x = complex_embedding(field, data_from_components(field, comps))
-        gram = np.matmul(np.swapaxes(x.conj(), 1, 2), x)
-        det, bound = np.abs(np.linalg.det(gram)), np.prod(np.diagonal(gram, axis1=1, axis2=2).real, axis=1)
-        if field is QUATERNION:
-            det, bound = np.sqrt(det), np.sqrt(bound)
-    near = det <= GRAM_REFINE * bound
+        det = bound - np.einsum("mc,mc->m", g12, g12)
+        near = det <= GRAM_REFINE * bound
     if np.any(near):
         r, i = qr(field, data_from_components(field, comps[near]))[1], np.arange(k)
         det[near] = np.prod((r[:, i, i, 0] if field is QUATERNION else r[:, i, i]).real, axis=1) ** 2
@@ -431,9 +434,11 @@ def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray
     maps gives an array of determinants, a single (q, D) map a float.
     Equal-dimension maps give |prod diag R| from the QR factorization
     of the transposed images, which keeps the digits that
-    sqrt(det Gram) loses near rank deficiency; maps between spaces of
-    different dimension have determinant 0 by convention.  An empty
-    map (0 -> 0) has determinant 1.
+    sqrt(det Gram) loses near rank deficiency.  A |det| at or below
+    SINGULAR_CUTOFF times the Hadamard bound of the images, each row's
+    norm floored at 1e-6, is rounding noise of a singular map and
+    reads exactly 0.  Maps between spaces of different dimension have
+    determinant 0 by convention.  An empty map (0 -> 0) has determinant 1.
     """
     images = np.asarray(images, dtype=float)
     q, dim = images.shape[-2:]
@@ -444,6 +449,8 @@ def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray
     else:
         r = np.linalg.qr(np.swapaxes(images, -1, -2), mode="r")
         out = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+        bound = np.prod(np.maximum(np.linalg.norm(images, axis=-1), 1e-6), axis=-1)
+        out = np.where(out <= SINGULAR_CUTOFF * bound, 0.0, out)
     return float(out) if images.ndim == 2 else out
 
 

@@ -15,9 +15,12 @@ The weight has a generic kernel and a closed form per kind of action.
 The generic kernel ``delta_e_batch`` serves every action: the
 complementary Killing fields at a batch of points are one contraction
 with the m slice of the split's operator stack, and their |det| one
-batched QR.  The closed form ``torus_weight_batch`` serves conjugation,
-where the reduced formula is Weyl's integration formula: at torus angles
-theta the weight is
+batched QR by ``matrices.abs_det_between``.  Its one singular cutoff
+reads rounding noise at a singular point as exactly 0, here as in
+``delta_d`` and the total determinant of the differential.  The closed
+form ``torus_weight_batch`` serves conjugation, where the reduced
+formula is Weyl's integration formula: at torus angles theta the
+weight is
 
     prod over the positive roots alpha of 4 sin^2(alpha(theta) / 2)
 
@@ -27,7 +30,8 @@ serves the direct sums, 1 <= k <= n-1:
     2 ** (-d k (n - k) / 2) * |det B| ** (d (n - k))
 
 with B the top k x k section coordinate and |det B| = sqrt(gram_det(B))
-(the Dieudonne modulus over H).  On the polar line t e_1 (k = 1) it is
+(the Dieudonne modulus over H), taken by QR wherever the Gram closed
+form would lose digits.  On the polar line t e_1 (k = 1) it is
 2 ** (-d (n - 1) / 2) * |t| ** (d n - 1), one more factor |t| ** (d - 1),
 times sqrt((n - 1) / n) over C, where the imaginary unit at the first
 entry lies in su(n) only with a traceless correction.
@@ -56,31 +60,17 @@ from .actions import (
     orbit_map_differential,
 )
 
-#: below this fraction of the local scale the weight is reported as exactly 0
-SINGULAR_CUTOFF = 1e-12
-
-
-#: points per contraction block; bounds the (block, q_m, D) image array
-_BLOCK = 4096
-
 
 def delta_e_batch(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray:
     """Weights at the section points with flat coordinates pts (m, D).
 
     The images of the complementary Killing fields are perpendicular to
     the section all along it, so |det| of the images onto the normal
-    space needs no frame.  A weight at or below SINGULAR_CUTOFF times
-    the Hadamard bound of its images is reported as exactly 0.
+    space needs no frame; abs_det_between reads a singular one as 0.
     """
     ops = (split or algebra_split(action)).m_operators
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _BLOCK):
-        images = np.einsum("bij,mj->mbi", ops, pts[lo : lo + _BLOCK])
-        values = abs_det_between(images, action.normal_dim)
-        scale = np.prod(np.maximum(np.linalg.norm(images, axis=2), 1e-6), axis=1)
-        out[lo : lo + _BLOCK] = np.where(values <= SINGULAR_CUTOFF * scale, 0.0, values)
-    return out
+    images = np.einsum("bij,mj->mbi", ops, np.atleast_2d(np.asarray(pts, dtype=float)))
+    return abs_det_between(images, action.normal_dim)
 
 
 def delta_e_generic(action: ActionSpec, s: MatK, split=None) -> float:

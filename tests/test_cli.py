@@ -103,6 +103,27 @@ def test_delta_rank_deficient_point_factorizes(capsys, point):
     assert rep["results"]["det_total"] <= 1e-12
 
 
+@pytest.mark.parametrize("action, point, flat", [
+    (SO3K2, "[[1, 0.5], [1, 0.5]]", False),
+    (C42, "[[[1.0, 0.5], [0.2, -0.3]], [[1.0, 0.5], [0.2, -0.3]]]", True),
+    (H32, "[[[1.0, 0.5, -0.2, 0.3], [0.2, -0.3, 0.7, 0.1]], [[1.0, 0.5, -0.2, 0.3], [0.2, -0.3, 0.7, 0.1]]]",
+     True),
+    ('{"kind":"conjugation","family":"SO","n":4}', "[1, 1]", False),
+], ids=["R(3,2)", "C(4,2)", "H(3,2)", "SO(4)"])
+def test_delta_determinants_read_zero_at_singular_points(capsys, action, point, flat):
+    # the map determinants share the weight's singular cutoff, so rounding
+    # noise at a singular point reads 0; R(3,2)'s Weyl block stays regular
+    # there (delta_d = sqrt(1.25)), while those of C(4,2) and H(3,2) collapse
+    code, rep = run_cli(capsys, ["delta", "--action", action, "--point", point])
+    results = rep["results"]
+    assert results["regularity"] == "singular"
+    assert results["det_total"] == 0.0 and results["delta_generic"] == 0.0
+    if flat:
+        assert results["delta_d"] == 0.0
+    if action == SO3K2:
+        assert results["delta_d"] == pytest.approx(math.sqrt(1.25), rel=1e-12)
+
+
 def test_delta_quaternionic_agreement(capsys):
     action = '{"kind":"direct_sum","field":"H","n":3,"k":2}'
     point = json.dumps(np.random.default_rng(5).standard_normal((2, 2, 4)).tolist())
@@ -189,6 +210,19 @@ def test_non_integer_or_negative_trace_power_exits_2(capsys, command, power):
     argv = [command, "--action", SU2, "--n", "200", "--functions", f"trace_power:power={power},const"]
     err = _exits_2_with_one_line(capsys, argv)
     assert "nonnegative integer" in err
+
+
+@pytest.mark.parametrize("action, functions", [
+    (SO3K2, "gaussian_radial:sigmaa=2"),
+    (SO3K2, "gaussian_radial,gaussian_sq_norm:power=2"),
+    (SU2, "trace_power:sigma=0.5,const"),
+    (SU2, "trace_power,const:power=3"),
+])
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+def test_undeclared_function_parameter_exits_2(capsys, command, action, functions):
+    # a parameter the family does not read is refused, not echoed and ignored
+    err = _exits_2_with_one_line(capsys, [command, "--action", action, "--n", "200", "--functions", functions])
+    assert "has no parameter" in err
 
 
 @pytest.mark.parametrize("functions", ["gaussian_det:power=nan", "gaussian_radial:sigma=inf",
@@ -604,8 +638,8 @@ def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, actio
 @pytest.mark.parametrize("seed", [None, "1", "2"])
 def test_ensemble_weight_check_passes_at_the_readme_size(capsys, seed):
     # the README's R(3,2) run at n = 1e5 takes 3e6 reference draws; some have
-    # nearly dependent columns, where gram_det in the weight loses digits, so
-    # the spread only counts well-conditioned draws and does not grow with n_ref
+    # nearly dependent columns, where gram_det in the weight takes the det by
+    # QR, so the spread over every draw stays at rounding level as n_ref grows
     argv = ["ensemble", "--action", SO3K2, "--statistic", "coordinate_det", "--n", "100000", "--bins", "30"]
     code, rep = run_cli(capsys, argv + (["--seed", seed] if seed else []))
     ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]

@@ -365,3 +365,17 @@ def test_gram_det_is_accurate_near_rank_deficiency(field, k):
         comps = to_real_vector(x).reshape(1, k, k, field.dim)
         hadamard = np.sqrt(np.prod(np.sum(comps ** 2, axis=(1, 3))))
         assert abs(np.sqrt(gram_det(field, comps)[0]) - det_modulus(x)) <= 1e-11 * hadamard
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_gram_det_keeps_relative_accuracy_near_rank_deficiency(field, k):
+    # the last column is the first plus 1e-5 times a Gaussian column: |det x|
+    # is about 1e-5 of its Hadamard bound, where the Gram difference keeps only
+    # about eps / 1e-10 relative and the QR diagonal keeps the digits
+    rng = np.random.default_rng(40 + k)
+    for _ in range(50):
+        x = gaussian(field, k, k, rng)
+        x.data[:, -1] = x.data[:, 0] + 1e-5 * gaussian(field, k, 1, rng).data[:, 0]
+        comps = to_real_vector(x).reshape(1, k, k, field.dim)
+        assert np.sqrt(gram_det(field, comps)[0]) == pytest.approx(det_modulus(x), rel=1e-8, abs=0)

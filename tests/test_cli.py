@@ -103,14 +103,14 @@ def test_delta_rank_deficient_point_factorizes(capsys, point):
     assert rep["results"]["det_total"] <= 1e-12
 
 
-@pytest.mark.parametrize("action, point, flat", [
+@pytest.mark.parametrize("action, point, weyl_singular", [
     (SO3K2, "[[1, 0.5], [1, 0.5]]", False),
     (C42, "[[[1.0, 0.5], [0.2, -0.3]], [[1.0, 0.5], [0.2, -0.3]]]", True),
     (H32, "[[[1.0, 0.5, -0.2, 0.3], [0.2, -0.3, 0.7, 0.1]], [[1.0, 0.5, -0.2, 0.3], [0.2, -0.3, 0.7, 0.1]]]",
      True),
     ('{"kind":"conjugation","family":"SO","n":4}', "[1, 1]", False),
 ], ids=["R(3,2)", "C(4,2)", "H(3,2)", "SO(4)"])
-def test_delta_determinants_read_zero_at_singular_points(capsys, action, point, flat):
+def test_delta_determinants_read_zero_at_singular_points(capsys, action, point, weyl_singular):
     # the map determinants share the weight's singular cutoff, so rounding
     # noise at a singular point reads 0; R(3,2)'s Weyl block stays regular
     # there (delta_d = sqrt(1.25)), while those of C(4,2) and H(3,2) collapse
@@ -118,7 +118,7 @@ def test_delta_determinants_read_zero_at_singular_points(capsys, action, point, 
     results = rep["results"]
     assert results["regularity"] == "singular"
     assert results["det_total"] == 0.0 and results["delta_generic"] == 0.0
-    if flat:
+    if weyl_singular:
         assert results["delta_d"] == 0.0
     if action == SO3K2:
         assert results["delta_d"] == pytest.approx(math.sqrt(1.25), rel=1e-12)

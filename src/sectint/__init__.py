@@ -54,7 +54,6 @@ from .actions import (
     orbit_tangent,
     random_ambient_point,
     random_regular_section_point,
-    random_section_point,
     reduce_to_section,
     section_coordinate,
     section_frame,

@@ -646,11 +646,6 @@ def random_ambient_points(action: ActionSpec, rng: np.random.Generator, count: i
     return haar_sample_batch(action.group, rng, count)
 
 
-def random_section_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
-    """Section point with Gaussian coordinate B (direct sums) or uniform torus angles (conjugation)."""
-    return from_real_vector(action.field, *action.shape, section_points(action, _section_coords(action, rng, 1))[0])
-
-
 def random_regular_section_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
     """Random section point safely inside the regular set; a batch of one."""
     flat = random_regular_section_points(action, rng, 1).pts[0]

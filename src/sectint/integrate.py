@@ -5,41 +5,45 @@ The direct side integrates over the ambient space by Monte Carlo
 (Gaussian importance sampling on the flat matrix space, or Haar sampling
 scaled by the group volume for conjugation actions).  It takes a list of
 integrands and evaluates all of them on each chunk's one draw, so
-``sectint integrate`` samples once for all its integrands.  The reduced side
-integrates f * weight over the section by deterministic quadrature and
-multiplies by a given vol(G/N); ``sectint integrate`` passes the exact
-vol(G/H) / vol(W); one call serves all its integrands.  Conjugation
-actions take a trapezoid rule on the torus angles, whose weight is
-Weyl's closed form ``weights.torus_weight_batch``.  Direct sums take a
-tensor Gauss rule in the Bartlett coordinates B = wR of the section
-coordinate (w in W = U_d(k), R upper triangular with a positive
+``sectint integrate`` samples once for all its integrands.  The reduced
+side integrates f * weight over the section by deterministic quadrature
+and multiplies by a given vol(G/N); ``sectint integrate`` passes the
+exact vol(G/H) / vol(W); one call serves all its integrands.
+Conjugation actions take a trapezoid rule on the torus angles, whose
+weight is Weyl's closed form ``weights.torus_weight_batch``.  Direct
+sums take a tensor Gauss rule in the Bartlett coordinates B = wR of the
+section coordinate (w in W = U_d(k), R upper triangular with a positive
 diagonal; Edelman and Rao, Acta Numerica 2005): Gauss-Hermite axes above
-the diagonal and half-range Gauss axes, built by Golub-Welsch, on it.  Their weight is the closed form
-``weights.section_weight_batch``, a constant times prod r_ii^(d(n-k)),
-or |t|^(dn-1) on the polar line (k = 1); ``bartlett_draws`` samples
-the same axes exactly for the ensemble reference.  Both rules report
-|fine - coarse| as their error.  Both sides refuse an integral that
-diverges: a ``gaussian_det`` power too negative, or ``const`` on the
-flat space of a direct sum.  On conjugation ``const`` reads no point,
-so its direct side is exact and draws nothing.  ``calibrate_vol_gn`` estimates
-vol(G/N) instead, as direct / reduced per integrand with a cross-check
-of the ratios between integrands, each direct side on its own seed so
-that the ratios are independent; ``sectint volumes`` tests it against
-the exact value.
+the diagonal and half-range Gauss axes, built by Golub-Welsch, on it.
+Their weight is the closed form ``weights.section_weight_batch``, a
+constant times prod r_ii^(d(n-k)), or |t|^(dn-1) on the polar line
+(k = 1); ``bartlett_draws`` samples the same axes exactly for the
+ensemble reference.  Both rules are sized from the polynomial degree
+per axis that the integrand's family declares, so that fine and coarse
+are exact (fixed sizes where it declares none), and report
+|fine - coarse| as their error.  Both sides refuse an integral
+that diverges: a ``gaussian_det`` power too negative, or ``const`` on
+the flat space of a direct sum.  On conjugation ``const`` reads no
+point, so its direct side is exact and draws nothing.
+``calibrate_vol_gn`` estimates vol(G/N) instead, as direct / reduced per
+integrand with a cross-check of the ratios between integrands, each
+direct side on its own seed so that the ratios are independent;
+``sectint volumes`` tests it against the exact value.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matrices import batch_to_real, gram_det
-from .groups import _torus_grid, haar_sample_batch, torus_points
+from .groups import _torus_grid, full_torus_angles, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, section_points
-from .weights import section_weight_batch, torus_weight_batch
+from .weights import _positive_roots, section_weight_batch, torus_weight_batch
 from .mc import McEstimate, _subseed, mc_run, product, ratio, require_samples
 from .volumes import group_volume, torus_volume
 
@@ -48,11 +52,11 @@ TWO_PI = 2.0 * np.pi
 # torus weight's trigonometric polynomials and on polynomials times the
 # Gaussian in the Bartlett coordinates, where |fine - coarse| reads 0
 QUADRATURE_REL_FLOOR = 64 * np.finfo(float).eps
-#: nodes per angle of the torus rule by rank (12 above rank 3); its coarse rule has half
+#: torus nodes per angle by rank (12 above rank 3) of an integrand without a degree; coarse: half
 TORUS_GRID = {1: 256, 2: 48, 3: 20}
-#: nodes per axis of the direct-sum reduced rule; its coarse rule has one fewer
+#: Bartlett nodes per axis of an integrand without a degree; coarse: one fewer
 GAUSS_NODES = 5
-#: largest direct-sum reduced rule evaluated (5 nodes on each of 10 axes)
+#: largest direct-sum reduced rule evaluated, in nodes of its fine rule
 MAX_RULE_NODES = 5 ** 10
 #: rule nodes per evaluation block; bounds the (block, D) point arrays
 _RULE_BLOCK = 4096
@@ -84,6 +88,14 @@ class TestFunction:
         """One of the family's parameters: its given value, else the default in _FAMILIES."""
         return float(self.params.get(key, _FAMILIES[self.name][1][key]))
 
+    def degree(self) -> int | None:
+        """The degree per axis declared in _FAMILIES; a power only if it is a nonnegative integer."""
+        declared = None if self.fn is not None else _FAMILIES[self.name][2]
+        if isinstance(declared, str):
+            power = self.param(declared)
+            return int(power) if power >= 0 and power.is_integer() else None
+        return declared
+
 
 def make_test_function(name: str, **params) -> TestFunction:
     if name not in _FAMILIES:
@@ -101,11 +113,6 @@ def make_test_function(name: str, **params) -> TestFunction:
 
 def custom_test_function(name: str, fn, invariant: bool) -> TestFunction:
     return TestFunction(name, {}, invariant, fn)
-
-
-def evaluate_test_function(action: ActionSpec, f: TestFunction, pts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an (m, D) array of flat coordinates."""
-    return _stacked_values(action, [f], np.atleast_2d(pts))[0]
 
 
 def _stacked_values(action: ActionSpec, fs, pts: np.ndarray, norms_sq: np.ndarray | None = None) -> np.ndarray:
@@ -160,10 +167,9 @@ def _real_trace(action: ConjugationAction, pts: np.ndarray) -> np.ndarray:
 def _fam_trace_power(action, pts, f, norms_sq):
     if not isinstance(action, ConjugationAction):
         raise ContractViolation("trace_power integrand needs a conjugation action")
-    power = f.param("power")
-    if power < 0 or not power.is_integer():  # weight * tr^p is a trigonometric polynomial only at integer p
-        raise ContractViolation(f"trace_power: the power must be a nonnegative integer, got {power:g}")
-    return _real_trace(action, pts) ** int(power)
+    if f.degree() is None:  # weight * tr^p is a trigonometric polynomial only at integer p >= 0
+        raise ContractViolation(f"trace_power: the power must be a nonnegative integer, got {f.param('power'):g}")
+    return _real_trace(action, pts) ** f.degree()
 
 
 def _fam_const(action, pts, f, norms_sq):
@@ -175,15 +181,16 @@ def _fam_first_coordinate(action, pts, f, norms_sq):
     return pts[:, 0]
 
 
-#: each integrand family's function and its parameters with their defaults;
-#: make_test_function refuses any other parameter
+#: each family's function, its parameters with their defaults (make_test_function
+#: refuses any other), and its degree per axis (times the Bartlett rule's Gaussian,
+#: trigonometric per torus angle): a number, a parameter's name, or None
 _FAMILIES = {
-    "gaussian_radial": (_fam_gaussian_radial, {"sigma": 1.0}),
-    "gaussian_sq_norm": (_fam_gaussian_sq_norm, {"sigma": 1.0}),
-    "gaussian_det": (_fam_gaussian_det, {"sigma": 1.0, "power": 1.0}),
-    "trace_power": (_fam_trace_power, {"power": 2.0}),
-    "const": (_fam_const, {"value": 1.0}),
-    "first_coordinate": (_fam_first_coordinate, {}),
+    "gaussian_radial": (_fam_gaussian_radial, {"sigma": 1.0}, 0),
+    "gaussian_sq_norm": (_fam_gaussian_sq_norm, {"sigma": 1.0}, 2),
+    "gaussian_det": (_fam_gaussian_det, {"sigma": 1.0, "power": 1.0}, "power"),
+    "trace_power": (_fam_trace_power, {"power": 2.0}, "power"),
+    "const": (_fam_const, {"value": 1.0}, 0),
+    "first_coordinate": (_fam_first_coordinate, {}, None),
 }
 
 
@@ -229,14 +236,8 @@ def _direct_values_fn(action: ActionSpec, fs):
     return sample
 
 
-def integrate_direct(
-    action: ActionSpec,
-    fs,
-    seed: int,
-    n: int,
-    chunks: int = 16,
-    workers: int | None = None,
-) -> list[McEstimate]:
+def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16,
+                     workers: int | None = None) -> list[McEstimate]:
     """Integrals of each f in fs over the ambient space with its
     Riemannian measure, one estimate per integrand.
 
@@ -263,20 +264,10 @@ def integrate_direct(
     return [product(est, vol) for est in ests]
 
 
-def _fine_vs_coarse(rule, fine: int, coarse: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rule(fine), error proxy) per integrand: |rule(fine) - rule(coarse)|,
-    floored at rounding level, where a rule exact on the integrand reads 0."""
-    value = rule(fine)
-    return value, np.maximum(np.abs(value - rule(coarse)), QUADRATURE_REL_FLOOR * np.abs(value))
-
-
 def _torus_rule(action: ConjugationAction, fs, grid: int) -> np.ndarray:
     """Trapezoid rule with grid nodes per angle of the torus cube, one
-    value per f in fs from one evaluation of Weyl's closed-form weight.
-
-    The integrand is smooth and periodic, so the composite rule
-    converges spectrally.
-    """
+    value per f in fs from one evaluation of Weyl's closed-form weight:
+    exact on trigonometric polynomials of degree below grid per angle."""
     angles = _torus_grid(action.group.rank, grid)
     vals = _stacked_values(action, fs, torus_points(action.group, angles)) * torus_weight_batch(action.group, angles)
     return np.mean(vals, axis=1) * torus_volume(action.group)
@@ -388,18 +379,15 @@ def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int
 
 def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndarray:
     """Tensor Gauss rule, m nodes per axis, for the section integral of
-    f * weight over the section of a direct sum, one value per f in fs.
+    f * weight over the section of a direct sum, one value per f in fs,
+    which share sigma and so one evaluation of the weight.
 
-    f and the weight are invariant under W = U_d(k) acting on the section
-    coordinate by B -> wB, so the integral over B = wR is one over the
-    triangular R.  Gauss-Hermite axes carry the entries above the
-    diagonal.  The half-range axes on it carry the Jacobian and the
-    weight's power, r^(b_i + p) e^(-r^2/2), which are the Bartlett
-    exponents d(n - i + 1) - 1 of the n x k matrix (dn - 1 for k = 1).
-    Each axis weight carries e^(x^2/2), and each diagonal one divides out
-    x^p, so the rule applies to f * weight itself and is exact when f is
-    a polynomial times e^(-|B|^2/(2 sigma^2)), at every n.  The f in fs
-    share sigma, so one evaluation of the weight serves them all.
+    f and the weight are W-invariant, so the integral over B = wR is one
+    over the triangular R: Gauss-Hermite axes above the diagonal, and on
+    it half-range axes for r^(b_i + p) e^(-r^2/2), the Jacobian times the
+    weight's power.  Each axis weight carries e^(x^2/2), each diagonal
+    one divides out x^p, so the rule is exact where f is a polynomial of
+    degree 2m - 1 per axis times e^(-|B|^2/(2 sigma^2)), at every n.
     """
     axes, power, const = _bartlett_axes(action)
     rules = [hermite_rule(m) if b is None else half_range_rule(b + power, m) for _, b in axes]
@@ -422,20 +410,42 @@ def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndar
     return totals * const * sigma ** action.section_dim
 
 
+def _rule_sizes(action: ActionSpec, f: TestFunction) -> tuple[int, int]:
+    """(fine, coarse) nodes per axis of f's rule, both exact on the degree f
+    declares: an m-node Gauss rule to degree 2m - 1, an m-node trapezoid
+    rule below degree m, here that of f times Weyl's weight (per free
+    angle, the sum of its |coefficient| over the positive roots).  The
+    floors put the common families into one rule.  An integrand without a
+    degree takes TORUS_GRID and half, or GAUSS_NODES and one fewer, the
+    cap of every Gauss rule (past it a rule outgrows MAX_RULE_NODES sooner
+    and loses digits): coarse rules are exact to degree 7, fine ones to 9."""
+    degree = f.degree()
+    if isinstance(action, ConjugationAction):
+        if degree is None:
+            grid = TORUS_GRID.get(action.group.rank, 12)
+            return grid, grid // 2
+        roots = full_torus_angles(action.group, np.eye(action.group.rank)) @ _positive_roots(action.group)
+        coarse = int(np.max(np.sum(np.abs(roots), axis=1))) + max(degree, 4) + 1
+    elif degree is None:
+        return GAUSS_NODES, GAUSS_NODES - 1
+    else:
+        coarse = min(max(2, degree // 2 + 1), GAUSS_NODES - 1)
+    return coarse + 1, coarse
+
+
 def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> list[McEstimate]:
     """vol(G/N) times the weighted section integral of each invariant f
     in fs, one estimate per integrand.
 
     The section integral is deterministic quadrature: a trapezoid rule
-    on the torus angles for conjugation actions (TORUS_GRID nodes per
-    angle by rank), and a tensor Gauss rule of GAUSS_NODES per axis in
+    on the torus angles for conjugation actions, a tensor Gauss rule in
     the coordinates B = wR for direct sums, scaled to the integrand's
-    ``sigma`` (default 1).  The stderr is the gap to the coarser rule
-    (half the torus nodes, one Gauss node fewer), floored at
-    QUADRATURE_REL_FLOOR relative.  Each rule evaluates the weight once
-    for all integrands (once per distinct sigma on direct sums); each
-    estimate is bit-identical to the call with [f] alone.  A direct sum
-    whose rule would exceed MAX_RULE_NODES raises ValueError.
+    ``sigma`` (default 1).  Each integrand's rule is sized by
+    _rule_sizes.  The stderr is the gap to the coarse rule, floored at
+    QUADRATURE_REL_FLOOR relative, and n_samples the fine rule's nodes.
+    Integrands with the same rule and sigma share each evaluation of the
+    weight; each estimate is bit-identical to the call with [f] alone.
+    A direct-sum rule above MAX_RULE_NODES raises ValueError first.
     """
     fs = list(fs)
     if not all(f.invariant for f in fs):
@@ -444,24 +454,28 @@ def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> lis
     vol_est = vol_gn if isinstance(vol_gn, McEstimate) else McEstimate.exact(float(vol_gn))
 
     if isinstance(action, ConjugationAction):
-        grid = TORUS_GRID.get(action.group.rank, 12)
-        count = grid ** action.group.rank
-        value, err = _fine_vs_coarse(lambda g: _torus_rule(action, fs, g), grid, grid // 2)
+        n_axes = action.group.rank
+        keys = [(None, *_rule_sizes(action, f)) for f in fs]
     else:
-        m = GAUSS_NODES
         n_axes = len(_bartlett_axes(action)[0])
-        count = m ** n_axes
-        if count > MAX_RULE_NODES:
-            raise ValueError(f"the reduced rule of {action} needs {count} nodes ({m} on each of "
-                             f"{n_axes} axes), more than {MAX_RULE_NODES}")
         # the rule scales to a Gaussian family's sigma; any other integrand takes the unit rule
-        sigmas = [abs(f.param("sigma")) if f.fn is None and "sigma" in _FAMILIES[f.name][1] else 1.0 for f in fs]
-        value, err = np.empty(len(fs)), np.empty(len(fs))
-        for sigma in dict.fromkeys(sigmas):
-            rows = [i for i, s in enumerate(sigmas) if s == sigma]
-            group = [fs[i] for i in rows]
-            value[rows], err[rows] = _fine_vs_coarse(lambda g: _bartlett_rule(action, group, sigma, g), m, m - 1)
-    return [product(McEstimate(float(v), float(e), count, 0, 1), vol_est) for v, e in zip(value, err)]
+        keys = [(abs(f.param("sigma")) if f.fn is None and "sigma" in _FAMILIES[f.name][1] else 1.0,
+                 *_rule_sizes(action, f)) for f in fs]
+        m = max((fine for _, fine, _ in keys), default=0)
+        if m ** n_axes > MAX_RULE_NODES:
+            raise ValueError(f"the reduced rule of {action} needs {m ** n_axes} nodes ({m} on each of "
+                             f"{n_axes} axes), more than {MAX_RULE_NODES}")
+    value, err = np.empty(len(fs)), np.empty(len(fs))
+    for key in dict.fromkeys(keys):
+        sigma, fine, coarse = key
+        rows = [i for i, other in enumerate(keys) if other == key]
+        group = [fs[i] for i in rows]
+        rule = (lambda g: _torus_rule(action, group, g)) if sigma is None else (
+            lambda g: _bartlett_rule(action, group, sigma, g))
+        value[rows] = rule(fine)  # |fine - coarse| reads 0 where both rules are exact
+        err[rows] = np.maximum(np.abs(value[rows] - rule(coarse)), QUADRATURE_REL_FLOOR * np.abs(value[rows]))
+    return [product(McEstimate(float(v), float(e), fine ** n_axes, 0, 1), vol_est)
+            for v, e, (_, fine, _) in zip(value, err, keys)]
 
 
 def mc_result_json(action: ActionSpec, f: TestFunction, est: McEstimate) -> dict:
@@ -506,11 +520,9 @@ def calibrate_vol_gn(
         [direct] = integrate_direct(action, [f], _subseed(seed, i, 0), n, chunks, workers)
         ratios.append(ratio(direct, reduced_unit))
     worst = 0.0
-    for i in range(len(ratios)):
-        for j in range(i + 1, len(ratios)):
-            gap = abs(ratios[i].mean - ratios[j].mean)
-            se = float(np.hypot(ratios[i].stderr, ratios[j].stderr))
-            worst = max(worst, gap / se if se > 0 else (0.0 if gap == 0 else np.inf))
+    for a, b in itertools.combinations(ratios, 2):
+        gap, se = abs(a.mean - b.mean), float(np.hypot(a.stderr, b.stderr))
+        worst = max(worst, gap / se if se > 0 else (0.0 if gap == 0 else np.inf))
     weights = np.array([1.0 / max(r.stderr, 1e-150) ** 2 for r in ratios])
     if not np.all(np.isfinite(weights)):
         weights = np.ones(len(ratios))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,13 +31,7 @@ class McEstimate:
     chunks: int
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "chunks": self.chunks,
-        }
+        return asdict(self)
 
     @staticmethod
     def exact(value: float) -> "McEstimate":

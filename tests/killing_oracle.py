@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from sectint.actions import DirectSumAction, algebra_split, killing_field
+from sectint.actions import DirectSumAction, _section_coords, algebra_split, killing_field, section_points
 from sectint.groups import algebra_basis
-from sectint.matrices import to_real_vector
+from sectint.matrices import MatK, from_real_vector, to_real_vector
+
+
+def random_section_point(action, rng: np.random.Generator) -> MatK:
+    """Section point with Gaussian coordinate B (direct sums) or uniform torus angles (conjugation)."""
+    return from_real_vector(action.field, *action.shape, section_points(action, _section_coords(action, rng, 1))[0])
 
 
 def section_frame_rows(action, s):

@@ -16,11 +16,11 @@ from sectint.integrate import (
     TestFunction,
     _subseed,
     custom_test_function,
-    evaluate_test_function,
     integrate_direct,
     integrate_reduced,
 )
 from sectint.mc import McEstimate
+from reduced_mc import evaluate_test_function
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,23 @@ The reduced side used this sampler before its quadrature rule: it draws
 standard-Gaussian section coordinates z and averages
 f * weight * e^(|z|^2/2) (2 pi)^(D/2) over them.  Its variance is
 finite only where f * weight decays faster than e^(-|z|^2/4), so it
-serves as an independent oracle at sigma = 1.
+serves as an independent oracle at sigma = 1.  ``evaluate_test_function``
+evaluates one integrand on a batch of points, as the tests need it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sectint.actions import DirectSumAction
-from sectint.integrate import TWO_PI, TestFunction, evaluate_test_function
+from sectint.actions import ActionSpec, DirectSumAction
+from sectint.integrate import TWO_PI, TestFunction, _stacked_values
 from sectint.weights import section_weight_batch
 from sectint.mc import McEstimate, mc_run
+
+
+def evaluate_test_function(action: ActionSpec, f: TestFunction, pts: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation on an (m, D) array of flat coordinates."""
+    return _stacked_values(action, [f], np.atleast_2d(pts))[0]
 
 
 def reduced_importance_sampling(action: DirectSumAction, f: TestFunction, seed: int, n: int,

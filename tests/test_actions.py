@@ -318,7 +318,7 @@ def test_perpendicular_killing_fields_on_all_of_section():
     # complement Killing fields are perpendicular to the section at every
     # section point, regular or not
     rng = np.random.default_rng(12)
-    from sectint.actions import random_section_point
+    from killing_oracle import random_section_point
 
     for a in [DirectSumAction(ScalarField.REAL, 3, 2), DirectSumAction(ScalarField.QUATERNION, 3, 2)]:
         split = algebra_split(a)

@@ -11,12 +11,14 @@ from sectint.actions import ConjugationAction, DirectSumAction, act, random_ambi
 from sectint.matrices import to_real_vector
 from sectint.mc import McEstimate, agree, chunk_rngs, chunk_sizes, mc_run
 from sectint.integrate import (
+    QUADRATURE_REL_FLOOR,
     ContractViolation,
     IllConditionedCalibration,
+    _bartlett_axes,
     _bartlett_rule,
+    _torus_rule,
     calibrate_vol_gn,
     custom_test_function,
-    evaluate_test_function,
     half_range_rule,
     hermite_rule,
     integrate_direct,
@@ -26,7 +28,7 @@ from sectint.integrate import (
 )
 from sectint.volumes import group_volume, vol_gh_estimate, w_group_volume
 from lp_isometry import lp_isometry_check
-from reduced_mc import reduced_importance_sampling
+from reduced_mc import evaluate_test_function, reduced_importance_sampling
 
 R = ScalarField.REAL
 SO3K2 = DirectSumAction(R, 3, 2)
@@ -560,6 +562,111 @@ def test_reduced_rule_error_proxy_covers_a_finer_rule(action):
 def test_reduced_rule_node_budget():
     with pytest.raises(ValueError, match="nodes"):
         integrate_reduced(DirectSumAction(ScalarField.QUATERNION, 4, 3), [make_test_function("gaussian_radial")], 1.0)
+
+
+# --- rules sized from the declared degree -----------------------------------------
+
+@pytest.mark.parametrize("f, degree", [
+    (make_test_function("gaussian_radial", sigma=2.0), 0),
+    (make_test_function("gaussian_sq_norm"), 2),
+    (make_test_function("gaussian_det"), 1),
+    (make_test_function("gaussian_det", power=4), 4),
+    (make_test_function("gaussian_det", power=0.5), None),
+    (make_test_function("gaussian_det", power=-1.0), None),
+    (make_test_function("trace_power"), 2),
+    (make_test_function("trace_power", power=5), 5),
+    (make_test_function("const", value=3.0), 0),
+    (make_test_function("first_coordinate"), None),
+    (FIRST_SQ, None),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_declared_degrees(f, degree):
+    assert f.degree() == degree
+
+
+@pytest.mark.parametrize("action", QUADRATURE_ACTIONS, ids=str)
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("power", [0, 1, 2, 3, 4])
+def test_declared_det_power_rule_is_exact(action, sigma, power):
+    # |det R|^p = prod r_ii^p is a polynomial of degree p on each diagonal
+    # axis, so the rule sized from p is exact, and so is its coarse rule:
+    # the moments of the Bartlett chi variables, r_ii ~ chi_(nu_i) at scale
+    # sigma with nu_i = d(n - i + 1), over vol(G/N)
+    d, n, k = action.field.dim, action.n, action.k
+    moments = math.prod(2 ** (power / 2) * math.gamma((d * (n - i) + power) / 2) / math.gamma(d * (n - i) / 2)
+                        for i in range(k))
+    ambient = (2 * np.pi * sigma * sigma) ** (action.ambient_dim / 2) * sigma ** (k * power) * moments
+    vol_gn = vol_gh_estimate(action) / w_group_volume(action)
+    [est] = integrate_reduced(action, [make_test_function("gaussian_det", sigma=sigma, power=power)], 1.0)
+    assert est.mean == pytest.approx(ambient / vol_gn, rel=1e-12)
+    assert est.stderr == pytest.approx(QUADRATURE_REL_FLOOR * est.mean, rel=1e-9)
+
+
+TORUS_ACTIONS = [ConjugationAction(GroupSpec(family, n)) for family, n in (
+    (Family.SU, 2), (Family.SU, 3), (Family.SO, 3), (Family.SO, 4), (Family.SO, 5),
+    (Family.SP, 1), (Family.SP, 2), (Family.SP, 3))]
+#: nodes per angle by rank of a reference trapezoid rule far above every degree tested
+TORUS_REFERENCE_GRID = {1: 256, 2: 48, 3: 24}
+
+
+@pytest.mark.parametrize("action", TORUS_ACTIONS, ids=str)
+def test_declared_trace_power_rule_is_exact(action):
+    # weight * tr^p is a trigonometric polynomial whose degree per angle is
+    # the weight's plus p; the sized grids lie above it and agree with a
+    # much finer grid to rounding, scaled by the bound |tr|^p <= n^p
+    grid = TORUS_REFERENCE_GRID[action.group.rank]
+    fs = [make_test_function("const")] + [make_test_function("trace_power", power=p) for p in range(7)]
+    [const_ref] = _torus_rule(action, fs[:1], grid)
+    for f, est, ref in zip(fs, integrate_reduced(action, fs, 1.0), _torus_rule(action, fs, grid)):
+        scale = const_ref * action.group.n ** f.degree()
+        assert est.mean == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
+        assert est.stderr <= 1e-12 * scale
+        assert est.n_samples < grid ** action.group.rank
+
+
+def test_sp3_fourth_trace_moment_reads_the_rounding_floor():
+    # at 20 / 10 nodes per angle the coarse rule lay below the degree 10 of
+    # weight * tr^4 and the proxy read 744 on the exact 2232.45
+    [est] = integrate_reduced(ConjugationAction(GroupSpec(Family.SP, 3)), [make_test_function("trace_power", power=4)], 1.0)
+    assert est.mean == pytest.approx(2232.4519209815858, rel=1e-12)
+    assert est.stderr == pytest.approx(QUADRATURE_REL_FLOOR * est.mean, rel=1e-9)
+
+
+H32 = DirectSumAction(ScalarField.QUATERNION, 3, 2)  # six Bartlett axes
+
+
+@pytest.mark.parametrize("fs", [
+    [make_test_function("gaussian_radial", sigma=1.0), make_test_function("gaussian_sq_norm", sigma=1.0)],
+    [make_test_function("gaussian_det"), make_test_function("gaussian_radial")],
+], ids=["cli-defaults", "det-radial"])
+def test_declared_rules_take_three_nodes_per_axis(fs):
+    assert [est.n_samples for est in integrate_reduced(H32, fs, 1.0)] == [3 ** 6] * len(fs)
+
+
+@pytest.mark.parametrize("f", [FIRST_SQ, make_test_function("gaussian_det", power=0.5),
+                               make_test_function("gaussian_det", power=-1.5)], ids=lambda f: str(f.params or f.name))
+def test_undeclared_rules_keep_five_nodes_per_axis(f):
+    [est] = integrate_reduced(H32, [f], 1.0)
+    assert est.n_samples == 5 ** 6
+
+
+@pytest.mark.parametrize("action", [SO3K2, H32, DirectSumAction(R, 10, 2)], ids=str)
+@pytest.mark.parametrize("power", [8, 9, 12, 16])
+def test_high_det_powers_keep_five_nodes_and_an_honest_proxy(action, power):
+    # no Gauss rule grows past GAUSS_NODES, where a larger rule would be
+    # refused on 9 or 10 axes and its half-range moments lose digits; from
+    # p = 8 the coarse rule is inexact and the proxy covers the error
+    d, n, k = action.field.dim, action.n, action.k
+    moments = math.prod(2 ** (power / 2) * math.gamma((d * (n - i) + power) / 2) / math.gamma(d * (n - i) / 2)
+                        for i in range(k))
+    exact = (2 * np.pi) ** (action.ambient_dim / 2) * moments / (vol_gh_estimate(action) / w_group_volume(action))
+    [est] = integrate_reduced(action, [make_test_function("gaussian_det", power=power)], 1.0)
+    assert est.n_samples == 5 ** len(_bartlett_axes(action)[0])
+    assert abs(est.mean - exact) <= est.stderr
+
+
+def test_node_budget_names_the_sized_rule():
+    with pytest.raises(ValueError, match=r"\(3 on each of 16 axes\)"):
+        integrate_reduced(DirectSumAction(ScalarField.COMPLEX, 6, 4), [make_test_function("gaussian_radial")], 1.0)
 
 
 # --- the isometry check ---------------------------------------------------------

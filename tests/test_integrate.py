@@ -583,21 +583,25 @@ def test_declared_degrees(f, degree):
     assert f.degree() == degree
 
 
+def det_power_section_integral(action, sigma, power):
+    """Section integral of gaussian_det: its ambient integral, through the
+    moments of the Bartlett chi variables r_ii ~ sigma chi_(nu_i) with
+    nu_i = d(n - i + 1), over vol(G/N)."""
+    d, n, k = action.field.dim, action.n, action.k
+    moments = math.prod(2 ** (power / 2) * math.gamma((d * (n - i) + power) / 2) / math.gamma(d * (n - i) / 2)
+                        for i in range(k))
+    ambient = (2 * np.pi * sigma * sigma) ** (action.ambient_dim / 2) * sigma ** (k * power) * moments
+    return ambient / (vol_gh_estimate(action) / w_group_volume(action))
+
+
 @pytest.mark.parametrize("action", QUADRATURE_ACTIONS, ids=str)
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 @pytest.mark.parametrize("power", [0, 1, 2, 3, 4])
 def test_declared_det_power_rule_is_exact(action, sigma, power):
     # |det R|^p = prod r_ii^p is a polynomial of degree p on each diagonal
-    # axis, so the rule sized from p is exact, and so is its coarse rule:
-    # the moments of the Bartlett chi variables, r_ii ~ chi_(nu_i) at scale
-    # sigma with nu_i = d(n - i + 1), over vol(G/N)
-    d, n, k = action.field.dim, action.n, action.k
-    moments = math.prod(2 ** (power / 2) * math.gamma((d * (n - i) + power) / 2) / math.gamma(d * (n - i) / 2)
-                        for i in range(k))
-    ambient = (2 * np.pi * sigma * sigma) ** (action.ambient_dim / 2) * sigma ** (k * power) * moments
-    vol_gn = vol_gh_estimate(action) / w_group_volume(action)
+    # axis, so the rule sized from p is exact, and so is its coarse rule
     [est] = integrate_reduced(action, [make_test_function("gaussian_det", sigma=sigma, power=power)], 1.0)
-    assert est.mean == pytest.approx(ambient / vol_gn, rel=1e-12)
+    assert est.mean == pytest.approx(det_power_section_integral(action, sigma, power), rel=1e-12)
     assert est.stderr == pytest.approx(QUADRATURE_REL_FLOOR * est.mean, rel=1e-9)
 
 
@@ -624,8 +628,8 @@ def test_declared_trace_power_rule_is_exact(action):
 
 
 def test_sp3_fourth_trace_moment_reads_the_rounding_floor():
-    # at 20 / 10 nodes per angle the coarse rule lay below the degree 10 of
-    # weight * tr^4 and the proxy read 744 on the exact 2232.45
+    # weight * tr^4 has degree 10 per angle on Sp(3); both sized grids lie
+    # above it, so the error proxy reads the rounding floor
     [est] = integrate_reduced(ConjugationAction(GroupSpec(Family.SP, 3)), [make_test_function("trace_power", power=4)], 1.0)
     assert est.mean == pytest.approx(2232.4519209815858, rel=1e-12)
     assert est.stderr == pytest.approx(QUADRATURE_REL_FLOOR * est.mean, rel=1e-9)
@@ -655,13 +659,9 @@ def test_high_det_powers_keep_five_nodes_and_an_honest_proxy(action, power):
     # no Gauss rule grows past GAUSS_NODES, where a larger rule would be
     # refused on 9 or 10 axes and its half-range moments lose digits; from
     # p = 8 the coarse rule is inexact and the proxy covers the error
-    d, n, k = action.field.dim, action.n, action.k
-    moments = math.prod(2 ** (power / 2) * math.gamma((d * (n - i) + power) / 2) / math.gamma(d * (n - i) / 2)
-                        for i in range(k))
-    exact = (2 * np.pi) ** (action.ambient_dim / 2) * moments / (vol_gh_estimate(action) / w_group_volume(action))
     [est] = integrate_reduced(action, [make_test_function("gaussian_det", power=power)], 1.0)
     assert est.n_samples == 5 ** len(_bartlett_axes(action)[0])
-    assert abs(est.mean - exact) <= est.stderr
+    assert abs(est.mean - det_power_section_integral(action, 1.0, power)) <= est.stderr
 
 
 def test_node_budget_names_the_sized_rule():

@@ -3,21 +3,27 @@
 A run is fully determined by (seed, chunks, n): chunk i draws from a
 generator spawned from the master seed's sequence, chunk statistics are
 combined in chunk-index order, and worker scheduling cannot change the
-result bit for bit.
+result bit for bit.  With w > 1 workers the caller and w - 1 helper
+threads (at most chunks - 1) each claim the next unclaimed chunk until
+none is left.  Helper threads start on the first call that needs them
+and then stay idle for the life of the process, to be reused.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+_HELPERS: list[ThreadPoolExecutor] = []  # mc_run's helpers, one thread each, started on first use
+
 
 def default_workers() -> int:
     raw = os.environ.get("SECTINT_WORKERS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"SECTINT_WORKERS must be a positive integer, got {raw!r}")
     return int(raw)
 
@@ -90,22 +96,34 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     along its contiguous last axis on its own, so a row's estimate is
     bit-identical to the run of a 1-D sample_fn returning that row.  A
     1-D sample_fn gives one McEstimate, a 2-D one a list of m.  Fewer
-    than two samples give no standard error and are rejected.
+    than two samples give no standard error and are rejected.  The
+    caller and min(workers, chunks) - 1 persistent helper threads claim
+    chunks from one counter; helper tasks still queued when the caller
+    runs out are cancelled (so a sample_fn may call mc_run), running
+    ones are awaited, and then any chunk's exception is raised.
     """
     require_samples(n)
     workers = workers or default_workers()
     sizes = chunk_sizes(n, chunks)
     rngs = chunk_rngs(seed, chunks)
+    parts: list = [None] * chunks
+    claim = itertools.count()
 
-    def one(i: int) -> tuple[int, list[tuple[int, float, float]]]:
-        values = np.asarray(sample_fn(rngs[i], sizes[i]), dtype=float)
-        return values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values)]
+    def work() -> None:
+        while (i := next(claim)) < chunks:
+            values = np.asarray(sample_fn(rngs[i], sizes[i]), dtype=float)
+            parts[i] = values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values)]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(chunks)))
-    else:
-        parts = [one(i) for i in range(chunks)]
+    helpers = min(workers, chunks) - 1
+    _HELPERS.extend(ThreadPoolExecutor(1, "sectint-mc") for _ in range(helpers - len(_HELPERS)))
+    tasks = [helper.submit(work) for helper in _HELPERS[:helpers]]
+    try:
+        work()
+    finally:
+        running = [task for task in tasks if not task.cancel()]
+        wait(running)
+    for task in running:
+        task.result()
 
     estimates = []
     for row in zip(*(stats for _, stats in parts)):

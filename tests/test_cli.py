@@ -240,7 +240,7 @@ def test_ill_conditioned_calibration_exits_2(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "²"])
 def test_bad_workers_env_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("SECTINT_WORKERS", value)
     code = main(["delta", "--action", SO3K2, "--point", "[[1,0],[0,1]]"])

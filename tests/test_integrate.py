@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +72,80 @@ def test_mc_run_worker_invariance():
 
     runs = [mc_run(fn, 80_000, seed=11, chunks=8, workers=w) for w in (1, 2, 8)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def _square(rng, size):
+    return rng.standard_normal(size) ** 2
+
+
+@pytest.mark.parametrize("chunks", [1, 5, 16])
+@pytest.mark.parametrize("n", [3, 10_000])
+def test_mc_run_is_bit_identical_on_any_worker_count(chunks, n):
+    # n = 3 leaves empty chunks at chunks 5 and 16
+    one = mc_run(_square, n, seed=21, chunks=chunks, workers=1)
+    for workers in (2, 3, 17):
+        assert mc_run(_square, n, seed=21, chunks=chunks, workers=workers) == one
+
+
+def test_mc_run_helpers_start_lazily_and_persist():
+    # a fresh interpreter, so that no earlier call has started helpers
+    code = """
+import threading
+from sectint.mc import mc_run
+fn = lambda rng, size: rng.standard_normal(size)
+counts = [threading.active_count()]
+for chunks, workers in [(16, 1), (3, 17), (3, 17), (3, 17), (16, 2), (3, 2)]:
+    mc_run(fn, 100, 0, chunks, workers)
+    counts.append(threading.active_count() - counts[0])
+print(counts[1:])
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # no thread at 1 worker, chunks - 1 = 2 at 17 workers, none added after
+    assert done.stdout.split("\n")[-2] == "[0, 2, 2, 2, 2, 2]"
+
+
+def test_mc_run_nested_in_a_chunk_finishes():
+    # a chunk that calls mc_run on 2 workers must not wait on a helper task
+    # queued behind its own thread
+    def outer(rng, size):
+        inner = mc_run(_square, 200, seed=int(rng.integers(2**31)), chunks=16, workers=2)
+        return rng.standard_normal(size) + inner.mean
+
+    out = {}
+    thread = threading.Thread(target=lambda: out.update(w2=mc_run(outer, 2000, 5, 16, 2)), daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "nested mc_run hung"
+    assert out["w2"] == mc_run(outer, 2000, 5, 16, 1)
+
+
+@pytest.mark.parametrize("bad", [0, 15])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_mc_run_chunk_error_propagates_after_running_chunks_return(bad, workers):
+    key = chunk_rngs(9, 16)[bad].bit_generator.state
+    in_flight = []
+
+    def fails_in_one_chunk(rng, size):
+        in_flight.append(1)
+        try:
+            if rng.bit_generator.state == key:
+                raise RuntimeError(f"chunk {bad}")
+            time.sleep(0.002)
+            return rng.standard_normal(size)
+        finally:
+            in_flight.pop()
+
+    mc_run(_square, 100, 0, chunks=16, workers=workers)  # start the helpers
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"chunk {bad}"):
+        mc_run(fails_in_one_chunk, 1600, 9, 16, workers)
+    assert not in_flight
+    assert threading.active_count() == threads
+    assert mc_run(_square, 1600, 9, 16, workers) == mc_run(_square, 1600, 9, 16, 1)
 
 
 def test_mc_run_rows_match_one_dimensional_runs():

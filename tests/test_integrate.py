@@ -81,10 +81,16 @@ def _square(rng, size):
 @pytest.mark.parametrize("chunks", [1, 5, 16])
 @pytest.mark.parametrize("n", [3, 10_000])
 def test_mc_run_is_bit_identical_on_any_worker_count(chunks, n):
-    # n = 3 leaves empty chunks at chunks 5 and 16
+    # n = 3 leaves empty chunks at chunks 5 and 16; a short switch interval
+    # hands the interpreter between the claiming threads as often as it can
     one = mc_run(_square, n, seed=21, chunks=chunks, workers=1)
-    for workers in (2, 3, 17):
-        assert mc_run(_square, n, seed=21, chunks=chunks, workers=workers) == one
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 17):
+            assert mc_run(_square, n, seed=21, chunks=chunks, workers=workers) == one
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_mc_run_helpers_start_lazily_and_persist():
@@ -105,7 +111,7 @@ print(counts[1:])
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     # no thread at 1 worker, chunks - 1 = 2 at 17 workers, none added after
-    assert done.stdout.split("\n")[-2] == "[0, 2, 2, 2, 2, 2]"
+    assert done.stdout.strip().splitlines()[-1] == "[0, 2, 2, 2, 2, 2]"
 
 
 def test_mc_run_nested_in_a_chunk_finishes():

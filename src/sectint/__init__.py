@@ -39,6 +39,7 @@ from .actions import (
     AlgebraSplit,
     ConjugationAction,
     DirectSumAction,
+    OrbitMapDifferential,
     RegularityClass,
     SectionFrame,
     act,
@@ -59,7 +60,6 @@ from .actions import (
     section_frame,
 )
 from .weights import (
-    OrbitMapDifferential,
     WeightValue,
     delta_d,
     delta_e_batch,

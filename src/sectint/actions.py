@@ -20,8 +20,11 @@ Batched functions take stacks of points, flat (m, D) or raw matrix data
 (m, rows, cols[, pair]), and are drawn in batches; each one-point
 function is a batch of one.
 
-The Killing fields are linear in the point: ``AlgebraSplit.operators``
-stacks them, one (D, D) matrix per element of the split basis h + w + m.
+Every algebra basis is a read-only array of flat real rows, and
+``AlgebraSplit`` holds the split h + w + m as three such blocks; ``MatK``
+matrices appear only at the one-point edge (user points and group
+elements).  The Killing fields are linear in the point:
+``AlgebraSplit.operators`` stacks them, one (D, D) matrix per basis row.
 The fields at a stack of points are one contraction
 (``killing_images``), which an ``OrbitMapDifferential`` holds in the
 section frames, with the frames and their one batched SVD.  Every
@@ -64,6 +67,7 @@ from .matrices import (
     mat,
     matmul,
     qr,
+    read_only,
     to_real_vector,
     zeros,
 )
@@ -191,10 +195,18 @@ def action_to_json(action: ActionSpec) -> dict:
 def action_from_json(obj: dict) -> ActionSpec:
     kind = obj.get("kind")
     if kind == "direct_sum":
-        return DirectSumAction(ScalarField.parse(obj["field"]), int(obj["n"]), int(obj["k"]))
+        return DirectSumAction(ScalarField.parse(obj["field"]), _size(obj, "n"), _size(obj, "k"))
     if kind == "conjugation":
-        return ConjugationAction(GroupSpec(Family.parse(obj["family"]), int(obj["n"])))
+        return ConjugationAction(GroupSpec(Family.parse(obj["family"]), _size(obj, "n")))
     raise ValueError(f"unknown action kind {kind!r}")
+
+
+def _size(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: not a bool, float or string."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 # --- points, sections and the group action ---------------------------------
@@ -312,7 +324,7 @@ class OrbitMapDifferential:
     _svd: tuple | None = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self):
-        self.action, self.n_h, self.n_w = self.split.action, len(self.split.h_basis), len(self.split.w_basis)
+        self.action, self.n_h, self.n_w = self.split.action, len(self.split.h_rows), len(self.split.w_rows)
         self.n_tan = self.action.section_dim  # section-tangent rows come first
 
     def __getitem__(self, i) -> OrbitMapDifferential:
@@ -365,9 +377,8 @@ class OrbitMapDifferential:
         return sv <= tol * np.where(sv[..., :1] > 0, sv[..., :1], 1.0)
 
     def orbit_ranks(self) -> np.ndarray:
-        """Orbit dimension: the singular values above 1e-8 max(|p|, 1)."""
-        cutoff = 1e-8 * np.maximum(np.linalg.norm(self.pts, axis=-1), 1.0)
-        return np.sum(self.svd[1] > cutoff[..., None], axis=-1)
+        """Orbit dimension: the basis elements outside the isotropy algebra."""
+        return self.images.shape[-1] - np.sum(self.isotropy_mask(), axis=-1)
 
     def orbit_frames(self) -> np.ndarray:
         """Orthonormal (realified) bases of T_pM, one vector per row: the first
@@ -420,48 +431,33 @@ def orbit_map_differential(action: ActionSpec, s: MatK) -> OrbitMapDifferential:
 
 # --- the reductive algebra split -------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraSplit:
-    """Orthonormal bases splitting the algebra along the section.
+    """Orthonormal bases splitting the algebra along the section, each a
+    read-only stack of flat real rows (q, d n^2).
 
-    ``h_basis`` spans the pointwise stabilizer algebra, ``w_basis`` the
+    ``h_rows`` spans the pointwise stabilizer algebra, ``w_rows`` the
     orthogonal representative of the normalizer modulo stabilizer (the
-    Weyl part) and ``m_basis`` the orthogonal complement of the
+    Weyl part) and ``m_rows`` the orthogonal complement of the
     normalizer algebra, whose Killing fields are perpendicular to the
     section everywhere along it.
     """
 
     action: ActionSpec
-    h_basis: tuple[MatK, ...]
-    w_basis: tuple[MatK, ...]
-    m_basis: tuple[MatK, ...]
-
-    @property
-    def n_basis(self) -> tuple[MatK, ...]:
-        return self.h_basis + self.w_basis
+    h_rows: np.ndarray
+    w_rows: np.ndarray
+    m_rows: np.ndarray
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
-        """Flat coordinates of the basis h + w + m, one row each."""
-        return _stack_rows(self.h_basis + self.w_basis + self.m_basis, self.action)
-
-    @property
-    def h_rows(self) -> np.ndarray:
-        return self.rows[: len(self.h_basis)]
-
-    @property
-    def w_rows(self) -> np.ndarray:
-        return self.rows[len(self.h_basis) : len(self.h_basis) + len(self.w_basis)]
-
-    @property
-    def m_rows(self) -> np.ndarray:
-        return self.rows[len(self.h_basis) + len(self.w_basis) :]
+        """The basis h + w + m, one row each."""
+        return read_only(np.concatenate([self.h_rows, self.w_rows, self.m_rows]))
 
     @functools.cached_property
     def data(self) -> np.ndarray:
         """Raw matrix data of the basis h + w + m, (q, n, n[, pair])."""
         n = self.action.group.n
-        return batch_from_real(self.action.field, n, n, self.rows)
+        return read_only(batch_from_real(self.action.field, n, n, self.rows))
 
     @functools.cached_property
     def operators(self) -> np.ndarray:
@@ -475,85 +471,70 @@ class AlgebraSplit:
         action, dim = self.action, self.action.ambient_dim
         units = batch_from_real(action.field, *action.shape, np.eye(dim))
         images = batch_to_real(action.field, _killing_data(action, self.data[:, None], units))
-        return np.ascontiguousarray(np.swapaxes(images, 1, 2))
+        return read_only(np.ascontiguousarray(np.swapaxes(images, 1, 2)))
 
     @property
     def m_operators(self) -> np.ndarray:
-        """The operators of m_basis, a slice of the stack."""
-        return self.operators[len(self.h_basis) + len(self.w_basis) :]
+        """The operators of m_rows, a slice of the stack."""
+        return self.operators[len(self.h_rows) + len(self.w_rows) :]
 
 
-def _stack_rows(basis: tuple[MatK, ...], action: ActionSpec) -> np.ndarray:
-    if not basis:
-        n = action.group.n if isinstance(action, ConjugationAction) else action.n
-        return np.zeros((0, action.field.dim * n * n))
-    return np.stack([to_real_vector(b) for b in basis])
-
-
-def _orthonormalize(rows: list[np.ndarray]) -> list[np.ndarray]:
+def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     """Gram-Schmidt, twice per row, dropping rows of norm 1e-9 or less on the way."""
     kept: list[np.ndarray] = []
     for v in rows:
-        w = v.astype(float).copy()
+        w = v.astype(float)
         for _ in range(2):
             for u in kept:
                 w -= (u @ w) * u
         nw = np.linalg.norm(w)
         if nw > 1e-9:
             kept.append(w / nw)
-    return kept
+    return np.array(kept).reshape(len(kept), rows.shape[1])
 
 
-def _complement_basis(group: GroupSpec, sub_rows: np.ndarray) -> tuple[MatK, ...]:
-    """Orthonormal basis of the complement of a subspace inside the algebra.
-
-    sub_rows must be orthonormal, so Gram-Schmidt keeps each of them and
-    the complement starts at index len(sub_rows).
-    """
-    rows = _orthonormalize(list(sub_rows) + [to_real_vector(b) for b in algebra_basis(group)])
-    return tuple(from_real_vector(group.field, group.n, group.n, w) for w in rows[len(sub_rows):])
-
-
-def _mixed_trace_generator(n: int, k: int) -> MatK:
-    """Traceless imaginary diagonal orthogonal to both su blocks (SU case)."""
-    diag = np.zeros(n, dtype=complex)
-    diag[:k] = 1j
-    diag[k:] = -1j * k / (n - k)
-    v = mat(COMPLEX, np.diag(diag))
-    return (1.0 / v.norm()) * v
+def _mixed_trace_generator(n: int, k: int) -> np.ndarray:
+    """Traceless imaginary diagonal orthogonal to both su blocks (SU case), one flat row."""
+    v = np.diag(np.where(np.arange(n) < k, 1j, -1j * k / (n - k)))
+    return batch_to_real(COMPLEX, v * (1.0 / np.linalg.norm(v)))[None]
 
 
 @functools.lru_cache(maxsize=None)
 def algebra_split(action: ActionSpec) -> AlgebraSplit:
     if isinstance(action, ConjugationAction):
-        h, w = torus_basis(action.group), ()
+        h = torus_basis(action.group)
+        w = h[:0]
     else:
         # h moves the normal rows [k, n), w the section rows [0, k); the
         # polar section (k = 1) has a finite Weyl group and no w
         field, n, k = action.field, action.n, action.k
-        h, w = block_algebra_basis(field, n, k, n), ()
-        if k > 1:
-            w = block_algebra_basis(field, n, 0, k) + ((_mixed_trace_generator(n, k),) if field is COMPLEX else ())
-    m = _complement_basis(action.group, _stack_rows(h + w, action))
+        h = block_algebra_basis(field, n, k, n)
+        w = block_algebra_basis(field, n, 0, k) if k > 1 else h[:0]
+        if field is COMPLEX and k > 1:
+            w = np.concatenate([w, _mixed_trace_generator(n, k)])
+    # m, the complement of the normalizer: h + w are orthonormal, so
+    # Gram-Schmidt keeps each of them and m is what it adds after them
+    m = _orthonormalize(np.concatenate([h, w, algebra_basis(action.group)]))[len(h) + len(w) :]
     if isinstance(action, DirectSumAction):
-        # order by the (row, column, unit) of the entry below the diagonal,
-        # as the normal frame is, so the normal block of the orbit map
-        # differential is block diagonal per ambient row
-        m = tuple(sorted(m, key=lambda x: np.flatnonzero(to_real_vector(x))[-1]))
-    return AlgebraSplit(action, h, w, m)
+        # order by the (row, column, unit) of the last nonzero entry, the one
+        # below the diagonal, as the normal frame is, so the normal block of
+        # the orbit map differential is block diagonal per ambient row
+        last = m.shape[1] - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
+        m = m[np.argsort(last, kind="stable")]
+    return AlgebraSplit(action, read_only(h), read_only(w), read_only(m))
 
 
-def bracket(x: MatK, y: MatK) -> MatK:
-    return x @ y - y @ x
+def brackets(field: ScalarField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat rows of the brackets [x, y] = x y - y x of raw matrix data, leading axes broadcast."""
+    return batch_to_real(field, matmul(field, x, y) - matmul(field, y, x))
 
 
 # --- regularity, isotropy, orbit spaces -------------------------------------
 
-def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> tuple[MatK, ...]:
-    """Orthonormal basis of the algebra of the stabilizer of p."""
+def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis of the algebra of the stabilizer of p, as flat rows."""
     diff = orbit_map_differential(action, p)
-    rows = diff.svd[2][diff.isotropy_mask(tol)] @ diff.split.rows
-    return tuple(from_real_vector(action.field, action.group.n, action.group.n, r) for r in rows)
+    return diff.svd[2][diff.isotropy_mask(tol)] @ diff.split.rows
 
 
 def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:

@@ -36,6 +36,7 @@ from .actions import (
     OrbitMapDifferential,
     act_data,
     algebra_split,
+    brackets,
     normalizer_samples,
     random_ambient_points,
     random_regular_section_points,
@@ -73,7 +74,7 @@ def _corrupted_split(action: ActionSpec, factor: float) -> AlgebraSplit:
     base = algebra_split(action)
     if factor == 1.0:
         return base
-    return AlgebraSplit(action, base.h_basis, base.w_basis, tuple(factor * m for m in base.m_basis))
+    return AlgebraSplit(action, base.h_rows, base.w_rows, factor * base.m_rows)
 
 
 def _in_split(diff: OrbitMapDifferential, split: AlgebraSplit) -> OrbitMapDifferential:
@@ -131,7 +132,7 @@ def run_action_checks(
 ) -> list[CheckResult]:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     split = _corrupted_split(action, corrupt_metric)
-    field, nh, nw = action.field, len(split.h_basis), len(split.w_basis)
+    field, nh, nw = action.field, len(split.h_rows), len(split.w_rows)
     out: list[CheckResult] = []
 
     # orthonormality of the split
@@ -141,8 +142,7 @@ def run_action_checks(
     # reductive bracket: [normalizer, complement] stays in the complement
     # (complement here means stabilizer + perpendicular part)
     x, y = split.data[: nh + nw, None], split.data[None, nh + nw :]
-    brackets = batch_to_real(field, matmul(field, x, y) - matmul(field, y, x))
-    out.append(_result("reductive_bracket", _largest(brackets @ split.w_rows.T), tol_rel))
+    out.append(_result("reductive_bracket", _largest(brackets(field, x, y) @ split.w_rows.T), tol_rel))
 
     # adjoint invariance of the complement under the normalizer
     g = normalizer_samples(action, rng, 20)[:, None]
@@ -186,7 +186,7 @@ def run_action_checks(
 
     # vanishing at a singular point, the origin or the identity; with m
     # empty (SO(2)) the weight is 1 everywhere
-    if split.m_basis:
+    if len(split.m_rows):
         sing = zeros(field, *action.shape) if isinstance(action, DirectSumAction) else eye(field, action.group.n)
         out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
 

@@ -1,8 +1,9 @@
 """Classical compact matrix groups SO(n), SU(n), Sp(n).
 
 Provides orthonormal Lie algebra bases for the inner product
-Re(tr(x^* y)), all from one rule over the field's units, maximal-torus
-points and grids, exact Haar sampling as the q factor of Gaussian
+Re(tr(x^* y)), all from one rule over the field's units and each a
+read-only array of flat real rows (q, d n^2), maximal-torus points and
+grids, exact Haar sampling as the q factor of Gaussian
 matrices from one batched Householder kernel (matrices.householder_q)
 for every family, and the adjoint action.
 """
@@ -22,10 +23,12 @@ from .matrices import (
     REAL,
     DimensionError,
     MatK,
+    batch_to_real,
     data_from_components,
     from_real_vector,
     gaussian_batch,
     householder_q,
+    read_only,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -94,42 +97,46 @@ class GroupElement:
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # conjugation on (w, x, y, z); R and C use the first 1 or 2
 
 
-def block_algebra_basis(field: ScalarField, n: int, lo: int, hi: int) -> tuple[MatK, ...]:
+def block_algebra_basis(field: ScalarField, n: int, lo: int, hi: int) -> np.ndarray:
     """Orthonormal basis of the algebra of the SO, SU or Sp block on rows and
-    columns [lo, hi) of n x n matrices, by one rule over the field's units
-    u (1; 1, i; 1, i, j, k): for each pair lo <= a < b < hi, u/sqrt(2) at
-    (b, a) and -conj(u)/sqrt(2) at (a, b); then SU's traceless imaginary
-    diagonals, or Sp's three imaginary units u = -conj(u) at each (a, a)."""
-    d, units, out = field.dim, np.eye(field.dim), []
-    slots = [(a, b, u) for a in range(lo, hi) for b in range(a + 1, hi) for u in units]
-    if field is QUATERNION:
-        slots += [(a, a, u) for a in range(lo, hi) for u in units[1:]]
-    for a, b, u in slots:
-        m, c = np.zeros((n, n, d)), (1 / SQ2 if a < b else 1.0)
-        m[b, a], m[a, b] = c * u, -c * (u * _CONJ[:d])
-        out.append(MatK(field, data_from_components(field, m)))
-    if field is COMPLEX:
-        for l in range(1, hi - lo):
-            diag = np.zeros(n, dtype=complex)
-            diag[lo : lo + l], diag[lo + l] = 1j, -1j * l
-            out.append(MatK(field, np.diag(diag / np.sqrt(l * (l + 1)))))
-    return tuple(out)
+    columns [lo, hi) of n x n matrices, as flat real rows (q, d n^2), by one
+    rule over the field's units u (1; 1, i; 1, i, j, k): for each pair
+    lo <= a < b < hi, u/sqrt(2) at (b, a) and -conj(u)/sqrt(2) at (a, b);
+    then SU's traceless imaginary diagonals, or Sp's three imaginary units
+    u = -conj(u) at each (a, a)."""
+    d, size, units = field.dim, hi - lo, np.eye(field.dim)
+    a, b = (np.repeat(lo + i, d) for i in np.triu_indices(size, 1))
+    u = np.tile(units, (len(a) // d, 1))
+    if field is QUATERNION:  # then the imaginary units on the diagonal
+        diag = np.repeat(np.arange(lo, hi), 3)
+        a, b = np.concatenate([a, diag]), np.concatenate([b, diag])
+        u = np.concatenate([u, np.tile(units[1:], (size, 1))])
+    comps, i, c = np.zeros((len(a), n, n, d)), np.arange(len(a)), np.where(a < b, 1 / SQ2, 1.0)[:, None]
+    comps[i, b, a], comps[i, a, b] = c * u, -c * (u * _CONJ[:d])
+    data = data_from_components(field, comps)
+    if field is COMPLEX:  # diagonal l: i on [lo, lo + l) and -i l at lo + l, over sqrt(l (l + 1))
+        l, cols = np.arange(1, size)[:, None], np.arange(n)
+        diag = np.where((lo <= cols) & (cols < lo + l), 1j, np.where(cols == lo + l, -1j * l, 0j))
+        data = np.concatenate([data, (diag / np.sqrt(l * (l + 1)))[:, :, None] * np.eye(n)])
+    return batch_to_real(field, data)
 
 
 @functools.lru_cache(maxsize=None)
-def algebra_basis(group: GroupSpec) -> tuple[MatK, ...]:
-    """Orthonormal basis of the Lie algebra: block_algebra_basis on all rows."""
-    return block_algebra_basis(group.field, group.n, 0, group.n)
+def algebra_basis(group: GroupSpec) -> np.ndarray:
+    """Orthonormal basis of the Lie algebra, read-only rows: block_algebra_basis on all rows."""
+    return read_only(block_algebra_basis(group.field, group.n, 0, group.n))
 
 
 @functools.lru_cache(maxsize=None)
-def torus_basis(group: GroupSpec) -> tuple[MatK, ...]:
-    """Orthonormal basis of the standard maximal torus algebra, picked out
-    of algebra_basis: SO(n)'s generators on the pairs (2a, 2a + 1), SU(n)'s
-    traceless imaginary diagonals, Sp(n)'s i-units on the diagonal."""
+def torus_basis(group: GroupSpec) -> np.ndarray:
+    """Orthonormal basis of the standard maximal torus algebra, read-only
+    rows picked out of algebra_basis: SO(n)'s generators on the pairs
+    (2a, 2a + 1), SU(n)'s traceless imaginary diagonals, Sp(n)'s i-units
+    on the diagonal."""
     basis, n = algebra_basis(group), group.n
     if group.family is Family.SO:  # pair (2a, 2a + 1) sits at index a(2n - 2a - 1)
-        return tuple(basis[a * (2 * n - 2 * a - 1)] for a in range(n // 2))
+        a = np.arange(n // 2)
+        return read_only(basis[a * (2 * n - 2 * a - 1)])
     # after the d n(n - 1)/2 pair generators, d = 2 or 4
     return basis[n * (n - 1) :] if group.family is Family.SU else basis[2 * n * (n - 1) :: 3]
 

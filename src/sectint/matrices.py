@@ -214,6 +214,12 @@ def from_real_vector(field: ScalarField, n: int, m: int, v: np.ndarray) -> MatK:
     return MatK(field, batch_from_real(field, n, m, v))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: for arrays that a cache hands out."""
+    a.flags.writeable = False
+    return a
+
+
 def inner(x: MatK, y: MatK) -> float:
     """Ambient real inner product Re(tr(x^* y))."""
     _check_same(x, y)

@@ -34,21 +34,15 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import MatK, complex_embedding, inner
+from .matrices import batch_from_real, batch_to_real, complex_embedding
 from .groups import Family, GroupSpec, algebra_basis
-from .actions import ActionSpec, ConjugationAction, bracket
+from .actions import ActionSpec, ConjugationAction, brackets
 from .mc import McEstimate, mc_run
 
 
-def _structure_constants(basis: tuple[MatK, ...]) -> np.ndarray:
-    q = len(basis)
-    c = np.zeros((q, q, q))
-    for i in range(q):
-        for j in range(q):
-            br = bracket(basis[i], basis[j])
-            for l in range(q):
-                c[i, j, l] = inner(basis[l], br)
-    return c
+def _structure_constants(field: ScalarField, data: np.ndarray) -> np.ndarray:
+    """c[i, j, l] = <b_l, [b_i, b_j]> for the orthonormal basis b with raw data (q, n, n[, pair])."""
+    return brackets(field, data[:, None], data[None]) @ batch_to_real(field, data).T
 
 
 def _dexp_factors(ad_eigs: np.ndarray) -> np.ndarray:
@@ -64,7 +58,8 @@ def _principal_domain_mask(kind: str, eigs: np.ndarray) -> np.ndarray:
 
 
 def _chart_volume(
-    basis: tuple[MatK, ...],
+    group: GroupSpec,
+    rows: np.ndarray,
     domain_kind: str,
     n_samples: int,
     seed: int,
@@ -73,17 +68,19 @@ def _chart_volume(
     sigma: float,
     block_size: int | None = None,
 ) -> McEstimate:
-    """Monte Carlo volume of the group generated by an orthonormal basis.
+    """Monte Carlo volume of the group generated by an orthonormal basis of
+    flat rows (q, D) inside the algebra of group.
 
     block_size restricts the principal-domain test to the top-left
     block of the embedded matrices (used when the basis carries a
     determined trace-compensating tail block).
     """
-    q = len(basis)
+    q = len(rows)
     if q == 0:
         return McEstimate.exact(1.0)
-    cstruct = _structure_constants(basis).reshape(q, -1)
-    bstack = complex_embedding(basis[0].field, np.stack([b.data for b in basis]))  # (q, N, N)
+    data = batch_from_real(group.field, group.n, group.n, rows)
+    cstruct = _structure_constants(group.field, data).reshape(q, -1)
+    bstack = complex_embedding(group.field, data)  # (q, N, N)
     nn = bstack.shape[1]
     bflat = bstack.reshape(q, -1)
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
@@ -170,7 +167,7 @@ def group_volume(
         return McEstimate.exact(_exact_group_volume(group))
     domain = "spread" if group.family is Family.SU else "ball"
     sigma = np.pi * np.sqrt(2.0 / max(group.rank, 1)) if group.rank > 1 else np.pi
-    return _chart_volume(algebra_basis(group), domain, n_samples, seed, chunks, workers, sigma)
+    return _chart_volume(group, algebra_basis(group), domain, n_samples, seed, chunks, workers, sigma)
 
 
 cached_group_volume = group_volume  # alias for importers; an exact value needs no cache

@@ -49,11 +49,10 @@ import numpy as np
 
 from .fields import ScalarField
 from .groups import Family, GroupSpec, full_torus_angles
-from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, to_real_vector
+from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, read_only, to_real_vector
 from .actions import (
     ActionSpec,
     DirectSumAction,
-    OrbitMapDifferential,
     RegularityClass,
     algebra_split,
     embed_section,
@@ -121,9 +120,7 @@ def _positive_roots(group: GroupSpec) -> np.ndarray:
             roots.append(2.0 * unit)
         elif group.n % 2:
             roots.append(unit)
-    out = np.concatenate(roots).T
-    out.flags.writeable = False
-    return out
+    return read_only(np.concatenate(roots).T)
 
 
 def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:
@@ -139,16 +136,12 @@ def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray
 
 
 def delta_d(action: ActionSpec, s: MatK) -> float:
-    """Weyl-block determinant: 1 for polar actions by the empty-product rule, 0 at singular points."""
-    if not algebra_split(action).w_basis:
+    """Weyl-block determinant at one point, as ``sectint delta`` reports it:
+    0 where the block itself is singular, and 1 on polar actions by the
+    empty-product rule, with no evaluation."""
+    if not len(algebra_split(action).w_rows):
         return 1.0
-    diff = orbit_map_differential(action, s)
-    return _weyl_det(diff, diff.regularity())
-
-
-def _weyl_det(diff: OrbitMapDifferential, reg: RegularityClass) -> float:
-    """delta_d from the evaluation diff at a point of class reg."""
-    return 1.0 if not diff.n_w else 0.0 if reg is RegularityClass.SINGULAR else float(diff.delta_d())
+    return float(orbit_map_differential(action, s).delta_d())
 
 
 @dataclass(frozen=True)
@@ -160,8 +153,7 @@ class WeightValue:
 
 def weight_value(action: ActionSpec, s: MatK) -> WeightValue:
     diff = orbit_map_differential(action, s)
-    reg = diff.regularity()
-    return WeightValue(delta_e_generic(action, s), _weyl_det(diff, reg), reg)
+    return WeightValue(delta_e_generic(action, s), float(diff.delta_d()), diff.regularity())
 
 
 def orbit_volume(action: ActionSpec, s: MatK, vol_gh: float) -> float:

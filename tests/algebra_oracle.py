@@ -93,8 +93,18 @@ def embedded_block_algebra(field, n, offset, size):
     return tuple(out)
 
 
+def matrices(group, rows):
+    """One matrix per flat row (q, D) of a basis of the algebra of group."""
+    return tuple(from_real_vector(group.field, group.n, group.n, r) for r in rows)
+
+
+def as_rows(basis, group):
+    """The flat rows (q, D) of a tuple of matrices in the algebra of group."""
+    return np.array([to_real_vector(b) for b in basis]).reshape(len(basis), group.field.dim * group.n ** 2)
+
+
 def algebra_split(action):
-    """(h, w, m) of ``actions.algebra_split`` from the oracle bases."""
+    """(h, w, m) of ``actions.algebra_split`` from the oracle bases, as matrices."""
     group = action.group
     if isinstance(action, ConjugationAction):
         h, w = torus_basis(group), ()
@@ -103,10 +113,10 @@ def algebra_split(action):
         h, w = embedded_block_algebra(field, n, k, n - k), ()
         if k > 1:
             w = embedded_block_algebra(field, n, 0, k)
-            w += (_mixed_trace_generator(n, k),) if field is COMPLEX else ()
+            w += matrices(group, _mixed_trace_generator(n, k)) if field is COMPLEX else ()
     sub = [to_real_vector(b) for b in h + w]
-    rows = _orthonormalize(sub + [to_real_vector(b) for b in algebra_basis(group)])[len(sub) :]
-    m = [from_real_vector(group.field, group.n, group.n, r) for r in rows]
+    rows = _orthonormalize(np.array(sub + [to_real_vector(b) for b in algebra_basis(group)]))[len(sub) :]
+    m = list(matrices(group, rows))
     if not isinstance(action, ConjugationAction):
         m.sort(key=lambda x: np.flatnonzero(to_real_vector(x))[-1])
     return h, w, tuple(m)

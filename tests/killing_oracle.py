@@ -5,7 +5,7 @@ The program evaluates Killing fields through the operator stack
 batched LAPACK calls over a stack of points.  The functions here do the
 same one point at a time: one ``killing_field`` product per basis
 element, a frame built entry by entry, Gram-Schmidt for the orbit
-frames, the group's own algebra basis for the isotropy algebra, and
+frames, the oracle's algebra basis (``algebra_oracle``) for the isotropy algebra, and
 singular values for the determinants.  They share no code path with the
 kernels they check beyond ``killing_field`` and the algebra split.
 """
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from algebra_oracle import algebra_basis, matrices
 from sectint.actions import DirectSumAction, _section_coords, algebra_split, killing_field, section_points
-from sectint.groups import algebra_basis
 from sectint.matrices import MatK, from_real_vector, to_real_vector
 
 
@@ -36,8 +36,8 @@ def section_frame_rows(action, s):
         off_section = [i for i in range(action.ambient_dim) if i not in on_section]
         return unit[on_section], unit[off_section]
     split = algebra_split(action)
-    tangent = np.stack([to_real_vector(h @ s) for h in split.h_basis])
-    normal = np.stack([to_real_vector(x @ s) for x in split.m_basis])
+    tangent = np.stack([to_real_vector(h @ s) for h in matrices(action.group, split.h_rows)])
+    normal = np.stack([to_real_vector(x @ s) for x in matrices(action.group, split.m_rows)])
     return tangent, normal
 
 
@@ -46,7 +46,8 @@ def differential(action, s, split=None):
     split = split or algebra_split(action)
     tangent, normal = section_frame_rows(action, s)
     codomain = np.concatenate([tangent, normal], axis=0)
-    cols = [codomain @ to_real_vector(killing_field(action, b, s)) for b in split.w_basis + split.m_basis]
+    basis = matrices(action.group, split.rows[len(split.h_rows) :])
+    cols = [codomain @ to_real_vector(killing_field(action, b, s)) for b in basis]
     return np.stack(cols, axis=1)
 
 
@@ -59,7 +60,7 @@ def _volume_factor(columns):
 def determinants(action, matrix, split=None):
     """(total_det, delta_e, delta_d) of one differential matrix."""
     split = split or algebra_split(action)
-    n_w, n_tan = len(split.w_basis), action.section_dim
+    n_w, n_tan = len(split.w_rows), action.section_dim
     m_block = matrix[n_tan:, n_w:]
     delta_e = abs(np.linalg.det(m_block)) if m_block.shape[0] == m_block.shape[1] else 0.0
     return _volume_factor(matrix), delta_e, _volume_factor(matrix[:n_tan, :n_w])
@@ -96,7 +97,9 @@ def orbit_normal_rows(action, p):
     if isinstance(action, DirectSumAction):
         ambient = np.eye(action.ambient_dim)
     else:
-        ambient = np.stack([to_real_vector(b @ p) for b in algebra_split(action).h_basis + algebra_split(action).m_basis])
+        split = algebra_split(action)
+        basis = matrices(action.group, np.concatenate([split.h_rows, split.m_rows]))
+        ambient = np.stack([to_real_vector(b @ p) for b in basis])
     rows = [v - tangent.T @ (tangent @ v) if tangent.size else v for v in ambient]
     return _orthonormalize(rows, 1e-8)
 

@@ -16,7 +16,6 @@ from sectint.actions import (
     DirectSumAction,
     act,
     algebra_split,
-    bracket,
     embed_section,
     normalizer_sample,
     random_regular_section_point,
@@ -31,6 +30,7 @@ from sectint.integrate import (
 )
 from sectint.mc import agree
 from sectint.ensembles import EnsembleSpec, compare_densities
+from algebra_oracle import matrices
 from lp_isometry import lp_isometry_check
 from matrix_oracles import realified_det
 
@@ -76,15 +76,15 @@ def test_criterion_02_reductive_decomposition():
         split = algebra_split(action)
         d = f.dim
         expected_w = {1: k * (k - 1) // 2, 2: k * k, 4: k * (2 * k + 1)}[d]
-        assert len(split.w_basis) == expected_w
-        assert len(split.m_basis) == action.ambient_dim - action.section_dim
-        perp = split.w_rows
-        for x in split.n_basis:
-            for y in split.m_basis:
-                worst_br = max(worst_br, np.abs(perp @ to_real_vector(bracket(x, y))).max())
+        assert len(split.w_rows) == expected_w
+        assert len(split.m_rows) == action.ambient_dim - action.section_dim
+        perp, m_basis = split.w_rows, matrices(action.group, split.m_rows)
+        for x in matrices(action.group, np.concatenate([split.h_rows, split.w_rows])):
+            for y in m_basis:
+                worst_br = max(worst_br, np.abs(perp @ to_real_vector(x @ y - y @ x)).max())
         for _ in range(20):
             g = normalizer_sample(action, rng)
-            for y in split.m_basis:
+            for y in m_basis:
                 v = to_real_vector(adjoint(g, y))
                 worst_ad = max(worst_ad, np.abs(perp @ v).max())
     elapsed = time.time() - t0

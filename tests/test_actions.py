@@ -6,6 +6,7 @@ import pytest
 from sectint.fields import ScalarField
 from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
 from sectint.groups import Family, GroupSpec, haar_sample, haar_sample_batch, torus_point
+from algebra_oracle import matrices
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -74,17 +75,17 @@ def test_table_dimensions():
         assert a.cohomogeneity == cohom
         assert a.section_dim == d * k * k
         split = algebra_split(a)
-        assert len(split.w_basis) == copol
-        assert len(split.m_basis) == d * k * (a.n - a.k)
-        assert len(split.h_basis) == GroupSpec(a.group.family, a.n - a.k).algebra_dim
+        assert len(split.w_rows) == copol
+        assert len(split.m_rows) == d * k * (a.n - a.k)
+        assert len(split.h_rows) == GroupSpec(a.group.family, a.n - a.k).algebra_dim
 
 
 def test_polar_case_dimensions():
     for a in POLAR_ACTIONS:
         assert a.copolarity == 0 and a.section_dim == 1
         split = algebra_split(a)
-        assert not split.w_basis
-        assert len(split.m_basis) == a.field.dim * a.n - 1
+        assert not len(split.w_rows)
+        assert len(split.m_rows) == a.field.dim * a.n - 1
 
 
 def test_invalid_parameters_rejected():
@@ -104,10 +105,10 @@ def test_json_round_trip():
 def test_split_orthonormal_all():
     for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS:
         split = algebra_split(a)
-        allb = split.h_basis + split.w_basis + split.m_basis
-        rows = np.stack([to_real_vector(b) for b in allb])
-        np.testing.assert_allclose(rows @ rows.T, np.eye(len(allb)), atol=1e-10)
-        assert len(allb) == a.group.algebra_dim
+        rows = np.concatenate([split.h_rows, split.w_rows, split.m_rows])
+        np.testing.assert_array_equal(rows, split.rows)
+        np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-10)
+        assert len(rows) == a.group.algebra_dim
 
 
 def test_stabilizer_killing_fields_vanish_on_section():
@@ -115,7 +116,7 @@ def test_stabilizer_killing_fields_vanish_on_section():
     for a in TABLE_ACTIONS:
         split = algebra_split(a)
         s = random_regular_section_point(a, rng)
-        for b in split.h_basis:
+        for b in matrices(a.group, split.h_rows):
             assert killing_field(a, b, s).norm() < 1e-12
 
 
@@ -126,8 +127,8 @@ def test_killing_block_image():
     split = algebra_split(a)
     b = mat(R, [[1.0, 2.0], [3.0, 4.0]])
     s = embed_section(a, b)
-    # m_basis is ordered by (row, column); element 0 hits ambient row 2, col 0
-    img = killing_field(a, split.m_basis[0], s)
+    # m_rows is ordered by (row, column); element 0 hits ambient row 2, col 0
+    img = killing_field(a, matrices(a.group, split.m_rows[:1])[0], s)
     expect = np.zeros((3, 2))
     expect[2] = b.data[0] / np.sqrt(2.0)
     np.testing.assert_allclose(img.data, expect, atol=1e-14)
@@ -135,7 +136,7 @@ def test_killing_block_image():
 
 def test_conjugation_killing_vanishes_at_identity():
     a = ConjugationAction(GroupSpec(Family.SU, 2))
-    for b in algebra_split(a).m_basis + algebra_split(a).h_basis:
+    for b in matrices(a.group, np.concatenate([algebra_split(a).m_rows, algebra_split(a).h_rows])):
         assert killing_field(a, b, eye(C, 2)).norm() < 1e-15
 
 
@@ -148,6 +149,16 @@ def test_orbit_tangent_dimensions():
     rng = np.random.default_rng(1)
     s = random_regular_section_point(c, rng)
     assert orbit_tangent(c, s).shape[0] == 2
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1.0])
+def test_orbit_ranks_follow_the_isotropy_rule_at_any_scale(scale):
+    # one rank rule on the SVD: the orbit rank is q minus the isotropy
+    # directions, so a tiny regular point has the full orbit tangent its class says
+    a = DirectSumAction(R, 3, 2)
+    s = embed_section(a, scale * np.array([[1.0, 0.3], [0.0, 2.0]]))
+    assert classify_point(a, s) is RegularityClass.REGULAR
+    assert orbit_tangent(a, s).shape == (3, 6) and orbit_normal(a, s).shape == (3, 6)
 
 
 def test_orbit_normal_inside_section_tangent():
@@ -194,12 +205,10 @@ def test_isotropy_constancy_along_regular_section():
         h_rows = split.h_rows
         for _ in range(5):
             s = random_regular_section_point(a, rng)
-            iso = isotropy_algebra(a, s)
-            assert len(iso) == len(split.h_basis)
-            if iso:
-                rows = np.stack([to_real_vector(b) for b in iso])
-                resid = rows - (rows @ h_rows.T) @ h_rows
-                assert np.abs(resid).max() < 1e-8
+            rows = isotropy_algebra(a, s)
+            assert rows.shape == h_rows.shape
+            resid = rows - (rows @ h_rows.T) @ h_rows
+            assert np.abs(resid).max(initial=0.0) < 1e-8
 
 
 def test_reduce_to_section_properties():
@@ -325,7 +334,7 @@ def test_perpendicular_killing_fields_on_all_of_section():
         for _ in range(50):
             s = random_section_point(a, rng)
             frame = section_frame(a, s)
-            for b in split.m_basis:
+            for b in matrices(a.group, split.m_rows):
                 img = to_real_vector(killing_field(a, b, s))
                 assert np.abs(frame.tangent @ img).max() < 1e-10 * max(1.0, np.linalg.norm(img))
 

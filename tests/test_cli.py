@@ -124,6 +124,22 @@ def test_delta_determinants_read_zero_at_singular_points(capsys, action, point, 
         assert results["delta_d"] == pytest.approx(math.sqrt(1.25), rel=1e-12)
 
 
+def test_delta_d_of_the_cli_and_the_api_agree_at_a_singular_point(capsys):
+    # one convention: delta_d is the Weyl block's |det| wherever it is read,
+    # and that block stays regular at this singular point of R(3,2)
+    from sectint.cli import _parse_point
+    from sectint.weights import delta_d, weight_value
+
+    point = "[[1, 0.5], [1, 0.5]]"
+    code, rep = run_cli(capsys, ["delta", "--action", SO3K2, "--point", point])
+    spec = action_from_json(json.loads(SO3K2))
+    s = _parse_point(spec, point)
+    value = weight_value(spec, s)
+    assert value.regularity.value == rep["results"]["regularity"] == "singular"
+    assert delta_d(spec, s) == value.delta_d == rep["results"]["delta_d"]
+    assert value.delta_d == pytest.approx(math.sqrt(1.25), rel=1e-12)
+
+
 def test_delta_quaternionic_agreement(capsys):
     action = '{"kind":"direct_sum","field":"H","n":3,"k":2}'
     point = json.dumps(np.random.default_rng(5).standard_normal((2, 2, 4)).tolist())
@@ -327,7 +343,12 @@ def test_parser_is_built_once_per_command():
 @pytest.mark.parametrize(
     "action",
     ['{"kind":"direct_sum"', "[1, 2]", '{"kind":"direct_sum","field":"R","n":3}',
-     '{"kind":"direct_sum","field":"Q","n":3,"k":2}', '{"kind":"torus"}', "@no-such-action.json"],
+     '{"kind":"direct_sum","field":"Q","n":3,"k":2}', '{"kind":"torus"}', "@no-such-action.json",
+     # sizes are JSON integers: no floats, strings or bools
+     '{"kind":"direct_sum","field":"R","n":3.9,"k":2.5}', '{"kind":"direct_sum","field":"R","n":3,"k":2.0}',
+     '{"kind":"direct_sum","field":"R","n":"3","k":2}', '{"kind":"direct_sum","field":"R","n":3,"k":true}',
+     '{"kind":"conjugation","family":"SU","n":2.0}', '{"kind":"conjugation","family":"SU","n":"2"}',
+     '{"kind":"conjugation","family":"SU","n":false}'],
 )
 def test_bad_action_exits_2(capsys, action):
     err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", "[[1,0],[0,1]]"])

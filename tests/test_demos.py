@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,12 +7,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the demos, and the README, whose one python block is its quick-start
+DEMOS = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     # each demo in a fresh interpreter, writing its outputs to tmp_path
+    if demo.suffix == ".md":
+        (block,) = re.findall(r"```python\n(.*?)```", demo.read_text(), re.S)
+        demo = tmp_path / "quickstart.py"
+        demo.write_text(block)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

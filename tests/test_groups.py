@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from scipy import stats as sps
 
+from algebra_oracle import matrices as basis_matrices
 from sectint.fields import ScalarField
 from sectint import matrices
 from sectint.matrices import (
@@ -53,7 +54,7 @@ def skewness_residual(x):
 
 
 def random_algebra_element(group, rng, scale=1.0):
-    basis = algebra_basis(group)
+    basis = basis_matrices(group, algebra_basis(group))
     coeff = rng.standard_normal(len(basis)) * scale
     out = zeros(group.field, group.n, group.n)
     for c, b in zip(coeff, basis):
@@ -81,8 +82,8 @@ def test_small_dims_match_spot_values():
 
 def test_basis_orthonormal_and_skew():
     for g in [GroupSpec(Family.SO, 4), GroupSpec(Family.SU, 3), GroupSpec(Family.SP, 2)]:
-        basis = algebra_basis(g)
-        rows = np.stack([to_real_vector(b) for b in basis])
+        rows = algebra_basis(g)
+        basis = basis_matrices(g, rows)
         np.testing.assert_allclose(rows @ rows.T, np.eye(len(basis)), atol=1e-12)
         for b in basis:
             assert skewness_residual(b) < 1e-14
@@ -93,8 +94,8 @@ def test_basis_orthonormal_and_skew():
 
 def test_bracket_closure_sp2():
     g = GroupSpec(Family.SP, 2)
-    basis = algebra_basis(g)
-    rows = np.stack([to_real_vector(b) for b in basis])
+    rows = algebra_basis(g)
+    basis = basis_matrices(g, rows)
     worst = 0.0
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -144,7 +145,7 @@ def test_exp_matches_finite_differences():
     rng = np.random.default_rng(4)
     eps = 1e-5
     for g in [GroupSpec(Family.SO, 3), GroupSpec(Family.SU, 2), GroupSpec(Family.SP, 2)]:
-        for x in algebra_basis(g)[:3]:
+        for x in basis_matrices(g, algebra_basis(g)[:3]):
             plus = exp_map(g, eps * x).matrix
             minus = exp_map(g, -eps * x).matrix
             diff = (1.0 / (2 * eps)) * (plus - minus)
@@ -292,9 +293,8 @@ def GroupSpecIdentity(g):
 
 def test_torus_basis_and_point():
     for g in [GroupSpec(Family.SO, 5), GroupSpec(Family.SU, 3), GroupSpec(Family.SP, 2)]:
-        tb = torus_basis(g)
-        assert len(tb) == g.rank
-        rows = np.stack([to_real_vector(b) for b in tb])
+        rows = torus_basis(g)
+        assert rows.shape == (g.rank, g.field.dim * g.n ** 2)
         np.testing.assert_allclose(rows @ rows.T, np.eye(g.rank), atol=1e-13)
     tp = torus_point(GroupSpec(Family.SU, 2), [0.7])
     np.testing.assert_allclose(tp.data, np.diag([np.exp(0.7j), np.exp(-0.7j)]), atol=1e-15)

@@ -9,6 +9,7 @@ import pytest
 
 import killing_oracle as oracle
 import sectint
+from algebra_oracle import matrices
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -56,9 +57,9 @@ def _projector(rows):
 @pytest.mark.parametrize("action", ACTION_TABLE, ids=str)
 def test_operator_stack_reproduces_killing_field(action):
     split = algebra_split(action)
-    basis = split.h_basis + split.w_basis + split.m_basis
+    basis = matrices(action.group, split.rows)
     assert split.operators.shape == (len(basis), action.ambient_dim, action.ambient_dim)
-    np.testing.assert_array_equal(split.m_operators, split.operators[len(split.h_basis) + len(split.w_basis) :])
+    np.testing.assert_array_equal(split.m_operators, split.operators[len(split.h_rows) + len(split.w_rows) :])
     rng = np.random.default_rng(21)
     for _ in range(3):
         p = random_ambient_point(action, rng)
@@ -86,7 +87,7 @@ def test_batched_kernels_match_per_point_oracle(action):
 
         iso = oracle.isotropy_rows(action, s)
         got = vh[i][null[i]] @ split.rows
-        assert len(got) == len(iso) == len(split.h_basis) == len(isotropy_algebra(action, s))
+        assert len(got) == len(iso) == len(split.h_rows) == len(isotropy_algebra(action, s))
         np.testing.assert_allclose(_projector(got), _projector(iso), rtol=0, atol=1e-12)
         assert outside_h(got) == pytest.approx(outside_h(iso), abs=1e-12)
 
@@ -109,7 +110,7 @@ def test_verify_passes_with_the_same_checks(action):
 
 def _expected_checks(action):
     """CHECKS on action: the vanishing at a singular point only where m is not empty."""
-    return [c for c in CHECKS if c[0] != "weight_singular_vanishing" or algebra_split(action).m_basis]
+    return [c for c in CHECKS if c[0] != "weight_singular_vanishing" or len(algebra_split(action).m_rows)]
 
 
 #: SO(2)-SO(6), SU(2)-SU(4) and Sp(1)-Sp(3) conjugation, and every direct sum
@@ -152,9 +153,9 @@ def test_so2_has_no_singular_vanishing_check():
 )
 def test_corrupted_metric_fails_the_same_checks(action, failing):
     base, corrupted = algebra_split(action), _corrupted_split(action, 1.1)
-    # the corrupted split's stack comes from its own scaled m_basis
+    # the corrupted split's stack comes from its own scaled m_rows
     np.testing.assert_allclose(corrupted.m_operators, 1.1 * base.m_operators, rtol=1e-15, atol=0)
-    n_normalizer = len(base.h_basis) + len(base.w_basis)
+    n_normalizer = len(base.h_rows) + len(base.w_rows)
     np.testing.assert_array_equal(corrupted.operators[:n_normalizer], base.operators[:n_normalizer])
     for seed in (1, 2, 3):
         results = run_action_checks(action, seed=seed, corrupt_metric=1.1)

@@ -223,8 +223,27 @@ def test_u2_weyl_volume_vs_chart_oracle():
     a = DirectSumAction(ScalarField.COMPLEX, 4, 2)
     exact = w_group_volume(a)
     assert exact == pytest.approx(2 * np.pi * group_volume(GroupSpec(Family.SU, 2)).mean, rel=1e-12)
-    est = _chart_volume(algebra_split(a).w_basis, "ball", 200_000, 23, 16, None, np.pi, block_size=2)
+    est = _chart_volume(a.group, algebra_split(a).w_rows, "ball", 200_000, 23, 16, None, np.pi, block_size=2)
     assert abs(est.mean - exact) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("group", [GroupSpec(Family.SU, 3), GroupSpec(Family.SO, 5), GroupSpec(Family.SP, 2)], ids=str)
+def test_structure_constants_match_a_bracket_loop(group):
+    # the batched brackets of the basis stack against one matrix bracket and
+    # inner product per (i, j, l); the metric is ad-invariant, so the
+    # constants are totally antisymmetric
+    from algebra_oracle import matrices
+    from sectint.groups import algebra_basis
+    from sectint.matrices import inner
+    from sectint.volumes import _structure_constants
+
+    basis = matrices(group, algebra_basis(group))
+    c = _structure_constants(group.field, np.stack([b.data for b in basis]))
+    loop = np.array([[[inner(z, x @ y - y @ x) for z in basis] for y in basis] for x in basis])
+    np.testing.assert_allclose(c, loop, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(c, -np.swapaxes(c, 0, 1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(c, -np.swapaxes(c, 1, 2), rtol=0, atol=1e-14)
+    assert np.abs(c).max() > 0.5
 
 
 @pytest.mark.parametrize("field, n, seed", [(ScalarField.COMPLEX, 4, 24), (ScalarField.QUATERNION, 3, 25)])

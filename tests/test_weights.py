@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from algebra_oracle import matrices
 from sectint.fields import ScalarField
 from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
 from sectint.groups import Family, GroupSpec, torus_angles, torus_point, torus_points
@@ -325,7 +326,8 @@ ACTION_TABLE = (
 
 def gram_weight(action, s):
     """Per-point reference: sqrt det Gram of the complementary Killing images."""
-    images = np.stack([to_real_vector(killing_field(action, b, s)) for b in algebra_split(action).m_basis])
+    basis = matrices(action.group, algebra_split(action).m_rows)
+    images = np.stack([to_real_vector(killing_field(action, b, s)) for b in basis])
     return float(np.sqrt(np.linalg.det(images @ images.T)))
 
 
@@ -388,10 +390,10 @@ def test_torus_weight_is_weyl_density(n):
 def test_custom_split_is_used_and_not_cached():
     c = ConjugationAction(GroupSpec(Family.SU, 3))
     base = algebra_split(c)
-    corrupted = AlgebraSplit(c, base.h_basis, base.w_basis, tuple(1.1 * m for m in base.m_basis))
+    corrupted = AlgebraSplit(c, base.h_rows, base.w_rows, 1.1 * base.m_rows)
     pts = torus_points(c.group, np.random.default_rng(15).uniform(0.0, 2 * np.pi, size=(20, 2)))
     plain = delta_e_batch(c, pts)
-    np.testing.assert_allclose(delta_e_batch(c, pts, corrupted), 1.1 ** len(base.m_basis) * plain, rtol=1e-12)
+    np.testing.assert_allclose(delta_e_batch(c, pts, corrupted), 1.1 ** len(base.m_rows) * plain, rtol=1e-12)
     np.testing.assert_array_equal(delta_e_batch(c, pts), plain)
     assert not all_passed(run_action_checks(c, seed=1, n_points=4, corrupt_metric=1.1))
 

@@ -1,8 +1,8 @@
 """The one generator rule against the per-field oracle, entry for entry.
 
 The program keeps every algebra basis as read-only flat rows (q, D); the
-oracle builds matrices one at a time, and the tests compare their rows
-bit for bit.
+oracle builds matrices one at a time, and the tests require their rows
+to be exactly equal.
 """
 
 import json
@@ -31,7 +31,7 @@ ACTIONS = list(dict.fromkeys(
 
 
 def assert_rows_equal(got, expect, group):
-    """got is read-only flat rows, equal bit for bit to the rows of the oracle's matrices."""
+    """got is read-only flat rows, exactly equal to the rows of the oracle's matrices."""
     assert isinstance(got, np.ndarray) and got.dtype == float and not got.flags.writeable
     np.testing.assert_array_equal(got, algebra_oracle.as_rows(expect, group), strict=True)
 

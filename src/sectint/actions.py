@@ -21,10 +21,12 @@ Batched functions take stacks of points, flat (m, D) or raw matrix data
 function is a batch of one.
 
 Every algebra basis is a read-only array of flat real rows, and
-``AlgebraSplit`` holds the split h + w + m as three such blocks; ``MatK``
-matrices appear only at the one-point edge (user points and group
-elements).  The Killing fields are linear in the point:
-``AlgebraSplit.operators`` stacks them, one (D, D) matrix per basis row.
+``AlgebraSplit`` holds the split h + w + m as three such blocks, each a
+selection of the generators of the one basis rule
+(``groups.pair_generators``); ``MatK`` matrices appear only at the
+one-point edge (user points and group elements).  The Killing fields
+are linear in the point: ``AlgebraSplit.operators`` stacks them, one
+(D, D) matrix per basis row.
 The fields at a stack of points are one contraction
 (``killing_images``), which an ``OrbitMapDifferential`` holds in the
 section frames, with the frames and their one batched SVD.  Every
@@ -79,8 +81,10 @@ from .groups import (
     block_algebra_basis,
     haar_sample_batch,
     haar_unitary_batch,
+    pair_generators,
     torus_angles,
     torus_basis,
+    torus_indices,
     torus_point,
     torus_points,
 )
@@ -148,6 +152,10 @@ class DirectSumAction:
 @dataclass(frozen=True)
 class ConjugationAction:
     group: GroupSpec
+
+    def __post_init__(self):
+        if self.group.rank == 0:
+            raise ValueError(f"{self.group} has rank 0: no torus to reduce to")
 
     @property
     def field(self) -> ScalarField:
@@ -440,7 +448,11 @@ class AlgebraSplit:
     orthogonal representative of the normalizer modulo stabilizer (the
     Weyl part) and ``m_rows`` the orthogonal complement of the
     normalizer algebra, whose Killing fields are perpendicular to the
-    section everywhere along it.
+    section everywhere along it.  ``algebra_split`` selects all three
+    from generators of the one basis rule, so they are orthonormal with
+    no orthogonalization: m is the algebra basis without the torus rows
+    (conjugation), or the pair generators between the section rows and
+    the normal rows (direct sums).
     """
 
     action: ActionSpec
@@ -479,20 +491,6 @@ class AlgebraSplit:
         return self.operators[len(self.h_rows) + len(self.w_rows) :]
 
 
-def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt, twice per row, dropping rows of norm 1e-9 or less on the way."""
-    kept: list[np.ndarray] = []
-    for v in rows:
-        w = v.astype(float)
-        for _ in range(2):
-            for u in kept:
-                w -= (u @ w) * u
-        nw = np.linalg.norm(w)
-        if nw > 1e-9:
-            kept.append(w / nw)
-    return np.array(kept).reshape(len(kept), rows.shape[1])
-
-
 def _mixed_trace_generator(n: int, k: int) -> np.ndarray:
     """Traceless imaginary diagonal orthogonal to both su blocks (SU case), one flat row."""
     v = np.diag(np.where(np.arange(n) < k, 1j, -1j * k / (n - k)))
@@ -502,25 +500,22 @@ def _mixed_trace_generator(n: int, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def algebra_split(action: ActionSpec) -> AlgebraSplit:
     if isinstance(action, ConjugationAction):
-        h = torus_basis(action.group)
-        w = h[:0]
+        # h is the torus, and m the algebra basis without the torus rows
+        group = action.group
+        h, m = torus_basis(group), np.delete(algebra_basis(group), torus_indices(group), axis=0)
+        return AlgebraSplit(action, h, h[:0], read_only(m))
+    # h moves the normal rows [k, n), w the section rows [0, k), and m, the pairs
+    # between them, is ordered by (b, a, unit) as the normal frame is, so the
+    # normal block of the orbit map differential is block diagonal per ambient row
+    field, n, k = action.field, action.n, action.k
+    h, line = block_algebra_basis(field, n, k, n), block_algebra_basis(field, n, 0, k)
+    trace = _mixed_trace_generator(n, k) if field is COMPLEX else h[:0]
+    b, a = np.divmod(np.arange(k * (n - k)), k)
+    m = pair_generators(field, n, a, b + k)
+    if k == 1:  # the polar section has a finite Weyl group: the line's own directions go to m
+        w, m = h[:0], np.concatenate([line, m, trace])
     else:
-        # h moves the normal rows [k, n), w the section rows [0, k); the
-        # polar section (k = 1) has a finite Weyl group and no w
-        field, n, k = action.field, action.n, action.k
-        h = block_algebra_basis(field, n, k, n)
-        w = block_algebra_basis(field, n, 0, k) if k > 1 else h[:0]
-        if field is COMPLEX and k > 1:
-            w = np.concatenate([w, _mixed_trace_generator(n, k)])
-    # m, the complement of the normalizer: h + w are orthonormal, so
-    # Gram-Schmidt keeps each of them and m is what it adds after them
-    m = _orthonormalize(np.concatenate([h, w, algebra_basis(action.group)]))[len(h) + len(w) :]
-    if isinstance(action, DirectSumAction):
-        # order by the (row, column, unit) of the last nonzero entry, the one
-        # below the diagonal, as the normal frame is, so the normal block of
-        # the orbit map differential is block diagonal per ambient row
-        last = m.shape[1] - 1 - np.argmax(m[:, ::-1] != 0, axis=1)
-        m = m[np.argsort(last, kind="stable")]
+        w = np.concatenate([line, trace])
     return AlgebraSplit(action, read_only(h), read_only(w), read_only(m))
 
 

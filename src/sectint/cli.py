@@ -81,28 +81,28 @@ def _parse_action(text: str) -> ActionSpec:
         raise ValueError(f"bad --action: {exc}") from None
 
 
-def _parse_entry(field: ScalarField, raw, i: int, j: int):
-    def fail(msg):
-        raise ValueError(f"point parse error at row {i + 1}, column {j + 1}: {msg}")
-
+def _number(raw, where: str) -> float:
+    """A JSON number, not a bool, as a float; where names its place in the point."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"point parse error at {where}: expected a number, got {raw!r}")
     try:
-        if field is ScalarField.REAL:
-            if not isinstance(raw, (int, float)):
-                fail(f"expected a real number, got {raw!r}")
-            return float(raw)
-        if field is ScalarField.COMPLEX:
-            if isinstance(raw, (int, float)):
-                return complex(raw)
-            if isinstance(raw, list) and len(raw) == 2:
-                return complex(raw[0], raw[1])
-            fail(f"expected a number or [re, im], got {raw!r}")
-        if isinstance(raw, (int, float)):
-            return [float(raw), 0.0, 0.0, 0.0]
-        if isinstance(raw, list) and len(raw) == 4:
-            return [float(v) for v in raw]
+        return float(raw)
     except OverflowError:  # a JSON integer beyond the float range
-        fail("number too large for a float")
-    fail(f"expected a number or [w, x, y, z], got {raw!r}")
+        raise ValueError(f"point parse error at {where}: number too large for a float") from None
+
+
+def _parse_entry(field: ScalarField, raw, i: int, j: int):
+    """Entry (i, j) of a direct-sum point: a number, or its d real components (C, H)."""
+    where, d = f"row {i + 1}, column {j + 1}", field.dim
+    if isinstance(raw, list) and d > 1:
+        if len(raw) != d:
+            raise ValueError(f"point parse error at {where}: expected {d} components, got {raw!r}")
+        parts = [_number(v, where) for v in raw]
+    else:
+        parts = [_number(raw, where)] + [0.0] * (d - 1)
+    if field is ScalarField.COMPLEX:
+        return complex(*parts)
+    return parts if field is ScalarField.QUATERNION else parts[0]
 
 
 def _parse_point(action: ActionSpec, text: str) -> MatK:
@@ -111,20 +111,15 @@ def _parse_point(action: ActionSpec, text: str) -> MatK:
     except ValueError as exc:
         raise ValueError(f"bad --point: {exc}") from None
     if isinstance(action, ConjugationAction):
-        if isinstance(obj, dict) and "angles" not in obj:
+        angles = obj.get("angles") if isinstance(obj, dict) else obj
+        if not isinstance(angles, list):
             raise ValueError('bad --point: expected an angle list or {"angles": [...]}')
-        try:
-            angles = np.asarray(obj["angles"] if isinstance(obj, dict) else obj, dtype=float)
-        except OverflowError:
-            raise ValueError("point parse error: angle too large for a float") from None
-        return embed_section(action, angles)
+        return embed_section(action, np.array([_number(a, f"angle {i + 1}") for i, a in enumerate(angles)]))
     k = action.k
     if not (isinstance(obj, list) and len(obj) == k and all(isinstance(r, list) and len(r) == k for r in obj)):
         raise ValueError(f"point must be a {k} x {k} array of entries")
     entries = [[_parse_entry(action.field, obj[i][j], i, j) for j in range(k)] for i in range(k)]
-    if action.field is ScalarField.QUATERNION:
-        return embed_section(action, np.asarray(entries, dtype=float))
-    return embed_section(action, np.asarray(entries))
+    return embed_section(action, np.asarray(entries))  # floats, complex numbers (C) or lists of 4 floats (H)
 
 
 def _parse_functions(text: str):

@@ -26,10 +26,9 @@ class ScalarField(enum.Enum):
 
     @classmethod
     def parse(cls, label: str) -> "ScalarField":
-        try:
+        if isinstance(label, str) and label.upper() in _FIELD_DIMS:
             return cls(label.upper())
-        except ValueError:
-            raise ValueError(f"unknown scalar field {label!r}, expected one of R, C, H") from None
+        raise ValueError(f"unknown scalar field {label!r}, expected one of R, C, H")
 
 
 _FIELD_DIMS = {"R": 1, "C": 2, "H": 4}  # keyed on the value: hashing a member is slow

@@ -46,7 +46,7 @@ class Family(enum.Enum):
     @classmethod
     def parse(cls, label: str) -> "Family":
         for fam in cls:
-            if fam.value.lower() == label.lower():
+            if isinstance(label, str) and fam.value.lower() == label.lower():
                 return fam
         raise ValueError(f"unknown group family {label!r}, expected SO, SU or Sp")
 
@@ -97,28 +97,35 @@ class GroupElement:
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # conjugation on (w, x, y, z); R and C use the first 1 or 2
 
 
-def block_algebra_basis(field: ScalarField, n: int, lo: int, hi: int) -> np.ndarray:
-    """Orthonormal basis of the algebra of the SO, SU or Sp block on rows and
-    columns [lo, hi) of n x n matrices, as flat real rows (q, d n^2), by one
-    rule over the field's units u (1; 1, i; 1, i, j, k): for each pair
-    lo <= a < b < hi, u/sqrt(2) at (b, a) and -conj(u)/sqrt(2) at (a, b);
-    then SU's traceless imaginary diagonals, or Sp's three imaginary units
-    u = -conj(u) at each (a, a)."""
-    d, size, units = field.dim, hi - lo, np.eye(field.dim)
-    a, b = (np.repeat(lo + i, d) for i in np.triu_indices(size, 1))
-    u = np.tile(units, (len(a) // d, 1))
-    if field is QUATERNION:  # then the imaginary units on the diagonal
-        diag = np.repeat(np.arange(lo, hi), 3)
-        a, b = np.concatenate([a, diag]), np.concatenate([b, diag])
-        u = np.concatenate([u, np.tile(units[1:], (size, 1))])
+def pair_generators(field: ScalarField, n: int, a: np.ndarray, b: np.ndarray, units=None) -> np.ndarray:
+    """Flat real rows (len(a) len(units), d n^2) of the algebra generators on
+    the index pairs (a, b) of n x n matrices: pair by pair, and for each
+    unit u of units (by default the field's, 1; 1, i; 1, i, j, k) in turn,
+    u/sqrt(2) at (b, a) and -conj(u)/sqrt(2) at (a, b) where a < b, or u
+    alone at (a, a) where a = b, for imaginary units u = -conj(u)."""
+    d = field.dim
+    units = np.eye(d) if units is None else units
+    a, b, u = np.repeat(a, len(units)), np.repeat(b, len(units)), np.tile(units, (len(a), 1))
     comps, i, c = np.zeros((len(a), n, n, d)), np.arange(len(a)), np.where(a < b, 1 / SQ2, 1.0)[:, None]
     comps[i, b, a], comps[i, a, b] = c * u, -c * (u * _CONJ[:d])
-    data = data_from_components(field, comps)
+    return batch_to_real(field, data_from_components(field, comps))
+
+
+def block_algebra_basis(field: ScalarField, n: int, lo: int, hi: int) -> np.ndarray:
+    """Orthonormal basis of the algebra of the SO, SU or Sp block on rows and
+    columns [lo, hi) of n x n matrices, as flat real rows (q, d n^2): the
+    pair_generators of the pairs lo <= a < b < hi, then SU's traceless
+    imaginary diagonals, or Sp's three imaginary units at each (a, a)."""
+    size = hi - lo
+    rows = [pair_generators(field, n, *(lo + i for i in np.triu_indices(size, 1)))]
+    if field is QUATERNION:
+        diag = np.arange(lo, hi)
+        rows.append(pair_generators(field, n, diag, diag, np.eye(4)[1:]))
     if field is COMPLEX:  # diagonal l: i on [lo, lo + l) and -i l at lo + l, over sqrt(l (l + 1))
         l, cols = np.arange(1, size)[:, None], np.arange(n)
         diag = np.where((lo <= cols) & (cols < lo + l), 1j, np.where(cols == lo + l, -1j * l, 0j))
-        data = np.concatenate([data, (diag / np.sqrt(l * (l + 1)))[:, :, None] * np.eye(n)])
-    return batch_to_real(field, data)
+        rows.append(batch_to_real(field, (diag / np.sqrt(l * (l + 1)))[:, :, None] * np.eye(n)))
+    return np.concatenate(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,18 +134,20 @@ def algebra_basis(group: GroupSpec) -> np.ndarray:
     return read_only(block_algebra_basis(group.field, group.n, 0, group.n))
 
 
+def torus_indices(group: GroupSpec) -> np.ndarray:
+    """Rows of algebra_basis spanning the standard maximal torus algebra: SO's
+    pairs (2a, 2a + 1), at a(2n - 2a - 1); after the d n(n - 1)/2 pair
+    generators, SU's diagonals and Sp's i-units at (a, a)."""
+    n, a = group.n, np.arange(group.rank)
+    if group.family is Family.SO:
+        return a * (2 * n - 2 * a - 1)
+    return n * (n - 1) + a if group.family is Family.SU else 2 * n * (n - 1) + 3 * a
+
+
 @functools.lru_cache(maxsize=None)
 def torus_basis(group: GroupSpec) -> np.ndarray:
-    """Orthonormal basis of the standard maximal torus algebra, read-only
-    rows picked out of algebra_basis: SO(n)'s generators on the pairs
-    (2a, 2a + 1), SU(n)'s traceless imaginary diagonals, Sp(n)'s i-units
-    on the diagonal."""
-    basis, n = algebra_basis(group), group.n
-    if group.family is Family.SO:  # pair (2a, 2a + 1) sits at index a(2n - 2a - 1)
-        a = np.arange(n // 2)
-        return read_only(basis[a * (2 * n - 2 * a - 1)])
-    # after the d n(n - 1)/2 pair generators, d = 2 or 4
-    return basis[n * (n - 1) :] if group.family is Family.SU else basis[2 * n * (n - 1) :: 3]
+    """Orthonormal basis of the standard maximal torus algebra, read-only: the torus_indices rows of algebra_basis."""
+    return read_only(algebra_basis(group)[torus_indices(group)])
 
 
 def torus_point(group: GroupSpec, angles: np.ndarray) -> MatK:

@@ -1,16 +1,18 @@
 """Per-field oracle of the Lie algebra bases and of the reductive split.
 
-Each field's generators are written out by their own loop, the torus
-generators by a second set of loops, and a direct sum's h and w bases
-by copying a smaller group's basis into a diagonal block, so that none
-of it shares the one generator rule of ``groups.block_algebra_basis``.
+Each field's pair generators are written out by their own branch, the
+diagonal and torus generators by their own loops, and a direct sum's h
+and w bases by copying a smaller group's basis into a diagonal block, so
+that none of it shares the one generator rule of
+``groups.pair_generators``.  The split's m is built one matrix at a time
+by the same rule as the program's, with no Gram-Schmidt.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sectint.actions import ConjugationAction, _mixed_trace_generator, _orthonormalize
+from sectint.actions import ConjugationAction
 from sectint.groups import Family, GroupSpec
 from sectint.matrices import COMPLEX, QUATERNION, REAL, from_real_vector, mat, to_real_vector, zeros
 
@@ -31,33 +33,36 @@ def _su_diagonal(n, l):
     return mat(COMPLEX, np.diag(diag / np.sqrt(l * (l + 1))))
 
 
-def algebra_basis(group):
-    n, field, out = group.n, group.field, []
+def _pair_generators(field, n, a, b):
+    """The generators on the pair a < b, one per unit of the field."""
+    out = []
     if field is REAL:
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = np.zeros((n, n))
-                m[a, b], m[b, a] = -1.0 / SQ2, 1.0 / SQ2
-                out.append(mat(REAL, m))
+        m = np.zeros((n, n))
+        m[a, b], m[b, a] = -1.0 / SQ2, 1.0 / SQ2
+        out.append(mat(REAL, m))
     elif field is COMPLEX:
-        for a in range(n):
-            for b in range(a + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[a, b], m[b, a] = -1.0 / SQ2, 1.0 / SQ2
-                out.append(mat(COMPLEX, m))
-                m = np.zeros((n, n), dtype=complex)
-                m[a, b] = m[b, a] = 1j / SQ2
-                out.append(mat(COMPLEX, m))
-        out += [_su_diagonal(n, l) for l in range(1, n)]
+        m = np.zeros((n, n), dtype=complex)
+        m[a, b], m[b, a] = -1.0 / SQ2, 1.0 / SQ2
+        out.append(mat(COMPLEX, m))
+        m = np.zeros((n, n), dtype=complex)
+        m[a, b] = m[b, a] = 1j / SQ2
+        out.append(mat(COMPLEX, m))
     else:
-        for a in range(n):
-            for b in range(a + 1, n):
-                for axis in range(4):
-                    q = _q_unit(axis)
-                    qc = np.array([q[0], -q[1], -q[2], -q[3]])
-                    m = np.zeros((n, n, 4))
-                    m[a, b], m[b, a] = -qc / SQ2, q / SQ2
-                    out.append(mat(QUATERNION, m))
+        for axis in range(4):
+            q = _q_unit(axis)
+            qc = np.array([q[0], -q[1], -q[2], -q[3]])
+            m = np.zeros((n, n, 4))
+            m[a, b], m[b, a] = -qc / SQ2, q / SQ2
+            out.append(mat(QUATERNION, m))
+    return tuple(out)
+
+
+def algebra_basis(group):
+    n, field = group.n, group.field
+    out = [g for a in range(n) for b in range(a + 1, n) for g in _pair_generators(field, n, a, b)]
+    if field is COMPLEX:
+        out += [_su_diagonal(n, l) for l in range(1, n)]
+    elif field is QUATERNION:
         for a in range(n):
             for axis in range(1, 4):
                 m = np.zeros((n, n, 4))
@@ -103,20 +108,28 @@ def as_rows(basis, group):
     return np.array([to_real_vector(b) for b in basis]).reshape(len(basis), group.field.dim * group.n ** 2)
 
 
+def _trace_generator(n, k):
+    """The unit traceless imaginary diagonal, i on the first k entries, orthogonal to su(k) + su(n - k)."""
+    v = np.diag([1j] * k + [-1j * k / (n - k)] * (n - k))
+    return mat(COMPLEX, v * (1.0 / np.linalg.norm(v)))
+
+
 def algebra_split(action):
-    """(h, w, m) of ``actions.algebra_split`` from the oracle bases, as matrices."""
+    """(h, w, m) of ``actions.algebra_split`` from the oracle bases, as matrices.
+
+    Conjugation: h is the torus and m the rest of the algebra basis.
+    Direct sums: h is the block on the normal rows [k, n), w the block on
+    the section rows [0, k) with the trace generator between them (SU),
+    and m the pair generators between the two blocks, by row, column and
+    unit of their entry below the diagonal; at k = 1 the section block's
+    directions (Sp's units at (0, 0), the trace generator) go to m.
+    """
     group = action.group
     if isinstance(action, ConjugationAction):
-        h, w = torus_basis(group), ()
-    else:
-        field, n, k = action.field, action.n, action.k
-        h, w = embedded_block_algebra(field, n, k, n - k), ()
-        if k > 1:
-            w = embedded_block_algebra(field, n, 0, k)
-            w += matrices(group, _mixed_trace_generator(n, k)) if field is COMPLEX else ()
-    sub = [to_real_vector(b) for b in h + w]
-    rows = _orthonormalize(np.array(sub + [to_real_vector(b) for b in algebra_basis(group)]))[len(sub) :]
-    m = list(matrices(group, rows))
-    if not isinstance(action, ConjugationAction):
-        m.sort(key=lambda x: np.flatnonzero(to_real_vector(x))[-1])
-    return h, w, tuple(m)
+        h = torus_basis(group)
+        return h, (), tuple(x for x in algebra_basis(group) if not any(np.array_equal(x.data, t.data) for t in h))
+    field, n, k = action.field, action.n, action.k
+    h, line = embedded_block_algebra(field, n, k, n - k), embedded_block_algebra(field, n, 0, k)
+    trace = (_trace_generator(n, k),) if field is COMPLEX else ()
+    cross = tuple(g for b in range(k, n) for a in range(k) for g in _pair_generators(field, n, a, b))
+    return (h, (), line + cross + trace) if k == 1 else (h, line + trace, cross)

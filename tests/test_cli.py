@@ -273,9 +273,32 @@ def _exits_2_with_one_line(capsys, argv) -> str:
     return captured.err
 
 
-def test_delta_malformed_point_reports_position(capsys):
-    err = _exits_2_with_one_line(capsys, ["delta", "--action", SO3K2, "--point", '[[1,"x"],[0,1]]'])
-    assert "row 1, column 2" in err
+C32 = '{"kind":"direct_sum","field":"C","n":3,"k":2}'
+SU3 = '{"kind":"conjugation","family":"SU","n":3}'
+
+
+@pytest.mark.parametrize(
+    "action, point, position",
+    [
+        (SO3K2, '[[1,"x"],[0,1]]', "row 1, column 2"),
+        (SO3K2, "[[1,0],[true,1]]", "row 2, column 1"),
+        # each component of a C or H entry is a JSON number, not a string, null, list or bool
+        (C32, '[[[1,0],0],[0,["1",0]]]', "row 2, column 2"),
+        (C32, "[[[1,null],0],[0,1]]", "row 1, column 1"),
+        (C32, "[[[[1],0],0],[0,1]]", "row 1, column 1"),
+        (C32, "[[1,[0,false]],[0,1]]", "row 1, column 2"),
+        (H32, "[[[1,null,0,0],0],[0,1]]", "row 1, column 1"),
+        (H32, "[[1,0],[[0,[1],0,0],1]]", "row 2, column 1"),
+        (H32, '[[1,"2"],[0,1]]', "row 1, column 2"),
+        (H32, '[[[1,0,"0",0],0],[0,1]]', "row 1, column 1"),
+        (SU3, "[null,0.2]", "angle 1"),
+        (SU3, "[0.1,true]", "angle 2"),
+        (SU3, '{"angles":[0.1,"0.2"]}', "angle 2"),
+    ],
+)
+def test_delta_malformed_point_reports_position(capsys, action, point, position):
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", point])
+    assert f"point parse error at {position}:" in err
 
 
 HUGE = "9" * 400  # a JSON integer beyond the float range
@@ -348,16 +371,25 @@ def test_parser_is_built_once_per_command():
      '{"kind":"direct_sum","field":"R","n":3.9,"k":2.5}', '{"kind":"direct_sum","field":"R","n":3,"k":2.0}',
      '{"kind":"direct_sum","field":"R","n":"3","k":2}', '{"kind":"direct_sum","field":"R","n":3,"k":true}',
      '{"kind":"conjugation","family":"SU","n":2.0}', '{"kind":"conjugation","family":"SU","n":"2"}',
-     '{"kind":"conjugation","family":"SU","n":false}'],
+     '{"kind":"conjugation","family":"SU","n":false}',
+     # labels are JSON strings, and a conjugation needs a torus: SO(1) and SU(1) have rank 0
+     '{"kind":"direct_sum","field":1,"n":3,"k":2}', '{"kind":"conjugation","family":null,"n":3}',
+     '{"kind":"conjugation","family":"SO","n":1}', '{"kind":"conjugation","family":"SU","n":1}'],
 )
 def test_bad_action_exits_2(capsys, action):
     err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", "[[1,0],[0,1]]"])
     assert "bad --action" in err
 
 
-@pytest.mark.parametrize("point", ["[[1,2]]", "[1,2]", "[[1,2],[3]]", "[[1,2"])
-def test_point_of_wrong_shape_exits_2(capsys, point):
-    _exits_2_with_one_line(capsys, ["delta", "--action", SO3K2, "--point", point])
+@pytest.mark.parametrize(
+    "action, point",
+    [(SO3K2, "[[1,2]]"), (SO3K2, "[1,2]"), (SO3K2, "[[1,2],[3]]"), (SO3K2, "[[1,2"),
+     (C32, "[[[1,0,0],0],[0,1]]"), (H32, "[[[1,0],0],[0,1]]"),
+     # angles are a flat list of numbers
+     (SU3, "[[0.1,0.2]]"), (SU3, "0.1"), (SU3, '{"angles":0.1}')],
+)
+def test_point_of_wrong_shape_exits_2(capsys, action, point):
+    _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", point])
 
 
 def test_conjugation_point_without_angles_exits_2(capsys):

@@ -284,7 +284,7 @@ _SUBCOMMANDS = {
                                   help="debug knob: scale the complement basis to break the metric")),
     ]),
     "ensemble": (cmd_ensemble, "reduced-density histogram comparison", [
-        ("--statistic", dict(default="coordinate_det")),
+        ("--statistic", dict(default=None, help="default: torus_angle on conjugation, coordinate_det on direct sums")),
         ("--stat-index", dict(type=int, default=0)),
         ("--scale", dict(type=float, default=1.0)),
         ("--bins", dict(type=int, default=30)),

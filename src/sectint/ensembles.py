@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .matrices import complex_embedding, data_from_components, gaussian_components, gram_det
-from .groups import Family, _torus_grid, haar_sample_batch, torus_points
+from .groups import Family, GroupSpec, _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
 from .weights import section_weight_batch, torus_weight_batch
 from .integrate import bartlett_draws
@@ -46,14 +46,17 @@ class EnsembleSpec:
 
     action: ActionSpec
     scale: float = 1.0            # gaussian scale of the ambient density
-    statistic: str = "coordinate_det"
+    statistic: str | None = None  # None: torus_angle on conjugation, coordinate_det on direct sums
     stat_index: int = 0
 
     def __post_init__(self):
         if self.scale == 0.0 or not np.isfinite(self.scale):
             raise ValueError(f"ensemble scale must be finite and nonzero, got {self.scale}")
-        # stat_index picks a column of a vector statistic; a scalar one has one column
         action = self.action
+        if self.statistic is None:
+            default = "torus_angle" if isinstance(action, ConjugationAction) else "coordinate_det"
+            object.__setattr__(self, "statistic", default)
+        # stat_index picks a column of a vector statistic; a scalar one has one column
         if isinstance(action, ConjugationAction):
             group = action.group
             columns = group.n if group.family is Family.SU else group.rank
@@ -174,9 +177,10 @@ def _bartlett_reference(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.n
 def _rank1_bin_masses(spec: EnsembleSpec, edges: np.ndarray) -> np.ndarray:
     """Exact-per-bin reference masses for a rank-one torus angle statistic.
 
-    The weight is Weyl symmetric under angle reflection, so the mass of
-    a canonical-angle bin is twice the midpoint-rule integral of Weyl's
-    closed-form weight over the bin; no histogram quantization enters.
+    A bin's mass is the midpoint-rule integral of Weyl's closed-form
+    weight over it, twice over where the Weyl group folds the reflected
+    bin onto it (every rank-one group but SO(2)); no histogram
+    quantization enters.
     """
     width = np.diff(edges)
     theta = edges[:-1, None] + width[:, None] * ((np.arange(BIN_POINTS) + 0.5) / BIN_POINTS)
@@ -288,7 +292,8 @@ def compare_densities(
     rank1_conj = isinstance(spec.action, ConjugationAction) and spec.action.group.rank == 1
     spread = None
     if rank1_conj:
-        edges = np.linspace(0.0, np.pi, bins + 1)
+        so2 = spec.action.group == GroupSpec(Family.SO, 2)  # a trivial Weyl group: angles in (-pi, pi]
+        edges = np.linspace(-np.pi if so2 else 0.0, np.pi, bins + 1)
         ref_freq = _rank1_bin_masses(spec, edges)
         if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
             edges, ref_freq = -edges[::-1], ref_freq[::-1]

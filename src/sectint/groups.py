@@ -231,7 +231,8 @@ def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, cou
     The q factor (diag(r) real and positive) of count Gaussian matrices,
     drawn from the random stream of count successive matrices.gaussian
     calls; that q is Haar (Mezzadri, arXiv:math-ph/0609050).  q and its
-    determinant come from matrices.householder_q.
+    determinant come from matrices.householder_q: qr's Householder
+    kernel, with no r and no LAPACK call.
     """
     return householder_q(field, gaussian_batch(field, n, n, rng, count))
 

@@ -11,13 +11,10 @@ chosen so that the ambient inner product Re(tr(x^* y)) equals the
 Euclidean dot product of the coordinate vectors.  All downstream
 geometry (frames, Gram matrices, Jacobians) works in those coordinates.
 
-``qr(field, data)`` is the general QR for all three fields: one batched
-LAPACK factorization of a stack of raw matrices, with diag(r) real and
-nonnegative.  It serves the reduction of direct sums to the section (R
-of x = QR is the section coordinate) and ``gram_det``.
-``householder_q(field, data)`` is its q factor for stacks of full-rank
-square matrices, with det q, from Householder reflections applied to
-the whole stack at once; it serves Haar sampling.
+One batched Householder kernel serves every QR: ``qr(field, data)``
+reads q and r of a stack off it (R of x = QR is a direct sum's section
+coordinate, and ``gram_det`` reads its diagonal), ``householder_q``
+only q and det q of square Gaussian stacks, for Haar sampling.
 
 The determinants behind the weights follow one rule: a closed form only
 where it keeps about 12 digits (``gram_det`` at k = 1, and at k = 2
@@ -236,136 +233,112 @@ GRAM_REFINE = 1e-4
 SINGULAR_CUTOFF = 1e-12
 
 
-def _pairs(m: int) -> np.ndarray:
-    """Index order 0, m, 1, m + 1, ...: interleaves the halves of an adjoint matrix."""
-    return np.arange(2 * m).reshape(2, m).T.ravel()
-
-
-def _phase_fixed_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched LAPACK QR; each column of q and row of r takes the phase of
-    r's diagonal entry (1 at a zero pivot), so diag(r) is real and >= 0."""
-    q, r = np.linalg.qr(a)
-    d = np.einsum("...ii->...i", r)
-    ad = np.abs(d)
-    phase = np.divide(d, ad, out=np.ones_like(d), where=ad > 0)
-    return q * phase[..., None, :], r * phase.conj()[..., :, None]
-
-
 def qr(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
     """x = q r for raw matrix data with any leading batch axes, (..., n, k[, pair]).
 
-    Returns raw (q, r): the columns of q (..., n, k[, pair]) are
-    orthonormal for the field's Hermitian form, and r (..., k, k[, pair])
-    is upper triangular with a real diagonal >= 0, which makes the
-    factors unique at full rank.  R and C take one batched LAPACK QR.  H
-    factors the complex adjoint matrices with columns interleaved as
-    (v_a, v_a j): their phase-fixed QR is quaternionic Gram-Schmidt, and
-    the even columns of its q embed the columns of q.  Diagonal entries
-    of r at or below RANK_CUTOFF * |x| are set to 0; q then holds a
-    completion column, so q stays orthonormal and x = q r still holds.
+    q (..., n, k[, pair]) has orthonormal columns and r (..., k, k[, pair])
+    is upper triangular with a real diagonal >= 0, unique at full rank.
+    A column whose remainder is at or below RANK_CUTOFF * |x| reads
+    r_jj = 0, and q holds a completion column there.
     """
-    x = np.asarray(data)
+    x = np.asarray(data, dtype=float if field is REAL else complex)
     quat = field is QUATERNION
-    n, k = x.shape[-3:-1] if quat else x.shape[-2:]
-    if n < k:
+    lead = x.shape[: x.ndim - (3 if quat else 2)]
+    if x.shape[len(lead)] < x.shape[len(lead) + 1]:
         raise DimensionError("qr requires rows >= cols")
-    cut = RANK_CUTOFF * np.sqrt(np.sum(np.abs(x) ** 2, axis=(-3, -2, -1) if quat else (-2, -1)))
-    q, r = _quaternion_qr(x, cut) if quat else _phase_fixed_qr(x)
-    diag, i = (r[..., 0] if quat else r), np.arange(k)
-    d = np.abs(diag[..., i, i])
-    diag[..., i, i] = np.where(d <= cut[..., None], 0.0, d)
-    return q, r
-
-
-def _quaternion_qr(x: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qr over H, from the phase-fixed QR of the interleaved adjoint matrices e.
-
-    At a dependent column LAPACK builds the next column of q from
-    rounding noise, and the pairs (v_a, v_a j) after it lose their
-    structure.  A rank-deficient matrix is therefore factored again,
-    with one more dependent column zeroed each pass and the rows
-    interleaved as the columns are: a zero pivot then takes a unit
-    vector and its j-partner.  Its r is q^* e, exactly upper triangular.
-    """
-    n, k = x.shape[-3:-1]
-    e = complex_embedding(QUATERNION, x)[..., _pairs(k)]
-    q, r = _phase_fixed_qr(e)
-    pivots = lambda r: np.abs(np.einsum("...ii->...i", r)[..., ::2])
-    bad = np.any(pivots(r) <= cut[..., None], axis=-1)
-    if np.any(bad):
-        rows, eb, cb = _pairs(n), e[bad], cut[bad][:, None]
-        dead = np.zeros(cb.shape[:1] + (k,), dtype=bool)
-        while True:
-            qb, rb = _phase_fixed_qr(np.where(np.repeat(dead, 2, axis=-1)[:, None, :], 0.0, eb)[:, rows])
-            new = (pivots(rb) <= cb) & ~dead
-            if not np.any(new):
-                break
-            dead |= new & (np.cumsum(new, axis=-1) == 1)
-        q[bad] = qb[:, np.argsort(rows)]
-        r[bad] = np.triu(np.swapaxes(q[bad].conj(), -1, -2) @ eb)
-    q = np.stack([q[..., :n, ::2], q[..., n:, ::2].conj()], axis=-1)
-    return q, np.stack([r[..., ::2, ::2], r[..., 1::2, ::2].conj()], axis=-1)
+    x = x.reshape((-1,) + x.shape[len(lead) :])
+    count = len(x)  # einsum sums a batch of one in another order: it is factored as a batch of two
+    x = np.concatenate([x, x]) if count == 1 else x
+    a = _adjoint_layout(x) if quat else x
+    w, s, norms = _householder(a, RANK_CUTOFF * np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)))))
+    q, phase = _q_factor(w, s, norms, a.shape)
+    k = a.shape[-1]
+    r = np.triu(np.transpose(w[:k, :k], (2, 1, 0)) * phase.T.conj()[:, :, None], 1)
+    r[:, np.arange(k), np.arange(k)] = norms.T
+    if quat:
+        q, r = _from_adjoint_layout(q), _from_adjoint_layout(r)
+    return q[:count].reshape(lead + q.shape[1:]), r[:count].reshape(lead + r.shape[1:])
 
 
 def householder_q(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
-    """The q factor of qr for a stack of full-rank square matrices,
-    (count, m, m[, pair]), and det q per matrix.
+    """qr's q of an array of full-rank square matrices (count, m, m[, pair]),
+    with no r, and det q (of its complex adjoint matrix over H): each
+    reflection has det -1 and turns its pivot's phase s into -s, so det q
+    is the product of the pivot phases."""
+    quat = field is QUATERNION
+    a = _adjoint_layout(data) if quat else data
+    w, s, norms = _householder(a, 0.0)  # a Gaussian column is 0 with probability 0
+    q = _q_factor(w, s, norms, a.shape)[0]
+    return (_from_adjoint_layout(q) if quat else q), np.prod(s, axis=0)
 
-    Householder reflections triangularize the stack, one array step per
-    column over all matrices at once, with no per-matrix LAPACK call
-    (Stewart, SIAM J. Numer. Anal. 17, 1980).  The reflection of column
-    j takes it to -s|x| e_j, s the phase of its pivot entry, and the
-    last pivot is not reflected; multiplying each column of q by the
-    phase of its pivot makes diag(r) real and positive, so q is qr's q.
-    Each reflection has det -1, so det q is (-1)^(m - 1) times the
-    product of the phases, with no determinant call.  H factors the
-    complex adjoint matrices with columns interleaved as qr does; its
-    det is that of the adjoint matrix of q, which is 1 on Sp(m).  The
-    matrices must have full rank, as Gaussian ones have with probability
-    1: at a rank-deficient matrix a reflection divides by a zero norm,
-    and nothing repairs it as qr does.
+
+def _householder(a: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder triangularization of a real or complex stack (count, n, k),
+    n >= k, one array step per column for all matrices (Stewart, SIAM J.
+    Numer. Anal. 17, 1980).  Reflection j takes column j, rows j and
+    below, to -s|x| e_j, s its pivot entry's phase; it is skipped where
+    |x| <= cut, and at the last pivot of a square stack.  Returns the
+    work array w (k + n, n, count), a^t over the identity before the
+    reflections, after them w[c, i] = r[i, c] for i < c on top and conj
+    of the unphased q below; the pivot phases s (k, count), 1 where
+    skipped; and the pivot norms |x| (k, count), 0 where skipped.
     """
-    x = np.asarray(data)
-    if field is not QUATERNION:
-        return _householder_q(x)
-    m = x.shape[-2]
-    q, det = _householder_q(complex_embedding(QUATERNION, x)[..., _pairs(m)])
-    # the interleaving is a permutation of sign (-1)^(m(m - 1)/2)
-    return np.stack([q[..., :m, ::2], q[..., m:, ::2].conj()], axis=-1), det * (-1) ** (m * (m - 1) // 2)
-
-
-def _householder_q(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """householder_q of a real or complex stack (count, m, m).
-
-    The batch is the last axis of the work array, so every step runs
-    over contiguous rows of count numbers."""
-    count, m = a.shape[0], a.shape[-1]
+    count, n, k = a.shape
     real = not np.iscomplexobj(a)
-    # a^t on top of the identity: reflecting the rows of both as the columns
-    # of a are reflected leaves conj of the unphased q in the lower block
-    w = np.empty((2 * m, m, count), dtype=a.dtype)
-    w[:m], w[m:] = np.transpose(a, (2, 1, 0)), np.eye(m)[:, :, None]
-    s = np.ones((m, count), dtype=a.dtype)  # the phase of each pivot entry; 1 at a zero entry
-    for j in range(m):
+    w = np.empty((k + n, n, count), dtype=a.dtype)
+    w[:k], w[k:] = np.transpose(a, (2, 1, 0)), np.eye(n)[:, :, None]
+    s = np.ones((k, count), dtype=a.dtype)
+    norms = np.empty((k, count))
+    for j in range(k):
         x = w[j, j:]  # column j of a, rows j and below, after j reflections
-        x0 = x[0]
+        x0, norm = x[0], norms[j]
         ax0 = np.abs(x0)
         if real:
             np.copysign(1.0, x0, out=s[j])
         else:
             np.divide(x0, ax0, out=s[j], where=ax0 > 0)
-        if j == m - 1:
-            break
-        norm = np.sqrt(np.einsum("ib,ib->b", x.conj(), x).real)
+        if j < n - 1:
+            np.sqrt(np.einsum("ib,ib->b", x.conj(), x).real, out=norm)
+        else:  # one entry left, which no reflection changes
+            np.copyto(norm, ax0)
         half = norm * (norm + ax0)  # |v|^2 / 2 of the reflection vector v = x + s|x| e_j
+        dead = norm <= cut
+        if np.count_nonzero(dead):
+            s[j, dead], norm[dead], half[dead] = 1.0, 0.0, np.inf  # v / half = 0: no reflection
+        if j == n - 1:
+            break
         x0 += s[j] * norm  # x becomes v; column j is not read again
         rest = w[j + 1 :, j:]
         rest -= np.einsum("rkb,kb->rb", rest, x.conj())[:, None, :] * (x / half)
-    det = np.prod(s, axis=0)  # (-1)^(m - 1) times the product of the phases below
-    s[:-1] *= -1.0  # reflection j took column j to -s|x| e_j, the last pivot kept its s
-    q = np.empty((count, m, m), dtype=a.dtype)
-    np.multiply(w[m:].conj(), s, out=q.transpose(1, 2, 0))
-    return q, det
+    return w, s, norms
+
+
+def _q_factor(w: np.ndarray, s: np.ndarray, norms: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """q (count, n, k) off _householder's output, and the phases of its
+    columns that make diag(r) real and >= 0."""
+    n, k = shape[1:]
+    phase = -s  # at a reflected pivot
+    phase[n - 1 :] = s[n - 1 :]  # the unreflected last pivot of a square stack
+    phase[norms == 0] = 1.0  # skipped pivots
+    q = np.empty(shape, dtype=s.dtype)
+    np.multiply(w[k:, :k].conj(), phase, out=q.transpose(1, 2, 0))
+    return q, phase
+
+
+def _adjoint_layout(x: np.ndarray) -> np.ndarray:
+    """Complex adjoint matrices (..., 2n, 2k) of quaternion data (..., n, k, pair), rows
+    and columns interleaved as (v_a, v_a j): their QR is quaternionic, completions too."""
+    lead, (n, k) = x.shape[:-3], x.shape[-3:-1]
+    e = np.empty(lead + (n, 2, k, 2), dtype=complex)
+    e[..., 0, :, 0] = x[..., 0]  # row 2i: c1, -c2
+    np.negative(x[..., 1], out=e[..., 0, :, 1])
+    np.conjugate(x[..., ::-1], out=e[..., 1, :, :])  # row 2i + 1: conj(c2), conj(c1)
+    return e.reshape(lead + (2 * n, 2 * k))
+
+
+def _from_adjoint_layout(e: np.ndarray) -> np.ndarray:
+    """Quaternion data (..., n, k, pair) of interleaved adjoint matrices (..., 2n, 2k)."""
+    return np.stack([e[..., ::2, ::2], e[..., 1::2, ::2].conj()], axis=-1)
 
 
 # --- determinants ----------------------------------------------------------

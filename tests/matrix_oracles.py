@@ -2,7 +2,8 @@
 
 ``gram_schmidt_qr`` is a column-by-column Gram-Schmidt QR over R, C
 and H in the field's own arithmetic; it shares no code with the
-batched LAPACK path of ``matrices.qr`` that it checks.
+batched Householder kernel of ``matrices.qr`` and
+``matrices.householder_q`` that it checks.
 ``realified_det`` assembles the real matrix of left multiplication
 column by column, and ``pair_to_quat`` / ``quat_components`` read
 quaternions as real components.

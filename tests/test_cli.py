@@ -406,6 +406,12 @@ def test_ensemble_stat_index_out_of_range_exits_2(capsys, action, statistic, ind
     assert "stat_index" in _exits_2_with_one_line(capsys, argv)
 
 
+@pytest.mark.parametrize("action, statistic", [(SU3, "torus_angle"), (SO3K2, "coordinate_det")])
+def test_ensemble_statistic_defaults_from_the_action(capsys, action, statistic):
+    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "300", "--bins", "10"])
+    assert code in (0, 1) and rep["results"]["spec"]["statistic"] == statistic
+
+
 def test_single_integrand_exits_2(capsys):
     err = _exits_2_with_one_line(capsys, ["volumes", "--action", SO3K2, "--functions", "const", "--n", "100"])
     assert "two" in err

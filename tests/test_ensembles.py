@@ -261,6 +261,15 @@ def test_chi2_su2_angle():
     assert cmp_.p_value >= 0.01
 
 
+@pytest.mark.parametrize("group", [GroupSpec(Family.SO, 2), GroupSpec(Family.SO, 3), GroupSpec(Family.SP, 1)], ids=str)
+def test_chi2_rank_one_angle(group):
+    # SO(2)'s Weyl group is trivial, so its angle and its bins range over [-pi, pi]
+    cmp_ = compare_densities(EnsembleSpec(ConjugationAction(group)), seed=22, n=50_000, bins=30)
+    assert cmp_.spec.statistic == "torus_angle"
+    assert (cmp_.edges[0], cmp_.edges[-1]) == (-np.pi if group.n == 2 else 0.0, np.pi)
+    assert cmp_.p_value >= 0.01
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_su2_second_angle_is_binned_on_its_own_range(seed):
     # SU(2)'s angles are (theta, -theta): the second one's test mirrors the first's

@@ -205,6 +205,27 @@ def test_qr_rank_deficient_is_orthonormal_and_exact(field):
         assert ((MatK(field, qi) @ MatK(field, ri)) - MatK(field, xi)).norm() <= 1e-13 * max(1.0, np.linalg.norm(xi))
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_qr_takes_no_lapack_factorization(monkeypatch, field):
+    # q and r of full-rank and rank-deficient stacks both come from the reflections
+    def refuse(*args, **kwargs):
+        raise AssertionError("qr called a LAPACK factorization")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    rng = np.random.default_rng(50 + field.dim)
+    for shape in [(3, 2), (4, 4), (1, 1)]:
+        qr(field, np.stack([gaussian(field, *shape, rng).data for _ in range(5)]))
+    for x in _rank_deficient(field, rng):
+        qr(field, x.data)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_qr_of_an_empty_stack(field):
+    # an empty batch gives empty factors
+    q, r = qr(field, np.zeros((0, 3, 2) + ((2,) if field is H else ())))
+    assert q.shape[:3] == (0, 3, 2) and r.shape[:3] == (0, 2, 2)
+
+
 # --- determinants -----------------------------------------------------------------
 
 def test_det_modulus_1x1_quaternion_is_norm():

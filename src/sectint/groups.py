@@ -238,13 +238,21 @@ def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, cou
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Stack of Haar samples as raw matrix data, (count, n, n[, pair]).
+    """Stack of Haar samples as raw matrix data, (count, n, n[, pair]):
+    haar_from_gaussian of count successive matrices.gaussian draws."""
+    return haar_from_gaussian(group, gaussian_batch(group.field, group.n, group.n, rng, count))
 
-    Haar samples of O(n) / U(n) / Sp(n) from haar_unitary_batch; for SO
-    and SU a final column scaling by the conjugate of the determinant
-    forces det = 1, which pushes Haar forward to the subgroup.
+
+def haar_from_gaussian(group: GroupSpec, data: np.ndarray) -> np.ndarray:
+    """Haar samples of group from Gaussian matrix data (count, n, n[, pair]).
+
+    The q of each matrix is a Haar sample of O(n) / U(n) / Sp(n), as in
+    haar_unitary_batch; for SO and SU a final column scaling by the
+    conjugate of the determinant forces det = 1, which pushes Haar
+    forward to the subgroup.  Each sample depends on its own matrix
+    only, so a stack maps as its parts do.
     """
-    q, det = haar_unitary_batch(group.field, group.n, rng, count)
+    q, det = householder_q(group.field, data)
     if group.family is Family.SO:
         q[det < 0, :, -1] *= -1.0
     elif group.family is Family.SU:

@@ -4,11 +4,12 @@ integration identity.
 The direct side integrates over the ambient space by Monte Carlo
 (Gaussian importance sampling on the flat matrix space, or Haar sampling
 scaled by the group volume for conjugation actions).  It takes a list of
-integrands and evaluates all of them on each chunk's one draw, so
-``sectint integrate`` samples once for all its integrands.  The reduced
-side integrates f * weight over the section by deterministic quadrature
-and multiplies by a given vol(G/N); ``sectint integrate`` passes the
-exact vol(G/H) / vol(W); one call serves all its integrands.
+integrands and evaluates all of them at once on the joined draws of a
+batch of chunks, so ``sectint integrate`` samples once for all its
+integrands.  The reduced side integrates f * weight over the section by
+deterministic quadrature and multiplies by a given vol(G/N);
+``sectint integrate`` passes the exact vol(G/H) / vol(W); one call
+serves all its integrands.
 Conjugation actions take a trapezoid rule on the torus angles, whose
 weight is Weyl's closed form ``weights.torus_weight_batch``.  Direct
 sums take a tensor Gauss rule in the Bartlett coordinates B = wR of the
@@ -40,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import batch_to_real, gram_det
-from .groups import _torus_grid, full_torus_angles, haar_sample_batch, torus_points
+from .matrices import batch_to_real, gaussian_batch, gram_det
+from .groups import _torus_grid, full_torus_angles, haar_from_gaussian, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, section_points
 from .weights import _positive_roots, section_weight_batch, torus_weight_batch
 from .mc import McEstimate, _subseed, mc_run, product, ratio, require_samples
@@ -216,21 +217,31 @@ def _require_integrable(action: ActionSpec, fs) -> None:
 # --- direct and reduced integrals --------------------------------------------
 
 def _direct_values_fn(action: ActionSpec, fs):
-    """sample(rng, size): the (len(fs), size) values of every integrand on
-    one draw, ready to average."""
+    """mc_run's sample(rngs, sizes): the (len(fs), sum(sizes)) values of
+    every integrand on one draw per sample, ready to average.  Each chunk
+    draws from its own generator in turn, and the joined draws of the
+    batch are evaluated at once."""
     if isinstance(action, DirectSumAction):
         dim = action.ambient_dim
         log_norm = 0.5 * dim * np.log(TWO_PI)
 
-        def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-            z = rng.standard_normal((size, dim))
+        def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+            z = np.empty((sum(sizes), dim))
+            stop = 0
+            for rng, size in zip(rngs, sizes):
+                start, stop = stop, stop + size
+                rng.standard_normal(out=z[start:stop])
             r2 = np.sum(z * z, axis=1)
             return _stacked_values(action, fs, z, r2) * np.exp(0.5 * r2 + log_norm)
 
         return sample
 
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        pts = batch_to_real(action.field, haar_sample_batch(action.group, rng, size))
+    group = action.group
+
+    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        draws = np.concatenate([gaussian_batch(group.field, group.n, group.n, rng, size)
+                                for rng, size in zip(rngs, sizes)])
+        pts = batch_to_real(action.field, haar_from_gaussian(group, draws))
         return _stacked_values(action, fs, pts)
 
     return sample
@@ -244,7 +255,8 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16
     Flat direct-sum spaces use standard-Gaussian importance sampling
     (the integrands must decay accordingly); conjugation actions average
     over Haar samples and scale by the group volume.  Each chunk draws
-    once and evaluates every integrand on that draw, so the estimates
+    once from its own generator, and every integrand is evaluated on the
+    joined draws of a batch of chunks (mc.mc_run), so the estimates
     share their samples, and each one is bit-identical to the run of
     integrate_direct(action, [f], seed, n, chunks) on its own.  On a
     conjugation action a const integrand reads no point: its average is

@@ -264,12 +264,15 @@ def householder_q(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
     """qr's q of an array of full-rank square matrices (count, m, m[, pair]),
     with no r, and det q (of its complex adjoint matrix over H): each
     reflection has det -1 and turns its pivot's phase s into -s, so det q
-    is the product of the pivot phases."""
+    is the product of the pivot phases.  A batch of one is factored as a
+    batch of two, as in qr, so each q is the same in any batch."""
     quat = field is QUATERNION
+    count = len(data)
+    data = np.concatenate([data, data]) if count == 1 else data
     a = _adjoint_layout(data) if quat else data
     w, s, norms = _householder(a, 0.0)  # a Gaussian column is 0 with probability 0
     q = _q_factor(w, s, norms, a.shape)[0]
-    return (_from_adjoint_layout(q) if quat else q), np.prod(s, axis=0)
+    return (_from_adjoint_layout(q) if quat else q)[:count], np.prod(s, axis=0)[:count]
 
 
 def _householder(a: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,10 +3,14 @@
 A run is fully determined by (seed, chunks, n): chunk i draws from a
 generator spawned from the master seed's sequence, chunk statistics are
 combined in chunk-index order, and worker scheduling cannot change the
-result bit for bit.  With w > 1 workers the caller and w - 1 helper
-threads (at most chunks - 1) each claim the next unclaimed chunk until
-none is left.  Helper threads start on the first call that needs them
-and then stay idle for the life of the process, to be reused.
+result bit for bit.  Consecutive chunks are grouped into batches of at
+most BATCH_DRAWS draws (a larger chunk is a batch alone), and each batch
+is evaluated in one call, so small chunks do not each pay numpy's fixed
+per-call cost.  Batches depend on (n, chunks) only.  With w > 1 workers
+the caller and w - 1 helper threads (at most batches - 1) each claim the
+next unclaimed batch until none is left.  Helper threads start on the
+first call that needs them and then stay idle for the life of the
+process, to be reused.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 _HELPERS: list[ThreadPoolExecutor] = []  # mc_run's helpers, one thread each, started on first use
+#: most draws in one batch of consecutive chunks, which mc_run evaluates in one call;
+#: a worker holds a whole batch's arrays at once, so the cap also bounds its memory
+BATCH_DRAWS = 1536
 
 
 def default_workers() -> int:
@@ -56,6 +63,18 @@ def chunk_rngs(seed: int, chunks: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(chunks)]
 
 
+def chunk_batches(sizes: list[int]) -> list[range]:
+    """Consecutive runs of chunk indices holding at most BATCH_DRAWS draws
+    each; a chunk larger than that is a batch alone, never split."""
+    batches, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > BATCH_DRAWS:
+            batches.append(range(start, i))
+            start, total = i, 0
+        total += size
+    return batches + [range(start, len(sizes))]
+
+
 def _subseed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
 
@@ -88,33 +107,46 @@ def require_samples(n: int) -> None:
 
 
 def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = None):
-    """Estimate the mean of sample_fn(rng, size) over n draws.
+    """Estimate the mean of the values of sample_fn over n draws.
 
-    sample_fn must be a pure function of the generator state returning
-    a (size,) array of per-sample values, or an (m, size) array whose
-    rows are m integrands evaluated on one draw.  Each row is reduced
-    along its contiguous last axis on its own, so a row's estimate is
+    sample_fn(rngs, sizes) gets the generators and sizes of a batch of
+    consecutive chunks.  It must draw sizes[i] samples from rngs[i], for
+    each chunk in turn, as a pure function of the generator states, and
+    return the values of all of them joined in that order: a
+    (sum(sizes),) array of per-sample values, or an (m, sum(sizes))
+    array whose rows are m integrands evaluated on one draw.  The values
+    are split back per chunk, and each row is reduced along its
+    contiguous last axis on its own, so a row's estimate is
     bit-identical to the run of a 1-D sample_fn returning that row.  A
     1-D sample_fn gives one McEstimate, a 2-D one a list of m.  Fewer
-    than two samples give no standard error and are rejected.  The
-    caller and min(workers, chunks) - 1 persistent helper threads claim
-    chunks from one counter; helper tasks still queued when the caller
-    runs out are cancelled (so a sample_fn may call mc_run), running
-    ones are awaited, and then any chunk's exception is raised.
+    than two samples give no standard error and are rejected.  workers
+    None means default_workers(); fewer than one is rejected.  The
+    caller and min(workers, batches) - 1 persistent helper threads
+    claim batches from one counter; helper tasks still queued when the
+    caller runs out are cancelled (so a sample_fn may call mc_run),
+    running ones are awaited, and then any batch's exception is raised.
     """
     require_samples(n)
-    workers = workers or default_workers()
+    if workers is None:
+        workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"mc_run needs workers >= 1, got {workers}")
     sizes = chunk_sizes(n, chunks)
     rngs = chunk_rngs(seed, chunks)
+    batches = chunk_batches(sizes)
     parts: list = [None] * chunks
     claim = itertools.count()
 
     def work() -> None:
-        while (i := next(claim)) < chunks:
-            values = np.asarray(sample_fn(rngs[i], sizes[i]), dtype=float)
-            parts[i] = values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values)]
+        while (b := next(claim)) < len(batches):
+            lo, hi = batches[b].start, batches[b].stop
+            values = np.asarray(sample_fn(rngs[lo:hi], sizes[lo:hi]), dtype=float)
+            stop = 0
+            for i in range(lo, hi):
+                start, stop = stop, stop + sizes[i]
+                parts[i] = values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values[..., start:stop])]
 
-    helpers = min(workers, chunks) - 1
+    helpers = min(workers, len(batches)) - 1
     _HELPERS.extend(ThreadPoolExecutor(1, "sectint-mc") for _ in range(helpers - len(_HELPERS)))
     tasks = [helper.submit(work) for helper in _HELPERS[:helpers]]
     try:

@@ -85,16 +85,14 @@ def _chart_volume(
     bflat = bstack.reshape(q, -1)
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
 
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        if size == 0:
-            return np.zeros(0)
-        z = rng.standard_normal((size, q)) * sigma
-        x = (z @ bflat).reshape(size, nn, nn)
+    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        z = np.concatenate([rng.standard_normal((size, q)) for rng, size in zip(rngs, sizes)]) * sigma
+        x = (z @ bflat).reshape(len(z), nn, nn)
         if block_size is not None:
             x = x[:, :block_size, :block_size]
         eigs = np.linalg.eigvalsh(-1j * x)
         mask = _principal_domain_mask(domain_kind, eigs)
-        ad = (z @ cstruct).reshape(size, q, q)
+        ad = (z @ cstruct).reshape(len(z), q, q)
         ad_eigs = np.linalg.eigvalsh(1j * ad)
         jac = _dexp_factors(ad_eigs)
         log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm

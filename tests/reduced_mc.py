@@ -29,11 +29,9 @@ def reduced_importance_sampling(action: DirectSumAction, f: TestFunction, seed: 
     dim = action.section_dim
     log_norm = 0.5 * dim * np.log(TWO_PI)
 
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        if size == 0:
-            return np.zeros(0)
-        z = rng.standard_normal((size, dim))
-        pts = np.zeros((size, action.ambient_dim))
+    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        z = np.concatenate([rng.standard_normal((size, dim)) for rng, size in zip(rngs, sizes)])
+        pts = np.zeros((len(z), action.ambient_dim))
         pts[:, :dim] = z
         vals = evaluate_test_function(action, f, pts) * section_weight_batch(action, z)
         return vals * np.exp(0.5 * np.sum(z * z, axis=1) + log_norm)

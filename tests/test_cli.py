@@ -813,6 +813,20 @@ def test_conjugation_reports_worker_independent(capsys, command, action_json):
     assert out1.startswith("{") and out1 == out2
 
 
+@pytest.mark.parametrize("command, n", [("integrate", "5000"), ("volumes", "10000")])
+@pytest.mark.parametrize("action_json", [SO3, '{"kind":"conjugation","family":"SU","n":3}',
+                                         '{"kind":"conjugation","family":"Sp","n":1}'])
+def test_conjugation_reports_byte_identical_on_1_2_and_3_workers(capsys, command, n, action_json):
+    # 16 chunks of 5000 draws are 4 batches and of 10000 draws 8, so 2 and 3
+    # workers split them differently
+    base = [command, "--action", action_json, "--seed", "7", "--n", n]
+    outs = []
+    for workers in ("1", "2", "3"):
+        main(base + ["--workers", workers])
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("{") and outs[0] == outs[1] == outs[2]
+
+
 def test_action_from_file(capsys, tmp_path):
     path = tmp_path / "action.json"
     path.write_text(SO3K2)

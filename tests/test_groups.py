@@ -241,6 +241,17 @@ def test_householder_q_is_the_q_of_qr(field, m):
     assert np.max(np.abs(det - np.linalg.det(complex_embedding(field, q)))) <= 1e-13
 
 
+@pytest.mark.parametrize("field, m", KERNEL_CASES, ids=lambda v: getattr(v, "value", v))
+def test_householder_q_is_batch_invariant(field, m):
+    # a Monte Carlo batch joins the draws of consecutive chunks: each q and
+    # det q is the same, bit for bit, in a stack of one, of a few, or of all
+    x = gaussian_batch(field, m, m, np.random.default_rng(10 + m), 9)
+    q, det = householder_q(field, x)
+    for lo, hi in [(0, 1), (1, 3), (3, 9), (8, 9)]:
+        part_q, part_det = householder_q(field, x[lo:hi])
+        assert np.array_equal(part_q, q[lo:hi]) and np.array_equal(part_det, det[lo:hi])
+
+
 @pytest.mark.parametrize("field", list(ScalarField), ids=lambda f: f.value)
 def test_householder_q_of_an_empty_stack(field):
     # a Monte Carlo chunk of size 0 draws an empty stack

@@ -9,18 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec, haar_sample
 from sectint.actions import ConjugationAction, DirectSumAction, act, random_ambient_point
 from sectint.matrices import to_real_vector
-from sectint.mc import McEstimate, agree, chunk_rngs, chunk_sizes, mc_run
+from sectint.mc import BATCH_DRAWS, McEstimate, agree, chunk_batches, chunk_rngs, chunk_sizes, mc_run
 from sectint.integrate import (
     QUADRATURE_REL_FLOOR,
     ContractViolation,
     IllConditionedCalibration,
     _bartlett_axes,
     _bartlett_rule,
+    _direct_values_fn,
     _torus_rule,
     calibrate_vol_gn,
     custom_test_function,
@@ -56,33 +58,37 @@ def test_chunk_sizes_partition():
     assert sum(chunk_sizes(1_000_003, 16)) == 1_000_003
 
 
+def _per_chunk(fn):
+    """mc_run's sample_fn from a per-chunk fn(rng, size): each chunk in turn, joined."""
+    return lambda rngs, sizes: np.concatenate([fn(rng, size) for rng, size in zip(rngs, sizes)], axis=-1)
+
+
 def test_mc_run_matches_flat_statistics():
     def fn(rng, size):
         return rng.standard_normal(size) * 2.0 + 1.0
 
-    est = mc_run(fn, 9000, seed=3, chunks=4)
+    est = mc_run(_per_chunk(fn), 9000, seed=3, chunks=4)
     flat = np.concatenate([fn(r, s) for r, s in zip(chunk_rngs(3, 4), chunk_sizes(9000, 4))])
     assert est.mean == pytest.approx(np.mean(flat), abs=1e-13)
     assert est.stderr == pytest.approx(np.std(flat, ddof=1) / np.sqrt(9000), rel=1e-10)
 
 
 def test_mc_run_worker_invariance():
-    def fn(rng, size):
-        return rng.standard_normal(size) ** 2
-
+    fn = _per_chunk(lambda rng, size: rng.standard_normal(size) ** 2)
     runs = [mc_run(fn, 80_000, seed=11, chunks=8, workers=w) for w in (1, 2, 8)]
     assert runs[0] == runs[1] == runs[2]
 
 
-def _square(rng, size):
-    return rng.standard_normal(size) ** 2
+_square = _per_chunk(lambda rng, size: rng.standard_normal(size) ** 2)
 
 
 @pytest.mark.parametrize("chunks", [1, 5, 16])
-@pytest.mark.parametrize("n", [3, 10_000])
+@pytest.mark.parametrize("n", [3, 3 * BATCH_DRAWS, 10_000, 16 * (BATCH_DRAWS + 1)])
 def test_mc_run_is_bit_identical_on_any_worker_count(chunks, n):
-    # n = 3 leaves empty chunks at chunks 5 and 16; a short switch interval
-    # hands the interpreter between the claiming threads as often as it can
+    # n = 3 leaves empty chunks at chunks 5 and 16; 3 * BATCH_DRAWS groups
+    # 16 chunks into 4 batches; at 16 * (BATCH_DRAWS + 1) every chunk is
+    # over BATCH_DRAWS, a batch alone.  A short switch interval hands the
+    # interpreter between the claiming threads as often as it can
     one = mc_run(_square, n, seed=21, chunks=chunks, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -93,15 +99,66 @@ def test_mc_run_is_bit_identical_on_any_worker_count(chunks, n):
         sys.setswitchinterval(interval)
 
 
+def test_mc_run_joins_chunks_into_batches():
+    assert [len(b) for b in chunk_batches(chunk_sizes(3 * BATCH_DRAWS, 16))] == [5, 5, 5, 1]
+    assert chunk_batches([BATCH_DRAWS + 1, 1, 1, BATCH_DRAWS, 0, 0]) == [range(0, 1), range(1, 3), range(3, 6)]
+    assert chunk_batches(chunk_sizes(16 * (BATCH_DRAWS + 1), 16)) == [range(i, i + 1) for i in range(16)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3 * BATCH_DRAWS), min_size=1, max_size=40))
+def test_chunk_batches_cover_each_chunk_once_in_order(sizes):
+    batches = chunk_batches(sizes)
+    assert [i for b in batches for i in b] == list(range(len(sizes)))
+    for b in batches:
+        assert len(b) >= 1 and b.step == 1
+        assert len(b) == 1 or sum(sizes[i] for i in b) <= BATCH_DRAWS
+
+
+@pytest.mark.parametrize("n, chunks", [(3, 16), (3 * BATCH_DRAWS, 16), (10_000, 5), (40_000, 16)])
+def test_mc_run_batches_do_not_depend_on_the_worker_count(n, chunks):
+    sizes = chunk_sizes(n, chunks)
+    expected = sorted(tuple(sizes[i] for i in b) for b in chunk_batches(sizes))
+    for workers in (1, 2, 3):
+        seen, lock = [], threading.Lock()
+
+        def record(rngs, sizes):
+            with lock:
+                seen.append(tuple(sizes))
+            return _square(rngs, sizes)
+
+        mc_run(record, n, seed=4, chunks=chunks, workers=workers)
+        assert sorted(seen) == expected
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_mc_run_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers >= 1"):
+        mc_run(_square, 3 * BATCH_DRAWS, seed=0, chunks=16, workers=workers)
+
+
+def test_mc_run_reads_the_default_worker_count_from_the_environment(monkeypatch):
+    n = 3 * BATCH_DRAWS
+    monkeypatch.setenv("SECTINT_WORKERS", "0")
+    with pytest.raises(ValueError, match="SECTINT_WORKERS"):
+        mc_run(_square, n, seed=0, chunks=16)
+    monkeypatch.setenv("SECTINT_WORKERS", "3")
+    assert mc_run(_square, n, seed=0, chunks=16) == mc_run(_square, n, seed=0, chunks=16, workers=1)
+
+
 def test_mc_run_helpers_start_lazily_and_persist():
-    # a fresh interpreter, so that no earlier call has started helpers
+    # a fresh interpreter, so that no earlier call has started helpers;
+    # BATCH_DRAWS draws are one batch, and 3 * (BATCH_DRAWS + 1) draws are
+    # 3 batches in 3 chunks and 4 in 16
     code = """
 import threading
-from sectint.mc import mc_run
-fn = lambda rng, size: rng.standard_normal(size)
+import numpy as np
+from sectint.mc import BATCH_DRAWS, mc_run
+fn = lambda rngs, sizes: np.concatenate([rng.standard_normal(size) for rng, size in zip(rngs, sizes)])
 counts = [threading.active_count()]
-for chunks, workers in [(16, 1), (3, 17), (3, 17), (3, 17), (16, 2), (3, 2)]:
-    mc_run(fn, 100, 0, chunks, workers)
+big = 3 * (BATCH_DRAWS + 1)
+for n, chunks, workers in [(BATCH_DRAWS, 16, 8), (big, 16, 1), (big, 3, 17), (big, 3, 17), (big, 16, 2), (big, 3, 2)]:
+    mc_run(fn, n, 0, chunks, workers)
     counts.append(threading.active_count() - counts[0])
 print(counts[1:])
 """
@@ -110,48 +167,54 @@ print(counts[1:])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    # no thread at 1 worker, chunks - 1 = 2 at 17 workers, none added after
-    assert done.stdout.strip().splitlines()[-1] == "[0, 2, 2, 2, 2, 2]"
+    # no thread for one batch or at 1 worker, batches - 1 = 2 at 17 workers, none added after
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 2, 2, 2, 2]"
 
 
 def test_mc_run_nested_in_a_chunk_finishes():
-    # a chunk that calls mc_run on 2 workers must not wait on a helper task
-    # queued behind its own thread
-    def outer(rng, size):
-        inner = mc_run(_square, 200, seed=int(rng.integers(2**31)), chunks=16, workers=2)
-        return rng.standard_normal(size) + inner.mean
+    # a batch that calls mc_run on 2 workers must not wait on a helper task
+    # queued behind its own thread; outer and inner runs are 4 batches each
+    n = 3 * BATCH_DRAWS
 
+    def outer(rngs, sizes):
+        inner = mc_run(_square, n, seed=int(rngs[0].integers(2**31)), chunks=16, workers=2)
+        return np.concatenate([rng.standard_normal(size) for rng, size in zip(rngs, sizes)]) + inner.mean
+
+    assert len(chunk_batches(chunk_sizes(n, 16))) == 4
     out = {}
-    thread = threading.Thread(target=lambda: out.update(w2=mc_run(outer, 2000, 5, 16, 2)), daemon=True)
+    thread = threading.Thread(target=lambda: out.update(w2=mc_run(outer, n, 5, 16, 2)), daemon=True)
     thread.start()
     thread.join(timeout=30)
     assert not thread.is_alive(), "nested mc_run hung"
-    assert out["w2"] == mc_run(outer, 2000, 5, 16, 1)
+    assert out["w2"] == mc_run(outer, n, 5, 16, 1)
 
 
 @pytest.mark.parametrize("bad", [0, 15])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_mc_run_chunk_error_propagates_after_running_chunks_return(bad, workers):
+    # 16 chunks of 3 * BATCH_DRAWS draws are 4 batches, so helpers run some of them
+    n = 3 * BATCH_DRAWS
     key = chunk_rngs(9, 16)[bad].bit_generator.state
     in_flight = []
 
-    def fails_in_one_chunk(rng, size):
+    def fails_in_one_chunk(rngs, sizes):
         in_flight.append(1)
         try:
-            if rng.bit_generator.state == key:
+            if any(rng.bit_generator.state == key for rng in rngs):
                 raise RuntimeError(f"chunk {bad}")
             time.sleep(0.002)
-            return rng.standard_normal(size)
+            return np.concatenate([rng.standard_normal(size) for rng, size in zip(rngs, sizes)])
         finally:
             in_flight.pop()
 
-    mc_run(_square, 100, 0, chunks=16, workers=workers)  # start the helpers
+    assert len(chunk_batches(chunk_sizes(n, 16))) == 4
+    mc_run(_square, n, 0, chunks=16, workers=workers)  # start the helpers
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"chunk {bad}"):
-        mc_run(fails_in_one_chunk, 1600, 9, 16, workers)
+        mc_run(fails_in_one_chunk, n, 9, 16, workers)
     assert not in_flight
     assert threading.active_count() == threads
-    assert mc_run(_square, 1600, 9, 16, workers) == mc_run(_square, 1600, 9, 16, 1)
+    assert mc_run(_square, n, 9, 16, workers) == mc_run(_square, n, 9, 16, 1)
 
 
 def test_mc_run_rows_match_one_dimensional_runs():
@@ -161,17 +224,17 @@ def test_mc_run_rows_match_one_dimensional_runs():
         z = rng.standard_normal(size)
         return np.stack([z, z * z, np.exp(z)])
 
-    for n, chunks in ((9000, 4), (5, 16)):
-        batch = mc_run(rows, n, seed=3, chunks=chunks)
+    for n, chunks in ((9000, 4), (9000, 16), (5, 16)):
+        batch = mc_run(_per_chunk(rows), n, seed=3, chunks=chunks)
         assert len(batch) == 3
         for i, est in enumerate(batch):
-            assert est == mc_run(lambda rng, size: rows(rng, size)[i], n, seed=3, chunks=chunks)
+            assert est == mc_run(_per_chunk(lambda rng, size: rows(rng, size)[i]), n, seed=3, chunks=chunks)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_mc_run_rejects_fewer_than_two_samples(n):
     with pytest.raises(ValueError, match="n >= 2"):
-        mc_run(lambda rng, size: rng.standard_normal(size), n, seed=0)
+        mc_run(_square, n, seed=0)
 
 
 # --- integrands ---------------------------------------------------------------
@@ -260,7 +323,8 @@ def test_const_direct_estimate_draws_nothing(monkeypatch, group, value):
     def refuse(*args, **kwargs):
         raise AssertionError("a const integrand drew Haar samples")
 
-    monkeypatch.setattr(integrate_module, "haar_sample_batch", refuse)
+    monkeypatch.setattr(integrate_module, "gaussian_batch", refuse)
+    monkeypatch.setattr(integrate_module, "haar_from_gaussian", refuse)
     f = make_test_function("const", value=value)
     [est] = integrate_direct(ConjugationAction(group), [f], seed=4, n=3000, chunks=8)
     assert est == McEstimate(value * group_volume(group).mean, 0.0, 3000, 4, 8)
@@ -373,6 +437,35 @@ def test_linearity_same_seed():
     [ef] = integrate_direct(SO3K2, [f], seed=77, n=30_000)
     [eg] = integrate_direct(SO3K2, [g], seed=77, n=30_000)
     assert ec.mean == pytest.approx(2.0 * ef.mean - 0.5 * eg.mean, rel=1e-12)
+
+
+SAMPLER_ROWS = [ConjugationAction(GroupSpec(family, n)) for family, n in
+                [(Family.SO, 3), (Family.SO, 4), (Family.SU, 2), (Family.SU, 3), (Family.SP, 1), (Family.SP, 2)]]
+SAMPLER_ROWS += [DirectSumAction(field, n, k) for field, n, k in
+                 [(R, 3, 2), (ScalarField.COMPLEX, 4, 2), (ScalarField.QUATERNION, 3, 2), (R, 4, 1),
+                  (ScalarField.COMPLEX, 3, 1), (ScalarField.QUATERNION, 3, 1)]]
+
+
+def _sampler_functions(action):
+    """Every integrand family that applies to the action, some at two parameter sets."""
+    fs = [make_test_function("gaussian_radial", sigma=0.7), make_test_function("gaussian_sq_norm"),
+          make_test_function("first_coordinate")]
+    if isinstance(action, DirectSumAction):
+        return fs + [make_test_function("gaussian_det", power=p, sigma=1.3) for p in (-0.5, 1.0, 2.0)]
+    return fs + [make_test_function("trace_power", power=p) for p in (2, 3)] + [make_test_function("const")]
+
+
+@pytest.mark.parametrize("action", SAMPLER_ROWS, ids=str)
+@pytest.mark.parametrize("sizes", [(7, 6, 6, 2, 0), (313, 313, 312)])
+def test_direct_sampler_values_are_batch_invariant(action, sizes):
+    # the values of a batch of chunks are, bit for bit, the joined values of
+    # one-chunk calls on the same generators.  No chunk here has one draw:
+    # gram_det's H closed form rounds a stack of one differently
+    sample = _direct_values_fn(action, _sampler_functions(action))
+    batch = sample(chunk_rngs(8, len(sizes)), list(sizes))
+    alone = np.concatenate([sample([rng], [size]) for rng, size in zip(chunk_rngs(8, len(sizes)), sizes)], axis=1)
+    assert batch.shape == (len(_sampler_functions(action)), sum(sizes))
+    assert np.array_equal(batch, alone)
 
 
 SHARED_DRAW_CASES = [

@@ -400,3 +400,24 @@ def test_gram_det_keeps_relative_accuracy_near_rank_deficiency(field, k):
         x.data[:, -1] = x.data[:, 0] + 1e-5 * gaussian(field, k, 1, rng).data[:, 0]
         comps = to_real_vector(x).reshape(1, k, k, field.dim)
         assert np.sqrt(gram_det(field, comps)[0]) == pytest.approx(det_modulus(x), rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
+    # a Monte Carlo batch joins the draws of consecutive chunks; every third
+    # matrix is near rank deficiency, so qr factors a subset of each stack,
+    # and each det is the same, bit for bit, in the joined stack and in its
+    # chunks.  A chunk of one H matrix is left out: the k = 2 closed form's
+    # table product runs as a matrix-vector product there, in another order
+    import sectint.matrices as matrices
+
+    rng = np.random.default_rng(50 + k)
+    comps = rng.standard_normal((12, 4, k, field.dim))
+    comps[::3, :, -1] = comps[::3, :, 0] + 1e-8 * rng.standard_normal((4, 4, field.dim))
+    factored, qr_of = [], matrices.qr
+    monkeypatch.setattr(matrices, "qr", lambda fld, data: factored.append(len(data)) or qr_of(fld, data))
+    full = gram_det(field, comps)
+    assert factored == [12 if k == 3 else 4]
+    parts = [gram_det(field, comps[lo:hi]) for lo, hi in [(0, 5), (5, 7), (7, 12)]]
+    assert np.array_equal(full, np.concatenate(parts))

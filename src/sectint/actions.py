@@ -17,7 +17,8 @@ Two families are implemented:
 Everything downstream is phrased in flat real coordinates, where the
 ambient inner product Re(tr(x^* y)) is the Euclidean dot product.
 Batched functions take stacks of points, flat (m, D) or raw matrix data
-(m, rows, cols[, pair]), and are drawn in batches; each one-point
+(m, rows, cols), each adjoint matrix twice the size over H
+(``matrices``), and are drawn in batches; each one-point
 function is a batch of one.
 
 Every algebra basis is a read-only array of flat real rows, and
@@ -60,16 +61,15 @@ from .matrices import (
     abs_det_between,
     batch_from_real,
     batch_to_real,
-    complex_embedding,
     conj_transpose,
     data_from_components,
     eye,
     from_real_vector,
     gaussian_batch,
     mat,
-    matmul,
     qr,
     read_only,
+    side,
     to_real_vector,
     zeros,
 )
@@ -227,10 +227,10 @@ def act(action: ActionSpec, g: GroupElement, x: MatK) -> MatK:
 
 def act_data(action: ActionSpec, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """act on raw data of group elements g and points x, leading axes broadcast."""
-    gx = matmul(action.field, g, x)
+    gx = g @ x
     if isinstance(action, DirectSumAction):
         return gx
-    return matmul(action.field, gx, conj_transpose(action.field, g))
+    return gx @ conj_transpose(g)
 
 
 def killing_field(action: ActionSpec, x_alg: MatK, p: MatK) -> MatK:
@@ -239,8 +239,8 @@ def killing_field(action: ActionSpec, x_alg: MatK, p: MatK) -> MatK:
 
 
 def _killing_data(action: ActionSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    xp = matmul(action.field, x, p)
-    return xp if isinstance(action, DirectSumAction) else xp - matmul(action.field, p, x)
+    xp = x @ p
+    return xp if isinstance(action, DirectSumAction) else xp - p @ x
 
 
 def embed_section(action: ActionSpec, coord) -> MatK:
@@ -259,7 +259,7 @@ def embed_section(action: ActionSpec, coord) -> MatK:
     if k == 1 and np.any(to_real_vector(b)[1:]):
         raise ValueError("point is off the section: the polar section is the real line")
     s = zeros(action.field, n, k)
-    s.data[:k] = b.data
+    s.data[: side(action.field) * k] = b.data
     return s
 
 
@@ -267,7 +267,7 @@ def section_coordinate(action: DirectSumAction, s: MatK) -> MatK:
     """Top k x k block of an ambient section point."""
     if not isinstance(action, DirectSumAction):
         raise TypeError("section_coordinate applies to direct-sum actions")
-    return MatK(action.field, s.data[: action.k].copy())
+    return MatK(action.field, s.data[: side(action.field) * action.k].copy())
 
 
 # --- frames -----------------------------------------------------------------
@@ -297,7 +297,7 @@ def section_frames(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.
         frames = np.broadcast_to(np.eye(action.ambient_dim), (len(pts),) + (action.ambient_dim,) * 2)
     else:
         s = batch_from_real(action.field, *action.shape, pts)[:, None]
-        frames = batch_to_real(action.field, matmul(action.field, algebra_split(action).data, s))
+        frames = batch_to_real(action.field, algebra_split(action).data @ s)
     return frames[:, : action.section_dim], frames[:, action.section_dim :]
 
 
@@ -361,11 +361,16 @@ class OrbitMapDifferential:
 
     def delta_d(self) -> float | np.ndarray:
         """|det| of the Weyl block as a map onto the Weyl-orbit tangent."""
-        return abs_det_between(np.swapaxes(self.w_block, -1, -2), self.n_w)
+        return self._abs_det(self.w_block)
 
     def total_det(self) -> float | np.ndarray:
         """|det| of the whole differential onto the orbit tangent."""
-        return abs_det_between(np.swapaxes(self.matrix, -1, -2), self.matrix.shape[-1])
+        return self._abs_det(self.matrix)
+
+    def _abs_det(self, block: np.ndarray) -> float | np.ndarray:
+        """abs_det_between of the block's columns onto a space of their
+        dimension, its singular floor scaled by the norm of each point."""
+        return abs_det_between(np.swapaxes(block, -1, -2), block.shape[-1], np.linalg.norm(self.pts, axis=-1))
 
     @property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -467,7 +472,7 @@ class AlgebraSplit:
 
     @functools.cached_property
     def data(self) -> np.ndarray:
-        """Raw matrix data of the basis h + w + m, (q, n, n[, pair])."""
+        """Raw matrix data of the basis h + w + m, (q, n, n) ((q, 2n, 2n) over H)."""
         n = self.action.group.n
         return read_only(batch_from_real(self.action.field, n, n, self.rows))
 
@@ -521,7 +526,7 @@ def algebra_split(action: ActionSpec) -> AlgebraSplit:
 
 def brackets(field: ScalarField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Flat rows of the brackets [x, y] = x y - y x of raw matrix data, leading axes broadcast."""
-    return batch_to_real(field, matmul(field, x, y) - matmul(field, y, x))
+    return batch_to_real(field, x @ y - y @ x)
 
 
 # --- regularity, isotropy, orbit spaces -------------------------------------
@@ -557,7 +562,7 @@ def reduce_to_section(action: ActionSpec, x: MatK) -> MatK:
 
 
 def reduce_to_section_batch(action: ActionSpec, data: np.ndarray) -> np.ndarray:
-    """Flat canonical section points (m, D) of the orbits through raw points (m, rows, cols[, pair]).
+    """Flat canonical section points (m, D) of the orbits through raw points (m, rows, cols).
 
     Direct sums: the section point with coordinate R of x = QR, upper
     triangular with nonnegative real diagonal.  Conjugation: the torus
@@ -570,9 +575,10 @@ def reduce_to_section_batch(action: ActionSpec, data: np.ndarray) -> np.ndarray:
 
 
 def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
-    """Canonical torus angles of a stack of group elements (m, n, n[, pair]).
+    """Canonical torus angles of a stack of group elements (m, n, n).
 
-    The angles are the eigenphases of the complex embedding, from one
+    The angles are the eigenphases of the stored complex matrices (the
+    adjoint matrices over H), from one
     batched eigensolve.  SU(n): all n angles, summing to 0 and sorted in
     descending order, within 2 pi of each other (the phases in
     [0, 2 pi), the m largest lowered by 2 pi, m = their sum / 2 pi), so
@@ -594,7 +600,7 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
     if even_so:
         vals, vecs = np.linalg.eig(data)
     else:
-        vals = np.linalg.eigvals(complex_embedding(group.field, data) if fam is Family.SP else data)
+        vals = np.linalg.eigvals(data)
     theta = np.angle(vals)
     skip = 1 if fam is Family.SO and n % 2 == 1 else 0  # the extra eigenvalue 1 sorts first
     ang = np.sort(np.abs(theta), axis=1)[:, skip::2]
@@ -616,7 +622,7 @@ def random_ambient_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
 
 
 def random_ambient_points(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Raw data (count, rows, cols[, pair]) of count random_ambient_point draws."""
+    """Raw data (count, rows, cols) of count random_ambient_point draws."""
     if isinstance(action, DirectSumAction):
         return gaussian_batch(action.field, action.n, action.k, rng, count)
     return haar_sample_batch(action.group, rng, count)
@@ -672,7 +678,7 @@ def normalizer_sample(action: ActionSpec, rng: np.random.Generator) -> GroupElem
 
 
 def normalizer_samples(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Raw data (count, n, n[, pair]) of count normalizer_sample draws."""
+    """Raw data (count, n, n) of count normalizer_sample draws."""
     if isinstance(action, DirectSumAction):
         return _normalizer_direct_sum(action, rng, count)
     return _normalizer_conjugation(action, rng, count)
@@ -683,9 +689,8 @@ def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator, co
     field, n, k = action.field, action.n, action.k
     if k == 1 and field is not REAL:
         # the polar section is the real line, so the top block is +-1
-        unit = eye(field, 1).data
         u_det = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        u = u_det.reshape((count,) + (1,) * unit.ndim) * unit
+        u = u_det[:, None, None] * eye(field, 1).data
     else:
         u, u_det = haar_unitary_batch(field, k, rng, count)
     v, v_det = haar_unitary_batch(field, n - k, rng, count)
@@ -695,8 +700,9 @@ def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator, co
         v[np.where(flip, -u_det, u_det) * v_det < 0, :, -1] *= -1.0
     elif field is COMPLEX:
         v[:, :, -1] *= np.conj(u_det * v_det)[:, None]
-    g = np.zeros((count, n, n) + u.shape[3:], dtype=u.dtype)
-    g[:, :k, :k], g[:, k:, k:] = u, v
+    a, b = side(field) * k, side(field) * n  # stored rows of u and of g
+    g = np.zeros((count, b, b), dtype=u.dtype)
+    g[:, :a, :a], g[:, a:, a:] = u, v
     return g
 
 
@@ -727,4 +733,4 @@ def _normalizer_conjugation(action: ConjugationAction, rng: np.random.Generator,
         w[rows, 2 * perm + 1, 2 * cols + 1] = np.where(flips, -1.0, 1.0)
         if n % 2 == 1:  # the spare coordinate keeps det = 1
             w[:, -1, -1] = np.where(odd, -1.0, 1.0)
-    return matmul(group.field, t, w)
+    return t @ w

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import batch_from_real, batch_to_real, conj_transpose, eye, matmul, zeros
+from .matrices import batch_from_real, batch_to_real, conj_transpose, eye, zeros
 from .groups import haar_sample_batch, torus_angles, torus_points
 from .actions import (
     ActionSpec,
@@ -146,7 +146,7 @@ def run_action_checks(
 
     # adjoint invariance of the complement under the normalizer
     g = normalizer_samples(action, rng, 20)[:, None]
-    moved = batch_to_real(field, matmul(field, matmul(field, g, y), conj_transpose(field, g)))
+    moved = batch_to_real(field, g @ y @ conj_transpose(g))
     out.append(_result("ad_normalizer_invariance", _largest(moved @ rows[: nh + nw].T), tol_rel))
 
     # pointwise structure at random regular section points, whose orbit

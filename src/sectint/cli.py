@@ -335,7 +335,13 @@ def main(argv=None) -> int:
             value = getattr(args, name, 0.0)  # the last two belong to one subcommand each
             if not np.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        return args.func(args)
+        # a scale that overflows (or divides by an underflowed 0) stops the run
+        # here instead of printing NaN; mc_run's helper threads take this state too
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}: a scale or point is out of the floating-point range", file=sys.stderr)
+        return 2
     except (DimensionError, ValueError, IllConditionedCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import complex_embedding, data_from_components, gaussian_components, gram_det
+from .matrices import data_from_components, gaussian_components, gram_det, side
 from .groups import Family, GroupSpec, _torus_grid, haar_sample_batch, torus_points
 from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
 from .weights import section_weight_batch, torus_weight_batch
@@ -88,10 +88,8 @@ def _stats_batch_direct(spec: EnsembleSpec, field: ScalarField, comps: np.ndarra
     if spec.statistic == "coordinate_det":
         return np.sqrt(gram_det(field, comps))
     if spec.statistic == "singular_value":
-        sv = np.linalg.svd(complex_embedding(field, data_from_components(field, comps)), compute_uv=False)
-        if field is ScalarField.QUATERNION:
-            sv = sv[:, ::2]  # the embedding doubles each value
-        return sv[:, spec.stat_index]
+        sv = np.linalg.svd(data_from_components(field, comps), compute_uv=False)
+        return sv[:, :: side(field)][:, spec.stat_index]  # the adjoint matrix doubles each value over H
     raise ValueError(f"statistic {spec.statistic!r} not defined for direct sums")
 
 

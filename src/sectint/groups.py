@@ -225,8 +225,9 @@ def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
 
 
 def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n[, pair]),
-    and the determinant of each (of its complex adjoint matrix on Sp(n)).
+    """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n)
+    ((count, 2n, 2n) on Sp(n)), and the determinant of each (of its
+    adjoint matrix on Sp(n)).
 
     The q factor (diag(r) real and positive) of count Gaussian matrices,
     drawn from the random stream of count successive matrices.gaussian
@@ -238,13 +239,13 @@ def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, cou
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Stack of Haar samples as raw matrix data, (count, n, n[, pair]):
+    """Stack of Haar samples as raw matrix data, (count, n, n) ((count, 2n, 2n) on Sp(n)):
     haar_from_gaussian of count successive matrices.gaussian draws."""
     return haar_from_gaussian(group, gaussian_batch(group.field, group.n, group.n, rng, count))
 
 
 def haar_from_gaussian(group: GroupSpec, data: np.ndarray) -> np.ndarray:
-    """Haar samples of group from Gaussian matrix data (count, n, n[, pair]).
+    """Haar samples of group from Gaussian matrix data (count, n, n) (adjoint matrices on Sp(n)).
 
     The q of each matrix is a Haar sample of O(n) / U(n) / Sp(n), as in
     haar_unitary_batch; for SO and SU a final column scaling by the

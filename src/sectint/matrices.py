@@ -1,10 +1,14 @@
 """Dense matrices over the reals, complex numbers and quaternions.
 
-A quaternionic matrix Q is stored as a complex pair (C1, C2) with
-Q = C1 + C2*j, so products and adjoints reduce to complex arithmetic:
-
-    (C1 + C2 j)(D1 + D2 j) = (C1 D1 - C2 conj(D2)) + (C1 D2 + C2 conj(D1)) j
-    (C1 + C2 j)^*          = conj(C1)^t - C2^t j
+A quaternionic n x k matrix Q = C1 + C2 j is stored as its complex
+adjoint matrix, (2n, 2k) complex with rows and columns interleaved:
+row 2i holds C1 at column 2j and -C2 at column 2j + 1, row 2i + 1
+conj(C2) and conj(C1).  Q -> adjoint matrix is a faithful
+*-homomorphism (F. Zhang, Linear Algebra Appl. 251, 1997), so products,
+adjoints, eigenvalues, determinants and QR over H are the complex ones
+of the stored arrays, and every field multiplies with ``@``.  Each
+quaternion entry is stored twice, so shapes, norms and raw slices by
+matrix index count rows and columns in pairs over H.
 
 Every matrix also has a flat real coordinate vector (its realification)
 chosen so that the ambient inner product Re(tr(x^* y)) equals the
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, quat_to_pair
+from .fields import ScalarField
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -40,12 +44,17 @@ class DimensionError(ValueError):
     """Shape or field mismatch between matrix operands."""
 
 
+def side(field: ScalarField) -> int:
+    """Stored rows (and columns) per matrix row (column): 2 over H, else 1."""
+    return 2 if field is QUATERNION else 1
+
+
 @dataclass(frozen=True)
 class MatK:
     """Dense matrix over one of the three scalar fields.
 
     data layout: (rows, cols) float64 for R, (rows, cols) complex128
-    for C, (rows, cols, 2) complex128 for H (the pair C1, C2).
+    for C, (2 rows, 2 cols) complex128 for H (the adjoint matrix).
     """
 
     field: ScalarField
@@ -53,20 +62,21 @@ class MatK:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape[0], self.data.shape[1]
+        s = side(self.field)
+        return self.data.shape[0] // s, self.data.shape[1] // s
 
     @property
     def h(self) -> "MatK":
         """Adjoint (conjugate transpose); an involution."""
-        return MatK(self.field, conj_transpose(self.field, self.data))
+        return MatK(self.field, conj_transpose(self.data))
 
     def __matmul__(self, other: "MatK") -> "MatK":
         if self.field is not other.field:
@@ -75,7 +85,7 @@ class MatK:
             raise DimensionError(
                 f"matmul shape mismatch: {self.shape} @ {other.shape}"
             )
-        return MatK(self.field, matmul(self.field, self.data, other.data))
+        return MatK(self.field, self.data @ other.data)
 
     def __add__(self, other: "MatK") -> "MatK":
         _check_same(self, other)
@@ -94,7 +104,7 @@ class MatK:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return float(np.linalg.norm(to_real_vector(self)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -106,44 +116,27 @@ def _check_same(x: MatK, y: MatK) -> None:
 
 
 def mat(field: ScalarField, data) -> MatK:
-    """Wrap array data as a MatK, accepting natural layouts per field.
-
-    For H the input may be (n, m, 4) real quaternion components or
-    (n, m, 2) complex pairs.
-    """
-    if field is REAL:
+    """Wrap array data as a MatK: (n, m) real numbers for R, (n, m)
+    complex numbers for C, and (n, m, 4) real components (w, x, y, z)
+    for H."""
+    if field is QUATERNION:
         a = np.asarray(data, dtype=float)
-        if a.ndim != 2:
-            raise DimensionError("real matrix data must be 2-d")
-        return MatK(REAL, a)
-    if field is COMPLEX:
-        a = np.asarray(data, dtype=complex)
-        if a.ndim != 2:
-            raise DimensionError("complex matrix data must be 2-d")
-        return MatK(COMPLEX, a)
-    a = np.asarray(data)
-    if a.ndim == 3 and a.shape[-1] == 4:
-        return MatK(QUATERNION, quat_to_pair(a))
-    if a.ndim == 3 and a.shape[-1] == 2:
-        return MatK(QUATERNION, np.asarray(a, dtype=complex))
-    raise DimensionError("quaternion matrix data must be (n, m, 4) or (n, m, 2)")
+        if a.ndim != 3 or a.shape[-1] != 4:
+            raise DimensionError("quaternion matrix data must be (n, m, 4)")
+        return MatK(QUATERNION, data_from_components(QUATERNION, a))
+    a = np.asarray(data, dtype=float if field is REAL else complex)
+    if a.ndim != 2:
+        raise DimensionError(f"{'real' if field is REAL else 'complex'} matrix data must be 2-d")
+    return MatK(field, a)
 
 
 def zeros(field: ScalarField, n: int, m: int) -> MatK:
-    if field is REAL:
-        return MatK(REAL, np.zeros((n, m)))
-    if field is COMPLEX:
-        return MatK(COMPLEX, np.zeros((n, m), dtype=complex))
-    return MatK(QUATERNION, np.zeros((n, m, 2), dtype=complex))
+    s = side(field)
+    return MatK(field, np.zeros((s * n, s * m), dtype=float if field is REAL else complex))
 
 
 def eye(field: ScalarField, n: int) -> MatK:
-    z = zeros(field, n, n)
-    if field is QUATERNION:
-        z.data[np.arange(n), np.arange(n), 0] = 1.0
-    else:
-        z.data[np.arange(n), np.arange(n)] = 1.0
-    return z
+    return MatK(field, np.eye(side(field) * n, dtype=float if field is REAL else complex))
 
 
 def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> MatK:
@@ -152,7 +145,7 @@ def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> Ma
 
 
 def gaussian_batch(field: ScalarField, n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Raw data (count, n, m[, pair]) of count successive gaussian draws."""
+    """Raw data (count, n, m) ((count, 2n, 2m) over H) of count successive gaussian draws."""
     return data_from_components(field, gaussian_components(field, n, m, rng, count))
 
 
@@ -163,19 +156,8 @@ def gaussian_components(field: ScalarField, n: int, m: int, rng: np.random.Gener
     return rng.standard_normal((count, n, m, field.dim))
 
 
-def matmul(field: ScalarField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of raw matrix data, (..., r, c[, pair]) @ (..., c, s[, pair]), leading axes broadcast."""
-    if field is not QUATERNION:
-        return np.matmul(a, b)
-    a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    return np.stack([a1 @ b1 - a2 @ b2.conj(), a1 @ b2 + a2 @ b1.conj()], axis=-1)
-
-
-def conj_transpose(field: ScalarField, a: np.ndarray) -> np.ndarray:
-    """Adjoints of raw matrix data with any leading axes."""
-    if field is QUATERNION:
-        c1, c2 = np.swapaxes(a[..., 0], -1, -2), np.swapaxes(a[..., 1], -1, -2)
-        return np.stack([c1.conj(), -c2], axis=-1)
+def conj_transpose(a: np.ndarray) -> np.ndarray:
+    """Adjoints of raw matrix data with any leading axes, over any field."""
     return np.conj(np.swapaxes(a, -1, -2))  # a new array for real data too
 
 
@@ -191,12 +173,35 @@ def to_real_vector(x: MatK) -> np.ndarray:
 
 
 def batch_to_real(field: ScalarField, arr: np.ndarray) -> np.ndarray:
-    """Realify raw matrix data with any leading axes, (..., n, m[, pair]) -> (..., D)."""
-    lead = arr.shape[: arr.ndim - (3 if field is QUATERNION else 2)]
-    dim = field.dim * arr.shape[len(lead)] * arr.shape[len(lead) + 1]
+    """Realify raw matrix data with any leading axes, (..., n, m) -> (..., D);
+    over H, components c1.re, c1.im, c2.re, c2.im, read off each even column
+    of the adjoint matrices (c1 on row 2i, conj(c2) on row 2i + 1)."""
+    lead, s = arr.shape[:-2], side(field)
+    n, m = arr.shape[-2] // s, arr.shape[-1] // s
     if field is REAL:
-        return arr.reshape(lead + (dim,)).astype(float)
-    return np.stack([arr.real, arr.imag], axis=-1).reshape(lead + (dim,))  # H: c1.re, c1.im, c2.re, c2.im
+        return arr.reshape(lead + (n * m,)).astype(float)
+    if field is QUATERNION:
+        arr = np.swapaxes(arr[..., ::2].reshape(lead + (n, 2, m)), -1, -2)
+    parts = np.stack([arr.real, arr.imag], axis=-1)
+    if field is QUATERNION:
+        np.negative(parts[..., 1, 1], out=parts[..., 1, 1])  # conj(c2).im -> c2.im
+    return parts.reshape(lead + (field.dim * n * m,))
+
+
+def data_from_components(field: ScalarField, comps: np.ndarray) -> np.ndarray:
+    """Real components (..., r, c, d) -> raw matrix data, (..., r, c), or
+    (..., 2r, 2c) adjoint matrices over H."""
+    if field is REAL:
+        return comps[..., 0]
+    c = comps[..., ::2] + 1j * comps[..., 1::2]  # c1 (and c2 over H)
+    if field is COMPLEX:
+        return c[..., 0]
+    lead, (r, k) = c.shape[:-3], c.shape[-3:-1]
+    e = np.empty(lead + (r, 2, k, 2), dtype=complex)
+    e[..., 0, :, 0] = c[..., 0]  # row 2i: c1, -c2
+    np.negative(c[..., 1], out=e[..., 0, :, 1])
+    np.conjugate(c[..., ::-1], out=e[..., 1, :, :])  # row 2i + 1: conj(c2), conj(c1)
+    return e.reshape(lead + (2 * r, 2 * k))
 
 
 def batch_from_real(field: ScalarField, n: int, m: int, pts: np.ndarray) -> np.ndarray:
@@ -220,7 +225,7 @@ def read_only(a: np.ndarray) -> np.ndarray:
 def inner(x: MatK, y: MatK) -> float:
     """Ambient real inner product Re(tr(x^* y))."""
     _check_same(x, y)
-    return float(np.vdot(x.data, y.data).real)
+    return float(to_real_vector(x) @ to_real_vector(y))
 
 
 # --- QR --------------------------------------------------------------------
@@ -234,45 +239,41 @@ SINGULAR_CUTOFF = 1e-12
 
 
 def qr(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
-    """x = q r for raw matrix data with any leading batch axes, (..., n, k[, pair]).
+    """x = q r for raw matrix data with any leading batch axes, n x k matrices.
 
-    q (..., n, k[, pair]) has orthonormal columns and r (..., k, k[, pair])
-    is upper triangular with a real diagonal >= 0, unique at full rank.
-    A column whose remainder is at or below RANK_CUTOFF * |x| reads
-    r_jj = 0, and q holds a completion column there.
+    q (n x k) has orthonormal columns and r (k x k) is upper triangular
+    with a real diagonal >= 0, unique at full rank.  A column whose
+    remainder is at or below RANK_CUTOFF * |x| reads r_jj = 0, and q
+    holds a completion column there.  Over H this is the complex QR of
+    the adjoint matrices: the interleaved layout makes it quaternionic,
+    completions too.
     """
     x = np.asarray(data, dtype=float if field is REAL else complex)
-    quat = field is QUATERNION
-    lead = x.shape[: x.ndim - (3 if quat else 2)]
-    if x.shape[len(lead)] < x.shape[len(lead) + 1]:
+    lead = x.shape[:-2]
+    if x.shape[-2] < x.shape[-1]:
         raise DimensionError("qr requires rows >= cols")
-    x = x.reshape((-1,) + x.shape[len(lead) :])
+    x = x.reshape((-1,) + x.shape[-2:])
     count = len(x)  # einsum sums a batch of one in another order: it is factored as a batch of two
     x = np.concatenate([x, x]) if count == 1 else x
-    a = _adjoint_layout(x) if quat else x
-    w, s, norms = _householder(a, RANK_CUTOFF * np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)))))
-    q, phase = _q_factor(w, s, norms, a.shape)
-    k = a.shape[-1]
+    norm = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)) / side(field))  # each H entry is stored twice
+    w, s, norms = _householder(x, RANK_CUTOFF * norm)
+    q, phase = _q_factor(w, s, norms, x.shape)
+    k = x.shape[-1]
     r = np.triu(np.transpose(w[:k, :k], (2, 1, 0)) * phase.T.conj()[:, :, None], 1)
     r[:, np.arange(k), np.arange(k)] = norms.T
-    if quat:
-        q, r = _from_adjoint_layout(q), _from_adjoint_layout(r)
     return q[:count].reshape(lead + q.shape[1:]), r[:count].reshape(lead + r.shape[1:])
 
 
 def householder_q(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
-    """qr's q of an array of full-rank square matrices (count, m, m[, pair]),
-    with no r, and det q (of its complex adjoint matrix over H): each
-    reflection has det -1 and turns its pivot's phase s into -s, so det q
-    is the product of the pivot phases.  A batch of one is factored as a
-    batch of two, as in qr, so each q is the same in any batch."""
-    quat = field is QUATERNION
+    """qr's q of an array of full-rank square matrices (count, m, m), with
+    no r, and det q (of the adjoint matrix over H): each reflection has
+    det -1 and turns its pivot's phase s into -s, so det q is the product
+    of the pivot phases.  A batch of one is factored as a batch of two,
+    as in qr, so each q is the same in any batch."""
     count = len(data)
     data = np.concatenate([data, data]) if count == 1 else data
-    a = _adjoint_layout(data) if quat else data
-    w, s, norms = _householder(a, 0.0)  # a Gaussian column is 0 with probability 0
-    q = _q_factor(w, s, norms, a.shape)[0]
-    return (_from_adjoint_layout(q) if quat else q)[:count], np.prod(s, axis=0)[:count]
+    w, s, norms = _householder(data, 0.0)  # a Gaussian column is 0 with probability 0
+    return _q_factor(w, s, norms, data.shape)[0][:count], np.prod(s, axis=0)[:count]
 
 
 def _householder(a: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,46 +329,7 @@ def _q_factor(w: np.ndarray, s: np.ndarray, norms: np.ndarray, shape) -> tuple[n
     return q, phase
 
 
-def _adjoint_layout(x: np.ndarray) -> np.ndarray:
-    """Complex adjoint matrices (..., 2n, 2k) of quaternion data (..., n, k, pair), rows
-    and columns interleaved as (v_a, v_a j): their QR is quaternionic, completions too."""
-    lead, (n, k) = x.shape[:-3], x.shape[-3:-1]
-    e = np.empty(lead + (n, 2, k, 2), dtype=complex)
-    e[..., 0, :, 0] = x[..., 0]  # row 2i: c1, -c2
-    np.negative(x[..., 1], out=e[..., 0, :, 1])
-    np.conjugate(x[..., ::-1], out=e[..., 1, :, :])  # row 2i + 1: conj(c2), conj(c1)
-    return e.reshape(lead + (2 * n, 2 * k))
-
-
-def _from_adjoint_layout(e: np.ndarray) -> np.ndarray:
-    """Quaternion data (..., n, k, pair) of interleaved adjoint matrices (..., 2n, 2k)."""
-    return np.stack([e[..., ::2, ::2], e[..., 1::2, ::2].conj()], axis=-1)
-
-
 # --- determinants ----------------------------------------------------------
-
-def complex_embedding(field: ScalarField, data: np.ndarray) -> np.ndarray:
-    """Complex matrices representing a stack of raw matrix data.
-
-    data is MatK data with any leading batch axes, (..., r, c[, pair]);
-    for H each matrix becomes its 2r x 2c adjoint matrix.
-    """
-    if field is not QUATERNION:
-        return np.array(data, dtype=complex)
-    c1, c2 = data[..., 0], data[..., 1]
-    top = np.concatenate([c1, -c2], axis=-1)
-    bot = np.concatenate([c2.conj(), c1.conj()], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
-def data_from_components(field: ScalarField, comps: np.ndarray) -> np.ndarray:
-    """Real components (..., r, c, d) -> raw matrix data (..., r, c[, pair])."""
-    if field is REAL:
-        return comps[..., 0]
-    if field is COMPLEX:
-        return comps[..., 0] + 1j * comps[..., 1]
-    return quat_to_pair(comps)
-
 
 def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
     """det(x^* x) >= 0 for a stack of n x k matrices given as real
@@ -384,6 +346,8 @@ def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
     stability keeps accurate near rank deficiency and exactly 0 at it.
     """
     m, _, k, d = comps.shape
+    if m == 1:  # a stack of one takes matrix-vector products: it is factored as a stack of two, as in qr
+        return gram_det(field, np.concatenate([comps, comps]))[:1]
     if k == 1:
         return np.einsum("mrkd,mrkd->m", comps, comps)
     det, near = np.empty(m), np.ones(m, dtype=bool)
@@ -394,8 +358,8 @@ def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
         det = bound - np.einsum("mc,mc->m", g12, g12)
         near = det <= GRAM_REFINE * bound
     if np.any(near):
-        r, i = qr(field, data_from_components(field, comps[near]))[1], np.arange(k)
-        det[near] = np.prod((r[:, i, i, 0] if field is QUATERNION else r[:, i, i]).real, axis=1) ** 2
+        r = qr(field, data_from_components(field, comps[near]))[1]
+        det[near] = np.prod(np.diagonal(r, axis1=1, axis2=2)[:, :: side(field)].real, axis=1) ** 2
     return det
 
 
@@ -403,12 +367,11 @@ def det_modulus(x: MatK) -> float:
     """|det x|; the Dieudonne determinant modulus for quaternions."""
     if not x.is_square():
         raise DimensionError("det_modulus requires a square matrix")
-    if x.field is QUATERNION:
-        return float(np.sqrt(np.abs(np.linalg.det(complex_embedding(x.field, x.data)))))
-    return float(np.abs(np.linalg.det(x.data)))
+    det = float(np.abs(np.linalg.det(x.data)))
+    return float(np.sqrt(det)) if x.field is QUATERNION else det
 
 
-def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray:
+def abs_det_between(images: np.ndarray, codomain_dim: int, scale=1.0) -> float | np.ndarray:
     """|det| of a linear map given by images of an orthonormal basis.
 
     images holds one image per row, in coordinates where the codomain
@@ -418,9 +381,12 @@ def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray
     of the transposed images, which keeps the digits that
     sqrt(det Gram) loses near rank deficiency.  A |det| at or below
     SINGULAR_CUTOFF times the Hadamard bound of the images, each row's
-    norm floored at 1e-6, is rounding noise of a singular map and
-    reads exactly 0.  Maps between spaces of different dimension have
-    determinant 0 by convention.  An empty map (0 -> 0) has determinant 1.
+    norm floored at 1e-6 times scale, is rounding noise of a singular map
+    and reads exactly 0.  The callers pass as scale the norm of the point
+    (one per map) that the images are taken at: a Killing field is linear
+    in the point, so the rule reads the same at t times a point for every
+    t > 0.  Maps between spaces of different dimension have determinant 0
+    by convention.  An empty map (0 -> 0) has determinant 1.
     """
     images = np.asarray(images, dtype=float)
     q, dim = images.shape[-2:]
@@ -431,7 +397,8 @@ def abs_det_between(images: np.ndarray, codomain_dim: int) -> float | np.ndarray
     else:
         r = np.linalg.qr(np.swapaxes(images, -1, -2), mode="r")
         out = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
-        bound = np.prod(np.maximum(np.linalg.norm(images, axis=-1), 1e-6), axis=-1)
+        floor = 1e-6 * np.asarray(scale, dtype=float)[..., None]
+        bound = np.prod(np.maximum(np.linalg.norm(images, axis=-1), floor), axis=-1)
         out = np.where(out <= SINGULAR_CUTOFF * bound, 0.0, out)
     return float(out) if images.ndim == 2 else out
 

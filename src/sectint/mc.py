@@ -136,15 +136,17 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     batches = chunk_batches(sizes)
     parts: list = [None] * chunks
     claim = itertools.count()
+    errstate = np.geterr()  # helper threads start with numpy's defaults: they take the caller's
 
     def work() -> None:
-        while (b := next(claim)) < len(batches):
-            lo, hi = batches[b].start, batches[b].stop
-            values = np.asarray(sample_fn(rngs[lo:hi], sizes[lo:hi]), dtype=float)
-            stop = 0
-            for i in range(lo, hi):
-                start, stop = stop, stop + sizes[i]
-                parts[i] = values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values[..., start:stop])]
+        with np.errstate(**errstate):
+            while (b := next(claim)) < len(batches):
+                lo, hi = batches[b].start, batches[b].stop
+                values = np.asarray(sample_fn(rngs[lo:hi], sizes[lo:hi]), dtype=float)
+                stop = 0
+                for i in range(lo, hi):
+                    start, stop = stop, stop + sizes[i]
+                    parts[i] = values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values[..., start:stop])]
 
     helpers = min(workers, len(batches)) - 1
     _HELPERS.extend(ThreadPoolExecutor(1, "sectint-mc") for _ in range(helpers - len(_HELPERS)))

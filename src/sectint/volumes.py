@@ -34,14 +34,14 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .matrices import batch_from_real, batch_to_real, complex_embedding
+from .matrices import batch_from_real, batch_to_real
 from .groups import Family, GroupSpec, algebra_basis
 from .actions import ActionSpec, ConjugationAction, brackets
 from .mc import McEstimate, mc_run
 
 
 def _structure_constants(field: ScalarField, data: np.ndarray) -> np.ndarray:
-    """c[i, j, l] = <b_l, [b_i, b_j]> for the orthonormal basis b with raw data (q, n, n[, pair])."""
+    """c[i, j, l] = <b_l, [b_i, b_j]> for the orthonormal basis b with raw data (q, n, n)."""
     return brackets(field, data[:, None], data[None]) @ batch_to_real(field, data).T
 
 
@@ -80,7 +80,7 @@ def _chart_volume(
         return McEstimate.exact(1.0)
     data = batch_from_real(group.field, group.n, group.n, rows)
     cstruct = _structure_constants(group.field, data).reshape(q, -1)
-    bstack = complex_embedding(group.field, data)  # (q, N, N)
+    bstack = np.array(data, dtype=complex)  # (q, N, N), N = 2n over H
     nn = bstack.shape[1]
     bflat = bstack.reshape(q, -1)
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)

@@ -67,9 +67,9 @@ def delta_e_batch(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray
     the section all along it, so |det| of the images onto the normal
     space needs no frame; abs_det_between reads a singular one as 0.
     """
-    ops = (split or algebra_split(action)).m_operators
-    images = np.einsum("bij,mj->mbi", ops, np.atleast_2d(np.asarray(pts, dtype=float)))
-    return abs_det_between(images, action.normal_dim)
+    ops, pts = (split or algebra_split(action)).m_operators, np.atleast_2d(np.asarray(pts, dtype=float))
+    images = np.einsum("bij,mj->mbi", ops, pts)
+    return abs_det_between(images, action.normal_dim, np.linalg.norm(pts, axis=1))
 
 
 def delta_e_generic(action: ActionSpec, s: MatK, split=None) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from sectint.actions import ConjugationAction
 from sectint.groups import Family, GroupSpec
-from sectint.matrices import COMPLEX, QUATERNION, REAL, from_real_vector, mat, to_real_vector, zeros
+from sectint.matrices import COMPLEX, QUATERNION, REAL, from_real_vector, mat, side, to_real_vector, zeros
 
 SQ2 = np.sqrt(2.0)
 FAMILY = {REAL: Family.SO, COMPLEX: Family.SU, QUATERNION: Family.SP}
@@ -90,10 +90,10 @@ def torus_basis(group):
 
 def embedded_block_algebra(field, n, offset, size):
     """The algebra basis of the group on rows and columns [offset, offset + size)."""
-    out = []
+    out, lo, hi = [], side(field) * offset, side(field) * (offset + size)
     for b in algebra_basis(GroupSpec(FAMILY[field], size)):
         m = zeros(field, n, n)
-        m.data[offset : offset + size, offset : offset + size] = b.data
+        m.data[lo:hi, lo:hi] = b.data
         out.append(m)
     return tuple(out)
 

@@ -5,8 +5,10 @@ and H in the field's own arithmetic; it shares no code with the
 batched Householder kernel of ``matrices.qr`` and
 ``matrices.householder_q`` that it checks.
 ``realified_det`` assembles the real matrix of left multiplication
-column by column, and ``pair_to_quat`` / ``quat_components`` read
-quaternions as real components.
+column by column.  The oracles compute over H with complex pairs
+(C1, C2), q = C1 + C2 j, which ``pair_data`` and ``from_pair`` read off
+and write back to the stored adjoint matrices, and ``pair_to_quat`` /
+``quat_components`` read quaternions as real components.
 """
 
 from __future__ import annotations
@@ -20,14 +22,33 @@ from sectint.matrices import (
     DimensionError,
     MatK,
     from_real_vector,
+    mat,
     real_dim,
     to_real_vector,
     zeros,
 )
 
 
-def _col(x: MatK, j: int) -> np.ndarray:
-    return x.data[:, j].copy() if x.field is not QUATERNION else x.data[:, j, :].copy()
+def pair_data(e: np.ndarray) -> np.ndarray:
+    """Complex pairs (..., n, m, 2) of adjoint matrices (..., 2n, 2m), read
+    off their even columns, as the realification reads them: C1 on row 2i,
+    conj(C2) on row 2i + 1."""
+    e = np.asarray(e)
+    return np.stack([e[..., ::2, ::2], e[..., 1::2, ::2].conj()], axis=-1)
+
+
+def from_pair(c) -> MatK:
+    """The quaternionic matrix of complex pairs (n, m, 2)."""
+    return mat(QUATERNION, pair_to_quat(c))
+
+
+def entries(x: MatK) -> np.ndarray:
+    """x's entries: x.data, or its complex pairs (n, m, 2) over H."""
+    return pair_data(x.data) if x.field is QUATERNION else x.data
+
+
+def _wrap(field: ScalarField, data: np.ndarray) -> MatK:
+    return from_pair(data) if field is QUATERNION else MatK(field, data)
 
 
 def _herm_dot(field: ScalarField, u: np.ndarray, v: np.ndarray):
@@ -71,24 +92,24 @@ def gram_schmidt_qr(x: MatK, rank_cutoff: float = 1e-12) -> tuple[MatK, MatK]:
     n, m = x.shape
     if n < m:
         raise DimensionError("qr requires rows >= cols")
-    field = x.field
+    field, xd = x.field, entries(x)
     qcols: list[np.ndarray] = []
-    rmat = zeros(field, m, m)
+    rmat = entries(zeros(field, m, m))
     cutoff = rank_cutoff * max(x.norm(), 1e-300)
     for j in range(m):
-        v = _col(x, j)
+        v = xd[:, j].copy()
         for _ in range(2):
             for i, qi in enumerate(qcols):
                 c = _herm_dot(field, qi, v)
                 v = v - _scale_right(field, qi, c)
-                rmat.data[i, j] += c
+                rmat[i, j] += c
         nv = float(np.linalg.norm(v))
         if nv > cutoff:
-            rmat.data[j, j] = [nv, 0.0] if field is QUATERNION else nv
+            rmat[j, j] = [nv, 0.0] if field is QUATERNION else nv
             qcols.append(v / nv)
         else:
             qcols.append(_completion_column(field, n, qcols))
-    return MatK(field, np.stack(qcols, axis=1)), rmat
+    return _wrap(field, np.stack(qcols, axis=1)), _wrap(field, rmat)
 
 
 def _completion_column(field: ScalarField, n: int, qcols: list[np.ndarray]) -> np.ndarray:
@@ -137,4 +158,4 @@ def quat_components(x: MatK) -> np.ndarray:
     """Quaternion matrix as (n, m, 4) real components."""
     if x.field is not QUATERNION:
         raise DimensionError("quat_components needs a quaternionic matrix")
-    return pair_to_quat(x.data)
+    return pair_to_quat(pair_data(x.data))

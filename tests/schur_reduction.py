@@ -16,9 +16,9 @@ import scipy.linalg
 
 from sectint.actions import ActionSpec, ConjugationAction, DirectSumAction
 from sectint.groups import Family, GroupElement, torus_point
-from sectint.matrices import COMPLEX, QUATERNION, REAL, MatK, complex_embedding, eye, zeros
+from sectint.matrices import COMPLEX, REAL, MatK, eye, side, zeros
 
-from matrix_oracles import gram_schmidt_qr
+from matrix_oracles import from_pair, gram_schmidt_qr
 
 
 def reduce_with_witness(action: ActionSpec, x: MatK) -> tuple[MatK, GroupElement]:
@@ -37,15 +37,16 @@ def _reduce_direct_sum(action: DirectSumAction, x: MatK) -> tuple[MatK, GroupEle
     # QR of the square [x | e_1 .. e_(n-k)]: its q is unitary, and since
     # Gram-Schmidt runs column by column, the first k columns of r are x's
     n, k = action.n, action.k
-    qmat, r = gram_schmidt_qr(MatK(x.field, np.concatenate([x.data, eye(x.field, n).data[:, : n - k]], axis=1)))
+    units = eye(x.field, n).data[:, : side(x.field) * (n - k)]
+    qmat, r = gram_schmidt_qr(MatK(x.field, np.concatenate([x.data, units], axis=1)))
     # the last column of q meets only the last row of r, zero in x's columns
     if action.group.family is Family.SO:
         if np.linalg.det(qmat.data) < 0:
             qmat.data[:, -1] *= -1.0
     elif action.group.family is Family.SU:
         qmat.data[:, -1] *= np.conj(np.linalg.det(qmat.data))
-    s = zeros(action.field, n, k)
-    s.data[:k] = r.data[:k, :k]
+    s, a = zeros(action.field, n, k), side(action.field) * k
+    s.data[:a] = r.data[:a, :a]
     return s, GroupElement(action.group, qmat.h)
 
 
@@ -127,17 +128,17 @@ def _flip_one_block(qn: np.ndarray, angles: list[float]) -> bool:
 def _reduce_conj_sp(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElement]:
     group = action.group
     n = group.n
-    t, q = scipy.linalg.schur(complex_embedding(x.field, x.data), output="complex")
+    t, q = scipy.linalg.schur(x.data, output="complex")  # the adjoint matrix, rows interleaved
     ang = np.angle(np.diag(t))
     order = np.argsort(np.abs(ang), kind="stable")
-    # quaternionic eigencolumns: w = v_top + conj(v_bot) j; the plus and
+    # quaternionic eigencolumns: w = v_even + conj(v_odd) j; the plus and
     # minus angle partners span the same quaternionic line, so a
     # quaternionic Gram-Schmidt pass keeps exactly n of them
     kept_cols: list[np.ndarray] = []
     kept_ang: list[float] = []
     for idx in order:
         v = q[:, idx]
-        w = np.stack([v[:n], v[n:].conj()], axis=-1)  # (n, 2) pair column
+        w = np.stack([v[::2], v[1::2].conj()], axis=-1)  # (n, 2) pair column
         if ang[idx] < 0:
             # right multiplication by j moves to the +theta eigenvector
             # on the same quaternionic line
@@ -155,7 +156,7 @@ def _reduce_conj_sp(action: ConjugationAction, x: MatK) -> tuple[MatK, GroupElem
         raise np.linalg.LinAlgError("quaternionic eigenbasis extraction failed")
     order2 = np.argsort(kept_ang, kind="stable")
     u = np.stack([kept_cols[i] for i in order2], axis=1)  # (n, n, 2)
-    g = GroupElement(group, MatK(QUATERNION, u).h)
+    g = GroupElement(group, from_pair(u).h)
     return torus_point(group, np.array([kept_ang[i] for i in order2])), g
 
 
@@ -178,7 +179,7 @@ def torus_angles(action: ConjugationAction, s: MatK, strict: bool = True) -> np.
     elif fam is Family.SU:
         ang = np.angle(np.diag(d))
     else:
-        ang = np.angle(d[np.arange(n), np.arange(n), 0])
+        ang = np.angle(np.diag(d)[::2])
     if strict and (s - torus_point(action.group, ang)).norm() > 1e-8 * max(1.0, s.norm()):
         raise ValueError("point is not on the standard maximal torus")
     return ang

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
+from sectint.matrices import MatK, eye, gaussian, mat, side, to_real_vector, zeros
 from sectint.groups import Family, GroupSpec, haar_sample, haar_sample_batch, torus_point
 from algebra_oracle import matrices
 from sectint.actions import (
@@ -39,10 +39,11 @@ R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 def section_residual(action, x):
     """Distance of x from the section (coordinate-wise, not orbit-wise)."""
     if isinstance(action, DirectSumAction):
-        r = float(np.linalg.norm(x.data[action.k :]))
+        top = side(action.field) * action.k
+        r = float(np.linalg.norm(x.data[top:]))
         if action.k == 1:
             # the k = 1 section is the real line through the first basis vector
-            v = to_real_vector(mat(action.field, x.data[:1]))
+            v = to_real_vector(MatK(action.field, x.data[:top]))
             r = float(np.hypot(r, np.linalg.norm(v[1:])))
         return r
     angles = torus_angles(action, x, strict=False)
@@ -189,7 +190,7 @@ def test_classification():
     # one rule for both families: isotropy of the dimension of the section's stabilizer algebra
     for field in (C, H):
         b = gaussian(field, 2, 2, np.random.default_rng(17))
-        b.data[1] = b.data[0]
+        b.data.reshape(2, side(field), -1)[1] = b.data[: side(field)]  # both rows equal
         a = DirectSumAction(field, 3, 2)
         assert classify_point(a, embed_section(a, b)) is RegularityClass.SINGULAR
         assert classify_point(a, embed_section(a, eye(field, 2))) is RegularityClass.REGULAR

@@ -492,6 +492,10 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["delta", "--point", "[[1,0],[0,1]]", "--tol-abs", "inf"], "--tol-abs"),
         (["ensemble", "--p-threshold", "nan"], "--p-threshold"),
         (["verify", "--corrupt-metric=-inf"], "--corrupt-metric"),
+        # finite scales whose arithmetic overflows, or divides by an underflowed 0
+        (["integrate", "--functions", "gaussian_radial:sigma=1e-300"], "floating-point range"),
+        (["integrate", "--functions", "gaussian_radial:sigma=1e100"], "floating-point range"),
+        (["ensemble", "--scale", "1e308"], "floating-point range"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -499,6 +503,18 @@ def test_degenerate_numeric_input_exits_2(capsys, argv, needle):
     # each of these used to print a NaN payload (not valid JSON) or ignore the value
     err = _exits_2_with_one_line(capsys, [argv[0], "--action", SO3K2, "--n", "200", *argv[1:]])
     assert needle in err
+
+
+def test_verify_reports_an_infinite_check_value(capsys, monkeypatch):
+    # isotropy_constancy reads inf where a point's isotropy has the wrong
+    # dimension: a failed check in the payload, not a floating-point error
+    from sectint.actions import OrbitMapDifferential
+
+    monkeypatch.setattr(OrbitMapDifferential, "isotropy_mask", lambda self, tol=1e-8: np.zeros(self.svd[1].shape, bool))
+    r42 = '{"kind":"direct_sum","field":"R","n":4,"k":2}'  # an isotropy algebra so(2) at regular points
+    code, rep = run_cli(capsys, ["verify", "--action", r42, "--points", "3", "--seed", "1"])
+    values = {c["name"]: c["value"] for c in rep["checks"]}
+    assert code == 1 and values["isotropy_constancy"] == math.inf
 
 
 @pytest.mark.parametrize("source", ["inline", "file"])

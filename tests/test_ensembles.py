@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import complex_embedding, det_modulus
+from sectint.matrices import det_modulus
 from sectint.groups import Family, GroupSpec, _torus_grid, torus_point
 from sectint.actions import (
     ConjugationAction,
@@ -43,8 +43,8 @@ def _stat_from_coordinate(spec, b):
     if spec.statistic == "coordinate_norm":
         return b.norm()
     if spec.statistic == "singular_value":
-        sv = np.linalg.svd(complex_embedding(b.field, b.data), compute_uv=False)
-        sv = sv[::2] if b.field is H else sv  # quaternion embedding doubles each value
+        sv = np.linalg.svd(b.data, compute_uv=False)
+        sv = sv[::2] if b.field is H else sv  # the adjoint matrix doubles each value
         return float(sv[spec.stat_index])
     raise ValueError(f"statistic {spec.statistic!r} not defined for direct sums")
 

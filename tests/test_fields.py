@@ -1,9 +1,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sectint.fields import ScalarField, quat_to_pair
+from sectint.fields import ScalarField
+from sectint.matrices import mat
 
-from matrix_oracles import pair_to_quat
+from matrix_oracles import pair_data, pair_to_quat
 
 ONE, I, J, K = np.eye(4)  # quaternion components (w, x, y, z) of 1, i, j, k
 
@@ -81,4 +82,4 @@ def test_associativity_and_conjugation(seed):
 def test_pair_roundtrip():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((5, 7, 4))
-    np.testing.assert_allclose(pair_to_quat(quat_to_pair(q)), q, atol=1e-15)
+    np.testing.assert_array_equal(pair_to_quat(pair_data(mat(ScalarField.QUATERNION, q).data)), q)

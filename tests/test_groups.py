@@ -9,7 +9,6 @@ from sectint.fields import ScalarField
 from sectint import matrices
 from sectint.matrices import (
     MatK,
-    complex_embedding,
     det_modulus,
     eye,
     gaussian_batch,
@@ -107,15 +106,8 @@ def test_bracket_closure_sp2():
 
 def exp_map(group, x):
     """Matrix exponential of an algebra element."""
-    if x.field is not ScalarField.QUATERNION:
-        return GroupElement(group, MatK(x.field, scipy.linalg.expm(x.data)))
-    # exp commutes with the complex adjoint embedding; average the two
-    # redundant blocks when projecting back
-    n = x.rows
-    e = scipy.linalg.expm(complex_embedding(x.field, x.data))
-    c1 = 0.5 * (e[:n, :n] + e[n:, n:].conj())
-    c2 = 0.5 * (e[n:, :n].conj() - e[:n, n:])
-    return GroupElement(group, MatK(ScalarField.QUATERNION, np.stack([c1, c2], axis=-1)))
+    # over H, exp commutes with the adjoint matrix that stores x
+    return GroupElement(group, MatK(x.field, scipy.linalg.expm(x.data)))
 
 
 def test_exp_zero_and_inverse():
@@ -166,10 +158,11 @@ def test_haar_sample_in_group():
     ids=str,
 )
 def test_haar_character_second_moment(group):
-    # the complex embedding is an irreducible representation, so Haar
-    # measure gives E|tr g|^2 = 1 (Schur orthogonality)
+    # the stored complex matrices (adjoint matrices on Sp) form an
+    # irreducible representation, so Haar measure gives E|tr g|^2 = 1
+    # (Schur orthogonality)
     batch = haar_sample_batch(group, np.random.default_rng(11), 20_000)
-    tr2 = np.abs(np.trace(complex_embedding(group.field, batch), axis1=1, axis2=2)) ** 2
+    tr2 = np.abs(np.trace(batch, axis1=1, axis2=2)) ** 2
     assert abs(tr2.mean() - 1.0) <= 5.0 * tr2.std(ddof=1) / np.sqrt(tr2.size)
 
 
@@ -238,7 +231,7 @@ def test_householder_q_is_the_q_of_qr(field, m):
     size = np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim))))
     gap = [np.max(np.abs(qi - gram_schmidt_qr(MatK(field, xi))[0].data)) for qi, xi in zip(q, x)]
     assert np.all(np.array(gap) <= 1e-13 * size)
-    assert np.max(np.abs(det - np.linalg.det(complex_embedding(field, q)))) <= 1e-13
+    assert np.max(np.abs(det - np.linalg.det(q))) <= 1e-13
 
 
 @pytest.mark.parametrize("field, m", KERNEL_CASES, ids=lambda v: getattr(v, "value", v))

@@ -217,6 +217,24 @@ def test_mc_run_chunk_error_propagates_after_running_chunks_return(bad, workers)
     assert mc_run(_square, n, 9, 16, workers) == mc_run(_square, n, 9, 16, 1)
 
 
+def test_mc_run_helpers_take_the_callers_floating_point_state():
+    # a new thread starts with numpy's default error state, so an overflow that
+    # the CLI turns into an error would only warn on a helper; 4 batches, slow
+    # enough that the helper claims some of them
+    seen = []
+
+    def records_state(rngs, sizes):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        time.sleep(0.02)
+        return np.zeros(sum(sizes))
+
+    mc_run(_square, 3 * BATCH_DRAWS, 0, chunks=16, workers=2)  # start the helper
+    with np.errstate(over="raise"):
+        mc_run(records_state, 3 * BATCH_DRAWS, 0, chunks=16, workers=2)
+    assert len(seen) == 4 and len({tid for tid, _ in seen}) == 2
+    assert {state for _, state in seen} == {"raise"}
+
+
 def test_mc_run_rows_match_one_dimensional_runs():
     # an (m, size) sample reduces each row on its own: row i of the batch run
     # is bit-identical to the 1-D run returning that row, empty chunks included

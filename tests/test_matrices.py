@@ -8,7 +8,6 @@ from sectint.matrices import (
     MatK,
     abs_det_between,
     batch_to_real,
-    complex_embedding,
     det_modulus,
     eye,
     from_real_vector,
@@ -17,11 +16,12 @@ from sectint.matrices import (
     inner,
     mat,
     qr,
+    side,
     to_real_vector,
     zeros,
 )
 
-from matrix_oracles import gram_schmidt_qr, quat_components, realified_det
+from matrix_oracles import entries, gram_schmidt_qr, quat_components, realified_det
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 FIELDS = (R, C, H)
@@ -84,6 +84,46 @@ def test_batch_to_real_matches_single():
             np.testing.assert_allclose(flat[i], to_real_vector(x), atol=1e-15)
 
 
+# --- the quaternion layout -------------------------------------------------------
+
+def layout_gap(e: np.ndarray) -> float:
+    """Largest departure of a stack of H data from the adjoint-matrix layout,
+    e[2i+1, 2j+1] = conj(e[2i, 2j]) and e[2i+1, 2j] = -conj(e[2i, 2j+1]),
+    relative to its largest entry."""
+    e = np.asarray(e)
+    assert e.dtype == complex and e.shape[-2] % 2 == 0 and e.shape[-1] % 2 == 0
+    diag = np.abs(e[..., 1::2, 1::2] - e[..., ::2, ::2].conj())
+    off = np.abs(e[..., 1::2, ::2] + e[..., ::2, 1::2].conj())
+    return max(diag.max(initial=0.0), off.max(initial=0.0)) / max(np.abs(e).max(initial=0.0), 1e-300)
+
+
+def test_every_h_array_handed_out_is_an_adjoint_matrix():
+    # arrays built from components keep the layout exactly, computed ones to rounding
+    from sectint.actions import ConjugationAction, DirectSumAction, algebra_split
+    from sectint.groups import Family, GroupSpec, haar_sample_batch
+    from sectint.matrices import conj_transpose, gaussian_batch, householder_q
+
+    rng = np.random.default_rng(60)
+    a, b = gaussian_batch(H, 3, 4, rng, 20), gaussian_batch(H, 4, 2, rng, 20)
+    deficient = gaussian_batch(H, 4, 3, rng, 20)
+    deficient[:, :, 4:] = deficient[:, :, :2]  # the last column repeats the first
+    exact = [a, conj_transpose(a), algebra_split(DirectSumAction(H, 3, 2)).data,
+             algebra_split(ConjugationAction(GroupSpec(Family.SP, 2))).data]
+    rounded = [a @ b, *qr(H, conj_transpose(a)), *qr(H, deficient),
+               householder_q(H, gaussian_batch(H, 3, 3, rng, 20))[0],
+               haar_sample_batch(GroupSpec(Family.SP, 2), rng, 20)]
+    assert all(layout_gap(e) == 0.0 for e in exact)
+    assert all(layout_gap(e) <= 1e-14 for e in rounded)
+
+
+def test_realification_keeps_the_component_order():
+    # c1.re, c1.im, c2.re, c2.im per entry, row by row: bases, frames and the
+    # algebra split are built in these coordinates
+    comps = np.random.default_rng(61).standard_normal((3, 2, 4))
+    assert np.array_equal(to_real_vector(mat(H, comps)), comps.ravel())
+    assert np.array_equal(batch_to_real(H, mat(H, comps).data[None])[0], comps.ravel())
+
+
 # --- adjoint and products -------------------------------------------------------
 
 @given(st.integers(0, 2**32 - 1))
@@ -130,7 +170,7 @@ def test_qr_reconstruction_all_fields(seed):
         q, r = (MatK(field, a) for a in qr(field, x.data))
         assert ((q @ r) - x).norm() <= 1e-10 * x.norm()
         assert ((q.h @ q) - eye(field, 3)).norm() < 1e-12
-        diag = r.data[np.arange(3), np.arange(3)]
+        diag = entries(r)[np.arange(3), np.arange(3)]
         if field is H:
             assert np.abs(diag[:, 1]).max() < 1e-15 and np.abs(diag[:, 0].imag).max() < 1e-15
             assert np.all(diag[:, 0].real >= 0)
@@ -167,8 +207,9 @@ def _rank_deficient(field, rng):
     scalar = lambda: gaussian(field, 1, 1, rng)
     v = g(1)
     vs = v @ scalar()
-    unit = zeros(field, 4, 1)
-    unit.data[1] = 1.0
+    comps = np.zeros((4, 1, field.dim))
+    comps[1, 0, ::2] = 1.0  # 1, or 1 + j over H
+    unit = from_real_vector(field, 4, 1, comps.ravel())
     cat = lambda *cols: MatK(field, np.concatenate([c.data for c in cols], axis=1))
     return [
         zeros(field, 4, 3),
@@ -193,9 +234,9 @@ def test_qr_rank_deficient_is_orthonormal_and_exact(field):
         assert ((q.h @ q) - eye(field, k)).norm() < 1e-13
         assert ((q @ r) - x).norm() <= 1e-13 * max(1.0, x.norm())
         i, j = np.tril_indices(k, -1)
-        assert np.all(r.data[i, j] == 0.0)
-        diag = r.data[np.arange(k), np.arange(k)]
-        rank = np.linalg.matrix_rank(complex_embedding(field, x.data)) // (2 if field is H else 1)
+        assert np.all(entries(r)[i, j] == 0.0)
+        diag = entries(r)[np.arange(k), np.arange(k)]
+        rank = np.linalg.matrix_rank(x.data) // side(field)
         assert np.count_nonzero(diag) == rank
     # the same matrices as one batch, where they are padded to 3 columns
     batch = np.stack([np.concatenate([x.data, zeros(field, 4, 3 - x.cols).data], axis=1) for x in xs if x.cols <= 3])
@@ -222,8 +263,9 @@ def test_qr_takes_no_lapack_factorization(monkeypatch, field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_qr_of_an_empty_stack(field):
     # an empty batch gives empty factors
-    q, r = qr(field, np.zeros((0, 3, 2) + ((2,) if field is H else ())))
-    assert q.shape[:3] == (0, 3, 2) and r.shape[:3] == (0, 2, 2)
+    s = side(field)
+    q, r = qr(field, np.zeros((0, 3 * s, 2 * s)))
+    assert q.shape == (0, 3 * s, 2 * s) and r.shape == (0, 2 * s, 2 * s)
 
 
 # --- determinants -----------------------------------------------------------------
@@ -322,17 +364,13 @@ def test_abs_det_between_codomain_frame_independent():
 # --- Gram determinant -------------------------------------------------------------
 
 def gram_det_oracle(field, comps: np.ndarray) -> np.ndarray:
-    """Per matrix, LAPACK |det| of the Gram matrix of the complex embedding;
-    its square root for H, where that is the square of the Moore determinant."""
+    """Per matrix, LAPACK |det| of the Gram matrix of the stored complex
+    matrix; its square root for H, where that is the square of the Moore
+    determinant."""
     out = []
     for c in comps:
         n, k, _ = c.shape
-        x = from_real_vector(field, n, k, c.ravel())
-        if field is H:
-            c1, c2 = x.data[..., 0], x.data[..., 1]
-            e = np.block([[c1, -c2], [c2.conj(), c1.conj()]])
-        else:
-            e = x.data.astype(complex)
+        e = from_real_vector(field, n, k, c.ravel()).data.astype(complex)
         det = abs(np.linalg.det(e.conj().T @ e))
         out.append(np.sqrt(det) if field is H else det)
     return np.array(out)
@@ -354,14 +392,14 @@ def test_gram_det_rank_deficient_is_small_and_nonnegative(field, k):
     rng = np.random.default_rng(20 + k)
     rows = []
     for i in range(200):
-        x = gaussian(field, 4, k, rng)
+        x, s = gaussian(field, 4, k, rng), side(field)
         if k == 1:
             x = zeros(field, 4, 1)
         else:
-            col = x.data[:, :1]
+            col = x.data[:, :s]
             if i % 2:
-                col = (mat(field, col) @ gaussian(field, 1, 1, rng)).data
-            x.data[:, -1:] = col
+                col = (MatK(field, col) @ gaussian(field, 1, 1, rng)).data
+            x.data[:, -s:] = col
         rows.append(to_real_vector(x).reshape(4, k, field.dim))
     comps = np.array(rows)
     dets = gram_det(field, comps)
@@ -381,8 +419,8 @@ def test_gram_det_is_accurate_near_rank_deficiency(field, k):
     # where sqrt of the Gram difference is off by up to sqrt(eps), about 1e-8, of it
     rng = np.random.default_rng(30 + k)
     for _ in range(10):
-        x = gaussian(field, k, k, rng)
-        x.data[:, -1] = x.data[:, 0] + 1e-8 * gaussian(field, k, 1, rng).data[:, 0]
+        x, s = gaussian(field, k, k, rng), side(field)
+        x.data[:, -s:] = x.data[:, :s] + 1e-8 * gaussian(field, k, 1, rng).data
         comps = to_real_vector(x).reshape(1, k, k, field.dim)
         hadamard = np.sqrt(np.prod(np.sum(comps ** 2, axis=(1, 3))))
         assert abs(np.sqrt(gram_det(field, comps)[0]) - det_modulus(x)) <= 1e-11 * hadamard
@@ -396,8 +434,8 @@ def test_gram_det_keeps_relative_accuracy_near_rank_deficiency(field, k):
     # about eps / 1e-10 relative and the QR diagonal keeps the digits
     rng = np.random.default_rng(40 + k)
     for _ in range(50):
-        x = gaussian(field, k, k, rng)
-        x.data[:, -1] = x.data[:, 0] + 1e-5 * gaussian(field, k, 1, rng).data[:, 0]
+        x, s = gaussian(field, k, k, rng), side(field)
+        x.data[:, -s:] = x.data[:, :s] + 1e-5 * gaussian(field, k, 1, rng).data
         comps = to_real_vector(x).reshape(1, k, k, field.dim)
         assert np.sqrt(gram_det(field, comps)[0]) == pytest.approx(det_modulus(x), rel=1e-8, abs=0)
 
@@ -408,8 +446,7 @@ def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
     # a Monte Carlo batch joins the draws of consecutive chunks; every third
     # matrix is near rank deficiency, so qr factors a subset of each stack,
     # and each det is the same, bit for bit, in the joined stack and in its
-    # chunks.  A chunk of one H matrix is left out: the k = 2 closed form's
-    # table product runs as a matrix-vector product there, in another order
+    # chunks, chunks of one matrix included
     import sectint.matrices as matrices
 
     rng = np.random.default_rng(50 + k)
@@ -419,5 +456,5 @@ def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
     monkeypatch.setattr(matrices, "qr", lambda fld, data: factored.append(len(data)) or qr_of(fld, data))
     full = gram_det(field, comps)
     assert factored == [12 if k == 3 else 4]
-    parts = [gram_det(field, comps[lo:hi]) for lo, hi in [(0, 5), (5, 7), (7, 12)]]
+    parts = [gram_det(field, comps[lo:hi]) for lo, hi in [(0, 5), (5, 6), (6, 7), (7, 12)]]
     assert np.array_equal(full, np.concatenate(parts))

@@ -3,7 +3,7 @@ import pytest
 
 from algebra_oracle import matrices
 from sectint.fields import ScalarField
-from sectint.matrices import eye, gaussian, mat, to_real_vector, zeros
+from sectint.matrices import eye, gaussian, mat, side, to_real_vector, zeros
 from sectint.groups import Family, GroupSpec, torus_angles, torus_point, torus_points
 from sectint.actions import (
     AlgebraSplit,
@@ -341,7 +341,7 @@ def singular_points(action, rng):
     points = [zeros(action.field, action.n, action.k)]
     if action.k >= 2:
         b = gaussian(action.field, action.k, action.k, rng)
-        b.data[1:] = b.data[0]
+        b.data.reshape(action.k, side(action.field), -1)[1:] = b.data[: side(action.field)]  # all rows equal
         points.append(embed_section(action, b))
     return points
 
@@ -370,9 +370,43 @@ def test_rank_deficient_points_weigh_exactly_zero(field, n):
     pts = []
     for _ in range(200):
         b = gaussian(field, 2, 2, rng)
-        b.data[1] = b.data[0]
+        b.data.reshape(2, side(field), -1)[1] = b.data[: side(field)]  # both rows equal
         pts.append(to_real_vector(embed_section(a, b)))
     assert np.all(delta_e_batch(a, np.stack(pts)) == 0.0)
+
+
+# --- the singular cutoff is scale-free --------------------------------------------
+# A direct sum's Killing images are linear in the point, and abs_det_between
+# floors each image's norm at 1e-6 times the point's: small regular points
+# keep their homogeneous determinants, and the conjugation identity, where
+# every image is 0, still weighs exactly 0.
+
+@pytest.mark.parametrize("t", [1e-10, 1e-6, 1.0])
+def test_small_regular_points_factorize(t):
+    a = DirectSumAction(R, 3, 2)
+    b = t * np.array([[1.0, 0.3], [-0.2, 0.8]])
+    s = embed_section(a, b)
+    diff = orbit_map_differential(a, s)
+    total, generic = float(diff.total_det()), delta_e_generic(a, s)
+    assert total > 0.0
+    assert total == pytest.approx(float(diff.delta_d()) * generic, rel=1e-8, abs=0.0)
+    assert generic == pytest.approx(delta_e_closed_form(R, 3, 2, b), rel=1e-8, abs=0.0)
+
+
+def test_small_complex_point_matches_closed_form():
+    # 2^-4 |det B|^4 = 4.1e-62 at B = diag(3e-8)
+    a, b = DirectSumAction(C, 4, 2), np.diag([3e-8, 3e-8]).astype(complex)
+    closed = delta_e_closed_form(C, 4, 2, b)
+    assert closed == pytest.approx(2.0 ** -4 * 3e-8 ** 8, rel=1e-12)
+    assert delta_e_generic(a, embed_section(a, b)) == pytest.approx(closed, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("family, n", [(Family.SO, 3), (Family.SU, 3), (Family.SP, 2)])
+def test_conjugation_identity_still_weighs_exactly_zero(family, n):
+    action = ConjugationAction(GroupSpec(family, n))
+    checks = {c.name: c for c in run_action_checks(action, seed=1, n_points=3)}
+    assert checks["weight_singular_vanishing"].value == 0.0
+    assert delta_e_generic(action, eye(action.field, n)) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -79,6 +79,7 @@ from .groups import (
     GroupSpec,
     algebra_basis,
     block_algebra_basis,
+    full_torus_angles,
     haar_sample_batch,
     haar_unitary_batch,
     pair_generators,
@@ -578,24 +579,17 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
     """Canonical torus angles of a stack of group elements (m, n, n).
 
     The angles are the eigenphases of the stored complex matrices (the
-    adjoint matrices over H), from one
-    batched eigensolve.  SU(n): all n angles, summing to 0 and sorted in
-    descending order, within 2 pi of each other (the phases in
-    [0, 2 pi), the m largest lowered by 2 pi, m = their sum / 2 pi), so
-    the point moves continuously when an eigenvalue crosses 1.  SO
-    and Sp: eigenvalues come in pairs exp(+-i theta), and the rank
-    angles are the sorted |theta|, one per pair (SO(2m+1) drops its
-    extra eigenvalue 1).  The Weyl group of SO(2m) changes an even
-    number of signs only, so there the smallest angle takes the
-    orientation of the real planes (Im v, Re v) of the exp(+i theta)
-    eigenvectors v; it stays positive when an angle is 0 or pi, where a
-    sign change costs nothing.
+    adjoint matrices over H), from one batched eigensolve, taken to
+    their canonical representative by _weyl_canonical: on SU(n) all n
+    of them, on SO and Sp one per pair exp(+-i theta) (SO(2m+1) drops
+    its extra eigenvalue 1).  The Weyl group of SO(2m) changes an even
+    number of signs only, so there the orientation of the real planes
+    (Im v, Re v) of the exp(+i theta) eigenvectors v sets the sign of
+    the smallest angle.
     """
     fam, n = group.family, group.n
     if fam is Family.SU:
-        phases = -np.sort(-np.mod(np.angle(np.linalg.eigvals(data)), 2 * np.pi), axis=1)
-        wraps = np.rint(np.sum(phases, axis=1, keepdims=True) / (2 * np.pi))
-        return np.sort(phases - 2 * np.pi * (np.arange(n) < wraps), axis=1)[:, ::-1]
+        return _weyl_canonical(group, np.angle(np.linalg.eigvals(data)))
     even_so = fam is Family.SO and n % 2 == 0
     if even_so:
         vals, vecs = np.linalg.eig(data)
@@ -604,13 +598,56 @@ def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
     theta = np.angle(vals)
     skip = 1 if fam is Family.SO and n % 2 == 1 else 0  # the extra eigenvalue 1 sorts first
     ang = np.sort(np.abs(theta), axis=1)[:, skip::2]
-    if even_so:
-        # a real matrix has exactly conjugate eigenpairs: the top half of
-        # the sorted angles are the exp(+i theta) ones
-        v = np.take_along_axis(vecs, np.argsort(theta, axis=1)[:, None, n // 2 :], axis=2)
-        planes = np.stack([v.imag, v.real], axis=-1).reshape(data.shape)
+    if not even_so:
+        return _weyl_canonical(group, ang)
+    # a real matrix has exactly conjugate eigenpairs: the top half of
+    # the sorted angles are the exp(+i theta) ones
+    v = np.take_along_axis(vecs, np.argsort(theta, axis=1)[:, None, n // 2 :], axis=2)
+    planes = np.stack([v.imag, v.real], axis=-1).reshape(data.shape)
+    return _weyl_canonical(group, ang, np.linalg.det(planes) < 0)
+
+
+def torus_canonical_angles(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
+    """canonical_angles of torus_points(group, angles), read off the angle
+    rows (m, r) by the Weyl group, with no eigensolve.
+
+    A torus point's eigenvalues are its diagonal entries (SU, Sp: with
+    their conjugates on the adjoint matrix) or its rotation blocks'
+    cos(theta) +- i sin(theta) (SO), so its eigenphases are np.angle of
+    the (cos, sin) pairs, as an eigensolve returns them on SU and Sp.
+    A rotation block with a negative phase has the plane of its
+    exp(+i |theta|) eigenvector reversed, so on SO(2m) the orientation
+    is the parity of the negative phases.
+    """
+    full = full_torus_angles(group, angles)
+    diag = np.empty(full.shape, dtype=complex)
+    diag.real, diag.imag = np.cos(full), np.sin(full)
+    theta = np.angle(diag)
+    if group.family is Family.SO and group.n % 2 == 0:
+        return _weyl_canonical(group, theta, np.count_nonzero(theta < 0, axis=1) % 2 == 1)
+    return _weyl_canonical(group, theta)
+
+
+def _weyl_canonical(group: GroupSpec, theta: np.ndarray, flip: np.ndarray | None = None) -> np.ndarray:
+    """The canonical representative of eigenphase rows theta under the Weyl group.
+
+    SU(n): all n phases, summing to 0 and sorted in descending order,
+    within 2 pi of each other (the phases in [0, 2 pi), the m largest
+    lowered by 2 pi, m = their sum / 2 pi), so the point moves
+    continuously when an eigenvalue crosses 1.  SO and Sp: one phase per
+    pair exp(+-i theta), (m, rank); the canonical angles are the sorted
+    |theta|.  On SO(2m) the rows where flip is set (a negative
+    orientation) take the smallest angle negative; it stays positive
+    when an angle is 0 or pi, where a sign change costs nothing.
+    """
+    if group.family is Family.SU:
+        phases = -np.sort(-np.mod(theta, 2 * np.pi), axis=1)
+        wraps = np.rint(np.sum(phases, axis=1, keepdims=True) / (2 * np.pi))
+        return np.sort(phases - 2 * np.pi * (np.arange(group.n) < wraps), axis=1)[:, ::-1]
+    ang = np.sort(np.abs(theta), axis=1)
+    if flip is not None:
         free = (ang[:, 0] < _ANGLE_TOL) | (ang[:, -1] > np.pi - _ANGLE_TOL)
-        ang[(np.linalg.det(planes) < 0) & ~free, 0] *= -1.0
+        ang[flip & ~free, 0] *= -1.0
     return ang
 
 

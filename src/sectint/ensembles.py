@@ -8,13 +8,19 @@ section.  This module draws both sides and compares them with a
 chi-square test.  On a direct sum the Gaussian density times the weight
 is a product law in the Bartlett coordinates B = wR, which the reference
 draws exactly (``integrate.bartlett_draws``): chi on the diagonal of R,
-normal above it.  Each draw also checks the paper's closed-form weight
+normal above it, in blocks of REF_BLOCK draws with one seed each, each
+block evaluated a row block of a few thousand draws at a time.  Each
+draw also checks the paper's closed-form weight
 ``weights.section_weight_batch``: weight times Gaussian times Jacobian
 over the draws' density must be one constant, up to rounding at every
-draw.  On conjugation the section density is Weyl's closed-form weight
-``weights.torus_weight_batch`` on the torus angles.  The p-value is the
-chi-square tail at an integer number of degrees of freedom, a finite
-sum in closed form, so no run loads scipy.
+draw.  The draws are equally weighted, so one sort gives both their
+quantile bin edges and the bins' masses.  On conjugation the section
+density is Weyl's closed-form weight ``weights.torus_weight_batch`` on
+the torus angles; above rank one it weighs an angle grid, whose
+canonical angles come from the grid angles by the Weyl group
+(``actions.torus_canonical_angles``), not from an eigensolve.  The
+p-value is the chi-square tail at an integer number of degrees of
+freedom, a finite sum in closed form, so no run loads scipy.
 """
 
 from __future__ import annotations
@@ -27,15 +33,22 @@ import numpy as np
 
 from .fields import ScalarField
 from .matrices import data_from_components, gaussian_components, gram_det, side
-from .groups import Family, GroupSpec, _torus_grid, haar_sample_batch, torus_points
-from .actions import ActionSpec, ConjugationAction, DirectSumAction, action_to_json, canonical_angles
+from .groups import Family, GroupSpec, _torus_grid, haar_sample_batch
+from .actions import (
+    ActionSpec,
+    ConjugationAction,
+    DirectSumAction,
+    action_to_json,
+    canonical_angles,
+    torus_canonical_angles,
+)
 from .weights import section_weight_batch, torus_weight_batch
 from .integrate import bartlett_draws
 from .mc import _subseed, chunk_rngs, chunk_sizes
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
 BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
-REF_BLOCK = 65_536  # exact reference draws per block; bounds the (block, section_dim) arrays
+REF_BLOCK = 65_536  # exact reference draws per seed (seed, block); evaluated a row block at a time
 #: largest relative spread of the reference draws' weight ratio: rounding level
 WEIGHT_RATIO_TOL = 1e-10
 
@@ -128,15 +141,12 @@ def _reference_sample(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.nda
     if isinstance(action, DirectSumAction):
         return _bartlett_reference(spec, seed, n_ref)
     # conjugation: the ambient density is Haar, so the reference is Weyl's
-    # weight on a fine angle grid, evaluated at canonical representatives
+    # weight on a fine angle grid, at the grid points' canonical angles
     # (compare_densities takes rank one's exact bin masses instead)
     group = action.group
-    grid = 96 if group.rank == 2 else 24
-    angles = _torus_grid(group.rank, grid)
-    pts = torus_points(group, angles)
+    angles = _torus_grid(group.rank, 96 if group.rank == 2 else 24)
     weights = torus_weight_batch(group, angles)
-    data = data_from_components(action.field, pts.reshape(len(pts), group.n, group.n, action.field.dim))
-    stats = canonical_angles(group, data)[:, spec.stat_index]
+    stats = torus_canonical_angles(group, angles)[:, spec.stat_index]
     return stats, weights / np.sum(weights), None
 
 
@@ -145,29 +155,30 @@ def _bartlett_reference(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.n
 
     The draws are integrate.bartlett_draws scaled by |scale|, in blocks
     of REF_BLOCK draws seeded (seed, block), so every draw weighs
-    1 / n_ref.  The paper's weight stays in the loop: at each draw the
-    weight section_weight_batch times the Gaussian and Jacobian over the
-    draws' density is one constant, and the relative spread max / min - 1
-    of that ratio over every draw is returned.  gram_det in the weight
-    keeps its digits on draws with nearly dependent columns too, so the
-    spread stays at rounding level however many draws are taken.  The
-    statistics are read off the triangular R, whose |det| is the product
-    of its diagonal.
+    1 / n_ref; each block is evaluated in the row blocks that
+    bartlett_draws yields.  The paper's weight stays in the loop: at
+    each draw the weight section_weight_batch times the Gaussian and
+    Jacobian over the draws' density is one constant, and the relative
+    spread max / min - 1 of that ratio over every draw is returned.
+    gram_det in the weight keeps its digits on draws with nearly
+    dependent columns too, so the spread stays at rounding level however
+    many draws are taken.  The statistics are read off the triangular R,
+    whose |det| is the product of its diagonal.
     """
     action, scale, k = spec.action, abs(spec.scale), spec.action.k
     field = action.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
     stats, lo, hi = [], np.inf, -np.inf
     for block, start in enumerate(range(0, n_ref, REF_BLOCK)):
         rng = np.random.default_rng(_subseed(seed, block))
-        x, log_factor = bartlett_draws(action, rng, min(REF_BLOCK, n_ref - start))
-        z = scale * x
-        comps = z.reshape(len(z), k, k, field.dim)
-        log_ratio = np.log(section_weight_batch(action, z)) + log_factor
-        lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
-        if spec.statistic == "coordinate_det":
-            stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))  # real on R's diagonal
-        else:
-            stats.append(_stats_batch_direct(spec, field, comps))
+        for z, log_factor in bartlett_draws(action, rng, min(REF_BLOCK, n_ref - start)):
+            z *= scale
+            comps = z.reshape(len(z), k, k, field.dim)
+            log_ratio = np.log(section_weight_batch(action, z)) + log_factor
+            lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
+            if spec.statistic == "coordinate_det":
+                stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))  # real on R's diagonal
+            else:
+                stats.append(_stats_batch_direct(spec, field, comps))
     spread = float(np.expm1(hi - lo))
     return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread
 
@@ -256,6 +267,29 @@ def chi2_tail(dof: int, x: float) -> float:
     return total
 
 
+def _equal_draw_bins(ref_stats: np.ndarray, ref_w: np.ndarray, bins: int, lo: float, hi: float):
+    """Edges from lo to hi with the inner ones at the quantiles of equally
+    weighted draws, and the draws' mass in each bin, from one sort.
+
+    The inner edges are np.quantile's linear interpolation, its _lerp
+    bit for bit, on the sorted draws.  The masses are np.histogram's own
+    algorithm for given edges: the weights' cumulative sum read at the
+    edges by searchsorted, the last edge inclusive.  The weights are
+    equal, so their sum in sorted order is their sum in any order.  Up to
+    np.histogram's block of 65536 draws the masses are its bits; past it
+    np.histogram adds one sum per block and rounds differently.
+    """
+    s = np.sort(ref_stats)
+    pos = (len(s) - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    below = np.floor(pos).astype(np.intp)
+    t = pos - below
+    a, b = s[below], s[np.minimum(below + 1, len(s) - 1)]
+    inner = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    edges = np.concatenate([[lo], inner, [hi]])
+    at = np.concatenate([s.searchsorted(edges[:-1], "left"), s.searchsorted(edges[-1:], "right")])
+    return edges, np.diff(np.concatenate([[0.0], np.cumsum(ref_w)])[at])
+
+
 def compare_densities(
     spec: EnsembleSpec,
     seed: int,
@@ -302,10 +336,9 @@ def compare_densities(
         hi = max(stats.max(), ref_stats.max())
         if isinstance(spec.action, ConjugationAction):  # a weighted angle grid: equal widths
             edges = np.linspace(lo, hi + 1e-12 * max(1.0, abs(hi)), bins + 1)
+            ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=ref_w)
         else:  # equal draws: equal reference masses, at the draws' quantiles
-            edges = np.quantile(ref_stats, np.linspace(0.0, 1.0, bins + 1))
-            edges[0], edges[-1] = lo, hi + 1e-12 * max(1.0, abs(hi))
-        ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=ref_w)
+            edges, ref_freq = _equal_draw_bins(ref_stats, ref_w, bins, lo, hi + 1e-12 * max(1.0, abs(hi)))
         ref_freq = ref_freq / np.sum(ref_freq)
     emp_counts, _ = np.histogram(stats, bins=edges)
     emp_freq = emp_counts / np.sum(emp_counts)

@@ -59,8 +59,8 @@ TORUS_GRID = {1: 256, 2: 48, 3: 20}
 GAUSS_NODES = 5
 #: largest direct-sum reduced rule evaluated, in nodes of its fine rule
 MAX_RULE_NODES = 5 ** 10
-#: rule nodes per evaluation block; bounds the (block, D) point arrays
-_RULE_BLOCK = 4096
+#: rule nodes or exact draws per evaluation block; bounds the (block, D) point arrays
+_ROW_BLOCK = 4096
 
 
 class ContractViolation(ValueError):
@@ -355,38 +355,45 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
     return tuple(axes), power, float(np.exp(0.5 * action.section_dim * np.log(TWO_PI) - log_mass))
 
 
-def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """count exact draws (count, section_dim) of the section density
-    e^(-|B|^2/2) * weight of a direct sum, as triangular R, and per draw
-    the log of e^(-|R|^2/2) times the Jacobian prod r_ii^(b_i) over the
-    draws' density.  That log is minus the log of the weight plus one
-    constant, so section_weight_batch times its exp is the same at every
-    draw.
+def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int):
+    """count exact draws of the section density e^(-|B|^2/2) * weight of
+    a direct sum, yielded in blocks of at most _ROW_BLOCK draws: the
+    draws (block, section_dim) as triangular R, and per draw the log of
+    e^(-|R|^2/2) times the Jacobian prod r_ii^(b_i) over the draws'
+    density.  That log is minus the log of the weight plus one constant,
+    so section_weight_batch times its exp is the same at every draw.
 
     In the coordinates B = wR of _bartlett_axes the law is a product
     (Bartlett's decomposition; Edelman and Rao, Acta Numerica 2005):
     r_ii ~ chi with nu_i = b_i + p + 1 = d(n - i + 1) degrees of freedom
     on each diagonal axis and N(0, 1) on each axis above it; on the
-    polar line (k = 1) |t| ~ chi_(dn) with a random sign.  The axes draw
-    in their order, then the signs.
+    polar line (k = 1) |t| ~ chi_(dn) with a random sign.  All count
+    draws are made first, the axes in their order into one (axes, count)
+    array, then the signs, so the stream does not depend on the blocks;
+    only a block's rows are ever laid out as R.
     """
     axes, power, _ = _bartlett_axes(action)
-    z = np.zeros((count, action.section_dim))
-    log_q = np.full(count, -np.log(2.0) if action.k == 1 else 0.0)  # the sign halves the polar density
-    log_jacobian = np.zeros(count)
-    for col, b in axes:
-        if b is None:
-            x = rng.standard_normal(count)
-            log_q -= 0.5 * (x * x + np.log(TWO_PI))
-        else:
-            nu = b + power + 1
-            x = np.sqrt(rng.chisquare(nu, count))
-            log_q += (nu - 1) * np.log(x) - 0.5 * x * x - (0.5 * nu - 1) * np.log(2.0) - math.lgamma(0.5 * nu)
-            log_jacobian += b * np.log(x)
-        z[:, col] = x
-    if action.k == 1:
-        z[:, 0] *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
-    return z, log_jacobian - 0.5 * np.sum(z * z, axis=1) - log_q
+    draws = np.empty((len(axes), count))
+    for row, (_, b) in zip(draws, axes):
+        row[:] = rng.standard_normal(count) if b is None else np.sqrt(rng.chisquare(b + power + 1, count))
+    signs = np.where(rng.random(count) < 0.5, -1.0, 1.0) if action.k == 1 else None
+    for lo in range(0, count, _ROW_BLOCK):
+        block = draws[:, lo : lo + _ROW_BLOCK]
+        rows = block.shape[1]
+        z = np.zeros((rows, action.section_dim))
+        log_q = np.full(rows, -np.log(2.0) if action.k == 1 else 0.0)  # the sign halves the polar density
+        log_jacobian = np.zeros(rows)
+        for (col, b), x in zip(axes, block):
+            if b is None:
+                log_q -= 0.5 * (x * x + np.log(TWO_PI))
+            else:
+                nu = b + power + 1
+                log_q += (nu - 1) * np.log(x) - 0.5 * x * x - (0.5 * nu - 1) * np.log(2.0) - math.lgamma(0.5 * nu)
+                log_jacobian += b * np.log(x)
+            z[:, col] = x
+        if signs is not None:
+            z[:, 0] *= signs[lo : lo + rows]
+        yield z, log_jacobian - 0.5 * np.sum(z * z, axis=1) - log_q
 
 
 def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndarray:
@@ -410,8 +417,8 @@ def _bartlett_rule(action: DirectSumAction, fs, sigma: float, m: int) -> np.ndar
     ]
     count = m ** len(axes)
     totals = np.zeros(len(fs))
-    for lo in range(0, count, _RULE_BLOCK):
-        digits = np.unravel_index(np.arange(lo, min(lo + _RULE_BLOCK, count)), (m,) * len(axes))
+    for lo in range(0, count, _ROW_BLOCK):
+        digits = np.unravel_index(np.arange(lo, min(lo + _ROW_BLOCK, count)), (m,) * len(axes))
         z = np.zeros((digits[0].size, action.section_dim))
         w = np.ones(digits[0].size)
         for (col, _), x, wx, idx in zip(axes, nodes, weights, digits):

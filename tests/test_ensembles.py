@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import det_modulus
-from sectint.groups import Family, GroupSpec, _torus_grid, torus_point
+from sectint.matrices import data_from_components, det_modulus
+from sectint.groups import Family, GroupSpec, _torus_grid, torus_point, torus_points
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -17,6 +17,7 @@ from sectint.actions import (
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
+    torus_canonical_angles,
 )
 from sectint.ensembles import (
     EnsembleSpec,
@@ -28,6 +29,7 @@ from sectint.ensembles import (
 )
 from sectint.integrate import bartlett_draws
 from sectint.mc import _subseed
+from bartlett_oracle import bartlett_reference_unblocked
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
 
@@ -155,6 +157,27 @@ def test_canonical_angles_match_reduction_on_reference_grid(action):
     np.testing.assert_allclose(canonical_angles(group, data), oracle, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("group", [GroupSpec(f, n) for f, n in
+                                   [(Family.SU, 2), (Family.SU, 3), (Family.SU, 4), (Family.SP, 1), (Family.SP, 2),
+                                    (Family.SO, 3), (Family.SO, 4), (Family.SO, 5), (Family.SO, 6)]], ids=str)
+def test_torus_grid_angles_match_eigensolve(group):
+    # the grid's canonical angles come from the Weyl group, with no
+    # eigensolve: bitwise those of the eigenphases on SU and Sp, whose torus
+    # points are diagonal; on SO the rotation blocks' eigenvalues are
+    # rounded once more, and the SO(2m) orientation is the same.  The grid
+    # has nodes at 0 and pi; 0.7 * arange puts an SU phase at the cut
+    angles = np.concatenate([_torus_grid(group.rank, 96 if group.rank <= 2 else 12),
+                             0.7 * np.arange(group.rank)[None]])
+    pts = torus_points(group, angles)
+    data = data_from_components(group.field, pts.reshape(len(pts), group.n, group.n, group.field.dim))
+    grid, eig = torus_canonical_angles(group, angles), canonical_angles(group, data)
+    if group.family is Family.SO:
+        np.testing.assert_array_equal(np.signbit(grid), np.signbit(eig))
+        assert np.all(np.abs(grid - eig) <= 4 * np.spacing(np.abs(eig)))
+    else:
+        np.testing.assert_array_equal(grid, eig)
+
+
 def test_det_second_moment_two_sided():
     spec = EnsembleSpec(SO3K2, 1.0, "coordinate_det")
     stats = sample_ensemble(spec, seed=3, n=50_000)
@@ -214,6 +237,24 @@ def test_reference_blocks_extend_the_stream():
 
 
 @pytest.mark.parametrize("stat", ["coordinate_det", "coordinate_norm", "singular_value"])
+@pytest.mark.parametrize("action", [DirectSumAction(f, n, k) for f, n, k in
+                                    [(R, 3, 2), (C, 4, 2), (H, 3, 2), (R, 4, 1), (C, 3, 1), (H, 3, 1)]], ids=str)
+def test_blocked_reference_matches_unblocked_oracle(action, stat):
+    # the draws evaluated a row block at a time give the bits of one pass
+    # over each seed block: 60000 draws end in a partial row block, the
+    # longer references in a partial seed block too
+    from sectint.ensembles import REF_BLOCK
+
+    spec = EnsembleSpec(action, -2.5, stat)
+    for n_ref in (60_000, REF_BLOCK + 10, 2 * REF_BLOCK + 3):
+        stats, w, spread = _reference_sample(spec, 9, n_ref)
+        o_stats, o_w, o_spread = bartlett_reference_unblocked(spec, 9, n_ref)
+        np.testing.assert_array_equal(stats, o_stats)
+        np.testing.assert_array_equal(w, o_w)
+        assert spread == o_spread
+
+
+@pytest.mark.parametrize("stat", ["coordinate_det", "coordinate_norm", "singular_value"])
 @pytest.mark.parametrize("action", [DirectSumAction(H, 3, 2), DirectSumAction(C, 3, 1)], ids=str)
 def test_reference_statistics_match_per_draw_coordinates(action, stat):
     # the batched statistics of the draws equal those of each coordinate R read as a matrix
@@ -222,7 +263,7 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
 
     spec = EnsembleSpec(action, 1.5, stat)
     rs, _, _ = _reference_sample(spec, 3, 40)
-    draws, _ = bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)
+    draws = np.concatenate([z for z, _ in bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)])
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
               for p in section_points(action, 1.5 * draws)]
     np.testing.assert_allclose(rs, oracle, rtol=1e-10, atol=0)
@@ -322,6 +363,27 @@ def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n_ref):
     assert cmp_.dof == len(obs) - 1
     assert cmp_.chi2 == pytest.approx(plain / scale, rel=1e-12, abs=0)
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
+
+
+@pytest.mark.parametrize("n_ref", [1, 2, 7, 60_000, 90_000])
+def test_one_sort_bins_match_quantile_and_histogram(n_ref):
+    # the edges are np.quantile's and the masses np.histogram's bit for bit
+    # up to its 65536-draw block (n_ref = 90000 is --n 3000's); past it
+    # np.histogram adds one cumulative sum per block, and the two sums of
+    # n_ref equal weights each round by up to about n_ref eps
+    from sectint.ensembles import _equal_draw_bins
+
+    ref_stats, ref_w, _ = _reference_sample(EnsembleSpec(DirectSumAction(C, 4, 2)), 2, n_ref)
+    lo, hi = ref_stats.min() - 0.5, ref_stats.max() + 1e-12
+    edges, masses = _equal_draw_bins(ref_stats, ref_w, 20, lo, hi)
+    oracle = np.quantile(ref_stats, np.linspace(0.0, 1.0, 21))
+    oracle[0], oracle[-1] = lo, hi
+    oracle_masses, _ = np.histogram(ref_stats, bins=oracle, weights=ref_w)
+    np.testing.assert_array_equal(edges, oracle)
+    if n_ref <= 65_536:
+        np.testing.assert_array_equal(masses, oracle_masses)
+    else:
+        np.testing.assert_allclose(masses, oracle_masses, rtol=0, atol=n_ref * np.finfo(float).eps)
 
 
 def test_chi2_tail_matches_scipy():

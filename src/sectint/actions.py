@@ -1,6 +1,6 @@
-"""Isometric group actions with an explicit minimal section.
+"""Isometric group actions with an explicit minimal section, one class per kind.
 
-Two families are implemented:
+Two kinds are implemented:
 
 * ``DirectSumAction(field, n, k)``: SO(n), SU(n) or Sp(n) acting by
   left multiplication on K^(n x k) (k stacked copies of the standard
@@ -13,6 +13,12 @@ Two families are implemented:
 * ``ConjugationAction(group)``: the group acting on itself by
   conjugation; the section is the standard maximal torus and the Weyl
   group is the classical (finite) one.
+
+Each kind's class owns every operation that depends on the kind (the
+README lists them), so the rest of the package never asks which kind it
+holds.  A kind imports neither ``integrate`` nor ``ensembles``: their
+integrands and specs come in as callbacks and arguments.  The base
+``ActionSpec`` holds only what both kinds compute alike.
 
 Everything downstream is phrased in flat real coordinates, where the
 ambient inner product Re(tr(x^* y)) is the Euclidean dot product.
@@ -36,9 +42,12 @@ determinants, the isotropy algebra, the orbit frames and the
 regularity class (regular, exceptional where a Weyl element fixes a
 regular point, or singular).  Random regular
 section points are the draws whose smallest singular value of the w + m
-fields exceeds ``MIN_GAP``.  ``reduce_to_section_batch`` takes one QR
-(direct sums, ``matrices.qr``) or one eigensolve (conjugation,
-``canonical_angles``).  The module needs only numpy.
+fields exceeds ``MIN_GAP``.  A direct sum's section rule is a tensor
+Gauss rule in the Bartlett coordinates B = wR of the section coordinate
+(w in W = U_d(k), R upper triangular with a positive diagonal; Edelman
+and Rao, Acta Numerica 2005), Gauss-Hermite axes above the diagonal and
+half-range Gauss axes, built by Golub-Welsch, on it; ``bartlett_draws``
+samples the same axes exactly.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -46,8 +55,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +76,8 @@ from .matrices import (
     eye,
     from_real_vector,
     gaussian_batch,
+    gaussian_components,
+    gram_det,
     mat,
     qr,
     read_only,
@@ -77,9 +89,12 @@ from .groups import (
     Family,
     GroupElement,
     GroupSpec,
+    _positive_roots,
+    _torus_grid,
     algebra_basis,
     block_algebra_basis,
     full_torus_angles,
+    haar_from_gaussian,
     haar_sample_batch,
     haar_unitary_batch,
     pair_generators,
@@ -88,10 +103,22 @@ from .groups import (
     torus_indices,
     torus_point,
     torus_points,
+    torus_weight_batch,
 )
+from .mc import McEstimate, _subseed
+from .volumes import _exact_group_volume, group_volume, torus_volume, weyl_group_order
 
+TWO_PI = 2.0 * np.pi
 _ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
 MIN_GAP = 5e-2  # smallest regular_margin of a random regular section point
+#: torus nodes per angle by rank (12 above rank 3) of an integrand without a degree; coarse: half
+TORUS_GRID = {1: 256, 2: 48, 3: 20}
+#: Bartlett nodes per axis of an integrand without a degree; coarse: one fewer
+GAUSS_NODES = 5
+#: rule nodes or exact draws per evaluation block; bounds the (block, D) point arrays
+_ROW_BLOCK = 4096
+BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
+REF_BLOCK = 65_536  # exact reference draws per seed (seed, block); evaluated a row block at a time
 
 _FIELD_TO_FAMILY = {REAL: Family.SO, COMPLEX: Family.SU, QUATERNION: Family.SP}
 
@@ -102,11 +129,26 @@ class RegularityClass(enum.Enum):
     SINGULAR = "singular"
 
 
+class ActionSpec:
+    """What both kinds of action compute alike."""
+
+    @property
+    def cohomogeneity(self) -> int:
+        """Dimension of the orbit space, and so the axes of a section rule:
+        the torus angles, or the Bartlett coordinates of R in B = wR."""
+        return self.section_dim - self.copolarity
+
+
 @dataclass(frozen=True)
-class DirectSumAction:
+class DirectSumAction(ActionSpec):
     field: ScalarField
     n: int
     k: int
+
+    #: ensemble statistics of the section coordinate, the default first
+    statistics = ("coordinate_det", "coordinate_norm", "singular_value")
+    #: the integrand families, with their parameters, of an integrate or volumes run that names none
+    default_integrands = (("gaussian_radial", {"sigma": 1.0}), ("gaussian_sq_norm", {"sigma": 1.0}))
 
     def __post_init__(self):
         if self.n < 2 or not (1 <= self.k <= self.n - 1):
@@ -138,10 +180,6 @@ class DirectSumAction:
         return {1: k * (k - 1) // 2, 2: k * k, 4: k * (2 * k + 1)}[d]
 
     @property
-    def cohomogeneity(self) -> int:
-        return self.section_dim - self.copolarity
-
-    @property
     def normal_dim(self) -> int:
         """Real dimension of the normal space of the section."""
         return self.ambient_dim - self.section_dim
@@ -149,10 +187,261 @@ class DirectSumAction:
     def __str__(self):
         return f"{self.group}^{self.k} on {self.field.value}^({self.n}x{self.k})"
 
+    def to_json(self) -> dict:
+        return {"kind": "direct_sum", "field": self.field.value, "n": self.n, "k": self.k}
+
+    def act_data(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """g x on raw data of group elements g and points x, leading axes broadcast."""
+        return g @ x
+
+    def killing_data(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The Killing field of the algebra data x at the points p: x p."""
+        return x @ p
+
+    def embed_section(self, coord) -> MatK:
+        """Section point of top block B (k = 1: a real scalar, else ValueError)."""
+        n, k = self.n, self.k
+        b = coord if isinstance(coord, MatK) else mat(self.field, coord)
+        if b.shape != (k, k):
+            raise DimensionError(f"section coordinate must be {k} x {k}")
+        if k == 1 and np.any(to_real_vector(b)[1:]):
+            raise ValueError("point is off the section: the polar section is the real line")
+        s = zeros(self.field, n, k)
+        s.data[: side(self.field) * k] = b.data
+        return s
+
+    def section_coordinate(self, s: MatK) -> MatK:
+        """Top k x k block of an ambient section point."""
+        return MatK(self.field, s.data[: side(self.field) * self.k].copy())
+
+    def section_points(self, coords: np.ndarray) -> np.ndarray:
+        """Flat section points (m, D) of flat coordinates B, which come first in the flat layout."""
+        pts = np.zeros((len(coords), self.ambient_dim))
+        pts[:, : coords.shape[1]] = coords
+        return pts
+
+    def section_frames(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The section's coordinates come first in the flat layout, so the two frames split the identity."""
+        frames = np.broadcast_to(np.eye(self.ambient_dim), (len(pts),) + (self.ambient_dim,) * 2)
+        return frames[:, : self.section_dim], frames[:, self.section_dim :]
+
+    def in_frames(self, frames: np.ndarray, images: np.ndarray) -> np.ndarray:
+        """Killing images in the section frames: the frames split the identity, so the images themselves."""
+        return images
+
+    def weyl_stabilizer_order(self, pts: np.ndarray) -> np.ndarray:
+        """A full-rank B has a trivial stabilizer in the Weyl group."""
+        return np.ones(pts.shape[:-1], dtype=int)
+
+    def split_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows h, w, m of the algebra split: h moves the normal rows [k, n),
+        w the section rows [0, k), and m, the pairs between them, is ordered
+        by (b, a, unit) as the normal frame is, so the normal block of the
+        orbit map differential is block diagonal per ambient row."""
+        field, n, k = self.field, self.n, self.k
+        h, line = block_algebra_basis(field, n, k, n), block_algebra_basis(field, n, 0, k)
+        trace = h[:0]
+        if field is COMPLEX:  # the traceless imaginary diagonal orthogonal to both su blocks
+            v = np.diag(np.where(np.arange(n) < k, 1j, -1j * k / (n - k)))
+            trace = batch_to_real(COMPLEX, v * (1.0 / np.linalg.norm(v)))[None]
+        b, a = np.divmod(np.arange(k * (n - k)), k)
+        m = pair_generators(field, n, a, b + k)
+        if k == 1:  # the polar section has a finite Weyl group: the line's own directions go to m
+            w, m = h[:0], np.concatenate([line, m, trace])
+        else:
+            w = np.concatenate([line, trace])
+        return read_only(h), read_only(w), read_only(m)
+
+    def reduce(self, data: np.ndarray) -> np.ndarray:
+        """Section points of coordinate R of raw points x = QR (m, n, k), R with a nonnegative real diagonal."""
+        return self.section_points(batch_to_real(self.field, qr(self.field, data)[1]))
+
+    def random_ambient_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Raw data of count Gaussian points of K^(n x k)."""
+        return gaussian_batch(self.field, self.n, self.k, rng, count)
+
+    def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Gaussian flat coordinates B, a real multiple of the first basis vector when k = 1."""
+        if self.k == 1:
+            return np.pad(rng.standard_normal((count, 1)), ((0, 0), (0, self.field.dim - 1)))
+        return batch_to_real(self.field, gaussian_batch(self.field, self.k, self.k, rng, count))
+
+    def normalizer_samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Block diagonal (u, v) with det 1: u moves the section coordinate, v the normal rows."""
+        field, n, k = self.field, self.n, self.k
+        if k == 1 and field is not REAL:
+            # the polar section is the real line, so the top block is +-1
+            u_det = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+            u = u_det[:, None, None] * eye(field, 1).data
+        else:
+            u, u_det = haar_unitary_batch(field, k, rng, count)
+        v, v_det = haar_unitary_batch(field, n - k, rng, count)
+        if field is REAL:
+            flip = rng.random(count) < 0.5
+            u[flip, :, -1] *= -1.0
+            v[np.where(flip, -u_det, u_det) * v_det < 0, :, -1] *= -1.0
+        elif field is COMPLEX:
+            v[:, :, -1] *= np.conj(u_det * v_det)[:, None]
+        a, b = side(field) * k, side(field) * n  # stored rows of u and of g
+        g = np.zeros((count, b, b), dtype=u.dtype)
+        g[:, :a, :a], g[:, a:, a:] = u, v
+        return g
+
+    def parse_point(self, obj) -> MatK:
+        """The section point of a JSON k x k array of entries, each a number or its d real components."""
+        k = self.k
+        if not (isinstance(obj, list) and len(obj) == k and all(isinstance(r, list) and len(r) == k for r in obj)):
+            raise ValueError(f"point must be a {k} x {k} array of entries")
+        entries = [[_parse_entry(self.field, obj[i][j], i, j) for j in range(k)] for i in range(k)]
+        return self.embed_section(np.asarray(entries))  # floats, complex numbers (C) or lists of 4 floats (H)
+
+    def closed_weight(self, pts: np.ndarray) -> np.ndarray:
+        """section_weight_batch at flat section points (m, D)."""
+        return section_weight_batch(self, pts[:, : self.section_dim])
+
+    def cut_points(self) -> np.ndarray:
+        """Flat points where the reduction has a cut: none."""
+        return np.zeros((0, self.ambient_dim))
+
+    def weyl_volume(self) -> float:
+        """{+-1} on the polar line (k = 1), else O(k) (two copies of SO(k)), Sp(k), or
+        U(k) = (SU(k) x U(1)) / Z_k, whose circle e^(i t) 1_k of length 2 pi sqrt(k)
+        the split's trace-compensating generator stretches by sqrt(n / (n - k))."""
+        n, k = self.n, self.k
+        if k == 1:
+            return 2.0
+        vol = _exact_group_volume(GroupSpec(self.group.family, k))
+        if self.field is REAL:
+            vol *= 2.0
+        elif self.field is COMPLEX:
+            vol *= 2.0 * math.pi / math.sqrt(k) * math.sqrt(n / (n - k))
+        return vol
+
+    def stabilizer_volume(self) -> float:
+        """vol(G(n - k)), the group of the normal rows."""
+        return _exact_group_volume(GroupSpec(self.group.family, self.n - self.k))
+
+    def direct_sampler(self, values):
+        """mc_run's sample(rngs, sizes) of standard-Gaussian importance
+        sampling on the flat space, values(z, norms_sq) of the joined draws
+        of the chunks over their density, and the factor of its averages: 1."""
+        dim = self.ambient_dim
+        log_norm = 0.5 * dim * np.log(TWO_PI)
+
+        def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+            z = np.empty((sum(sizes), dim))
+            stop = 0
+            for rng, size in zip(rngs, sizes):
+                start, stop = stop, stop + size
+                rng.standard_normal(out=z[start:stop])
+            r2 = np.sum(z * z, axis=1)
+            return values(z, r2) * np.exp(0.5 * r2 + log_norm)
+
+        return sample, McEstimate.exact(1.0)
+
+    def divergence(self, name: str, param) -> str | None:
+        """Why family name with parameters param(key) diverges, or None: a
+        constant, and gaussian_det at p <= -d(n - k + 1), where the Jacobian
+        of the last Bartlett axis is r^(d(n - k + 1) - 1)."""
+        if name == "const":
+            return f"the integral of a constant over the flat space of {self} diverges"
+        if name == "gaussian_det" and param("power") <= -self.field.dim * (self.n - self.k + 1):
+            return f"the integral of |det|^p diverges on {self} at p = {param('power'):g}"
+        return None
+
+    def rule_sizes(self, degree: int | None) -> tuple[int, int]:
+        """(fine, coarse) Gauss nodes per axis, exact to degree 2m - 1;
+        GAUSS_NODES and one fewer without a degree, the cap of every rule."""
+        if degree is None:
+            return GAUSS_NODES, GAUSS_NODES - 1
+        coarse = min(max(2, degree // 2 + 1), GAUSS_NODES - 1)
+        return coarse + 1, coarse
+
+    def section_rule(self, values, sigma: float, m: int) -> np.ndarray:
+        """Tensor Gauss rule, m nodes per axis, for the section integral of
+        f * weight, one value per row of values(pts), the integrands at
+        (block, D) section points, which share sigma and so one evaluation
+        of the weight.
+
+        f and the weight are W-invariant, so the integral over B = wR is one
+        over the triangular R: Gauss-Hermite axes above the diagonal, and on
+        it half-range axes for r^(b_i + p) e^(-r^2/2), the Jacobian times the
+        weight's power.  Each axis weight carries e^(x^2/2), each diagonal
+        one divides out x^p, so the rule is exact where f is a polynomial of
+        degree 2m - 1 per axis times e^(-|B|^2/(2 sigma^2)), at every n.
+        """
+        axes, power, const = _bartlett_axes(self)
+        rules = [hermite_rule(m) if b is None else half_range_rule(b + power, m) for _, b in axes]
+        nodes = [sigma * x for x, _ in rules]
+        weights = [
+            w * np.exp(0.5 * x * x) / (1.0 if b is None else x ** power)
+            for (_, b), (x, w) in zip(axes, rules)
+        ]
+        count = m ** len(axes)
+        totals = 0.0
+        for lo in range(0, count, _ROW_BLOCK):
+            digits = np.unravel_index(np.arange(lo, min(lo + _ROW_BLOCK, count)), (m,) * len(axes))
+            z = np.zeros((digits[0].size, self.section_dim))
+            w = np.ones(digits[0].size)
+            for (col, _), x, wx, idx in zip(axes, nodes, weights, digits):
+                z[:, col] = x[idx]
+                w *= wx[idx]
+            vals = values(self.section_points(z)) * section_weight_batch(self, z)
+            totals = totals + np.array([w @ row for row in vals])
+        return totals * const * sigma ** self.section_dim
+
+    def statistic_columns(self, statistic: str, scale: float) -> int:
+        """Columns of an ensemble statistic; ValueError for one outside the table."""
+        if statistic not in self.statistics:
+            raise ValueError(f"statistic {statistic!r} not defined for direct sums")
+        return self.k if statistic == "singular_value" else 1
+
+    def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The statistic, invariant under the whole group, of size ambient Gaussian draws."""
+        comps = spec.scale * gaussian_components(self.field, self.n, self.k, rng, size)
+        return _coordinate_statistics(spec, self.field, comps)
+
+    def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Statistics, weights 1 / n_ref and weight-ratio spread of n_ref exact
+        draws of p * weight: bartlett_draws scaled by |scale|, in blocks of
+        REF_BLOCK draws seeded (seed, block), each evaluated a row block at a
+        time.  At each draw section_weight_batch times the Gaussian and
+        Jacobian over the draws' density is one constant; the spread is
+        max / min - 1 of that ratio, at rounding level however many draws
+        (gram_det keeps its digits at nearly dependent columns).  The
+        statistics are read off the triangular R, whose |det| is its diagonal's product."""
+        scale, k = abs(spec.scale), self.k
+        field = self.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
+        stats, lo, hi = [], np.inf, -np.inf
+        for block, start in enumerate(range(0, n_ref, REF_BLOCK)):
+            rng = np.random.default_rng(_subseed(seed, block))
+            for z, log_factor in bartlett_draws(self, rng, min(REF_BLOCK, n_ref - start)):
+                z *= scale
+                comps = z.reshape(len(z), k, k, field.dim)
+                log_ratio = np.log(section_weight_batch(self, z)) + log_factor
+                lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
+                if spec.statistic == "coordinate_det":
+                    stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))  # real on R's diagonal
+                else:
+                    stats.append(_coordinate_statistics(spec, field, comps))
+        spread = float(np.expm1(hi - lo))
+        return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread
+
+    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int, n_ref: int):
+        """Bin edges, reference frequencies, weight-ratio spread and noise of n_ref
+        exact draws, with equal masses at the draws' quantiles.  Their own noise
+        adds n / n_ref to the variance of each bin's count of the n stats."""
+        ref_stats, ref_w, spread = self.reference_sample(spec, seed, n_ref)
+        edges, ref_freq = _equal_draw_bins(ref_stats, ref_w, bins, *_bin_range(stats, ref_stats))
+        return edges, ref_freq / np.sum(ref_freq), spread, 1.0 + len(stats) / n_ref
+
 
 @dataclass(frozen=True)
-class ConjugationAction:
+class ConjugationAction(ActionSpec):
     group: GroupSpec
+
+    statistics = ("torus_angle",)  # of the canonical torus angles
+    default_integrands = (("trace_power", {"power": 2}), ("const", {}))
 
     def __post_init__(self):
         if self.group.rank == 0:
@@ -181,24 +470,215 @@ class ConjugationAction:
         return 0
 
     @property
-    def cohomogeneity(self) -> int:
-        return self.group.rank
-
-    @property
     def normal_dim(self) -> int:
         return self.group.algebra_dim - self.group.rank
 
     def __str__(self):
         return f"{self.group} conjugation"
 
+    def to_json(self) -> dict:
+        return {"kind": "conjugation", "family": self.group.family.value, "n": self.group.n}
 
-ActionSpec = Union[DirectSumAction, ConjugationAction]
+    def act_data(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """g x g^* on raw data of group elements g and points x, leading axes broadcast."""
+        return g @ x @ conj_transpose(g)
+
+    def killing_data(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The Killing field of the algebra data x at the points p: x p - p x."""
+        return x @ p - p @ x
+
+    def embed_section(self, coord) -> MatK:
+        """Torus point of angle vector coord; n angles on SU(n) must sum to 0 mod 2 pi, else ValueError."""
+        angles, group = np.asarray(coord, dtype=float), self.group
+        if group.family is Family.SU and angles.shape == (group.n,):
+            total = float(np.sum(angles))
+            if abs(np.angle(np.exp(1j * total))) > _ANGLE_TOL * max(1.0, float(np.sum(np.abs(angles)))):
+                raise ValueError(f"point is off {group}: its {group.n} angles sum to {total:g}, not 0 mod 2 pi")
+        return torus_point(group, angles)
+
+    def section_coordinate(self, s: MatK) -> np.ndarray:
+        """Angle vector of a torus point (all n angles on SU(n))."""
+        return torus_angles(self.group, to_real_vector(s)[None])[0]
+
+    def section_points(self, coords: np.ndarray) -> np.ndarray:
+        """Flat torus points (m, D) from torus angle rows."""
+        return torus_points(self.group, coords)
+
+    def section_frames(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The algebra split at the identity, translated to s."""
+        s = batch_from_real(self.field, *self.shape, pts)[:, None]
+        frames = batch_to_real(self.field, algebra_split(self).data @ s)
+        return frames[:, : self.section_dim], frames[:, self.section_dim :]
+
+    def in_frames(self, frames: np.ndarray, images: np.ndarray) -> np.ndarray:
+        """Killing images in the section frames: their coordinates along the frame rows."""
+        return frames @ images
+
+    def weyl_stabilizer_order(self, pts: np.ndarray) -> np.ndarray:
+        """2 where SO(2m+1) has an angle at pi, or SO(2m) one at 0 and another
+        at pi (within _ANGLE_TOL), else 1: SU(n) and Sp(n) are simply connected."""
+        group = self.group
+        if group.family is not Family.SO:
+            return np.ones(pts.shape[:-1], dtype=int)
+        ang = np.abs(torus_angles(group, np.atleast_2d(pts)))
+        fixed = np.any(ang > np.pi - _ANGLE_TOL, axis=1) & (group.n % 2 == 1 or np.any(ang < _ANGLE_TOL, axis=1))
+        return np.where(fixed, 2, 1).reshape(pts.shape[:-1])
+
+    def split_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows h, w, m of the algebra split: the torus, none, and the other basis rows."""
+        group = self.group
+        h, m = torus_basis(group), np.delete(algebra_basis(group), torus_indices(group), axis=0)
+        return h, h[:0], read_only(m)
+
+    def reduce(self, data: np.ndarray) -> np.ndarray:
+        """The torus points of the canonical_angles of group elements (m, n, n)."""
+        return torus_points(self.group, canonical_angles(self.group, data))
+
+    def random_ambient_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Raw data of count Haar points of the group."""
+        return haar_sample_batch(self.group, rng, count)
+
+    def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Uniform torus angle rows."""
+        return rng.uniform(0.0, 2 * np.pi, size=(count, self.group.rank))
+
+    def normalizer_samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """A torus element times a Weyl representative: a permutation matrix, with
+        sign changes in the rotation planes (SO) or entries j (Sp)."""
+        group = self.group
+        fam, n = group.family, group.n
+        t = batch_from_real(group.field, n, n, torus_points(group, rng.uniform(0, 2 * np.pi, size=(count, group.rank))))
+        size = n // 2 if fam is Family.SO else n
+        rows, cols = np.arange(count)[:, None], np.arange(size)
+        perm = np.argsort(rng.random((count, size)), axis=1)
+        flips = rng.random((count, size)) < 0.5
+        if fam is Family.SU:
+            w = np.zeros((count, n, n), dtype=complex)
+            w[rows, perm, cols] = 1.0
+            w[:, :, 0] *= np.conj(np.linalg.det(w))[:, None]
+        elif fam is Family.SP:
+            comps = np.zeros((count, n, n, 4))
+            comps[rows, perm, cols, np.where(flips, 2, 0)] = 1.0
+            w = data_from_components(group.field, comps)
+        else:
+            odd = np.sum(flips, axis=1) % 2 == 1
+            if n % 2 == 0:  # SO(2m) changes an even number of signs
+                flips[odd, np.argmax(flips[odd], axis=1)] = False
+            w = np.zeros((count, n, n))
+            w[rows, 2 * perm, 2 * cols] = 1.0
+            w[rows, 2 * perm + 1, 2 * cols + 1] = np.where(flips, -1.0, 1.0)
+            if n % 2 == 1:  # the spare coordinate keeps det = 1
+                w[:, -1, -1] = np.where(odd, -1.0, 1.0)
+        return t @ w
+
+    def parse_point(self, obj) -> MatK:
+        """The torus point of a JSON angle list or {"angles": [...]}."""
+        angles = obj.get("angles") if isinstance(obj, dict) else obj
+        if not isinstance(angles, list):
+            raise ValueError('bad --point: expected an angle list or {"angles": [...]}')
+        return self.embed_section(np.array([_number(a, f"angle {i + 1}") for i, a in enumerate(angles)]))
+
+    def closed_weight(self, pts: np.ndarray) -> np.ndarray:
+        """Weyl's torus_weight_batch at the angles read back from flat torus points (m, D)."""
+        return torus_weight_batch(self.group, torus_angles(self.group, pts))
+
+    def cut_points(self) -> np.ndarray:
+        """A flat torus point with an angle at 0, the cut of the SU(n) phases, at rank >= 2; else none."""
+        return torus_points(self.group, 0.7 * np.arange(self.group.rank)[None])[: int(self.group.rank >= 2)]
+
+    def weyl_volume(self) -> float:
+        """The order of the classical Weyl group, which counts points."""
+        return float(weyl_group_order(self.group))
+
+    def stabilizer_volume(self) -> float:
+        """The volume of the maximal torus."""
+        return torus_volume(self.group)
+
+    def direct_sampler(self, values):
+        """mc_run's sample(rngs, sizes) of Haar sampling, values(pts, None)
+        at the joined Haar draws of the chunks, flat (m, D), and the factor
+        of its averages: the group volume."""
+        group = self.group
+
+        def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+            draws = np.concatenate([gaussian_batch(group.field, group.n, group.n, rng, size)
+                                    for rng, size in zip(rngs, sizes)])
+            return values(batch_to_real(self.field, haar_from_gaussian(group, draws)), None)
+
+        return sample, group_volume(group)
+
+    def divergence(self, name: str, param) -> str | None:
+        """Bounded families converge on the compact group: None."""
+        return None
+
+    def rule_sizes(self, degree: int | None) -> tuple[int, int]:
+        """(fine, coarse) nodes per angle above the degree of f times Weyl's weight (per
+        angle, its |coefficients| summed over the positive roots); else TORUS_GRID and half."""
+        if degree is None:
+            grid = TORUS_GRID.get(self.group.rank, 12)
+            return grid, grid // 2
+        roots = full_torus_angles(self.group, np.eye(self.group.rank)) @ _positive_roots(self.group)
+        coarse = int(np.max(np.sum(np.abs(roots), axis=1))) + max(degree, 4) + 1
+        return coarse + 1, coarse
+
+    def section_rule(self, values, sigma: float, m: int) -> np.ndarray:
+        """Trapezoid rule with m nodes per angle of the torus cube, one value per
+        row of values(pts), from one evaluation of Weyl's closed-form weight;
+        exact below degree m per angle.  sigma scales nothing on the torus."""
+        angles = _torus_grid(self.group.rank, m)
+        vals = values(torus_points(self.group, angles)) * torus_weight_batch(self.group, angles)
+        return np.mean(vals, axis=1) * torus_volume(self.group)
+
+    def statistic_columns(self, statistic: str, scale: float) -> int:
+        """Columns of torus_angle; ValueError for another statistic, or a scale, which Haar measure lacks."""
+        if statistic not in self.statistics:
+            raise ValueError(f"statistic {statistic!r} not defined for conjugation; it has torus_angle")
+        if scale != 1.0:
+            raise ValueError(f"ensemble scale {scale:g} has no meaning on {self}, whose density is Haar measure")
+        return self.group.n if self.group.family is Family.SU else self.group.rank
+
+    def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Canonical angles of size Haar draws: their sorted eigen-angles (canonical_angles)."""
+        return canonical_angles(self.group, haar_sample_batch(self.group, rng, size))[:, spec.stat_index]
+
+    def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, None]:
+        """Weyl's weight on a fine angle grid, summing to 1, at its canonical
+        angles; it draws nothing (seed and n_ref unused) and has no spread."""
+        group = self.group
+        angles = _torus_grid(group.rank, 96 if group.rank == 2 else 24)
+        weights = torus_weight_batch(group, angles)
+        stats = torus_canonical_angles(group, angles)[:, spec.stat_index]
+        return stats, weights / np.sum(weights), None
+
+    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int, n_ref: int):
+        """Bin edges and reference frequencies of equal-width bins, exact
+        bin masses at rank one and the weighted angle grid above it, with
+        no weight-ratio spread and no noise of their own."""
+        if self.group.rank == 1:
+            so2 = self.group == GroupSpec(Family.SO, 2)  # a trivial Weyl group: angles in (-pi, pi]
+            edges = np.linspace(-np.pi if so2 else 0.0, np.pi, bins + 1)
+            ref_freq = self._rank1_bin_masses(edges)
+            if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
+                edges, ref_freq = -edges[::-1], ref_freq[::-1]
+            return edges, ref_freq, None, 1.0
+        ref_stats, ref_w, _ = self.reference_sample(spec, seed, n_ref)
+        edges = np.linspace(*_bin_range(stats, ref_stats), bins + 1)
+        ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=ref_w)
+        return edges, ref_freq / np.sum(ref_freq), None, 1.0
+
+    def _rank1_bin_masses(self, edges: np.ndarray) -> np.ndarray:
+        """Exact-per-bin reference masses of a rank-one torus angle: the
+        midpoint-rule integrals of Weyl's closed-form weight over the bins
+        (where the Weyl group folds the reflected bin onto one, its mass too)."""
+        width = np.diff(edges)
+        theta = edges[:-1, None] + width[:, None] * ((np.arange(BIN_POINTS) + 0.5) / BIN_POINTS)
+        vals = torus_weight_batch(self.group, theta.reshape(-1, 1))
+        masses = vals.reshape(theta.shape).mean(axis=1) * width
+        return masses / np.sum(masses)
 
 
 def action_to_json(action: ActionSpec) -> dict:
-    if isinstance(action, DirectSumAction):
-        return {"kind": "direct_sum", "field": action.field.value, "n": action.n, "k": action.k}
-    return {"kind": "conjugation", "family": action.group.family.value, "n": action.group.n}
+    return action.to_json()
 
 
 def action_from_json(obj: dict) -> ActionSpec:
@@ -218,57 +698,52 @@ def _size(obj: dict, key: str) -> int:
     return value
 
 
+def _number(raw, where: str) -> float:
+    """A JSON number, not a bool, as a float; where names its place in the point."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"point parse error at {where}: expected a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"point parse error at {where}: number too large for a float") from None
+
+
+def _parse_entry(field: ScalarField, raw, i: int, j: int):
+    """Entry (i, j) of a direct-sum point: a number, or its d real components (C, H)."""
+    where, d = f"row {i + 1}, column {j + 1}", field.dim
+    if isinstance(raw, list) and d > 1:
+        if len(raw) != d:
+            raise ValueError(f"point parse error at {where}: expected {d} components, got {raw!r}")
+        parts = [_number(v, where) for v in raw]
+    else:
+        parts = [_number(raw, where)] + [0.0] * (d - 1)
+    if field is COMPLEX:
+        return complex(*parts)
+    return parts if field is QUATERNION else parts[0]
+
+
 # --- points, sections and the group action ---------------------------------
 
 def act(action: ActionSpec, g: GroupElement, x: MatK) -> MatK:
     """Apply the group action: g x for representations, g x g^* else."""
     m = g.matrix if isinstance(g, GroupElement) else g
-    return MatK(x.field, act_data(action, m.data, x.data))
-
-
-def act_data(action: ActionSpec, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """act on raw data of group elements g and points x, leading axes broadcast."""
-    gx = g @ x
-    if isinstance(action, DirectSumAction):
-        return gx
-    return gx @ conj_transpose(g)
+    return MatK(x.field, action.act_data(m.data, x.data))
 
 
 def killing_field(action: ActionSpec, x_alg: MatK, p: MatK) -> MatK:
     """Value at p of the Killing field induced by the algebra element."""
-    return MatK(p.field, _killing_data(action, x_alg.data, p.data))
-
-
-def _killing_data(action: ActionSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    xp = x @ p
-    return xp if isinstance(action, DirectSumAction) else xp - p @ x
+    return MatK(p.field, action.killing_data(x_alg.data, p.data))
 
 
 def embed_section(action: ActionSpec, coord) -> MatK:
-    """Ambient section point from its coordinate.
-
-    Direct sums: coord is the top k x k block B (a real scalar when
-    k = 1, whose section is the real line; a non-real one raises
-    ValueError).  Conjugation: coord is the torus angle vector.
-    """
-    if isinstance(action, ConjugationAction):
-        return torus_point(action.group, np.asarray(coord, dtype=float))
-    n, k = action.n, action.k
-    b = coord if isinstance(coord, MatK) else mat(action.field, coord)
-    if b.shape != (k, k):
-        raise DimensionError(f"section coordinate must be {k} x {k}")
-    if k == 1 and np.any(to_real_vector(b)[1:]):
-        raise ValueError("point is off the section: the polar section is the real line")
-    s = zeros(action.field, n, k)
-    s.data[: side(action.field) * k] = b.data
-    return s
+    """Ambient section point from its coordinate: the top k x k block B of
+    a direct sum, the torus angle vector of conjugation."""
+    return action.embed_section(coord)
 
 
-def section_coordinate(action: DirectSumAction, s: MatK) -> MatK:
-    """Top k x k block of an ambient section point."""
-    if not isinstance(action, DirectSumAction):
-        raise TypeError("section_coordinate applies to direct-sum actions")
-    return MatK(action.field, s.data[: side(action.field) * action.k].copy())
+def section_coordinate(action: ActionSpec, s: MatK):
+    """Coordinate of an ambient section point, the inverse of embed_section."""
+    return action.section_coordinate(s)
 
 
 # --- frames -----------------------------------------------------------------
@@ -281,25 +756,9 @@ class SectionFrame(NamedTuple):
 
 
 def section_frame(action: ActionSpec, s: MatK) -> SectionFrame:
-    """section_frames at one point."""
-    tangent, normal = section_frames(action, to_real_vector(s)[None])
+    """The kind's section_frames at one point."""
+    tangent, normal = action.section_frames(to_real_vector(s)[None])
     return SectionFrame(tangent[0], normal[0])
-
-
-def section_frames(action: ActionSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frames of T_s(section) (m, dim section, D) and of its normal space
-    (m, normal_dim, D) at flat section points (m, D).
-
-    Direct sums: the section's coordinates come first in the flat
-    layout, so the two frames split the identity.  Conjugation: the
-    algebra split at the identity, translated to s.
-    """
-    if isinstance(action, DirectSumAction):
-        frames = np.broadcast_to(np.eye(action.ambient_dim), (len(pts),) + (action.ambient_dim,) * 2)
-    else:
-        s = batch_from_real(action.field, *action.shape, pts)[:, None]
-        frames = batch_to_real(action.field, algebra_split(action).data @ s)
-    return frames[:, : action.section_dim], frames[:, action.section_dim :]
 
 
 def killing_images(action: ActionSpec, pts: np.ndarray) -> np.ndarray:
@@ -405,17 +864,8 @@ class OrbitMapDifferential:
         return sv[..., q - 1] if q else np.full(sv.shape[:-1], np.inf)
 
     def weyl_stabilizer_order(self) -> np.ndarray:
-        """Order of a regular point's stabilizer in the Weyl group: 2 where
-        SO(2m+1) has an angle at pi, or SO(2m) one at 0 and another at pi
-        (within _ANGLE_TOL), and 1 elsewhere.  SU(n) and Sp(n) are simply
-        connected, and a full-rank B has a trivial stabilizer.  The points
-        are torus points, whose angles are read off their rotation blocks."""
-        group, flat = self.action.group, np.atleast_2d(self.pts)
-        if not (isinstance(self.action, ConjugationAction) and group.family is Family.SO):
-            return np.ones(self.pts.shape[:-1], dtype=int)
-        ang = np.abs(torus_angles(group, flat))
-        fixed = np.any(ang > np.pi - _ANGLE_TOL, axis=1) & (group.n % 2 == 1 or np.any(ang < _ANGLE_TOL, axis=1))
-        return np.where(fixed, 2, 1).reshape(self.pts.shape[:-1])
+        """Order of a regular point's stabilizer in the Weyl group (the kind's weyl_stabilizer_order)."""
+        return self.action.weyl_stabilizer_order(self.pts)
 
     def regularity(self) -> RegularityClass | np.ndarray:
         """Regular exactly when the isotropy algebra has the dimension of the
@@ -431,10 +881,8 @@ _CLASSES = np.array([RegularityClass.REGULAR, RegularityClass.EXCEPTIONAL, Regul
 
 def orbit_map_differentials(action: ActionSpec, pts: np.ndarray) -> OrbitMapDifferential:
     """The orbit maps at flat section points (m, D)."""
-    frames = np.concatenate(section_frames(action, pts), axis=1)
-    images = killing_images(action, pts)
-    if isinstance(action, ConjugationAction):  # a direct sum's frames split the identity
-        images = frames @ images
+    frames = np.concatenate(action.section_frames(pts), axis=1)
+    images = action.in_frames(frames, killing_images(action, pts))
     return OrbitMapDifferential(algebra_split(action), pts, frames, images)
 
 
@@ -456,9 +904,7 @@ class AlgebraSplit:
     normalizer algebra, whose Killing fields are perpendicular to the
     section everywhere along it.  ``algebra_split`` selects all three
     from generators of the one basis rule, so they are orthonormal with
-    no orthogonalization: m is the algebra basis without the torus rows
-    (conjugation), or the pair generators between the section rows and
-    the normal rows (direct sums).
+    no orthogonalization: the kind's ``split_rows`` selects them.
     """
 
     action: ActionSpec
@@ -488,7 +934,7 @@ class AlgebraSplit:
         """
         action, dim = self.action, self.action.ambient_dim
         units = batch_from_real(action.field, *action.shape, np.eye(dim))
-        images = batch_to_real(action.field, _killing_data(action, self.data[:, None], units))
+        images = batch_to_real(action.field, action.killing_data(self.data[:, None], units))
         return read_only(np.ascontiguousarray(np.swapaxes(images, 1, 2)))
 
     @property
@@ -497,37 +943,9 @@ class AlgebraSplit:
         return self.operators[len(self.h_rows) + len(self.w_rows) :]
 
 
-def _mixed_trace_generator(n: int, k: int) -> np.ndarray:
-    """Traceless imaginary diagonal orthogonal to both su blocks (SU case), one flat row."""
-    v = np.diag(np.where(np.arange(n) < k, 1j, -1j * k / (n - k)))
-    return batch_to_real(COMPLEX, v * (1.0 / np.linalg.norm(v)))[None]
-
-
 @functools.lru_cache(maxsize=None)
 def algebra_split(action: ActionSpec) -> AlgebraSplit:
-    if isinstance(action, ConjugationAction):
-        # h is the torus, and m the algebra basis without the torus rows
-        group = action.group
-        h, m = torus_basis(group), np.delete(algebra_basis(group), torus_indices(group), axis=0)
-        return AlgebraSplit(action, h, h[:0], read_only(m))
-    # h moves the normal rows [k, n), w the section rows [0, k), and m, the pairs
-    # between them, is ordered by (b, a, unit) as the normal frame is, so the
-    # normal block of the orbit map differential is block diagonal per ambient row
-    field, n, k = action.field, action.n, action.k
-    h, line = block_algebra_basis(field, n, k, n), block_algebra_basis(field, n, 0, k)
-    trace = _mixed_trace_generator(n, k) if field is COMPLEX else h[:0]
-    b, a = np.divmod(np.arange(k * (n - k)), k)
-    m = pair_generators(field, n, a, b + k)
-    if k == 1:  # the polar section has a finite Weyl group: the line's own directions go to m
-        w, m = h[:0], np.concatenate([line, m, trace])
-    else:
-        w = np.concatenate([line, trace])
-    return AlgebraSplit(action, read_only(h), read_only(w), read_only(m))
-
-
-def brackets(field: ScalarField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat rows of the brackets [x, y] = x y - y x of raw matrix data, leading axes broadcast."""
-    return batch_to_real(field, x @ y - y @ x)
+    return AlgebraSplit(action, *action.split_rows())
 
 
 # --- regularity, isotropy, orbit spaces -------------------------------------
@@ -558,21 +976,10 @@ def orbit_normal(action: ActionSpec, p: MatK) -> np.ndarray:
 # --- reduction to the section ----------------------------------------------
 
 def reduce_to_section(action: ActionSpec, x: MatK) -> MatK:
-    """Canonical section point of the orbit through x; a batch of one."""
-    return from_real_vector(action.field, *action.shape, reduce_to_section_batch(action, x.data[None])[0])
-
-
-def reduce_to_section_batch(action: ActionSpec, data: np.ndarray) -> np.ndarray:
-    """Flat canonical section points (m, D) of the orbits through raw points (m, rows, cols).
-
-    Direct sums: the section point with coordinate R of x = QR, upper
-    triangular with nonnegative real diagonal.  Conjugation: the torus
-    point of x's canonical_angles.  Both are one representative per
-    Weyl orbit, so x and g . x give the same point.
-    """
-    if isinstance(action, ConjugationAction):
-        return torus_points(action.group, canonical_angles(action.group, data))
-    return section_points(action, batch_to_real(action.field, qr(action.field, data)[1]))
+    """Canonical section point of the orbit through x; a batch of one of
+    the kind's reduce.  Every reduction gives one representative per Weyl
+    orbit, so x and g . x give the same point."""
+    return from_real_vector(action.field, *action.shape, action.reduce(x.data[None])[0])
 
 
 def canonical_angles(group: GroupSpec, data: np.ndarray) -> np.ndarray:
@@ -655,14 +1062,7 @@ def _weyl_canonical(group: GroupSpec, theta: np.ndarray, flip: np.ndarray | None
 
 def random_ambient_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
     """Gaussian point of K^(n x k), or a Haar point of the group; a batch of one."""
-    return MatK(action.field, random_ambient_points(action, rng, 1)[0])
-
-
-def random_ambient_points(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Raw data (count, rows, cols) of count random_ambient_point draws."""
-    if isinstance(action, DirectSumAction):
-        return gaussian_batch(action.field, action.n, action.k, rng, count)
-    return haar_sample_batch(action.group, rng, count)
+    return MatK(action.field, action.random_ambient_points(rng, 1)[0])
 
 
 def random_regular_section_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
@@ -677,8 +1077,7 @@ def random_regular_section_points(action: ActionSpec, rng: np.random.Generator, 
     redrawn, as one batch."""
     kept, need = [], count
     for _ in range(1000):
-        coords = _section_coords(action, rng, need)
-        draws = orbit_map_differentials(action, section_points(action, coords))
+        draws = orbit_map_differentials(action, action.section_points(action.section_coords(rng, need)))
         regular = draws.regular_margin() > MIN_GAP
         kept.append(draws[regular])
         need -= int(np.sum(regular))
@@ -690,84 +1089,179 @@ def random_regular_section_points(action: ActionSpec, rng: np.random.Generator, 
     raise RuntimeError("failed to sample a regular section point")
 
 
-def _section_coords(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Flat coordinates B (a real multiple of the first basis vector when k = 1) or torus angle rows."""
-    if isinstance(action, ConjugationAction):
-        return rng.uniform(0.0, 2 * np.pi, size=(count, action.group.rank))
-    if action.k == 1:
-        return np.pad(rng.standard_normal((count, 1)), ((0, 0), (0, action.field.dim - 1)))
-    return batch_to_real(action.field, gaussian_batch(action.field, action.k, action.k, rng, count))
-
-
-def section_points(action: ActionSpec, coords: np.ndarray) -> np.ndarray:
-    """Flat section points (m, D) from flat coordinates B (direct sums; they
-    come first in the flat layout) or torus angle rows (conjugation)."""
-    if isinstance(action, ConjugationAction):
-        return torus_points(action.group, coords)
-    pts = np.zeros((len(coords), action.ambient_dim))
-    pts[:, : coords.shape[1]] = coords
-    return pts
-
-
 def normalizer_sample(action: ActionSpec, rng: np.random.Generator) -> GroupElement:
     """Haar-like sample of the normalizer of the section; a batch of one."""
-    return GroupElement(action.group, MatK(action.field, normalizer_samples(action, rng, 1)[0]))
+    return GroupElement(action.group, MatK(action.field, action.normalizer_samples(rng, 1)[0]))
 
 
-def normalizer_samples(action: ActionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Raw data (count, n, n) of count normalizer_sample draws."""
-    if isinstance(action, DirectSumAction):
-        return _normalizer_direct_sum(action, rng, count)
-    return _normalizer_conjugation(action, rng, count)
+# --- the direct sums' closed-form weight, section quadrature and exact draws
+
+def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
+    """Closed-form weight at the section points with flat coordinates z (m, section_dim).
+
+    The coordinates are those of B (k >= 2, with |det B|^2 = gram_det(B))
+    or the real t of the polar line (k = 1).
+    """
+    d, n, k = action.field.dim, action.n, action.k
+    if k == 1:
+        const = 2.0 ** (-d * (n - 1) / 2.0) * (np.sqrt((n - 1) / n) if action.field is COMPLEX else 1.0)
+        return const * np.abs(z[:, 0]) ** (d * n - 1)
+    dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
+    return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
 
 
-def _normalizer_direct_sum(action: DirectSumAction, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Block diagonal (u, v) with det 1: u moves the section coordinate, v the normal rows."""
-    field, n, k = action.field, action.n, action.k
-    if k == 1 and field is not REAL:
-        # the polar section is the real line, so the top block is +-1
-        u_det = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        u = u_det[:, None, None] * eye(field, 1).data
-    else:
-        u, u_det = haar_unitary_batch(field, k, rng, count)
-    v, v_det = haar_unitary_batch(field, n - k, rng, count)
-    if field is REAL:
-        flip = rng.random(count) < 0.5
-        u[flip, :, -1] *= -1.0
-        v[np.where(flip, -u_det, u_det) * v_det < 0, :, -1] *= -1.0
-    elif field is COMPLEX:
-        v[:, :, -1] *= np.conj(u_det * v_det)[:, None]
-    a, b = side(field) * k, side(field) * n  # stored rows of u and of g
-    g = np.zeros((count, b, b), dtype=u.dtype)
-    g[:, :a, :a], g[:, a:, a:] = u, v
-    return g
+def _golub_welsch(alpha: np.ndarray, offdiag: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (nodes, weights) of the Jacobi matrix of a three-term
+    recurrence: the nodes are its eigenvalues, the weights the mass times
+    the squared first components of its eigenvectors.  Both arrays are
+    read-only, because the rules are cached and shared."""
+    jacobi = np.diag(alpha) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
+    weights = mass * vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _normalizer_conjugation(action: ConjugationAction, rng: np.random.Generator, count: int) -> np.ndarray:
-    """A torus element times a Weyl representative: a permutation matrix, with
-    sign changes in the rotation planes (SO) or entries j (Sp)."""
-    group = action.group
-    fam, n = group.family, group.n
-    t = batch_from_real(group.field, n, n, torus_points(group, rng.uniform(0, 2 * np.pi, size=(count, group.rank))))
-    size = n // 2 if fam is Family.SO else n
-    rows, cols = np.arange(count)[:, None], np.arange(size)
-    perm = np.argsort(rng.random((count, size)), axis=1)
-    flips = rng.random((count, size)) < 0.5
-    if fam is Family.SU:
-        w = np.zeros((count, n, n), dtype=complex)
-        w[rows, perm, cols] = 1.0
-        w[:, :, 0] *= np.conj(np.linalg.det(w))[:, None]
-    elif fam is Family.SP:
-        comps = np.zeros((count, n, n, 4))
-        comps[rows, perm, cols, np.where(flips, 2, 0)] = 1.0
-        w = data_from_components(group.field, comps)
-    else:
-        odd = np.sum(flips, axis=1) % 2 == 1
-        if n % 2 == 0:  # SO(2m) changes an even number of signs
-            flips[odd, np.argmax(flips[odd], axis=1)] = False
-        w = np.zeros((count, n, n))
-        w[rows, 2 * perm, 2 * cols] = 1.0
-        w[rows, 2 * perm + 1, 2 * cols + 1] = np.where(flips, -1.0, 1.0)
-        if n % 2 == 1:  # the spare coordinate keeps det = 1
-            w[:, -1, -1] = np.where(odd, -1.0, 1.0)
-    return t @ w
+@functools.lru_cache(maxsize=None)
+def hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule for e^(-x^2/2) on the line, from the recurrence
+    x He_j = He_(j+1) + j He_(j-1) of the probabilists' Hermite polynomials."""
+    return _golub_welsch(np.zeros(m), np.sqrt(np.arange(1.0, m)), np.sqrt(TWO_PI))
+
+
+@functools.lru_cache(maxsize=None)
+def half_range_rule(a: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule for r^a e^(-r^2/2) on [0, inf).
+
+    The recurrence comes from the moments
+    mu_j = 2^((a+j-1)/2) Gamma((a+j+1)/2) through the upper Cholesky
+    factor U of their Hankel matrix (Golub and Welsch, Math. Comp. 23,
+    1969): alpha_j = U[j,j+1]/U[j,j] - U[j-1,j]/U[j-1,j-1] and
+    sqrt(beta_j) = U[j,j]/U[j-1,j-1].  The Hankel matrix is
+    ill-conditioned in m and a; the 4- and 5-point rules reproduce their
+    moments to about 5e-14 for every a up to 127, the 8-point rule to
+    about 1e-12 up to a = 31.
+    """
+    mu = [2.0 ** ((a + j - 1) / 2) * math.gamma((a + j + 1) / 2) for j in range(2 * m + 1)]
+    u = np.linalg.cholesky(np.array([mu[i : i + m + 1] for i in range(m + 1)])).T
+    diag = np.diag(u)
+    step = np.diag(u, 1) / diag[:-1]
+    alpha = step - np.concatenate([[0.0], step[:-1]])
+    return _golub_welsch(alpha, diag[1:m] / diag[: m - 1], mu[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None], ...], int, float]:
+    """Axes of the section integral in the coordinates B = wR, the
+    weight's power of each diagonal entry, and the constant.
+
+    One axis per real coordinate of R: (column of z, b_i) for the
+    diagonal entry r_ii, whose Jacobian is r_ii^(b_i) with
+    b_i = d(k - i + 1) - 1 (i from 1), and (column of z, None) for each
+    real component of an entry above it.  The weight is a constant times
+    r_ii^p on each diagonal entry, p = d(n - k).  The polar section
+    (k = 1) is the line, one diagonal axis with b = 0 counted twice and
+    a weight of a constant times |t|^p, p = dn - 1.  The constant C makes
+    the Jacobian exact on e^(-|B|^2/2): its integral (2 pi)^(D/2) over
+    the D-dimensional section equals C times the product of the axes'
+    masses.
+    """
+    d, n, k = action.field.dim, action.n, action.k
+    power = d * n - 1 if k == 1 else d * (n - k)
+    width = action.section_dim // (k * k)  # real dimension of an entry: 1 on the polar line
+    axes = []
+    for i in range(k):
+        axes.append(((i * k + i) * width, width * (k - i) - 1))
+        axes += [((i * k + j) * width + c, None) for j in range(i + 1, k) for c in range(width)]
+    log_mass = sum(
+        0.5 * np.log(TWO_PI) if b is None else 0.5 * (b - 1) * np.log(2.0) + math.lgamma((b + 1) / 2)
+        for _, b in axes
+    )
+    return tuple(axes), power, float(np.exp(0.5 * action.section_dim * np.log(TWO_PI) - log_mass))
+
+
+def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int):
+    """count exact draws of the section density e^(-|B|^2/2) * weight of
+    a direct sum, yielded in blocks of at most _ROW_BLOCK draws: the
+    draws (block, section_dim) as triangular R, and per draw the log of
+    e^(-|R|^2/2) times the Jacobian prod r_ii^(b_i) over the draws'
+    density.  That log is minus the log of the weight plus one constant,
+    so section_weight_batch times its exp is the same at every draw.
+
+    In the coordinates B = wR of _bartlett_axes the law is a product
+    (Bartlett's decomposition; Edelman and Rao, Acta Numerica 2005):
+    r_ii ~ chi with nu_i = b_i + p + 1 = d(n - i + 1) degrees of freedom
+    on each diagonal axis and N(0, 1) on each axis above it; on the
+    polar line (k = 1) |t| ~ chi_(dn) with a random sign.  All count
+    draws are made first, the axes in their order into one (axes, count)
+    array, then the signs, so the stream does not depend on the blocks;
+    only a block's rows are ever laid out as R.
+    """
+    axes, power, _ = _bartlett_axes(action)
+    draws = np.empty((len(axes), count))
+    for row, (_, b) in zip(draws, axes):
+        row[:] = rng.standard_normal(count) if b is None else np.sqrt(rng.chisquare(b + power + 1, count))
+    signs = np.where(rng.random(count) < 0.5, -1.0, 1.0) if action.k == 1 else None
+    for lo in range(0, count, _ROW_BLOCK):
+        block = draws[:, lo : lo + _ROW_BLOCK]
+        rows = block.shape[1]
+        z = np.zeros((rows, action.section_dim))
+        log_q = np.full(rows, -np.log(2.0) if action.k == 1 else 0.0)  # the sign halves the polar density
+        log_jacobian = np.zeros(rows)
+        for (col, b), x in zip(axes, block):
+            if b is None:
+                log_q -= 0.5 * (x * x + np.log(TWO_PI))
+            else:
+                nu = b + power + 1
+                log_q += (nu - 1) * np.log(x) - 0.5 * x * x - (0.5 * nu - 1) * np.log(2.0) - math.lgamma(0.5 * nu)
+                log_jacobian += b * np.log(x)
+            z[:, col] = x
+        if signs is not None:
+            z[:, 0] *= signs[lo : lo + rows]
+        yield z, log_jacobian - 0.5 * np.sum(z * z, axis=1) - log_q
+
+
+# --- ensemble references ----------------------------------------------------
+
+def _coordinate_statistics(spec, field: ScalarField, comps: np.ndarray) -> np.ndarray:
+    """The spec's direct-sum statistic of a stack of matrices given as real components (m, r, k, d).
+
+    All statistics are invariant under unitary maps from the left, so an
+    ambient sample and its section coordinate give the same value.
+    """
+    if spec.statistic == "coordinate_norm":
+        return np.linalg.norm(comps.reshape(comps.shape[0], -1), axis=1)
+    if spec.statistic == "coordinate_det":
+        return np.sqrt(gram_det(field, comps))
+    sv = np.linalg.svd(data_from_components(field, comps), compute_uv=False)
+    return sv[:, :: side(field)][:, spec.stat_index]  # the adjoint matrix doubles each value over H
+
+
+def _equal_draw_bins(ref_stats: np.ndarray, ref_w: np.ndarray, bins: int, lo: float, hi: float):
+    """Edges from lo to hi with the inner ones at the quantiles of equally
+    weighted draws, and the draws' mass in each bin, from one sort.
+
+    The inner edges are np.quantile's linear interpolation, its _lerp
+    bit for bit, on the sorted draws.  The masses are np.histogram's own
+    algorithm for given edges: the weights' cumulative sum read at the
+    edges by searchsorted, the last edge inclusive.  The weights are
+    equal, so their sum in sorted order is their sum in any order.  Up to
+    np.histogram's block of 65536 draws the masses are its bits; past it
+    np.histogram adds one sum per block and rounds differently.
+    """
+    s = np.sort(ref_stats)
+    pos = (len(s) - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    below = np.floor(pos).astype(np.intp)
+    t = pos - below
+    a, b = s[below], s[np.minimum(below + 1, len(s) - 1)]
+    inner = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    edges = np.concatenate([[lo], inner, [hi]])
+    at = np.concatenate([s.searchsorted(edges[:-1], "left"), s.searchsorted(edges[-1:], "right")])
+    return edges, np.diff(np.concatenate([[0.0], np.cumsum(ref_w)])[at])
+
+
+def _bin_range(stats: np.ndarray, ref_stats: np.ndarray) -> tuple[float, float]:
+    """Range of the bins: from the smallest statistic of either side to just past the largest."""
+    lo = min(stats.min(), ref_stats.min())
+    hi = max(stats.max(), ref_stats.max())
+    return lo, hi + 1e-12 * max(1.0, abs(hi))

@@ -26,23 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import batch_from_real, batch_to_real, conj_transpose, eye, zeros
-from .groups import haar_sample_batch, torus_angles, torus_points
+from .matrices import batch_from_real, batch_to_real, conj_transpose, from_real_vector
+from .groups import brackets, haar_sample_batch
 from .actions import (
     ActionSpec,
     AlgebraSplit,
-    ConjugationAction,
-    DirectSumAction,
     OrbitMapDifferential,
-    act_data,
     algebra_split,
-    brackets,
-    normalizer_samples,
-    random_ambient_points,
     random_regular_section_points,
-    reduce_to_section_batch,
 )
-from .weights import delta_e_batch, delta_e_generic, section_weight_batch, torus_weight_batch
+from .weights import delta_e_batch, delta_e_generic
 
 
 @dataclass(frozen=True)
@@ -95,10 +88,10 @@ def pointwise_checks(
     returns the values they compare, one per point and named as
     ``sectint delta`` reports them.  The weight comes from the generic
     kernel delta_e_batch, independent of diff; the closed form it is
-    compared with is section_weight_batch on direct sums and Weyl's
-    torus_weight_batch, at the angles read back from the points, on
-    conjugation.  The closed forms know nothing of the metric of m, so a
-    corrupted one fails the comparison.
+    compared with is the kind's closed_weight: section_weight_batch on
+    direct sums and Weyl's torus_weight_batch, at the angles read back
+    from the points, on conjugation.  The closed forms know nothing of
+    the metric of m, so a corrupted one fails the comparison.
     """
     action, pts = diff.action, diff.pts
     scale = np.maximum(np.max(np.abs(diff.matrix), axis=(1, 2), initial=0.0), 1e-300)
@@ -113,11 +106,7 @@ def pointwise_checks(
         _result("block_diagonality", np.max(values["block_residual"]), tol_abs),
         _result("differential_factorization", np.max(np.abs(total - dd * generic) / np.maximum(1.0, total)), tol_rel),
     ]
-    if isinstance(action, DirectSumAction):
-        closed = section_weight_batch(action, pts[:, : action.section_dim])
-    else:
-        closed = torus_weight_batch(action.group, torus_angles(action.group, pts))
-    values["delta_closed_form"] = closed
+    closed = values["delta_closed_form"] = action.closed_weight(pts)
     checks.append(_result("weight_closed_vs_generic", np.max(np.abs(generic - closed) / (1.0 + closed)), tol_rel))
     return checks, values
 
@@ -145,7 +134,7 @@ def run_action_checks(
     out.append(_result("reductive_bracket", _largest(brackets(field, x, y) @ split.w_rows.T), tol_rel))
 
     # adjoint invariance of the complement under the normalizer
-    g = normalizer_samples(action, rng, 20)[:, None]
+    g = action.normalizer_samples(rng, 20)[:, None]
     moved = batch_to_real(field, g @ y @ conj_transpose(g))
     out.append(_result("ad_normalizer_invariance", _largest(moved @ rows[: nh + nw].T), tol_rel))
 
@@ -179,26 +168,24 @@ def run_action_checks(
     out.append(_result("copolarity_dimension", 0.0 if codim_ok else 1.0, 0.5))
 
     # Weyl invariance of the weight
-    w = normalizer_samples(action, rng, n_points)
-    moved = batch_to_real(field, act_data(action, w, batch_from_real(field, *action.shape, pts)))
+    w = action.normalizer_samples(rng, n_points)
+    moved = batch_to_real(field, action.act_data(w, batch_from_real(field, *action.shape, pts)))
     de, dew = values["delta_generic"], delta_e_batch(action, moved, split)
     out.append(_result("weight_weyl_invariance", np.max(np.abs(de - dew) / (1.0 + de)), 1e-9))
 
-    # vanishing at a singular point, the origin or the identity; with m
-    # empty (SO(2)) the weight is 1 everywhere
+    # vanishing at the singular section point of coordinate 0, the origin or
+    # the identity; with m empty (SO(2)) the weight is 1 everywhere
     if len(split.m_rows):
-        sing = zeros(field, *action.shape) if isinstance(action, DirectSumAction) else eye(field, action.group.n)
+        sing = from_real_vector(field, *action.shape, action.section_points(np.zeros((1, action.section_dim)))[0])
         out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
 
-    # canonical reduction is translation independent, also at a fixed torus point
-    # with an angle at 0 (the cut of the SU(n) phases) where the rank allows; it draws nothing
-    x = random_ambient_points(action, rng, 5)
-    h = haar_sample_batch(action.group, rng, 5)
-    if isinstance(action, ConjugationAction) and action.group.rank >= 2:
-        cut = torus_points(action.group, 0.7 * np.arange(action.group.rank)[None])
-        x = np.concatenate([x, np.repeat(batch_from_real(field, *action.shape, cut), 5, axis=0)])
-        h = np.concatenate([h, h])
-    s1, s2 = np.split(reduce_to_section_batch(action, np.concatenate([x, act_data(action, h, x)])), 2)
+    # canonical reduction is translation independent, also at the kind's cut
+    # points (a torus point with an angle at 0, the cut of the SU(n) phases)
+    cut = action.cut_points()
+    x = np.concatenate([action.random_ambient_points(rng, 5),
+                        np.repeat(batch_from_real(field, *action.shape, cut), 5, axis=0)])
+    h = np.tile(haar_sample_batch(action.group, rng, 5), (1 + len(cut), 1, 1))
+    s1, s2 = np.split(action.reduce(np.concatenate([x, action.act_data(h, x)])), 2)
     worst = np.max(np.linalg.norm(s1 - s2, axis=1) / np.maximum(1.0, np.linalg.norm(s1, axis=1)))
     out.append(_result("reduction_translation_invariance", worst, tol_rel))
     return out

@@ -26,16 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ScalarField
 from .matrices import DimensionError, MatK, to_real_vector
-from .actions import (
-    ActionSpec,
-    ConjugationAction,
-    action_from_json,
-    action_to_json,
-    embed_section,
-    orbit_map_differentials,
-)
+from .actions import ActionSpec, action_from_json, orbit_map_differentials
 from .checks import CheckResult, pointwise_checks, run_action_checks
 from .ensembles import WEIGHT_RATIO_TOL, EnsembleSpec, compare_densities
 from .integrate import (
@@ -81,45 +73,12 @@ def _parse_action(text: str) -> ActionSpec:
         raise ValueError(f"bad --action: {exc}") from None
 
 
-def _number(raw, where: str) -> float:
-    """A JSON number, not a bool, as a float; where names its place in the point."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"point parse error at {where}: expected a number, got {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ValueError(f"point parse error at {where}: number too large for a float") from None
-
-
-def _parse_entry(field: ScalarField, raw, i: int, j: int):
-    """Entry (i, j) of a direct-sum point: a number, or its d real components (C, H)."""
-    where, d = f"row {i + 1}, column {j + 1}", field.dim
-    if isinstance(raw, list) and d > 1:
-        if len(raw) != d:
-            raise ValueError(f"point parse error at {where}: expected {d} components, got {raw!r}")
-        parts = [_number(v, where) for v in raw]
-    else:
-        parts = [_number(raw, where)] + [0.0] * (d - 1)
-    if field is ScalarField.COMPLEX:
-        return complex(*parts)
-    return parts if field is ScalarField.QUATERNION else parts[0]
-
-
 def _parse_point(action: ActionSpec, text: str) -> MatK:
     try:
         obj = _load_json_arg(text)
     except ValueError as exc:
         raise ValueError(f"bad --point: {exc}") from None
-    if isinstance(action, ConjugationAction):
-        angles = obj.get("angles") if isinstance(obj, dict) else obj
-        if not isinstance(angles, list):
-            raise ValueError('bad --point: expected an angle list or {"angles": [...]}')
-        return embed_section(action, np.array([_number(a, f"angle {i + 1}") for i, a in enumerate(angles)]))
-    k = action.k
-    if not (isinstance(obj, list) and len(obj) == k and all(isinstance(r, list) and len(r) == k for r in obj)):
-        raise ValueError(f"point must be a {k} x {k} array of entries")
-    entries = [[_parse_entry(action.field, obj[i][j], i, j) for j in range(k)] for i in range(k)]
-    return embed_section(action, np.asarray(entries))  # floats, complex numbers (C) or lists of 4 floats (H)
+    return action.parse_point(obj)
 
 
 def _parse_functions(text: str):
@@ -139,12 +98,7 @@ def _parse_functions(text: str):
 
 
 def _default_functions(action: ActionSpec):
-    if isinstance(action, ConjugationAction):
-        return [make_test_function("trace_power", power=2), make_test_function("const")]
-    return [
-        make_test_function("gaussian_radial", sigma=1.0),
-        make_test_function("gaussian_sq_norm", sigma=1.0),
-    ]
+    return [make_test_function(name, **params) for name, params in action.default_integrands]
 
 
 def _write_output(path: str, write) -> None:
@@ -173,7 +127,7 @@ def _exact_json(value: float) -> dict:
 
 def _base_report(command: str, action: ActionSpec, args) -> dict:
     config = {name: getattr(args, name) for name in ("seed", "n", "chunks", "tol_rel", "tol_abs")}
-    return {"command": command, "action": action_to_json(action), "config": config}
+    return {"command": command, "action": action.to_json(), "config": config}
 
 
 def cmd_delta(args) -> int:

@@ -3,7 +3,7 @@
 Provides orthonormal Lie algebra bases for the inner product
 Re(tr(x^* y)), all from one rule over the field's units and each a
 read-only array of flat real rows (q, d n^2), maximal-torus points and
-grids, exact Haar sampling as the q factor of Gaussian
+grids, Weyl's closed-form weight on the torus, exact Haar sampling as the q factor of Gaussian
 matrices from one batched Householder kernel (matrices.householder_q)
 for every family, and the adjoint action.
 """
@@ -219,6 +219,38 @@ def _torus_grid(rank: int, grid: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def torus_weight_batch(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
+    """Weyl's weight of conjugation at the torus angle rows (m, r) of torus_points.
+
+    The product of 4 sin^2(alpha / 2) over the positive roots alpha:
+    theta_i - theta_j on SU(n), the last angle minus the sum of the others
+    when n - 1 are given; theta_a +- theta_b on SO(n), and theta_a on
+    SO(2m+1); theta_a +- theta_b and 2 theta_a on Sp(n).
+    """
+    angles = full_torus_angles(group, np.atleast_2d(angles))
+    chords = 2.0 * np.sin(0.5 * (angles @ _positive_roots(group)))
+    return np.prod(chords * chords, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _positive_roots(group: GroupSpec) -> np.ndarray:
+    """Coefficients (r, roots) of the positive roots in the full angle rows
+    of full_torus_angles, each column one root.  The entries are 0, +-1
+    and 2, so a root is the angles' sum or difference rounded once: at
+    equal angles (or opposite, or a zero one) it and the weight are
+    exactly 0."""
+    unit = np.eye(group.n if group.family is Family.SU else group.rank)
+    i, j = np.triu_indices(len(unit), 1)
+    roots = [unit[i] - unit[j]]
+    if group.family is not Family.SU:
+        roots.append(unit[i] + unit[j])
+        if group.family is Family.SP:
+            roots.append(2.0 * unit)
+        elif group.n % 2:
+            roots.append(unit)
+    return read_only(np.concatenate(roots).T)
+
+
 def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
     """One Haar sample: a batch of one from haar_sample_batch."""
     return GroupElement(group, MatK(group.field, haar_sample_batch(group, rng, 1)[0]))
@@ -265,3 +297,8 @@ def adjoint(g: GroupElement, x: MatK) -> MatK:
     """Ad_g x = g x g^{-1}; an isometry of the algebra."""
     m = g.matrix
     return m @ x @ m.h
+
+
+def brackets(field: ScalarField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat rows of the brackets [x, y] = x y - y x of raw matrix data, leading axes broadcast."""
+    return batch_to_real(field, x @ y - y @ x)

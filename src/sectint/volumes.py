@@ -10,7 +10,9 @@ e_1 at speed |v|, which gives (Macdonald, Invent. Math. 56, 1980)
     vol(SU(n)) = 2^(n-1) sqrt(n/(n-1)) |S^(2n-1)| vol(SU(n-1)), SU(1) = 1,
     vol(Sp(n)) = 4^(n-1) |S^(4n-1)| vol(Sp(n-1)),                Sp(0) = 1.
 
-Tori and finite Weyl groups are exact too; quotient volumes come from
+Tori and finite Weyl groups are exact too, and each action kind builds
+the volumes of its Weyl group and stabilizer from these
+(``weyl_volume``, ``stabilizer_volume``); quotient volumes come from
 the totally geodesic fibrations vol(G/H) = vol(G)/vol(H) and
 vol(G/H) = vol(G/N) vol(W).
 
@@ -35,8 +37,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .matrices import batch_from_real, batch_to_real
-from .groups import Family, GroupSpec, algebra_basis
-from .actions import ActionSpec, ConjugationAction, brackets
+from .groups import Family, GroupSpec, algebra_basis, brackets
 from .mc import McEstimate, mc_run
 
 
@@ -171,36 +172,11 @@ def group_volume(
 cached_group_volume = group_volume  # alias for importers; an exact value needs no cache
 
 
-def w_group_volume(action: ActionSpec) -> float:
-    """Exact volume of the generalized Weyl group with its induced metric.
-
-    Finite Weyl groups count points: the classical Weyl group of a
-    conjugation action, and {+-1} for a polar direct sum (k = 1).
-    Otherwise the Weyl group is O(k) (two copies of SO(k)), Sp(k), or
-    U(k) = (SU(k) x U(1)) / Z_k.  The circle e^(i t) 1_k of U(k) has
-    length 2 pi sqrt(k) in U(k)'s own metric, and the split's
-    trace-compensating generator stretches it by sqrt(n / (n - k)).
-    """
-    if isinstance(action, ConjugationAction):
-        return float(weyl_group_order(action.group))
-    n, k = action.n, action.k
-    if k == 1:
-        return 2.0
-    vol = _exact_group_volume(GroupSpec(action.group.family, k))
-    if action.field is ScalarField.REAL:
-        vol *= 2.0
-    elif action.field is ScalarField.COMPLEX:
-        vol *= 2.0 * math.pi / math.sqrt(k) * math.sqrt(n / (n - k))
-    return vol
+def w_group_volume(action) -> float:
+    """Exact volume of the generalized Weyl group with its induced metric (the kind's ``weyl_volume``)."""
+    return action.weyl_volume()
 
 
-def stabilizer_volume(action: ActionSpec) -> float:
-    """Exact volume of the pointwise stabilizer of the section."""
-    if isinstance(action, ConjugationAction):
-        return torus_volume(action.group)
-    return _exact_group_volume(GroupSpec(action.group.family, action.n - action.k))
-
-
-def vol_gh_estimate(action: ActionSpec) -> float:
+def vol_gh_estimate(action) -> float:
     """vol(G/H) from the totally geodesic fibration vol(G)/vol(H); exact."""
-    return _exact_group_volume(action.group) / stabilizer_volume(action)
+    return _exact_group_volume(action.group) / action.stabilizer_volume()

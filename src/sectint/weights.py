@@ -11,7 +11,9 @@ scales Weyl orbit volumes.  The differential is
 ``actions.OrbitMapDifferential``: ``delta_d``, ``weight_value`` and
 ``orbit_volume`` each read one evaluation of it at their point.
 
-The weight has a generic kernel and a closed form per kind of action.
+The weight has a generic kernel and a closed form per kind of action;
+the closed forms live with the kind they serve (``groups`` for the
+torus, ``actions`` for the direct sums) and are served from here too.
 The generic kernel ``delta_e_batch`` serves every action: the
 complementary Killing fields at a batch of points are one contraction
 with the m slice of the split's operator stack, and their |det| one
@@ -36,20 +38,19 @@ form would lose digits.  On the polar line t e_1 (k = 1) it is
 times sqrt((n - 1) / n) over C, where the imaginary unit at the first
 entry lies in su(n) only with a traceless correction.
 The quadrature rules and the ensemble references use the closed forms;
-``checks.pointwise_checks`` compares each with the generic kernel for
-``verify`` and ``delta``.
+``checks.pointwise_checks`` compares each (the kind's ``closed_weight``)
+with the generic kernel for ``verify`` and ``delta``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
-from .groups import Family, GroupSpec, full_torus_angles
-from .matrices import COMPLEX, MatK, abs_det_between, gram_det, mat, read_only, to_real_vector
+from .groups import torus_weight_batch  # noqa: F401  the closed forms are served from here too
+from .matrices import MatK, abs_det_between, mat, to_real_vector
 from .actions import (
     ActionSpec,
     DirectSumAction,
@@ -57,6 +58,7 @@ from .actions import (
     algebra_split,
     embed_section,
     orbit_map_differential,
+    section_weight_batch,
 )
 
 
@@ -75,52 +77,6 @@ def delta_e_batch(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray
 def delta_e_generic(action: ActionSpec, s: MatK, split=None) -> float:
     """Weight at one section point; delta_e_batch on a single row."""
     return float(delta_e_batch(action, to_real_vector(s)[None], split)[0])
-
-
-def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
-    """Closed-form weight at the section points with flat coordinates z (m, section_dim).
-
-    The coordinates are those of B (k >= 2, with |det B|^2 = gram_det(B))
-    or the real t of the polar line (k = 1).
-    """
-    d, n, k = action.field.dim, action.n, action.k
-    if k == 1:
-        const = 2.0 ** (-d * (n - 1) / 2.0) * (np.sqrt((n - 1) / n) if action.field is COMPLEX else 1.0)
-        return const * np.abs(z[:, 0]) ** (d * n - 1)
-    dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
-    return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
-
-
-def torus_weight_batch(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
-    """Weyl's weight of conjugation at the torus angle rows (m, r) of torus_points.
-
-    The product of 4 sin^2(alpha / 2) over the positive roots alpha:
-    theta_i - theta_j on SU(n), the last angle minus the sum of the others
-    when n - 1 are given; theta_a +- theta_b on SO(n), and theta_a on
-    SO(2m+1); theta_a +- theta_b and 2 theta_a on Sp(n).
-    """
-    angles = full_torus_angles(group, np.atleast_2d(angles))
-    chords = 2.0 * np.sin(0.5 * (angles @ _positive_roots(group)))
-    return np.prod(chords * chords, axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def _positive_roots(group: GroupSpec) -> np.ndarray:
-    """Coefficients (r, roots) of the positive roots in the full angle rows
-    of full_torus_angles, each column one root.  The entries are 0, +-1
-    and 2, so a root is the angles' sum or difference rounded once: at
-    equal angles (or opposite, or a zero one) it and the weight are
-    exactly 0."""
-    unit = np.eye(group.n if group.family is Family.SU else group.rank)
-    i, j = np.triu_indices(len(unit), 1)
-    roots = [unit[i] - unit[j]]
-    if group.family is not Family.SU:
-        roots.append(unit[i] + unit[j])
-        if group.family is Family.SP:
-            roots.append(2.0 * unit)
-        elif group.n % 2:
-            roots.append(unit)
-    return read_only(np.concatenate(roots).T)
 
 
 def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:

@@ -1,6 +1,6 @@
 """The direct-sum ensemble reference as one unblocked pass, for the tests.
 
-``integrate.bartlett_draws`` used to lay out all count draws at once: a
+``actions.bartlett_draws`` used to lay out all count draws at once: a
 (count, section_dim) array filled column by column as the axes were
 drawn, with the weight check evaluated on every row together.  It now
 draws the same axes in the same order and evaluates them a row block at
@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from sectint.fields import ScalarField
-from sectint.actions import DirectSumAction
-from sectint.ensembles import REF_BLOCK, EnsembleSpec, _stats_batch_direct
-from sectint.integrate import TWO_PI, _bartlett_axes
+from sectint.actions import REF_BLOCK, TWO_PI, DirectSumAction, _bartlett_axes, _coordinate_statistics
+from sectint.ensembles import EnsembleSpec
 from sectint.mc import _subseed
 from sectint.weights import section_weight_batch
 
@@ -62,6 +61,6 @@ def bartlett_reference_unblocked(spec: EnsembleSpec, seed: int, n_ref: int) -> t
         if spec.statistic == "coordinate_det":
             stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))
         else:
-            stats.append(_stats_batch_direct(spec, field, comps))
+            stats.append(_coordinate_statistics(spec, field, comps))
     spread = float(np.expm1(hi - lo))
     return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread

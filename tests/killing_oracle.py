@@ -15,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from algebra_oracle import algebra_basis, matrices
-from sectint.actions import DirectSumAction, _section_coords, algebra_split, killing_field, section_points
+from sectint.actions import DirectSumAction, algebra_split, killing_field
 from sectint.matrices import MatK, from_real_vector, to_real_vector
 
 
 def random_section_point(action, rng: np.random.Generator) -> MatK:
     """Section point with Gaussian coordinate B (direct sums) or uniform torus angles (conjugation)."""
-    return from_real_vector(action.field, *action.shape, section_points(action, _section_coords(action, rng, 1))[0])
+    return from_real_vector(action.field, *action.shape, action.section_points(action.section_coords(rng, 1))[0])
 
 
 def section_frame_rows(action, s):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sectint.actions import ActionSpec, DirectSumAction
-from sectint.integrate import TWO_PI, TestFunction, _stacked_values
+from sectint.actions import TWO_PI, ActionSpec, DirectSumAction
+from sectint.integrate import TestFunction, _stacked_values
 from sectint.weights import section_weight_batch
 from sectint.mc import McEstimate, mc_run
 

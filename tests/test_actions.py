@@ -12,7 +12,6 @@ from sectint.actions import (
     DirectSumAction,
     RegularityClass,
     act,
-    act_data,
     action_from_json,
     action_to_json,
     algebra_split,
@@ -27,7 +26,6 @@ from sectint.actions import (
     random_ambient_point,
     random_regular_section_point,
     reduce_to_section,
-    reduce_to_section_batch,
     section_coordinate,
     section_frame,
 )
@@ -299,7 +297,7 @@ def test_su3_conjugates_of_an_eigenvalue_one_reduce_to_one_point():
     su3 = ConjugationAction(GroupSpec(Family.SU, 3))
     g = haar_sample_batch(su3.group, np.random.default_rng(16), 200)
     d = np.diag(np.exp(1j * np.array([0.0, 0.5, -0.5])))
-    pts = reduce_to_section_batch(su3, act_data(su3, g, d))
+    pts = su3.reduce(su3.act_data(g, d))
     assert np.abs(pts - pts[0]).max() <= 1e-12
     np.testing.assert_allclose(canonical_angles(su3.group, d[None])[0], [0.5, 0.0, -0.5], rtol=0, atol=1e-12)
 

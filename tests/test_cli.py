@@ -328,6 +328,43 @@ def test_off_section_polar_point_exits_2(capsys, field):
     assert "off the section" in err
 
 
+@pytest.mark.parametrize("point", ["[0.1, 0.2, 0.3]", '{"angles": [1.0, 2.0, 3.5]}', "[3.14159, 0, 0]"])
+def test_su_point_off_the_group_exits_2(capsys, point):
+    # n angles whose sum is not 0 mod 2 pi give diag(e^(i theta)) of
+    # determinant other than 1: a point of U(3), not of SU(3)
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", SU3, "--point", point])
+    assert "off SU(3)" in err
+
+
+@pytest.mark.parametrize("point", ["[0.4, 2.0]", "[0.4, 2.0, -2.4]", f"[2.0, 2.5, {2 * math.pi - 4.5!r}]"])
+def test_su_point_on_the_group_passes(capsys, point):
+    # n - 1 free angles, or n summing to 0 mod 2 pi within rounding
+    code, rep = run_cli(capsys, ["delta", "--action", SU3, "--point", point])
+    assert code == 0 and rep["pass"] is True
+
+
+def test_su_torus_points_keep_accepting_n_angles():
+    # only the user edge checks the sum: the torus points of n angles are U(n)'s diagonal
+    from sectint.groups import torus_angles, torus_points
+
+    su3 = GroupSpec(Family.SU, 3)
+    np.testing.assert_allclose(torus_angles(su3, torus_points(su3, np.array([[0.1, 0.2, 0.3]]))), [[0.1, 0.2, 0.3]])
+
+
+@pytest.mark.parametrize("scale", ["7", "-1", "0.5"])
+def test_ensemble_scale_on_conjugation_exits_2(capsys, scale):
+    # Haar measure has no scale: a scale other than 1 was echoed in the payload and ignored
+    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", SU2, "--n", "300", "--bins", "10",
+                                          f"--scale={scale}"])
+    assert "scale" in err
+
+
+@pytest.mark.parametrize("action, statistic", [(SU2, "coordinate_det"), (SO3K2, "torus_angle"), (SO3K2, "nope")])
+def test_ensemble_statistic_of_another_kind_exits_2(capsys, action, statistic):
+    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", action, "--n", "300", "--statistic", statistic])
+    assert f"statistic {statistic!r} not defined" in err
+
+
 def test_help_lists_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -17,17 +17,16 @@ from sectint.actions import (
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
+    bartlett_draws,
     torus_canonical_angles,
 )
 from sectint.ensembles import (
     EnsembleSpec,
     _merge_small_bins,
-    _reference_sample,
     chi2_tail,
     compare_densities,
     sample_ensemble,
 )
-from sectint.integrate import bartlett_draws
 from sectint.mc import _subseed
 from bartlett_oracle import bartlett_reference_unblocked
 from matrix_oracles import gram_schmidt_qr
@@ -183,7 +182,7 @@ def test_det_second_moment_two_sided():
     stats = sample_ensemble(spec, seed=3, n=50_000)
     m_mean = np.mean(stats ** 2)
     m_se = np.std(stats ** 2, ddof=1) / np.sqrt(stats.size)
-    rs, rw, _ = _reference_sample(spec, 4, 2_000_000)
+    rs, rw, _ = spec.action.reference_sample(spec, 4, 2_000_000)
     s_mean = np.sum(rw * rs ** 2)
     assert abs(m_mean - s_mean) <= 4 * m_se
 
@@ -193,17 +192,18 @@ def test_polar_reference_det_second_moment(field, n):
     # k = 1: |det| of the real section coordinate is |x|, whose second
     # moment under the standard Gaussian on K^n is the real dimension d n
     spec = EnsembleSpec(DirectSumAction(field, n, 1), 1.0, "coordinate_det")
-    rs, rw, _ = _reference_sample(spec, 0, 200_000)
+    rs, rw, _ = spec.action.reference_sample(spec, 0, 200_000)
     assert np.sum(rw * rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
 
 
 def test_reference_weights_normalized():
     for spec in [EnsembleSpec(SO3K2, 1.0, "coordinate_det"), EnsembleSpec(SU2CONJ, 1.0, "torus_angle")]:
-        _, w, _ = _reference_sample(spec, 0, 10_000)
+        _, w, _ = spec.action.reference_sample(spec, 0, 10_000)
         assert abs(w.sum() - 1.0) < 1e-12
     # the direct-sum draws are exact: each weighs 1 / n_ref, and the
     # effective sample size is their count
-    _, w, _ = _reference_sample(EnsembleSpec(SO3K2, 1.0, "coordinate_det"), 0, 10_000)
+    spec = EnsembleSpec(SO3K2, 1.0, "coordinate_det")
+    _, w, _ = spec.action.reference_sample(spec, 0, 10_000)
     assert np.all(w == 1.0 / 10_000)
     assert 1.0 / np.sum(w * w) == pytest.approx(10_000, rel=1e-12)
 
@@ -217,7 +217,8 @@ DIRECT_ROWS = [SO3K2] + [DirectSumAction(f, n, k) for f, n, k in
 def test_reference_draws_follow_the_weighted_density(action, scale):
     # the weight ratio of every draw is one constant, and the second moment
     # of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
-    rs, rw, spread = _reference_sample(EnsembleSpec(action, scale, "coordinate_det"), 5, 100_000)
+    spec = EnsembleSpec(action, scale, "coordinate_det")
+    rs, rw, spread = action.reference_sample(spec, 5, 100_000)
     assert spread <= 1e-10
     d, n, k = action.field.dim, action.n, action.k
     exact = scale ** (2 * k) * np.prod([d * (n - i) for i in range(k)])
@@ -227,11 +228,11 @@ def test_reference_draws_follow_the_weighted_density(action, scale):
 
 def test_reference_blocks_extend_the_stream():
     # each block of draws has its own seed, so a longer reference keeps the shorter one as its prefix
-    from sectint.ensembles import REF_BLOCK
+    from sectint.actions import REF_BLOCK
 
     spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "coordinate_norm")
-    short, _, _ = _reference_sample(spec, 7, REF_BLOCK + 10)
-    long, w, _ = _reference_sample(spec, 7, 2 * REF_BLOCK + 3)
+    short, _, _ = spec.action.reference_sample(spec, 7, REF_BLOCK + 10)
+    long, w, _ = spec.action.reference_sample(spec, 7, 2 * REF_BLOCK + 3)
     assert long.shape == w.shape == (2 * REF_BLOCK + 3,)
     np.testing.assert_array_equal(long[:REF_BLOCK], short[:REF_BLOCK])
 
@@ -243,11 +244,11 @@ def test_blocked_reference_matches_unblocked_oracle(action, stat):
     # the draws evaluated a row block at a time give the bits of one pass
     # over each seed block: 60000 draws end in a partial row block, the
     # longer references in a partial seed block too
-    from sectint.ensembles import REF_BLOCK
+    from sectint.actions import REF_BLOCK
 
     spec = EnsembleSpec(action, -2.5, stat)
     for n_ref in (60_000, REF_BLOCK + 10, 2 * REF_BLOCK + 3):
-        stats, w, spread = _reference_sample(spec, 9, n_ref)
+        stats, w, spread = spec.action.reference_sample(spec, 9, n_ref)
         o_stats, o_w, o_spread = bartlett_reference_unblocked(spec, 9, n_ref)
         np.testing.assert_array_equal(stats, o_stats)
         np.testing.assert_array_equal(w, o_w)
@@ -258,14 +259,13 @@ def test_blocked_reference_matches_unblocked_oracle(action, stat):
 @pytest.mark.parametrize("action", [DirectSumAction(H, 3, 2), DirectSumAction(C, 3, 1)], ids=str)
 def test_reference_statistics_match_per_draw_coordinates(action, stat):
     # the batched statistics of the draws equal those of each coordinate R read as a matrix
-    from sectint.actions import section_points
     from sectint.matrices import from_real_vector
 
     spec = EnsembleSpec(action, 1.5, stat)
-    rs, _, _ = _reference_sample(spec, 3, 40)
+    rs, _, _ = spec.action.reference_sample(spec, 3, 40)
     draws = np.concatenate([z for z, _ in bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)])
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
-              for p in section_points(action, 1.5 * draws)]
+              for p in action.section_points(1.5 * draws)]
     np.testing.assert_allclose(rs, oracle, rtol=1e-10, atol=0)
 
 
@@ -273,7 +273,7 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
 def test_conjugation_references_use_the_closed_form(monkeypatch, group):
     # rank one bins its masses, higher ranks weigh a reference grid: both with
     # Weyl's closed form, never the generic kernel
-    import sectint.ensembles
+    import sectint.actions
     import sectint.weights
 
     def refuse(*args, **kwargs):
@@ -284,8 +284,8 @@ def test_conjugation_references_use_the_closed_form(monkeypatch, group):
         if name.startswith("sectint") and getattr(module, "delta_e_batch", None) is generic:
             monkeypatch.setattr(module, "delta_e_batch", refuse)
     calls = []
-    original = sectint.ensembles.torus_weight_batch
-    monkeypatch.setattr(sectint.ensembles, "torus_weight_batch", lambda *a: calls.append(1) or original(*a))
+    original = sectint.actions.torus_weight_batch
+    monkeypatch.setattr(sectint.actions, "torus_weight_batch", lambda *a: calls.append(1) or original(*a))
     cmp_ = compare_densities(EnsembleSpec(ConjugationAction(group), 1.0, "torus_angle"), seed=5, n=2000, bins=10)
     assert len(calls) == 1 and 0.0 <= cmp_.p_value <= 1.0
 
@@ -371,9 +371,10 @@ def test_one_sort_bins_match_quantile_and_histogram(n_ref):
     # up to its 65536-draw block (n_ref = 90000 is --n 3000's); past it
     # np.histogram adds one cumulative sum per block, and the two sums of
     # n_ref equal weights each round by up to about n_ref eps
-    from sectint.ensembles import _equal_draw_bins
+    from sectint.actions import _equal_draw_bins
 
-    ref_stats, ref_w, _ = _reference_sample(EnsembleSpec(DirectSumAction(C, 4, 2)), 2, n_ref)
+    spec = EnsembleSpec(DirectSumAction(C, 4, 2))
+    ref_stats, ref_w, _ = spec.action.reference_sample(spec, 2, n_ref)
     lo, hi = ref_stats.min() - 0.5, ref_stats.max() + 1e-12
     edges, masses = _equal_draw_bins(ref_stats, ref_w, 20, lo, hi)
     oracle = np.quantile(ref_stats, np.linspace(0.0, 1.0, 21))
@@ -407,6 +408,21 @@ def test_constant_statistic_gives_p_one():
     # test says nothing, so it is not a statistic of the ensembles
     with pytest.raises(ValueError, match="statistic 'constant' not defined for direct sums"):
         compare_densities(EnsembleSpec(SO3K2, 1.0, "constant"), seed=1, n=2000, bins=10)
+
+
+@pytest.mark.parametrize("action, statistic", [(SU2CONJ, "coordinate_det"), (SO3K2, "torus_angle")], ids=str)
+def test_statistic_refused_when_the_spec_is_built(action, statistic):
+    # the kind's statistic table is read before any draw
+    with pytest.raises(ValueError, match=f"statistic {statistic!r} not defined"):
+        EnsembleSpec(action, 1.0, statistic)
+
+
+@pytest.mark.parametrize("scale", [7.0, -1.0, 0.5])
+def test_conjugation_refuses_a_scale(scale):
+    # a scale was ignored on conjugation, whose density is Haar measure
+    with pytest.raises(ValueError, match="Haar"):
+        EnsembleSpec(SU2CONJ, scale)
+    assert EnsembleSpec(SU2CONJ, 1.0).scale == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 5])

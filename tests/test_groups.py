@@ -263,7 +263,7 @@ def test_haar_draws_have_det_one(group):
 
 def test_haar_draws_take_no_lapack_factorization(monkeypatch):
     # q and its determinant both come from the reflections
-    from sectint.actions import DirectSumAction, normalizer_samples
+    from sectint.actions import DirectSumAction
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Haar draw called a LAPACK factorization or determinant")
@@ -276,7 +276,7 @@ def test_haar_draws_take_no_lapack_factorization(monkeypatch):
         haar_unitary_batch(g.field, g.n, rng, 7)
     for field in ScalarField:
         for n, k in [(3, 1), (3, 2), (4, 2)]:
-            normalizer_samples(DirectSumAction(field, n, k), rng, 7)
+            DirectSumAction(field, n, k).normalizer_samples(rng, 7)
 
 
 def test_adjoint_isometry_and_closure():

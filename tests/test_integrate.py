@@ -13,21 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec, haar_sample
-from sectint.actions import ConjugationAction, DirectSumAction, act, random_ambient_point
+from sectint.actions import (
+    ConjugationAction,
+    DirectSumAction,
+    _bartlett_axes,
+    act,
+    half_range_rule,
+    hermite_rule,
+    random_ambient_point,
+)
 from sectint.matrices import to_real_vector
 from sectint.mc import BATCH_DRAWS, McEstimate, agree, chunk_batches, chunk_rngs, chunk_sizes, mc_run
 from sectint.integrate import (
     QUADRATURE_REL_FLOOR,
     ContractViolation,
     IllConditionedCalibration,
-    _bartlett_axes,
-    _bartlett_rule,
-    _direct_values_fn,
-    _torus_rule,
+    _stacked_values,
     calibrate_vol_gn,
     custom_test_function,
-    half_range_rule,
-    hermite_rule,
     integrate_direct,
     integrate_reduced,
     make_test_function,
@@ -336,13 +339,13 @@ def test_direct_zero_function_is_zero():
 @pytest.mark.parametrize("value", [1.0, 2.5])
 def test_const_direct_estimate_draws_nothing(monkeypatch, group, value):
     # a constant reads no point: its average is exact, and the group is not drawn
-    import sectint.integrate as integrate_module
+    import sectint.actions as actions_module
 
     def refuse(*args, **kwargs):
         raise AssertionError("a const integrand drew Haar samples")
 
-    monkeypatch.setattr(integrate_module, "gaussian_batch", refuse)
-    monkeypatch.setattr(integrate_module, "haar_from_gaussian", refuse)
+    monkeypatch.setattr(actions_module, "gaussian_batch", refuse)
+    monkeypatch.setattr(actions_module, "haar_from_gaussian", refuse)
     f = make_test_function("const", value=value)
     [est] = integrate_direct(ConjugationAction(group), [f], seed=4, n=3000, chunks=8)
     assert est == McEstimate(value * group_volume(group).mean, 0.0, 3000, 4, 8)
@@ -479,7 +482,8 @@ def test_direct_sampler_values_are_batch_invariant(action, sizes):
     # the values of a batch of chunks are, bit for bit, the joined values of
     # one-chunk calls on the same generators.  No chunk here has one draw:
     # gram_det's H closed form rounds a stack of one differently
-    sample = _direct_values_fn(action, _sampler_functions(action))
+    fs = _sampler_functions(action)
+    sample, _ = action.direct_sampler(lambda pts, norms_sq: _stacked_values(action, fs, pts, norms_sq))
     batch = sample(chunk_rngs(8, len(sizes)), list(sizes))
     alone = np.concatenate([sample([rng], [size]) for rng, size in zip(chunk_rngs(8, len(sizes)), sizes)], axis=1)
     assert batch.shape == (len(_sampler_functions(action)), sum(sizes))
@@ -750,7 +754,7 @@ def test_reduced_rule_error_proxy_covers_a_finer_rule(action):
     # algebraically, and its error proxy must say so
     f = make_test_function("gaussian_det", power=0.5)
     [est] = integrate_reduced(action, [f], 1.0)
-    [finer] = _bartlett_rule(action, [f], 1.0, 7 if action.k < 3 else 6)
+    [finer] = action.section_rule(lambda pts: _stacked_values(action, [f], pts), 1.0, 7 if action.k < 3 else 6)
     assert est.stderr > 1e-8 * est.mean
     assert abs(est.mean - finer) <= est.stderr
 
@@ -815,8 +819,9 @@ def test_declared_trace_power_rule_is_exact(action):
     # much finer grid to rounding, scaled by the bound |tr|^p <= n^p
     grid = TORUS_REFERENCE_GRID[action.group.rank]
     fs = [make_test_function("const")] + [make_test_function("trace_power", power=p) for p in range(7)]
-    [const_ref] = _torus_rule(action, fs[:1], grid)
-    for f, est, ref in zip(fs, integrate_reduced(action, fs, 1.0), _torus_rule(action, fs, grid)):
+    [const_ref] = action.section_rule(lambda pts: _stacked_values(action, fs[:1], pts), 1.0, grid)
+    refs = action.section_rule(lambda pts: _stacked_values(action, fs, pts), 1.0, grid)
+    for f, est, ref in zip(fs, integrate_reduced(action, fs, 1.0), refs):
         scale = const_ref * action.group.n ** f.degree()
         assert est.mean == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
         assert est.stderr <= 1e-12 * scale

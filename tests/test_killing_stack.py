@@ -22,7 +22,6 @@ from sectint.actions import (
     orbit_tangent,
     random_ambient_point,
     random_regular_section_points,
-    section_frames,
 )
 from sectint.checks import _corrupted_split, _in_split, all_passed, run_action_checks
 from sectint.cli import main
@@ -76,7 +75,7 @@ def test_batched_kernels_match_per_point_oracle(action):
     dets = np.stack([diff.total_det(), delta_e_batch(action, pts), diff.delta_d()], axis=1)
     u, _, vh = diff.svd
     null, ranks = diff.isotropy_mask(), diff.orbit_ranks()
-    frames = np.concatenate(section_frames(action, pts), axis=1)
+    frames = np.concatenate(action.section_frames(pts), axis=1)
     split = algebra_split(action)
     outside_h = lambda rows: np.abs(rows - (rows @ split.h_rows.T) @ split.h_rows).max(initial=0.0)
     for i, flat in enumerate(pts):

@@ -1,0 +1,179 @@
+"""The action kinds: one class per kind, and no kind branches elsewhere.
+
+Every operation that differs between a direct sum and a conjugation
+action is a method of the kind's class.  The conformance test calls each
+of them once on every kind and checks the shapes of what they return;
+the guard test keeps the rest of the package from testing which kind it
+holds.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sectint.actions import ConjugationAction, DirectSumAction, action_from_json, killing_images
+from sectint.ensembles import EnsembleSpec
+from sectint.fields import ScalarField
+from sectint.groups import Family, GroupSpec
+from sectint.integrate import make_test_function
+from sectint.matrices import batch_from_real, batch_to_real, from_real_vector, to_real_vector
+from sectint.mc import chunk_rngs
+from sectint.weights import delta_e_batch
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sectint"
+KINDS = {"DirectSumAction", "ConjugationAction"}
+#: the one declared kind check: an integrand family's contract, read off _FAMILIES
+ALLOWED = {("integrate.py", "_require_integrable")}
+
+R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
+ROWS = [DirectSumAction(f, n, k) for f, n, k in [(R, 3, 2), (R, 4, 1), (C, 4, 2), (C, 3, 1), (H, 3, 2), (H, 2, 1)]] + [
+    ConjugationAction(GroupSpec(fam, n))
+    for fam, n in [(Family.SO, 2), (Family.SO, 3), (Family.SO, 4), (Family.SU, 2), (Family.SU, 3), (Family.SP, 1),
+                   (Family.SP, 2)]
+]
+
+
+# --- the guard against kind branches ----------------------------------------------
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _is_type_call(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+
+def kind_branches(source: str) -> list[str]:
+    """Names of the functions (or "<module>") holding an isinstance or
+    issubclass test, a type(...) is / == comparison, or a match class
+    pattern that names an action kind."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name
+        called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id
+        if called in ("isinstance", "issubclass"):
+            if KINDS & set().union(*map(_names, node.args[1:])):
+                found.append(where)
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                                                   for op in node.ops):
+            sides = [node.left, *node.comparators]
+            if any(_is_type_call(side) for side in sides) and KINDS & set().union(*map(_names, sides)):
+                found.append(where)
+        elif isinstance(node, ast.MatchClass) and KINDS & _names(node.cls):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("snippet", [
+    "def f(a):\n    return isinstance(a, DirectSumAction)",
+    "def f(a):\n    return isinstance(a, (int, actions.ConjugationAction))",
+    "def f(a):\n    return type(a) is ConjugationAction",
+    "def f(a):\n    return DirectSumAction == type(a)",
+    "def f(a):\n    match a:\n        case DirectSumAction():\n            return 1",
+])
+def test_guard_sees_a_kind_branch(snippet):
+    assert kind_branches(snippet) == ["f"]
+
+
+def test_guard_passes_kind_free_code():
+    assert kind_branches("def f(a, kind):\n    return isinstance(a, kind) or type(a) is int") == []
+
+
+def test_no_kind_branches_outside_the_kinds():
+    # a new kind is one new class: the package never asks which kind it holds,
+    # except where an integrand family declares the kind it needs
+    found = {(path.name, where) for path in sorted(SRC.glob("*.py")) for where in kind_branches(path.read_text())}
+    assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+def test_kinds_import_no_engine():
+    # integrands and ensemble specs reach a kind as arguments and callbacks
+    tree = ast.parse((SRC / "actions.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported.isdisjoint({"integrate", "ensembles", "cli", "checks", "weights"}), imported
+
+
+# --- one conformance test for every kind --------------------------------------------
+
+def _json_point(action, coord):
+    """The JSON form of a section coordinate that parse_point reads."""
+    if isinstance(coord, np.ndarray):  # torus angles
+        return json.loads(json.dumps(coord.tolist()))
+    comps = to_real_vector(coord).reshape(action.k, action.k, action.field.dim)
+    return json.loads(json.dumps((comps[..., 0] if action.field.dim == 1 else comps).tolist()))
+
+
+@pytest.mark.parametrize("action", ROWS, ids=str)
+def test_every_kind_operation(action):
+    rng = np.random.default_rng(7)
+    field, shape, dim = action.field, action.shape, action.ambient_dim
+    n_alg = field.dim * action.group.n ** 2
+    assert action_from_json(action.to_json()) == action
+    assert action.cohomogeneity == action.section_dim - action.copolarity
+
+    # points, sections and the group action
+    x = action.random_ambient_points(rng, 5)
+    assert batch_to_real(field, x).shape == (5, dim)
+    g = action.normalizer_samples(rng, 5)
+    assert g.shape[0] == 5 and g.shape[1] == g.shape[2] == x.shape[1]
+    assert action.act_data(g, x).shape == x.shape
+    canon = action.reduce(x)
+    assert canon.shape == (5, dim)
+    np.testing.assert_allclose(action.reduce(batch_from_real(field, *shape, canon)), canon, rtol=0, atol=1e-10)
+    pts = action.section_points(action.section_coords(rng, 5))
+    assert pts.shape == (5, dim)
+    s = from_real_vector(field, *shape, pts[0])
+    coord = action.section_coordinate(s)
+    np.testing.assert_allclose(to_real_vector(action.embed_section(coord)), pts[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(to_real_vector(action.parse_point(_json_point(action, coord))), pts[0], rtol=0,
+                               atol=1e-12)
+    tangent, normal = action.section_frames(pts)
+    assert tangent.shape == (5, action.section_dim, dim) and normal.shape == (5, action.normal_dim, dim)
+    images = killing_images(action, pts)
+    in_frames = action.in_frames(np.concatenate([tangent, normal], axis=1), images)
+    assert in_frames.shape == (5, action.section_dim + action.normal_dim, images.shape[2])
+    assert action.weyl_stabilizer_order(pts).shape == (5,)
+    h, w, m = action.split_rows()
+    assert len(h) + len(w) + len(m) == action.group.algebra_dim
+    assert h.shape[1] == w.shape[1] == m.shape[1] == n_alg
+    n = action.group.n
+    assert action.killing_data(batch_from_real(field, n, n, np.concatenate([h, w, m])[:1]), x).shape == x.shape
+
+    # weights and volumes
+    closed = action.closed_weight(pts)
+    assert closed.shape == (5,)
+    np.testing.assert_allclose(delta_e_batch(action, pts), closed, rtol=1e-8, atol=1e-8)
+    cut = action.cut_points()
+    assert cut.shape[1:] == (dim,) and len(cut) <= 1
+    assert action.weyl_volume() > 0 and action.stabilizer_volume() > 0
+
+    # integration
+    fs = [make_test_function(name, **params) for name, params in action.default_integrands]
+    assert len(fs) == 2
+    sample, vol = action.direct_sampler(lambda p, norms_sq: np.ones((1, len(p))))
+    assert sample(chunk_rngs(0, 2), [3, 4]).shape == (1, 7) and vol.mean > 0
+    assert action.divergence("gaussian_radial", lambda key: 1.0) is None
+    fine, coarse = action.rule_sizes(None)
+    assert fine > coarse >= 1 and action.rule_sizes(2)[0] >= 1
+    [total] = action.section_rule(lambda p: np.exp(-0.5 * np.sum(p * p, axis=1))[None], 1.0, coarse)
+    assert total > 0
+
+    # ensembles
+    spec = EnsembleSpec(action)
+    assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic, 1.0) >= 1
+    stats = action.ensemble_statistics(spec, rng, 50)
+    assert stats.shape == (50,)
+    ref_stats, ref_w, _ = action.reference_sample(spec, 1, 1000)
+    assert ref_stats.shape == ref_w.shape and abs(np.sum(ref_w) - 1.0) < 1e-12
+    edges, freq, _, noise = action.ensemble_reference(spec, stats, 5, 1, 1000)
+    assert edges.shape == (6,) and freq.shape == (5,) and abs(np.sum(freq) - 1.0) < 1e-12 and noise >= 1.0

@@ -11,7 +11,6 @@ from sectint.groups import Family, GroupSpec, torus_point
 from sectint.actions import ConjugationAction, DirectSumAction
 from sectint.volumes import (
     group_volume,
-    stabilizer_volume,
     torus_volume,
     vol_gh_estimate,
     w_group_volume,
@@ -110,7 +109,7 @@ def test_w_volume_polar_and_conjugation_counts():
 
 def test_vol_gh_su2_conjugation():
     c = ConjugationAction(GroupSpec(Family.SU, 2))
-    assert stabilizer_volume(c) == pytest.approx(2 * np.pi * np.sqrt(2.0))
+    assert c.stabilizer_volume() == pytest.approx(2 * np.pi * np.sqrt(2.0))
     assert vol_gh_estimate(c) == pytest.approx(2 * np.pi, rel=1e-12)
 
 

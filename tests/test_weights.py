@@ -18,7 +18,6 @@ from sectint.actions import (
     normalizer_sample,
     random_regular_section_point,
     section_coordinate,
-    section_points,
 )
 from sectint.checks import all_passed, run_action_checks
 from sectint.weights import (
@@ -80,7 +79,7 @@ def test_polar_closed_form_matches_generic(field, n):
     # 2^(-d(n-1)/2) |t|^(dn-1), times sqrt((n-1)/n) over C
     a = DirectSumAction(field, n, 1)
     t = np.random.default_rng(n).standard_normal(20) * 2.0
-    pts = section_points(a, t[:, None])
+    pts = a.section_points(t[:, None])
     closed = section_weight_batch(a, t[:, None])
     np.testing.assert_allclose(closed, delta_e_batch(a, pts), rtol=1e-13, atol=0)
     unit = delta_e_batch(a, pts[:1] / t[0])[0]

@@ -576,6 +576,8 @@ class ConjugationAction(ActionSpec):
         angles = obj.get("angles") if isinstance(obj, dict) else obj
         if not isinstance(angles, list):
             raise ValueError('bad --point: expected an angle list or {"angles": [...]}')
+        if extra := sorted(obj.keys() - {"angles"} if isinstance(obj, dict) else ()):
+            raise ValueError(f"bad --point: a torus point takes no key {', '.join(map(repr, extra))}")
         return self.embed_section(np.array([_number(a, f"angle {i + 1}") for i, a in enumerate(angles)]))
 
     def closed_weight(self, pts: np.ndarray) -> np.ndarray:
@@ -681,13 +683,19 @@ def action_to_json(action: ActionSpec) -> dict:
     return action.to_json()
 
 
+_ACTION_KEYS = {"direct_sum": {"kind", "field", "n", "k"}, "conjugation": {"kind", "family", "n"}}
+
+
 def action_from_json(obj: dict) -> ActionSpec:
+    """The action of its JSON object, which holds exactly the keys its kind reads."""
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _ACTION_KEYS:
+        raise ValueError(f"unknown action kind {kind!r}")
+    if extra := sorted(obj.keys() - _ACTION_KEYS[kind]):
+        raise ValueError(f"a {kind} action takes no key {', '.join(map(repr, extra))}")
     if kind == "direct_sum":
         return DirectSumAction(ScalarField.parse(obj["field"]), _size(obj, "n"), _size(obj, "k"))
-    if kind == "conjugation":
-        return ConjugationAction(GroupSpec(Family.parse(obj["family"]), _size(obj, "n")))
-    raise ValueError(f"unknown action kind {kind!r}")
+    return ConjugationAction(GroupSpec(Family.parse(obj["family"]), _size(obj, "n")))
 
 
 def _size(obj: dict, key: str) -> int:

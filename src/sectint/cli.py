@@ -10,10 +10,12 @@ Subcommands:
 * ``volumes``   -- quotient volume table; calibrates vol(G/N) against the
   exact vol(G/H) / vol(W)
 
-Every run is fully determined by the action, the seed, the sample
-budget and the chunk count; reports are JSON with sorted keys so a
-given configuration produces byte-identical output.  The worker count
-(--workers or SECTINT_WORKERS) affects wall time only.
+Each subcommand takes only the options it reads (``_SUBCOMMANDS``), and
+its report echoes the action and, under ``config``, every one of them
+but ``--workers`` and the output paths: those inputs fully determine the
+payload.  Reports are JSON with sorted keys, so a given configuration
+produces byte-identical output; the worker count (--workers or
+SECTINT_WORKERS) affects wall time only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import DimensionError, MatK, to_real_vector
+from .matrices import DimensionError, to_real_vector
 from .actions import ActionSpec, action_from_json, orbit_map_differentials
 from .checks import CheckResult, pointwise_checks, run_action_checks
 from .ensembles import WEIGHT_RATIO_TOL, EnsembleSpec, compare_densities
@@ -36,7 +38,6 @@ from .integrate import (
     integrate_direct,
     integrate_reduced,
     make_test_function,
-    mc_result_json,
 )
 from .mc import McEstimate, agree, default_workers
 from .volumes import vol_gh_estimate, w_group_volume
@@ -51,19 +52,23 @@ def _finite(token: str) -> float:
     return value
 
 
-def _load_json_arg(text: str):
-    if text.startswith("@"):
-        try:
-            with open(text[1:]) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from None
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+def _load_json_arg(flag: str, text: str):
+    """The JSON value of an option that takes inline JSON or @file."""
+    try:
+        if text.startswith("@"):
+            try:
+                with open(text[1:]) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from None
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise ValueError(f"bad {flag}: {exc}") from None
 
 
 def _parse_action(text: str) -> ActionSpec:
+    obj = _load_json_arg("--action", text)
     try:
-        obj = _load_json_arg(text)
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
         return action_from_json(obj)
@@ -73,14 +78,6 @@ def _parse_action(text: str) -> ActionSpec:
         raise ValueError(f"bad --action: {exc}") from None
 
 
-def _parse_point(action: ActionSpec, text: str) -> MatK:
-    try:
-        obj = _load_json_arg(text)
-    except ValueError as exc:
-        raise ValueError(f"bad --point: {exc}") from None
-    return action.parse_point(obj)
-
-
 def _parse_functions(text: str):
     out = []
     for part in text.split(","):
@@ -88,9 +85,11 @@ def _parse_functions(text: str):
         params = {}
         if rest:
             for kv in rest.split(":"):
-                key, _, val = kv.partition("=")
+                key, _, val = (s.strip() for s in kv.partition("="))
+                if key in params:
+                    raise ValueError(f"bad --functions: parameter {key!r} of {name} given twice")
                 try:
-                    params[key.strip()] = _finite(val)
+                    params[key] = _finite(val)
                 except ValueError as exc:
                     raise ValueError(f"bad --functions parameter {kv.strip()!r} of {name}: {exc}") from None
         out.append(make_test_function(name, **params))
@@ -125,17 +124,20 @@ def _exact_json(value: float) -> dict:
     return {**McEstimate.exact(value).to_json(), "exact": True}
 
 
-def _base_report(command: str, action: ActionSpec, args) -> dict:
-    config = {name: getattr(args, name) for name in ("seed", "n", "chunks", "tol_rel", "tol_abs")}
-    return {"command": command, "action": action.to_json(), "config": config}
+def _base_report(action: ActionSpec, args, **parsed) -> dict:
+    """The report's head: the command, the action and config, the options
+    that the command reads as given (parsed holds the parsed JSON ones)."""
+    reads = [flag for flag in _SUBCOMMANDS[args.command][2].split() if flag not in _UNECHOED]
+    config = {dest: getattr(args, dest) for dest in (flag[2:].replace("-", "_") for flag in reads)}
+    return {"command": args.command, "action": action.to_json(), "config": {**config, **parsed}}
 
 
 def cmd_delta(args) -> int:
     action = _parse_action(args.action)
-    s = _parse_point(action, args.point)
-    diff = orbit_map_differentials(action, to_real_vector(s)[None])
+    point = _load_json_arg("--point", args.point)
+    diff = orbit_map_differentials(action, to_real_vector(action.parse_point(point))[None])
     checks, values = pointwise_checks(diff, tol_rel=args.tol_rel, tol_abs=args.tol_abs)
-    report = _base_report("delta", action, args)
+    report = _base_report(action, args, point=point)
     report["results"] = {name: float(v[0]) for name, v in values.items()}
     report["results"]["regularity"] = diff.regularity()[0].value
     return _emit(report, checks, args.out)
@@ -149,17 +151,11 @@ def cmd_integrate(args) -> int:
     direct_all = integrate_direct(action, fs, args.seed + 1000, args.n, args.chunks, args.workers)
     checks, per_function = [], []
     for f, direct, reduced in zip(fs, direct_all, reduced_all):
-        per_function.append(
-            {
-                "function": f.to_json(),
-                "direct": mc_result_json(action, f, direct),
-                "reduced": mc_result_json(action, f, reduced),
-            }
-        )
+        per_function.append({"function": f.to_json(), "direct": direct.to_json(), "reduced": reduced.to_json()})
         threshold = args.n_sigma * float(np.hypot(direct.stderr, reduced.stderr))
         checks.append(CheckResult(f"two_sided_agreement_{f.name}", abs(direct.mean - reduced.mean), threshold,
                                   agree(direct, reduced, args.n_sigma)))
-    report = _base_report("integrate", action, args)
+    report = _base_report(action, args)
     report["results"] = {"vol_gn": _exact_json(vol_gn), "per_function": per_function}
     return _emit(report, checks, args.out)
 
@@ -176,7 +172,7 @@ def cmd_verify(args) -> int:
         tol_abs=args.tol_abs,
         corrupt_metric=args.corrupt_metric,
     )
-    return _emit(_base_report("verify", action, args), results, args.out)
+    return _emit(_base_report(action, args), results, args.out)
 
 
 def cmd_ensemble(args) -> int:
@@ -187,7 +183,7 @@ def cmd_ensemble(args) -> int:
     cmp_ = compare_densities(spec, args.seed, args.n, args.bins, chunks=args.chunks)
     if args.out_csv:
         _write_output(args.out_csv, cmp_.write_csv)
-    report = _base_report("ensemble", action, args)
+    report = _base_report(action, args)
     report["results"] = cmp_.to_json()
     checks = [CheckResult("histogram_chi2", cmp_.p_value, args.p_threshold, cmp_.p_value >= args.p_threshold)]
     spread = cmp_.weight_ratio_spread
@@ -203,7 +199,7 @@ def cmd_volumes(args) -> int:
     vol_gh, vol_gn, vol_w = vol_gh_estimate(action), calib.combined, w_group_volume(action)
     # vol(G/H) = vol(G/N) vol(W), where only the calibrated vol(G/N) has an error
     gap, se = abs(vol_gh - vol_gn.mean * vol_w), vol_gn.stderr * vol_w
-    report = _base_report("volumes", action, args)
+    report = _base_report(action, args)
     report["results"] = {"vol_gh": _exact_json(vol_gh), "vol_gn": vol_gn.to_json(), "vol_w": _exact_json(vol_w)}
     return _emit(report, [
         CheckResult("calibration_consistency", calib.worst_sigma, args.n_sigma, calib.consistent),
@@ -212,41 +208,52 @@ def cmd_volumes(args) -> int:
     ], args.out)
 
 
-#: options of every subcommand, as (flag, add_argument keywords); dest comes from the flag
-_COMMON = [
-    ("--action", dict(required=True, help="action JSON or @file")),
-    ("--seed", dict(type=int, default=0)),
-    ("--n", dict(type=int, default=100_000,
-                 help="samples per Monte Carlo estimate, direct side only (the reduced side is quadrature)")),
-    ("--chunks", dict(type=int, default=16)),
-    ("--workers", dict(type=int, default=None)),
-    ("--tol-rel", dict(type=float, default=1e-8)),
-    ("--tol-abs", dict(type=float, default=1e-10)),
-    ("--n-sigma", dict(type=float, default=3.0)),
-    ("--out", dict(default=None, help="also write the JSON report here")),
-]
-
-#: subcommand -> (handler, help line, its own options)
-_SUBCOMMANDS = {
-    "delta": (cmd_delta, "evaluate the weight at a section point",
-              [("--point", dict(required=True, help="section coordinate JSON or @file"))]),
-    "integrate": (cmd_integrate, "direct vs reduced integrals, exact vol(G/N)",
-                  [("--functions", dict(default=None, help="e.g. gaussian_radial:sigma=1.0,gaussian_sq_norm"))]),
-    "verify": (cmd_verify, "structural check suite", [
-        ("--points", dict(type=int, default=20)),
-        ("--corrupt-metric", dict(type=float, default=1.0,
-                                  help="debug knob: scale the complement basis to break the metric")),
-    ]),
-    "ensemble": (cmd_ensemble, "reduced-density histogram comparison", [
-        ("--statistic", dict(default=None, help="default: torus_angle on conjugation, coordinate_det on direct sums")),
-        ("--stat-index", dict(type=int, default=0)),
-        ("--scale", dict(type=float, default=1.0)),
-        ("--bins", dict(type=int, default=30)),
-        ("--p-threshold", dict(type=float, default=0.01)),
-        ("--out-csv", dict(default=None)),
-    ]),
-    "volumes": (cmd_volumes, "quotient volume table", [("--functions", dict(default=None))]),
+#: every option, as flag -> add_argument keywords; dest comes from the flag
+_OPTIONS = {
+    "--action": dict(required=True, help="action JSON or @file"),
+    "--point": dict(required=True, help="section coordinate JSON or @file"),
+    "--functions": dict(default=None, help="e.g. gaussian_radial:sigma=1.0,gaussian_sq_norm"),
+    "--seed": dict(type=int, default=0),
+    "--n": dict(type=int, default=100_000,
+                help="samples per Monte Carlo estimate, direct side only (the reduced side is quadrature)"),
+    "--chunks": dict(type=int, default=16),
+    "--workers": dict(type=int, default=None, help="threads; changes wall time, never the payload"),
+    "--points": dict(type=int, default=20),
+    "--tol-rel": dict(type=float, default=1e-8),
+    "--tol-abs": dict(type=float, default=1e-10),
+    "--corrupt-metric": dict(type=float, default=1.0, help="debug knob: scale the complement basis to break the metric"),
+    "--statistic": dict(default=None, help="default: torus_angle on conjugation, coordinate_det on direct sums"),
+    "--stat-index": dict(type=int, default=0),
+    "--scale": dict(type=float, default=1.0),
+    "--bins": dict(type=int, default=30),
+    "--p-threshold": dict(type=float, default=0.01),
+    "--n-sigma": dict(type=float, default=3.0),
+    "--out-csv": dict(default=None),
+    "--out": dict(default=None, help="also write the JSON report here"),
 }
+
+#: options that a command reads but config leaves out: they never shape the payload
+_UNECHOED = ("--workers", "--out-csv")
+
+#: subcommand -> (handler, help line, the options it reads besides --action
+#: and --out, the options it accepts unread: every benchmark op passes
+#: --seed and --n-sigma, whatever its command)
+_SUBCOMMANDS = {
+    "delta": (cmd_delta, "evaluate the weight at a section point", "--point --tol-rel --tol-abs", "--seed --n-sigma"),
+    "integrate": (cmd_integrate, "direct vs reduced integrals, exact vol(G/N)",
+                  "--functions --seed --n --chunks --workers --n-sigma", ""),
+    "verify": (cmd_verify, "structural check suite", "--seed --points --tol-rel --tol-abs --corrupt-metric", "--n-sigma"),
+    "ensemble": (cmd_ensemble, "reduced-density histogram comparison",
+                 "--seed --n --chunks --statistic --stat-index --scale --bins --p-threshold --out-csv", "--n-sigma"),
+    "volumes": (cmd_volumes, "quotient volume table", "--functions --seed --n --chunks --workers --n-sigma", ""),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors are bad input like any other: main prints one line and exits 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -263,30 +270,35 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _parser(command: str | None) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sectint",
         description="weighted section integration for isometric matrix group actions",
+        allow_abbrev=False,  # an option of another subcommand is no prefix of one of this one
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, own) in _SUBCOMMANDS.items():
+    for name, (func, help_line, reads, unread) in _SUBCOMMANDS.items():
         if command in _SUBCOMMANDS and name != command:
             continue
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
         p.set_defaults(func=func)
-        for flag, kwargs in (_COMMON + own if name == command else ()):
-            p.add_argument(flag, **kwargs)
+        if name == command:
+            for flag in ["--action", *reads.split(), "--out"]:
+                p.add_argument(flag, **_OPTIONS[flag])
+            for flag in unread.split():
+                p.add_argument(flag, **{**_OPTIONS[flag], "help": f"accepted, not read by {name}"})
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         default_workers()  # a bad SECTINT_WORKERS fails here, before any work
-        if args.workers is not None and args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        workers = getattr(args, "workers", None)  # options a subcommand does not take are absent
+        if workers is not None and workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {workers}")
         for name in ("tol_rel", "tol_abs", "n_sigma", "p_threshold", "corrupt_metric"):
-            value = getattr(args, name, 0.0)  # the last two belong to one subcommand each
+            value = getattr(args, name, 0.0)
             if not np.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         # a scale that overflows (or divides by an underflowed 0) stops the run

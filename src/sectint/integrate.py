@@ -264,14 +264,6 @@ def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> lis
             for v, e, (_, fine, _) in zip(value, err, keys)]
 
 
-def mc_result_json(action: ActionSpec, f: TestFunction, est: McEstimate) -> dict:
-    """Flat serialization of one estimate with its full provenance."""
-    out = est.to_json()
-    out["action"] = action.to_json()
-    out["function"] = f.to_json()
-    return out
-
-
 @dataclass(frozen=True)
 class CalibrationReport:
     """Per-integrand quotient-volume ratios and their mutual agreement."""

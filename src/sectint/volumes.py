@@ -51,57 +51,6 @@ def _dexp_factors(ad_eigs: np.ndarray) -> np.ndarray:
     return np.prod(np.abs(np.sinc(ad_eigs / (2.0 * np.pi))), axis=-1)
 
 
-def _principal_domain_mask(kind: str, eigs: np.ndarray) -> np.ndarray:
-    """eigs: per-sample eigenangles of the defining representation."""
-    if kind == "spread":
-        return (eigs.max(axis=-1) - eigs.min(axis=-1)) < 2.0 * np.pi
-    return np.abs(eigs).max(axis=-1) < np.pi
-
-
-def _chart_volume(
-    group: GroupSpec,
-    rows: np.ndarray,
-    domain_kind: str,
-    n_samples: int,
-    seed: int,
-    chunks: int,
-    workers: int | None,
-    sigma: float,
-    block_size: int | None = None,
-) -> McEstimate:
-    """Monte Carlo volume of the group generated by an orthonormal basis of
-    flat rows (q, D) inside the algebra of group.
-
-    block_size restricts the principal-domain test to the top-left
-    block of the embedded matrices (used when the basis carries a
-    determined trace-compensating tail block).
-    """
-    q = len(rows)
-    if q == 0:
-        return McEstimate.exact(1.0)
-    data = batch_from_real(group.field, group.n, group.n, rows)
-    cstruct = _structure_constants(group.field, data).reshape(q, -1)
-    bstack = np.array(data, dtype=complex)  # (q, N, N), N = 2n over H
-    nn = bstack.shape[1]
-    bflat = bstack.reshape(q, -1)
-    log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
-
-    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        z = np.concatenate([rng.standard_normal((size, q)) for rng, size in zip(rngs, sizes)]) * sigma
-        x = (z @ bflat).reshape(len(z), nn, nn)
-        if block_size is not None:
-            x = x[:, :block_size, :block_size]
-        eigs = np.linalg.eigvalsh(-1j * x)
-        mask = _principal_domain_mask(domain_kind, eigs)
-        ad = (z @ cstruct).reshape(len(z), q, q)
-        ad_eigs = np.linalg.eigvalsh(1j * ad)
-        jac = _dexp_factors(ad_eigs)
-        log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm
-        return np.where(mask, jac * np.exp(-log_density), 0.0)
-
-    return mc_run(sample, n_samples, seed, chunks, workers)
-
-
 def torus_volume(group: GroupSpec) -> float:
     """Exact volume of the standard maximal torus.
 
@@ -162,11 +111,28 @@ def group_volume(
     Exact when n_samples is 0; n_samples > 0 integrates the exponential
     chart by Monte Carlo instead, as an independent oracle.
     """
-    if n_samples == 0 or group.algebra_dim == 0:
+    q = group.algebra_dim
+    if n_samples == 0 or q == 0:
         return McEstimate.exact(_exact_group_volume(group))
-    domain = "spread" if group.family is Family.SU else "ball"
-    sigma = np.pi * np.sqrt(2.0 / max(group.rank, 1)) if group.rank > 1 else np.pi
-    return _chart_volume(group, algebra_basis(group), domain, n_samples, seed, chunks, workers, sigma)
+    sigma = np.pi * np.sqrt(2.0 / group.rank) if group.rank > 1 else np.pi
+    data = batch_from_real(group.field, group.n, group.n, algebra_basis(group))
+    cstruct = _structure_constants(group.field, data).reshape(q, -1)
+    nn = data.shape[-1]  # N = 2n over H
+    bflat = np.array(data, dtype=complex).reshape(q, -1)
+    log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
+
+    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        z = np.concatenate([rng.standard_normal((size, q)) for rng, size in zip(rngs, sizes)]) * sigma
+        eigs = np.linalg.eigvalsh(-1j * (z @ bflat).reshape(len(z), nn, nn))
+        if group.family is Family.SU:  # the trace-free unitary domain: angle spread below 2 pi
+            mask = (eigs.max(axis=-1) - eigs.min(axis=-1)) < 2.0 * np.pi
+        else:
+            mask = np.abs(eigs).max(axis=-1) < np.pi
+        ad_eigs = np.linalg.eigvalsh(1j * (z @ cstruct).reshape(len(z), q, q))
+        log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm
+        return np.where(mask, _dexp_factors(ad_eigs) * np.exp(-log_density), 0.0)
+
+    return mc_run(sample, n_samples, seed, chunks, workers)
 
 
 cached_group_volume = group_volume  # alias for importers; an exact value needs no cache

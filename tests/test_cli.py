@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sectint.checks import all_passed, run_action_checks
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
-from sectint.integrate import integrate_direct, integrate_reduced, make_test_function, mc_result_json
+from sectint.integrate import integrate_direct, integrate_reduced, make_test_function
 from sectint.volumes import vol_gh_estimate, w_group_volume
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
@@ -127,13 +128,12 @@ def test_delta_determinants_read_zero_at_singular_points(capsys, action, point, 
 def test_delta_d_of_the_cli_and_the_api_agree_at_a_singular_point(capsys):
     # one convention: delta_d is the Weyl block's |det| wherever it is read,
     # and that block stays regular at this singular point of R(3,2)
-    from sectint.cli import _parse_point
     from sectint.weights import delta_d, weight_value
 
     point = "[[1, 0.5], [1, 0.5]]"
     code, rep = run_cli(capsys, ["delta", "--action", SO3K2, "--point", point])
     spec = action_from_json(json.loads(SO3K2))
-    s = _parse_point(spec, point)
+    s = spec.parse_point(json.loads(point))
     value = weight_value(spec, s)
     assert value.regularity.value == rep["results"]["regularity"] == "singular"
     assert delta_d(spec, s) == value.delta_d == rep["results"]["delta_d"]
@@ -178,11 +178,10 @@ def test_delta_and_verify_agree_at_one_point(capsys, monkeypatch, action, point)
     # verify's pointwise checks at the delta point are delta's checks, value for value
     import sectint.checks
     from sectint.actions import orbit_map_differentials
-    from sectint.cli import _parse_point
     from sectint.matrices import to_real_vector
 
     spec = action_from_json(json.loads(action))
-    flat = to_real_vector(_parse_point(spec, point))[None]
+    flat = to_real_vector(spec.parse_point(json.loads(point)))[None]
     # the draw returns the orbit maps it evaluated; here, at delta's point
     draws = orbit_map_differentials(spec, flat)
     monkeypatch.setattr(sectint.checks, "random_regular_section_points", lambda *args: draws)
@@ -374,10 +373,8 @@ def test_help_lists_every_subcommand(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus", "--action", SO3K2])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    # argparse's own errors are bad input like any other: one line, exit 2, no usage block
+    assert "invalid choice" in _exits_2_with_one_line(capsys, ["bogus", "--action", SO3K2])
 
 
 def test_parser_builds_only_the_chosen_subcommand(capsys):
@@ -398,6 +395,117 @@ def test_parser_is_built_once_per_command():
     assert build_parser("delta") is not build_parser("verify")
     # any name that is not a subcommand shares the one parser of all names
     assert build_parser("bogus") is build_parser("--help") is build_parser(None)
+
+
+# --- the options of each subcommand -------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: subcommand -> (the options it takes besides --action and --out, its config keys);
+#: delta, verify and ensemble accept the benchmark's --seed and --n-sigma unread
+OPTION_TABLE = {
+    "delta": ("--point --tol-rel --tol-abs --seed --n-sigma", "point tol_rel tol_abs"),
+    "integrate": ("--functions --seed --n --chunks --workers --n-sigma", "functions seed n chunks n_sigma"),
+    "verify": ("--seed --points --tol-rel --tol-abs --corrupt-metric --n-sigma",
+               "seed points tol_rel tol_abs corrupt_metric"),
+    "ensemble": ("--seed --n --chunks --statistic --stat-index --scale --bins --p-threshold --out-csv --n-sigma",
+                 "seed n chunks statistic stat_index scale bins p_threshold"),
+    "volumes": ("--functions --seed --n --chunks --workers --n-sigma", "functions seed n chunks n_sigma"),
+}
+#: a quick run of each subcommand, less the action
+QUICK_ARGV = {
+    "delta": ["--point", "[[1, 0.5], [-0.3, 2.0]]"],
+    "integrate": ["--n", "200", "--workers", "2"],
+    "verify": ["--points", "2", "--corrupt-metric", "1.0"],
+    "ensemble": ["--n", "300", "--bins", "10", "--chunks", "4"],
+    "volumes": ["--n", "400", "--seed", "4"],
+}
+FOREIGN_OPTIONS = [(command, flag) for command, (own, _) in OPTION_TABLE.items()
+                   for flag in sorted({f for opts, _ in OPTION_TABLE.values() for f in opts.split()} - set(own.split()))]
+
+
+def _option_strings(command: str) -> set[str]:
+    from sectint.cli import build_parser
+
+    sub = next(a for a in build_parser(command)._actions if a.dest == "command").choices[command]
+    return {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_subcommand_takes_the_options_of_the_table():
+    options = {command: _option_strings(command) for command in OPTION_TABLE}
+    for command, (own, _) in OPTION_TABLE.items():
+        assert options[command] == {"--action", "--out", *own.split()}, command
+    assert sum(map(len, options.values())) == 43
+
+
+@pytest.mark.parametrize("command", list(OPTION_TABLE))
+def test_config_echoes_exactly_the_options_read(capsys, command):
+    # every option that shapes the payload, as given or defaulted; --point as its
+    # parsed JSON; never --workers or the output paths
+    code, rep = run_cli(capsys, [command, "--action", SO3K2, *QUICK_ARGV[command]])
+    assert code in (0, 1)
+    assert sorted(rep["config"]) == sorted(OPTION_TABLE[command][1].split())
+    given = dict(zip(QUICK_ARGV[command][::2], QUICK_ARGV[command][1::2]))
+    for flag, text in given.items():
+        if flag != "--workers":
+            assert rep["config"][flag[2:].replace("-", "_")] == json.loads(text)
+
+
+@pytest.mark.parametrize("command, flag", FOREIGN_OPTIONS, ids=lambda v: v)
+def test_option_of_another_subcommand_exits_2(capsys, command, flag):
+    # an option the subcommand does not read used to run and be echoed as if it had
+    err = _exits_2_with_one_line(capsys, [command, "--action", SO3K2, *QUICK_ARGV[command], flag, "1"])
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "--action", SO3K2, "--points", "x"], "--points"),
+    (["integrate", "--action", SO3K2, "--bogus"], "--bogus"),
+    (["verify", "--action", SO3K2, "--point", "3"], "--point"),  # no prefix of --points
+    (["delta", "--point", "[[1,0],[0,1]]"], "--action"),
+])
+def test_argparse_errors_are_one_line(capsys, argv, needle):
+    assert needle in _exits_2_with_one_line(capsys, argv)
+
+
+def _readme_commands() -> list[list[str]]:
+    import shlex
+
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line.strip())[1:] for line in text.splitlines() if line.strip().startswith("sectint ")]
+
+
+def test_readme_and_benchmark_command_lines_parse(monkeypatch):
+    # parsed, not run: a removed option can stay neither in the docs nor in the benchmark's ops
+    from sectint.cli import build_parser
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ops = [list(op.argv) for w in ("flat-mc", "group-mc", "pointwise") for op in workloads.pass_ops(w, 1)]
+    readme = _readme_commands()
+    assert len(readme) >= 5 and {argv[0] for argv in readme} == set(OPTION_TABLE)
+    for argv in readme + ops:
+        build_parser(argv[0]).parse_args(argv)
+
+
+def test_action_keys_its_kind_does_not_read_exit_2(capsys):
+    # k and field were dropped from a conjugation action, which echoed SU(3) alone
+    action = '{"kind":"conjugation","family":"SU","n":3,"k":2,"field":"H"}'
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", action, "--point", "[0.1, 0.2]"])
+    assert "bad --action" in err and "'field', 'k'" in err
+
+
+def test_torus_point_keys_besides_angles_exit_2(capsys):
+    point = '{"angles": [0.1, 0.2], "scale": 3}'
+    err = _exits_2_with_one_line(capsys, ["delta", "--action", SU3, "--point", point])
+    assert "bad --point" in err and "'scale'" in err
+
+
+def test_function_parameter_given_twice_exits_2(capsys):
+    # the last sigma won, silently
+    argv = ["integrate", "--action", SO3K2, "--n", "200", "--functions", "gaussian_radial:sigma=1:sigma=3"]
+    assert "'sigma' of gaussian_radial given twice" in _exits_2_with_one_line(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -537,8 +645,10 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_degenerate_numeric_input_exits_2(capsys, argv, needle):
-    # each of these used to print a NaN payload (not valid JSON) or ignore the value
-    err = _exits_2_with_one_line(capsys, [argv[0], "--action", SO3K2, "--n", "200", *argv[1:]])
+    # each of these used to print a NaN payload (not valid JSON) or ignore the value;
+    # delta takes no --workers, which argparse refuses by name
+    size = ["--n", "200"] if argv[0] in ("integrate", "volumes", "ensemble") else []
+    err = _exits_2_with_one_line(capsys, [argv[0], "--action", SO3K2, *size, *argv[1:]])
     assert needle in err
 
 
@@ -647,10 +757,10 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     directs = integrate_direct(action, fs, seed + 1000, n, chunks)
     assert len(directs) == len(entries) >= 2
     reduceds = integrate_reduced(action, fs, vol_gn["mean"])
-    for entry, f, direct, reduced in zip(entries, fs, directs, reduceds):
+    for entry, direct, reduced in zip(entries, directs, reduceds):
         assert entry["direct"]["seed"] == seed + 1000
-        assert entry["direct"] == mc_result_json(action, f, direct)
-        assert entry["reduced"] == mc_result_json(action, f, reduced)
+        assert entry["direct"] == direct.to_json()
+        assert entry["reduced"] == reduced.to_json()
 
 
 @pytest.mark.parametrize("action_json", [H32, '{"kind":"conjugation","family":"SU","n":3}'])

@@ -213,16 +213,41 @@ def test_exact_group_volumes_known_values():
     assert group_volume(GroupSpec(Family.SP, 3)).mean > 0
 
 
+def block_chart_volume(group: GroupSpec, rows: np.ndarray, block: int, n_samples: int, seed: int):
+    """Exponential-chart Monte Carlo of the group that the orthonormal flat
+    algebra rows (q, D) generate, as in group_volume at sigma = pi, with the
+    principal domain (all |angles| < pi) read off the top-left block x block
+    corner of the embedded matrices alone."""
+    from sectint.matrices import batch_from_real
+    from sectint.mc import mc_run
+    from sectint.volumes import _dexp_factors, _structure_constants
+
+    q, sigma = len(rows), np.pi
+    data = batch_from_real(group.field, group.n, group.n, rows)
+    cstruct = _structure_constants(group.field, data).reshape(q, -1)
+    bflat = np.array(data, dtype=complex).reshape(q, -1)
+    log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
+
+    def sample(rngs, sizes):
+        z = np.concatenate([rng.standard_normal((size, q)) for rng, size in zip(rngs, sizes)]) * sigma
+        x = (z @ bflat).reshape(len(z), *data.shape[1:])[:, :block, :block]
+        mask = np.abs(np.linalg.eigvalsh(-1j * x)).max(axis=-1) < np.pi
+        jac = _dexp_factors(np.linalg.eigvalsh(1j * (z @ cstruct).reshape(len(z), q, q)))
+        log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm
+        return np.where(mask, jac * np.exp(-log_density), 0.0)
+
+    return mc_run(sample, n_samples, seed, 16, None)
+
+
 def test_u2_weyl_volume_vs_chart_oracle():
     # U(2) in C(4,2): its su(2) block plus the trace-compensating generator,
     # whose principal-domain test ignores the determined lower block
     from sectint.actions import algebra_split
-    from sectint.volumes import _chart_volume
 
     a = DirectSumAction(ScalarField.COMPLEX, 4, 2)
     exact = w_group_volume(a)
     assert exact == pytest.approx(2 * np.pi * group_volume(GroupSpec(Family.SU, 2)).mean, rel=1e-12)
-    est = _chart_volume(a.group, algebra_split(a).w_rows, "ball", 200_000, 23, 16, None, np.pi, block_size=2)
+    est = block_chart_volume(a.group, algebra_split(a).w_rows, 2, 200_000, 23)
     assert abs(est.mean - exact) < 4 * est.stderr
 
 

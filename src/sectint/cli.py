@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -304,7 +305,15 @@ def main(argv=None) -> int:
         # a scale that overflows (or divides by an underflowed 0) stops the run
         # here instead of printing NaN; mc_run's helper threads take this state too
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (`sectint … | head`): point stdout at
+        # devnull so that the flush at exit stays quiet, as the SIGPIPE recipe
+        # of the Python docs does, and exit as a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except FloatingPointError as exc:
         print(f"error: {exc}: a scale or point is out of the floating-point range", file=sys.stderr)
         return 2

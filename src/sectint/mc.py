@@ -6,11 +6,13 @@ combined in chunk-index order, and worker scheduling cannot change the
 result bit for bit.  Consecutive chunks are grouped into batches of at
 most BATCH_DRAWS draws (a larger chunk is a batch alone), and each batch
 is evaluated in one call, so small chunks do not each pay numpy's fixed
-per-call cost.  Batches depend on (n, chunks) only.  With w > 1 workers
-the caller and w - 1 helper threads (at most batches - 1) each claim the
-next unclaimed batch until none is left.  Helper threads start on the
-first call that needs them and then stay idle for the life of the
-process, to be reused.
+per-call cost and threads hand each other the GIL less often per draw.
+Batches depend on (n, chunks) only: at the default 16 chunks, n up to
+BATCH_DRAWS is one batch, and at n = 100000 each chunk is a batch
+alone.  With w > 1 workers the caller and w - 1 helper threads (at most
+batches - 1) each claim the next unclaimed batch until none is left.
+Helper threads start on the first call that needs them and then stay
+idle for the life of the process, to be reused.
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 _HELPERS: list[ThreadPoolExecutor] = []  # mc_run's helpers, one thread each, started on first use
-#: most draws in one batch of consecutive chunks, which mc_run evaluates in one call;
-#: a worker holds a whole batch's arrays at once, so the cap also bounds its memory
-BATCH_DRAWS = 1536
+#: most draws in one batch of consecutive chunks, which mc_run evaluates in one call.
+#: Larger batches make fewer, longer numpy calls, so threads trade the GIL less
+#: often per draw: at 4096 two workers beat one on Haar sampling, which they do
+#: not at 1536.  A worker holds a whole batch's arrays at once, so the cap also
+#: bounds its memory: one batch of 10^4 SU(3) draws has over 4 MB of input and
+#: Householder arrays, more than a 2 MB L2, and is slower even on one worker;
+#: 6144 ran faster still but raised the benchmark's peak RSS by 9 %, near its
+#: 10 % bound.  (Measured on a 2-vCPU x86-64 host, OPENBLAS_NUM_THREADS=1.)
+BATCH_DRAWS = 4096
 
 
 def default_workers() -> int:

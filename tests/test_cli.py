@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
 from sectint.integrate import integrate_direct, integrate_reduced, make_test_function
+from sectint.mc import BATCH_DRAWS, chunk_batches, chunk_sizes
 from sectint.volumes import vol_gh_estimate, w_group_volume
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
@@ -262,6 +266,23 @@ def test_bad_workers_env_exits_2(capsys, monkeypatch, value):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "SECTINT_WORKERS" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--corrupt-metric", "2"]], ids=["passing", "failing"])
+def test_closed_stdout_exits_141_without_a_traceback(extra):
+    # stdout is a pipe whose reader is already gone; 141 = 128 + SIGPIPE,
+    # whatever the verdict would have been
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "sectint.cli", "verify", "--action", SO3K2, *extra],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141 and done.stderr == ""  # no traceback, no error line
 
 
 def _exits_2_with_one_line(capsys, argv) -> str:
@@ -967,8 +988,11 @@ def test_reports_worker_independent(capsys):
 @pytest.mark.parametrize("command", ["integrate", "volumes"])
 @pytest.mark.parametrize("action_json", [SU2, SO3, '{"kind":"conjugation","family":"Sp","n":2}'])
 def test_conjugation_reports_worker_independent(capsys, command, action_json):
-    # the Haar draws of each chunk come from its own generator
-    base = [command, "--action", action_json, "--seed", "5", "--n", "3000", "--chunks", "8"]
+    # the Haar draws of each chunk come from its own generator; 8 chunks of
+    # 4 * BATCH_DRAWS draws are 4 batches, so the helper runs some of them
+    n = 4 * BATCH_DRAWS
+    assert len(chunk_batches(chunk_sizes(n, 8))) == 4
+    base = [command, "--action", action_json, "--seed", "5", "--n", str(n), "--chunks", "8"]
     main(base + ["--workers", "1"])
     out1 = capsys.readouterr().out
     main(base + ["--workers", "2"])
@@ -976,13 +1000,15 @@ def test_conjugation_reports_worker_independent(capsys, command, action_json):
     assert out1.startswith("{") and out1 == out2
 
 
-@pytest.mark.parametrize("command, n", [("integrate", "5000"), ("volumes", "10000")])
+@pytest.mark.parametrize("command, batches", [("integrate", 4), ("volumes", 8)])
 @pytest.mark.parametrize("action_json", [SO3, '{"kind":"conjugation","family":"SU","n":3}',
                                          '{"kind":"conjugation","family":"Sp","n":1}'])
-def test_conjugation_reports_byte_identical_on_1_2_and_3_workers(capsys, command, n, action_json):
-    # 16 chunks of 5000 draws are 4 batches and of 10000 draws 8, so 2 and 3
-    # workers split them differently
-    base = [command, "--action", action_json, "--seed", "7", "--n", n]
+def test_conjugation_reports_byte_identical_on_1_2_and_3_workers(capsys, command, batches, action_json):
+    # the default 16 chunks of batches * BATCH_DRAWS draws are that many
+    # batches, so 2 and 3 workers split them differently
+    n = batches * BATCH_DRAWS
+    assert len(chunk_batches(chunk_sizes(n, 16))) == batches
+    base = [command, "--action", action_json, "--seed", "7", "--n", str(n)]
     outs = []
     for workers in ("1", "2", "3"):
         main(base + ["--workers", workers])

@@ -477,11 +477,13 @@ def _sampler_functions(action):
 
 
 @pytest.mark.parametrize("action", SAMPLER_ROWS, ids=str)
-@pytest.mark.parametrize("sizes", [(7, 6, 6, 2, 0), (313, 313, 312)])
+@pytest.mark.parametrize("sizes", [(7, 6, 6, 2, 0), (313, 313, 312), (625,) * 6, (1875, 1875)])
 def test_direct_sampler_values_are_batch_invariant(action, sizes):
     # the values of a batch of chunks are, bit for bit, the joined values of
-    # one-chunk calls on the same generators.  No chunk here has one draw:
-    # gram_det's H closed form rounds a stack of one differently
+    # one-chunk calls on the same generators; (625,) * 6 is a batch of the
+    # benchmark's volumes ops and (1875, 1875) one of its flat integrate ops.
+    # No chunk here has one draw: gram_det's H closed form rounds a stack of
+    # one differently
     fs = _sampler_functions(action)
     sample, _ = action.direct_sampler(lambda pts, norms_sq: _stacked_values(action, fs, pts, norms_sq))
     batch = sample(chunk_rngs(8, len(sizes)), list(sizes))

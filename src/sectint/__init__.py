@@ -44,7 +44,6 @@ from .actions import (
     SectionFrame,
     act,
     action_from_json,
-    action_to_json,
     algebra_split,
     classify_point,
     embed_section,
@@ -53,7 +52,6 @@ from .actions import (
     normalizer_sample,
     orbit_normal,
     orbit_tangent,
-    random_ambient_point,
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
@@ -76,7 +74,6 @@ from .integrate import (
     ContractViolation,
     TestFunction,
     calibrate_vol_gn,
-    custom_test_function,
     integrate_direct,
     integrate_reduced,
     make_test_function,
@@ -89,6 +86,6 @@ from .volumes import (
     weyl_group_order,
 )
 from .ensembles import EnsembleSpec, HistogramComparison, compare_densities, sample_ensemble
-from .checks import CheckResult, all_passed, run_action_checks
+from .checks import CheckResult, run_action_checks
 
 __version__ = "0.1.0"

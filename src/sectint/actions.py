@@ -610,7 +610,12 @@ class ConjugationAction(ActionSpec):
         return sample, group_volume(group)
 
     def divergence(self, name: str, param) -> str | None:
-        """Bounded families converge on the compact group: None."""
+        """Why family name with parameters param(key) is refused, or None.
+        Bounded families converge on the compact group; trace_power needs an
+        integer power p >= 0, where weight * tr^p is a trigonometric
+        polynomial, which the torus rule integrates exactly."""
+        if name == "trace_power" and not (param("power") >= 0 and param("power").is_integer()):
+            return f"the power must be a nonnegative integer, got {param('power'):g}"
         return None
 
     def rule_sizes(self, degree: int | None) -> tuple[int, int]:
@@ -677,10 +682,6 @@ class ConjugationAction(ActionSpec):
         vals = torus_weight_batch(self.group, theta.reshape(-1, 1))
         masses = vals.reshape(theta.shape).mean(axis=1) * width
         return masses / np.sum(masses)
-
-
-def action_to_json(action: ActionSpec) -> dict:
-    return action.to_json()
 
 
 _ACTION_KEYS = {"direct_sum": {"kind", "field", "n", "k"}, "conjugation": {"kind", "family", "n"}}
@@ -1067,11 +1068,6 @@ def _weyl_canonical(group: GroupSpec, theta: np.ndarray, flip: np.ndarray | None
 
 
 # --- sampling ----------------------------------------------------------------
-
-def random_ambient_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
-    """Gaussian point of K^(n x k), or a Haar point of the group; a batch of one."""
-    return MatK(action.field, action.random_ambient_points(rng, 1)[0])
-
 
 def random_regular_section_point(action: ActionSpec, rng: np.random.Generator) -> MatK:
     """Random section point safely inside the regular set; a batch of one."""

@@ -165,14 +165,7 @@ def cmd_verify(args) -> int:
     action = _parse_action(args.action)
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    results = run_action_checks(
-        action,
-        seed=args.seed,
-        n_points=args.points,
-        tol_rel=args.tol_rel,
-        tol_abs=args.tol_abs,
-        corrupt_metric=args.corrupt_metric,
-    )
+    results = run_action_checks(action, args.seed, args.points, args.tol_rel, args.tol_abs)
     return _emit(_base_report(action, args), results, args.out)
 
 
@@ -222,7 +215,6 @@ _OPTIONS = {
     "--points": dict(type=int, default=20),
     "--tol-rel": dict(type=float, default=1e-8),
     "--tol-abs": dict(type=float, default=1e-10),
-    "--corrupt-metric": dict(type=float, default=1.0, help="debug knob: scale the complement basis to break the metric"),
     "--statistic": dict(default=None, help="default: torus_angle on conjugation, coordinate_det on direct sums"),
     "--stat-index": dict(type=int, default=0),
     "--scale": dict(type=float, default=1.0),
@@ -243,7 +235,7 @@ _SUBCOMMANDS = {
     "delta": (cmd_delta, "evaluate the weight at a section point", "--point --tol-rel --tol-abs", "--seed --n-sigma"),
     "integrate": (cmd_integrate, "direct vs reduced integrals, exact vol(G/N)",
                   "--functions --seed --n --chunks --workers --n-sigma", ""),
-    "verify": (cmd_verify, "structural check suite", "--seed --points --tol-rel --tol-abs --corrupt-metric", "--n-sigma"),
+    "verify": (cmd_verify, "structural check suite", "--seed --points --tol-rel --tol-abs", "--n-sigma"),
     "ensemble": (cmd_ensemble, "reduced-density histogram comparison",
                  "--seed --n --chunks --statistic --stat-index --scale --bins --p-threshold --out-csv", "--n-sigma"),
     "volumes": (cmd_volumes, "quotient volume table", "--functions --seed --n --chunks --workers --n-sigma", ""),
@@ -298,7 +290,7 @@ def main(argv=None) -> int:
         workers = getattr(args, "workers", None)  # options a subcommand does not take are absent
         if workers is not None and workers < 1:
             raise ValueError(f"--workers must be at least 1, got {workers}")
-        for name in ("tol_rel", "tol_abs", "n_sigma", "p_threshold", "corrupt_metric"):
+        for name in ("tol_rel", "tol_abs", "n_sigma", "p_threshold"):
             value = getattr(args, name, 0.0)
             if not np.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")

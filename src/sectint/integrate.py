@@ -94,10 +94,6 @@ def make_test_function(name: str, **params) -> TestFunction:
     return TestFunction(name, params, name != "first_coordinate")
 
 
-def custom_test_function(name: str, fn, invariant: bool) -> TestFunction:
-    return TestFunction(name, {}, invariant, fn)
-
-
 def _stacked_values(action: ActionSpec, fs, pts: np.ndarray, norms_sq: np.ndarray | None = None) -> np.ndarray:
     """The (len(fs), m) values of every f in fs at (m, D) points, one row
     per integrand; norms_sq is their squared norms when the caller already
@@ -146,8 +142,6 @@ def _real_trace(action: ConjugationAction, pts: np.ndarray) -> np.ndarray:
 
 
 def _fam_trace_power(action, pts, f, norms_sq):
-    if f.degree() is None:  # weight * tr^p is a trigonometric polynomial only at integer p >= 0
-        raise ContractViolation(f"trace_power: the power must be a nonnegative integer, got {f.param('power'):g}")
     return _real_trace(action, pts) ** f.degree()
 
 
@@ -223,9 +217,10 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16
     return [product(est, vol) for est in ests]
 
 
-def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> list[McEstimate]:
-    """vol(G/N) times the weighted section integral of each invariant f
-    in fs, one estimate per integrand.
+def integrate_reduced(action: ActionSpec, fs, vol_gn: float) -> list[McEstimate]:
+    """vol_gn, an exact vol(G/N), times the weighted section integral of
+    each invariant f in fs, one estimate per integrand.  To scale by an
+    estimated vol(G/N), take the mc.product of the call at 1.0 with it.
 
     The section integral is the kind's deterministic section_rule,
     scaled to the integrand's ``sigma`` (default 1) where the section is
@@ -241,7 +236,7 @@ def integrate_reduced(action: ActionSpec, fs, vol_gn: float | McEstimate) -> lis
     if not all(f.invariant for f in fs):
         raise ContractViolation("reduced integration needs a group-invariant integrand")
     _require_integrable(action, fs)
-    vol_est = vol_gn if isinstance(vol_gn, McEstimate) else McEstimate.exact(float(vol_gn))
+    vol_est = McEstimate.exact(vol_gn)
     # the rule scales to a Gaussian family's sigma; any other integrand takes the unit rule
     keys = [(abs(f.param("sigma")) if f.fn is None and "sigma" in _FAMILIES[f.name].params else 1.0,
              *action.rule_sizes(f.degree())) for f in fs]

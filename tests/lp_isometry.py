@@ -15,11 +15,10 @@ from sectint.integrate import (
     ContractViolation,
     TestFunction,
     _subseed,
-    custom_test_function,
     integrate_direct,
     integrate_reduced,
 )
-from sectint.mc import McEstimate
+from sectint.mc import McEstimate, product
 from reduced_mc import evaluate_test_function
 
 
@@ -36,18 +35,15 @@ class LpIsometryReport:
         return gap <= n_sigma * self.combined_sigma + atol * max(1.0, self.norm_ambient.mean)
 
 
-def lp_isometry_check(action, f: TestFunction, p: int, vol_gn, seed: int, n: int,
+def lp_isometry_check(action, f: TestFunction, p: int, vol_gn: McEstimate, seed: int, n: int,
                       chunks: int = 16, workers: int | None = None) -> LpIsometryReport:
-    """Compare the L^p norm of f with the weighted L^p norm on the section."""
+    """Compare the L^p norm of f with the weighted L^p norm on the section, whose density is vol_gn * weight."""
     if not f.invariant:
         raise ContractViolation("the isometry check needs a group-invariant function")
-    fp = custom_test_function(
-        f"abs_{f.name}_pow{p}",
-        lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p,
-        invariant=True,
-    )
+    fp = TestFunction(f"abs_{f.name}_pow{p}", {}, True,
+                      lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p)
     [lhs] = integrate_direct(action, [fp], _subseed(seed, 0), n, chunks, workers)
-    [rhs] = integrate_reduced(action, [fp], vol_gn)
+    rhs = product(*integrate_reduced(action, [fp], 1.0), vol_gn)
 
     def root(e: McEstimate) -> McEstimate:
         if e.mean <= 0:

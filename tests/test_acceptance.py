@@ -28,7 +28,7 @@ from sectint.integrate import (
     integrate_reduced,
     make_test_function,
 )
-from sectint.mc import agree
+from sectint.mc import agree, product
 from sectint.ensembles import EnsembleSpec, compare_densities
 from algebra_oracle import matrices
 from lp_isometry import lp_isometry_check
@@ -102,7 +102,7 @@ def test_criterion_03_integration_identity():
     calib = calibrate_vol_gn(SO3K2, [f, g], seed=30, n=n)
     assert calib.consistent, f"volume ratios disagree at {calib.worst_sigma:.2f} sigma"
     [direct] = integrate_direct(SO3K2, [f], seed=31, n=n)
-    [reduced] = integrate_reduced(SO3K2, [f], calib.combined)
+    reduced = product(*integrate_reduced(SO3K2, [f], 1.0), calib.combined)
     assert agree(direct, reduced, 3.0)
     analytic = (2 * np.pi) ** 3
     assert abs(direct.mean - analytic) <= 3 * direct.stderr + 1e-9 * analytic
@@ -125,7 +125,7 @@ def test_criterion_04_classical_weyl_recovery():
     f = make_test_function("trace_power", power=2)
     calib = calibrate_vol_gn(SU2CONJ, [f, make_test_function("const")], seed=40, n=100_000)
     [direct] = integrate_direct(SU2CONJ, [f], seed=41, n=100_000)
-    [reduced] = integrate_reduced(SU2CONJ, [f], calib.combined)
+    reduced = product(*integrate_reduced(SU2CONJ, [f], 1.0), calib.combined)
     assert agree(direct, reduced, 3.0)
     elapsed = time.time() - t0
     assert elapsed < 30.0

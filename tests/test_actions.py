@@ -13,7 +13,6 @@ from sectint.actions import (
     RegularityClass,
     act,
     action_from_json,
-    action_to_json,
     algebra_split,
     canonical_angles,
     classify_point,
@@ -23,7 +22,6 @@ from sectint.actions import (
     normalizer_sample,
     orbit_normal,
     orbit_tangent,
-    random_ambient_point,
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
@@ -96,7 +94,7 @@ def test_invalid_parameters_rejected():
 
 def test_json_round_trip():
     for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS:
-        assert action_from_json(json.loads(json.dumps(action_to_json(a)))) == a
+        assert action_from_json(json.loads(json.dumps(a.to_json()))) == a
     with pytest.raises(ValueError):
         action_from_json({"kind": "nonsense"})
 
@@ -214,8 +212,8 @@ def test_reduce_to_section_properties():
     # the oracle's witness g moves x onto its section point s
     rng = np.random.default_rng(4)
     for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS:
-        for _ in range(5):
-            x = random_ambient_point(a, rng)
+        for raw in a.random_ambient_points(rng, 5):
+            x = MatK(a.field, raw)
             s, g = reduce_with_witness(a, x)
             assert (act(a, g, x) - s).norm() < 1e-8 * max(1.0, x.norm())
             assert section_residual(a, s) < 1e-8
@@ -239,8 +237,8 @@ def test_reduce_rank_deficient():
 def test_reduction_lands_in_same_weyl_orbit():
     rng = np.random.default_rng(5)
     for a in TABLE_ACTIONS + CONJ_ACTIONS[:3]:
-        for _ in range(5):
-            x = random_ambient_point(a, rng)
+        for raw in a.random_ambient_points(rng, 5):
+            x = MatK(a.field, raw)
             h = haar_sample(a.group, rng)
             s1 = reduce_to_section(a, x)
             s2 = reduce_to_section(a, act(a, h, x))
@@ -259,7 +257,8 @@ def _singular_conjugation_points():
 def _oracle_cases():
     """(action, point) pairs: random ones on every test action, then the singular ones."""
     rng = np.random.default_rng(15)
-    cases = [(a, random_ambient_point(a, rng)) for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS for _ in range(5)]
+    cases = [(a, MatK(a.field, raw)) for a in TABLE_ACTIONS + POLAR_ACTIONS + CONJ_ACTIONS
+             for raw in a.random_ambient_points(rng, 5)]
     so2 = ConjugationAction(GroupSpec(Family.SO, 2))
     cases += [(so2, torus_point(so2.group, [th])) for th in (-0.5, 0.5, 3.0, np.pi)]
     cases += [_rank_deficient_point()] + _singular_conjugation_points()
@@ -316,8 +315,8 @@ def test_reduce_abelian_conjugation_is_identity():
 def test_reduce_sp1_conjugation():
     sp1 = ConjugationAction(GroupSpec(Family.SP, 1))
     rng = np.random.default_rng(14)
-    for _ in range(20):
-        x = random_ambient_point(sp1, rng)
+    for raw in sp1.random_ambient_points(rng, 20):
+        x = MatK(sp1.field, raw)
         s, g = reduce_with_witness(sp1, x)
         assert (act(sp1, g, x) - s).norm() < 1e-12
 

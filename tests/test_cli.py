@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sectint.cli import main
-from sectint.checks import all_passed, run_action_checks
+from sectint.checks import run_action_checks
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
@@ -46,7 +46,7 @@ def test_checks_pass_for_reference_actions():
         DirectSumAction(ScalarField.QUATERNION, 3, 2),
         ConjugationAction(GroupSpec(Family.SU, 2)),
     ]:
-        assert all_passed(run_action_checks(action, seed=1, n_points=6))
+        assert all(r.passed for r in run_action_checks(action, seed=1, n_points=6))
 
 
 @pytest.mark.parametrize("family, n", [(Family.SU, 3), (Family.SU, 4), (Family.SO, 4), (Family.SO, 5), (Family.SP, 2)])
@@ -71,9 +71,10 @@ def test_translation_invariance_catches_unwrapped_su_phases(monkeypatch, n, seed
     assert not checks["reduction_translation_invariance"].passed
 
 
-def test_checks_negative_control():
-    res = run_action_checks(DirectSumAction(ScalarField.REAL, 3, 2), seed=1, n_points=4, corrupt_metric=1.05)
-    assert not all_passed(res)
+def test_checks_negative_control(corrupt_metric):
+    action = DirectSumAction(ScalarField.REAL, 3, 2)
+    corrupt_metric(action, 1.05)
+    assert not all(r.passed for r in run_action_checks(action, seed=1, n_points=4))
 
 
 # --- delta ------------------------------------------------------------------------
@@ -92,6 +93,19 @@ def test_delta_singular_point(capsys):
     assert rep["results"]["delta_generic"] == 0.0
     assert rep["results"]["delta_closed_form"] == 0.0
     assert rep["results"]["regularity"] == "singular"
+
+
+def test_delta_sees_a_wrong_weight_below_one(capsys, monkeypatch):
+    # the weight at this regular point is about 6e-26: an absolute gap, or one
+    # relative to 1 + weight, passes a closed form that is off by a factor 2
+    closed = DirectSumAction.closed_weight
+    monkeypatch.setattr(DirectSumAction, "closed_weight", lambda self, pts: 2.0 * closed(self, pts))
+    code, rep = run_cli(capsys, ["delta", "--action", C42, "--point", "[[1e-3, 0], [0, 1e-3]]"])
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert code == 1 and rep["results"]["regularity"] == "regular"
+    assert 0.0 < rep["results"]["delta_generic"] < 1e-20
+    assert checks["weight_closed_vs_generic"]["value"] == pytest.approx(0.5)
+    assert not checks["weight_closed_vs_generic"]["pass"] and checks["differential_factorization"]["pass"]
 
 
 @pytest.mark.parametrize("point", [
@@ -268,7 +282,7 @@ def test_bad_workers_env_exits_2(capsys, monkeypatch, value):
     assert "SECTINT_WORKERS" in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("extra", [[], ["--corrupt-metric", "2"]], ids=["passing", "failing"])
+@pytest.mark.parametrize("extra", [[], ["--tol-rel", "0"]], ids=["passing", "failing"])
 def test_closed_stdout_exits_141_without_a_traceback(extra):
     # stdout is a pipe whose reader is already gone; 141 = 128 + SIGPIPE,
     # whatever the verdict would have been
@@ -403,7 +417,7 @@ def test_parser_builds_only_the_chosen_subcommand(capsys):
 
     sub = next(a for a in build_parser("verify")._actions if a.dest == "command")
     assert list(sub.choices) == ["verify"]
-    assert "--corrupt-metric" in sub.choices["verify"].format_help()
+    assert "--tol-rel" in sub.choices["verify"].format_help()
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert "--points" in capsys.readouterr().out
@@ -427,8 +441,7 @@ ROOT = Path(__file__).resolve().parents[1]
 OPTION_TABLE = {
     "delta": ("--point --tol-rel --tol-abs --seed --n-sigma", "point tol_rel tol_abs"),
     "integrate": ("--functions --seed --n --chunks --workers --n-sigma", "functions seed n chunks n_sigma"),
-    "verify": ("--seed --points --tol-rel --tol-abs --corrupt-metric --n-sigma",
-               "seed points tol_rel tol_abs corrupt_metric"),
+    "verify": ("--seed --points --tol-rel --tol-abs --n-sigma", "seed points tol_rel tol_abs"),
     "ensemble": ("--seed --n --chunks --statistic --stat-index --scale --bins --p-threshold --out-csv --n-sigma",
                  "seed n chunks statistic stat_index scale bins p_threshold"),
     "volumes": ("--functions --seed --n --chunks --workers --n-sigma", "functions seed n chunks n_sigma"),
@@ -437,7 +450,7 @@ OPTION_TABLE = {
 QUICK_ARGV = {
     "delta": ["--point", "[[1, 0.5], [-0.3, 2.0]]"],
     "integrate": ["--n", "200", "--workers", "2"],
-    "verify": ["--points", "2", "--corrupt-metric", "1.0"],
+    "verify": ["--points", "2", "--tol-abs", "1e-09"],
     "ensemble": ["--n", "300", "--bins", "10", "--chunks", "4"],
     "volumes": ["--n", "400", "--seed", "4"],
 }
@@ -456,7 +469,7 @@ def test_each_subcommand_takes_the_options_of_the_table():
     options = {command: _option_strings(command) for command in OPTION_TABLE}
     for command, (own, _) in OPTION_TABLE.items():
         assert options[command] == {"--action", "--out", *own.split()}, command
-    assert sum(map(len, options.values())) == 43
+    assert sum(map(len, options.values())) == 42
 
 
 @pytest.mark.parametrize("command", list(OPTION_TABLE))
@@ -657,7 +670,6 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["verify", "--tol-rel", "nan"], "--tol-rel"),
         (["delta", "--point", "[[1,0],[0,1]]", "--tol-abs", "inf"], "--tol-abs"),
         (["ensemble", "--p-threshold", "nan"], "--p-threshold"),
-        (["verify", "--corrupt-metric=-inf"], "--corrupt-metric"),
         # finite scales whose arithmetic overflows, or divides by an underflowed 0
         (["integrate", "--functions", "gaussian_radial:sigma=1e-300"], "floating-point range"),
         (["integrate", "--functions", "gaussian_radial:sigma=1e100"], "floating-point range"),
@@ -720,12 +732,16 @@ def test_verify_su2_polar_branch(capsys):
     assert code == 0 and rep["pass"] is True
 
 
-def test_verify_corrupted_metric_fails(capsys):
-    code, rep = run_cli(
-        capsys,
-        ["verify", "--action", SO3K2, "--points", "4", "--corrupt-metric", "1.1"],
-    )
+def test_verify_corrupted_metric_fails(capsys, corrupt_metric):
+    corrupt_metric(action_from_json(json.loads(SO3K2)), 1.1)
+    code, rep = run_cli(capsys, ["verify", "--action", SO3K2, "--points", "4"])
     assert code == 1 and rep["pass"] is False
+
+
+def test_verify_has_no_corrupt_metric_option(capsys):
+    # the check suite verifies the one split of algebra_split; tests corrupt it themselves
+    err = _exits_2_with_one_line(capsys, ["verify", "--action", SO3K2, "--corrupt-metric", "1.1"])
+    assert "unrecognized arguments: --corrupt-metric 1.1" in err
 
 
 # --- integrate ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import data_from_components, det_modulus
+from sectint.matrices import MatK, data_from_components, det_modulus
 from sectint.groups import Family, GroupSpec, _torus_grid, torus_point, torus_points
 from sectint.actions import (
     ConjugationAction,
@@ -13,7 +13,6 @@ from sectint.actions import (
     act,
     canonical_angles,
     normalizer_sample,
-    random_ambient_point,
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
@@ -58,8 +57,8 @@ def test_reduction_preserves_norm():
     # the section representative of each sample keeps the ambient norm
     rng = np.random.default_rng(0)
     for action in [SO3K2, DirectSumAction(H, 3, 2)]:
-        for _ in range(50):
-            x = random_ambient_point(action, rng)
+        for raw in action.random_ambient_points(rng, 50):
+            x = MatK(action.field, raw)
             s = reduce_to_section(action, x)
             assert abs(s.norm() - x.norm()) <= 1e-10 * max(1.0, x.norm())
 

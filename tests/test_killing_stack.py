@@ -13,22 +13,21 @@ from algebra_oracle import matrices
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
-    action_to_json,
     algebra_split,
     classify_point,
     isotropy_algebra,
     killing_field,
     orbit_normal,
     orbit_tangent,
-    random_ambient_point,
     random_regular_section_points,
 )
-from sectint.checks import _corrupted_split, _in_split, all_passed, run_action_checks
+from sectint.checks import run_action_checks
 from sectint.cli import main
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
-from sectint.matrices import from_real_vector, to_real_vector
+from sectint.matrices import MatK, from_real_vector, to_real_vector
 from sectint.weights import delta_d, delta_e_batch, orbit_volume, weight_value
+from test_kinds import ROWS
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 R32, H32, R41 = DirectSumAction(R, 3, 2), DirectSumAction(H, 3, 2), DirectSumAction(R, 4, 1)
@@ -60,8 +59,8 @@ def test_operator_stack_reproduces_killing_field(action):
     assert split.operators.shape == (len(basis), action.ambient_dim, action.ambient_dim)
     np.testing.assert_array_equal(split.m_operators, split.operators[len(split.h_rows) + len(split.w_rows) :])
     rng = np.random.default_rng(21)
-    for _ in range(3):
-        p = random_ambient_point(action, rng)
+    for raw in action.random_ambient_points(rng, 3):
+        p = MatK(action.field, raw)
         want = np.stack([to_real_vector(killing_field(action, b, p)) for b in basis])
         np.testing.assert_allclose(split.operators @ to_real_vector(p), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -104,7 +103,7 @@ def test_verify_passes_with_the_same_checks(action):
     for seed in (1, 2, 3):
         results = run_action_checks(action, seed=seed)
         assert [(r.name, r.threshold) for r in results] == CHECKS
-        assert all_passed(results), [r for r in results if not r.passed]
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def _expected_checks(action):
@@ -128,7 +127,7 @@ def test_verify_passes_on_the_whole_action_table(action):
     for seed in (1, 2, 3):
         results = run_action_checks(action, seed=seed)
         assert [(r.name, r.threshold) for r in results] == _expected_checks(action)
-        assert all_passed(results), [r for r in results if not r.passed]
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_so2_has_no_singular_vanishing_check():
@@ -142,22 +141,29 @@ def test_so2_has_no_singular_vanishing_check():
     ]
 
 
-@pytest.mark.parametrize(
-    "action, failing",
-    [(R32, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
-     (R41, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
-     (SO3, {"algebra_split_orthonormal", "weight_closed_vs_generic"}),
-     (SP2, {"algebra_split_orthonormal", "weight_closed_vs_generic"})],
-    ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else str(v),  # a set's repr order varies by process
-)
-def test_corrupted_metric_fails_the_same_checks(action, failing):
-    base, corrupted = algebra_split(action), _corrupted_split(action, 1.1)
+#: the checks that a wrong metric on m fails, per kind: the split's orthonormality
+#: and the closed-form weight, and on conjugation the factorization too, because
+#: the section frames there are built from the split
+WRONG_METRIC_FAILS = {
+    DirectSumAction: {"algebra_split_orthonormal", "weight_closed_vs_generic"},
+    ConjugationAction: {"algebra_split_orthonormal", "differential_factorization", "weight_closed_vs_generic"},
+}
+
+
+@pytest.mark.parametrize("factor", [1.05, 1.1, 2.0])
+@pytest.mark.parametrize("action", ROWS, ids=str)
+def test_a_wrong_metric_fails_the_same_checks(corrupt_metric, action, factor):
+    base = algebra_split(action)
+    corrupt_metric(action, factor)
+    corrupted = algebra_split(action)
     # the corrupted split's stack comes from its own scaled m_rows
-    np.testing.assert_allclose(corrupted.m_operators, 1.1 * base.m_operators, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(corrupted.m_operators, factor * base.m_operators, rtol=1e-15, atol=0)
     n_normalizer = len(base.h_rows) + len(base.w_rows)
     np.testing.assert_array_equal(corrupted.operators[:n_normalizer], base.operators[:n_normalizer])
+    # SO(2) is abelian: its m is empty, so there is no metric to get wrong
+    failing = WRONG_METRIC_FAILS[type(action)] if len(base.m_rows) else set()
     for seed in (1, 2, 3):
-        results = run_action_checks(action, seed=seed, corrupt_metric=1.1)
+        results = run_action_checks(action, seed=seed)
         assert {r.name for r in results if not r.passed} == failing
 
 
@@ -188,13 +194,13 @@ def test_check_suite_does_not_loop_over_points(monkeypatch, action, n_qr):
             qr_calls = _count_calls(patch, "matrices", "qr")
             haar_calls = _count_calls(patch, "matrices", "householder_q")
             field_calls = _count_calls(patch, "actions", "killing_field")
-            assert all_passed(run_action_checks(action, seed=1, n_points=n_points))
+            assert all(r.passed for r in run_action_checks(action, seed=1, n_points=n_points))
         assert (len(qr_calls) + len(haar_calls), len(field_calls)) == (n_qr, 0)
 
 
 def test_delta_evaluates_the_killing_fields_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, "actions", "killing_images")
-    assert main(["delta", "--action", json.dumps(action_to_json(R32)), "--point", "[[1.0, 0.5], [-0.3, 2.0]]"]) == 0
+    assert main(["delta", "--action", json.dumps(R32.to_json()), "--point", "[[1.0, 0.5], [-0.3, 2.0]]"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["regularity"] == "regular"
     assert len(calls) == 1
 
@@ -244,4 +250,3 @@ def test_orbit_frames_of_a_batch_are_those_of_its_points(action):
         np.testing.assert_allclose(frames[i][ranks[i] :], orbit_normal(action, s), rtol=0, atol=1e-13)
         tangent, normal = sectint.section_frame(action, s)
         np.testing.assert_array_equal(np.concatenate([tangent, normal]), diff.frames[i])
-    assert _in_split(diff, diff.split) is diff

@@ -158,7 +158,7 @@ def test_su3_conjugation_two_sided_identity():
     # rank-two torus quadrature against direct Haar sampling, with the
     # calibrated quotient volume checked against the analytic value
     from sectint.integrate import calibrate_vol_gn, integrate_direct, integrate_reduced, make_test_function
-    from sectint.mc import agree
+    from sectint.mc import agree, product
 
     c = ConjugationAction(GroupSpec(Family.SU, 3))
     f = make_test_function("trace_power", power=2)
@@ -168,7 +168,7 @@ def test_su3_conjugation_two_sided_identity():
     analytic_gn = vol_su3 / (torus_volume(GroupSpec(Family.SU, 3)) * weyl_group_order(GroupSpec(Family.SU, 3)))
     assert abs(calib.combined.mean - analytic_gn) < 4 * calib.combined.stderr
     [direct] = integrate_direct(c, [f], seed=35, n=50_000)
-    [reduced] = integrate_reduced(c, [f], calib.combined)
+    reduced = product(*integrate_reduced(c, [f], 1.0), calib.combined)
     assert agree(direct, reduced, 3.5)
 
 

@@ -19,7 +19,7 @@ from sectint.actions import (
     random_regular_section_point,
     section_coordinate,
 )
-from sectint.checks import all_passed, run_action_checks
+from sectint.checks import run_action_checks
 from sectint.weights import (
     delta_d,
     delta_e_batch,
@@ -420,7 +420,7 @@ def test_torus_weight_is_weyl_density(n):
     np.testing.assert_allclose(got, weyl, rtol=1e-10, atol=1e-13)
 
 
-def test_custom_split_is_used_and_not_cached():
+def test_custom_split_is_used_and_not_cached(corrupt_metric):
     c = ConjugationAction(GroupSpec(Family.SU, 3))
     base = algebra_split(c)
     corrupted = AlgebraSplit(c, base.h_rows, base.w_rows, 1.1 * base.m_rows)
@@ -428,7 +428,8 @@ def test_custom_split_is_used_and_not_cached():
     plain = delta_e_batch(c, pts)
     np.testing.assert_allclose(delta_e_batch(c, pts, corrupted), 1.1 ** len(base.m_rows) * plain, rtol=1e-12)
     np.testing.assert_array_equal(delta_e_batch(c, pts), plain)
-    assert not all_passed(run_action_checks(c, seed=1, n_points=4, corrupt_metric=1.1))
+    corrupt_metric(c, 1.1)
+    assert not all(r.passed for r in run_action_checks(c, seed=1, n_points=4))
 
 
 #: SU(2)-SU(4), SO(2)-SO(6) and Sp(1)-Sp(3)

@@ -105,7 +105,7 @@ from .groups import (
     torus_points,
     torus_weight_batch,
 )
-from .mc import McEstimate, _subseed
+from .mc import McEstimate, _subseed, standard_normals
 from .volumes import _exact_group_volume, group_volume, torus_volume, weyl_group_order
 
 TWO_PI = 2.0 * np.pi
@@ -258,13 +258,13 @@ class DirectSumAction(ActionSpec):
 
     def random_ambient_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Raw data of count Gaussian points of K^(n x k)."""
-        return gaussian_batch(self.field, self.n, self.k, rng, count)
+        return gaussian_batch(self.field, self.n, self.k, [rng], [count])
 
     def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Gaussian flat coordinates B, a real multiple of the first basis vector when k = 1."""
         if self.k == 1:
             return np.pad(rng.standard_normal((count, 1)), ((0, 0), (0, self.field.dim - 1)))
-        return batch_to_real(self.field, gaussian_batch(self.field, self.k, self.k, rng, count))
+        return batch_to_real(self.field, gaussian_batch(self.field, self.k, self.k, [rng], [count]))
 
     def normalizer_samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Block diagonal (u, v) with det 1: u moves the section coordinate, v the normal rows."""
@@ -329,11 +329,7 @@ class DirectSumAction(ActionSpec):
         log_norm = 0.5 * dim * np.log(TWO_PI)
 
         def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-            z = np.empty((sum(sizes), dim))
-            stop = 0
-            for rng, size in zip(rngs, sizes):
-                start, stop = stop, stop + size
-                rng.standard_normal(out=z[start:stop])
+            z = standard_normals(rngs, sizes, (dim,))
             r2 = np.sum(z * z, axis=1)
             return values(z, r2) * np.exp(0.5 * r2 + log_norm)
 
@@ -396,9 +392,9 @@ class DirectSumAction(ActionSpec):
             raise ValueError(f"statistic {statistic!r} not defined for direct sums")
         return self.k if statistic == "singular_value" else 1
 
-    def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The statistic, invariant under the whole group, of size ambient Gaussian draws."""
-        comps = spec.scale * gaussian_components(self.field, self.n, self.k, rng, size)
+    def ensemble_statistics(self, spec, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        """The statistic, invariant under the whole group, of a batch's ambient Gaussian draws."""
+        comps = spec.scale * gaussian_components(self.field, self.n, self.k, rngs, sizes)
         return _coordinate_statistics(spec, self.field, comps)
 
     def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -600,14 +596,14 @@ class ConjugationAction(ActionSpec):
         """mc_run's sample(rngs, sizes) of Haar sampling, values(pts, None)
         at the joined Haar draws of the chunks, flat (m, D), and the factor
         of its averages: the group volume."""
-        group = self.group
-
         def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-            draws = np.concatenate([gaussian_batch(group.field, group.n, group.n, rng, size)
-                                    for rng, size in zip(rngs, sizes)])
-            return values(batch_to_real(self.field, haar_from_gaussian(group, draws)), None)
+            return values(batch_to_real(self.field, self.haar_draws(rngs, sizes)), None)
 
-        return sample, group_volume(group)
+        return sample, group_volume(self.group)
+
+    def haar_draws(self, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        """Raw Haar samples of a batch: each chunk's haar_sample_batch, from one Householder pass."""
+        return haar_from_gaussian(self.group, gaussian_batch(self.field, *self.shape, rngs, sizes))
 
     def divergence(self, name: str, param) -> str | None:
         """Why family name with parameters param(key) is refused, or None.
@@ -644,9 +640,9 @@ class ConjugationAction(ActionSpec):
             raise ValueError(f"ensemble scale {scale:g} has no meaning on {self}, whose density is Haar measure")
         return self.group.n if self.group.family is Family.SU else self.group.rank
 
-    def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Canonical angles of size Haar draws: their sorted eigen-angles (canonical_angles)."""
-        return canonical_angles(self.group, haar_sample_batch(self.group, rng, size))[:, spec.stat_index]
+    def ensemble_statistics(self, spec, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+        """Canonical angles of a batch's Haar draws: their sorted eigen-angles (canonical_angles)."""
+        return canonical_angles(self.group, self.haar_draws(rngs, sizes))[:, spec.stat_index]
 
     def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, None]:
         """Weyl's weight on a fine angle grid, summing to 1, at its canonical

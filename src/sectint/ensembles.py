@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ActionSpec
-from .mc import _subseed, chunk_rngs, chunk_sizes
+from .mc import _subseed, chunk_batches, chunk_rngs, chunk_sizes
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
 #: largest relative spread of the reference draws' weight ratio: rounding level
@@ -66,10 +66,11 @@ class EnsembleSpec:
 
 def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> np.ndarray:
     """Statistics of n ambient samples reduced to the section, the kind's
-    ensemble_statistics of each chunk's draws: every statistic is Weyl
-    invariant, so it is read off the canonical section representative."""
-    out = [spec.action.ensemble_statistics(spec, rng, size)
-           for rng, size in zip(chunk_rngs(seed, chunks), chunk_sizes(n, chunks)) if size]
+    ensemble_statistics of each mc.chunk_batches batch: every statistic is
+    Weyl invariant, so it is read off the canonical section representative."""
+    sizes, rngs = chunk_sizes(n, chunks), chunk_rngs(seed, chunks)
+    out = [spec.action.ensemble_statistics(spec, rngs[b.start:b.stop], sizes[b.start:b.stop])
+           for b in chunk_batches(sizes) if sum(sizes[b.start:b.stop])]
     return np.concatenate(out) if out else np.zeros(0)
 
 

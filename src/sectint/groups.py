@@ -267,13 +267,13 @@ def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, cou
     determinant come from matrices.householder_q: qr's Householder
     kernel, with no r and no LAPACK call.
     """
-    return householder_q(field, gaussian_batch(field, n, n, rng, count))
+    return householder_q(field, gaussian_batch(field, n, n, [rng], [count]))
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of Haar samples as raw matrix data, (count, n, n) ((count, 2n, 2n) on Sp(n)):
     haar_from_gaussian of count successive matrices.gaussian draws."""
-    return haar_from_gaussian(group, gaussian_batch(group.field, group.n, group.n, rng, count))
+    return haar_from_gaussian(group, gaussian_batch(group.field, group.n, group.n, [rng], [count]))
 
 
 def haar_from_gaussian(group: GroupSpec, data: np.ndarray) -> np.ndarray:

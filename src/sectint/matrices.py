@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
+from .mc import standard_normals
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -141,19 +142,26 @@ def eye(field: ScalarField, n: int) -> MatK:
 
 def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> MatK:
     """Matrix whose real coordinates are iid standard normal; a batch of one."""
-    return MatK(field, gaussian_batch(field, n, m, rng, 1)[0])
+    return MatK(field, gaussian_batch(field, n, m, [rng], [1])[0])
 
 
-def gaussian_batch(field: ScalarField, n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Raw data (count, n, m) ((count, 2n, 2m) over H) of count successive gaussian draws."""
-    return data_from_components(field, gaussian_components(field, n, m, rng, count))
+def gaussian_batch(field: ScalarField, n: int, m: int, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+    """Raw data (sum(sizes), n, m) ((..., 2n, 2m) over H) of sizes[i] gaussian draws from
+    rngs[i], joined.  Over C each chunk's draws go straight into the complex parts: a
+    full-size real buffer beside them would raise the peak memory of a Haar batch."""
+    if field is not COMPLEX:
+        return data_from_components(field, gaussian_components(field, n, m, rngs, sizes))
+    data = np.empty((sum(sizes), n, m), dtype=complex)
+    for rng, stop, size in zip(rngs, np.cumsum(sizes), sizes):  # a matrix's real parts, then its imaginary parts
+        data.real[stop - size:stop], data.imag[stop - size:stop] = rng.standard_normal((size, 2, n, m)).swapaxes(0, 1)
+    return data
 
 
-def gaussian_components(field: ScalarField, n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Real components (count, n, m, d) of gaussian_batch, from the same random stream."""
+def gaussian_components(field: ScalarField, n: int, m: int, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
+    """Real components (sum(sizes), n, m, d) of gaussian_batch, from the same random streams."""
     if field is COMPLEX:  # all real parts of a matrix are drawn before its imaginary parts
-        return np.moveaxis(rng.standard_normal((count, 2, n, m)), 1, -1)
-    return rng.standard_normal((count, n, m, field.dim))
+        return np.moveaxis(standard_normals(rngs, sizes, (2, n, m)), 1, -1)
+    return standard_normals(rngs, sizes, (n, m, field.dim))
 
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:

@@ -4,15 +4,16 @@ A run is fully determined by (seed, chunks, n): chunk i draws from a
 generator spawned from the master seed's sequence, chunk statistics are
 combined in chunk-index order, and worker scheduling cannot change the
 result bit for bit.  Consecutive chunks are grouped into batches of at
-most BATCH_DRAWS draws (a larger chunk is a batch alone), and each batch
-is evaluated in one call, so small chunks do not each pay numpy's fixed
-per-call cost and threads hand each other the GIL less often per draw.
-Batches depend on (n, chunks) only: at the default 16 chunks, n up to
-BATCH_DRAWS is one batch, and at n = 100000 each chunk is a batch
-alone.  With w > 1 workers the caller and w - 1 helper threads (at most
-batches - 1) each claim the next unclaimed batch until none is left.
-Helper threads start on the first call that needs them and then stay
-idle for the life of the process, to be reused.
+most BATCH_DRAWS draws (a larger chunk is a batch alone).  A batch's
+draws fill one buffer (standard_normals), are evaluated in one call and
+reduced once per run of equal-size chunks, so small chunks do not each
+pay numpy's fixed per-call cost and threads hand each other the GIL less
+often per draw.  Batches depend on (n, chunks) only: at the default 16
+chunks, n up to BATCH_DRAWS is one batch, and at n = 100000 each chunk
+is a batch alone.  With w > 1 workers the caller and w - 1 helper
+threads (at most batches - 1) each claim the next unclaimed batch until
+none is left.  Helper threads start on the first call that needs them
+and then stay idle for the life of the process, to be reused.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ def chunk_rngs(seed: int, chunks: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(chunks)]
 
 
+def standard_normals(rngs: list[np.random.Generator], sizes: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """(sum(sizes), *shape) standard normals: sizes[i] draws of shape from rngs[i], joined in place."""
+    out = np.empty((sum(sizes),) + shape)
+    for rng, stop, size in zip(rngs, itertools.accumulate(sizes), sizes):
+        rng.standard_normal(out=out[stop - size:stop])
+    return out
+
+
 def chunk_batches(sizes: list[int]) -> list[range]:
     """Consecutive runs of chunk indices holding at most BATCH_DRAWS draws
     each; a chunk larger than that is a batch alone, never split."""
@@ -87,13 +96,18 @@ def _subseed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
 
 
-def _chunk_stats(values: np.ndarray) -> tuple[int, float, float]:
-    count = int(values.size)
-    if count == 0:
-        return 0, 0.0, 0.0
-    mean = float(np.mean(values))
-    m2 = float(np.sum((values - mean) ** 2))
-    return count, mean, m2
+def _chunk_stats(values: np.ndarray, sizes: list[int]) -> list[list[tuple[int, float, float]]]:
+    """(count, mean, sum of squared deviations) per chunk and row, one reduction per run of
+    equal sizes: each chunk's contiguous part of a row gets the bits of its own pairwise sums."""
+    rows, stats, stop = np.ascontiguousarray(np.atleast_2d(values)), [], 0
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        start, stop = stop, stop + size * count
+        seg = rows[:, start:stop].reshape(len(rows), count, size)
+        mean = np.sum(seg, axis=-1) / max(size, 1)  # np.mean's sum / count; an empty chunk gives (0, 0.0, 0.0)
+        m2 = np.sum((seg - mean[..., None]) ** 2, axis=-1)
+        stats += [list(zip([size] * len(rows), means, m2s)) for means, m2s in zip(mean.T.tolist(), m2.T.tolist())]
+    return stats
 
 
 def _combine(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
@@ -122,9 +136,9 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
     each chunk in turn, as a pure function of the generator states, and
     return the values of all of them joined in that order: a
     (sum(sizes),) array of per-sample values, or an (m, sum(sizes))
-    array whose rows are m integrands evaluated on one draw.  The values
-    are split back per chunk, and each row is reduced along its
-    contiguous last axis on its own, so a row's estimate is
+    array whose rows are m integrands evaluated on one draw.  Each
+    chunk's part of each row is reduced on its own, in one reduction per
+    batch and run of equal chunk sizes, so a row's estimate is
     bit-identical to the run of a 1-D sample_fn returning that row.  A
     1-D sample_fn gives one McEstimate, a 2-D one a list of m.  Fewer
     than two samples give no standard error and are rejected.  workers
@@ -151,10 +165,7 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
             while (b := next(claim)) < len(batches):
                 lo, hi = batches[b].start, batches[b].stop
                 values = np.asarray(sample_fn(rngs[lo:hi], sizes[lo:hi]), dtype=float)
-                stop = 0
-                for i in range(lo, hi):
-                    start, stop = stop, stop + sizes[i]
-                    parts[i] = values.ndim, [_chunk_stats(row) for row in np.atleast_2d(values[..., start:stop])]
+                parts[lo:hi] = [(values.ndim, stats) for stats in _chunk_stats(values, sizes[lo:hi])]
 
     helpers = min(workers, len(batches)) - 1
     _HELPERS.extend(ThreadPoolExecutor(1, "sectint-mc") for _ in range(helpers - len(_HELPERS)))
@@ -185,10 +196,9 @@ def ratio(num: McEstimate, den: McEstimate) -> McEstimate:
     if den.mean == 0:
         raise ZeroDivisionError("ratio of estimates with zero denominator")
     value = num.mean / den.mean
-    rel = np.hypot(
-        num.stderr / num.mean if num.mean != 0 else 0.0,
-        den.stderr / den.mean,
-    )
+    if num.mean == 0:  # d(a / b) = da / b at a = 0, which the relative form would drop
+        return McEstimate(value, num.stderr / abs(den.mean), num.n_samples, num.seed, num.chunks)
+    rel = np.hypot(num.stderr / num.mean, den.stderr / den.mean)
     return McEstimate(value, abs(value) * float(rel), num.n_samples, num.seed, num.chunks)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .fields import ScalarField
 from .matrices import batch_from_real, batch_to_real
 from .groups import Family, GroupSpec, algebra_basis, brackets
-from .mc import McEstimate, mc_run
+from .mc import McEstimate, mc_run, standard_normals
 
 
 def _structure_constants(field: ScalarField, data: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def group_volume(
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
 
     def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        z = np.concatenate([rng.standard_normal((size, q)) for rng, size in zip(rngs, sizes)]) * sigma
+        z = standard_normals(rngs, sizes, (q,)) * sigma
         eigs = np.linalg.eigvalsh(-1j * (z @ bflat).reshape(len(z), nn, nn))
         if group.family is Family.SU:  # the trace-free unitary domain: angle spread below 2 pi
             mask = (eigs.max(axis=-1) - eigs.min(axis=-1)) < 2.0 * np.pi

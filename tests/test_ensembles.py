@@ -26,7 +26,7 @@ from sectint.ensembles import (
     compare_densities,
     sample_ensemble,
 )
-from sectint.mc import _subseed
+from sectint.mc import BATCH_DRAWS, _subseed, chunk_rngs, chunk_sizes
 from bartlett_oracle import bartlett_reference_unblocked
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
@@ -51,6 +51,26 @@ def _stat_from_coordinate(spec, b):
 
 def test_empty_stream():
     assert sample_ensemble(EnsembleSpec(SO3K2), seed=0, n=0).size == 0
+
+
+@pytest.mark.parametrize("n, chunks", [(20, 16), (3 * BATCH_DRAWS + 5, 16), (2 * BATCH_DRAWS + 2, 2)])
+def test_sample_ensemble_passes_one_batch_at_a_time(monkeypatch, n, chunks):
+    # each call gets at most BATCH_DRAWS draws, or one larger chunk alone,
+    # and the joined statistics are each chunk's own
+    action, calls = DirectSumAction(R, 4, 1), []
+    spec = EnsembleSpec(action)
+    per_batch = DirectSumAction.ensemble_statistics
+
+    def spy(self, spec, rngs, sizes):
+        calls.append(list(sizes))
+        return per_batch(self, spec, rngs, sizes)
+
+    monkeypatch.setattr(DirectSumAction, "ensemble_statistics", spy)
+    stats = sample_ensemble(spec, 3, n, chunks)
+    assert sum(map(sum, calls)) == n and all(len(c) == 1 or sum(c) <= BATCH_DRAWS for c in calls)
+    assert len(calls) == {20: 1, 3 * BATCH_DRAWS + 5: 4, 2 * BATCH_DRAWS + 2: 2}[n]
+    per_chunk = [per_batch(action, spec, [rng], [size]) for rng, size in zip(chunk_rngs(3, chunks), chunk_sizes(n, chunks))]
+    assert stats.tobytes() == np.concatenate(per_chunk).tobytes()
 
 
 def test_reduction_preserves_norm():

@@ -22,7 +22,7 @@ from sectint.actions import (
     hermite_rule,
 )
 from sectint.matrices import MatK, to_real_vector
-from sectint.mc import BATCH_DRAWS, McEstimate, agree, chunk_batches, chunk_rngs, chunk_sizes, mc_run, product
+from sectint.mc import BATCH_DRAWS, McEstimate, agree, chunk_batches, chunk_rngs, chunk_sizes, mc_run, product, ratio
 from sectint.integrate import (
     QUADRATURE_REL_FLOOR,
     ContractViolation,
@@ -37,6 +37,7 @@ from sectint.integrate import (
 from sectint import integrate  # integrate.TestFunction: a Test* name here would be collected
 from sectint.volumes import group_volume, vol_gh_estimate, w_group_volume
 from lp_isometry import lp_isometry_check
+from mc_oracle import mc_run_per_chunk
 from reduced_mc import evaluate_test_function, reduced_importance_sampling
 
 R = ScalarField.REAL
@@ -255,6 +256,38 @@ def test_mc_run_rows_match_one_dimensional_runs():
 def test_mc_run_rejects_fewer_than_two_samples(n):
     with pytest.raises(ValueError, match="n >= 2"):
         mc_run(_square, n, seed=0)
+
+
+def _rows(rng, size):
+    z = rng.standard_normal(size)
+    return np.stack([z, z * z, np.exp(z)])
+
+
+@pytest.mark.parametrize("n", [3, 1000, 30_000, 16 * (BATCH_DRAWS + 1)])
+@pytest.mark.parametrize("fn", [
+    lambda rng, size: rng.standard_normal(size) ** 2 + 0.5,
+    _rows,
+    lambda rng, size: np.ascontiguousarray(_rows(rng, size).T).T,  # rows with a strided last axis
+], ids=["1-D", "2-D", "2-D-strided"])
+def test_mc_run_statistics_match_the_per_chunk_oracle(n, fn):
+    # n = 3 leaves 13 of 16 chunks empty, 1000 splits into chunks of 63 and
+    # 62, 30000 into 8 batches of two chunks, and 16 (BATCH_DRAWS + 1) into
+    # 16 one-chunk batches: every batch's one reduction per run of equal
+    # chunk sizes gives each chunk's statistics bit for bit
+    est = mc_run(_per_chunk(fn), n, seed=17, chunks=16, workers=1)
+    assert (est if isinstance(est, list) else [est]) == mc_run_per_chunk(fn, n, seed=17, chunks=16)
+
+
+def test_ratio_keeps_the_numerators_error_at_a_zero_mean():
+    # d(a / b) = da / b at a = 0, so the numerator's error stays in the ratio
+    den = McEstimate(2.0, 0.1, 100, 0, 1)
+    at_zero = ratio(McEstimate(0.0, 0.5, 100, 0, 1), den)
+    near_zero = ratio(McEstimate(1e-300, 0.5, 100, 0, 1), den)
+    assert at_zero.mean == 0.0 and at_zero.stderr == 0.25
+    assert near_zero.stderr == pytest.approx(0.25, rel=1e-12)
+    assert ratio(McEstimate(0.0, 0.5, 100, 0, 1), McEstimate(-4.0, 0.1, 100, 0, 1)).stderr == 0.125
+    # elsewhere the relative form keeps its bits
+    assert ratio(McEstimate(3.0, 0.5, 100, 0, 1), den).stderr == 1.5 * float(np.hypot(0.5 / 3.0, 0.1 / 2.0))
 
 
 # --- integrands ---------------------------------------------------------------

@@ -17,7 +17,8 @@ import pytest
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json, killing_images
 from sectint.ensembles import EnsembleSpec
 from sectint.fields import ScalarField
-from sectint.groups import Family, GroupSpec
+from sectint.actions import _coordinate_statistics, canonical_angles
+from sectint.groups import Family, GroupSpec, haar_sample_batch
 from sectint.integrate import make_test_function
 from sectint.matrices import batch_from_real, batch_to_real, from_real_vector, to_real_vector
 from sectint.mc import chunk_rngs
@@ -171,9 +172,57 @@ def test_every_kind_operation(action):
     # ensembles
     spec = EnsembleSpec(action)
     assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic, 1.0) >= 1
-    stats = action.ensemble_statistics(spec, rng, 50)
+    stats = action.ensemble_statistics(spec, [rng], [50])
     assert stats.shape == (50,)
     ref_stats, ref_w, _ = action.reference_sample(spec, 1, 1000)
     assert ref_stats.shape == ref_w.shape and abs(np.sum(ref_w) - 1.0) < 1e-12
     edges, freq, _, noise = action.ensemble_reference(spec, stats, 5, 1, 1000)
     assert edges.shape == (6,) and freq.shape == (5,) and abs(np.sum(freq) - 1.0) < 1e-12 and noise >= 1.0
+
+
+# --- a batch of chunks draws what its chunks draw ------------------------------------
+
+BATCH_SIZES = [3, 1, 1, 5, 0, 1]  # one-draw chunks and an empty one in one batch
+
+
+def _chunk_draws(action, rng, size):
+    """One chunk's direct-side draws: flat standard normals, or Haar samples."""
+    if isinstance(action, ConjugationAction):
+        return batch_to_real(action.field, haar_sample_batch(action.group, rng, size))
+    return rng.standard_normal((size, action.ambient_dim))
+
+
+def _chunk_statistic(spec, rng, size):
+    """One chunk's ensemble statistic, as its own draws give it."""
+    action = spec.action
+    if isinstance(action, ConjugationAction):
+        return canonical_angles(action.group, haar_sample_batch(action.group, rng, size))[:, spec.stat_index]
+    field, n, k = action.field, action.n, action.k
+    if field is C:  # all real parts of a matrix are drawn before its imaginary parts
+        comps = np.moveaxis(rng.standard_normal((size, 2, n, k)), 1, -1)
+    else:
+        comps = rng.standard_normal((size, n, k, field.dim))
+    return _coordinate_statistics(spec, field, spec.scale * comps)
+
+
+@pytest.mark.parametrize("action", ROWS, ids=str)
+def test_a_batch_is_drawn_as_its_chunks_are(action):
+    drawn = []
+    sample, _ = action.direct_sampler(lambda pts, norms_sq: drawn.append(pts) or np.ones((1, len(pts))))
+    sample(chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES)
+    chunks = [_chunk_draws(action, rng, size) for rng, size in zip(chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES)]
+    assert drawn[0].tobytes() == np.concatenate(chunks).tobytes()
+
+
+@pytest.mark.parametrize("action", ROWS, ids=str)
+def test_ensemble_statistics_of_a_batch_are_its_chunks_statistics(action):
+    # every statistic and column; one batch call against each chunk's own
+    # draws and kernels, bit for bit (the kernels are batch invariant)
+    scale = 1.0 if isinstance(action, ConjugationAction) else 1.5
+    for statistic in action.statistics:
+        for index in range(action.statistic_columns(statistic, scale)):
+            spec = EnsembleSpec(action, scale, statistic, index)
+            batch = action.ensemble_statistics(spec, chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES)
+            chunks = [_chunk_statistic(spec, rng, size)
+                      for rng, size in zip(chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES) if size]
+            assert batch.tobytes() == np.concatenate(chunks).tobytes(), (statistic, index)

@@ -104,13 +104,13 @@ def test_every_h_array_handed_out_is_an_adjoint_matrix():
     from sectint.matrices import conj_transpose, gaussian_batch, householder_q
 
     rng = np.random.default_rng(60)
-    a, b = gaussian_batch(H, 3, 4, rng, 20), gaussian_batch(H, 4, 2, rng, 20)
-    deficient = gaussian_batch(H, 4, 3, rng, 20)
+    a, b = gaussian_batch(H, 3, 4, [rng], [20]), gaussian_batch(H, 4, 2, [rng], [20])
+    deficient = gaussian_batch(H, 4, 3, [rng], [20])
     deficient[:, :, 4:] = deficient[:, :, :2]  # the last column repeats the first
     exact = [a, conj_transpose(a), algebra_split(DirectSumAction(H, 3, 2)).data,
              algebra_split(ConjugationAction(GroupSpec(Family.SP, 2))).data]
     rounded = [a @ b, *qr(H, conj_transpose(a)), *qr(H, deficient),
-               householder_q(H, gaussian_batch(H, 3, 3, rng, 20))[0],
+               householder_q(H, gaussian_batch(H, 3, 3, [rng], [20]))[0],
                haar_sample_batch(GroupSpec(Family.SP, 2), rng, 20)]
     assert all(layout_gap(e) == 0.0 for e in exact)
     assert all(layout_gap(e) <= 1e-14 for e in rounded)
@@ -458,3 +458,28 @@ def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
     assert factored == [12 if k == 3 else 4]
     parts = [gram_det(field, comps[lo:hi]) for lo, hi in [(0, 5), (5, 6), (6, 7), (7, 12)]]
     assert np.array_equal(full, np.concatenate(parts))
+
+
+def _chunk_components(field, n, m, rng, size):
+    """One chunk's Gaussian components: over C all real parts of a matrix
+    are drawn before its imaginary parts."""
+    if field is C:
+        return np.moveaxis(rng.standard_normal((size, 2, n, m)), 1, -1)
+    return rng.standard_normal((size, n, m, field.dim))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_gaussian_batch_joins_its_chunks_draws(field):
+    # one buffer filled chunk by chunk gives each chunk's own draws, bit for
+    # bit, one-draw and empty chunks included
+    from sectint.matrices import data_from_components, gaussian_batch, gaussian_components
+    from sectint.mc import chunk_rngs
+
+    sizes = [3, 1, 1, 5, 0, 1]
+    chunks = [_chunk_components(field, 3, 2, rng, size) for rng, size in zip(chunk_rngs(9, 6), sizes)]
+    comps = gaussian_components(field, 3, 2, chunk_rngs(9, 6), sizes)
+    assert comps.tobytes() == np.concatenate(chunks).tobytes()
+    data = gaussian_batch(field, 3, 2, chunk_rngs(9, 6), sizes)
+    assert data.tobytes() == np.concatenate([data_from_components(field, c) for c in chunks]).tobytes()
+    one_by_one = [gaussian_batch(field, 3, 2, [rng], [size]) for rng, size in zip(chunk_rngs(9, 6), sizes)]
+    assert data.tobytes() == np.concatenate(one_by_one).tobytes()

@@ -78,6 +78,7 @@ from .matrices import (
     gaussian_batch,
     gaussian_components,
     gram_det,
+    householder_q,
     mat,
     qr,
     read_only,
@@ -96,7 +97,6 @@ from .groups import (
     full_torus_angles,
     haar_from_gaussian,
     haar_sample_batch,
-    haar_unitary_batch,
     pair_generators,
     torus_angles,
     torus_basis,
@@ -133,6 +133,11 @@ class ActionSpec:
     """What both kinds of action compute alike."""
 
     @property
+    def ambient_dim(self) -> int:
+        """Real dimension of K^(rows x cols); on conjugation, of the embedding space, not of the manifold."""
+        return self.field.dim * math.prod(self.shape)
+
+    @property
     def cohomogeneity(self) -> int:
         """Dimension of the orbit space, and so the axes of a section rule:
         the torus angles, or the Bartlett coordinates of R in B = wR."""
@@ -162,10 +167,6 @@ class DirectSumAction(ActionSpec):
     def shape(self) -> tuple[int, int]:
         """Rows and columns of an ambient point."""
         return self.n, self.k
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.field.dim * self.n * self.k
 
     @property
     def section_dim(self) -> int:
@@ -220,13 +221,12 @@ class DirectSumAction(ActionSpec):
         pts[:, : coords.shape[1]] = coords
         return pts
 
-    def section_frames(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The section's coordinates come first in the flat layout, so the two frames split the identity."""
-        frames = np.broadcast_to(np.eye(self.ambient_dim), (len(pts),) + (self.ambient_dim,) * 2)
-        return frames[:, : self.section_dim], frames[:, self.section_dim :]
+    def section_frames(self, pts: np.ndarray) -> np.ndarray:
+        """The section's coordinates come first in the flat layout, so the frames are the identity."""
+        return np.broadcast_to(np.eye(self.ambient_dim), (len(pts),) + (self.ambient_dim,) * 2)
 
     def in_frames(self, frames: np.ndarray, images: np.ndarray) -> np.ndarray:
-        """Killing images in the section frames: the frames split the identity, so the images themselves."""
+        """Killing images in the section frames: the frames are the identity, so the images themselves."""
         return images
 
     def weyl_stabilizer_order(self, pts: np.ndarray) -> np.ndarray:
@@ -274,8 +274,8 @@ class DirectSumAction(ActionSpec):
             u_det = np.where(rng.random(count) < 0.5, -1.0, 1.0)
             u = u_det[:, None, None] * eye(field, 1).data
         else:
-            u, u_det = haar_unitary_batch(field, k, rng, count)
-        v, v_det = haar_unitary_batch(field, n - k, rng, count)
+            u, u_det = householder_q(gaussian_batch(field, k, k, [rng], [count]))  # Haar on O, U or Sp(k)
+        v, v_det = householder_q(gaussian_batch(field, n - k, n - k, [rng], [count]))
         if field is REAL:
             flip = rng.random(count) < 0.5
             u[flip, :, -1] *= -1.0
@@ -453,11 +453,6 @@ class ConjugationAction(ActionSpec):
         return self.group.n, self.group.n
 
     @property
-    def ambient_dim(self) -> int:
-        """Dimension of the embedding space K^(n x n), not of the manifold."""
-        return self.field.dim * self.group.n ** 2
-
-    @property
     def section_dim(self) -> int:
         return self.group.rank
 
@@ -500,11 +495,10 @@ class ConjugationAction(ActionSpec):
         """Flat torus points (m, D) from torus angle rows."""
         return torus_points(self.group, coords)
 
-    def section_frames(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def section_frames(self, pts: np.ndarray) -> np.ndarray:
         """The algebra split at the identity, translated to s."""
         s = batch_from_real(self.field, *self.shape, pts)[:, None]
-        frames = batch_to_real(self.field, algebra_split(self).data @ s)
-        return frames[:, : self.section_dim], frames[:, self.section_dim :]
+        return batch_to_real(self.field, algebra_split(self).data @ s)
 
     def in_frames(self, frames: np.ndarray, images: np.ndarray) -> np.ndarray:
         """Killing images in the section frames: their coordinates along the frame rows."""
@@ -761,9 +755,9 @@ class SectionFrame(NamedTuple):
 
 
 def section_frame(action: ActionSpec, s: MatK) -> SectionFrame:
-    """The kind's section_frames at one point."""
-    tangent, normal = action.section_frames(to_real_vector(s)[None])
-    return SectionFrame(tangent[0], normal[0])
+    """The kind's section_frames at one point, split at section_dim."""
+    frames = action.section_frames(to_real_vector(s)[None])[0]
+    return SectionFrame(frames[: action.section_dim], frames[action.section_dim :])
 
 
 def killing_images(action: ActionSpec, pts: np.ndarray) -> np.ndarray:
@@ -886,7 +880,7 @@ _CLASSES = np.array([RegularityClass.REGULAR, RegularityClass.EXCEPTIONAL, Regul
 
 def orbit_map_differentials(action: ActionSpec, pts: np.ndarray) -> OrbitMapDifferential:
     """The orbit maps at flat section points (m, D)."""
-    frames = np.concatenate(action.section_frames(pts), axis=1)
+    frames = action.section_frames(pts)
     images = action.in_frames(frames, killing_images(action, pts))
     return OrbitMapDifferential(algebra_split(action), pts, frames, images)
 

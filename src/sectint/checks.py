@@ -91,7 +91,7 @@ def pointwise_checks(
         "block_residual": diff.off_block_residual() / scale,
         "det_total": diff.total_det(),
         "delta_d": diff.delta_d(),
-        "delta_generic": delta_e_batch(action, pts, diff.split),
+        "delta_generic": delta_e_batch(action, pts),
     }
     total, dd, generic = values["det_total"], values["delta_d"], values["delta_generic"]
     checks = [
@@ -160,14 +160,14 @@ def run_action_checks(
     # Weyl invariance of the weight
     w = action.normalizer_samples(rng, n_points)
     moved = batch_to_real(field, action.act_data(w, batch_from_real(field, *action.shape, draws.pts)))
-    de, dew = values["delta_generic"], delta_e_batch(action, moved, split)
+    de, dew = values["delta_generic"], delta_e_batch(action, moved)
     out.append(_result("weight_weyl_invariance", np.max(_relative_gap(de, dew)), 1e-9))
 
     # vanishing at the singular section point of coordinate 0, the origin or
     # the identity; with m empty (SO(2)) the weight is 1 everywhere
     if len(split.m_rows):
         sing = from_real_vector(field, *action.shape, action.section_points(np.zeros((1, action.section_dim)))[0])
-        out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing, split), 0.0))
+        out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing), 0.0))
 
     # canonical reduction is translation independent, also at the kind's cut
     # points (a torus point with an angle at 0, the cut of the SU(n) phases)

@@ -55,14 +55,6 @@ class EnsembleSpec:
                 f"stat_index {self.stat_index} out of range: {self.statistic} on {self.action} has {columns} column(s)"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "action": self.action.to_json(),
-            "scale": self.scale,
-            "statistic": self.statistic,
-            "stat_index": self.stat_index,
-        }
-
 
 def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> np.ndarray:
     """Statistics of n ambient samples reduced to the section, the kind's
@@ -80,21 +72,15 @@ class HistogramComparison:
     edges: np.ndarray
     empirical: np.ndarray   # frequencies, sum 1
     reference: np.ndarray   # frequencies, sum 1
-    n_samples: int
     chi2: float
     dof: int
     p_value: float
     weight_ratio_spread: float | None = None  # of the direct-sum reference draws (reference_sample)
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "n_samples": self.n_samples,
-            "bins": len(self.edges) - 1,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-        }
+        """The test's outcome and the statistic it read, the kind's default
+        resolved; the action, scale, bins and draws are the report's config."""
+        return {"statistic": self.spec.statistic, "chi2": self.chi2, "dof": self.dof, "p_value": self.p_value}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -182,4 +168,4 @@ def compare_densities(
     chi2 = float(np.sum((obs - exp) ** 2 / exp)) / noise
     dof = len(obs) - 1
     p = chi2_tail(dof, chi2)
-    return HistogramComparison(spec, edges, emp_freq, ref_freq, n, chi2, dof, p, spread)
+    return HistogramComparison(spec, edges, emp_freq, ref_freq, chi2, dof, p, spread)

@@ -256,20 +256,6 @@ def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
     return GroupElement(group, MatK(group.field, haar_sample_batch(group, rng, 1)[0]))
 
 
-def haar_unitary_batch(field: ScalarField, n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar samples of O(n), U(n) or Sp(n) as raw matrix data, (count, n, n)
-    ((count, 2n, 2n) on Sp(n)), and the determinant of each (of its
-    adjoint matrix on Sp(n)).
-
-    The q factor (diag(r) real and positive) of count Gaussian matrices,
-    drawn from the random stream of count successive matrices.gaussian
-    calls; that q is Haar (Mezzadri, arXiv:math-ph/0609050).  q and its
-    determinant come from matrices.householder_q: qr's Householder
-    kernel, with no r and no LAPACK call.
-    """
-    return householder_q(field, gaussian_batch(field, n, n, [rng], [count]))
-
-
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of Haar samples as raw matrix data, (count, n, n) ((count, 2n, 2n) on Sp(n)):
     haar_from_gaussian of count successive matrices.gaussian draws."""
@@ -279,13 +265,14 @@ def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) ->
 def haar_from_gaussian(group: GroupSpec, data: np.ndarray) -> np.ndarray:
     """Haar samples of group from Gaussian matrix data (count, n, n) (adjoint matrices on Sp(n)).
 
-    The q of each matrix is a Haar sample of O(n) / U(n) / Sp(n), as in
-    haar_unitary_batch; for SO and SU a final column scaling by the
+    The q of each matrix (diag(r) real and positive) is a Haar sample of
+    O(n) / U(n) / Sp(n) (Mezzadri, arXiv:math-ph/0609050), from
+    matrices.householder_q; for SO and SU a final column scaling by the
     conjugate of the determinant forces det = 1, which pushes Haar
     forward to the subgroup.  Each sample depends on its own matrix
     only, so a stack maps as its parts do.
     """
-    q, det = householder_q(group.field, data)
+    q, det = householder_q(data)
     if group.family is Family.SO:
         q[det < 0, :, -1] *= -1.0
     elif group.family is Family.SU:

@@ -49,8 +49,8 @@ class ContractViolation(ValueError):
     """An integrand was used outside its declared contract."""
 
 
-class IllConditionedCalibration(RuntimeError):
-    """Calibration denominator is statistically indistinguishable from 0."""
+class IllConditionedCalibration(ValueError):
+    """Calibration denominator is statistically indistinguishable from 0: bad input."""
 
 
 # --- integrands --------------------------------------------------------------
@@ -212,8 +212,7 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16
     drawn = [f for f in fs if not _is_const(f)]
     sample, vol = action.direct_sampler(lambda pts, norms_sq: _stacked_values(action, drawn, pts, norms_sq))
     means = iter(mc_run(sample, n, seed, chunks, workers) if drawn else ())
-    ests = [McEstimate(f.param("value"), 0.0, n, seed, chunks) if _is_const(f) else next(means)
-            for f in fs]
+    ests = [McEstimate(f.param("value"), 0.0, n) if _is_const(f) else next(means) for f in fs]
     return [product(est, vol) for est in ests]
 
 
@@ -255,7 +254,7 @@ def integrate_reduced(action: ActionSpec, fs, vol_gn: float) -> list[McEstimate]
 
         value[rows] = rule(fine)  # |fine - coarse| reads 0 where both rules are exact
         err[rows] = np.maximum(np.abs(value[rows] - rule(coarse)), QUADRATURE_REL_FLOOR * np.abs(value[rows]))
-    return [product(McEstimate(float(v), float(e), fine ** n_axes, 0, 1), vol_est)
+    return [product(McEstimate(float(v), float(e), fine ** n_axes), vol_est)
             for v, e, (_, fine, _) in zip(value, err, keys)]
 
 
@@ -301,5 +300,5 @@ def calibrate_vol_gn(
         weights = np.ones(len(ratios))
     mean = float(np.sum(weights * [r.mean for r in ratios]) / np.sum(weights))
     se = float(np.sqrt(1.0 / np.sum(weights)))
-    combined = McEstimate(mean, se, sum(r.n_samples for r in ratios), seed, chunks)
+    combined = McEstimate(mean, se, sum(r.n_samples for r in ratios))
     return CalibrationReport(tuple(ratios), combined, worst <= n_sigma, worst)

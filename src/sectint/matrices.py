@@ -272,7 +272,7 @@ def qr(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
     return q[:count].reshape(lead + q.shape[1:]), r[:count].reshape(lead + r.shape[1:])
 
 
-def householder_q(field: ScalarField, data) -> tuple[np.ndarray, np.ndarray]:
+def householder_q(data) -> tuple[np.ndarray, np.ndarray]:
     """qr's q of an array of full-rank square matrices (count, m, m), with
     no r, and det q (of the adjoint matrix over H): each reflection has
     det -1 and turns its pivot's phase s into -s, so det q is the product

@@ -46,18 +46,18 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A mean and its standard error over n_samples values; the seed and chunks are the report's config."""
+
     mean: float
     stderr: float
     n_samples: int
-    seed: int
-    chunks: int
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def exact(value: float) -> "McEstimate":
-        return McEstimate(float(value), 0.0, 1, 0, 1)
+        return McEstimate(float(value), 0.0, 1)
 
 
 def chunk_sizes(n: int, chunks: int) -> list[int]:
@@ -185,7 +185,7 @@ def mc_run(sample_fn, n: int, seed: int, chunks: int = 1, workers: int | None = 
             total = _combine(total, p)
         count, mean, m2 = total
         stderr = float(np.sqrt(m2 / (count - 1) / count))
-        estimates.append(McEstimate(mean, stderr, count, seed, chunks))
+        estimates.append(McEstimate(mean, stderr, count))
     return estimates if parts[0][0] == 2 else estimates[0]
 
 
@@ -197,15 +197,15 @@ def ratio(num: McEstimate, den: McEstimate) -> McEstimate:
         raise ZeroDivisionError("ratio of estimates with zero denominator")
     value = num.mean / den.mean
     if num.mean == 0:  # d(a / b) = da / b at a = 0, which the relative form would drop
-        return McEstimate(value, num.stderr / abs(den.mean), num.n_samples, num.seed, num.chunks)
+        return McEstimate(value, num.stderr / abs(den.mean), num.n_samples)
     rel = np.hypot(num.stderr / num.mean, den.stderr / den.mean)
-    return McEstimate(value, abs(value) * float(rel), num.n_samples, num.seed, num.chunks)
+    return McEstimate(value, abs(value) * float(rel), num.n_samples)
 
 
 def product(a: McEstimate, b: McEstimate) -> McEstimate:
     value = a.mean * b.mean
     se = np.hypot(a.stderr * b.mean, b.stderr * a.mean)
-    return McEstimate(value, float(se), a.n_samples, a.seed, a.chunks)
+    return McEstimate(value, float(se), a.n_samples)
 
 
 def agree(a: McEstimate, b: McEstimate, n_sigma: float = 3.0, atol: float = 1e-12) -> bool:

@@ -62,21 +62,21 @@ from .actions import (
 )
 
 
-def delta_e_batch(action: ActionSpec, pts: np.ndarray, split=None) -> np.ndarray:
+def delta_e_batch(action: ActionSpec, pts: np.ndarray) -> np.ndarray:
     """Weights at the section points with flat coordinates pts (m, D).
 
     The images of the complementary Killing fields are perpendicular to
     the section all along it, so |det| of the images onto the normal
     space needs no frame; abs_det_between reads a singular one as 0.
     """
-    ops, pts = (split or algebra_split(action)).m_operators, np.atleast_2d(np.asarray(pts, dtype=float))
+    ops, pts = algebra_split(action).m_operators, np.atleast_2d(np.asarray(pts, dtype=float))
     images = np.einsum("bij,mj->mbi", ops, pts)
     return abs_det_between(images, action.normal_dim, np.linalg.norm(pts, axis=1))
 
 
-def delta_e_generic(action: ActionSpec, s: MatK, split=None) -> float:
+def delta_e_generic(action: ActionSpec, s: MatK) -> float:
     """Weight at one section point; delta_e_batch on a single row."""
-    return float(delta_e_batch(action, to_real_vector(s)[None], split)[0])
+    return float(delta_e_batch(action, to_real_vector(s)[None])[0])
 
 
 def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray) -> float:

@@ -47,9 +47,9 @@ def lp_isometry_check(action, f: TestFunction, p: int, vol_gn: McEstimate, seed:
 
     def root(e: McEstimate) -> McEstimate:
         if e.mean <= 0:
-            return McEstimate(0.0, e.stderr, e.n_samples, e.seed, e.chunks)
+            return McEstimate(0.0, e.stderr, e.n_samples)
         val = e.mean ** (1.0 / p)
-        return McEstimate(val, e.stderr * val / (p * e.mean), e.n_samples, e.seed, e.chunks)
+        return McEstimate(val, e.stderr * val / (p * e.mean), e.n_samples)
 
     lhs_r, rhs_r = root(lhs), root(rhs)
     denom = max(abs(lhs_r.mean), 1e-300)

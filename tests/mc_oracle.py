@@ -31,5 +31,5 @@ def mc_run_per_chunk(fn, n: int, seed: int, chunks: int) -> list[McEstimate]:
         for p in row:
             total = _combine(total, p)
         count, mean, m2 = total
-        estimates.append(McEstimate(mean, float(np.sqrt(m2 / (count - 1) / count)), count, seed, chunks))
+        estimates.append(McEstimate(mean, float(np.sqrt(m2 / (count - 1) / count)), count))
     return estimates

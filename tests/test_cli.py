@@ -588,7 +588,8 @@ def test_ensemble_stat_index_out_of_range_exits_2(capsys, action, statistic, ind
 @pytest.mark.parametrize("action, statistic", [(SU3, "torus_angle"), (SO3K2, "coordinate_det")])
 def test_ensemble_statistic_defaults_from_the_action(capsys, action, statistic):
     code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "300", "--bins", "10"])
-    assert code in (0, 1) and rep["results"]["spec"]["statistic"] == statistic
+    assert code in (0, 1) and rep["results"]["statistic"] == statistic
+    assert rep["config"]["statistic"] is None
 
 
 def test_single_integrand_exits_2(capsys):
@@ -795,7 +796,6 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     assert len(directs) == len(entries) >= 2
     reduceds = integrate_reduced(action, fs, vol_gn["mean"])
     for entry, direct, reduced in zip(entries, directs, reduceds):
-        assert entry["direct"]["seed"] == seed + 1000
         assert entry["direct"] == direct.to_json()
         assert entry["reduced"] == reduced.to_json()
 
@@ -811,23 +811,52 @@ def test_integrate_with_empty_chunks(capsys, action_json):
     for entry in rep["results"]["per_function"]:
         direct, fn = entry["direct"], entry["function"]
         f = make_test_function(fn["name"], **fn["params"])
-        [alone] = integrate_direct(action, [f], direct["seed"], 5, chunks=5)
+        [alone] = integrate_direct(action, [f], 3 + 1000, 5, chunks=5)
         assert direct["n_samples"] == 5
         assert (direct["mean"], direct["stderr"]) == (alone.mean, alone.stderr)
 
 
-def test_integrate_payload_keys(capsys):
-    # the keys that downstream readers of the integrate payload rely on
-    code, rep = run_cli(capsys, ["integrate", "--action", SO3K2, "--seed", "1", "--n", "1000"])
+@pytest.mark.parametrize("functions, names", [
+    ("gaussian_radial:sigma=1,gaussian_radial:sigma=1.3", ["gaussian_radial_1", "gaussian_radial_2"]),
+    ("gaussian_sq_norm,gaussian_radial,gaussian_radial:sigma=1.3",
+     ["gaussian_sq_norm", "gaussian_radial_2", "gaussian_radial_3"]),
+    ("gaussian_sq_norm,gaussian_radial", ["gaussian_sq_norm", "gaussian_radial"]),
+])
+def test_integrate_check_names_are_unique(capsys, functions, names):
+    # a family given twice gets its position in the list, counted from 1, so
+    # that a reader keying checks by name keeps each; a unique name is unchanged
+    code, rep = run_cli(capsys, ["integrate", "--action", SO3K2, "--n", "2000", "--functions", functions])
+    assert [c["name"] for c in rep["checks"]] == [f"two_sided_agreement_{name}" for name in names]
+
+
+ESTIMATE_KEYS = {"mean", "stderr", "n_samples"}  # an estimate's own facts; its seed and chunks are config's
+
+
+@pytest.mark.parametrize("action", [SO3K2, SU3])
+def test_integrate_payload_keys(capsys, action):
+    # the keys that downstream readers of the integrate payload rely on, each estimate exactly
+    code, rep = run_cli(capsys, ["integrate", "--action", action, "--seed", "1", "--n", "1000"])
     results = rep["results"]
     assert set(results) == {"vol_gn", "per_function"}
-    assert set(results["vol_gn"]) == {"mean", "stderr", "n_samples", "seed", "chunks", "exact"}
+    assert set(results["vol_gn"]) == ESTIMATE_KEYS | {"exact"} and results["vol_gn"]["exact"] is True
     assert len(results["per_function"]) == 2
     for entry in results["per_function"]:
         assert set(entry) == {"function", "direct", "reduced"}
-        assert {"name", "params"} <= set(entry["function"])
+        assert set(entry["function"]) == {"name", "params", "invariant"}
         for side in ("direct", "reduced"):
-            assert {"mean", "stderr"} <= set(entry[side])
+            assert set(entry[side]) == ESTIMATE_KEYS
+
+
+@pytest.mark.parametrize("action, argv, statistic", [
+    (SO3K2, [], "coordinate_det"),
+    (SO3K2, ["--statistic", "singular_value", "--stat-index", "1"], "singular_value"),
+    (SU3, [], "torus_angle"),
+])
+def test_ensemble_payload_keys(capsys, action, argv, statistic):
+    # the test's outcome and the statistic it read; the action, scale, bins and n are config's alone
+    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "300", "--bins", "10", *argv])
+    assert set(rep["results"]) == {"chi2", "dof", "p_value", "statistic"}
+    assert rep["results"]["statistic"] == statistic
 
 
 # --- ensemble -----------------------------------------------------------------------
@@ -950,11 +979,14 @@ def test_volumes_small_n_is_not_ill_conditioned(capsys, action_json):
     assert captured.err == ""
 
 
-def test_volumes_payload_keys(capsys):
-    code, rep = run_cli(capsys, ["volumes", "--action", SU2, "--seed", "1", "--n", "1000"])
-    assert set(rep["results"]) == {"vol_gh", "vol_gn", "vol_w"}
-    for key in ("vol_gh", "vol_gn", "vol_w"):
-        assert {"mean", "stderr"} <= set(rep["results"][key])
+@pytest.mark.parametrize("action_json", [SO3K2, SU2])
+def test_volumes_payload_keys(capsys, action_json):
+    # each estimate exactly; the exact constants add their mark (test_volumes_marks_exact_constants)
+    code, rep = run_cli(capsys, ["volumes", "--action", action_json, "--seed", "1", "--n", "1000"])
+    results = rep["results"]
+    assert set(results) == {"vol_gh", "vol_gn", "vol_w"}
+    assert set(results["vol_gh"]) == set(results["vol_w"]) == ESTIMATE_KEYS | {"exact"}
+    assert set(results["vol_gn"]) == ESTIMATE_KEYS
 
 
 @pytest.mark.parametrize("action_json", [SO3K2, SU2])

@@ -23,3 +23,18 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_module_references_resolve():
+    # every `module.name` the README names (with or without `sectint.`) is an
+    # attribute of that sectint module, so a renamed or moved name fails here
+    import importlib
+    import pkgutil
+
+    import sectint
+
+    modules = {m.name for m in pkgutil.iter_modules(sectint.__path__)}
+    refs = [(m, name) for m, name in re.findall(r"`(?:sectint\.)?(\w+)\.(\w+)", (ROOT / "README.md").read_text())
+            if m in modules]
+    assert len(refs) >= 10
+    assert [f"{m}.{name}" for m, name in refs if not hasattr(importlib.import_module(f"sectint.{m}"), name)] == []

@@ -26,7 +26,6 @@ from sectint.groups import (
     algebra_basis,
     haar_sample,
     haar_sample_batch,
-    haar_unitary_batch,
     torus_basis,
     torus_point,
     torus_points,
@@ -227,7 +226,7 @@ def test_householder_q_is_the_q_of_qr(field, m):
     # q is unique once diag(r) > 0, so the reflections and the Gram-Schmidt
     # oracle agree to rounding; det q is det of the (complex adjoint matrix of) q
     x = gaussian_batch(field, m, m, [np.random.default_rng(m)], [400])
-    q, det = householder_q(field, x)
+    q, det = householder_q(x)
     size = np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim))))
     gap = [np.max(np.abs(qi - gram_schmidt_qr(MatK(field, xi))[0].data)) for qi, xi in zip(q, x)]
     assert np.all(np.array(gap) <= 1e-13 * size)
@@ -239,9 +238,9 @@ def test_householder_q_is_batch_invariant(field, m):
     # a Monte Carlo batch joins the draws of consecutive chunks: each q and
     # det q is the same, bit for bit, in a stack of one, of a few, or of all
     x = gaussian_batch(field, m, m, [np.random.default_rng(10 + m)], [9])
-    q, det = householder_q(field, x)
+    q, det = householder_q(x)
     for lo, hi in [(0, 1), (1, 3), (3, 9), (8, 9)]:
-        part_q, part_det = householder_q(field, x[lo:hi])
+        part_q, part_det = householder_q(x[lo:hi])
         assert np.array_equal(part_q, q[lo:hi]) and np.array_equal(part_det, det[lo:hi])
 
 
@@ -249,7 +248,7 @@ def test_householder_q_is_batch_invariant(field, m):
 def test_householder_q_of_an_empty_stack(field):
     # a Monte Carlo chunk of size 0 draws an empty stack
     x = gaussian_batch(field, 3, 3, [np.random.default_rng(0)], [0])
-    q, det = householder_q(field, x)
+    q, det = householder_q(x)
     assert q.shape == x.shape and det.shape == (0,)
 
 
@@ -273,7 +272,7 @@ def test_haar_draws_take_no_lapack_factorization(monkeypatch):
     rng = np.random.default_rng(3)
     for g in [GroupSpec(f, n) for f in Family for n in (1, 2, 3)]:
         haar_sample_batch(g, rng, 7)
-        haar_unitary_batch(g.field, g.n, rng, 7)
+        householder_q(gaussian_batch(g.field, g.n, g.n, [rng], [7]))
     for field in ScalarField:
         for n, k in [(3, 1), (3, 2), (4, 2)]:
             DirectSumAction(field, n, k).normalizer_samples(rng, 7)

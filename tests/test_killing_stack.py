@@ -74,7 +74,7 @@ def test_batched_kernels_match_per_point_oracle(action):
     dets = np.stack([diff.total_det(), delta_e_batch(action, pts), diff.delta_d()], axis=1)
     u, _, vh = diff.svd
     null, ranks = diff.isotropy_mask(), diff.orbit_ranks()
-    frames = np.concatenate(action.section_frames(pts), axis=1)
+    frames = action.section_frames(pts)
     split = algebra_split(action)
     outside_h = lambda rows: np.abs(rows - (rows @ split.h_rows.T) @ split.h_rows).max(initial=0.0)
     for i, flat in enumerate(pts):

@@ -138,10 +138,10 @@ def test_every_kind_operation(action):
     np.testing.assert_allclose(to_real_vector(action.embed_section(coord)), pts[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(to_real_vector(action.parse_point(_json_point(action, coord))), pts[0], rtol=0,
                                atol=1e-12)
-    tangent, normal = action.section_frames(pts)
-    assert tangent.shape == (5, action.section_dim, dim) and normal.shape == (5, action.normal_dim, dim)
+    frames = action.section_frames(pts)  # section-tangent rows, then normal rows
+    assert frames.shape == (5, action.section_dim + action.normal_dim, dim)
     images = killing_images(action, pts)
-    in_frames = action.in_frames(np.concatenate([tangent, normal], axis=1), images)
+    in_frames = action.in_frames(frames, images)
     assert in_frames.shape == (5, action.section_dim + action.normal_dim, images.shape[2])
     assert action.weyl_stabilizer_order(pts).shape == (5,)
     h, w, m = action.split_rows()

@@ -110,7 +110,7 @@ def test_every_h_array_handed_out_is_an_adjoint_matrix():
     exact = [a, conj_transpose(a), algebra_split(DirectSumAction(H, 3, 2)).data,
              algebra_split(ConjugationAction(GroupSpec(Family.SP, 2))).data]
     rounded = [a @ b, *qr(H, conj_transpose(a)), *qr(H, deficient),
-               householder_q(H, gaussian_batch(H, 3, 3, [rng], [20]))[0],
+               householder_q(gaussian_batch(H, 3, 3, [rng], [20]))[0],
                haar_sample_batch(GroupSpec(Family.SP, 2), rng, 20)]
     assert all(layout_gap(e) == 0.0 for e in exact)
     assert all(layout_gap(e) <= 1e-14 for e in rounded)

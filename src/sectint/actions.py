@@ -263,7 +263,9 @@ class DirectSumAction(ActionSpec):
     def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Gaussian flat coordinates B, a real multiple of the first basis vector when k = 1."""
         if self.k == 1:
-            return np.pad(rng.standard_normal((count, 1)), ((0, 0), (0, self.field.dim - 1)))
+            coords = np.zeros((count, self.field.dim))
+            coords[:, 0] = rng.standard_normal(count)
+            return coords
         return batch_to_real(self.field, gaussian_batch(self.field, self.k, self.k, [rng], [count]))
 
     def normalizer_samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -839,8 +841,9 @@ class OrbitMapDifferential:
         isotropy_mask are split-basis coefficients of the isotropy algebra."""
         if self._svd is None:
             u, sv, vh = np.linalg.svd(self.images)
-            pad = [(0, 0)] * (sv.ndim - 1) + [(0, self.images.shape[-1] - sv.shape[-1])]
-            self._svd = (u, np.pad(sv, pad), vh)
+            padded = np.zeros(sv.shape[:-1] + self.images.shape[-1:])
+            padded[..., : sv.shape[-1]] = sv
+            self._svd = (u, padded, vh)
         return self._svd
 
     def isotropy_mask(self, tol: float = 1e-8) -> np.ndarray:

@@ -10,13 +10,13 @@ Subcommands:
 * ``volumes``   -- quotient volume table; calibrates vol(G/N) against the
   exact vol(G/H) / vol(W)
 
-Each subcommand takes only the options it reads (``_SUBCOMMANDS``), and
-its report echoes the action and, under ``config``, every one of them
-but ``--workers`` and the output paths: those inputs fully determine the
-payload, and no result repeats them (an estimate is its mean, stderr and
-n_samples).  Reports are JSON with sorted keys, so a given configuration
-produces byte-identical output; the worker count (--workers or
-SECTINT_WORKERS) affects wall time only.
+Each subcommand takes only the options it reads (``_SUBCOMMANDS``) and
+is parsed once, by its own parser; its report echoes the action and,
+under ``config``, every one of those options but ``--workers`` and the
+output paths: those inputs fully determine the payload, and no result
+repeats them (an estimate is its mean, stderr and n_samples).  Reports
+are JSON with sorted keys, so a given configuration produces byte-identical
+output; the worker count (--workers or SECTINT_WORKERS) affects wall time only.
 """
 
 from __future__ import annotations
@@ -247,42 +247,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one call, whose first argument is command.
+    """The parser of a call whose first argument is command.
 
-    Building argparse parsers costs more than a short op's own work, so
-    a known command gets only its own subparser, built once per process.
-    Otherwise every subcommand gets an empty subparser: enough to list
-    them in --help and to reject an unknown name.  That parser is cached
-    under None, so unknown names add no entries.
+    Building argparse parsers costs more than a short op's own work, so a
+    known command is parsed once, by its own parser built once per process,
+    on the arguments after its name.  Any other name gets the top-level
+    parser, cached under None, whose subcommands are empty: enough to list
+    them in --help and to reject an unknown name.
     """
     return _parser(command if command in _SUBCOMMANDS else None)
 
 
 @functools.lru_cache(maxsize=None)
 def _parser(command: str | None) -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sectint",
-        description="weighted section integration for isometric matrix group actions",
-        allow_abbrev=False,  # an option of another subcommand is no prefix of one of this one
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_line, reads, unread) in _SUBCOMMANDS.items():
-        if command in _SUBCOMMANDS and name != command:
-            continue
-        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
-        p.set_defaults(func=func)
-        if name == command:
-            for flag in ["--action", *reads.split(), "--out"]:
-                p.add_argument(flag, **_OPTIONS[flag])
-            for flag in unread.split():
-                p.add_argument(flag, **{**_OPTIONS[flag], "help": f"accepted, not read by {name}"})
+    if command is None:
+        parser = _Parser(prog="sectint", description="weighted section integration for isometric matrix group actions",
+                         allow_abbrev=False)
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (_, help_line, _, _) in _SUBCOMMANDS.items():
+            sub.add_parser(name, help=help_line, allow_abbrev=False)
+        return parser
+    func, _, reads, unread = _SUBCOMMANDS[command]
+    parser = _Parser(prog=f"sectint {command}", allow_abbrev=False)  # verify takes no --point for --points
+    parser.set_defaults(func=func, command=command)
+    for flag in ["--action", *reads.split(), "--out"]:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    for flag in unread.split():
+        parser.add_argument(flag, **{**_OPTIONS[flag], "help": f"accepted, not read by {command}"})
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
         default_workers()  # a bad SECTINT_WORKERS fails here, before any work
         workers = getattr(args, "workers", None)  # options a subcommand does not take are absent
         if workers is not None and workers < 1:
@@ -305,6 +304,9 @@ def main(argv=None) -> int:
         return 141
     except FloatingPointError as exc:
         print(f"error: {exc}: a scale or point is out of the floating-point range", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's says in one line what it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,19 +98,23 @@ class HistogramComparison:
 
 
 def _merge_small_bins(obs: np.ndarray, exp: np.ndarray):
-    """Merge adjacent bins until every expected count reaches MIN_EXPECTED."""
-    obs, exp = list(obs), list(exp)
-    i = 0
-    while i < len(exp):
-        if exp[i] < MIN_EXPECTED and len(exp) > 1:
-            j = i + 1 if i + 1 < len(exp) else i - 1
-            exp[j] += exp[i]
-            obs[j] += obs[i]
-            del exp[i], obs[i]
-            i = 0
+    """Merge adjacent bins until every expected count reaches MIN_EXPECTED,
+    in one pass from the left: a group below it takes in the next bin, as
+    e[i+1] + (e[i] ...), and a last group still below it is folded into the
+    one before, as long as it stays below and one is left."""
+    obs_out, exp_out, growing = [], [], False
+    for o, e in zip(obs, exp):
+        if growing:
+            obs_out[-1], exp_out[-1] = o + obs_out[-1], e + exp_out[-1]
         else:
-            i += 1
-    return np.array(obs), np.array(exp)
+            obs_out.append(o)
+            exp_out.append(e)
+        growing = exp_out[-1] < MIN_EXPECTED
+    while len(exp_out) > 1 and exp_out[-1] < MIN_EXPECTED:
+        o, e = obs_out.pop(), exp_out.pop()
+        obs_out[-1] += o
+        exp_out[-1] += e
+    return np.array(obs_out), np.array(exp_out)
 
 
 def chi2_tail(dof: int, x: float) -> float:

@@ -407,19 +407,39 @@ def test_help_lists_every_subcommand(capsys):
     assert all(name in out for name in ("delta", "integrate", "verify", "ensemble", "volumes"))
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 279. GiB", "error: out of memory: Unable to allocate 279. GiB\n"),
+    ("", "error: out of memory\n"),
+])
+def test_running_out_of_memory_exits_2(monkeypatch, capsys, message, line):
+    # numpy's _ArrayMemoryError at --n 1e11 printed a traceback and exited 1
+    import sectint.ensembles
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sectint.ensembles, "sample_ensemble", out_of_memory)
+    assert _exits_2_with_one_line(capsys, ["ensemble", "--action", SO3K2, "--n", "100000000000"]) == line
+
+
 def test_unknown_subcommand_exits_2(capsys):
     # argparse's own errors are bad input like any other: one line, exit 2, no usage block
     assert "invalid choice" in _exits_2_with_one_line(capsys, ["bogus", "--action", SO3K2])
 
 
-def test_parser_builds_only_the_chosen_subcommand(capsys):
-    from sectint.cli import build_parser
+def test_a_known_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+    import argparse
 
-    sub = next(a for a in build_parser("verify")._actions if a.dest == "command")
-    assert list(sub.choices) == ["verify"]
-    assert "--tol-rel" in sub.choices["verify"].format_help()
-    with pytest.raises(SystemExit):
+    from sectint import cli
+
+    parser = cli.build_parser("verify")
+    assert parser.prog == "sectint verify"
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    built = []
+    monkeypatch.setattr(cli, "_parser", lambda command: built.append(command) or parser)
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
+    assert exc.value.code == 0 and built == ["verify"]  # never None: no top-level parser
     assert "--points" in capsys.readouterr().out
 
 
@@ -461,8 +481,7 @@ FOREIGN_OPTIONS = [(command, flag) for command, (own, _) in OPTION_TABLE.items()
 def _option_strings(command: str) -> set[str]:
     from sectint.cli import build_parser
 
-    sub = next(a for a in build_parser(command)._actions if a.dest == "command").choices[command]
-    return {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
+    return {flag for a in build_parser(command)._actions for flag in a.option_strings} - {"-h", "--help"}
 
 
 def test_each_subcommand_takes_the_options_of_the_table():
@@ -520,7 +539,7 @@ def test_readme_and_benchmark_command_lines_parse(monkeypatch):
     readme = _readme_commands()
     assert len(readme) >= 5 and {argv[0] for argv in readme} == set(OPTION_TABLE)
     for argv in readme + ops:
-        build_parser(argv[0]).parse_args(argv)
+        build_parser(argv[0]).parse_args(argv[1:])
 
 
 def test_action_keys_its_kind_does_not_read_exit_2(capsys):

@@ -250,3 +250,23 @@ def test_orbit_frames_of_a_batch_are_those_of_its_points(action):
         np.testing.assert_allclose(frames[i][ranks[i] :], orbit_normal(action, s), rtol=0, atol=1e-13)
         tangent, normal = sectint.section_frame(action, s)
         np.testing.assert_array_equal(np.concatenate([tangent, normal]), diff.frames[i])
+
+
+@pytest.mark.parametrize("action", ROWS, ids=str)
+def test_svd_pads_as_np_pad_does(action):
+    # the singular values, zero-padded to one per basis element, on a batch and on one point
+    diff = random_regular_section_points(action, np.random.default_rng(31), 3)
+    for d in (diff, diff[1]):
+        sv = np.linalg.svd(d.images)[1]
+        pad = [(0, 0)] * (sv.ndim - 1) + [(0, d.images.shape[-1] - sv.shape[-1])]
+        padded = np.pad(sv, pad)
+        assert d.svd[1].shape == padded.shape and d.svd[1].tobytes() == padded.tobytes()
+
+
+@pytest.mark.parametrize("action", [DirectSumAction(f, n, 1) for f, n in [(R, 4), (C, 3), (H, 2)]], ids=str)
+def test_polar_section_coords_are_padded_draws(action):
+    # a real multiple of the first basis vector, drawn as one column of normals
+    coords = action.section_coords(np.random.default_rng(5), 7)
+    column = np.random.default_rng(5).standard_normal((7, 1))
+    padded = np.pad(column, ((0, 0), (0, action.field.dim - 1)))
+    assert coords.shape == padded.shape and coords.tobytes() == padded.tobytes()

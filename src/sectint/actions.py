@@ -399,15 +399,15 @@ class DirectSumAction(ActionSpec):
         comps = spec.scale * gaussian_components(self.field, self.n, self.k, rngs, sizes)
         return _coordinate_statistics(spec, self.field, comps)
 
-    def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Statistics, weights 1 / n_ref and weight-ratio spread of n_ref exact
-        draws of p * weight: bartlett_draws scaled by |scale|, in blocks of
-        REF_BLOCK draws seeded (seed, block), each evaluated a row block at a
-        time.  At each draw section_weight_batch times the Gaussian and
-        Jacobian over the draws' density is one constant; the spread is
-        max / min - 1 of that ratio, at rounding level however many draws
-        (gram_det keeps its digits at nearly dependent columns).  The
-        statistics are read off the triangular R, whose |det| is its diagonal's product."""
+    def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, float]:
+        """Statistics and weight-ratio spread of n_ref exact draws of p * weight:
+        bartlett_draws scaled by |scale|, in blocks of REF_BLOCK draws seeded
+        (seed, block), each evaluated a row block at a time.  At each draw
+        section_weight_batch times the Gaussian and Jacobian over the draws'
+        density is one constant; the spread is max / min - 1 of that ratio,
+        at rounding level however many draws (gram_det keeps its digits at
+        nearly dependent columns).  The statistics are read off the
+        triangular R, whose |det| is its diagonal's product."""
         scale, k = abs(spec.scale), self.k
         field = self.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
         stats, lo, hi = [], np.inf, -np.inf
@@ -422,16 +422,16 @@ class DirectSumAction(ActionSpec):
                     stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))  # real on R's diagonal
                 else:
                     stats.append(_coordinate_statistics(spec, field, comps))
-        spread = float(np.expm1(hi - lo))
-        return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread
+        return np.concatenate(stats), float(np.expm1(hi - lo))
 
-    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int, n_ref: int):
-        """Bin edges, reference frequencies, weight-ratio spread and noise of n_ref
-        exact draws, with equal masses at the draws' quantiles.  Their own noise
-        adds n / n_ref to the variance of each bin's count of the n stats."""
-        ref_stats, ref_w, spread = self.reference_sample(spec, seed, n_ref)
-        edges, ref_freq = _equal_draw_bins(ref_stats, ref_w, bins, *_bin_range(stats, ref_stats))
-        return edges, ref_freq / np.sum(ref_freq), spread, 1.0 + len(stats) / n_ref
+    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int):
+        """Bin edges, reference frequencies, weight-ratio spread and noise of
+        n_ref = max(30 n, 60000) exact draws in bins of equal draw counts: their
+        own noise adds n / n_ref to the variance of each bin's count of the n stats."""
+        n_ref = max(30 * len(stats), 60_000)
+        ref_stats, spread = self.reference_sample(spec, seed, n_ref)
+        edges, ref_freq = _equal_draw_bins(ref_stats, bins, *_bin_range(stats, ref_stats))
+        return edges, ref_freq, spread, 1.0 + len(stats) / n_ref
 
 
 @dataclass(frozen=True)
@@ -640,29 +640,24 @@ class ConjugationAction(ActionSpec):
         """Canonical angles of a batch's Haar draws: their sorted eigen-angles (canonical_angles)."""
         return canonical_angles(self.group, self.haar_draws(rngs, sizes))[:, spec.stat_index]
 
-    def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, None]:
-        """Weyl's weight on a fine angle grid, summing to 1, at its canonical
-        angles; it draws nothing (seed and n_ref unused) and has no spread."""
+    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int):
+        """Bin edges and reference frequencies of equal-width bins, with no
+        weight-ratio spread and no noise of their own: exact bin masses at rank
+        one, and above it Weyl's weight, summing to 1, on a fine angle grid at
+        its canonical angles.  It draws nothing, so seed is unused."""
         group = self.group
-        angles = _torus_grid(group.rank, 96 if group.rank == 2 else 24)
-        weights = torus_weight_batch(group, angles)
-        stats = torus_canonical_angles(group, angles)[:, spec.stat_index]
-        return stats, weights / np.sum(weights), None
-
-    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int, n_ref: int):
-        """Bin edges and reference frequencies of equal-width bins, exact
-        bin masses at rank one and the weighted angle grid above it, with
-        no weight-ratio spread and no noise of their own."""
-        if self.group.rank == 1:
-            so2 = self.group == GroupSpec(Family.SO, 2)  # a trivial Weyl group: angles in (-pi, pi]
+        if group.rank == 1:
+            so2 = group == GroupSpec(Family.SO, 2)  # a trivial Weyl group: angles in (-pi, pi]
             edges = np.linspace(-np.pi if so2 else 0.0, np.pi, bins + 1)
             ref_freq = self._rank1_bin_masses(edges)
             if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
                 edges, ref_freq = -edges[::-1], ref_freq[::-1]
             return edges, ref_freq, None, 1.0
-        ref_stats, ref_w, _ = self.reference_sample(spec, seed, n_ref)
+        angles = _torus_grid(group.rank, 96 if group.rank == 2 else 24)
+        weights = torus_weight_batch(group, angles)
+        ref_stats = torus_canonical_angles(group, angles)[:, spec.stat_index]
         edges = np.linspace(*_bin_range(stats, ref_stats), bins + 1)
-        ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=ref_w)
+        ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=weights / np.sum(weights))
         return edges, ref_freq / np.sum(ref_freq), None, 1.0
 
     def _rank1_bin_masses(self, edges: np.ndarray) -> np.ndarray:
@@ -1234,27 +1229,15 @@ def _coordinate_statistics(spec, field: ScalarField, comps: np.ndarray) -> np.nd
     return sv[:, :: side(field)][:, spec.stat_index]  # the adjoint matrix doubles each value over H
 
 
-def _equal_draw_bins(ref_stats: np.ndarray, ref_w: np.ndarray, bins: int, lo: float, hi: float):
-    """Edges from lo to hi with the inner ones at the quantiles of equally
-    weighted draws, and the draws' mass in each bin, from one sort.
-
-    The inner edges are np.quantile's linear interpolation, its _lerp
-    bit for bit, on the sorted draws.  The masses are np.histogram's own
-    algorithm for given edges: the weights' cumulative sum read at the
-    edges by searchsorted, the last edge inclusive.  The weights are
-    equal, so their sum in sorted order is their sum in any order.  Up to
-    np.histogram's block of 65536 draws the masses are its bits; past it
-    np.histogram adds one sum per block and rounds differently.
-    """
-    s = np.sort(ref_stats)
-    pos = (len(s) - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    below = np.floor(pos).astype(np.intp)
-    t = pos - below
-    a, b = s[below], s[np.minimum(below + 1, len(s) - 1)]
-    inner = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-    edges = np.concatenate([[lo], inner, [hi]])
-    at = np.concatenate([s.searchsorted(edges[:-1], "left"), s.searchsorted(edges[-1:], "right")])
-    return edges, np.diff(np.concatenate([[0.0], np.cumsum(ref_w)])[at])
+def _equal_draw_bins(ref_stats: np.ndarray, bins: int, lo: float, hi: float):
+    """Edges from lo to hi and the n_ref draws' share of each bin, from one sort: bin j
+    holds the sorted draws cut[j] = n_ref j // bins to cut[j + 1] - 1, n_ref // bins of
+    them or one more, and each inner edge halves the gap at its cut (the edges of empty
+    bins, where bins outnumber draws, repeat)."""
+    s, n_ref = np.sort(ref_stats), len(ref_stats)
+    cut = n_ref * np.arange(bins + 1) // bins
+    inner = 0.5 * (s[np.maximum(cut[1:-1] - 1, 0)] + s[cut[1:-1]])
+    return np.concatenate([[lo], inner, [hi]]), np.diff(cut) / n_ref
 
 
 def _bin_range(stats: np.ndarray, ref_stats: np.ndarray) -> tuple[float, float]:

@@ -58,7 +58,7 @@ def _load_json_arg(flag: str, text: str):
             except OSError as exc:
                 raise ValueError(f"cannot read {text[1:]}: {exc.strerror}") from None
         return json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the stack
         raise ValueError(f"bad {flag}: {exc}") from None
 
 
@@ -141,7 +141,7 @@ def cmd_delta(args) -> int:
 
 def cmd_integrate(args) -> int:
     action = _parse_action(args.action)
-    fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
+    fs = _default_functions(action) if args.functions is None else _parse_functions(args.functions)
     vol_gn = vol_gh_estimate(action) / w_group_volume(action)
     reduced_all = integrate_reduced(action, fs, vol_gn)  # a refused integrand or rule fails before any sampling
     direct_all = integrate_direct(action, fs, args.seed + 1000, args.n, args.chunks, args.workers)
@@ -185,7 +185,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_volumes(args) -> int:
     action = _parse_action(args.action)
-    fs = _parse_functions(args.functions) if args.functions else _default_functions(action)
+    fs = _default_functions(action) if args.functions is None else _parse_functions(args.functions)
     calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers, args.n_sigma)
     vol_gh, vol_gn, vol_w = vol_gh_estimate(action), calib.combined, w_group_volume(action)
     # vol(G/H) = vol(G/N) vol(W), where only the calibrated vol(G/N) has an error

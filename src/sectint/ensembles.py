@@ -7,9 +7,10 @@ statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
 chi-square test; the kind of action supplies its statistics (its
 ``statistics``, the default first), their ambient draws, and the
-reference side with its bins.  A direct sum's reference is exact draws
-of the Gaussian density times the weight (``actions.bartlett_draws``),
-each of which checks the paper's closed-form weight
+reference side, sized and binned, in one call.  A direct sum's reference
+is exact draws of the Gaussian density times the weight
+(``actions.bartlett_draws``) in bins of equal draw counts, each of
+which checks the paper's closed-form weight
 ``weights.section_weight_batch``: weight times Gaussian times Jacobian
 over the draws' density must be one constant, up to rounding.  On
 conjugation the section density is Weyl's closed-form weight
@@ -75,7 +76,7 @@ class HistogramComparison:
     chi2: float
     dof: int
     p_value: float
-    weight_ratio_spread: float | None = None  # of the direct-sum reference draws (reference_sample)
+    weight_ratio_spread: float | None = None  # of the direct-sum reference draws
 
     def to_json(self) -> dict:
         """The test's outcome and the statistic it read, the kind's default
@@ -121,36 +122,31 @@ def chi2_tail(dof: int, x: float) -> float:
     """P(X >= x) for X chi-square with an integer dof >= 1 (Abramowitz and
     Stegun 26.4.4-26.4.5): erfc(sqrt(x/2)) for odd dof, plus dof // 2
     terms (x/2)^j / j! e^(-x/2), or sqrt(2x/pi) x^j / (3 5 ... (2j+1))
-    e^(-x/2) for odd dof.  Each term comes from the previous one, starting
-    at e^(-x/2), so a huge x gives 0 rather than NaN.
+    e^(-x/2) for odd dof.  Each term is carried as its logarithm, from
+    -x/2 on, so no term underflows where e^(-x/2) does; a huge x gives 0.
     """
+    if x == 0.0:
+        return 1.0
     odd = dof % 2
     total = math.erfc(math.sqrt(0.5 * x)) if odd else 0.0
-    term = math.exp(-0.5 * x) * (math.sqrt(2.0 * x / math.pi) if odd else 1.0)
+    log_term = -0.5 * x + (0.5 * math.log(2.0 * x / math.pi) if odd else 0.0)
     for j in range(dof // 2):
-        total += term
-        term *= 0.5 * x / (j + 1 + 0.5 * odd)
+        total += math.exp(log_term)
+        log_term += math.log(0.5 * x / (j + 1 + 0.5 * odd))
     return total
 
 
-def compare_densities(
-    spec: EnsembleSpec,
-    seed: int,
-    n: int,
-    bins: int = 30,
-    n_ref: int | None = None,
-    chunks: int = 16,
-) -> HistogramComparison:
+def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chunks: int = 16) -> HistogramComparison:
     """Chi-square comparison of reduced-sample statistics vs the weighted
     section density.
 
     The kind's ensemble_reference makes the reference side much tighter
     than the empirical side, so that the chi-square statistic is dominated
-    by sampling noise: exact draws of the section density on direct sums
-    (n_ref of them, by default max(30 n, 60000)) in bins of equal mass,
-    exact bin quadrature for rank-one torus angles, and Weyl's weight on a
-    fine angle grid at higher rank, in bins of equal width.  The statistic
-    is divided by the reference's own noise, 1 + n / n_ref for draws; the
+    by sampling noise: n_ref = max(30 n, 60000) exact draws of the section
+    density on direct sums in bins of equal draw counts, exact bin
+    quadrature for rank-one torus angles, and Weyl's weight on a fine
+    angle grid at higher rank, in bins of equal width.  The statistic is
+    divided by the reference's own noise, 1 + n / n_ref for draws; the
     comparison also carries the relative spread of the draws' weight
     ratio, which exceeds WEIGHT_RATIO_TOL only if section_weight_batch or
     the draws are off the paper's density.  Fewer than two bins, asked for
@@ -160,8 +156,7 @@ def compare_densities(
     if bins < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
     stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks)
-    n_ref = n_ref or max(30 * n, 60_000)
-    edges, ref_freq, spread, noise = spec.action.ensemble_reference(spec, stats, bins, _subseed(seed, 1), n_ref)
+    edges, ref_freq, spread, noise = spec.action.ensemble_reference(spec, stats, bins, _subseed(seed, 1))
     emp_counts, _ = np.histogram(stats, bins=edges)
     emp_freq = emp_counts / np.sum(emp_counts)
 

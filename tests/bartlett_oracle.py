@@ -45,8 +45,8 @@ def bartlett_draws_unblocked(action: DirectSumAction, rng: np.random.Generator, 
     return z, log_jacobian - 0.5 * np.sum(z * z, axis=1) - log_q
 
 
-def bartlett_reference_unblocked(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Statistics, weights and weight-ratio spread of n_ref draws, each
+def bartlett_reference_unblocked(spec: EnsembleSpec, seed: int, n_ref: int) -> tuple[np.ndarray, float]:
+    """Statistics and weight-ratio spread of n_ref draws, each
     REF_BLOCK block of draws evaluated whole."""
     action, scale, k = spec.action, abs(spec.scale), spec.action.k
     field = action.field if k > 1 else ScalarField.REAL
@@ -62,5 +62,4 @@ def bartlett_reference_unblocked(spec: EnsembleSpec, seed: int, n_ref: int) -> t
             stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))
         else:
             stats.append(_coordinate_statistics(spec, field, comps))
-    spread = float(np.expm1(hi - lo))
-    return np.concatenate(stats), np.full(n_ref, 1.0 / n_ref), spread
+    return np.concatenate(stats), float(np.expm1(hi - lo))

@@ -579,6 +579,26 @@ def test_bad_action_exits_2(capsys, action):
     assert "bad --action" in err
 
 
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+@pytest.mark.parametrize("flag", ["--action", "--point"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, flag, inline):
+    # json.loads raised RecursionError, which left the run with a traceback
+    text = "[" * 100_000
+    if not inline:
+        (tmp_path / "deep.json").write_text(text)
+        text = f"@{tmp_path / 'deep.json'}"
+    args = {"--action": SO3K2, "--point": "[[1,0],[0,1]]", flag: text}
+    err = _exits_2_with_one_line(capsys, ["delta", *(x for item in args.items() for x in item)])
+    assert f"bad {flag}" in err and "recursion" in err
+
+
+@pytest.mark.parametrize("command", ["integrate", "volumes"])
+def test_empty_functions_exits_2(capsys, command):
+    # an empty --functions ran the default integrands, while config echoed ""
+    err = _exits_2_with_one_line(capsys, [command, "--action", SO3K2, "--n", "100", "--functions", ""])
+    assert "unknown test function ''" in err
+
+
 @pytest.mark.parametrize(
     "action, point",
     [(SO3K2, "[[1,2]]"), (SO3K2, "[1,2]"), (SO3K2, "[[1,2],[3]]"), (SO3K2, "[[1,2"),
@@ -940,6 +960,23 @@ def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, actio
     ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]
     assert code == 1 and rep["pass"] is False
     assert not ratio["pass"] and ratio["value"] > 1e-3
+
+
+def test_ensemble_with_more_bins_than_reference_draws(capsys):
+    # 100000 bins over 60000 reference draws: the empty bins' edges repeat, and merging leaves the test
+    argv = ["ensemble", "--action", SO3K2, "--n", "1000", "--bins", "100000"]
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["pass"] is True and rep["results"]["dof"] >= 1
+
+
+def test_ensemble_p_value_above_a_thousand_dof(capsys):
+    # the chi-square tail's terms started at e^(-x/2), which is 0 here: p read 0.0 on 2999 dof
+    from scipy import stats
+
+    code, rep = run_cli(capsys, ["ensemble", "--action", SO3K2, "--bins", "3000", "--n", "30000"])
+    res = rep["results"]
+    assert res["dof"] == 2999 and code == 0
+    assert res["p_value"] == pytest.approx(float(stats.chi2.sf(res["chi2"], res["dof"])), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("seed", [None, "1", "2"])

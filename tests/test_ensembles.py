@@ -203,8 +203,8 @@ def test_det_second_moment_two_sided():
     stats = sample_ensemble(spec, seed=3, n=50_000)
     m_mean = np.mean(stats ** 2)
     m_se = np.std(stats ** 2, ddof=1) / np.sqrt(stats.size)
-    rs, rw, _ = spec.action.reference_sample(spec, 4, 2_000_000)
-    s_mean = np.sum(rw * rs ** 2)
+    rs, _ = spec.action.reference_sample(spec, 4, 2_000_000)
+    s_mean = np.mean(rs ** 2)
     assert abs(m_mean - s_mean) <= 4 * m_se
 
 
@@ -213,20 +213,8 @@ def test_polar_reference_det_second_moment(field, n):
     # k = 1: |det| of the real section coordinate is |x|, whose second
     # moment under the standard Gaussian on K^n is the real dimension d n
     spec = EnsembleSpec(DirectSumAction(field, n, 1), 1.0, "coordinate_det")
-    rs, rw, _ = spec.action.reference_sample(spec, 0, 200_000)
-    assert np.sum(rw * rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
-
-
-def test_reference_weights_normalized():
-    for spec in [EnsembleSpec(SO3K2, 1.0, "coordinate_det"), EnsembleSpec(SU2CONJ, 1.0, "torus_angle")]:
-        _, w, _ = spec.action.reference_sample(spec, 0, 10_000)
-        assert abs(w.sum() - 1.0) < 1e-12
-    # the direct-sum draws are exact: each weighs 1 / n_ref, and the
-    # effective sample size is their count
-    spec = EnsembleSpec(SO3K2, 1.0, "coordinate_det")
-    _, w, _ = spec.action.reference_sample(spec, 0, 10_000)
-    assert np.all(w == 1.0 / 10_000)
-    assert 1.0 / np.sum(w * w) == pytest.approx(10_000, rel=1e-12)
+    rs, _ = spec.action.reference_sample(spec, 0, 200_000)
+    assert np.mean(rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
 
 
 DIRECT_ROWS = [SO3K2] + [DirectSumAction(f, n, k) for f, n, k in
@@ -239,12 +227,12 @@ def test_reference_draws_follow_the_weighted_density(action, scale):
     # the weight ratio of every draw is one constant, and the second moment
     # of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
     spec = EnsembleSpec(action, scale, "coordinate_det")
-    rs, rw, spread = action.reference_sample(spec, 5, 100_000)
+    rs, spread = action.reference_sample(spec, 5, 100_000)
     assert spread <= 1e-10
     d, n, k = action.field.dim, action.n, action.k
     exact = scale ** (2 * k) * np.prod([d * (n - i) for i in range(k)])
     stderr = np.std(rs ** 2, ddof=1) / np.sqrt(rs.size)
-    assert abs(np.sum(rw * rs ** 2) - exact) <= 4 * stderr
+    assert abs(np.mean(rs ** 2) - exact) <= 4 * stderr
 
 
 def test_reference_blocks_extend_the_stream():
@@ -252,9 +240,9 @@ def test_reference_blocks_extend_the_stream():
     from sectint.actions import REF_BLOCK
 
     spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "coordinate_norm")
-    short, _, _ = spec.action.reference_sample(spec, 7, REF_BLOCK + 10)
-    long, w, _ = spec.action.reference_sample(spec, 7, 2 * REF_BLOCK + 3)
-    assert long.shape == w.shape == (2 * REF_BLOCK + 3,)
+    short, _ = spec.action.reference_sample(spec, 7, REF_BLOCK + 10)
+    long, _ = spec.action.reference_sample(spec, 7, 2 * REF_BLOCK + 3)
+    assert long.shape == (2 * REF_BLOCK + 3,)
     np.testing.assert_array_equal(long[:REF_BLOCK], short[:REF_BLOCK])
 
 
@@ -269,10 +257,9 @@ def test_blocked_reference_matches_unblocked_oracle(action, stat):
 
     spec = EnsembleSpec(action, -2.5, stat)
     for n_ref in (60_000, REF_BLOCK + 10, 2 * REF_BLOCK + 3):
-        stats, w, spread = spec.action.reference_sample(spec, 9, n_ref)
-        o_stats, o_w, o_spread = bartlett_reference_unblocked(spec, 9, n_ref)
+        stats, spread = spec.action.reference_sample(spec, 9, n_ref)
+        o_stats, o_spread = bartlett_reference_unblocked(spec, 9, n_ref)
         np.testing.assert_array_equal(stats, o_stats)
-        np.testing.assert_array_equal(w, o_w)
         assert spread == o_spread
 
 
@@ -283,7 +270,7 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
     from sectint.matrices import from_real_vector
 
     spec = EnsembleSpec(action, 1.5, stat)
-    rs, _, _ = spec.action.reference_sample(spec, 3, 40)
+    rs, _ = spec.action.reference_sample(spec, 3, 40)
     draws = np.concatenate([z for z, _ in bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)])
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
               for p in action.section_points(1.5 * draws)]
@@ -356,31 +343,31 @@ def test_su2_second_angle_is_binned_on_its_own_range(seed):
 def test_p_value_is_chi2_survival(action, statistic):
     from scipy import stats
 
-    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=5, n=2000, bins=20, n_ref=60_000)
+    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=5, n=2000, bins=20)
     # the closed-form tail agrees with scipy's to rounding level
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
     assert cmp_.p_value == pytest.approx(float(stats.chi2.sf(cmp_.chi2, cmp_.dof)), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
-    "action, statistic, n_ref",
+    "action, statistic, n",
     [
-        (SO3K2, "coordinate_det", 60_000),
-        (DirectSumAction(ScalarField.COMPLEX, 4, 2), "coordinate_det", 6_000),
-        (DirectSumAction(H, 3, 1), "coordinate_norm", 10_000),
-        (ConjugationAction(GroupSpec(Family.SU, 3)), "torus_angle", None),
+        (SO3K2, "coordinate_det", 2000),
+        (DirectSumAction(ScalarField.COMPLEX, 4, 2), "coordinate_det", 3000),
+        (DirectSumAction(H, 3, 1), "coordinate_norm", 1000),
+        (ConjugationAction(GroupSpec(Family.SU, 3)), "torus_angle", 2000),
     ],
     ids=str,
 )
-def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n_ref):
-    # n_ref equal reference draws add n / n_ref to each bin's variance, so
-    # the direct-sum statistic is the plain one over 1 + n / n_ref; the
-    # torus grid's masses carry no such noise and keep the plain statistic
-    n = 2000
-    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=7, n=n, bins=20, n_ref=n_ref)
+def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n):
+    # n_ref = max(30 n, 60000) equal reference draws add n / n_ref to each
+    # bin's variance, so the direct-sum statistic is the plain one over
+    # 1 + n / n_ref; the torus grid's masses carry no such noise and keep
+    # the plain statistic
+    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=7, n=n, bins=20)
     obs, exp = _merge_small_bins(np.rint(cmp_.empirical * n), n * cmp_.reference)
     plain = float(np.sum((obs - exp) ** 2 / exp))
-    scale = 1.0 + n / n_ref if isinstance(action, DirectSumAction) else 1.0
+    scale = 1.0 + n / max(30 * n, 60_000) if isinstance(action, DirectSumAction) else 1.0
     assert cmp_.dof == len(obs) - 1
     assert cmp_.chi2 == pytest.approx(plain / scale, rel=1e-12, abs=0)
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
@@ -410,26 +397,23 @@ def test_merge_small_bins_is_linear_in_the_bins():
     assert len(merged) == 5_000 and np.all(merged == 5.0) and np.all(obs == 20.0)
 
 
+@pytest.mark.parametrize("bins", [2, 20, 100_000])
 @pytest.mark.parametrize("n_ref", [1, 2, 7, 60_000, 90_000])
-def test_one_sort_bins_match_quantile_and_histogram(n_ref):
-    # the edges are np.quantile's and the masses np.histogram's bit for bit
-    # up to its 65536-draw block (n_ref = 90000 is --n 3000's); past it
-    # np.histogram adds one cumulative sum per block, and the two sums of
-    # n_ref equal weights each round by up to about n_ref eps
+def test_equal_draw_bins_hold_equal_draw_counts(n_ref, bins):
+    # every bin holds n_ref // bins or n_ref // bins + 1 of the draws, also
+    # where bins outnumber draws and the edges of the empty bins repeat;
+    # np.histogram of the draws over the edges counts them there
     from sectint.actions import _equal_draw_bins
 
     spec = EnsembleSpec(DirectSumAction(C, 4, 2))
-    ref_stats, ref_w, _ = spec.action.reference_sample(spec, 2, n_ref)
+    ref_stats, _ = spec.action.reference_sample(spec, 2, n_ref)
     lo, hi = ref_stats.min() - 0.5, ref_stats.max() + 1e-12
-    edges, masses = _equal_draw_bins(ref_stats, ref_w, 20, lo, hi)
-    oracle = np.quantile(ref_stats, np.linspace(0.0, 1.0, 21))
-    oracle[0], oracle[-1] = lo, hi
-    oracle_masses, _ = np.histogram(ref_stats, bins=oracle, weights=ref_w)
-    np.testing.assert_array_equal(edges, oracle)
-    if n_ref <= 65_536:
-        np.testing.assert_array_equal(masses, oracle_masses)
-    else:
-        np.testing.assert_allclose(masses, oracle_masses, rtol=0, atol=n_ref * np.finfo(float).eps)
+    edges, masses = _equal_draw_bins(ref_stats, bins, lo, hi)
+    counts = np.rint(masses * n_ref)
+    assert edges.shape == (bins + 1,) and (edges[0], edges[-1]) == (lo, hi) and np.all(np.diff(edges) >= 0)
+    np.testing.assert_array_equal(masses, counts / n_ref)
+    assert set(np.unique(counts)) <= {n_ref // bins, n_ref // bins + 1} and counts.sum() == n_ref
+    np.testing.assert_array_equal(np.histogram(ref_stats, bins=edges)[0], counts)
 
 
 def test_chi2_tail_matches_scipy():
@@ -439,6 +423,19 @@ def test_chi2_tail_matches_scipy():
     for dof in range(1, 60):
         for x in np.geomspace(0.01, 400.0, 120):
             assert chi2_tail(dof, float(x)) == pytest.approx(chdtrc(dof, x), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dofs", [range(1351, 1501), [2999, 18332]], ids=["1351-1500", "2999,18332"])
+def test_chi2_tail_above_a_thousand_dof_matches_scipy(dofs):
+    # the terms started at e^(-x/2), which is 0 past x = 1490, so the tail
+    # read 0.0 from about 1400 dof on, however well a histogram fitted
+    from scipy import stats
+
+    for dof in dofs:
+        for tail in (1e-8, 1e-4, 0.01, 0.5, 0.99, 1 - 1e-6):
+            x = float(stats.chi2.isf(tail, dof))
+            assert chi2_tail(dof, x) == pytest.approx(float(stats.chi2.sf(x, dof)), rel=1e-9, abs=0)
+    assert chi2_tail(1500, 1500.0) == pytest.approx(0.49514419333577, rel=1e-12)
 
 
 @pytest.mark.parametrize("dof", [1, 2, 7, 30, 59])

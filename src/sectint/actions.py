@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, brief
 from .matrices import (
     COMPLEX,
     QUATERNION,
@@ -402,26 +402,24 @@ class DirectSumAction(ActionSpec):
     def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, float]:
         """Statistics and weight-ratio spread of n_ref exact draws of p * weight:
         bartlett_draws scaled by |scale|, in blocks of REF_BLOCK draws seeded
-        (seed, block), each evaluated a row block at a time.  At each draw
-        section_weight_batch times the Gaussian and Jacobian over the draws'
-        density is one constant; the spread is max / min - 1 of that ratio,
+        (seed, block), each evaluated a row block at a time.  The weight is a
+        constant times |det R|^p (p of _bartlett_axes), and |det R| is the
+        product of R's diagonal, so section_weight_batch / |det R|^p is one
+        constant over the draws; the spread is max / min - 1 of that ratio,
         at rounding level however many draws (gram_det keeps its digits at
-        nearly dependent columns).  The statistics are read off the
-        triangular R, whose |det| is its diagonal's product."""
-        scale, k = abs(spec.scale), self.k
+        nearly dependent columns).  The statistics are read off R too."""
+        scale, k, power = abs(spec.scale), self.k, _bartlett_axes(self)[1]
         field = self.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
         stats, lo, hi = [], np.inf, -np.inf
         for block, start in enumerate(range(0, n_ref, REF_BLOCK)):
             rng = np.random.default_rng(_subseed(seed, block))
-            for z, log_factor in bartlett_draws(self, rng, min(REF_BLOCK, n_ref - start)):
+            for z in bartlett_draws(self, rng, min(REF_BLOCK, n_ref - start)):
                 z *= scale
                 comps = z.reshape(len(z), k, k, field.dim)
-                log_ratio = np.log(section_weight_batch(self, z)) + log_factor
+                det = np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1)  # real on R's diagonal
+                log_ratio = np.log(section_weight_batch(self, z)) - power * np.log(det)
                 lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
-                if spec.statistic == "coordinate_det":
-                    stats.append(np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1))  # real on R's diagonal
-                else:
-                    stats.append(_coordinate_statistics(spec, field, comps))
+                stats.append(det if spec.statistic == "coordinate_det" else _coordinate_statistics(spec, field, comps))
         return np.concatenate(stats), float(np.expm1(hi - lo))
 
     def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int):
@@ -678,9 +676,9 @@ def action_from_json(obj: dict) -> ActionSpec:
     """The action of its JSON object, which holds exactly the keys its kind reads."""
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _ACTION_KEYS:
-        raise ValueError(f"unknown action kind {kind!r}")
+        raise ValueError(f"unknown action kind {brief(kind)}")
     if extra := sorted(obj.keys() - _ACTION_KEYS[kind]):
-        raise ValueError(f"a {kind} action takes no key {', '.join(map(repr, extra))}")
+        raise ValueError(f"a {kind} action takes no key {brief(*extra)}")
     if kind == "direct_sum":
         return DirectSumAction(ScalarField.parse(obj["field"]), _size(obj, "n"), _size(obj, "k"))
     return ConjugationAction(GroupSpec(Family.parse(obj["family"]), _size(obj, "n")))
@@ -690,14 +688,14 @@ def _size(obj: dict, key: str) -> int:
     """obj[key], which must be a JSON integer: not a bool, float or string."""
     value = obj[key]
     if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {brief(value)}")
     return value
 
 
 def _number(raw, where: str) -> float:
     """A JSON number, not a bool, as a float; where names its place in the point."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"point parse error at {where}: expected a number, got {raw!r}")
+        raise ValueError(f"point parse error at {where}: expected a number, got {brief(raw)}")
     try:
         return float(raw)
     except OverflowError:  # a JSON integer beyond the float range
@@ -709,7 +707,7 @@ def _parse_entry(field: ScalarField, raw, i: int, j: int):
     where, d = f"row {i + 1}, column {j + 1}", field.dim
     if isinstance(raw, list) and d > 1:
         if len(raw) != d:
-            raise ValueError(f"point parse error at {where}: expected {d} components, got {raw!r}")
+            raise ValueError(f"point parse error at {where}: expected {d} components, got {brief(raw)}")
         parts = [_number(v, where) for v in raw]
     else:
         parts = [_number(raw, where)] + [0.0] * (d - 1)
@@ -803,10 +801,6 @@ class OrbitMapDifferential:
     @property
     def w_block(self) -> np.ndarray:
         return self.matrix[..., : self.n_tan, : self.n_w]
-
-    @property
-    def m_block(self) -> np.ndarray:
-        return self.matrix[..., self.n_tan :, self.n_w :]
 
     def off_block_residual(self) -> float | np.ndarray:
         """Largest stray entry outside the two diagonal blocks."""
@@ -1156,7 +1150,11 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
     a weight of a constant times |t|^p, p = dn - 1.  The constant C makes
     the Jacobian exact on e^(-|B|^2/2): its integral (2 pi)^(D/2) over
     the D-dimensional section equals C times the product of the axes'
-    masses.
+    masses.  So the density e^(-|B|^2/2) * weight is a product law on R
+    (Bartlett's decomposition; Edelman and Rao, Acta Numerica 2005):
+    r_ii ~ chi with b_i + p + 1 = d(n - i + 1) degrees of freedom, t >= 0
+    ~ chi_(dn) on the polar line, and N(0, 1) on each axis above the
+    diagonal.
     """
     d, n, k = action.field.dim, action.n, action.k
     power = d * n - 1 if k == 1 else d * (n - k)
@@ -1174,43 +1172,21 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
 
 def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int):
     """count exact draws of the section density e^(-|B|^2/2) * weight of
-    a direct sum, yielded in blocks of at most _ROW_BLOCK draws: the
-    draws (block, section_dim) as triangular R, and per draw the log of
-    e^(-|R|^2/2) times the Jacobian prod r_ii^(b_i) over the draws'
-    density.  That log is minus the log of the weight plus one constant,
-    so section_weight_batch times its exp is the same at every draw.
-
-    In the coordinates B = wR of _bartlett_axes the law is a product
-    (Bartlett's decomposition; Edelman and Rao, Acta Numerica 2005):
-    r_ii ~ chi with nu_i = b_i + p + 1 = d(n - i + 1) degrees of freedom
-    on each diagonal axis and N(0, 1) on each axis above it; on the
-    polar line (k = 1) |t| ~ chi_(dn) with a random sign.  All count
-    draws are made first, the axes in their order into one (axes, count)
-    array, then the signs, so the stream does not depend on the blocks;
-    only a block's rows are ever laid out as R.
+    a direct sum: the triangular R of B = wR, with its law of
+    _bartlett_axes, yielded in blocks (block, section_dim) of at most
+    _ROW_BLOCK draws.  All count draws are made first, the axes in their
+    order into one (axes, count) array, so the stream does not depend on
+    the blocks; only a block's rows are ever laid out as R.
     """
     axes, power, _ = _bartlett_axes(action)
     draws = np.empty((len(axes), count))
     for row, (_, b) in zip(draws, axes):
         row[:] = rng.standard_normal(count) if b is None else np.sqrt(rng.chisquare(b + power + 1, count))
-    signs = np.where(rng.random(count) < 0.5, -1.0, 1.0) if action.k == 1 else None
+    cols = [col for col, _ in axes]
     for lo in range(0, count, _ROW_BLOCK):
-        block = draws[:, lo : lo + _ROW_BLOCK]
-        rows = block.shape[1]
-        z = np.zeros((rows, action.section_dim))
-        log_q = np.full(rows, -np.log(2.0) if action.k == 1 else 0.0)  # the sign halves the polar density
-        log_jacobian = np.zeros(rows)
-        for (col, b), x in zip(axes, block):
-            if b is None:
-                log_q -= 0.5 * (x * x + np.log(TWO_PI))
-            else:
-                nu = b + power + 1
-                log_q += (nu - 1) * np.log(x) - 0.5 * x * x - (0.5 * nu - 1) * np.log(2.0) - math.lgamma(0.5 * nu)
-                log_jacobian += b * np.log(x)
-            z[:, col] = x
-        if signs is not None:
-            z[:, 0] *= signs[lo : lo + rows]
-        yield z, log_jacobian - 0.5 * np.sum(z * z, axis=1) - log_q
+        z = np.zeros((min(_ROW_BLOCK, count - lo), action.section_dim))
+        z[:, cols] = draws[:, lo : lo + _ROW_BLOCK].T
+        yield z
 
 
 # --- ensemble references ----------------------------------------------------

@@ -11,8 +11,8 @@ reference side, sized and binned, in one call.  A direct sum's reference
 is exact draws of the Gaussian density times the weight
 (``actions.bartlett_draws``) in bins of equal draw counts, each of
 which checks the paper's closed-form weight
-``weights.section_weight_batch``: weight times Gaussian times Jacobian
-over the draws' density must be one constant, up to rounding.  On
+``weights.section_weight_batch``: the draws are the triangular R of
+B = wR, and weight / |det R|^p must be one constant, up to rounding.  On
 conjugation the section density is Weyl's closed-form weight
 ``weights.torus_weight_batch`` on the torus angles.  The p-value is the
 chi-square tail at an integer number of degrees of freedom, a finite
@@ -148,8 +148,9 @@ def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chu
     angle grid at higher rank, in bins of equal width.  The statistic is
     divided by the reference's own noise, 1 + n / n_ref for draws; the
     comparison also carries the relative spread of the draws' weight
-    ratio, which exceeds WEIGHT_RATIO_TOL only if section_weight_batch or
-    the draws are off the paper's density.  Fewer than two bins, asked for
+    ratio weight / |det R|^p, which exceeds WEIGHT_RATIO_TOL only if
+    section_weight_batch is off the paper's closed form or the draws off
+    its density.  Fewer than two bins, asked for
     or left after merging the bins whose expected count is below
     MIN_EXPECTED, would make the test vacuous and are rejected.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, brief
 from .matrices import (
     COMPLEX,
     QUATERNION,
@@ -48,7 +48,7 @@ class Family(enum.Enum):
         for fam in cls:
             if isinstance(label, str) and fam.value.lower() == label.lower():
                 return fam
-        raise ValueError(f"unknown group family {label!r}, expected SO, SU or Sp")
+        raise ValueError(f"unknown group family {brief(label)}, expected SO, SU or Sp")
 
 
 _FAMILY_FIELDS = {"SO": REAL, "SU": COMPLEX, "Sp": QUATERNION}  # keyed on the value, as in fields

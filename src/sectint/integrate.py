@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import brief
 from .matrices import gram_det
 from .actions import ActionSpec, ConjugationAction, DirectSumAction
 from .weights import section_weight_batch  # noqa: F401  perfbench/tracing.py traces this binding
@@ -82,11 +83,11 @@ class TestFunction:
 
 def make_test_function(name: str, **params) -> TestFunction:
     if name not in _FAMILIES:
-        raise ValueError(f"unknown test function {name!r}; known: {sorted(_FAMILIES)}")
+        raise ValueError(f"unknown test function {brief(name)}; known: {sorted(_FAMILIES)}")
     declared = _FAMILIES[name].params
     for key in params:
         if key not in declared:
-            raise ValueError(f"{name} has no parameter {key!r}; its parameters: {sorted(declared) or 'none'}")
+            raise ValueError(f"{name} has no parameter {brief(key)}; its parameters: {sorted(declared) or 'none'}")
     if "sigma" in params:
         sigma = float(params["sigma"])
         if sigma == 0.0 or not math.isfinite(sigma):

@@ -93,10 +93,8 @@ def delta_e_closed_form(field: ScalarField, n: int, k: int, b: MatK | np.ndarray
 
 def delta_d(action: ActionSpec, s: MatK) -> float:
     """Weyl-block determinant at one point, as ``sectint delta`` reports it:
-    0 where the block itself is singular, and 1 on polar actions by the
-    empty-product rule, with no evaluation."""
-    if not len(algebra_split(action).w_rows):
-        return 1.0
+    0 where the block itself is singular, and 1 on polar actions, whose
+    Weyl block is empty (abs_det_between's empty product)."""
     return float(orbit_map_differential(action, s).delta_d())
 
 

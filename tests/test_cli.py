@@ -592,6 +592,50 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, flag, inline):
     assert f"bad {flag}" in err and "recursion" in err
 
 
+def _direct(**entries) -> str:
+    return json.dumps({"kind": "direct_sum", "field": "R", "n": 3, "k": 2, **entries})
+
+
+def _nested(depth: int) -> list:
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# each bad input: argv of a value, a long value, a short one and its exact echo
+ECHOED_INPUTS = {
+    "number": (lambda v: ["delta", "--action", SO3K2, "--point", json.dumps([[v, 0], [0, 1]])],
+               "x" * 3000, "x", "expected a number, got 'x'"),
+    "angle": (lambda v: ["delta", "--action", SU2, "--point", json.dumps({"angles": [v]})],
+              _nested(900), [[1]], "at angle 1: expected a number, got [[1]]"),
+    "components": (lambda v: ["delta", "--action", H32, "--point", json.dumps([[v, 0], [0, 1]])],
+                   list(range(1000)), [1, 2], "expected 4 components, got [1, 2]"),
+    "size": (lambda v: ["delta", "--action", _direct(n=v), "--point", "[[1,0],[0,1]]"],
+             "3" * 3000, "3", "n must be an integer, got '3'"),
+    "kind": (lambda v: ["verify", "--action", json.dumps({"kind": v})], "k" * 3000, "polar",
+             "unknown action kind 'polar'"),
+    "keys": (lambda v: ["verify", "--action", _direct(**dict.fromkeys(v, 1))],
+             [f"key{i:04d}" * 50 for i in range(100)], ["b", "a"], "takes no key 'a', 'b'"),
+    "family": (lambda v: ["verify", "--action", json.dumps({"kind": "conjugation", "family": v, "n": 2})],
+               "S" * 3000, "SQ", "unknown group family 'SQ'"),
+    "field": (lambda v: ["verify", "--action", _direct(field=v)], "F" * 3000, "Q", "unknown scalar field 'Q'"),
+    "function": (lambda v: ["integrate", "--action", SO3K2, "--n", "100", "--functions", v],
+                 "f" * 3000, "bessel", "unknown test function 'bessel'"),
+    "parameter": (lambda v: ["integrate", "--action", SO3K2, "--n", "100", "--functions", f"gaussian_radial:{v}=1"],
+                  "p" * 3000, "mu", "gaussian_radial has no parameter 'mu'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECHOED_INPUTS))
+def test_echoed_bad_input_is_one_short_line(capsys, case):
+    # the errors echoed the whole bad value, kilobytes of it on one line
+    argv, long, short, echo = ECHOED_INPUTS[case]
+    err = _exits_2_with_one_line(capsys, argv(long))
+    assert len(err.encode()) < 300
+    assert echo in _exits_2_with_one_line(capsys, argv(short))
+
+
 @pytest.mark.parametrize("command", ["integrate", "volumes"])
 def test_empty_functions_exits_2(capsys, command):
     # an empty --functions ran the default integrands, while config echoed ""
@@ -942,19 +986,31 @@ def test_ensemble_checks_the_reference_weight_on_direct_sums(capsys, action):
     assert ratio["threshold"] == 1e-10 and ratio["pass"] and 0.0 <= ratio["value"] <= 1e-10
 
 
+def _wrong_power(action, z):
+    """sqrt(gram_det) of the section coordinate B: |det B|, or |t| on the polar line."""
+    from sectint.matrices import gram_det
+
+    k = action.k
+    field = action.field if k > 1 else ScalarField.REAL
+    return np.sqrt(gram_det(field, z.reshape(len(z), k, k, field.dim)))
+
+
+@pytest.mark.parametrize("corruption", ["shifted", "wrong_power"])
 @pytest.mark.parametrize("scale", ["1", "-2", "0.5"])
 @pytest.mark.parametrize("action", DIRECT_ROWS)
-def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, action, scale):
-    # a weight off the paper's by the factor 1 + |z_0| leaves the exact draws
-    # off its density, and the reference check fails the run
+def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, action, scale, corruption):
+    # a weight off the paper's by the factor 1 + |z_0|, or by one more power
+    # of |det B|, leaves the exact draws off its density, and the reference
+    # check fails the run
     import sys
 
     import sectint.weights
 
     original = sectint.weights.section_weight_batch
+    factor = {"shifted": lambda a, z: 1.0 + np.abs(z[:, 0]), "wrong_power": _wrong_power}[corruption]
     for name, module in list(sys.modules.items()):
         if name.startswith("sectint") and getattr(module, "section_weight_batch", None) is original:
-            monkeypatch.setattr(module, "section_weight_batch", lambda a, z: original(a, z) * (1.0 + np.abs(z[:, 0])))
+            monkeypatch.setattr(module, "section_weight_batch", lambda a, z: original(a, z) * factor(a, z))
     code, rep = run_cli(capsys, ["ensemble", "--action", action, "--seed", "3", "--n", "300", "--bins", "10",
                                  f"--scale={scale}"])
     ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]

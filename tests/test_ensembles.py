@@ -235,6 +235,22 @@ def test_reference_draws_follow_the_weighted_density(action, scale):
     assert abs(np.mean(rs ** 2) - exact) <= 4 * stderr
 
 
+@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
+def test_bartlett_draws_are_triangular_with_a_positive_diagonal(action):
+    # every block is the Weyl-reduced R: zero below the diagonal, a real
+    # positive diagonal, and t > 0 on the polar line, which drew a sign
+    from sectint.actions import _ROW_BLOCK
+
+    k, below = action.k, np.tril(np.ones((action.k, action.k), dtype=bool), -1)
+    blocks = list(bartlett_draws(action, np.random.default_rng(11), _ROW_BLOCK + 5))
+    assert [len(z) for z in blocks] == [_ROW_BLOCK, 5]
+    for z in blocks:
+        assert z.shape[1] == action.section_dim
+        comps = z.reshape(len(z), k, k, action.section_dim // (k * k))
+        assert np.all(comps[:, below] == 0.0)
+        assert np.all(comps[:, range(k), range(k), 0] > 0.0) and np.all(comps[:, range(k), range(k), 1:] == 0.0)
+
+
 def test_reference_blocks_extend_the_stream():
     # each block of draws has its own seed, so a longer reference keeps the shorter one as its prefix
     from sectint.actions import REF_BLOCK
@@ -271,7 +287,7 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
 
     spec = EnsembleSpec(action, 1.5, stat)
     rs, _ = spec.action.reference_sample(spec, 3, 40)
-    draws = np.concatenate([z for z, _ in bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)])
+    draws = np.concatenate(list(bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)))
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
               for p in action.section_points(1.5 * draws)]
     np.testing.assert_allclose(rs, oracle, rtol=1e-10, atol=0)

@@ -230,14 +230,14 @@ def test_one_point_reads_take_one_evaluation(monkeypatch, name):
 
 
 def test_delta_d_reads_the_weyl_block_only(monkeypatch):
-    # delta_d computes no weight, and on a polar action (no Weyl block) evaluates nothing
+    # delta_d computes no weight, and reads a polar action's empty Weyl block as 1
     s = from_real_vector(R, 3, 2, np.array([1.0, 0.5, -0.3, 2.0, 0.0, 0.0]))
     weights_calls = _count_calls(monkeypatch, "weights", "delta_e_batch")
     image_calls = _count_calls(monkeypatch, "actions", "killing_images")
     assert delta_d(R32, s) == weight_value(R32, s).delta_d
     assert (len(weights_calls), len(image_calls)) == (1, 2)  # weight_value's δ_E only
     assert delta_d(R41, from_real_vector(R, 4, 1, np.array([1.5, 0.0, 0.0, 0.0]))) == 1.0
-    assert (len(weights_calls), len(image_calls)) == (1, 2)
+    assert (len(weights_calls), len(image_calls)) == (1, 3)
 
 
 @pytest.mark.parametrize("action", [R32, SO3, SP2], ids=str)

@@ -143,7 +143,7 @@ def test_differential_block_matches_coordinate_multiplication():
     b = mat(R, [[1.0, -2.0], [0.5, 3.0]])
     s = embed_section(a, b)
     d = orbit_map_differential(a, s)
-    blk = d.m_block
+    blk = d.matrix[d.n_tan :, d.n_w :]
     n_rows = a.n - a.k
     size = a.field.dim * a.k
     expect_block = b.data.T / np.sqrt(2.0)

@@ -106,7 +106,7 @@ from .groups import (
     torus_weight_batch,
 )
 from .mc import McEstimate, _subseed, standard_normals
-from .volumes import _exact_group_volume, group_volume, torus_volume, weyl_group_order
+from .volumes import group_volume, torus_volume, weyl_group_order
 
 TWO_PI = 2.0 * np.pi
 _ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
@@ -312,7 +312,7 @@ class DirectSumAction(ActionSpec):
         n, k = self.n, self.k
         if k == 1:
             return 2.0
-        vol = _exact_group_volume(GroupSpec(self.group.family, k))
+        vol = group_volume(GroupSpec(self.group.family, k))
         if self.field is REAL:
             vol *= 2.0
         elif self.field is COMPLEX:
@@ -321,7 +321,7 @@ class DirectSumAction(ActionSpec):
 
     def stabilizer_volume(self) -> float:
         """vol(G(n - k)), the group of the normal rows."""
-        return _exact_group_volume(GroupSpec(self.group.family, self.n - self.k))
+        return group_volume(GroupSpec(self.group.family, self.n - self.k))
 
     def direct_sampler(self, values):
         """mc_run's sample(rngs, sizes) of standard-Gaussian importance
@@ -593,7 +593,7 @@ class ConjugationAction(ActionSpec):
         def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
             return values(batch_to_real(self.field, self.haar_draws(rngs, sizes)), None)
 
-        return sample, group_volume(self.group)
+        return sample, McEstimate.exact(group_volume(self.group))
 
     def haar_draws(self, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
         """Raw Haar samples of a batch: each chunk's haar_sample_batch, from one Householder pass."""

@@ -34,6 +34,7 @@ from .matrices import to_real_vector
 from .actions import ActionSpec, action_from_json, orbit_map_differentials
 from .checks import CheckResult, pointwise_checks, run_action_checks
 from .ensembles import WEIGHT_RATIO_TOL, EnsembleSpec, compare_densities
+from .fields import brief
 from .integrate import calibrate_vol_gn, integrate_direct, integrate_reduced, make_test_function
 from .mc import McEstimate, agree, default_workers
 from .volumes import vol_gh_estimate, w_group_volume
@@ -42,9 +43,12 @@ from .weights import delta_e_generic  # noqa: F401  perfbench/test_perfbench.py 
 
 def _finite(token: str) -> float:
     """A JSON number or NaN/Infinity token; only finite values are input."""
-    value = float(token)
+    try:
+        value = float(token)
+    except ValueError:  # float's own message repeats the whole token
+        raise ValueError(f"expected a number, got {brief(token)}") from None
     if not np.isfinite(value):
-        raise ValueError(f"non-finite number {token}")
+        raise ValueError(f"non-finite number {brief(token)}")
     return value
 
 
@@ -83,11 +87,11 @@ def _parse_functions(text: str):
             for kv in rest.split(":"):
                 key, _, val = (s.strip() for s in kv.partition("="))
                 if key in params:
-                    raise ValueError(f"bad --functions: parameter {key!r} of {name} given twice")
+                    raise ValueError(f"bad --functions: parameter {brief(key)} of {brief(name)} given twice")
                 try:
                     params[key] = _finite(val)
                 except ValueError as exc:
-                    raise ValueError(f"bad --functions parameter {kv.strip()!r} of {name}: {exc}") from None
+                    raise ValueError(f"bad --functions parameter {brief(key)} of {brief(name)}: {exc}") from None
         out.append(make_test_function(name, **params))
     return out
 
@@ -286,6 +290,9 @@ def main(argv=None) -> int:
         workers = getattr(args, "workers", None)  # options a subcommand does not take are absent
         if workers is not None and workers < 1:
             raise ValueError(f"--workers must be at least 1, got {workers}")
+        seed = getattr(args, "seed", 0)  # numpy's SeedSequence takes no negative seed
+        if seed < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
         for name in ("tol_rel", "tol_abs", "n_sigma", "p_threshold"):
             value = getattr(args, name, 0.0)
             if not np.isfinite(value):

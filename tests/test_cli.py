@@ -558,7 +558,7 @@ def test_torus_point_keys_besides_angles_exit_2(capsys):
 def test_function_parameter_given_twice_exits_2(capsys):
     # the last sigma won, silently
     argv = ["integrate", "--action", SO3K2, "--n", "200", "--functions", "gaussian_radial:sigma=1:sigma=3"]
-    assert "'sigma' of gaussian_radial given twice" in _exits_2_with_one_line(capsys, argv)
+    assert "'sigma' of 'gaussian_radial' given twice" in _exits_2_with_one_line(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -603,6 +603,7 @@ def _nested(depth: int) -> list:
     return value
 
 
+OVERFLOWING = "1." + "0" * 5000 + "e400"  # a JSON number whose float is inf
 # each bad input: argv of a value, a long value, a short one and its exact echo
 ECHOED_INPUTS = {
     "number": (lambda v: ["delta", "--action", SO3K2, "--point", json.dumps([[v, 0], [0, 1]])],
@@ -624,6 +625,14 @@ ECHOED_INPUTS = {
                  "f" * 3000, "bessel", "unknown test function 'bessel'"),
     "parameter": (lambda v: ["integrate", "--action", SO3K2, "--n", "100", "--functions", f"gaussian_radial:{v}=1"],
                   "p" * 3000, "mu", "gaussian_radial has no parameter 'mu'"),
+    "parameter value": (lambda v: ["integrate", "--action", SO3K2, "--n", "100", "--functions", f"gaussian_radial:sigma={v}"],
+                        "x" * 3000, "x", "expected a number, got 'x'"),
+    "repeated parameter": (lambda v: ["integrate", "--action", SO3K2, "--n", "100", "--functions", f"{v}:a=1:a=1"],
+                           "f" * 3000, "g", "parameter 'a' of 'g' given twice"),
+    "overflowing point": (lambda v: ["delta", "--action", SO3K2, "--point", f"[[{v}, 0], [0, 1]]"],
+                          OVERFLOWING, "1e400", "non-finite number '1e400'"),
+    "overflowing parameter": (lambda v: ["integrate", "--action", SO3K2, "--n", "100", "--functions",
+                                         f"gaussian_radial:sigma={v}"], OVERFLOWING, "1e400", "non-finite number '1e400'"),
 }
 
 
@@ -801,6 +810,14 @@ def test_non_finite_json_exits_2(capsys, tmp_path, source, option, action, point
     err = _exits_2_with_one_line(capsys, ["delta", "--action", args["--action"], "--point", args["--point"]])
     assert f"bad {option}" in err and "non-finite" in err
 
+
+
+@pytest.mark.parametrize("command", ["integrate", "verify", "ensemble", "volumes"])
+def test_negative_seed_exits_2(capsys, command):
+    # integrate ran -1 (its direct side draws from seed + 1000); the others
+    # exited with numpy's message, which names no option
+    err = _exits_2_with_one_line(capsys, [command, "--action", SO3K2, "--seed", "-1"])
+    assert "--seed must be a nonnegative integer, got -1" in err
 
 # --- verify -------------------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from sectint.groups import Family, GroupSpec, haar_sample_batch
 from sectint.integrate import make_test_function
 from sectint.matrices import batch_from_real, batch_to_real, from_real_vector, to_real_vector
 from sectint.mc import chunk_rngs
+from sectint.volumes import group_volume, torus_volume, vol_gh_estimate, w_group_volume
 from sectint.weights import delta_e_batch
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sectint"
@@ -201,6 +202,13 @@ def _chunk_statistic(spec, rng, size):
     else:
         comps = rng.standard_normal((size, n, k, field.dim))
     return _coordinate_statistics(spec, field, spec.scale * comps)
+
+
+@pytest.mark.parametrize("action", ROWS, ids=str)
+def test_volumes_are_plain_floats(action):
+    # group_volume returned an McEstimate, torus_volume a numpy float
+    volumes = [group_volume(action.group), torus_volume(action.group), w_group_volume(action), vol_gh_estimate(action)]
+    assert [type(v) for v in volumes] == [float] * 4 and min(volumes) > 0
 
 
 @pytest.mark.parametrize("action", ROWS, ids=str)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from chart_volume_oracle import chart_volume, structure_constants
 from sectint.fields import ScalarField
 from sectint.matrices import to_real_vector
 from sectint.groups import Family, GroupSpec, torus_point
@@ -34,21 +35,21 @@ def radial_chart_volume(ad_rate: float, angle_rate: float) -> float:
 
 
 def test_su2_volume_vs_radial_oracle():
-    est = group_volume(GroupSpec(Family.SU, 2), n_samples=300_000, seed=12)
+    est = chart_volume(GroupSpec(Family.SU, 2), 300_000, 12)
     oracle = radial_chart_volume(np.sqrt(2.0), 1.0 / np.sqrt(2.0))
     assert oracle == pytest.approx(2 * np.pi ** 2 * 2 ** 1.5, rel=1e-9)
     assert abs(est.mean - oracle) < 4 * est.stderr
 
 
 def test_sp1_volume_vs_radial_oracle():
-    est = group_volume(GroupSpec(Family.SP, 1), n_samples=300_000, seed=13)
+    est = chart_volume(GroupSpec(Family.SP, 1), 300_000, 13)
     oracle = radial_chart_volume(2.0, 1.0)
     assert oracle == pytest.approx(2 * np.pi ** 2, rel=1e-9)
     assert abs(est.mean - oracle) < 4 * est.stderr
 
 
 def test_so3_volume_vs_radial_oracle():
-    est = group_volume(GroupSpec(Family.SO, 3), n_samples=300_000, seed=14)
+    est = chart_volume(GroupSpec(Family.SO, 3), 300_000, 14)
     oracle = radial_chart_volume(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
     assert oracle == pytest.approx(16 * np.sqrt(2.0) * np.pi ** 2, rel=1e-9)
     assert abs(est.mean - oracle) < 4 * est.stderr
@@ -56,17 +57,20 @@ def test_so3_volume_vs_radial_oracle():
 
 def test_so4_volume_vs_sphere_recursion():
     # vol(SO(n)) = sqrt(2)^(n-1) area(S^(n-1)) vol(SO(n-1)) for this metric
-    est = group_volume(GroupSpec(Family.SO, 4), n_samples=300_000, seed=15)
+    est = chart_volume(GroupSpec(Family.SO, 4), 300_000, 15)
     target = 2 ** 1.5 * 2 * np.pi ** 2 * 16 * np.sqrt(2.0) * np.pi ** 2
     assert abs(est.mean - target) < 4 * est.stderr
 
 
 def test_trivial_and_abelian_groups_exact():
-    assert group_volume(GroupSpec(Family.SO, 1)).stderr == 0.0
-    assert group_volume(GroupSpec(Family.SO, 1)).mean == 1.0
-    so2 = group_volume(GroupSpec(Family.SO, 2))
-    assert so2.stderr == 0.0
-    assert so2.mean == pytest.approx(2 * np.sqrt(2.0) * np.pi)
+    assert group_volume(GroupSpec(Family.SO, 1)) == 1.0
+    assert group_volume(GroupSpec(Family.SO, 2)) == pytest.approx(2 * np.sqrt(2.0) * np.pi)
+
+
+def test_group_volume_takes_no_samples():
+    # the chart Monte Carlo is the test oracle chart_volume; group_volume is exact only
+    with pytest.raises(ValueError, match="n_samples"):
+        group_volume(GroupSpec(Family.SU, 2), n_samples=1)
 
 
 def test_torus_volume_vs_numeric_chart():
@@ -149,7 +153,7 @@ def test_volume_table_closes_for_su2_conjugation(capsys):
 def test_su3_volume_vs_sphere_recursion():
     # validates the angle-spread principal domain for trace-free unitary
     # algebras: vol(SU(n)) = 2^(n-1) sqrt(n/(n-1)) area(S^(2n-1)) vol(SU(n-1))
-    est = group_volume(GroupSpec(Family.SU, 3), n_samples=400_000, seed=33)
+    est = chart_volume(GroupSpec(Family.SU, 3), 400_000, 33)
     target = 4.0 * np.sqrt(1.5) * np.pi ** 3 * (2 * np.pi ** 2 * 2 ** 1.5)
     assert abs(est.mean - target) < 4 * est.stderr
 
@@ -172,13 +176,6 @@ def test_su3_conjugation_two_sided_identity():
     assert agree(direct, reduced, 3.5)
 
 
-def test_volume_estimates_deterministic():
-    a = GroupSpec(Family.SU, 2)
-    e1 = group_volume(a, n_samples=50_000, seed=5, chunks=8)
-    e2 = group_volume(a, n_samples=50_000, seed=5, chunks=8)
-    assert e1 == e2
-
-
 def sphere_area(dim: int) -> float:
     return 2 * np.pi ** ((dim + 1) / 2) / gamma((dim + 1) / 2)
 
@@ -194,10 +191,10 @@ FIBRATION_FACTOR = {
 @pytest.mark.parametrize("family, sizes", [(Family.SO, range(2, 7)), (Family.SU, range(2, 6)), (Family.SP, range(1, 4))])
 def test_exact_group_volumes_follow_sphere_recursion(family, sizes):
     for m in sizes:
-        est = group_volume(GroupSpec(family, m))
-        lower = group_volume(GroupSpec(family, m - 1)).mean if m > 1 else 1.0
-        assert est.stderr == 0.0 and est.mean > 0
-        assert est.mean / lower == pytest.approx(FIBRATION_FACTOR[family](m), rel=1e-12)
+        vol = group_volume(GroupSpec(family, m))
+        lower = group_volume(GroupSpec(family, m - 1)) if m > 1 else 1.0
+        assert vol > 0
+        assert vol / lower == pytest.approx(FIBRATION_FACTOR[family](m), rel=1e-12)
 
 
 def test_exact_group_volumes_known_values():
@@ -209,34 +206,8 @@ def test_exact_group_volumes_known_values():
         (Family.SP, 2): 8 * np.pi ** 6 / 3,
     }
     for (family, n), value in known.items():
-        assert group_volume(GroupSpec(family, n)).mean == pytest.approx(value, rel=1e-12)
-    assert group_volume(GroupSpec(Family.SP, 3)).mean > 0
-
-
-def block_chart_volume(group: GroupSpec, rows: np.ndarray, block: int, n_samples: int, seed: int):
-    """Exponential-chart Monte Carlo of the group that the orthonormal flat
-    algebra rows (q, D) generate, as in group_volume at sigma = pi, with the
-    principal domain (all |angles| < pi) read off the top-left block x block
-    corner of the embedded matrices alone."""
-    from sectint.matrices import batch_from_real
-    from sectint.mc import mc_run
-    from sectint.volumes import _dexp_factors, _structure_constants
-
-    q, sigma = len(rows), np.pi
-    data = batch_from_real(group.field, group.n, group.n, rows)
-    cstruct = _structure_constants(group.field, data).reshape(q, -1)
-    bflat = np.array(data, dtype=complex).reshape(q, -1)
-    log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
-
-    def sample(rngs, sizes):
-        z = np.concatenate([rng.standard_normal((size, q)) for rng, size in zip(rngs, sizes)]) * sigma
-        x = (z @ bflat).reshape(len(z), *data.shape[1:])[:, :block, :block]
-        mask = np.abs(np.linalg.eigvalsh(-1j * x)).max(axis=-1) < np.pi
-        jac = _dexp_factors(np.linalg.eigvalsh(1j * (z @ cstruct).reshape(len(z), q, q)))
-        log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm
-        return np.where(mask, jac * np.exp(-log_density), 0.0)
-
-    return mc_run(sample, n_samples, seed, 16, None)
+        assert group_volume(GroupSpec(family, n)) == pytest.approx(value, rel=1e-12)
+    assert group_volume(GroupSpec(Family.SP, 3)) > 0
 
 
 def test_u2_weyl_volume_vs_chart_oracle():
@@ -246,8 +217,8 @@ def test_u2_weyl_volume_vs_chart_oracle():
 
     a = DirectSumAction(ScalarField.COMPLEX, 4, 2)
     exact = w_group_volume(a)
-    assert exact == pytest.approx(2 * np.pi * group_volume(GroupSpec(Family.SU, 2)).mean, rel=1e-12)
-    est = block_chart_volume(a.group, algebra_split(a).w_rows, 2, 200_000, 23)
+    assert exact == pytest.approx(2 * np.pi * group_volume(GroupSpec(Family.SU, 2)), rel=1e-12)
+    est = chart_volume(a.group, 200_000, 23, algebra_split(a).w_rows, 2)
     assert abs(est.mean - exact) < 4 * est.stderr
 
 
@@ -259,10 +230,9 @@ def test_structure_constants_match_a_bracket_loop(group):
     from algebra_oracle import matrices
     from sectint.groups import algebra_basis
     from sectint.matrices import inner
-    from sectint.volumes import _structure_constants
 
     basis = matrices(group, algebra_basis(group))
-    c = _structure_constants(group.field, np.stack([b.data for b in basis]))
+    c = structure_constants(group.field, np.stack([b.data for b in basis]))
     loop = np.array([[[inner(z, x @ y - y @ x) for z in basis] for y in basis] for x in basis])
     np.testing.assert_allclose(c, loop, rtol=0, atol=1e-14)
     np.testing.assert_allclose(c, -np.swapaxes(c, 0, 1), rtol=0, atol=1e-14)

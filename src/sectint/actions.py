@@ -111,14 +111,16 @@ from .volumes import group_volume, torus_volume, weyl_group_order
 TWO_PI = 2.0 * np.pi
 _ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
 MIN_GAP = 5e-2  # smallest regular_margin of a random regular section point
+ISOTROPY_TOL = 1e-8  # isotropy_mask's singular values, relative to the largest
 #: torus nodes per angle by rank (12 above rank 3) of an integrand without a degree; coarse: half
 TORUS_GRID = {1: 256, 2: 48, 3: 20}
 #: Bartlett nodes per axis of an integrand without a degree; coarse: one fewer
 GAUSS_NODES = 5
 #: rule nodes or exact draws per evaluation block; bounds the (block, D) point arrays
 _ROW_BLOCK = 4096
-BIN_POINTS = 200  # midpoint-rule nodes per bin of the rank-one reference masses
 REF_BLOCK = 65_536  # exact reference draws per seed (seed, block); evaluated a row block at a time
+REF_GRID = 2048  # uniform torus nodes of a rank-one conjugation reference
+REF_DRAWS = 8192  # uniform torus rows of a conjugation reference above rank one
 
 _FIELD_TO_FAMILY = {REAL: Family.SO, COMPLEX: Family.SU, QUATERNION: Family.SP}
 
@@ -422,14 +424,13 @@ class DirectSumAction(ActionSpec):
                 stats.append(det if spec.statistic == "coordinate_det" else _coordinate_statistics(spec, field, comps))
         return np.concatenate(stats), float(np.expm1(hi - lo))
 
-    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int):
-        """Bin edges, reference frequencies, weight-ratio spread and noise of
-        n_ref = max(30 n, 60000) exact draws in bins of equal draw counts: their
-        own noise adds n / n_ref to the variance of each bin's count of the n stats."""
-        n_ref = max(30 * len(stats), 60_000)
+    def ensemble_reference(self, spec, n: int, seed: int):
+        """Statistics and weight-ratio spread of n_ref = max(30 n, 60000) exact
+        draws of the section density, of equal weight, and n_ref itself: their
+        own noise adds n / n_ref to the variance of each bin's count of n stats."""
+        n_ref = max(30 * n, 60_000)
         ref_stats, spread = self.reference_sample(spec, seed, n_ref)
-        edges, ref_freq = _equal_draw_bins(ref_stats, bins, *_bin_range(stats, ref_stats))
-        return edges, ref_freq, spread, 1.0 + len(stats) / n_ref
+        return ref_stats, None, spread, n_ref
 
 
 @dataclass(frozen=True)
@@ -638,35 +639,18 @@ class ConjugationAction(ActionSpec):
         """Canonical angles of a batch's Haar draws: their sorted eigen-angles (canonical_angles)."""
         return canonical_angles(self.group, self.haar_draws(rngs, sizes))[:, spec.stat_index]
 
-    def ensemble_reference(self, spec, stats: np.ndarray, bins: int, seed: int):
-        """Bin edges and reference frequencies of equal-width bins, with no
-        weight-ratio spread and no noise of their own: exact bin masses at rank
-        one, and above it Weyl's weight, summing to 1, on a fine angle grid at
-        its canonical angles.  It draws nothing, so seed is unused."""
-        group = self.group
-        if group.rank == 1:
-            so2 = group == GroupSpec(Family.SO, 2)  # a trivial Weyl group: angles in (-pi, pi]
-            edges = np.linspace(-np.pi if so2 else 0.0, np.pi, bins + 1)
-            ref_freq = self._rank1_bin_masses(edges)
-            if spec.stat_index == 1:  # SU(2)'s second angle is minus the first: mirror the bins
-                edges, ref_freq = -edges[::-1], ref_freq[::-1]
-            return edges, ref_freq, None, 1.0
-        angles = _torus_grid(group.rank, 96 if group.rank == 2 else 24)
-        weights = torus_weight_batch(group, angles)
-        ref_stats = torus_canonical_angles(group, angles)[:, spec.stat_index]
-        edges = np.linspace(*_bin_range(stats, ref_stats), bins + 1)
-        ref_freq, _ = np.histogram(ref_stats, bins=edges, weights=weights / np.sum(weights))
-        return edges, ref_freq / np.sum(ref_freq), None, 1.0
-
-    def _rank1_bin_masses(self, edges: np.ndarray) -> np.ndarray:
-        """Exact-per-bin reference masses of a rank-one torus angle: the
-        midpoint-rule integrals of Weyl's closed-form weight over the bins
-        (where the Weyl group folds the reflected bin onto one, its mass too)."""
-        width = np.diff(edges)
-        theta = edges[:-1, None] + width[:, None] * ((np.arange(BIN_POINTS) + 0.5) / BIN_POINTS)
-        vals = torus_weight_batch(self.group, theta.reshape(-1, 1))
-        masses = vals.reshape(theta.shape).mean(axis=1) * width
-        return masses / np.sum(masses)
+    def ensemble_reference(self, spec, n: int, seed: int):
+        """Canonical angles of torus angle rows, uniform on the torus, weighted by
+        Weyl's closed-form weight, with no weight-ratio spread: REF_GRID grid nodes
+        at rank one, a fixed reference with no noise of its own (no n_eff), and
+        REF_DRAWS rows drawn at seed above it, whose effective size is Kish's
+        (sum w)^2 / sum w^2.  n is not read: the reference has one size."""
+        rank = self.group.rank
+        rows = (_torus_grid(1, REF_GRID) if rank == 1
+                else np.random.default_rng(seed).uniform(0.0, TWO_PI, (REF_DRAWS, rank)))
+        weights = torus_weight_batch(self.group, rows)
+        n_eff = None if rank == 1 else float(np.sum(weights) ** 2 / np.sum(weights * weights))
+        return torus_canonical_angles(self.group, rows)[:, spec.stat_index], weights, None, n_eff
 
 
 _ACTION_KEYS = {"direct_sum": {"kind", "field", "n", "k"}, "conjugation": {"kind", "family", "n"}}
@@ -835,10 +819,10 @@ class OrbitMapDifferential:
             self._svd = (u, padded, vh)
         return self._svd
 
-    def isotropy_mask(self, tol: float = 1e-8) -> np.ndarray:
-        """Singular values at or below tol times the largest: the isotropy directions."""
+    def isotropy_mask(self) -> np.ndarray:
+        """Singular values at or below ISOTROPY_TOL times the largest: the isotropy directions."""
         sv = self.svd[1]
-        return sv <= tol * np.where(sv[..., :1] > 0, sv[..., :1], 1.0)
+        return sv <= ISOTROPY_TOL * np.where(sv[..., :1] > 0, sv[..., :1], 1.0)
 
     def orbit_ranks(self) -> np.ndarray:
         """Orbit dimension: the basis elements outside the isotropy algebra."""
@@ -941,10 +925,10 @@ def algebra_split(action: ActionSpec) -> AlgebraSplit:
 
 # --- regularity, isotropy, orbit spaces -------------------------------------
 
-def isotropy_algebra(action: ActionSpec, p: MatK, tol: float = 1e-8) -> np.ndarray:
+def isotropy_algebra(action: ActionSpec, p: MatK) -> np.ndarray:
     """Orthonormal basis of the algebra of the stabilizer of p, as flat rows."""
     diff = orbit_map_differential(action, p)
-    return diff.svd[2][diff.isotropy_mask(tol)] @ diff.split.rows
+    return diff.svd[2][diff.isotropy_mask()] @ diff.split.rows
 
 
 def classify_point(action: ActionSpec, p: MatK) -> RegularityClass:
@@ -1203,21 +1187,3 @@ def _coordinate_statistics(spec, field: ScalarField, comps: np.ndarray) -> np.nd
         return np.sqrt(gram_det(field, comps))
     sv = np.linalg.svd(data_from_components(field, comps), compute_uv=False)
     return sv[:, :: side(field)][:, spec.stat_index]  # the adjoint matrix doubles each value over H
-
-
-def _equal_draw_bins(ref_stats: np.ndarray, bins: int, lo: float, hi: float):
-    """Edges from lo to hi and the n_ref draws' share of each bin, from one sort: bin j
-    holds the sorted draws cut[j] = n_ref j // bins to cut[j + 1] - 1, n_ref // bins of
-    them or one more, and each inner edge halves the gap at its cut (the edges of empty
-    bins, where bins outnumber draws, repeat)."""
-    s, n_ref = np.sort(ref_stats), len(ref_stats)
-    cut = n_ref * np.arange(bins + 1) // bins
-    inner = 0.5 * (s[np.maximum(cut[1:-1] - 1, 0)] + s[cut[1:-1]])
-    return np.concatenate([[lo], inner, [hi]]), np.diff(cut) / n_ref
-
-
-def _bin_range(stats: np.ndarray, ref_stats: np.ndarray) -> tuple[float, float]:
-    """Range of the bins: from the smallest statistic of either side to just past the largest."""
-    lo = min(stats.min(), ref_stats.min())
-    hi = max(stats.max(), ref_stats.max())
-    return lo, hi + 1e-12 * max(1.0, abs(hi))

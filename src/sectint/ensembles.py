@@ -7,14 +7,16 @@ statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
 chi-square test; the kind of action supplies its statistics (its
 ``statistics``, the default first), their ambient draws, and the
-reference side, sized and binned, in one call.  A direct sum's reference
-is exact draws of the Gaussian density times the weight
-(``actions.bartlett_draws``) in bins of equal draw counts, each of
-which checks the paper's closed-form weight
-``weights.section_weight_batch``: the draws are the triangular R of
-B = wR, and weight / |det R|^p must be one constant, up to rounding.  On
-conjugation the section density is Weyl's closed-form weight
-``weights.torus_weight_batch`` on the torus angles.  The p-value is the
+reference side as weighted points of the section density, in one call,
+and ``reference_bins`` alone cuts every kind's points into bins of equal
+reference mass.  A direct sum's reference is exact draws, of equal
+weight, of the Gaussian density times the weight
+(``actions.bartlett_draws``), each of which checks the paper's
+closed-form weight ``weights.section_weight_batch``: the draws are the
+triangular R of B = wR, and weight / |det R|^p must be one constant, up
+to rounding.  On conjugation the reference is torus angles, a uniform
+grid at rank one and uniform draws above it, weighted by Weyl's
+closed-form weight ``weights.torus_weight_batch``.  The p-value is the
 chi-square tail at an integer number of degrees of freedom, a finite
 sum in closed form, so no run loads scipy.
 """
@@ -136,28 +138,44 @@ def chi2_tail(dof: int, x: float) -> float:
     return total
 
 
+def reference_bins(stats: np.ndarray, ref_stats: np.ndarray, weights: np.ndarray | None, bins: int):
+    """Edges and masses of bins of equal reference weight, from one sort of
+    the reference points: bin j closes at the last sorted point whose
+    cumulative weight is at most j / bins of the total (point n_ref j // bins
+    at equal weights, weights None), each inner edge halves the gap at its
+    cut, and a bin's mass is its share of the weight.  The bins run from the
+    smallest statistic of either side to just past the largest; the edges of
+    empty bins, where bins outnumber points, repeat."""
+    if weights is None:
+        s, cum = np.sort(ref_stats), np.arange(len(ref_stats) + 1)
+    else:
+        order = np.argsort(ref_stats)
+        s, cum = ref_stats[order], np.concatenate([[0.0], np.cumsum(weights[order])])
+    inner = np.searchsorted(cum, cum[-1] * np.arange(1, bins) / bins, side="right") - 1
+    cut = np.concatenate([[0], inner, [len(s)]])
+    lo, hi = min(stats.min(), s[0]), max(stats.max(), s[-1])
+    edges = np.concatenate([[lo], 0.5 * (s[np.maximum(inner - 1, 0)] + s[inner]), [hi + 1e-12 * max(1.0, abs(hi))]])
+    return edges, np.diff(cum[cut]) / cum[-1]
+
+
 def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chunks: int = 16) -> HistogramComparison:
     """Chi-square comparison of reduced-sample statistics vs the weighted
-    section density.
+    section density, the kind's ensemble_reference points in reference_bins.
 
-    The kind's ensemble_reference makes the reference side much tighter
-    than the empirical side, so that the chi-square statistic is dominated
-    by sampling noise: n_ref = max(30 n, 60000) exact draws of the section
-    density on direct sums in bins of equal draw counts, exact bin
-    quadrature for rank-one torus angles, and Weyl's weight on a fine
-    angle grid at higher rank, in bins of equal width.  The statistic is
-    divided by the reference's own noise, 1 + n / n_ref for draws; the
-    comparison also carries the relative spread of the draws' weight
-    ratio weight / |det R|^p, which exceeds WEIGHT_RATIO_TOL only if
-    section_weight_batch is off the paper's closed form or the draws off
-    its density.  Fewer than two bins, asked for
+    Where the reference is drawn, its own noise adds about n / n_eff to the
+    variance of each bin's count, so the statistic is divided by
+    1 + n / n_eff.  The comparison also carries the relative spread of the
+    direct-sum draws' weight ratio weight / |det R|^p, which exceeds
+    WEIGHT_RATIO_TOL only if section_weight_batch is off the paper's closed
+    form or the draws off its density.  Fewer than two bins, asked for
     or left after merging the bins whose expected count is below
     MIN_EXPECTED, would make the test vacuous and are rejected.
     """
     if bins < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
     stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks)
-    edges, ref_freq, spread, noise = spec.action.ensemble_reference(spec, stats, bins, _subseed(seed, 1))
+    ref_stats, weights, spread, n_eff = spec.action.ensemble_reference(spec, n, _subseed(seed, 1))
+    edges, ref_freq = reference_bins(stats, ref_stats, weights, bins)
     emp_counts, _ = np.histogram(stats, bins=edges)
     emp_freq = emp_counts / np.sum(emp_counts)
 
@@ -165,7 +183,7 @@ def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chu
     if len(obs) < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {len(obs)} "
                          f"after merging to an expected count of {MIN_EXPECTED:g}")
-    chi2 = float(np.sum((obs - exp) ** 2 / exp)) / noise
+    chi2 = float(np.sum((obs - exp) ** 2 / exp)) / (1.0 + n / n_eff if n_eff else 1.0)
     dof = len(obs) - 1
     p = chi2_tail(dof, chi2)
     return HistogramComparison(spec, edges, emp_freq, ref_freq, chi2, dof, p, spread)

@@ -35,6 +35,7 @@ _HELPERS: list[ThreadPoolExecutor] = []  # mc_run's helpers, one thread each, st
 #: 6144 ran faster still but raised the benchmark's peak RSS by 9 %, near its
 #: 10 % bound.  (Measured on a 2-vCPU x86-64 host, OPENBLAS_NUM_THREADS=1.)
 BATCH_DRAWS = 4096
+AGREE_ATOL = 1e-12  # agree's floor, relative to the larger |mean| (at least 1)
 
 
 def default_workers() -> int:
@@ -208,7 +209,7 @@ def product(a: McEstimate, b: McEstimate) -> McEstimate:
     return McEstimate(value, float(se), a.n_samples)
 
 
-def agree(a: McEstimate, b: McEstimate, n_sigma: float = 3.0, atol: float = 1e-12) -> bool:
-    """Whether two estimates agree within n_sigma combined standard errors."""
-    tol = n_sigma * float(np.hypot(a.stderr, b.stderr)) + atol * max(abs(a.mean), abs(b.mean), 1.0)
+def agree(a: McEstimate, b: McEstimate, n_sigma: float = 3.0) -> bool:
+    """Whether two estimates agree within n_sigma combined standard errors, plus AGREE_ATOL of the larger."""
+    tol = n_sigma * float(np.hypot(a.stderr, b.stderr)) + AGREE_ATOL * max(abs(a.mean), abs(b.mean), 1.0)
     return abs(a.mean - b.mean) <= tol

@@ -1,4 +1,8 @@
+import contextlib
+import io
+import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +13,7 @@ from sectint.fields import ScalarField
 from sectint.matrices import MatK, data_from_components, det_modulus
 from sectint.groups import Family, GroupSpec, _torus_grid, torus_point, torus_points
 from sectint.actions import (
+    REF_GRID,
     ConjugationAction,
     DirectSumAction,
     act,
@@ -25,6 +30,7 @@ from sectint.ensembles import (
     _merge_small_bins,
     chi2_tail,
     compare_densities,
+    reference_bins,
     sample_ensemble,
 )
 from sectint.mc import BATCH_DRAWS, _subseed, chunk_rngs, chunk_sizes
@@ -32,6 +38,7 @@ from bartlett_oracle import bartlett_reference_unblocked
 from bin_merge_oracle import merge_small_bins_rescanning
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
+from test_kinds import ROWS as KIND_ROWS
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)
@@ -169,7 +176,7 @@ def test_conjugation_samples_match_per_draw_reduction(action):
 @pytest.mark.parametrize("action", [CONJ_REPLAY[1], ConjugationAction(GroupSpec(Family.SO, 5)),
                                     CONJ_REPLAY[3], CONJ_REPLAY[4]], ids=str)
 def test_canonical_angles_match_reduction_on_reference_grid(action):
-    # every node of the reference grid, nodes at angle 0 and pi included
+    # every node of a 96-node torus grid, nodes at angle 0 and pi included
     group = action.group
     points = [torus_point(group, a) for a in _torus_grid(group.rank, 96)]
     oracle = np.array([_per_point_angles(action, p) for p in points])
@@ -295,8 +302,8 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
 
 @pytest.mark.parametrize("group", [GroupSpec(Family.SU, 2), GroupSpec(Family.SU, 3), GroupSpec(Family.SP, 2)], ids=str)
 def test_conjugation_references_use_the_closed_form(monkeypatch, group):
-    # rank one bins its masses, higher ranks weigh a reference grid: both with
-    # Weyl's closed form, never the generic kernel
+    # the reference grid at rank one and the reference draws above it are
+    # weighted by Weyl's closed form, never by the generic kernel
     import sectint.actions
     import sectint.weights
 
@@ -328,24 +335,34 @@ def test_chi2_su2_angle():
 
 @pytest.mark.parametrize("group", [GroupSpec(Family.SO, 2), GroupSpec(Family.SO, 3), GroupSpec(Family.SP, 1)], ids=str)
 def test_chi2_rank_one_angle(group):
-    # SO(2)'s Weyl group is trivial, so its angle and its bins range over [-pi, pi]
+    # the bins span the reference grid's canonical angles: SO(2)'s Weyl group
+    # is trivial, so its angle ranges over (-pi, pi], the others' over [0, pi]
     cmp_ = compare_densities(EnsembleSpec(ConjugationAction(group)), seed=22, n=50_000, bins=30)
     assert cmp_.spec.statistic == "torus_angle"
-    assert (cmp_.edges[0], cmp_.edges[-1]) == (-np.pi if group.n == 2 else 0.0, np.pi)
+    if group.n == 2:
+        assert -np.pi <= cmp_.edges[0] <= -np.pi + 2 * np.pi / REF_GRID
+    else:
+        assert cmp_.edges[0] == 0.0
+    assert cmp_.edges[-1] == np.pi + 1e-12 * np.pi
     assert cmp_.p_value >= 0.01
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_su2_second_angle_is_binned_on_its_own_range(seed):
-    # SU(2)'s angles are (theta, -theta): the second one's test mirrors the first's
+    # SU(2)'s angles are (theta, -theta): the second one's reference points are
+    # minus the first's, so its bins cover [-pi, 0] as the first's cover [0, pi].
+    # Both cut the same grid by cumulative weight, from opposite ends, so the
+    # inner edges mirror to within half a grid step
+    specs = [EnsembleSpec(SU2CONJ, 1.0, "torus_angle", index) for index in (0, 1)]
+    ref_first, ref_second = (SU2CONJ.ensemble_reference(spec, 2000, _subseed(seed, 1))[0] for spec in specs)
+    np.testing.assert_allclose(ref_second, -ref_first, rtol=0, atol=4e-15)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        first, second = (
-            compare_densities(EnsembleSpec(SU2CONJ, 1.0, "torus_angle", index), seed, 2000, 20) for index in (0, 1)
-        )
-    np.testing.assert_allclose(second.edges, -first.edges[::-1], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(second.reference, first.reference[::-1], rtol=1e-12)
-    assert second.p_value == pytest.approx(first.p_value, rel=1e-9, abs=0)
+        first, second = (compare_densities(spec, seed, 2000, 20) for spec in specs)
+    assert (first.edges[0], second.edges[-1]) == (0.0, 1e-12)
+    assert first.edges[-1] == pytest.approx(np.pi, abs=1e-11) and second.edges[0] == pytest.approx(-np.pi, abs=1e-14)
+    np.testing.assert_allclose(second.edges[1:-1], -first.edges[-2:0:-1], rtol=0, atol=np.pi / REF_GRID + 1e-12)
+    assert min(first.p_value, second.p_value) >= 0.01
 
 
 @pytest.mark.parametrize(
@@ -376,14 +393,20 @@ def test_p_value_is_chi2_survival(action, statistic):
     ids=str,
 )
 def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n):
-    # n_ref = max(30 n, 60000) equal reference draws add n / n_ref to each
-    # bin's variance, so the direct-sum statistic is the plain one over
-    # 1 + n / n_ref; the torus grid's masses carry no such noise and keep
-    # the plain statistic
-    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=7, n=n, bins=20)
+    # drawn reference points add about n / n_eff to each bin's variance, so
+    # the statistic is the plain one over 1 + n / n_eff: n_eff = n_ref =
+    # max(30 n, 60000) for the equal direct-sum draws, and Kish's effective
+    # size (sum w)^2 / sum w^2 for the weighted torus draws above rank one
+    spec = EnsembleSpec(action, 1.0, statistic)
+    cmp_ = compare_densities(spec, seed=7, n=n, bins=20)
+    _, weights, _, n_eff = action.ensemble_reference(spec, n, _subseed(7, 1))
+    if weights is None:
+        assert n_eff == max(30 * n, 60_000)
+    else:
+        assert n_eff == pytest.approx(np.sum(weights) ** 2 / np.sum(weights ** 2), rel=1e-12)
     obs, exp = _merge_small_bins(np.rint(cmp_.empirical * n), n * cmp_.reference)
     plain = float(np.sum((obs - exp) ** 2 / exp))
-    scale = 1.0 + n / max(30 * n, 60_000) if isinstance(action, DirectSumAction) else 1.0
+    scale = 1.0 + n / n_eff
     assert cmp_.dof == len(obs) - 1
     assert cmp_.chi2 == pytest.approx(plain / scale, rel=1e-12, abs=0)
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
@@ -416,20 +439,85 @@ def test_merge_small_bins_is_linear_in_the_bins():
 @pytest.mark.parametrize("bins", [2, 20, 100_000])
 @pytest.mark.parametrize("n_ref", [1, 2, 7, 60_000, 90_000])
 def test_equal_draw_bins_hold_equal_draw_counts(n_ref, bins):
-    # every bin holds n_ref // bins or n_ref // bins + 1 of the draws, also
-    # where bins outnumber draws and the edges of the empty bins repeat;
-    # np.histogram of the draws over the edges counts them there
-    from sectint.actions import _equal_draw_bins
-
+    # at equal weights every bin holds n_ref // bins or n_ref // bins + 1 of
+    # the draws, also where bins outnumber draws and the edges of the empty
+    # bins repeat; np.histogram of the draws over the edges counts them there.
+    # The bins run from the smallest statistic of either side to just past
+    # the largest
     spec = EnsembleSpec(DirectSumAction(C, 4, 2))
     ref_stats, _ = spec.action.reference_sample(spec, 2, n_ref)
-    lo, hi = ref_stats.min() - 0.5, ref_stats.max() + 1e-12
-    edges, masses = _equal_draw_bins(ref_stats, bins, lo, hi)
+    lo, top = ref_stats.min() - 0.5, ref_stats.max()
+    edges, masses = reference_bins(np.array([lo]), ref_stats, None, bins)
     counts = np.rint(masses * n_ref)
-    assert edges.shape == (bins + 1,) and (edges[0], edges[-1]) == (lo, hi) and np.all(np.diff(edges) >= 0)
+    assert edges.shape == (bins + 1,) and (edges[0], edges[-1]) == (lo, top + 1e-12 * max(1.0, top))
+    assert np.all(np.diff(edges) >= 0)
     np.testing.assert_array_equal(masses, counts / n_ref)
     assert set(np.unique(counts)) <= {n_ref // bins, n_ref // bins + 1} and counts.sum() == n_ref
     np.testing.assert_array_equal(np.histogram(ref_stats, bins=edges)[0], counts)
+    # unit weights, given, take the weighted path to the same bins
+    weighted = reference_bins(np.array([lo]), ref_stats, np.ones(n_ref), bins)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(weighted, (edges, masses)))
+
+
+@pytest.mark.parametrize("bins", [2, 20, 5_000])
+def test_weighted_bins_close_at_their_share_of_the_weight(bins):
+    # bin j closes at the last point whose cumulative weight is at most
+    # (j + 1) / bins of the total, so the mass up to it falls short of that by
+    # less than the next point's weight; a bin's mass is the weight of the
+    # points between its edges
+    rng = np.random.default_rng(3)
+    ref_stats, weights = rng.standard_normal(4000), rng.exponential(size=4000)
+    edges, masses = reference_bins(rng.standard_normal(50), ref_stats, weights, bins)
+    share = (np.arange(1, bins + 1) / bins)[:-1] - np.cumsum(masses)[:-1]
+    assert np.all(share >= -1e-12) and np.all(share < weights.max() / weights.sum() + 1e-12)
+    np.testing.assert_allclose(np.histogram(ref_stats, bins=edges, weights=weights)[0] / weights.sum(), masses,
+                               rtol=1e-9, atol=1e-15)
+
+
+CALIBRATION_SEEDS = 30
+
+
+def _most_low_p_values(seeds: int, alpha: float = 1e-4) -> int:
+    """The count of p-values below 0.01 that a sound test exceeds with
+    probability at most alpha: the smallest c with P(K > c) <= alpha, K ~
+    Binomial(seeds, 0.01)."""
+    def tail(c):
+        return sum(math.comb(seeds, k) * 0.01 ** k * 0.99 ** (seeds - k) for k in range(c + 1, seeds + 1))
+    return next(c for c in range(seeds + 1) if tail(c) <= alpha)
+
+
+MOST_LOW_P_VALUES = _most_low_p_values(CALIBRATION_SEEDS)  # 4 of 30
+
+
+CALIBRATION_SPECS = [EnsembleSpec(action) for action in KIND_ROWS] + [
+    EnsembleSpec(ConjugationAction(GroupSpec(family, n)), 1.0, "torus_angle", 1)
+    for family, n in [(Family.SO, 4), (Family.SU, 3)]]
+
+
+@pytest.mark.parametrize("spec", CALIBRATION_SPECS, ids=lambda spec: f"{spec.action}[{spec.stat_index}]")
+def test_p_values_are_calibrated_over_seeds(spec):
+    # a sound reference gives p < 0.01 on about 1 % of seeds; the 96^2 and
+    # 24^3 angle grids above rank one read their nodes' canonical angles as
+    # exact, and failed on 27-30 of these 30 seeds at n = 2000
+    p_values = [compare_densities(spec, seed, 2000, 20).p_value for seed in range(CALIBRATION_SEEDS)]
+    assert sum(p < 0.01 for p in p_values) <= MOST_LOW_P_VALUES, p_values
+
+
+def test_rank_one_reference_memory_does_not_grow_with_the_bins():
+    # midpoint masses of 200 nodes per bin held a (bins, 200) array: 128 MB
+    # traced at 20 000 bins; the grid's 2048 weighted points do not grow
+    from sectint.cli import main
+
+    argv = ["ensemble", "--action", '{"kind": "conjugation", "family": "SO", "n": 3}', "--bins", "20000", "--n", "1000"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 20e6, peak
 
 
 def test_chi2_tail_matches_scipy():

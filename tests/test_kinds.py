@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json, killing_images
-from sectint.ensembles import EnsembleSpec
+from sectint.ensembles import EnsembleSpec, reference_bins
 from sectint.fields import ScalarField
 from sectint.actions import _coordinate_statistics, canonical_angles
 from sectint.groups import Family, GroupSpec, haar_sample_batch
@@ -175,8 +175,11 @@ def test_every_kind_operation(action):
     assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic, 1.0) >= 1
     stats = action.ensemble_statistics(spec, [rng], [50])
     assert stats.shape == (50,)
-    edges, freq, _, noise = action.ensemble_reference(spec, stats, 5, 1)
-    assert edges.shape == (6,) and freq.shape == (5,) and abs(np.sum(freq) - 1.0) < 1e-12 and noise >= 1.0
+    ref_stats, weights, _, n_eff = action.ensemble_reference(spec, 50, 1)
+    assert ref_stats.ndim == 1 and (weights is None or (weights.shape == ref_stats.shape and np.all(weights >= 0)))
+    assert n_eff is None or 1.0 <= n_eff <= len(ref_stats)
+    edges, freq = reference_bins(stats, ref_stats, weights, 5)
+    assert edges.shape == (6,) and freq.shape == (5,) and abs(np.sum(freq) - 1.0) < 1e-12
 
 
 # --- a batch of chunks draws what its chunks draw ------------------------------------

@@ -76,7 +76,6 @@ from .matrices import (
     eye,
     from_real_vector,
     gaussian_batch,
-    gaussian_components,
     gram_det,
     householder_q,
     mat,
@@ -105,7 +104,7 @@ from .groups import (
     torus_points,
     torus_weight_batch,
 )
-from .mc import McEstimate, _subseed, standard_normals
+from .mc import McEstimate, standard_normals
 from .volumes import group_volume, torus_volume, weyl_group_order
 
 TWO_PI = 2.0 * np.pi
@@ -118,7 +117,6 @@ TORUS_GRID = {1: 256, 2: 48, 3: 20}
 GAUSS_NODES = 5
 #: rule nodes or exact draws per evaluation block; bounds the (block, D) point arrays
 _ROW_BLOCK = 4096
-REF_BLOCK = 65_536  # exact reference draws per seed (seed, block); evaluated a row block at a time
 REF_GRID = 2048  # uniform torus nodes of a rank-one conjugation reference
 REF_DRAWS = 8192  # uniform torus rows of a conjugation reference above rank one
 
@@ -263,12 +261,8 @@ class DirectSumAction(ActionSpec):
         return gaussian_batch(self.field, self.n, self.k, [rng], [count])
 
     def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Gaussian flat coordinates B, a real multiple of the first basis vector when k = 1."""
-        if self.k == 1:
-            coords = np.zeros((count, self.field.dim))
-            coords[:, 0] = rng.standard_normal(count)
-            return coords
-        return batch_to_real(self.field, gaussian_batch(self.field, self.k, self.k, [rng], [count]))
+        """Gaussian flat coordinates (count, section_dim): B, or the real t of the polar line when k = 1."""
+        return rng.standard_normal((count, self.section_dim))
 
     def normalizer_samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Block diagonal (u, v) with det 1: u moves the section coordinate, v the normal rows."""
@@ -398,13 +392,13 @@ class DirectSumAction(ActionSpec):
 
     def ensemble_statistics(self, spec, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
         """The statistic, invariant under the whole group, of a batch's ambient Gaussian draws."""
-        comps = spec.scale * gaussian_components(self.field, self.n, self.k, rngs, sizes)
+        comps = spec.scale * standard_normals(rngs, sizes, (self.n, self.k, self.field.dim))
         return _coordinate_statistics(spec, self.field, comps)
 
     def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, float]:
         """Statistics and weight-ratio spread of n_ref exact draws of p * weight:
-        bartlett_draws scaled by |scale|, in blocks of REF_BLOCK draws seeded
-        (seed, block), each evaluated a row block at a time.  The weight is a
+        bartlett_draws from one generator of seed, _ROW_BLOCK rows at a time,
+        each block scaled by |scale| and evaluated alone.  The weight is a
         constant times |det R|^p (p of _bartlett_axes), and |det R| is the
         product of R's diagonal, so section_weight_batch / |det R|^p is one
         constant over the draws; the spread is max / min - 1 of that ratio,
@@ -413,15 +407,15 @@ class DirectSumAction(ActionSpec):
         scale, k, power = abs(spec.scale), self.k, _bartlett_axes(self)[1]
         field = self.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
         stats, lo, hi = [], np.inf, -np.inf
-        for block, start in enumerate(range(0, n_ref, REF_BLOCK)):
-            rng = np.random.default_rng(_subseed(seed, block))
-            for z in bartlett_draws(self, rng, min(REF_BLOCK, n_ref - start)):
-                z *= scale
-                comps = z.reshape(len(z), k, k, field.dim)
-                det = np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1)  # real on R's diagonal
-                log_ratio = np.log(section_weight_batch(self, z)) - power * np.log(det)
-                lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
-                stats.append(det if spec.statistic == "coordinate_det" else _coordinate_statistics(spec, field, comps))
+        rng = np.random.default_rng(seed)
+        for start in range(0, n_ref, _ROW_BLOCK):
+            z = bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
+            z *= scale
+            comps = z.reshape(len(z), k, k, field.dim)
+            det = np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1)  # real on R's diagonal
+            log_ratio = np.log(section_weight_batch(self, z)) - power * np.log(det)
+            lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
+            stats.append(det if spec.statistic == "coordinate_det" else _coordinate_statistics(spec, field, comps))
         return np.concatenate(stats), float(np.expm1(hi - lo))
 
     def ensemble_reference(self, spec, n: int, seed: int):
@@ -530,15 +524,15 @@ class ConjugationAction(ActionSpec):
         return haar_sample_batch(self.group, rng, count)
 
     def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform torus angle rows."""
-        return rng.uniform(0.0, 2 * np.pi, size=(count, self.group.rank))
+        """Uniform torus angle rows, the one place they are drawn."""
+        return rng.uniform(0.0, TWO_PI, size=(count, self.group.rank))
 
     def normalizer_samples(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """A torus element times a Weyl representative: a permutation matrix, with
         sign changes in the rotation planes (SO) or entries j (Sp)."""
         group = self.group
         fam, n = group.family, group.n
-        t = batch_from_real(group.field, n, n, torus_points(group, rng.uniform(0, 2 * np.pi, size=(count, group.rank))))
+        t = batch_from_real(group.field, n, n, torus_points(group, self.section_coords(rng, count)))
         size = n // 2 if fam is Family.SO else n
         rows, cols = np.arange(count)[:, None], np.arange(size)
         perm = np.argsort(rng.random((count, size)), axis=1)
@@ -643,11 +637,10 @@ class ConjugationAction(ActionSpec):
         """Canonical angles of torus angle rows, uniform on the torus, weighted by
         Weyl's closed-form weight, with no weight-ratio spread: REF_GRID grid nodes
         at rank one, a fixed reference with no noise of its own (no n_eff), and
-        REF_DRAWS rows drawn at seed above it, whose effective size is Kish's
-        (sum w)^2 / sum w^2.  n is not read: the reference has one size."""
+        REF_DRAWS section_coords rows drawn at seed above it, whose effective
+        size is Kish's (sum w)^2 / sum w^2.  n is not read: the reference has one size."""
         rank = self.group.rank
-        rows = (_torus_grid(1, REF_GRID) if rank == 1
-                else np.random.default_rng(seed).uniform(0.0, TWO_PI, (REF_DRAWS, rank)))
+        rows = _torus_grid(1, REF_GRID) if rank == 1 else self.section_coords(np.random.default_rng(seed), REF_DRAWS)
         weights = torus_weight_batch(self.group, rows)
         n_eff = None if rank == 1 else float(np.sum(weights) ** 2 / np.sum(weights * weights))
         return torus_canonical_angles(self.group, rows)[:, spec.stat_index], weights, None, n_eff
@@ -1154,23 +1147,15 @@ def _bartlett_axes(action: DirectSumAction) -> tuple[tuple[tuple[int, int | None
     return tuple(axes), power, float(np.exp(0.5 * action.section_dim * np.log(TWO_PI) - log_mass))
 
 
-def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int):
-    """count exact draws of the section density e^(-|B|^2/2) * weight of
-    a direct sum: the triangular R of B = wR, with its law of
-    _bartlett_axes, yielded in blocks (block, section_dim) of at most
-    _ROW_BLOCK draws.  All count draws are made first, the axes in their
-    order into one (axes, count) array, so the stream does not depend on
-    the blocks; only a block's rows are ever laid out as R.
-    """
+def bartlett_draws(action: DirectSumAction, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count exact draws (count, section_dim) of the section density
+    e^(-|B|^2/2) * weight of a direct sum: the triangular R of B = wR,
+    with its law of _bartlett_axes, filled axis by axis."""
     axes, power, _ = _bartlett_axes(action)
-    draws = np.empty((len(axes), count))
-    for row, (_, b) in zip(draws, axes):
-        row[:] = rng.standard_normal(count) if b is None else np.sqrt(rng.chisquare(b + power + 1, count))
-    cols = [col for col, _ in axes]
-    for lo in range(0, count, _ROW_BLOCK):
-        z = np.zeros((min(_ROW_BLOCK, count - lo), action.section_dim))
-        z[:, cols] = draws[:, lo : lo + _ROW_BLOCK].T
-        yield z
+    z = np.zeros((count, action.section_dim))
+    for col, b in axes:
+        z[:, col] = rng.standard_normal(count) if b is None else np.sqrt(rng.chisquare(b + power + 1, count))
+    return z
 
 
 # --- ensemble references ----------------------------------------------------

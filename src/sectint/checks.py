@@ -38,6 +38,8 @@ from .actions import (
 )
 from .weights import delta_e_batch, delta_e_generic
 
+CUT_COPIES = 32  # translated copies of each cut point in reduction_translation_invariance
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -170,11 +172,14 @@ def run_action_checks(
         out.append(_result("weight_singular_vanishing", delta_e_generic(action, sing), 0.0))
 
     # canonical reduction is translation independent, also at the kind's cut
-    # points (a torus point with an angle at 0, the cut of the SU(n) phases)
+    # points (a torus point with an angle at 0, the cut of the SU(n) phases):
+    # each of CUT_COPIES copies of a cut point gets its own translate, so a
+    # reduction with a jump at the cut passes only if every translate rounds
+    # the angle to the side of the untranslated point
     cut = action.cut_points()
     x = np.concatenate([action.random_ambient_points(rng, 5),
-                        np.repeat(batch_from_real(field, *action.shape, cut), 5, axis=0)])
-    h = np.tile(haar_sample_batch(action.group, rng, 5), (1 + len(cut), 1, 1))
+                        np.repeat(batch_from_real(field, *action.shape, cut), CUT_COPIES, axis=0)])
+    h = haar_sample_batch(action.group, rng, len(x))
     s1, s2 = np.split(action.reduce(np.concatenate([x, action.act_data(h, x)])), 2)
     worst = np.max(np.linalg.norm(s1 - s2, axis=1) / np.maximum(1.0, np.linalg.norm(s1, axis=1)))
     out.append(_result("reduction_translation_invariance", worst, tol_rel))

@@ -11,7 +11,8 @@ reference side as weighted points of the section density, in one call,
 and ``reference_bins`` alone cuts every kind's points into bins of equal
 reference mass.  A direct sum's reference is exact draws, of equal
 weight, of the Gaussian density times the weight
-(``actions.bartlett_draws``), each of which checks the paper's
+(``actions.bartlett_draws``, one row block at a time from one
+generator), each of which checks the paper's
 closed-form weight ``weights.section_weight_batch``: the draws are the
 triangular R of B = wR, and weight / |det R|^p must be one constant, up
 to rounding.  On conjugation the reference is torus angles, a uniform

@@ -14,6 +14,8 @@ Every matrix also has a flat real coordinate vector (its realification)
 chosen so that the ambient inner product Re(tr(x^* y)) equals the
 Euclidean dot product of the coordinate vectors.  All downstream
 geometry (frames, Gram matrices, Jacobians) works in those coordinates.
+A Gaussian matrix is its flat standard normals on every field:
+``gaussian_batch`` draws a matrix's real coordinates in that order.
 
 One batched Householder kernel serves every QR: ``qr(field, data)``
 reads q and r of a stack off it (R of x = QR is a direct sum's section
@@ -147,21 +149,11 @@ def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> Ma
 
 def gaussian_batch(field: ScalarField, n: int, m: int, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
     """Raw data (sum(sizes), n, m) ((..., 2n, 2m) over H) of sizes[i] gaussian draws from
-    rngs[i], joined.  Over C each chunk's draws go straight into the complex parts: a
-    full-size real buffer beside them would raise the peak memory of a Haar batch."""
-    if field is not COMPLEX:
-        return data_from_components(field, gaussian_components(field, n, m, rngs, sizes))
-    data = np.empty((sum(sizes), n, m), dtype=complex)
-    for rng, stop, size in zip(rngs, np.cumsum(sizes), sizes):  # a matrix's real parts, then its imaginary parts
-        data.real[stop - size:stop], data.imag[stop - size:stop] = rng.standard_normal((size, 2, n, m)).swapaxes(0, 1)
-    return data
-
-
-def gaussian_components(field: ScalarField, n: int, m: int, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-    """Real components (sum(sizes), n, m, d) of gaussian_batch, from the same random streams."""
-    if field is COMPLEX:  # all real parts of a matrix are drawn before its imaginary parts
-        return np.moveaxis(standard_normals(rngs, sizes, (2, n, m)), 1, -1)
-    return standard_normals(rngs, sizes, (n, m, field.dim))
+    rngs[i], joined: each draw's real coordinates are its flat standard normals, in the
+    realification order, on every field.  Over C the data is a complex view of the normals,
+    no copy, so a Haar batch holds one buffer."""
+    comps = standard_normals(rngs, sizes, (n, m, field.dim))
+    return comps.view(complex)[..., 0] if field is COMPLEX else data_from_components(field, comps)
 
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from sectint.ensembles import (
     sample_ensemble,
 )
 from sectint.mc import BATCH_DRAWS, _subseed, chunk_rngs, chunk_sizes
-from bartlett_oracle import bartlett_reference_unblocked
 from bin_merge_oracle import merge_small_bins_rescanning
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
@@ -244,57 +243,37 @@ def test_reference_draws_follow_the_weighted_density(action, scale):
 
 @pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
 def test_bartlett_draws_are_triangular_with_a_positive_diagonal(action):
-    # every block is the Weyl-reduced R: zero below the diagonal, a real
+    # the draws are the Weyl-reduced R: zero below the diagonal, a real
     # positive diagonal, and t > 0 on the polar line, which drew a sign
-    from sectint.actions import _ROW_BLOCK
-
     k, below = action.k, np.tril(np.ones((action.k, action.k), dtype=bool), -1)
-    blocks = list(bartlett_draws(action, np.random.default_rng(11), _ROW_BLOCK + 5))
-    assert [len(z) for z in blocks] == [_ROW_BLOCK, 5]
-    for z in blocks:
-        assert z.shape[1] == action.section_dim
-        comps = z.reshape(len(z), k, k, action.section_dim // (k * k))
-        assert np.all(comps[:, below] == 0.0)
-        assert np.all(comps[:, range(k), range(k), 0] > 0.0) and np.all(comps[:, range(k), range(k), 1:] == 0.0)
+    z = bartlett_draws(action, np.random.default_rng(11), 205)
+    assert z.shape == (205, action.section_dim)
+    comps = z.reshape(len(z), k, k, action.section_dim // (k * k))
+    assert np.all(comps[:, below] == 0.0)
+    assert np.all(comps[:, range(k), range(k), 0] > 0.0) and np.all(comps[:, range(k), range(k), 1:] == 0.0)
 
 
 def test_reference_blocks_extend_the_stream():
-    # each block of draws has its own seed, so a longer reference keeps the shorter one as its prefix
-    from sectint.actions import REF_BLOCK
+    # the row blocks draw from one generator in turn, so a longer reference
+    # keeps the whole row blocks of the shorter one as its prefix
+    from sectint.actions import _ROW_BLOCK
 
     spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "coordinate_norm")
-    short, _ = spec.action.reference_sample(spec, 7, REF_BLOCK + 10)
-    long, _ = spec.action.reference_sample(spec, 7, 2 * REF_BLOCK + 3)
-    assert long.shape == (2 * REF_BLOCK + 3,)
-    np.testing.assert_array_equal(long[:REF_BLOCK], short[:REF_BLOCK])
+    short, _ = spec.action.reference_sample(spec, 7, _ROW_BLOCK + 10)
+    long, _ = spec.action.reference_sample(spec, 7, 2 * _ROW_BLOCK + 3)
+    assert long.shape == (2 * _ROW_BLOCK + 3,)
+    np.testing.assert_array_equal(long[:_ROW_BLOCK], short[:_ROW_BLOCK])
 
 
 @pytest.mark.parametrize("stat", ["coordinate_det", "coordinate_norm", "singular_value"])
-@pytest.mark.parametrize("action", [DirectSumAction(f, n, k) for f, n, k in
-                                    [(R, 3, 2), (C, 4, 2), (H, 3, 2), (R, 4, 1), (C, 3, 1), (H, 3, 1)]], ids=str)
-def test_blocked_reference_matches_unblocked_oracle(action, stat):
-    # the draws evaluated a row block at a time give the bits of one pass
-    # over each seed block: 60000 draws end in a partial row block, the
-    # longer references in a partial seed block too
-    from sectint.actions import REF_BLOCK
-
-    spec = EnsembleSpec(action, -2.5, stat)
-    for n_ref in (60_000, REF_BLOCK + 10, 2 * REF_BLOCK + 3):
-        stats, spread = spec.action.reference_sample(spec, 9, n_ref)
-        o_stats, o_spread = bartlett_reference_unblocked(spec, 9, n_ref)
-        np.testing.assert_array_equal(stats, o_stats)
-        assert spread == o_spread
-
-
-@pytest.mark.parametrize("stat", ["coordinate_det", "coordinate_norm", "singular_value"])
-@pytest.mark.parametrize("action", [DirectSumAction(H, 3, 2), DirectSumAction(C, 3, 1)], ids=str)
+@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
 def test_reference_statistics_match_per_draw_coordinates(action, stat):
     # the batched statistics of the draws equal those of each coordinate R read as a matrix
     from sectint.matrices import from_real_vector
 
     spec = EnsembleSpec(action, 1.5, stat)
     rs, _ = spec.action.reference_sample(spec, 3, 40)
-    draws = np.concatenate(list(bartlett_draws(action, np.random.default_rng(_subseed(3, 0)), 40)))
+    draws = bartlett_draws(action, np.random.default_rng(3), 40)
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
               for p in action.section_points(1.5 * draws)]
     np.testing.assert_allclose(rs, oracle, rtol=1e-10, atol=0)

@@ -17,7 +17,7 @@ import math
 import pytest
 
 from sectint.cli import main
-from write_golden_payloads import GOLDEN, fingerprint, run
+from write_golden_payloads import GOLDEN, fingerprint, moved_ops, run
 
 REL_TOL = 1e-6
 ABS_FLOOR = 1e-8
@@ -45,6 +45,17 @@ def _close(got, want, path="payload"):
 def test_the_file_covers_every_workload():
     assert {op["workload"] for op in DOC["ops"]} == {"flat-mc", "group-mc", "pointwise"}
     assert len(DOC["ops"]) == len({(op["workload"], op["slot"]) for op in DOC["ops"]})
+
+
+def test_the_writer_lists_the_moved_ops():
+    # one line per op whose hash differs from the old file's, with its exit statuses where they differ
+    first, last = DOC["ops"][0], DOC["ops"][-1]
+    ops = [dict(first, sha256="0"), *DOC["ops"][1:-1], dict(last, sha256="1", exit=7)]
+    assert moved_ops(DOC, DOC["ops"]) == []
+    assert moved_ops(DOC, ops) == [
+        "moved: flat-mc slot 0 integrate SO(3)^2 on R^(3x2)",
+        f"moved: pointwise slot 135 ensemble SU(3) conjugation exit {last['exit']} -> 7",
+    ]
 
 
 @pytest.mark.parametrize("op", DOC["ops"], ids=lambda op: f"{op['workload']}-{op['slot']}-{op['argv'][0]}")

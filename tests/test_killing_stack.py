@@ -265,8 +265,11 @@ def test_svd_pads_as_np_pad_does(action):
 
 @pytest.mark.parametrize("action", [DirectSumAction(f, n, 1) for f, n in [(R, 4), (C, 3), (H, 2)]], ids=str)
 def test_polar_section_coords_are_padded_draws(action):
-    # a real multiple of the first basis vector, drawn as one column of normals
+    # the real t of the polar line, one column (count, section_dim) of
+    # normals, which section_points pads to a real multiple of the first
+    # basis vector
     coords = action.section_coords(np.random.default_rng(5), 7)
     column = np.random.default_rng(5).standard_normal((7, 1))
-    padded = np.pad(column, ((0, 0), (0, action.field.dim - 1)))
-    assert coords.shape == padded.shape and coords.tobytes() == padded.tobytes()
+    assert coords.shape == (7, action.section_dim) and coords.tobytes() == column.tobytes()
+    padded = np.pad(column, ((0, 0), (0, action.ambient_dim - 1)))
+    assert action.section_points(coords).tobytes() == padded.tobytes()

@@ -199,12 +199,8 @@ def _chunk_statistic(spec, rng, size):
     action = spec.action
     if isinstance(action, ConjugationAction):
         return canonical_angles(action.group, haar_sample_batch(action.group, rng, size))[:, spec.stat_index]
-    field, n, k = action.field, action.n, action.k
-    if field is C:  # all real parts of a matrix are drawn before its imaginary parts
-        comps = np.moveaxis(rng.standard_normal((size, 2, n, k)), 1, -1)
-    else:
-        comps = rng.standard_normal((size, n, k, field.dim))
-    return _coordinate_statistics(spec, field, spec.scale * comps)
+    comps = rng.standard_normal((size, action.n, action.k, action.field.dim))
+    return _coordinate_statistics(spec, action.field, spec.scale * comps)
 
 
 @pytest.mark.parametrize("action", ROWS, ids=str)

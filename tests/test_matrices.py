@@ -460,26 +460,36 @@ def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
     assert np.array_equal(full, np.concatenate(parts))
 
 
-def _chunk_components(field, n, m, rng, size):
-    """One chunk's Gaussian components: over C all real parts of a matrix
-    are drawn before its imaginary parts."""
-    if field is C:
-        return np.moveaxis(rng.standard_normal((size, 2, n, m)), 1, -1)
-    return rng.standard_normal((size, n, m, field.dim))
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_gaussian_batch_joins_its_chunks_draws(field):
     # one buffer filled chunk by chunk gives each chunk's own draws, bit for
-    # bit, one-draw and empty chunks included
-    from sectint.matrices import data_from_components, gaussian_batch, gaussian_components
+    # bit, one-draw and empty chunks included: on every field a matrix's real
+    # coordinates are its chunk's flat standard normals, in the
+    # realification order
+    from sectint.matrices import gaussian_batch, real_dim
     from sectint.mc import chunk_rngs
 
     sizes = [3, 1, 1, 5, 0, 1]
-    chunks = [_chunk_components(field, 3, 2, rng, size) for rng, size in zip(chunk_rngs(9, 6), sizes)]
-    comps = gaussian_components(field, 3, 2, chunk_rngs(9, 6), sizes)
-    assert comps.tobytes() == np.concatenate(chunks).tobytes()
+    chunks = [rng.standard_normal((size, real_dim(field, 3, 2))) for rng, size in zip(chunk_rngs(9, 6), sizes)]
     data = gaussian_batch(field, 3, 2, chunk_rngs(9, 6), sizes)
-    assert data.tobytes() == np.concatenate([data_from_components(field, c) for c in chunks]).tobytes()
+    assert batch_to_real(field, data).tobytes() == np.concatenate(chunks).tobytes()
     one_by_one = [gaussian_batch(field, 3, 2, [rng], [size]) for rng, size in zip(chunk_rngs(9, 6), sizes)]
     assert data.tobytes() == np.concatenate(one_by_one).tobytes()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_direct_sums_read_the_one_gaussian_stream(field):
+    # a direct sum's ambient points, section coordinates and ensemble draws
+    # are the flat standard normals of their generators
+    from sectint.actions import DirectSumAction
+    from sectint.ensembles import EnsembleSpec
+    from sectint.mc import chunk_rngs, standard_normals
+
+    action, sizes = DirectSumAction(field, 3, 2), [3, 1, 1, 5, 0, 1]
+    points = action.random_ambient_points(np.random.default_rng(4), 6)
+    assert batch_to_real(field, points).tobytes() == np.random.default_rng(4).standard_normal((6, action.ambient_dim)).tobytes()
+    coords = action.section_coords(np.random.default_rng(4), 6)
+    assert coords.tobytes() == np.random.default_rng(4).standard_normal((6, action.section_dim)).tobytes()
+    spec = EnsembleSpec(action, 1.5, "coordinate_norm")
+    norms = np.linalg.norm(1.5 * standard_normals(chunk_rngs(9, 6), sizes, (action.ambient_dim,)), axis=1)
+    assert action.ensemble_statistics(spec, chunk_rngs(9, 6), sizes).tobytes() == norms.tobytes()

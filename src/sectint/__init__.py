@@ -83,7 +83,6 @@ from .volumes import (
     torus_volume,
     vol_gh_estimate,
     w_group_volume,
-    weyl_group_order,
 )
 from .ensembles import EnsembleSpec, HistogramComparison, compare_densities, sample_ensemble
 from .checks import CheckResult, run_action_checks

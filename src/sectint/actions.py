@@ -89,14 +89,14 @@ from .groups import (
     Family,
     GroupElement,
     GroupSpec,
-    _positive_roots,
-    _torus_grid,
+    RootData,
     algebra_basis,
     block_algebra_basis,
     full_torus_angles,
     haar_from_gaussian,
     haar_sample_batch,
     pair_generators,
+    root_data,
     torus_angles,
     torus_basis,
     torus_indices,
@@ -105,7 +105,7 @@ from .groups import (
     torus_weight_batch,
 )
 from .mc import McEstimate, standard_normals
-from .volumes import group_volume, torus_volume, weyl_group_order
+from .volumes import group_volume, torus_volume
 
 TWO_PI = 2.0 * np.pi
 _ANGLE_TOL = 1e-10  # angles this close to 0 or pi count as 0 or pi in canonical_angles
@@ -307,7 +307,7 @@ class DirectSumAction(ActionSpec):
         the split's trace-compensating generator stretches by sqrt(n / (n - k))."""
         n, k = self.n, self.k
         if k == 1:
-            return 2.0
+            return float(polar_root_data(self.field, n).weyl_order)
         vol = group_volume(GroupSpec(self.group.family, k))
         if self.field is REAL:
             vol *= 2.0
@@ -425,6 +425,11 @@ class DirectSumAction(ActionSpec):
         n_ref = max(30 * n, 60_000)
         ref_stats, spread = self.reference_sample(spec, seed, n_ref)
         return ref_stats, None, spread, n_ref
+
+
+def polar_root_data(field: ScalarField, n: int) -> RootData:
+    """Root data of the polar line t e_1 of K^n (k = 1): one root t of multiplicity, and degree, dn - 1; W = {+-1}."""
+    return RootData(np.ones((1, 1)), field.dim * n - 1, field.dim * n - 1, 2, chord=False)
 
 
 @dataclass(frozen=True)
@@ -574,8 +579,8 @@ class ConjugationAction(ActionSpec):
         return torus_points(self.group, 0.7 * np.arange(self.group.rank)[None])[: int(self.group.rank >= 2)]
 
     def weyl_volume(self) -> float:
-        """The order of the classical Weyl group, which counts points."""
-        return float(weyl_group_order(self.group))
+        """The order of the classical Weyl group (root_data), which counts points."""
+        return float(root_data(self.group).weyl_order)
 
     def stabilizer_volume(self) -> float:
         """The volume of the maximal torus."""
@@ -604,22 +609,26 @@ class ConjugationAction(ActionSpec):
         return None
 
     def rule_sizes(self, degree: int | None) -> tuple[int, int]:
-        """(fine, coarse) nodes per angle above the degree of f times Weyl's weight (per
-        angle, its |coefficients| summed over the positive roots); else TORUS_GRID and half."""
+        """(fine, coarse) nodes per angle above the degree of f times Weyl's weight
+        (root_data's degree); else TORUS_GRID and half."""
         if degree is None:
             grid = TORUS_GRID.get(self.group.rank, 12)
             return grid, grid // 2
-        roots = full_torus_angles(self.group, np.eye(self.group.rank)) @ _positive_roots(self.group)
-        coarse = int(np.max(np.sum(np.abs(roots), axis=1))) + max(degree, 4) + 1
+        coarse = root_data(self.group).degree + max(degree, 4) + 1
         return coarse + 1, coarse
 
     def section_rule(self, values, sigma: float, m: int) -> np.ndarray:
         """Trapezoid rule with m nodes per angle of the torus cube, one value per
-        row of values(pts), from one evaluation of Weyl's closed-form weight;
+        row of values(pts), at (block, D) torus points, _ROW_BLOCK nodes at a
+        time, each block with one evaluation of Weyl's closed-form weight;
         exact below degree m per angle.  sigma scales nothing on the torus."""
-        angles = _torus_grid(self.group.rank, m)
-        vals = values(torus_points(self.group, angles)) * torus_weight_batch(self.group, angles)
-        return np.mean(vals, axis=1) * torus_volume(self.group)
+        axis, shape = np.arange(m) * (TWO_PI / m), (m,) * self.group.rank
+        count, totals = m ** self.group.rank, 0.0
+        for lo in range(0, count, _ROW_BLOCK):
+            angles = axis[np.stack(np.unravel_index(np.arange(lo, min(lo + _ROW_BLOCK, count)), shape), axis=1)]
+            vals = values(torus_points(self.group, angles)) * torus_weight_batch(self.group, angles)
+            totals = totals + np.sum(vals, axis=1)  # np.mean's sum / count on a single block
+        return totals / count * torus_volume(self.group)
 
     def statistic_columns(self, statistic: str, scale: float) -> int:
         """Columns of torus_angle; ValueError for another statistic, or a scale, which Haar measure lacks."""
@@ -627,7 +636,7 @@ class ConjugationAction(ActionSpec):
             raise ValueError(f"statistic {statistic!r} not defined for conjugation; it has torus_angle")
         if scale != 1.0:
             raise ValueError(f"ensemble scale {scale:g} has no meaning on {self}, whose density is Haar measure")
-        return self.group.n if self.group.family is Family.SU else self.group.rank
+        return len(root_data(self.group).roots)  # the full angles: all n on SU(n)
 
     def ensemble_statistics(self, spec, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
         """Canonical angles of a batch's Haar draws: their sorted eigen-angles (canonical_angles)."""
@@ -640,7 +649,8 @@ class ConjugationAction(ActionSpec):
         REF_DRAWS section_coords rows drawn at seed above it, whose effective
         size is Kish's (sum w)^2 / sum w^2.  n is not read: the reference has one size."""
         rank = self.group.rank
-        rows = _torus_grid(1, REF_GRID) if rank == 1 else self.section_coords(np.random.default_rng(seed), REF_DRAWS)
+        rows = ((np.arange(REF_GRID) * (TWO_PI / REF_GRID))[:, None] if rank == 1
+                else self.section_coords(np.random.default_rng(seed), REF_DRAWS))
         weights = torus_weight_batch(self.group, rows)
         n_eff = None if rank == 1 else float(np.sum(weights) ** 2 / np.sum(weights * weights))
         return torus_canonical_angles(self.group, rows)[:, spec.stat_index], weights, None, n_eff
@@ -1068,7 +1078,7 @@ def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
     d, n, k = action.field.dim, action.n, action.k
     if k == 1:
         const = 2.0 ** (-d * (n - 1) / 2.0) * (np.sqrt((n - 1) / n) if action.field is COMPLEX else 1.0)
-        return const * np.abs(z[:, 0]) ** (d * n - 1)
+        return const * polar_root_data(action.field, n).weight(z)
     dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
     return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ActionSpec
-from .mc import _subseed, chunk_batches, chunk_rngs, chunk_sizes
+from .mc import chunk_batches, chunk_rngs, chunk_sizes, subseed
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
 #: largest relative spread of the reference draws' weight ratio: rounding level
@@ -90,15 +90,8 @@ class HistogramComparison:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["bin_lo", "bin_hi", "empirical", "reference"])
-            for i in range(len(self.edges) - 1):
-                w.writerow(
-                    [
-                        repr(float(self.edges[i])),
-                        repr(float(self.edges[i + 1])),
-                        repr(float(self.empirical[i])),
-                        repr(float(self.reference[i])),
-                    ]
-                )
+            for row in zip(self.edges[:-1], self.edges[1:], self.empirical, self.reference):
+                w.writerow([repr(float(v)) for v in row])
 
 
 def _merge_small_bins(obs: np.ndarray, exp: np.ndarray):
@@ -174,8 +167,8 @@ def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chu
     """
     if bins < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
-    stats = sample_ensemble(spec, _subseed(seed, 0), n, chunks)
-    ref_stats, weights, spread, n_eff = spec.action.ensemble_reference(spec, n, _subseed(seed, 1))
+    stats = sample_ensemble(spec, subseed(seed, 0), n, chunks)
+    ref_stats, weights, spread, n_eff = spec.action.ensemble_reference(spec, n, subseed(seed, 1))
     edges, ref_freq = reference_bins(stats, ref_stats, weights, bins)
     emp_counts, _ = np.histogram(stats, bins=edges)
     emp_freq = emp_counts / np.sum(emp_counts)

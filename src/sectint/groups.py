@@ -2,16 +2,18 @@
 
 Provides orthonormal Lie algebra bases for the inner product
 Re(tr(x^* y)), all from one rule over the field's units and each a
-read-only array of flat real rows (q, d n^2), maximal-torus points and
-grids, Weyl's closed-form weight on the torus, exact Haar sampling as the q factor of Gaussian
-matrices from one batched Householder kernel (matrices.householder_q)
-for every family, and the adjoint action.
+read-only array of flat real rows (q, d n^2), maximal-torus points, the
+torus's ``root_data`` (positive roots, multiplicity 2, the degree of the
+torus rule, |W|) and Weyl's weight from it, exact Haar sampling as the q
+factor of Gaussian matrices from one batched Householder kernel
+(matrices.householder_q) for every family, and the adjoint action.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +71,8 @@ class GroupSpec:
 
     @property
     def algebra_dim(self) -> int:
-        n = self.n
-        if self.family is Family.SO:
-            return n * (n - 1) // 2
-        if self.family is Family.SU:
-            return n * n - 1
-        return n * (2 * n + 1)
+        """The torus and a root space of real dimension 2 for each positive root."""
+        return self.rank + 2 * root_data(self).roots.shape[1]
 
     @property
     def rank(self) -> int:
@@ -168,7 +166,7 @@ def torus_points(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
     angles = full_torus_angles(group, angles)
     m, r = angles.shape
     c, s = np.cos(angles), np.sin(angles)
-    out = np.zeros((m, n * n, 1 if fam is Family.SO else (2 if fam is Family.SU else 4)))
+    out = np.zeros((m, n * n, group.field.dim))
     step = n + 1  # flat stride between diagonal entries
     if fam is Family.SO:
         # rotation block a occupies rows and columns 2a, 2a + 1
@@ -212,43 +210,58 @@ def torus_angles(group: GroupSpec, pts: np.ndarray) -> np.ndarray:
     return np.arctan2(pts[:, diag + 1], pts[:, diag])
 
 
-def _torus_grid(rank: int, grid: int) -> np.ndarray:
-    """Angle rows (grid^rank, rank) of the uniform grid with grid nodes per angle."""
-    axes = [np.arange(grid) * (2 * np.pi / grid) for _ in range(rank)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def torus_weight_batch(group: GroupSpec, angles: np.ndarray) -> np.ndarray:
-    """Weyl's weight of conjugation at the torus angle rows (m, r) of torus_points.
+    """Weyl's weight of conjugation at the torus angle rows (m, r) of torus_points:
+    root_data's product of 4 sin^2(alpha / 2) over the positive roots alpha."""
+    return root_data(group).weight(full_torus_angles(group, np.atleast_2d(angles)))
 
-    The product of 4 sin^2(alpha / 2) over the positive roots alpha:
-    theta_i - theta_j on SU(n), the last angle minus the sum of the others
-    when n - 1 are given; theta_a +- theta_b on SO(n), and theta_a on
-    SO(2m+1); theta_a +- theta_b and 2 theta_a on Sp(n).
-    """
-    angles = full_torus_angles(group, np.atleast_2d(angles))
-    chords = 2.0 * np.sin(0.5 * (angles @ _positive_roots(group)))
-    return np.prod(chords * chords, axis=1)
+
+@dataclass(frozen=True)
+class RootData:
+    """The weight prod_alpha |f(alpha(x))|^multiplicity of a section: roots
+    (angles, roots), one root per column over the full rows x (those of
+    full_torus_angles on a torus); f(x) = 2 sin(x / 2) on a compact torus
+    (chord), else x; the weight's degree per free coordinate, trigonometric
+    on a torus; and weyl_order, |W|."""
+
+    roots: np.ndarray
+    multiplicity: int  # a Python int: a scalar power keeps the bits of x * x
+    degree: int
+    weyl_order: int
+    chord: bool
+
+    def weight(self, x: np.ndarray) -> np.ndarray:
+        """The weight at the full coordinate rows x (m, angles)."""
+        alpha = x @ self.roots
+        return np.prod(np.abs(2.0 * np.sin(0.5 * alpha) if self.chord else alpha) ** self.multiplicity, axis=1)
 
 
 @functools.lru_cache(maxsize=None)
-def _positive_roots(group: GroupSpec) -> np.ndarray:
-    """Coefficients (r, roots) of the positive roots in the full angle rows
-    of full_torus_angles, each column one root.  The entries are 0, +-1
-    and 2, so a root is the angles' sum or difference rounded once: at
-    equal angles (or opposite, or a zero one) it and the weight are
-    exactly 0."""
-    unit = np.eye(group.n if group.family is Family.SU else group.rank)
+def root_data(group: GroupSpec) -> RootData:
+    """Root data of the maximal torus, multiplicity 2: theta_i - theta_j on
+    SU(n) (all n angles), theta_a +- theta_b on SO(n) and Sp(n), with theta_a
+    on SO(2m+1) and 2 theta_a on Sp(n); |W| is S_n, or the signed permutations
+    (an even number of sign changes on SO(2m)).  The entries are 0, +-1 and
+    2, so a root is the angles' sum or difference rounded once: at equal
+    angles (or opposite, or a zero one) it and the weight are exactly 0."""
+    fam, rank = group.family, group.rank
+    unit = np.eye(group.n if fam is Family.SU else rank)
     i, j = np.triu_indices(len(unit), 1)
     roots = [unit[i] - unit[j]]
-    if group.family is not Family.SU:
+    if fam is Family.SU:
+        order = math.factorial(group.n)
+    else:
+        order = 2 ** rank * math.factorial(rank)
         roots.append(unit[i] + unit[j])
-        if group.family is Family.SP:
+        if fam is Family.SP:
             roots.append(2.0 * unit)
         elif group.n % 2:
             roots.append(unit)
-    return read_only(np.concatenate(roots).T)
+        elif rank:
+            order //= 2
+    roots = read_only(np.concatenate(roots).T)
+    per_angle = np.sum(np.abs(full_torus_angles(group, np.eye(rank)) @ roots), axis=1)
+    return RootData(roots, 2, int(np.max(per_angle, initial=0)), order, chord=True)
 
 
 def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:

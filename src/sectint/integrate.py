@@ -36,7 +36,7 @@ from .fields import brief
 from .matrices import gram_det
 from .actions import ActionSpec, ConjugationAction, DirectSumAction
 from .weights import section_weight_batch  # noqa: F401  perfbench/tracing.py traces this binding
-from .mc import McEstimate, _subseed, mc_run, product, ratio, require_samples
+from .mc import McEstimate, mc_run, product, ratio, require_samples, subseed
 
 # relative floor of the quadrature error proxies: the rules are exact on the
 # torus weight's trigonometric polynomials and on polynomials times the
@@ -290,7 +290,7 @@ def calibrate_vol_gn(
     for i, (f, reduced_unit) in enumerate(zip(fs, integrate_reduced(action, fs, 1.0))):
         if abs(reduced_unit.mean) <= max(5.0 * reduced_unit.stderr, 1e-200):
             raise IllConditionedCalibration(f"section integral of {f.name} is consistent with zero")
-        [direct] = integrate_direct(action, [f], _subseed(seed, i, 0), n, chunks, workers)
+        [direct] = integrate_direct(action, [f], subseed(seed, i, 0), n, chunks, workers)
         ratios.append(ratio(direct, reduced_unit))
     worst = 0.0
     for a, b in itertools.combinations(ratios, 2):

@@ -93,7 +93,7 @@ def chunk_batches(sizes: list[int]) -> list[range]:
     return batches + [range(start, len(sizes))]
 
 
-def _subseed(seed: int, *tags: int) -> int:
+def subseed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
 
 

@@ -9,8 +9,9 @@ e_1 at speed |v|, which gives (Macdonald, Invent. Math. 56, 1980)
     vol(SU(n)) = 2^(n-1) sqrt(n/(n-1)) |S^(2n-1)| vol(SU(n-1)), SU(1) = 1,
     vol(Sp(n)) = 4^(n-1) |S^(4n-1)| vol(Sp(n-1)),                Sp(0) = 1.
 
-Tori and finite Weyl groups are exact too, and each action kind builds
-the volumes of its Weyl group and stabilizer from these
+Tori are exact too, a finite Weyl group's volume is the |W| of its root
+record (``groups.root_data``, or the polar line's), and each action kind
+builds the volumes of its Weyl group and stabilizer from these
 (``weyl_volume``, ``stabilizer_volume``); quotient volumes come from
 the totally geodesic fibrations vol(G/H) = vol(G)/vol(H) and
 vol(G/H) = vol(G/N) vol(W).
@@ -36,19 +37,6 @@ def torus_volume(group: GroupSpec) -> float:
     if group.family is Family.SU:
         return (2.0 * math.pi) ** (n - 1) * math.sqrt(n)
     return (2.0 * math.pi) ** n
-
-
-def weyl_group_order(group: GroupSpec) -> int:
-    """Order of the classical Weyl group of the torus."""
-    n = group.n
-    if group.family is Family.SU:
-        return math.factorial(n)
-    if group.family is Family.SP:
-        return 2 ** n * math.factorial(n)
-    m = n // 2
-    if n % 2 == 1:
-        return 2 ** m * math.factorial(m)
-    return 2 ** max(m - 1, 0) * math.factorial(m)
 
 
 def _sphere_area(dim: int) -> float:

@@ -19,24 +19,21 @@ complementary Killing fields at a batch of points are one contraction
 with the m slice of the split's operator stack, and their |det| one
 batched QR by ``matrices.abs_det_between``.  Its one singular cutoff
 reads rounding noise at a singular point as exactly 0, here as in
-``delta_d`` and the total determinant of the differential.  The closed
-form ``torus_weight_batch`` serves conjugation, where the reduced
-formula is Weyl's integration formula: at torus angles theta the
-weight is
-
-    prod over the positive roots alpha of 4 sin^2(alpha(theta) / 2)
-
-(1 on SO(2), which has none).  The closed form ``section_weight_batch``
-serves the direct sums, 1 <= k <= n-1:
+``delta_d`` and the total determinant of the differential.  Two closed
+forms are one kernel over a ``groups.RootData`` record, the product of
+|f(alpha(x))| ** m over its positive roots alpha: Weyl's formula
+``torus_weight_batch`` for conjugation, f(x) = 2 sin(x/2) and m = 2 over
+``groups.root_data`` (1 on SO(2), which has no roots), and the polar line
+t e_1 (k = 1) of ``section_weight_batch``, one root t of m = d n - 1
+(``actions.polar_root_data``) times 2 ** (-d (n - 1) / 2), and
+sqrt((n - 1) / n) over C, where the imaginary unit at the first entry
+lies in su(n) only with a traceless correction.  For 2 <= k <= n-1 it is
 
     2 ** (-d k (n - k) / 2) * |det B| ** (d (n - k))
 
 with B the top k x k section coordinate and |det B| = sqrt(gram_det(B))
 (the Dieudonne modulus over H), taken by QR wherever the Gram closed
-form would lose digits.  On the polar line t e_1 (k = 1) it is
-2 ** (-d (n - 1) / 2) * |t| ** (d n - 1), one more factor |t| ** (d - 1),
-times sqrt((n - 1) / n) over C, where the imaginary unit at the first
-entry lies in su(n) only with a traceless correction.
+form would lose digits.
 The quadrature rules and the ensemble references use the closed forms;
 ``checks.pointwise_checks`` compares each (the kind's ``closed_weight``)
 with the generic kernel for ``verify`` and ``delta``.

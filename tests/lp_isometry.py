@@ -14,11 +14,10 @@ import numpy as np
 from sectint.integrate import (
     ContractViolation,
     TestFunction,
-    _subseed,
     integrate_direct,
     integrate_reduced,
 )
-from sectint.mc import McEstimate, product
+from sectint.mc import McEstimate, product, subseed
 from reduced_mc import evaluate_test_function
 
 
@@ -42,7 +41,7 @@ def lp_isometry_check(action, f: TestFunction, p: int, vol_gn: McEstimate, seed:
         raise ContractViolation("the isometry check needs a group-invariant function")
     fp = TestFunction(f"abs_{f.name}_pow{p}", {}, True,
                       lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p)
-    [lhs] = integrate_direct(action, [fp], _subseed(seed, 0), n, chunks, workers)
+    [lhs] = integrate_direct(action, [fp], subseed(seed, 0), n, chunks, workers)
     rhs = product(*integrate_reduced(action, [fp], 1.0), vol_gn)
 
     def root(e: McEstimate) -> McEstimate:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sectint.fields import ScalarField
 from sectint.matrices import MatK, data_from_components, det_modulus
-from sectint.groups import Family, GroupSpec, _torus_grid, torus_point, torus_points
+from sectint.groups import Family, GroupSpec, torus_point, torus_points
 from sectint.actions import (
     REF_GRID,
     ConjugationAction,
@@ -33,10 +33,11 @@ from sectint.ensembles import (
     reference_bins,
     sample_ensemble,
 )
-from sectint.mc import BATCH_DRAWS, _subseed, chunk_rngs, chunk_sizes
+from sectint.mc import BATCH_DRAWS, chunk_rngs, chunk_sizes, subseed
 from bin_merge_oracle import merge_small_bins_rescanning
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
+from test_groups import torus_grid
 from test_kinds import ROWS as KIND_ROWS
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
@@ -177,7 +178,7 @@ def test_conjugation_samples_match_per_draw_reduction(action):
 def test_canonical_angles_match_reduction_on_reference_grid(action):
     # every node of a 96-node torus grid, nodes at angle 0 and pi included
     group = action.group
-    points = [torus_point(group, a) for a in _torus_grid(group.rank, 96)]
+    points = [torus_point(group, a) for a in torus_grid(group.rank, 96)]
     oracle = np.array([_per_point_angles(action, p) for p in points])
     data = np.stack([p.data for p in points])
     np.testing.assert_allclose(canonical_angles(group, data), oracle, rtol=0, atol=1e-12)
@@ -192,7 +193,7 @@ def test_torus_grid_angles_match_eigensolve(group):
     # points are diagonal; on SO the rotation blocks' eigenvalues are
     # rounded once more, and the SO(2m) orientation is the same.  The grid
     # has nodes at 0 and pi; 0.7 * arange puts an SU phase at the cut
-    angles = np.concatenate([_torus_grid(group.rank, 96 if group.rank <= 2 else 12),
+    angles = np.concatenate([torus_grid(group.rank, 96 if group.rank <= 2 else 12),
                              0.7 * np.arange(group.rank)[None]])
     pts = torus_points(group, angles)
     data = data_from_components(group.field, pts.reshape(len(pts), group.n, group.n, group.field.dim))
@@ -333,7 +334,7 @@ def test_su2_second_angle_is_binned_on_its_own_range(seed):
     # Both cut the same grid by cumulative weight, from opposite ends, so the
     # inner edges mirror to within half a grid step
     specs = [EnsembleSpec(SU2CONJ, 1.0, "torus_angle", index) for index in (0, 1)]
-    ref_first, ref_second = (SU2CONJ.ensemble_reference(spec, 2000, _subseed(seed, 1))[0] for spec in specs)
+    ref_first, ref_second = (SU2CONJ.ensemble_reference(spec, 2000, subseed(seed, 1))[0] for spec in specs)
     np.testing.assert_allclose(ref_second, -ref_first, rtol=0, atol=4e-15)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -378,7 +379,7 @@ def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n):
     # size (sum w)^2 / sum w^2 for the weighted torus draws above rank one
     spec = EnsembleSpec(action, 1.0, statistic)
     cmp_ = compare_densities(spec, seed=7, n=n, bins=20)
-    _, weights, _, n_eff = action.ensemble_reference(spec, n, _subseed(7, 1))
+    _, weights, _, n_eff = action.ensemble_reference(spec, n, subseed(7, 1))
     if weights is None:
         assert n_eff == max(30 * n, 60_000)
     else:

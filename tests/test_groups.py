@@ -26,12 +26,20 @@ from sectint.groups import (
     algebra_basis,
     haar_sample,
     haar_sample_batch,
+    root_data,
     torus_basis,
     torus_point,
     torus_points,
+    torus_weight_batch,
 )
 
 ALL_GROUPS = [GroupSpec(f, n) for f in Family for n in range(2, 7)]
+
+
+def torus_grid(rank: int, grid: int) -> np.ndarray:
+    """Angle rows (grid^rank, rank) of the uniform grid with grid nodes per angle, the last angle fastest."""
+    axes = [np.arange(grid) * (2 * np.pi / grid) for _ in range(rank)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def unitarity_residual(g):
@@ -323,3 +331,19 @@ def test_torus_points_match_explicit_matrices():
                 expect = mat(ScalarField.QUATERNION, comp)
             np.testing.assert_allclose(row, to_real_vector(expect), atol=1e-15)
             np.testing.assert_allclose(to_real_vector(torus_point(g, a)), row, atol=0.0)
+
+
+WEYL_TABLE = [GroupSpec(Family.SO, n) for n in range(2, 8)] + [GroupSpec(Family.SU, n) for n in range(2, 6)] \
+    + [GroupSpec(Family.SP, n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("group", WEYL_TABLE, ids=str)
+def test_weyl_order_is_the_mean_of_the_root_weight(group):
+    # Weyl's integration formula at f = 1: the uniform-torus mean of the
+    # weight is |W|.  The weight is a trigonometric polynomial of the
+    # record's degree per angle, so degree + 1 trapezoid nodes are exact:
+    # the roots, their degree and |W| must agree with one another
+    data = root_data(group)
+    mean = np.mean(torus_weight_batch(group, torus_grid(group.rank, data.degree + 1)))
+    assert mean == pytest.approx(data.weyl_order, rel=1e-13, abs=0)
+    assert type(data.multiplicity) is int and type(data.weyl_order) is int

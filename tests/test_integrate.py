@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sectint.fields import ScalarField
-from sectint.groups import Family, GroupSpec, haar_sample
+from sectint.groups import Family, GroupSpec, haar_sample, torus_weight_batch
 from sectint.actions import (
     ConjugationAction,
     DirectSumAction,
@@ -35,10 +36,11 @@ from sectint.integrate import (
     section_coordinate_det,
 )
 from sectint import integrate  # integrate.TestFunction: a Test* name here would be collected
-from sectint.volumes import group_volume, vol_gh_estimate, w_group_volume
+from sectint.volumes import group_volume, torus_volume, vol_gh_estimate, w_group_volume
 from lp_isometry import lp_isometry_check
 from mc_oracle import mc_run_per_chunk
 from reduced_mc import evaluate_test_function, reduced_importance_sampling
+from test_groups import torus_grid
 
 R = ScalarField.REAL
 SO3K2 = DirectSumAction(R, 3, 2)
@@ -580,11 +582,11 @@ def test_shared_draw_changes_no_estimate(action, fs, workers, n, chunks):
 )
 def test_calibration_ratios_use_independent_draws(action, fs):
     # the consistency test combines the ratios as independent estimates, so
-    # each integrand's direct side has its own draws at _subseed(seed, i, 0)
-    from sectint.mc import _subseed, ratio
+    # each integrand's direct side has its own draws at subseed(seed, i, 0)
+    from sectint.mc import ratio, subseed
 
     calib = calibrate_vol_gn(action, fs, seed=23, n=4000, chunks=8)
-    seeds = [_subseed(23, i, 0) for i in range(len(fs))]
+    seeds = [subseed(23, i, 0) for i in range(len(fs))]
     assert len(set(seeds)) == len(fs)
     for f, r, s in zip(fs, calib.ratios, seeds):
         [direct] = integrate_direct(action, [f], s, 4000, chunks=8)
@@ -679,6 +681,27 @@ def test_torus_rule_evaluates_the_weight_once_per_node_count(monkeypatch, family
     assert len(integrate_reduced(ConjugationAction(GroupSpec(family, n)), fs, 1.0)) == count
     assert len(calls) == 2
     assert len(generic_calls) == 0
+
+
+def test_torus_rule_memory_is_bounded_by_its_blocks():
+    # SU(5)'s trace_power rule has 14^4 = 38416 nodes; built at once, its
+    # points and values peaked at 21 MB, a block of them takes under 3 MB.
+    # The blocked sums match the mean over the whole grid
+    action, f = ConjugationAction(GroupSpec(Family.SU, 5)), make_test_function("trace_power", power=4)
+    fine, _ = action.rule_sizes(f.degree())
+    assert fine ** 4 == 38416
+    integrate_reduced(ConjugationAction(GroupSpec(Family.SU, 2)), [f], 1.0)  # caches outside the trace
+    tracemalloc.start()
+    try:
+        [est] = integrate_reduced(action, [f], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    angles = torus_grid(4, fine)
+    trace = np.sum(np.cos(angles), axis=1) + np.cos(np.sum(angles, axis=1))
+    whole = np.mean(trace ** 4 * torus_weight_batch(action.group, angles)) * torus_volume(action.group)
+    assert est.mean == pytest.approx(whole, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("action", [SO3K2, DirectSumAction(ScalarField.QUATERNION, 3, 2), DirectSumAction(R, 4, 1)],
@@ -934,9 +957,9 @@ def test_lp_p1_reduces_to_identity_check():
     # of |f|
     f = make_test_function("gaussian_radial", sigma=1.0)
     rep = lp_isometry_check(SO3K2, f, 1, McEstimate.exact(4 * np.pi), seed=21, n=50_000)
-    from sectint.integrate import _subseed
+    from sectint.mc import subseed
 
-    [direct] = integrate_direct(SO3K2, [f], _subseed(21, 0), 50_000)
+    [direct] = integrate_direct(SO3K2, [f], subseed(21, 0), 50_000)
     assert rep.norm_ambient.mean == pytest.approx(direct.mean, rel=1e-12)
 
 

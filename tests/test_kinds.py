@@ -105,6 +105,18 @@ def test_kinds_import_no_engine():
     assert imported.isdisjoint({"integrate", "ensembles", "cli", "checks", "weights"}), imported
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name is its module's own; another module reaching for
+    # it means the name is shared, and so public
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("sectint")):
+                private += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                            if a.name.startswith("_") and not a.name.startswith("__")]
+    assert not private, private
+
+
 # --- one conformance test for every kind --------------------------------------------
 
 def _json_point(action, coord):

@@ -8,14 +8,13 @@ from scipy.special import gamma
 from chart_volume_oracle import chart_volume, structure_constants
 from sectint.fields import ScalarField
 from sectint.matrices import to_real_vector
-from sectint.groups import Family, GroupSpec, torus_point
+from sectint.groups import Family, GroupSpec, root_data, torus_point
 from sectint.actions import ConjugationAction, DirectSumAction
 from sectint.volumes import (
     group_volume,
     torus_volume,
     vol_gh_estimate,
     w_group_volume,
-    weyl_group_order,
 )
 
 R = ScalarField.REAL
@@ -92,12 +91,12 @@ def test_torus_volume_vs_numeric_chart():
 
 
 def test_weyl_group_orders():
-    assert weyl_group_order(GroupSpec(Family.SU, 2)) == 2
-    assert weyl_group_order(GroupSpec(Family.SU, 4)) == 24
-    assert weyl_group_order(GroupSpec(Family.SO, 3)) == 2
-    assert weyl_group_order(GroupSpec(Family.SO, 4)) == 4
-    assert weyl_group_order(GroupSpec(Family.SO, 5)) == 8
-    assert weyl_group_order(GroupSpec(Family.SP, 2)) == 8
+    assert root_data(GroupSpec(Family.SU, 2)).weyl_order == 2
+    assert root_data(GroupSpec(Family.SU, 4)).weyl_order == 24
+    assert root_data(GroupSpec(Family.SO, 3)).weyl_order == 2
+    assert root_data(GroupSpec(Family.SO, 4)).weyl_order == 4
+    assert root_data(GroupSpec(Family.SO, 5)).weyl_order == 8
+    assert root_data(GroupSpec(Family.SP, 2)).weyl_order == 8
 
 
 def test_w_volume_o2():
@@ -169,7 +168,7 @@ def test_su3_conjugation_two_sided_identity():
     calib = calibrate_vol_gn(c, [f, make_test_function("const")], seed=34, n=50_000)
     assert calib.consistent
     vol_su3 = 4.0 * np.sqrt(1.5) * np.pi ** 3 * (2 * np.pi ** 2 * 2 ** 1.5)
-    analytic_gn = vol_su3 / (torus_volume(GroupSpec(Family.SU, 3)) * weyl_group_order(GroupSpec(Family.SU, 3)))
+    analytic_gn = vol_su3 / (torus_volume(GroupSpec(Family.SU, 3)) * root_data(GroupSpec(Family.SU, 3)).weyl_order)
     assert abs(calib.combined.mean - analytic_gn) < 4 * calib.combined.stderr
     [direct] = integrate_direct(c, [f], seed=35, n=50_000)
     reduced = product(*integrate_reduced(c, [f], 1.0), calib.combined)

@@ -93,7 +93,6 @@ from .groups import (
     algebra_basis,
     block_algebra_basis,
     full_torus_angles,
-    haar_from_gaussian,
     haar_sample_batch,
     pair_generators,
     root_data,
@@ -104,7 +103,7 @@ from .groups import (
     torus_points,
     torus_weight_batch,
 )
-from .mc import McEstimate, standard_normals
+from .mc import McEstimate
 from .volumes import group_volume, torus_volume
 
 TWO_PI = 2.0 * np.pi
@@ -258,7 +257,7 @@ class DirectSumAction(ActionSpec):
 
     def random_ambient_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Raw data of count Gaussian points of K^(n x k)."""
-        return gaussian_batch(self.field, self.n, self.k, [rng], [count])
+        return gaussian_batch(self.field, self.n, self.k, rng, count)
 
     def section_coords(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Gaussian flat coordinates (count, section_dim): B, or the real t of the polar line when k = 1."""
@@ -272,8 +271,8 @@ class DirectSumAction(ActionSpec):
             u_det = np.where(rng.random(count) < 0.5, -1.0, 1.0)
             u = u_det[:, None, None] * eye(field, 1).data
         else:
-            u, u_det = householder_q(gaussian_batch(field, k, k, [rng], [count]))  # Haar on O, U or Sp(k)
-        v, v_det = householder_q(gaussian_batch(field, n - k, n - k, [rng], [count]))
+            u, u_det = householder_q(gaussian_batch(field, k, k, rng, count))  # Haar on O, U or Sp(k)
+        v, v_det = householder_q(gaussian_batch(field, n - k, n - k, rng, count))
         if field is REAL:
             flip = rng.random(count) < 0.5
             u[flip, :, -1] *= -1.0
@@ -320,14 +319,14 @@ class DirectSumAction(ActionSpec):
         return group_volume(GroupSpec(self.group.family, self.n - self.k))
 
     def direct_sampler(self, values):
-        """mc_run's sample(rngs, sizes) of standard-Gaussian importance
-        sampling on the flat space, values(z, norms_sq) of the joined draws
-        of the chunks over their density, and the factor of its averages: 1."""
+        """mc_run's sample(rng, size) of standard-Gaussian importance
+        sampling on the flat space, values(z, norms_sq) of a batch's draws
+        over their density, and the factor of its averages: 1."""
         dim = self.ambient_dim
         log_norm = 0.5 * dim * np.log(TWO_PI)
 
-        def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-            z = standard_normals(rngs, sizes, (dim,))
+        def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+            z = rng.standard_normal((size, dim))
             r2 = np.sum(z * z, axis=1)
             return values(z, r2) * np.exp(0.5 * r2 + log_norm)
 
@@ -390,9 +389,9 @@ class DirectSumAction(ActionSpec):
             raise ValueError(f"statistic {statistic!r} not defined for direct sums")
         return self.k if statistic == "singular_value" else 1
 
-    def ensemble_statistics(self, spec, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        """The statistic, invariant under the whole group, of a batch's ambient Gaussian draws."""
-        comps = spec.scale * standard_normals(rngs, sizes, (self.n, self.k, self.field.dim))
+    def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The statistic, invariant under the whole group, of a batch's size ambient Gaussian draws from rng."""
+        comps = spec.scale * rng.standard_normal((size, self.n, self.k, self.field.dim))
         return _coordinate_statistics(spec, self.field, comps)
 
     def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, float]:
@@ -587,17 +586,13 @@ class ConjugationAction(ActionSpec):
         return torus_volume(self.group)
 
     def direct_sampler(self, values):
-        """mc_run's sample(rngs, sizes) of Haar sampling, values(pts, None)
-        at the joined Haar draws of the chunks, flat (m, D), and the factor
-        of its averages: the group volume."""
-        def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-            return values(batch_to_real(self.field, self.haar_draws(rngs, sizes)), None)
+        """mc_run's sample(rng, size) of Haar sampling, values(pts, None)
+        at a batch's Haar draws, flat (m, D), and the factor of its
+        averages: the group volume."""
+        def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+            return values(batch_to_real(self.field, haar_sample_batch(self.group, rng, size)), None)
 
         return sample, McEstimate.exact(group_volume(self.group))
-
-    def haar_draws(self, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        """Raw Haar samples of a batch: each chunk's haar_sample_batch, from one Householder pass."""
-        return haar_from_gaussian(self.group, gaussian_batch(self.field, *self.shape, rngs, sizes))
 
     def divergence(self, name: str, param) -> str | None:
         """Why family name with parameters param(key) is refused, or None.
@@ -638,9 +633,9 @@ class ConjugationAction(ActionSpec):
             raise ValueError(f"ensemble scale {scale:g} has no meaning on {self}, whose density is Haar measure")
         return len(root_data(self.group).roots)  # the full angles: all n on SU(n)
 
-    def ensemble_statistics(self, spec, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        """Canonical angles of a batch's Haar draws: their sorted eigen-angles (canonical_angles)."""
-        return canonical_angles(self.group, self.haar_draws(rngs, sizes))[:, spec.stat_index]
+    def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Canonical angles of a batch's size Haar draws from rng: their sorted eigen-angles (canonical_angles)."""
+        return canonical_angles(self.group, haar_sample_batch(self.group, rng, size))[:, spec.stat_index]
 
     def ensemble_reference(self, spec, n: int, seed: int):
         """Canonical angles of torus angle rows, uniform on the torus, weighted by

@@ -148,7 +148,7 @@ def cmd_integrate(args) -> int:
     fs = _default_functions(action) if args.functions is None else _parse_functions(args.functions)
     vol_gn = vol_gh_estimate(action) / w_group_volume(action)
     reduced_all = integrate_reduced(action, fs, vol_gn)  # a refused integrand or rule fails before any sampling
-    direct_all = integrate_direct(action, fs, args.seed + 1000, args.n, args.chunks, args.workers)
+    direct_all = integrate_direct(action, fs, args.seed + 1000, args.n, args.workers)
     names = [f.name for f in fs]  # a family given twice gets its position in each check's name
     checks, per_function = [], []
     for i, (f, direct, reduced) in enumerate(zip(fs, direct_all, reduced_all), 1):
@@ -175,7 +175,7 @@ def cmd_ensemble(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     spec = EnsembleSpec(action, args.scale, args.statistic, args.stat_index)
-    cmp_ = compare_densities(spec, args.seed, args.n, args.bins, chunks=args.chunks)
+    cmp_ = compare_densities(spec, args.seed, args.n, args.bins)
     if args.out_csv:
         _write_output(args.out_csv, cmp_.write_csv)
     report = _base_report(action, args)
@@ -190,7 +190,7 @@ def cmd_ensemble(args) -> int:
 def cmd_volumes(args) -> int:
     action = _parse_action(args.action)
     fs = _default_functions(action) if args.functions is None else _parse_functions(args.functions)
-    calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.chunks, args.workers, args.n_sigma)
+    calib = calibrate_vol_gn(action, fs, args.seed, args.n, args.workers, args.n_sigma)
     vol_gh, vol_gn, vol_w = vol_gh_estimate(action), calib.combined, w_group_volume(action)
     # vol(G/H) = vol(G/N) vol(W), where only the calibrated vol(G/N) has an error
     gap, se = abs(vol_gh - vol_gn.mean * vol_w), vol_gn.stderr * vol_w
@@ -211,7 +211,6 @@ _OPTIONS = {
     "--seed": dict(type=int, default=0),
     "--n": dict(type=int, default=100_000,
                 help="samples per Monte Carlo estimate, direct side only (the reduced side is quadrature)"),
-    "--chunks": dict(type=int, default=16),
     "--workers": dict(type=int, default=None, help="threads; changes wall time, never the payload"),
     "--points": dict(type=int, default=20),
     "--tol-rel": dict(type=float, default=1e-8),
@@ -235,11 +234,11 @@ _UNECHOED = ("--workers", "--out-csv")
 _SUBCOMMANDS = {
     "delta": (cmd_delta, "evaluate the weight at a section point", "--point --tol-rel --tol-abs", "--seed --n-sigma"),
     "integrate": (cmd_integrate, "direct vs reduced integrals, exact vol(G/N)",
-                  "--functions --seed --n --chunks --workers --n-sigma", ""),
+                  "--functions --seed --n --workers --n-sigma", ""),
     "verify": (cmd_verify, "structural check suite", "--seed --points --tol-rel --tol-abs", "--n-sigma"),
     "ensemble": (cmd_ensemble, "reduced-density histogram comparison",
-                 "--seed --n --chunks --statistic --stat-index --scale --bins --p-threshold --out-csv", "--n-sigma"),
-    "volumes": (cmd_volumes, "quotient volume table", "--functions --seed --n --chunks --workers --n-sigma", ""),
+                 "--seed --n --statistic --stat-index --scale --bins --p-threshold --out-csv", "--n-sigma"),
+    "volumes": (cmd_volumes, "quotient volume table", "--functions --seed --n --workers --n-sigma", ""),
 }
 
 
@@ -294,9 +293,16 @@ def main(argv=None) -> int:
         if seed < 0:
             raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
         for name in ("tol_rel", "tol_abs", "n_sigma", "p_threshold"):
-            value = getattr(args, name, 0.0)
+            value, flag = getattr(args, name, None), f"--{name.replace('_', '-')}"
+            if value is None:
+                continue
             if not np.isfinite(value):
-                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"{flag} must be finite, got {value}")
+            # a negative tolerance or n-sigma would fail every check, and a p-threshold below 0 pass every one
+            bound, ok = {"n_sigma": ("positive", value > 0),
+                         "p_threshold": ("in [0, 1]", 0 <= value <= 1)}.get(name, ("nonnegative", value >= 0))
+            if not ok:
+                raise ValueError(f"{flag} must be {bound}, got {value}")
         # a scale that overflows (or divides by an underflowed 0) stops the run
         # here instead of printing NaN; mc_run's helper threads take this state too
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -5,7 +5,9 @@ sample to its canonical section representative realizes the section as
 an eigenvalue-like manifold: the distribution of any Weyl-invariant
 statistic must match the weighted density p(s) * weight(s) on the
 section.  This module draws both sides and compares them with a
-chi-square test; the kind of action supplies its statistics (its
+chi-square test.  The sample side is drawn in ``mc``'s Monte Carlo
+batches, so (seed, n) fixes it (``mc.BATCH_DRAWS`` fixes the streams).
+The kind of action supplies its statistics (its
 ``statistics``, the default first), their ambient draws, and the
 reference side as weighted points of the section density, in one call,
 and ``reference_bins`` alone cuts every kind's points into bins of equal
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ActionSpec
-from .mc import chunk_batches, chunk_rngs, chunk_sizes, subseed
+from .mc import batch, batch_count, subseed
 
 MIN_EXPECTED = 5.0  # expected count each chi-square bin reaches by merging
 #: largest relative spread of the reference draws' weight ratio: rounding level
@@ -60,14 +62,17 @@ class EnsembleSpec:
             )
 
 
-def sample_ensemble(spec: EnsembleSpec, seed: int, n: int, chunks: int = 16) -> np.ndarray:
-    """Statistics of n ambient samples reduced to the section, the kind's
-    ensemble_statistics of each mc.chunk_batches batch: every statistic is
-    Weyl invariant, so it is read off the canonical section representative."""
-    sizes, rngs = chunk_sizes(n, chunks), chunk_rngs(seed, chunks)
-    out = [spec.action.ensemble_statistics(spec, rngs[b.start:b.stop], sizes[b.start:b.stop])
-           for b in chunk_batches(sizes) if sum(sizes[b.start:b.stop])]
-    return np.concatenate(out) if out else np.zeros(0)
+def sample_ensemble(spec: EnsembleSpec, seed: int, n: int) -> np.ndarray:
+    """Statistics of n ambient samples reduced to the section: the kind's
+    ensemble_statistics of each mc.batch of (seed, n) in turn, written into
+    one (n,) array allocated first.  Every statistic is Weyl invariant, so it
+    is read off the canonical section representative."""
+    out, stop = np.empty(n), 0
+    for i in range(batch_count(n)):
+        rng, size = batch(seed, n, i)
+        out[stop:stop + size] = spec.action.ensemble_statistics(spec, rng, size)
+        stop += size
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def reference_bins(stats: np.ndarray, ref_stats: np.ndarray, weights: np.ndarray
     return edges, np.diff(cum[cut]) / cum[-1]
 
 
-def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chunks: int = 16) -> HistogramComparison:
+def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30) -> HistogramComparison:
     """Chi-square comparison of reduced-sample statistics vs the weighted
     section density, the kind's ensemble_reference points in reference_bins.
 
@@ -167,7 +172,7 @@ def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30, chu
     """
     if bins < 2:
         raise ValueError(f"a chi-square comparison needs at least 2 bins, got {bins}")
-    stats = sample_ensemble(spec, subseed(seed, 0), n, chunks)
+    stats = sample_ensemble(spec, subseed(seed, 0), n)
     ref_stats, weights, spread, n_eff = spec.action.ensemble_reference(spec, n, subseed(seed, 1))
     edges, ref_freq = reference_bins(stats, ref_stats, weights, bins)
     emp_counts, _ = np.histogram(stats, bins=edges)

@@ -270,22 +270,16 @@ def haar_sample(group: GroupSpec, rng: np.random.Generator) -> GroupElement:
 
 
 def haar_sample_batch(group: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Stack of Haar samples as raw matrix data, (count, n, n) ((count, 2n, 2n) on Sp(n)):
-    haar_from_gaussian of count successive matrices.gaussian draws."""
-    return haar_from_gaussian(group, gaussian_batch(group.field, group.n, group.n, [rng], [count]))
+    """Stack of count Haar samples as raw matrix data, (count, n, n) ((count, 2n, 2n) on Sp(n)).
 
-
-def haar_from_gaussian(group: GroupSpec, data: np.ndarray) -> np.ndarray:
-    """Haar samples of group from Gaussian matrix data (count, n, n) (adjoint matrices on Sp(n)).
-
-    The q of each matrix (diag(r) real and positive) is a Haar sample of
-    O(n) / U(n) / Sp(n) (Mezzadri, arXiv:math-ph/0609050), from
-    matrices.householder_q; for SO and SU a final column scaling by the
-    conjugate of the determinant forces det = 1, which pushes Haar
-    forward to the subgroup.  Each sample depends on its own matrix
-    only, so a stack maps as its parts do.
+    The q of each of count gaussian_batch draws from rng (diag(r) real and
+    positive) is a Haar sample of O(n) / U(n) / Sp(n) (Mezzadri,
+    arXiv:math-ph/0609050), from matrices.householder_q; for SO and SU a
+    final column scaling by the conjugate of the determinant forces
+    det = 1, which pushes Haar forward to the subgroup.  Each sample
+    depends on its own matrix only, so a stack maps as its parts do.
     """
-    q, det = householder_q(data)
+    q, det = householder_q(gaussian_batch(group.field, group.n, group.n, rng, count))
     if group.family is Family.SO:
         q[det < 0, :, -1] *= -1.0
     elif group.family is Family.SU:

@@ -4,9 +4,10 @@ integration identity.
 The direct side integrates over the ambient space by Monte Carlo with
 the kind's sampler (Gaussian importance sampling on the flat matrix
 space, or Haar sampling scaled by the group volume for conjugation
-actions), evaluating a list of integrands at once on the joined draws
-of a batch of chunks, so ``sectint integrate`` samples once for all of
-them.  The reduced side integrates f * weight over the section by the
+actions), evaluating a list of integrands at once on the draws of each
+Monte Carlo batch, so ``sectint integrate`` samples once for all of
+them; (seed, n) fixes the draws (``mc.BATCH_DRAWS`` fixes the streams).
+The reduced side integrates f * weight over the section by the
 kind's quadrature rule (trapezoid on the torus angles, tensor Gauss in
 the Bartlett coordinates of a direct sum) and multiplies by a given
 vol(G/N); ``sectint integrate`` passes the exact vol(G/H) / vol(W).
@@ -190,8 +191,7 @@ def _require_integrable(action: ActionSpec, fs) -> None:
 
 # --- direct and reduced integrals --------------------------------------------
 
-def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16,
-                     workers: int | None = None) -> list[McEstimate]:
+def integrate_direct(action: ActionSpec, fs, seed: int, n: int, workers: int | None = None) -> list[McEstimate]:
     """Integrals of each f in fs over the ambient space with its
     Riemannian measure, one estimate per integrand.
 
@@ -199,10 +199,10 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16
     importance sampling on flat direct-sum spaces (the integrands must
     decay accordingly), Haar samples on conjugation actions, whose
     averages scale by the group volume.  Each
-    chunk draws once from its own generator, and every integrand is
-    evaluated on the joined draws of a batch of chunks (mc.mc_run), so
-    the estimates share their samples, and each one is bit-identical to
-    the run of integrate_direct(action, [f], seed, n, chunks) on its own.
+    batch of mc.mc_run draws once from its own generator, and every
+    integrand is evaluated on those draws, so the estimates share their
+    samples, and each one is bit-identical to the run of
+    integrate_direct(action, [f], seed, n) on its own.
     A const integrand reads no point: its average is its value with
     stderr 0, and the points are drawn only if some other integrand
     reads them.
@@ -212,7 +212,7 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, chunks: int = 16
     require_samples(n)
     drawn = [f for f in fs if not _is_const(f)]
     sample, vol = action.direct_sampler(lambda pts, norms_sq: _stacked_values(action, drawn, pts, norms_sq))
-    means = iter(mc_run(sample, n, seed, chunks, workers) if drawn else ())
+    means = iter(mc_run(sample, n, seed, workers) if drawn else ())
     ests = [McEstimate(f.param("value"), 0.0, n) if _is_const(f) else next(means) for f in fs]
     return [product(est, vol) for est in ests]
 
@@ -274,7 +274,6 @@ def calibrate_vol_gn(
     fs,
     seed: int,
     n: int,
-    chunks: int = 16,
     workers: int | None = None,
     n_sigma: float = 3.0,
 ) -> CalibrationReport:
@@ -290,7 +289,7 @@ def calibrate_vol_gn(
     for i, (f, reduced_unit) in enumerate(zip(fs, integrate_reduced(action, fs, 1.0))):
         if abs(reduced_unit.mean) <= max(5.0 * reduced_unit.stderr, 1e-200):
             raise IllConditionedCalibration(f"section integral of {f.name} is consistent with zero")
-        [direct] = integrate_direct(action, [f], subseed(seed, i, 0), n, chunks, workers)
+        [direct] = integrate_direct(action, [f], subseed(seed, i, 0), n, workers)
         ratios.append(ratio(direct, reduced_unit))
     worst = 0.0
     for a, b in itertools.combinations(ratios, 2):

@@ -15,7 +15,9 @@ chosen so that the ambient inner product Re(tr(x^* y)) equals the
 Euclidean dot product of the coordinate vectors.  All downstream
 geometry (frames, Gram matrices, Jacobians) works in those coordinates.
 A Gaussian matrix is its flat standard normals on every field:
-``gaussian_batch`` draws a matrix's real coordinates in that order.
+``gaussian_batch`` draws a matrix's real coordinates in that order, a
+whole Monte Carlo batch in one call on the batch's generator, so a
+run's (seed, n) and ``mc.BATCH_DRAWS`` fix every matrix it draws.
 
 One batched Householder kernel serves every QR: ``qr(field, data)``
 reads q and r of a stack off it (R of x = QR is a direct sum's section
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .mc import standard_normals
 
 REAL = ScalarField.REAL
 COMPLEX = ScalarField.COMPLEX
@@ -144,15 +145,16 @@ def eye(field: ScalarField, n: int) -> MatK:
 
 def gaussian(field: ScalarField, n: int, m: int, rng: np.random.Generator) -> MatK:
     """Matrix whose real coordinates are iid standard normal; a batch of one."""
-    return MatK(field, gaussian_batch(field, n, m, [rng], [1])[0])
+    return MatK(field, gaussian_batch(field, n, m, rng, 1)[0])
 
 
-def gaussian_batch(field: ScalarField, n: int, m: int, rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-    """Raw data (sum(sizes), n, m) ((..., 2n, 2m) over H) of sizes[i] gaussian draws from
-    rngs[i], joined: each draw's real coordinates are its flat standard normals, in the
-    realification order, on every field.  Over C the data is a complex view of the normals,
-    no copy, so a Haar batch holds one buffer."""
-    comps = standard_normals(rngs, sizes, (n, m, field.dim))
+def gaussian_batch(field: ScalarField, n: int, m: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Raw data (count, n, m) ((..., 2n, 2m) over H) of count gaussian draws from rng:
+    each draw's real coordinates are its flat standard normals, in the realification
+    order, on every field, so a Monte Carlo batch's draws are one call on its generator.
+    Over C the data is a complex view of the normals, no copy, so a Haar batch holds
+    one buffer."""
+    comps = rng.standard_normal((count, n, m, field.dim))
     return comps.view(complex)[..., 0] if field is COMPLEX else data_from_components(field, comps)
 
 

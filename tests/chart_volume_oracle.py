@@ -21,7 +21,7 @@ import numpy as np
 from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec, algebra_basis, brackets
 from sectint.matrices import batch_from_real, batch_to_real
-from sectint.mc import McEstimate, mc_run, standard_normals
+from sectint.mc import McEstimate, mc_run
 
 
 def structure_constants(field: ScalarField, data: np.ndarray) -> np.ndarray:
@@ -36,7 +36,7 @@ def dexp_factors(ad_eigs: np.ndarray) -> np.ndarray:
 
 def chart_volume(group: GroupSpec, n_samples: int, seed: int, rows: np.ndarray | None = None,
                  block: int | None = None) -> McEstimate:
-    """The chart estimate of vol(G) over 16 chunks.
+    """The chart estimate of vol(G), one Monte Carlo run at seed.
 
     Without rows, of the whole group, at sigma = pi sqrt(2 / rank) (pi at
     rank 1), on its principal domain.  With rows, of the group that the
@@ -58,8 +58,8 @@ def chart_volume(group: GroupSpec, n_samples: int, seed: int, rows: np.ndarray |
     bflat = np.array(data, dtype=complex).reshape(q, -1)
     log_norm = 0.5 * q * np.log(2.0 * np.pi * sigma * sigma)
 
-    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        z = standard_normals(rngs, sizes, (q,)) * sigma
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        z = rng.standard_normal((size, q)) * sigma
         x = (z @ bflat).reshape(len(z), nn, nn)[:, :block, :block]
         eigs = np.linalg.eigvalsh(-1j * x)
         if spread:
@@ -70,4 +70,4 @@ def chart_volume(group: GroupSpec, n_samples: int, seed: int, rows: np.ndarray |
         log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm
         return np.where(mask, dexp_factors(ad_eigs) * np.exp(-log_density), 0.0)
 
-    return mc_run(sample, n_samples, seed, 16, None)
+    return mc_run(sample, n_samples, seed, None)

@@ -35,13 +35,13 @@ class LpIsometryReport:
 
 
 def lp_isometry_check(action, f: TestFunction, p: int, vol_gn: McEstimate, seed: int, n: int,
-                      chunks: int = 16, workers: int | None = None) -> LpIsometryReport:
+                      workers: int | None = None) -> LpIsometryReport:
     """Compare the L^p norm of f with the weighted L^p norm on the section, whose density is vol_gn * weight."""
     if not f.invariant:
         raise ContractViolation("the isometry check needs a group-invariant function")
     fp = TestFunction(f"abs_{f.name}_pow{p}", {}, True,
                       lambda pts, a: np.abs(evaluate_test_function(a, f, pts)) ** p)
-    [lhs] = integrate_direct(action, [fp], subseed(seed, 0), n, chunks, workers)
+    [lhs] = integrate_direct(action, [fp], subseed(seed, 0), n, workers)
     rhs = product(*integrate_reduced(action, [fp], 1.0), vol_gn)
 
     def root(e: McEstimate) -> McEstimate:

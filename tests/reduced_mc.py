@@ -24,16 +24,16 @@ def evaluate_test_function(action: ActionSpec, f: TestFunction, pts: np.ndarray)
 
 
 def reduced_importance_sampling(action: DirectSumAction, f: TestFunction, seed: int, n: int,
-                                chunks: int = 16, workers: int | None = None) -> McEstimate:
+                                workers: int | None = None) -> McEstimate:
     """Estimate of the section integral of f * weight (vol(G/N) = 1)."""
     dim = action.section_dim
     log_norm = 0.5 * dim * np.log(TWO_PI)
 
-    def sample(rngs: list[np.random.Generator], sizes: list[int]) -> np.ndarray:
-        z = np.concatenate([rng.standard_normal((size, dim)) for rng, size in zip(rngs, sizes)])
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        z = rng.standard_normal((size, dim))
         pts = np.zeros((len(z), action.ambient_dim))
         pts[:, :dim] = z
         vals = evaluate_test_function(action, f, pts) * section_weight_batch(action, z)
         return vals * np.exp(0.5 * np.sum(z * z, axis=1) + log_norm)
 
-    return mc_run(sample, n, seed, chunks, workers)
+    return mc_run(sample, n, seed, workers)

@@ -241,9 +241,9 @@ def test_criterion_10_deterministic_payloads():
     f = make_test_function("gaussian_sq_norm", sigma=1.0)
     payloads = []
     for workers in (1, 2, 8):
-        [direct] = integrate_direct(SO3K2, [f], seed=1234, n=100_000, chunks=8, workers=workers)
+        [direct] = integrate_direct(SO3K2, [f], seed=1234, n=100_000, workers=workers)
         [reduced] = integrate_reduced(SO3K2, [f], 4 * np.pi)
         payloads.append(json.dumps({"direct": direct.to_json(), "reduced": reduced.to_json()},
                                    sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
-    _report(10, "bit-identical JSON payloads for (seed, chunks, n) across 1, 2 and 8 workers")
+    _report(10, "bit-identical JSON payloads for (seed, n) across 1, 2 and 8 workers")

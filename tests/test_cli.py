@@ -14,7 +14,7 @@ from sectint.fields import ScalarField
 from sectint.groups import Family, GroupSpec
 from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
 from sectint.integrate import integrate_direct, integrate_reduced, make_test_function
-from sectint.mc import BATCH_DRAWS, chunk_batches, chunk_sizes
+from sectint.mc import BATCH_DRAWS, batch_count
 from sectint.volumes import vol_gh_estimate, w_group_volume
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
@@ -460,18 +460,18 @@ ROOT = Path(__file__).resolve().parents[1]
 #: delta, verify and ensemble accept the benchmark's --seed and --n-sigma unread
 OPTION_TABLE = {
     "delta": ("--point --tol-rel --tol-abs --seed --n-sigma", "point tol_rel tol_abs"),
-    "integrate": ("--functions --seed --n --chunks --workers --n-sigma", "functions seed n chunks n_sigma"),
+    "integrate": ("--functions --seed --n --workers --n-sigma", "functions seed n n_sigma"),
     "verify": ("--seed --points --tol-rel --tol-abs --n-sigma", "seed points tol_rel tol_abs"),
-    "ensemble": ("--seed --n --chunks --statistic --stat-index --scale --bins --p-threshold --out-csv --n-sigma",
-                 "seed n chunks statistic stat_index scale bins p_threshold"),
-    "volumes": ("--functions --seed --n --chunks --workers --n-sigma", "functions seed n chunks n_sigma"),
+    "ensemble": ("--seed --n --statistic --stat-index --scale --bins --p-threshold --out-csv --n-sigma",
+                 "seed n statistic stat_index scale bins p_threshold"),
+    "volumes": ("--functions --seed --n --workers --n-sigma", "functions seed n n_sigma"),
 }
 #: a quick run of each subcommand, less the action
 QUICK_ARGV = {
     "delta": ["--point", "[[1, 0.5], [-0.3, 2.0]]"],
     "integrate": ["--n", "200", "--workers", "2"],
     "verify": ["--points", "2", "--tol-abs", "1e-09"],
-    "ensemble": ["--n", "300", "--bins", "10", "--chunks", "4"],
+    "ensemble": ["--n", "300", "--bins", "10"],
     "volumes": ["--n", "400", "--seed", "4"],
 }
 FOREIGN_OPTIONS = [(command, flag) for command, (own, _) in OPTION_TABLE.items()
@@ -488,7 +488,7 @@ def test_each_subcommand_takes_the_options_of_the_table():
     options = {command: _option_strings(command) for command in OPTION_TABLE}
     for command, (own, _) in OPTION_TABLE.items():
         assert options[command] == {"--action", "--out", *own.split()}, command
-    assert sum(map(len, options.values())) == 42
+    assert sum(map(len, options.values())) == 39  # 42 before --chunks left integrate, ensemble and volumes
 
 
 @pytest.mark.parametrize("command", list(OPTION_TABLE))
@@ -763,6 +763,13 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["verify", "--tol-rel", "nan"], "--tol-rel"),
         (["delta", "--point", "[[1,0],[0,1]]", "--tol-abs", "inf"], "--tol-abs"),
         (["ensemble", "--p-threshold", "nan"], "--p-threshold"),
+        # a negative tolerance or n-sigma fails every check, a p-threshold below 0 passes every one
+        (["integrate", "--n-sigma", "-1"], "--n-sigma"),
+        (["volumes", "--n-sigma", "0"], "--n-sigma"),
+        (["verify", "--tol-rel", "-1"], "--tol-rel"),
+        (["delta", "--point", "[[1,0],[0,1]]", "--tol-abs", "-1"], "--tol-abs"),
+        (["ensemble", "--p-threshold", "-0.5"], "--p-threshold"),
+        (["ensemble", "--p-threshold", "1.5"], "--p-threshold"),
         # finite scales whose arithmetic overflows, or divides by an underflowed 0
         (["integrate", "--functions", "gaussian_radial:sigma=1e-300"], "floating-point range"),
         (["integrate", "--functions", "gaussian_radial:sigma=1e100"], "floating-point range"),
@@ -880,10 +887,8 @@ def test_integrate_sp3_conjugation(capsys):
 def test_integrate_uses_exact_vol_gn(capsys, action_json):
     # the reduced side is scaled by the exact vol(G/H) / vol(W); the direct side
     # is one run at seed + 1000 whose draws serve every integrand
-    seed, n, chunks = 3, 400, 4
-    code, rep = run_cli(
-        capsys, ["integrate", "--action", action_json, "--seed", str(seed), "--n", str(n), "--chunks", str(chunks)]
-    )
+    seed, n = 3, 400
+    code, rep = run_cli(capsys, ["integrate", "--action", action_json, "--seed", str(seed), "--n", str(n)])
     assert code in (0, 1)
     action = action_from_json(json.loads(action_json))
     exact = vol_gh_estimate(action) / w_group_volume(action)
@@ -892,7 +897,7 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
     assert vol_gn["stderr"] == 0.0 and vol_gn["exact"] is True
     entries = rep["results"]["per_function"]
     fs = [make_test_function(e["function"]["name"], **e["function"]["params"]) for e in entries]
-    directs = integrate_direct(action, fs, seed + 1000, n, chunks)
+    directs = integrate_direct(action, fs, seed + 1000, n)
     assert len(directs) == len(entries) >= 2
     reduceds = integrate_reduced(action, fs, vol_gn["mean"])
     for entry, direct, reduced in zip(entries, directs, reduceds):
@@ -901,17 +906,17 @@ def test_integrate_uses_exact_vol_gn(capsys, action_json):
 
 
 @pytest.mark.parametrize("action_json", [H32, '{"kind":"conjugation","family":"SU","n":3}'])
-def test_integrate_with_empty_chunks(capsys, action_json):
-    # 5 samples in 16 chunks: 11 chunks draw and evaluate empty batches and add
-    # nothing, so each direct estimate is the one of the 5 non-empty chunks
-    argv = ["integrate", "--action", action_json, "--seed", "3", "--n", "5", "--chunks", "16"]
+def test_integrate_with_five_draws(capsys, action_json):
+    # 5 samples are one batch of 5 draws, which every integrand shares: each
+    # direct estimate is the run of its integrand alone
+    argv = ["integrate", "--action", action_json, "--seed", "3", "--n", "5"]
     code, rep = run_cli(capsys, argv)
     assert code in (0, 1)
     action = action_from_json(json.loads(action_json))
     for entry in rep["results"]["per_function"]:
         direct, fn = entry["direct"], entry["function"]
         f = make_test_function(fn["name"], **fn["params"])
-        [alone] = integrate_direct(action, [f], 3 + 1000, 5, chunks=5)
+        [alone] = integrate_direct(action, [f], 3 + 1000, 5)
         assert direct["n_samples"] == 5
         assert (direct["mean"], direct["stderr"]) == (alone.mean, alone.stderr)
 
@@ -929,7 +934,7 @@ def test_integrate_check_names_are_unique(capsys, functions, names):
     assert [c["name"] for c in rep["checks"]] == [f"two_sided_agreement_{name}" for name in names]
 
 
-ESTIMATE_KEYS = {"mean", "stderr", "n_samples"}  # an estimate's own facts; its seed and chunks are config's
+ESTIMATE_KEYS = {"mean", "stderr", "n_samples"}  # an estimate's own facts; its seed and n are config's
 
 
 @pytest.mark.parametrize("action", [SO3K2, SU3])
@@ -976,14 +981,21 @@ def test_ensemble_csv_and_report(capsys, tmp_path):
     assert header == "bin_lo,bin_hi,empirical,reference"
 
 
-def test_ensemble_samples_with_the_chunk_count_it_reports(capsys):
+def test_ensemble_samples_with_the_seed_and_n_it_reports(capsys):
     from sectint.ensembles import EnsembleSpec, compare_densities
 
-    code, rep = run_cli(capsys, ["ensemble", "--action", SO3K2, "--n", "300", "--bins", "10", "--chunks", "4"])
-    assert rep["config"]["chunks"] == 4
+    code, rep = run_cli(capsys, ["ensemble", "--action", SO3K2, "--n", "300", "--bins", "10", "--seed", "4"])
+    assert (rep["config"]["seed"], rep["config"]["n"]) == (4, 300)
     spec = EnsembleSpec(action_from_json(json.loads(SO3K2)))
-    assert rep["results"] == compare_densities(spec, 0, 300, 10, chunks=4).to_json()
-    assert rep["results"] != compare_densities(spec, 0, 300, 10).to_json()
+    assert rep["results"] == compare_densities(spec, 4, 300, 10).to_json()
+    assert rep["results"] != compare_densities(spec, 5, 300, 10).to_json()
+
+
+@pytest.mark.parametrize("command", ["integrate", "ensemble", "volumes"])
+def test_the_chunk_count_is_no_option(capsys, command):
+    # (seed, n) fixes the Monte Carlo streams: there is no chunk count to set
+    err = _exits_2_with_one_line(capsys, [command, "--action", SO3K2, "--n", "300", "--chunks", "4"])
+    assert "--chunks" in err
 
 
 DIRECT_ROWS = [SO3K2, C42, H32] + [json.dumps({"kind": "direct_sum", "field": f, "n": n, "k": k}) for f, n, k in
@@ -1165,11 +1177,11 @@ def test_reports_worker_independent(capsys):
 @pytest.mark.parametrize("command", ["integrate", "volumes"])
 @pytest.mark.parametrize("action_json", [SU2, SO3, '{"kind":"conjugation","family":"Sp","n":2}'])
 def test_conjugation_reports_worker_independent(capsys, command, action_json):
-    # the Haar draws of each chunk come from its own generator; 8 chunks of
-    # 4 * BATCH_DRAWS draws are 4 batches, so the helper runs some of them
+    # the Haar draws of each batch come from its own generator; 4 * BATCH_DRAWS
+    # draws are 4 batches, so the helper runs some of them
     n = 4 * BATCH_DRAWS
-    assert len(chunk_batches(chunk_sizes(n, 8))) == 4
-    base = [command, "--action", action_json, "--seed", "5", "--n", str(n), "--chunks", "8"]
+    assert batch_count(n) == 4
+    base = [command, "--action", action_json, "--seed", "5", "--n", str(n)]
     main(base + ["--workers", "1"])
     out1 = capsys.readouterr().out
     main(base + ["--workers", "2"])
@@ -1181,10 +1193,10 @@ def test_conjugation_reports_worker_independent(capsys, command, action_json):
 @pytest.mark.parametrize("action_json", [SO3, '{"kind":"conjugation","family":"SU","n":3}',
                                          '{"kind":"conjugation","family":"Sp","n":1}'])
 def test_conjugation_reports_byte_identical_on_1_2_and_3_workers(capsys, command, batches, action_json):
-    # the default 16 chunks of batches * BATCH_DRAWS draws are that many
-    # batches, so 2 and 3 workers split them differently
+    # batches * BATCH_DRAWS draws are that many batches, so 2 and 3 workers
+    # split them differently
     n = batches * BATCH_DRAWS
-    assert len(chunk_batches(chunk_sizes(n, 16))) == batches
+    assert batch_count(n) == batches
     base = [command, "--action", action_json, "--seed", "7", "--n", str(n)]
     outs = []
     for workers in ("1", "2", "3"):

@@ -33,8 +33,9 @@ from sectint.ensembles import (
     reference_bins,
     sample_ensemble,
 )
-from sectint.mc import BATCH_DRAWS, chunk_rngs, chunk_sizes, subseed
+from sectint.mc import BATCH_DRAWS, subseed
 from bin_merge_oracle import merge_small_bins_rescanning
+from mc_oracle import oracle_batches
 from matrix_oracles import gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
 from test_groups import torus_grid
@@ -62,24 +63,24 @@ def test_empty_stream():
     assert sample_ensemble(EnsembleSpec(SO3K2), seed=0, n=0).size == 0
 
 
-@pytest.mark.parametrize("n, chunks", [(20, 16), (3 * BATCH_DRAWS + 5, 16), (2 * BATCH_DRAWS + 2, 2)])
-def test_sample_ensemble_passes_one_batch_at_a_time(monkeypatch, n, chunks):
-    # each call gets at most BATCH_DRAWS draws, or one larger chunk alone,
-    # and the joined statistics are each chunk's own
+@pytest.mark.parametrize("n", [20, 3 * BATCH_DRAWS + 5, 2 * BATCH_DRAWS + 2])
+def test_sample_ensemble_passes_one_batch_at_a_time(monkeypatch, n):
+    # each call gets one batch of at most BATCH_DRAWS draws, and the joined
+    # statistics are each batch's own
     action, calls = DirectSumAction(R, 4, 1), []
     spec = EnsembleSpec(action)
     per_batch = DirectSumAction.ensemble_statistics
 
-    def spy(self, spec, rngs, sizes):
-        calls.append(list(sizes))
-        return per_batch(self, spec, rngs, sizes)
+    def spy(self, spec, rng, size):
+        calls.append(size)
+        return per_batch(self, spec, rng, size)
 
     monkeypatch.setattr(DirectSumAction, "ensemble_statistics", spy)
-    stats = sample_ensemble(spec, 3, n, chunks)
-    assert sum(map(sum, calls)) == n and all(len(c) == 1 or sum(c) <= BATCH_DRAWS for c in calls)
-    assert len(calls) == {20: 1, 3 * BATCH_DRAWS + 5: 4, 2 * BATCH_DRAWS + 2: 2}[n]
-    per_chunk = [per_batch(action, spec, [rng], [size]) for rng, size in zip(chunk_rngs(3, chunks), chunk_sizes(n, chunks))]
-    assert stats.tobytes() == np.concatenate(per_chunk).tobytes()
+    stats = sample_ensemble(spec, 3, n)
+    assert sum(calls) == n and max(calls) <= BATCH_DRAWS
+    assert len(calls) == {20: 1, 3 * BATCH_DRAWS + 5: 4, 2 * BATCH_DRAWS + 2: 3}[n]
+    alone = [per_batch(action, spec, rng, size) for rng, size in oracle_batches(3, n)]
+    assert stats.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_reduction_preserves_norm():
@@ -96,11 +97,8 @@ def test_norm_statistic_equals_ambient_norm():
     spec = EnsembleSpec(SO3K2, 1.0, "coordinate_norm")
     stats = sample_ensemble(spec, seed=5, n=2000)
     # redo the sampling stream to recover the ambient samples
-    from sectint.mc import chunk_rngs, chunk_sizes
-
-    rngs, sizes = chunk_rngs(5, 16), chunk_sizes(2000, 16)
     norms = []
-    for rng, size in zip(rngs, sizes):
+    for rng, size in oracle_batches(5, 2000):
         x = rng.standard_normal((size, 3, 2))
         norms.append(np.linalg.norm(x.reshape(size, -1), axis=1))
     norms = np.concatenate(norms)
@@ -127,11 +125,10 @@ def test_batched_statistics_match_per_sample_reduction(action, stat):
     # replay the sampling stream one matrix at a time, reduce each draw to
     # the section and read the statistic off its coordinate
     from sectint.matrices import gaussian
-    from sectint.mc import chunk_rngs, chunk_sizes
 
     spec = EnsembleSpec(action, 1.5, stat, stat_index=1 if stat == "singular_value" else 0)
     oracle = []
-    for rng, size in zip(chunk_rngs(8, 16), chunk_sizes(50, 16)):
+    for rng, size in oracle_batches(8, 50):
         for _ in range(size):
             s = reduce_to_section(action, 1.5 * gaussian(action.field, action.n, action.k, rng))
             oracle.append(_stat_from_coordinate(spec, section_coordinate(action, s)))
@@ -155,11 +152,10 @@ def test_conjugation_samples_match_per_draw_reduction(action):
     # replay the sampling stream one Haar draw at a time: Gram-Schmidt QR
     # of a Gaussian matrix, the SO/SU determinant fix, then reduction
     from sectint.matrices import gaussian
-    from sectint.mc import chunk_rngs, chunk_sizes
 
     group = action.group
     oracle = []
-    for rng, size in zip(chunk_rngs(8, 16), chunk_sizes(60, 16)):
+    for rng, size in oracle_batches(8, 60):
         for _ in range(size):
             q, _ = gram_schmidt_qr(gaussian(group.field, group.n, group.n, rng))
             if group.family is Family.SO and np.linalg.det(q.data) < 0:

@@ -233,7 +233,7 @@ KERNEL_CASES = [(ScalarField.REAL, m) for m in range(1, 6)] + [(ScalarField.COMP
 def test_householder_q_is_the_q_of_qr(field, m):
     # q is unique once diag(r) > 0, so the reflections and the Gram-Schmidt
     # oracle agree to rounding; det q is det of the (complex adjoint matrix of) q
-    x = gaussian_batch(field, m, m, [np.random.default_rng(m)], [400])
+    x = gaussian_batch(field, m, m, np.random.default_rng(m), 400)
     q, det = householder_q(x)
     size = np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim))))
     gap = [np.max(np.abs(qi - gram_schmidt_qr(MatK(field, xi))[0].data)) for qi, xi in zip(q, x)]
@@ -243,9 +243,9 @@ def test_householder_q_is_the_q_of_qr(field, m):
 
 @pytest.mark.parametrize("field, m", KERNEL_CASES, ids=lambda v: getattr(v, "value", v))
 def test_householder_q_is_batch_invariant(field, m):
-    # a Monte Carlo batch joins the draws of consecutive chunks: each q and
-    # det q is the same, bit for bit, in a stack of one, of a few, or of all
-    x = gaussian_batch(field, m, m, [np.random.default_rng(10 + m)], [9])
+    # a draw's q does not depend on its batch: each q and det q is the
+    # same, bit for bit, in a stack of one, of a few, or of all
+    x = gaussian_batch(field, m, m, np.random.default_rng(10 + m), 9)
     q, det = householder_q(x)
     for lo, hi in [(0, 1), (1, 3), (3, 9), (8, 9)]:
         part_q, part_det = householder_q(x[lo:hi])
@@ -254,8 +254,8 @@ def test_householder_q_is_batch_invariant(field, m):
 
 @pytest.mark.parametrize("field", list(ScalarField), ids=lambda f: f.value)
 def test_householder_q_of_an_empty_stack(field):
-    # a Monte Carlo chunk of size 0 draws an empty stack
-    x = gaussian_batch(field, 3, 3, [np.random.default_rng(0)], [0])
+    # a batch of no draws is an empty stack
+    x = gaussian_batch(field, 3, 3, np.random.default_rng(0), 0)
     q, det = householder_q(x)
     assert q.shape == x.shape and det.shape == (0,)
 
@@ -280,7 +280,7 @@ def test_haar_draws_take_no_lapack_factorization(monkeypatch):
     rng = np.random.default_rng(3)
     for g in [GroupSpec(f, n) for f in Family for n in (1, 2, 3)]:
         haar_sample_batch(g, rng, 7)
-        householder_q(gaussian_batch(g.field, g.n, g.n, [rng], [7]))
+        householder_q(gaussian_batch(g.field, g.n, g.n, rng, 7))
     for field in ScalarField:
         for n, k in [(3, 1), (3, 2), (4, 2)]:
             DirectSumAction(field, n, k).normalizer_samples(rng, 7)

@@ -23,7 +23,7 @@ from sectint.actions import (
     hermite_rule,
 )
 from sectint.matrices import MatK, to_real_vector
-from sectint.mc import BATCH_DRAWS, McEstimate, agree, chunk_batches, chunk_rngs, chunk_sizes, mc_run, product, ratio
+from sectint.mc import BATCH_DRAWS, McEstimate, agree, batch, batch_count, mc_run, product, ratio
 from sectint.integrate import (
     QUADRATURE_REL_FLOOR,
     ContractViolation,
@@ -38,7 +38,7 @@ from sectint.integrate import (
 from sectint import integrate  # integrate.TestFunction: a Test* name here would be collected
 from sectint.volumes import group_volume, torus_volume, vol_gh_estimate, w_group_volume
 from lp_isometry import lp_isometry_check
-from mc_oracle import mc_run_per_chunk
+from mc_oracle import mc_run_per_batch
 from reduced_mc import evaluate_test_function, reduced_importance_sampling
 from test_groups import torus_grid
 
@@ -56,114 +56,105 @@ QUADRATURE_ACTIONS = [
 SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
 
 
-# --- the chunked runner -------------------------------------------------------
+# --- the batched runner -------------------------------------------------------
 
-def test_chunk_sizes_partition():
-    assert chunk_sizes(10, 3) == [4, 3, 3]
-    assert sum(chunk_sizes(1_000_003, 16)) == 1_000_003
-
-
-def _per_chunk(fn):
-    """mc_run's sample_fn from a per-chunk fn(rng, size): each chunk in turn, joined."""
-    return lambda rngs, sizes: np.concatenate([fn(rng, size) for rng, size in zip(rngs, sizes)], axis=-1)
+def _square(rng, size):
+    return rng.standard_normal(size) ** 2
 
 
 def test_mc_run_matches_flat_statistics():
     def fn(rng, size):
         return rng.standard_normal(size) * 2.0 + 1.0
 
-    est = mc_run(_per_chunk(fn), 9000, seed=3, chunks=4)
-    flat = np.concatenate([fn(r, s) for r, s in zip(chunk_rngs(3, 4), chunk_sizes(9000, 4))])
+    est = mc_run(fn, 9000, seed=3)
+    flat = np.concatenate([fn(*batch(3, 9000, i)) for i in range(batch_count(9000))])
     assert est.mean == pytest.approx(np.mean(flat), abs=1e-13)
     assert est.stderr == pytest.approx(np.std(flat, ddof=1) / np.sqrt(9000), rel=1e-10)
 
 
 def test_mc_run_worker_invariance():
-    fn = _per_chunk(lambda rng, size: rng.standard_normal(size) ** 2)
-    runs = [mc_run(fn, 80_000, seed=11, chunks=8, workers=w) for w in (1, 2, 8)]
+    runs = [mc_run(_square, 80_000, seed=11, workers=w) for w in (1, 2, 8)]
     assert runs[0] == runs[1] == runs[2]
 
 
-_square = _per_chunk(lambda rng, size: rng.standard_normal(size) ** 2)
-
-
-@pytest.mark.parametrize("chunks", [1, 5, 16])
 @pytest.mark.parametrize("n", [3, 3 * BATCH_DRAWS, 10_000, 16 * (BATCH_DRAWS + 1)])
-def test_mc_run_is_bit_identical_on_any_worker_count(chunks, n):
-    # n = 3 leaves empty chunks at chunks 5 and 16; 3 * BATCH_DRAWS groups
-    # 16 chunks into 4 batches; at 16 * (BATCH_DRAWS + 1) every chunk is
-    # over BATCH_DRAWS, a batch alone.  A short switch interval hands the
+def test_mc_run_is_bit_identical_on_any_worker_count(n):
+    # 1, 3, 3 and 17 batches.  A short switch interval hands the
     # interpreter between the claiming threads as often as it can
-    one = mc_run(_square, n, seed=21, chunks=chunks, workers=1)
+    one = mc_run(_square, n, seed=21, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 3, 17):
-            assert mc_run(_square, n, seed=21, chunks=chunks, workers=workers) == one
+            assert mc_run(_square, n, seed=21, workers=workers) == one
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_mc_run_joins_chunks_into_batches():
-    assert [len(b) for b in chunk_batches(chunk_sizes(3 * BATCH_DRAWS, 16))] == [5, 5, 5, 1]
-    assert chunk_batches([BATCH_DRAWS + 1, 1, 1, BATCH_DRAWS, 0, 0]) == [range(0, 1), range(1, 3), range(3, 6)]
-    assert chunk_batches(chunk_sizes(16 * (BATCH_DRAWS + 1), 16)) == [range(i, i + 1) for i in range(16)]
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 3 * BATCH_DRAWS), min_size=1, max_size=40))
-def test_chunk_batches_cover_each_chunk_once_in_order(sizes):
-    batches = chunk_batches(sizes)
-    assert [i for b in batches for i in b] == list(range(len(sizes)))
-    for b in batches:
-        assert len(b) >= 1 and b.step == 1
-        assert len(b) == 1 or sum(sizes[i] for i in b) <= BATCH_DRAWS
+@given(st.integers(1, 40 * BATCH_DRAWS))
+def test_batches_split_n_into_near_equal_parts_of_at_most_batch_draws(n):
+    count = batch_count(n)
+    sizes = [batch(0, n, i)[1] for i in range(count)]
+    assert count == math.ceil(n / BATCH_DRAWS) and sum(sizes) == n
+    assert max(sizes) <= BATCH_DRAWS and max(sizes) - min(sizes) <= 1
 
 
-@pytest.mark.parametrize("n, chunks", [(3, 16), (3 * BATCH_DRAWS, 16), (10_000, 5), (40_000, 16)])
-def test_mc_run_batches_do_not_depend_on_the_worker_count(n, chunks):
-    sizes = chunk_sizes(n, chunks)
-    expected = sorted(tuple(sizes[i] for i in b) for b in chunk_batches(sizes))
+@pytest.mark.parametrize("n", [2, BATCH_DRAWS, BATCH_DRAWS + 1, 10**6])
+def test_no_batch_holds_more_than_batch_draws(monkeypatch, n):
+    # the kind gets ceil(n / BATCH_DRAWS) batches of at most BATCH_DRAWS draws,
+    # from mc_run (integrate_direct) and from sample_ensemble alike, and the
+    # same batches on any worker count
+    from sectint.ensembles import EnsembleSpec, sample_ensemble
+
+    seen, lock = [], threading.Lock()
+
+    def record(size):
+        with lock:
+            seen.append(size)
+
+    def sampler(self, values):
+        return (lambda rng, size: record(size) or np.ones((1, size))), McEstimate.exact(1.0)
+
+    monkeypatch.setattr(DirectSumAction, "direct_sampler", sampler)
+    monkeypatch.setattr(DirectSumAction, "ensemble_statistics", lambda self, spec, rng, size: record(size) or np.zeros(size))
+    expected = sorted(batch(4, n, i)[1] for i in range(math.ceil(n / BATCH_DRAWS)))
+    assert len(expected) == math.ceil(n / BATCH_DRAWS) and sum(expected) == n and max(expected) <= BATCH_DRAWS
     for workers in (1, 2, 3):
-        seen, lock = [], threading.Lock()
-
-        def record(rngs, sizes):
-            with lock:
-                seen.append(tuple(sizes))
-            return _square(rngs, sizes)
-
-        mc_run(record, n, seed=4, chunks=chunks, workers=workers)
+        seen.clear()
+        integrate_direct(SO3K2, [make_test_function("gaussian_radial")], seed=4, n=n, workers=workers)
         assert sorted(seen) == expected
+    seen.clear()
+    assert sample_ensemble(EnsembleSpec(SO3K2), 4, n).shape == (n,)
+    assert seen == [batch(4, n, i)[1] for i in range(len(expected))]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_mc_run_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers >= 1"):
-        mc_run(_square, 3 * BATCH_DRAWS, seed=0, chunks=16, workers=workers)
+        mc_run(_square, 3 * BATCH_DRAWS, seed=0, workers=workers)
 
 
 def test_mc_run_reads_the_default_worker_count_from_the_environment(monkeypatch):
     n = 3 * BATCH_DRAWS
     monkeypatch.setenv("SECTINT_WORKERS", "0")
     with pytest.raises(ValueError, match="SECTINT_WORKERS"):
-        mc_run(_square, n, seed=0, chunks=16)
+        mc_run(_square, n, seed=0)
     monkeypatch.setenv("SECTINT_WORKERS", "3")
-    assert mc_run(_square, n, seed=0, chunks=16) == mc_run(_square, n, seed=0, chunks=16, workers=1)
+    assert mc_run(_square, n, seed=0) == mc_run(_square, n, seed=0, workers=1)
 
 
 def test_mc_run_helpers_start_lazily_and_persist():
     # a fresh interpreter, so that no earlier call has started helpers;
-    # BATCH_DRAWS draws are one batch, and 3 * (BATCH_DRAWS + 1) draws are
-    # 3 batches in 3 chunks and 4 in 16
+    # BATCH_DRAWS draws are one batch, and 3 * BATCH_DRAWS draws 3 batches
     code = """
 import threading
-import numpy as np
 from sectint.mc import BATCH_DRAWS, mc_run
-fn = lambda rngs, sizes: np.concatenate([rng.standard_normal(size) for rng, size in zip(rngs, sizes)])
+fn = lambda rng, size: rng.standard_normal(size)
 counts = [threading.active_count()]
-big = 3 * (BATCH_DRAWS + 1)
-for n, chunks, workers in [(BATCH_DRAWS, 16, 8), (big, 16, 1), (big, 3, 17), (big, 3, 17), (big, 16, 2), (big, 3, 2)]:
-    mc_run(fn, n, 0, chunks, workers)
+big = 3 * BATCH_DRAWS
+for n, workers in [(BATCH_DRAWS, 8), (big, 1), (big, 17), (big, 17), (big, 2), (big, 2)]:
+    mc_run(fn, n, 0, workers)
     counts.append(threading.active_count() - counts[0])
 print(counts[1:])
 """
@@ -176,50 +167,50 @@ print(counts[1:])
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 2, 2, 2, 2]"
 
 
-def test_mc_run_nested_in_a_chunk_finishes():
+def test_mc_run_nested_in_a_batch_finishes():
     # a batch that calls mc_run on 2 workers must not wait on a helper task
     # queued behind its own thread; outer and inner runs are 4 batches each
-    n = 3 * BATCH_DRAWS
+    n = 3 * BATCH_DRAWS + 1
 
-    def outer(rngs, sizes):
-        inner = mc_run(_square, n, seed=int(rngs[0].integers(2**31)), chunks=16, workers=2)
-        return np.concatenate([rng.standard_normal(size) for rng, size in zip(rngs, sizes)]) + inner.mean
+    def outer(rng, size):
+        inner = mc_run(_square, n, seed=int(rng.integers(2**31)), workers=2)
+        return rng.standard_normal(size) + inner.mean
 
-    assert len(chunk_batches(chunk_sizes(n, 16))) == 4
+    assert batch_count(n) == 4
     out = {}
-    thread = threading.Thread(target=lambda: out.update(w2=mc_run(outer, n, 5, 16, 2)), daemon=True)
+    thread = threading.Thread(target=lambda: out.update(w2=mc_run(outer, n, 5, 2)), daemon=True)
     thread.start()
     thread.join(timeout=30)
     assert not thread.is_alive(), "nested mc_run hung"
-    assert out["w2"] == mc_run(outer, n, 5, 16, 1)
+    assert out["w2"] == mc_run(outer, n, 5, 1)
 
 
-@pytest.mark.parametrize("bad", [0, 15])
+@pytest.mark.parametrize("bad", [0, 3])
 @pytest.mark.parametrize("workers", [2, 3])
-def test_mc_run_chunk_error_propagates_after_running_chunks_return(bad, workers):
-    # 16 chunks of 3 * BATCH_DRAWS draws are 4 batches, so helpers run some of them
-    n = 3 * BATCH_DRAWS
-    key = chunk_rngs(9, 16)[bad].bit_generator.state
+def test_mc_run_batch_error_propagates_after_running_batches_return(bad, workers):
+    # 3 * BATCH_DRAWS + 1 draws are 4 batches, so helpers run some of them
+    n = 3 * BATCH_DRAWS + 1
+    key = batch(9, n, bad)[0].bit_generator.state
     in_flight = []
 
-    def fails_in_one_chunk(rngs, sizes):
+    def fails_in_one_batch(rng, size):
         in_flight.append(1)
         try:
-            if any(rng.bit_generator.state == key for rng in rngs):
-                raise RuntimeError(f"chunk {bad}")
+            if rng.bit_generator.state == key:
+                raise RuntimeError(f"batch {bad}")
             time.sleep(0.002)
-            return np.concatenate([rng.standard_normal(size) for rng, size in zip(rngs, sizes)])
+            return rng.standard_normal(size)
         finally:
             in_flight.pop()
 
-    assert len(chunk_batches(chunk_sizes(n, 16))) == 4
-    mc_run(_square, n, 0, chunks=16, workers=workers)  # start the helpers
+    assert batch_count(n) == 4
+    mc_run(_square, n, 0, workers)  # start the helpers
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"chunk {bad}"):
-        mc_run(fails_in_one_chunk, n, 9, 16, workers)
+    with pytest.raises(RuntimeError, match=f"batch {bad}"):
+        mc_run(fails_in_one_batch, n, 9, workers)
     assert not in_flight
     assert threading.active_count() == threads
-    assert mc_run(_square, n, 9, 16, workers) == mc_run(_square, n, 9, 16, 1)
+    assert mc_run(_square, n, 9, workers) == mc_run(_square, n, 9, 1)
 
 
 def test_mc_run_helpers_take_the_callers_floating_point_state():
@@ -228,30 +219,31 @@ def test_mc_run_helpers_take_the_callers_floating_point_state():
     # enough that the helper claims some of them
     seen = []
 
-    def records_state(rngs, sizes):
+    def records_state(rng, size):
         seen.append((threading.get_ident(), np.geterr()["over"]))
         time.sleep(0.02)
-        return np.zeros(sum(sizes))
+        return np.zeros(size)
 
-    mc_run(_square, 3 * BATCH_DRAWS, 0, chunks=16, workers=2)  # start the helper
+    n = 3 * BATCH_DRAWS + 1
+    mc_run(_square, n, 0, workers=2)  # start the helper
     with np.errstate(over="raise"):
-        mc_run(records_state, 3 * BATCH_DRAWS, 0, chunks=16, workers=2)
+        mc_run(records_state, n, 0, workers=2)
     assert len(seen) == 4 and len({tid for tid, _ in seen}) == 2
     assert {state for _, state in seen} == {"raise"}
 
 
 def test_mc_run_rows_match_one_dimensional_runs():
     # an (m, size) sample reduces each row on its own: row i of the batch run
-    # is bit-identical to the 1-D run returning that row, empty chunks included
+    # is bit-identical to the 1-D run returning that row
     def rows(rng, size):
         z = rng.standard_normal(size)
         return np.stack([z, z * z, np.exp(z)])
 
-    for n, chunks in ((9000, 4), (9000, 16), (5, 16)):
-        batch = mc_run(_per_chunk(rows), n, seed=3, chunks=chunks)
-        assert len(batch) == 3
-        for i, est in enumerate(batch):
-            assert est == mc_run(_per_chunk(lambda rng, size: rows(rng, size)[i]), n, seed=3, chunks=chunks)
+    for n in (9000, 5):
+        estimates = mc_run(rows, n, seed=3)
+        assert len(estimates) == 3
+        for i, est in enumerate(estimates):
+            assert est == mc_run(lambda rng, size: rows(rng, size)[i], n, seed=3)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -271,13 +263,11 @@ def _rows(rng, size):
     _rows,
     lambda rng, size: np.ascontiguousarray(_rows(rng, size).T).T,  # rows with a strided last axis
 ], ids=["1-D", "2-D", "2-D-strided"])
-def test_mc_run_statistics_match_the_per_chunk_oracle(n, fn):
-    # n = 3 leaves 13 of 16 chunks empty, 1000 splits into chunks of 63 and
-    # 62, 30000 into 8 batches of two chunks, and 16 (BATCH_DRAWS + 1) into
-    # 16 one-chunk batches: every batch's one reduction per run of equal
-    # chunk sizes gives each chunk's statistics bit for bit
-    est = mc_run(_per_chunk(fn), n, seed=17, chunks=16, workers=1)
-    assert (est if isinstance(est, list) else [est]) == mc_run_per_chunk(fn, n, seed=17, chunks=16)
+def test_mc_run_statistics_match_the_per_batch_oracle(n, fn):
+    # 1, 1, 8 and 17 batches: every batch's one reduction of all its rows
+    # gives each row's statistics bit for bit
+    est = mc_run(fn, n, seed=17, workers=1)
+    assert (est if isinstance(est, list) else [est]) == mc_run_per_batch(fn, n, seed=17)
 
 
 def test_ratio_keeps_the_numerators_error_at_a_zero_mean():
@@ -335,8 +325,8 @@ def test_fractional_trace_power_is_refused_before_sampling(monkeypatch):
     import sectint.actions
 
     drawn = []
-    original = sectint.actions.haar_from_gaussian
-    monkeypatch.setattr(sectint.actions, "haar_from_gaussian", lambda *args: drawn.append(args) or original(*args))
+    original = sectint.actions.haar_sample_batch
+    monkeypatch.setattr(sectint.actions, "haar_sample_batch", lambda *args: drawn.append(args) or original(*args))
     for power in (2.5, -1.0):
         with pytest.raises(ContractViolation, match="nonnegative integer"):
             integrate_direct(SU2CONJ, [make_test_function("trace_power", power=power)], seed=0, n=100, workers=1)
@@ -389,9 +379,9 @@ def test_const_direct_estimate_draws_nothing(monkeypatch, group, value):
         raise AssertionError("a const integrand drew Haar samples")
 
     monkeypatch.setattr(actions_module, "gaussian_batch", refuse)
-    monkeypatch.setattr(actions_module, "haar_from_gaussian", refuse)
+    monkeypatch.setattr(actions_module, "haar_sample_batch", refuse)
     f = make_test_function("const", value=value)
-    [est] = integrate_direct(ConjugationAction(group), [f], seed=4, n=3000, chunks=8)
+    [est] = integrate_direct(ConjugationAction(group), [f], seed=4, n=3000)
     assert est == McEstimate(value * group_volume(group), 0.0, 3000)
 
 
@@ -520,19 +510,22 @@ def _sampler_functions(action):
 
 
 @pytest.mark.parametrize("action", SAMPLER_ROWS, ids=str)
-@pytest.mark.parametrize("sizes", [(7, 6, 6, 2, 0), (313, 313, 312), (625,) * 6, (1875, 1875)])
+@pytest.mark.parametrize("sizes", [(7, 6, 6, 2), (313, 313, 312), (625,) * 6, (1875, 1875)])
 def test_direct_sampler_values_are_batch_invariant(action, sizes):
-    # the values of a batch of chunks are, bit for bit, the joined values of
-    # one-chunk calls on the same generators; (625,) * 6 is a batch of the
-    # benchmark's volumes ops and (1875, 1875) one of its flat integrate ops.
-    # No chunk here has one draw: gram_det's H closed form rounds a stack of
+    # a draw's values do not depend on the other draws of its batch: the
+    # values of a batch's draws are, bit for bit, the joined values of its
+    # parts; 3750 draws are a batch of the benchmark's flat integrate ops.
+    # No part here has one draw: gram_det's H closed form rounds a stack of
     # one differently
-    fs = _sampler_functions(action)
-    sample, _ = action.direct_sampler(lambda pts, norms_sq: _stacked_values(action, fs, pts, norms_sq))
-    batch = sample(chunk_rngs(8, len(sizes)), list(sizes))
-    alone = np.concatenate([sample([rng], [size]) for rng, size in zip(chunk_rngs(8, len(sizes)), sizes)], axis=1)
-    assert batch.shape == (len(_sampler_functions(action)), sum(sizes))
-    assert np.array_equal(batch, alone)
+    fs, drawn = _sampler_functions(action), []
+    sample, _ = action.direct_sampler(lambda pts, norms_sq: drawn.append((pts, norms_sq)) or
+                                      _stacked_values(action, fs, pts, norms_sq))
+    assert sample(np.random.default_rng(8), sum(sizes)).shape == (len(fs), sum(sizes))
+    [(pts, norms_sq)] = drawn
+    cuts = np.cumsum((0,) + sizes)
+    parts = [_stacked_values(action, fs, pts[lo:hi], None if norms_sq is None else norms_sq[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(_stacked_values(action, fs, pts, norms_sq), np.concatenate(parts, axis=1))
 
 
 SHARED_DRAW_CASES = [
@@ -560,14 +553,14 @@ SHARED_DRAW_CASES = [
 
 @pytest.mark.parametrize("action, fs", SHARED_DRAW_CASES)
 @pytest.mark.parametrize("workers", [1, 2, 8])
-@pytest.mark.parametrize("n, chunks", [(3000, 8), (5, 16)])
-def test_shared_draw_changes_no_estimate(action, fs, workers, n, chunks):
-    # every integrand of one integrate_direct call reads the chunk's one draw;
+@pytest.mark.parametrize("n", [3000, 5, 2 * BATCH_DRAWS + 1])
+def test_shared_draw_changes_no_estimate(action, fs, workers, n):
+    # every integrand of one integrate_direct call reads the batch's one draw;
     # its estimate is bit-identical to a one-function run at the same seed
-    shared = integrate_direct(action, fs, seed=19, n=n, chunks=chunks, workers=workers)
+    shared = integrate_direct(action, fs, seed=19, n=n, workers=workers)
     assert len(shared) == len(fs)
     for f, est in zip(fs, shared):
-        [alone] = integrate_direct(action, [f], seed=19, n=n, chunks=chunks, workers=1)
+        [alone] = integrate_direct(action, [f], seed=19, n=n, workers=1)
         assert (est.mean, est.stderr) == (alone.mean, alone.stderr)
         assert est == alone
 
@@ -585,11 +578,11 @@ def test_calibration_ratios_use_independent_draws(action, fs):
     # each integrand's direct side has its own draws at subseed(seed, i, 0)
     from sectint.mc import ratio, subseed
 
-    calib = calibrate_vol_gn(action, fs, seed=23, n=4000, chunks=8)
+    calib = calibrate_vol_gn(action, fs, seed=23, n=4000)
     seeds = [subseed(23, i, 0) for i in range(len(fs))]
     assert len(set(seeds)) == len(fs)
     for f, r, s in zip(fs, calib.ratios, seeds):
-        [direct] = integrate_direct(action, [f], s, 4000, chunks=8)
+        [direct] = integrate_direct(action, [f], s, 4000)
         assert r == ratio(direct, integrate_reduced(action, [f], 1.0)[0])
 
 
@@ -968,7 +961,7 @@ def test_lp_p1_reduces_to_identity_check():
 def test_integrate_deterministic_across_workers():
     f = make_test_function("gaussian_sq_norm", sigma=1.0)
     runs = [
-        integrate_direct(SO3K2, [f], seed=1234, n=64_000, chunks=8, workers=w) for w in (1, 2, 8)
+        integrate_direct(SO3K2, [f], seed=1234, n=64_000, workers=w) for w in (1, 2, 8)
     ]
     assert runs[0] == runs[1] == runs[2]
     reduced = [integrate_reduced(SO3K2, [f], 4 * np.pi) for _ in range(2)]
@@ -977,6 +970,6 @@ def test_integrate_deterministic_across_workers():
 
 def test_conjugation_direct_deterministic():
     f = make_test_function("trace_power", power=2)
-    [a] = integrate_direct(SU2CONJ, [f], seed=55, n=20_000, chunks=4, workers=1)
-    [b] = integrate_direct(SU2CONJ, [f], seed=55, n=20_000, chunks=4, workers=4)
+    [a] = integrate_direct(SU2CONJ, [f], seed=55, n=20_000, workers=1)
+    [b] = integrate_direct(SU2CONJ, [f], seed=55, n=20_000, workers=4)
     assert a == b

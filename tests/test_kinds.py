@@ -21,7 +21,6 @@ from sectint.actions import _coordinate_statistics, canonical_angles
 from sectint.groups import Family, GroupSpec, haar_sample_batch
 from sectint.integrate import make_test_function
 from sectint.matrices import batch_from_real, batch_to_real, from_real_vector, to_real_vector
-from sectint.mc import chunk_rngs
 from sectint.volumes import group_volume, torus_volume, vol_gh_estimate, w_group_volume
 from sectint.weights import delta_e_batch
 
@@ -175,7 +174,7 @@ def test_every_kind_operation(action):
     fs = [make_test_function(name, **params) for name, params in action.default_integrands]
     assert len(fs) == 2
     sample, vol = action.direct_sampler(lambda p, norms_sq: np.ones((1, len(p))))
-    assert sample(chunk_rngs(0, 2), [3, 4]).shape == (1, 7) and vol.mean > 0
+    assert sample(np.random.default_rng(0), 7).shape == (1, 7) and vol.mean > 0
     assert action.divergence("gaussian_radial", lambda key: 1.0) is None
     fine, coarse = action.rule_sizes(None)
     assert fine > coarse >= 1 and action.rule_sizes(2)[0] >= 1
@@ -185,7 +184,7 @@ def test_every_kind_operation(action):
     # ensembles
     spec = EnsembleSpec(action)
     assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic, 1.0) >= 1
-    stats = action.ensemble_statistics(spec, [rng], [50])
+    stats = action.ensemble_statistics(spec, rng, 50)
     assert stats.shape == (50,)
     ref_stats, weights, _, n_eff = action.ensemble_reference(spec, 50, 1)
     assert ref_stats.ndim == 1 and (weights is None or (weights.shape == ref_stats.shape and np.all(weights >= 0)))
@@ -194,20 +193,20 @@ def test_every_kind_operation(action):
     assert edges.shape == (6,) and freq.shape == (5,) and abs(np.sum(freq) - 1.0) < 1e-12
 
 
-# --- a batch of chunks draws what its chunks draw ------------------------------------
+# --- a batch draws what its generator draws ------------------------------------------
 
-BATCH_SIZES = [3, 1, 1, 5, 0, 1]  # one-draw chunks and an empty one in one batch
+BATCH_SIZES = [1, 11]  # a one-draw batch and a larger one
 
 
-def _chunk_draws(action, rng, size):
-    """One chunk's direct-side draws: flat standard normals, or Haar samples."""
+def _batch_draws(action, rng, size):
+    """One batch's direct-side draws: flat standard normals, or Haar samples."""
     if isinstance(action, ConjugationAction):
         return batch_to_real(action.field, haar_sample_batch(action.group, rng, size))
     return rng.standard_normal((size, action.ambient_dim))
 
 
-def _chunk_statistic(spec, rng, size):
-    """One chunk's ensemble statistic, as its own draws give it."""
+def _batch_statistic(spec, rng, size):
+    """One batch's ensemble statistic, as its own draws give it."""
     action = spec.action
     if isinstance(action, ConjugationAction):
         return canonical_angles(action.group, haar_sample_batch(action.group, rng, size))[:, spec.stat_index]
@@ -223,23 +222,23 @@ def test_volumes_are_plain_floats(action):
 
 
 @pytest.mark.parametrize("action", ROWS, ids=str)
-def test_a_batch_is_drawn_as_its_chunks_are(action):
+def test_a_batch_is_drawn_from_its_generator(action):
     drawn = []
     sample, _ = action.direct_sampler(lambda pts, norms_sq: drawn.append(pts) or np.ones((1, len(pts))))
-    sample(chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES)
-    chunks = [_chunk_draws(action, rng, size) for rng, size in zip(chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES)]
-    assert drawn[0].tobytes() == np.concatenate(chunks).tobytes()
+    for size in BATCH_SIZES:
+        sample(np.random.default_rng(5), size)
+        assert drawn[-1].tobytes() == _batch_draws(action, np.random.default_rng(5), size).tobytes()
 
 
 @pytest.mark.parametrize("action", ROWS, ids=str)
-def test_ensemble_statistics_of_a_batch_are_its_chunks_statistics(action):
-    # every statistic and column; one batch call against each chunk's own
-    # draws and kernels, bit for bit (the kernels are batch invariant)
+def test_ensemble_statistics_of_a_batch_are_its_draws_statistics(action):
+    # every statistic and column; the kind's batch call against the batch's
+    # own draws and kernels, bit for bit
     scale = 1.0 if isinstance(action, ConjugationAction) else 1.5
     for statistic in action.statistics:
         for index in range(action.statistic_columns(statistic, scale)):
             spec = EnsembleSpec(action, scale, statistic, index)
-            batch = action.ensemble_statistics(spec, chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES)
-            chunks = [_chunk_statistic(spec, rng, size)
-                      for rng, size in zip(chunk_rngs(5, len(BATCH_SIZES)), BATCH_SIZES) if size]
-            assert batch.tobytes() == np.concatenate(chunks).tobytes(), (statistic, index)
+            for size in BATCH_SIZES:
+                batch = action.ensemble_statistics(spec, np.random.default_rng(5), size)
+                alone = _batch_statistic(spec, np.random.default_rng(5), size)
+                assert batch.tobytes() == alone.tobytes(), (statistic, index, size)

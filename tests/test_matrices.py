@@ -104,13 +104,13 @@ def test_every_h_array_handed_out_is_an_adjoint_matrix():
     from sectint.matrices import conj_transpose, gaussian_batch, householder_q
 
     rng = np.random.default_rng(60)
-    a, b = gaussian_batch(H, 3, 4, [rng], [20]), gaussian_batch(H, 4, 2, [rng], [20])
-    deficient = gaussian_batch(H, 4, 3, [rng], [20])
+    a, b = gaussian_batch(H, 3, 4, rng, 20), gaussian_batch(H, 4, 2, rng, 20)
+    deficient = gaussian_batch(H, 4, 3, rng, 20)
     deficient[:, :, 4:] = deficient[:, :, :2]  # the last column repeats the first
     exact = [a, conj_transpose(a), algebra_split(DirectSumAction(H, 3, 2)).data,
              algebra_split(ConjugationAction(GroupSpec(Family.SP, 2))).data]
     rounded = [a @ b, *qr(H, conj_transpose(a)), *qr(H, deficient),
-               householder_q(gaussian_batch(H, 3, 3, [rng], [20]))[0],
+               householder_q(gaussian_batch(H, 3, 3, rng, 20))[0],
                haar_sample_batch(GroupSpec(Family.SP, 2), rng, 20)]
     assert all(layout_gap(e) == 0.0 for e in exact)
     assert all(layout_gap(e) <= 1e-14 for e in rounded)
@@ -443,10 +443,10 @@ def test_gram_det_keeps_relative_accuracy_near_rank_deficiency(field, k):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("k", [2, 3])
 def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
-    # a Monte Carlo batch joins the draws of consecutive chunks; every third
-    # matrix is near rank deficiency, so qr factors a subset of each stack,
-    # and each det is the same, bit for bit, in the joined stack and in its
-    # chunks, chunks of one matrix included
+    # a matrix's det does not depend on the stack it is evaluated in; every
+    # third matrix is near rank deficiency, so qr factors a subset of each
+    # stack, and each det is the same, bit for bit, in the whole stack and in
+    # its parts, parts of one matrix included
     import sectint.matrices as matrices
 
     rng = np.random.default_rng(50 + k)
@@ -461,20 +461,16 @@ def test_gram_det_is_batch_invariant_with_its_qr_branch(field, k, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_gaussian_batch_joins_its_chunks_draws(field):
-    # one buffer filled chunk by chunk gives each chunk's own draws, bit for
-    # bit, one-draw and empty chunks included: on every field a matrix's real
-    # coordinates are its chunk's flat standard normals, in the
-    # realification order
+def test_gaussian_batch_is_its_generators_flat_normals(field):
+    # on every field a matrix's real coordinates are its generator's flat
+    # standard normals, in the realification order, bit for bit, one-draw
+    # and empty batches included
     from sectint.matrices import gaussian_batch, real_dim
-    from sectint.mc import chunk_rngs
 
-    sizes = [3, 1, 1, 5, 0, 1]
-    chunks = [rng.standard_normal((size, real_dim(field, 3, 2))) for rng, size in zip(chunk_rngs(9, 6), sizes)]
-    data = gaussian_batch(field, 3, 2, chunk_rngs(9, 6), sizes)
-    assert batch_to_real(field, data).tobytes() == np.concatenate(chunks).tobytes()
-    one_by_one = [gaussian_batch(field, 3, 2, [rng], [size]) for rng, size in zip(chunk_rngs(9, 6), sizes)]
-    assert data.tobytes() == np.concatenate(one_by_one).tobytes()
+    for size in (0, 1, 11):
+        data = gaussian_batch(field, 3, 2, np.random.default_rng(9), size)
+        normals = np.random.default_rng(9).standard_normal((size, real_dim(field, 3, 2)))
+        assert data.shape[0] == size and batch_to_real(field, data).tobytes() == normals.tobytes()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -483,13 +479,11 @@ def test_direct_sums_read_the_one_gaussian_stream(field):
     # are the flat standard normals of their generators
     from sectint.actions import DirectSumAction
     from sectint.ensembles import EnsembleSpec
-    from sectint.mc import chunk_rngs, standard_normals
-
-    action, sizes = DirectSumAction(field, 3, 2), [3, 1, 1, 5, 0, 1]
+    action = DirectSumAction(field, 3, 2)
     points = action.random_ambient_points(np.random.default_rng(4), 6)
     assert batch_to_real(field, points).tobytes() == np.random.default_rng(4).standard_normal((6, action.ambient_dim)).tobytes()
     coords = action.section_coords(np.random.default_rng(4), 6)
     assert coords.tobytes() == np.random.default_rng(4).standard_normal((6, action.section_dim)).tobytes()
     spec = EnsembleSpec(action, 1.5, "coordinate_norm")
-    norms = np.linalg.norm(1.5 * standard_normals(chunk_rngs(9, 6), sizes, (action.ambient_dim,)), axis=1)
-    assert action.ensemble_statistics(spec, chunk_rngs(9, 6), sizes).tobytes() == norms.tobytes()
+    norms = np.linalg.norm(1.5 * np.random.default_rng(9).standard_normal((11, action.ambient_dim)), axis=1)
+    assert action.ensemble_statistics(spec, np.random.default_rng(9), 11).tobytes() == norms.tobytes()

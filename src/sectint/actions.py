@@ -42,12 +42,13 @@ determinants, the isotropy algebra, the orbit frames and the
 regularity class (regular, exceptional where a Weyl element fixes a
 regular point, or singular).  Random regular
 section points are the draws whose smallest singular value of the w + m
-fields exceeds ``MIN_GAP``.  A direct sum's section rule is a tensor
-Gauss rule in the Bartlett coordinates B = wR of the section coordinate
+fields exceeds ``MIN_GAP``.  ``ActionSpec.section_rule`` evaluates every
+kind's tensor section rule on the axes of its ``section_axes``: trapezoid
+axes on the torus angles, or Gauss axes in the Bartlett coordinates B = wR
 (w in W = U_d(k), R upper triangular with a positive diagonal; Edelman
-and Rao, Acta Numerica 2005), Gauss-Hermite axes above the diagonal and
-half-range Gauss axes, built by Golub-Welsch, on it; ``bartlett_draws``
-samples the same axes exactly.  The module needs only numpy.
+and Rao, Acta Numerica 2005), Gauss-Hermite above the diagonal and
+half-range, built by Golub-Welsch, on it, which ``bartlett_draws``
+samples exactly.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -142,6 +143,23 @@ class ActionSpec:
         the torus angles, or the Bartlett coordinates of R in B = wR."""
         return self.section_dim - self.copolarity
 
+    def section_rule(self, values, sigma: float, m: int) -> np.ndarray:
+        """The section integral of f * weight, one value per row of values(pts),
+        the integrands at (block, D) section points: the tensor rule of the
+        kind's section_axes, m nodes per axis, _ROW_BLOCK nodes at a time, each
+        block weighed once, and each integrand's row summed on its own."""
+        axes, weight, const = self.section_axes(sigma, m)
+        count, totals = m ** len(axes), 0.0
+        for lo in range(0, count, _ROW_BLOCK):
+            digits = np.unravel_index(np.arange(lo, min(lo + _ROW_BLOCK, count)), (m,) * len(axes))
+            z, w = np.zeros((digits[0].size, self.section_dim)), np.ones(digits[0].size)
+            for (col, x, wx), idx in zip(axes, digits):
+                z[:, col] = x[idx]
+                w *= wx[idx]
+            vals = values(self.section_points(z)) * weight(z)
+            totals = totals + np.array([w @ row for row in vals])
+        return totals * const
+
 
 @dataclass(frozen=True)
 class DirectSumAction(ActionSpec):
@@ -223,10 +241,6 @@ class DirectSumAction(ActionSpec):
     def section_frames(self, pts: np.ndarray) -> np.ndarray:
         """The section's coordinates come first in the flat layout, so the frames are the identity."""
         return np.broadcast_to(np.eye(self.ambient_dim), (len(pts),) + (self.ambient_dim,) * 2)
-
-    def in_frames(self, frames: np.ndarray, images: np.ndarray) -> np.ndarray:
-        """Killing images in the section frames: the frames are the identity, so the images themselves."""
-        return images
 
     def weyl_stabilizer_order(self, pts: np.ndarray) -> np.ndarray:
         """A full-rank B has a trivial stabilizer in the Weyl group."""
@@ -350,38 +364,20 @@ class DirectSumAction(ActionSpec):
         coarse = min(max(2, degree // 2 + 1), GAUSS_NODES - 1)
         return coarse + 1, coarse
 
-    def section_rule(self, values, sigma: float, m: int) -> np.ndarray:
-        """Tensor Gauss rule, m nodes per axis, for the section integral of
-        f * weight, one value per row of values(pts), the integrands at
-        (block, D) section points, which share sigma and so one evaluation
-        of the weight.
-
-        f and the weight are W-invariant, so the integral over B = wR is one
-        over the triangular R: Gauss-Hermite axes above the diagonal, and on
-        it half-range axes for r^(b_i + p) e^(-r^2/2), the Jacobian times the
-        weight's power.  Each axis weight carries e^(x^2/2), each diagonal
-        one divides out x^p, so the rule is exact where f is a polynomial of
-        degree 2m - 1 per axis times e^(-|B|^2/(2 sigma^2)), at every n.
-        """
+    def section_axes(self, sigma: float, m: int):
+        """section_rule's m-point Gauss axes (column of z, nodes, weights),
+        section_weight_batch and C sigma^D (C of _bartlett_axes).  f and the
+        weight are W-invariant, so the rule runs over R of B = wR: Gauss-Hermite
+        axes above the diagonal, and half-range axes for r^(b_i + p) e^(-r^2/2),
+        the Jacobian times the weight's power, on it.  Each axis weight carries
+        e^(x^2/2), each diagonal one divides out x^p, and the nodes scale by
+        sigma: exact where f is a polynomial of degree 2m - 1 per axis times
+        e^(-|B|^2/(2 sigma^2)), at every n."""
         axes, power, const = _bartlett_axes(self)
         rules = [hermite_rule(m) if b is None else half_range_rule(b + power, m) for _, b in axes]
-        nodes = [sigma * x for x, _ in rules]
-        weights = [
-            w * np.exp(0.5 * x * x) / (1.0 if b is None else x ** power)
-            for (_, b), (x, w) in zip(axes, rules)
-        ]
-        count = m ** len(axes)
-        totals = 0.0
-        for lo in range(0, count, _ROW_BLOCK):
-            digits = np.unravel_index(np.arange(lo, min(lo + _ROW_BLOCK, count)), (m,) * len(axes))
-            z = np.zeros((digits[0].size, self.section_dim))
-            w = np.ones(digits[0].size)
-            for (col, _), x, wx, idx in zip(axes, nodes, weights, digits):
-                z[:, col] = x[idx]
-                w *= wx[idx]
-            vals = values(self.section_points(z)) * section_weight_batch(self, z)
-            totals = totals + np.array([w @ row for row in vals])
-        return totals * const * sigma ** self.section_dim
+        return ([(col, sigma * x, w * np.exp(0.5 * x * x) / (1.0 if b is None else x ** power))
+                 for (col, b), (x, w) in zip(axes, rules)],
+                lambda z: section_weight_batch(self, z), const * sigma ** self.section_dim)
 
     def statistic_columns(self, statistic: str, scale: float) -> int:
         """Columns of an ensemble statistic; ValueError for one outside the table."""
@@ -499,10 +495,6 @@ class ConjugationAction(ActionSpec):
         s = batch_from_real(self.field, *self.shape, pts)[:, None]
         return batch_to_real(self.field, algebra_split(self).data @ s)
 
-    def in_frames(self, frames: np.ndarray, images: np.ndarray) -> np.ndarray:
-        """Killing images in the section frames: their coordinates along the frame rows."""
-        return frames @ images
-
     def weyl_stabilizer_order(self, pts: np.ndarray) -> np.ndarray:
         """2 where SO(2m+1) has an angle at pi, or SO(2m) one at 0 and another
         at pi (within _ANGLE_TOL), else 1: SU(n) and Sp(n) are simply connected."""
@@ -612,18 +604,13 @@ class ConjugationAction(ActionSpec):
         coarse = root_data(self.group).degree + max(degree, 4) + 1
         return coarse + 1, coarse
 
-    def section_rule(self, values, sigma: float, m: int) -> np.ndarray:
-        """Trapezoid rule with m nodes per angle of the torus cube, one value per
-        row of values(pts), at (block, D) torus points, _ROW_BLOCK nodes at a
-        time, each block with one evaluation of Weyl's closed-form weight;
-        exact below degree m per angle.  sigma scales nothing on the torus."""
-        axis, shape = np.arange(m) * (TWO_PI / m), (m,) * self.group.rank
-        count, totals = m ** self.group.rank, 0.0
-        for lo in range(0, count, _ROW_BLOCK):
-            angles = axis[np.stack(np.unravel_index(np.arange(lo, min(lo + _ROW_BLOCK, count)), shape), axis=1)]
-            vals = values(torus_points(self.group, angles)) * torus_weight_batch(self.group, angles)
-            totals = totals + np.sum(vals, axis=1)  # np.mean's sum / count on a single block
-        return totals / count * torus_volume(self.group)
+    def section_axes(self, sigma: float, m: int):
+        """section_rule's trapezoid axes (column of z, nodes, weights), m nodes of
+        weight 1/m on each torus angle, exact below degree m per angle; Weyl's
+        closed-form weight on the angle rows; the torus volume.  No sigma."""
+        nodes, weights = np.arange(m) * (TWO_PI / m), np.full(m, 1.0 / m)
+        return ([(col, nodes, weights) for col in range(self.group.rank)],
+                lambda angles: torus_weight_batch(self.group, angles), torus_volume(self.group))
 
     def statistic_columns(self, statistic: str, scale: float) -> int:
         """Columns of torus_angle; ValueError for another statistic, or a scale, which Haar measure lacks."""
@@ -853,10 +840,9 @@ _CLASSES = np.array([RegularityClass.REGULAR, RegularityClass.EXCEPTIONAL, Regul
 
 
 def orbit_map_differentials(action: ActionSpec, pts: np.ndarray) -> OrbitMapDifferential:
-    """The orbit maps at flat section points (m, D)."""
+    """The orbit maps at flat section points (m, D); frames @ images is exact on identity frames."""
     frames = action.section_frames(pts)
-    images = action.in_frames(frames, killing_images(action, pts))
-    return OrbitMapDifferential(algebra_split(action), pts, frames, images)
+    return OrbitMapDifferential(algebra_split(action), pts, frames, frames @ killing_images(action, pts))
 
 
 def orbit_map_differential(action: ActionSpec, s: MatK) -> OrbitMapDifferential:

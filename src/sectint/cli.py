@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         # of the Python docs does, and exit as a process killed by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # numpy's floating-point state, or a Python float's
         print(f"error: {exc}: a scale or point is out of the floating-point range", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's says in one line what it could not allocate

@@ -85,11 +85,13 @@ class HistogramComparison:
     dof: int
     p_value: float
     weight_ratio_spread: float | None = None  # of the direct-sum reference draws
+    reference_n_eff: float | None = None  # the reference's effective size; None where it is not drawn
 
     def to_json(self) -> dict:
-        """The test's outcome and the statistic it read, the kind's default
-        resolved; the action, scale, bins and draws are the report's config."""
-        return {"statistic": self.spec.statistic, "chi2": self.chi2, "dof": self.dof, "p_value": self.p_value}
+        """The test's outcome, the statistic it read (the kind's default resolved) and
+        the reference's effective size; the action, scale, bins and draws are the config."""
+        return {"statistic": self.spec.statistic, "chi2": self.chi2, "dof": self.dof, "p_value": self.p_value,
+                "reference_n_eff": self.reference_n_eff}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -185,4 +187,4 @@ def compare_densities(spec: EnsembleSpec, seed: int, n: int, bins: int = 30) -> 
     chi2 = float(np.sum((obs - exp) ** 2 / exp)) / (1.0 + n / n_eff if n_eff else 1.0)
     dof = len(obs) - 1
     p = chi2_tail(dof, chi2)
-    return HistogramComparison(spec, edges, emp_freq, ref_freq, chi2, dof, p, spread)
+    return HistogramComparison(spec, edges, emp_freq, ref_freq, chi2, dof, p, spread, n_eff)

@@ -7,10 +7,10 @@ space, or Haar sampling scaled by the group volume for conjugation
 actions), evaluating a list of integrands at once on the draws of each
 Monte Carlo batch, so ``sectint integrate`` samples once for all of
 them; (seed, n) fixes the draws (``mc.BATCH_DRAWS`` fixes the streams).
-The reduced side integrates f * weight over the section by the
-kind's quadrature rule (trapezoid on the torus angles, tensor Gauss in
-the Bartlett coordinates of a direct sum) and multiplies by a given
-vol(G/N); ``sectint integrate`` passes the exact vol(G/H) / vol(W).
+The reduced side integrates f * weight over the section by
+``ActionSpec.section_rule`` on the kind's ``section_axes`` (trapezoid on
+the torus angles, Gauss in the Bartlett coordinates of a direct sum) and
+multiplies by a given vol(G/N) (``sectint integrate``: vol(G/H) / vol(W)).
 Both rules are sized from the polynomial degree per axis that the
 integrand's family declares, so that fine and coarse are exact (fixed
 sizes where it declares none), and report |fine - coarse| as their
@@ -222,9 +222,9 @@ def integrate_reduced(action: ActionSpec, fs, vol_gn: float) -> list[McEstimate]
     each invariant f in fs, one estimate per integrand.  To scale by an
     estimated vol(G/N), take the mc.product of the call at 1.0 with it.
 
-    The section integral is the kind's deterministic section_rule,
-    scaled to the integrand's ``sigma`` (default 1) where the section is
-    flat, with the (fine, coarse) nodes per axis of the kind's
+    The section integral is the deterministic section_rule on the kind's
+    axes, scaled to the integrand's ``sigma`` (default 1) where the
+    section is flat, with the (fine, coarse) nodes per axis of the kind's
     rule_sizes, both exact on the degree f declares.  The stderr is the
     gap to the coarse rule, floored at QUADRATURE_REL_FLOOR relative, and
     n_samples the fine rule's nodes.  Integrands with the same rule and

@@ -774,6 +774,10 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["integrate", "--functions", "gaussian_radial:sigma=1e-300"], "floating-point range"),
         (["integrate", "--functions", "gaussian_radial:sigma=1e100"], "floating-point range"),
         (["ensemble", "--scale", "1e308"], "floating-point range"),
+        # sigma^16, the Bartlett rule's scale on H(3,2), overflows a Python float: it raised OverflowError
+        (["integrate", "--action", H32, "--functions", "gaussian_radial:sigma=1e20"], "floating-point range"),
+        (["volumes", "--action", H32, "--functions", "gaussian_radial:sigma=1e20,gaussian_sq_norm:sigma=1e30"],
+         "floating-point range"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -781,7 +785,8 @@ def test_degenerate_numeric_input_exits_2(capsys, argv, needle):
     # each of these used to print a NaN payload (not valid JSON) or ignore the value;
     # delta takes no --workers, which argparse refuses by name
     size = ["--n", "200"] if argv[0] in ("integrate", "volumes", "ensemble") else []
-    err = _exits_2_with_one_line(capsys, [argv[0], "--action", SO3K2, *size, *argv[1:]])
+    action = [] if "--action" in argv else ["--action", SO3K2]
+    err = _exits_2_with_one_line(capsys, [argv[0], *action, *size, *argv[1:]])
     assert needle in err
 
 
@@ -960,8 +965,23 @@ def test_integrate_payload_keys(capsys, action):
 def test_ensemble_payload_keys(capsys, action, argv, statistic):
     # the test's outcome and the statistic it read; the action, scale, bins and n are config's alone
     code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "300", "--bins", "10", *argv])
-    assert set(rep["results"]) == {"chi2", "dof", "p_value", "statistic"}
+    assert set(rep["results"]) == {"chi2", "dof", "p_value", "statistic", "reference_n_eff"}
     assert rep["results"]["statistic"] == statistic
+
+
+@pytest.mark.parametrize("action, kind", [
+    (SO3K2, int), (H32, int), (SO3, type(None)), (SU3, float), (SP3, float),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_ensemble_reports_its_reference_effective_size(capsys, action, kind):
+    # n_ref for the direct sums' equal-weight draws, Kish's (sum w)^2 / sum w^2
+    # for the weighted torus draws above rank one, null for the rank-one grid
+    from sectint.ensembles import EnsembleSpec
+    from sectint.mc import subseed
+
+    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "400", "--bins", "10", "--seed", "9"])
+    spec = EnsembleSpec(action_from_json(json.loads(action)))
+    n_eff = rep["results"]["reference_n_eff"]
+    assert type(n_eff) is kind and n_eff == spec.action.ensemble_reference(spec, 400, subseed(9, 1))[3]
 
 
 # --- ensemble -----------------------------------------------------------------------

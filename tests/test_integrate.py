@@ -21,6 +21,7 @@ from sectint.actions import (
     act,
     half_range_rule,
     hermite_rule,
+    section_weight_batch,
 )
 from sectint.matrices import MatK, to_real_vector
 from sectint.mc import BATCH_DRAWS, McEstimate, agree, batch, batch_count, mc_run, product, ratio
@@ -628,6 +629,11 @@ REDUCED_LIST_CASES = [
         ConjugationAction(GroupSpec(Family.SO, 4)),
         [make_test_function("const"), make_test_function("trace_power", power=2)],
     ),
+    # a fine rule of 3^9 = 19683 nodes, five blocks
+    (
+        DirectSumAction(ScalarField.COMPLEX, 4, 3),
+        [make_test_function(name, **params) for name, params in DirectSumAction.default_integrands],
+    ),
 ]
 
 
@@ -676,14 +682,38 @@ def test_torus_rule_evaluates_the_weight_once_per_node_count(monkeypatch, family
     assert len(generic_calls) == 0
 
 
-def test_torus_rule_memory_is_bounded_by_its_blocks():
-    # SU(5)'s trace_power rule has 14^4 = 38416 nodes; built at once, its
-    # points and values peaked at 21 MB, a block of them takes under 3 MB.
-    # The blocked sums match the mean over the whole grid
-    action, f = ConjugationAction(GroupSpec(Family.SU, 5)), make_test_function("trace_power", power=4)
+def _whole_grid_rule(action, f, m):
+    """The section rule of f with m nodes per axis as one sum over its whole
+    tensor grid: Weyl's torus weight on the trapezoid grid, or the Gauss
+    axes of hermite_rule and half_range_rule in the Bartlett coordinates."""
+    if isinstance(action, ConjugationAction):
+        angles = torus_grid(action.group.rank, m)
+        values = _stacked_values(action, [f], action.section_points(angles))[0]
+        return np.mean(values * torus_weight_batch(action.group, angles)) * torus_volume(action.group)
+    axes, power, const = _bartlett_axes(action)
+    rules = [hermite_rule(m) if b is None else half_range_rule(b + power, m) for _, b in axes]
+    nodes = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    weights = np.meshgrid(*[w * np.exp(0.5 * x * x) / (1.0 if b is None else x ** power)
+                            for (_, b), (x, w) in zip(axes, rules)], indexing="ij")
+    z = np.zeros((m ** len(axes), action.section_dim))
+    for (col, _), x in zip(axes, nodes):
+        z[:, col] = x.ravel()
+    values = _stacked_values(action, [f], action.section_points(z))[0] * section_weight_batch(action, z)
+    return np.sum(np.prod([w.ravel() for w in weights], axis=0) * values) * const
+
+
+@pytest.mark.parametrize("action, f, nodes", [
+    # SU(5)'s trace_power rule: built at once, its points and values peaked at 21 MB
+    (ConjugationAction(GroupSpec(Family.SU, 5)), make_test_function("trace_power", power=4), 14 ** 4),
+    # C(4,3)'s degree-2 Gauss rule: built at once, 24 MB
+    (DirectSumAction(ScalarField.COMPLEX, 4, 3), make_test_function("gaussian_sq_norm"), 3 ** 9),
+], ids=["SU(5) trace_power", "C(4,3) gaussian_sq_norm"])
+def test_torus_rule_memory_is_bounded_by_its_blocks(action, f, nodes):
+    # a block of the rule's nodes takes a few MB, and the blocked sums
+    # match the sum over the whole grid
     fine, _ = action.rule_sizes(f.degree())
-    assert fine ** 4 == 38416
-    integrate_reduced(ConjugationAction(GroupSpec(Family.SU, 2)), [f], 1.0)  # caches outside the trace
+    assert fine ** action.cohomogeneity == nodes > 4 * 4096
+    integrate_reduced(action, [f], 1.0)  # caches outside the trace
     tracemalloc.start()
     try:
         [est] = integrate_reduced(action, [f], 1.0)
@@ -691,10 +721,7 @@ def test_torus_rule_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
-    angles = torus_grid(4, fine)
-    trace = np.sum(np.cos(angles), axis=1) + np.cos(np.sum(angles, axis=1))
-    whole = np.mean(trace ** 4 * torus_weight_batch(action.group, angles)) * torus_volume(action.group)
-    assert est.mean == pytest.approx(whole, rel=1e-12, abs=0)
+    assert est.mean == pytest.approx(_whole_grid_rule(action, f, fine), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("action", [SO3K2, DirectSumAction(ScalarField.QUATERNION, 3, 2), DirectSumAction(R, 4, 1)],

@@ -153,8 +153,7 @@ def test_every_kind_operation(action):
     frames = action.section_frames(pts)  # section-tangent rows, then normal rows
     assert frames.shape == (5, action.section_dim + action.normal_dim, dim)
     images = killing_images(action, pts)
-    in_frames = action.in_frames(frames, images)
-    assert in_frames.shape == (5, action.section_dim + action.normal_dim, images.shape[2])
+    assert images.shape == (5, dim, action.group.algebra_dim)
     assert action.weyl_stabilizer_order(pts).shape == (5,)
     h, w, m = action.split_rows()
     assert len(h) + len(w) + len(m) == action.group.algebra_dim
@@ -178,6 +177,14 @@ def test_every_kind_operation(action):
     assert action.divergence("gaussian_radial", lambda key: 1.0) is None
     fine, coarse = action.rule_sizes(None)
     assert fine > coarse >= 1 and action.rule_sizes(2)[0] >= 1
+    axes, weight, const = action.section_axes(1.0, coarse)  # one 1-D rule per orbit-space dimension
+    assert len(axes) == action.cohomogeneity and const > 0
+    columns = [col for col, _, _ in axes]
+    assert len(set(columns)) == len(columns) and all(0 <= col < action.section_dim for col in columns)
+    assert all(x.shape == wx.shape == (coarse,) for _, x, wx in axes)
+    z = np.zeros((3, action.section_dim))
+    z[:, columns] = [[x[(i + j) % coarse] for j, (_, x, _) in enumerate(axes)] for i in range(3)]
+    np.testing.assert_allclose(weight(z), action.closed_weight(action.section_points(z)), rtol=1e-9, atol=1e-12)
     [total] = action.section_rule(lambda p: np.exp(-0.5 * np.sum(p * p, axis=1))[None], 1.0, coarse)
     assert total > 0
 

@@ -31,7 +31,8 @@ cmp_ = compare_densities(spec, seed=22, n=100_000, bins=30)
 cmp_.write_csv("ensemble_det_histogram.csv")
 print(f"\nchi-square against the weighted density: chi2 = {cmp_.chi2:.1f} on {cmp_.dof} dof")
 print(f"p-value = {cmp_.p_value:.3f}  (histogram written to ensemble_det_histogram.csv)")
-# the reference draws the weighted density exactly; each draw checks the
+# the reference is the determinant's exact law, a product of chi
+# variables; one block of exact draws of the weighted density checks the
 # closed-form weight, whose ratio to the draws' density is one constant
 print(f"reference weight ratio spread {cmp_.weight_ratio_spread:.1e}  (rounding level)")
 

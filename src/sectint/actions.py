@@ -104,6 +104,7 @@ from .groups import (
     torus_points,
     torus_weight_batch,
 )
+from .laws import ChiProductLaw
 from .mc import McEstimate
 from .volumes import group_volume, torus_volume
 
@@ -390,36 +391,46 @@ class DirectSumAction(ActionSpec):
         comps = spec.scale * rng.standard_normal((size, self.n, self.k, self.field.dim))
         return _coordinate_statistics(spec, self.field, comps)
 
-    def reference_sample(self, spec, seed: int, n_ref: int) -> tuple[np.ndarray, float]:
-        """Statistics and weight-ratio spread of n_ref exact draws of p * weight:
-        bartlett_draws from one generator of seed, _ROW_BLOCK rows at a time,
-        each block scaled by |scale| and evaluated alone.  The weight is a
-        constant times |det R|^p (p of _bartlett_axes), and |det R| is the
-        product of R's diagonal, so section_weight_batch / |det R|^p is one
-        constant over the draws; the spread is max / min - 1 of that ratio,
-        at rounding level however many draws (gram_det keeps its digits at
-        nearly dependent columns).  The statistics are read off R too."""
-        scale, k, power = abs(spec.scale), self.k, _bartlett_axes(self)[1]
+    def reference_sample(self, spec, seed: int, n_ref: int) -> np.ndarray:
+        """Statistics of n_ref exact draws of p * weight: bartlett_draws from
+        one generator of seed, _ROW_BLOCK rows at a time, each block scaled by
+        |scale| and read alone, so no array holds more than one block of R."""
+        k = self.k
         field = self.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
-        stats, lo, hi = [], np.inf, -np.inf
-        rng = np.random.default_rng(seed)
+        stats, rng = [], np.random.default_rng(seed)
         for start in range(0, n_ref, _ROW_BLOCK):
-            z = bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
-            z *= scale
-            comps = z.reshape(len(z), k, k, field.dim)
-            det = np.prod(np.abs(comps[:, range(k), range(k), 0]), axis=1)  # real on R's diagonal
-            log_ratio = np.log(section_weight_batch(self, z)) - power * np.log(det)
-            lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
-            stats.append(det if spec.statistic == "coordinate_det" else _coordinate_statistics(spec, field, comps))
-        return np.concatenate(stats), float(np.expm1(hi - lo))
+            z = abs(spec.scale) * bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
+            stats.append(_coordinate_statistics(spec, field, z.reshape(len(z), k, k, field.dim)))
+        return np.concatenate(stats)
 
     def ensemble_reference(self, spec, n: int, seed: int):
-        """Statistics and weight-ratio spread of n_ref = max(30 n, 60000) exact
-        draws of the section density, of equal weight, and n_ref itself: their
-        own noise adds n / n_ref to the variance of each bin's count of n stats."""
-        n_ref = max(30 * n, 60_000)
-        ref_stats, spread = self.reference_sample(spec, seed, n_ref)
-        return ref_stats, None, spread, n_ref
+        """The reference, the weight check's spread and the reference's n_eff.
+
+        coordinate_det and coordinate_norm have exact laws, chi products
+        (laws.ChiProductLaw) with |scale| on each factor, with no n_eff:
+        |det R| is prod r_ii, r_ii ~ chi_(b_i + p + 1) on the axes of
+        _bartlett_axes (chi_(dn) on the polar line), so the det of k factors
+        carries |scale|^k, and |B| = |x| ~ chi_D carries |scale|.  singular_value
+        is n_ref = max(30 n, 60000) reference_sample draws of equal weight,
+        whose own noise adds n / n_ref to the variance of each bin's count.
+        The check, for every statistic, is one _ROW_BLOCK of bartlett_draws
+        from seed, scaled by |scale|: the weight is a constant times
+        |det R|^p (p of _bartlett_axes), and |det R| is the product of R's
+        diagonal, so section_weight_batch / |det R|^p is one constant; the
+        spread is max / min - 1 of that ratio, at rounding level (gram_det
+        keeps its digits at nearly dependent columns)."""
+        axes, power, _ = _bartlett_axes(self)
+        scale = abs(spec.scale)
+        z = scale * bartlett_draws(self, np.random.default_rng(seed), _ROW_BLOCK)
+        diagonal = [col for col, b in axes if b is not None]
+        log_ratio = np.log(section_weight_batch(self, z)) - power * np.sum(np.log(z[:, diagonal]), axis=1)
+        spread = float(np.expm1(log_ratio.max() - log_ratio.min()))
+        if spec.statistic == "singular_value":
+            n_ref = max(30 * n, 60_000)
+            return (self.reference_sample(spec, seed, n_ref), None), spread, n_ref
+        nus = ((self.ambient_dim,) if spec.statistic == "coordinate_norm"
+               else tuple(b + power + 1 for _, b in axes if b is not None))
+        return ChiProductLaw(nus, scale ** len(nus)), spread, None
 
 
 def polar_root_data(field: ScalarField, n: int) -> RootData:
@@ -625,17 +636,18 @@ class ConjugationAction(ActionSpec):
         return canonical_angles(self.group, haar_sample_batch(self.group, rng, size))[:, spec.stat_index]
 
     def ensemble_reference(self, spec, n: int, seed: int):
-        """Canonical angles of torus angle rows, uniform on the torus, weighted by
-        Weyl's closed-form weight, with no weight-ratio spread: REF_GRID grid nodes
-        at rank one, a fixed reference with no noise of its own (no n_eff), and
-        REF_DRAWS section_coords rows drawn at seed above it, whose effective
-        size is Kish's (sum w)^2 / sum w^2.  n is not read: the reference has one size."""
+        """The reference as weighted points: canonical angles of torus angle
+        rows, uniform on the torus, weighted by Weyl's closed-form weight, with
+        no weight-ratio spread; REF_GRID grid nodes at rank one, a fixed
+        reference with no noise of its own (no n_eff), and REF_DRAWS
+        section_coords rows drawn at seed above it, whose effective size is
+        Kish's (sum w)^2 / sum w^2.  n is not read: the reference has one size."""
         rank = self.group.rank
         rows = ((np.arange(REF_GRID) * (TWO_PI / REF_GRID))[:, None] if rank == 1
                 else self.section_coords(np.random.default_rng(seed), REF_DRAWS))
         weights = torus_weight_batch(self.group, rows)
         n_eff = None if rank == 1 else float(np.sum(weights) ** 2 / np.sum(weights * weights))
-        return torus_canonical_angles(self.group, rows)[:, spec.stat_index], weights, None, n_eff
+        return (torus_canonical_angles(self.group, rows)[:, spec.stat_index], weights), None, n_eff
 
 
 _ACTION_KEYS = {"direct_sum": {"kind", "field", "n", "k"}, "conjugation": {"kind", "family", "n"}}

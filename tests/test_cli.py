@@ -16,6 +16,7 @@ from sectint.actions import ConjugationAction, DirectSumAction, action_from_json
 from sectint.integrate import integrate_direct, integrate_reduced, make_test_function
 from sectint.mc import BATCH_DRAWS, batch_count
 from sectint.volumes import vol_gh_estimate, w_group_volume
+from test_kinds import ROWS as KIND_ROWS
 
 SO3K2 = '{"kind":"direct_sum","field":"R","n":3,"k":2}'
 SU2 = '{"kind":"conjugation","family":"SU","n":2}'
@@ -965,23 +966,29 @@ def test_integrate_payload_keys(capsys, action):
 def test_ensemble_payload_keys(capsys, action, argv, statistic):
     # the test's outcome and the statistic it read; the action, scale, bins and n are config's alone
     code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "300", "--bins", "10", *argv])
-    assert set(rep["results"]) == {"chi2", "dof", "p_value", "statistic", "reference_n_eff"}
+    assert set(rep["results"]) == {"chi2", "dof", "p_value", "statistic", "reference_n_eff", "chi2_divisor"}
     assert rep["results"]["statistic"] == statistic
 
 
-@pytest.mark.parametrize("action, kind", [
-    (SO3K2, int), (H32, int), (SO3, type(None)), (SU3, float), (SP3, float),
-], ids=lambda v: v if isinstance(v, str) else v.__name__)
-def test_ensemble_reports_its_reference_effective_size(capsys, action, kind):
-    # n_ref for the direct sums' equal-weight draws, Kish's (sum w)^2 / sum w^2
-    # for the weighted torus draws above rank one, null for the rank-one grid
+@pytest.mark.parametrize("action, statistic, kind", [
+    (SO3K2, None, type(None)), (H32, None, type(None)), (SO3K2, "coordinate_norm", type(None)),
+    (SO3K2, "singular_value", int), (SO3, None, type(None)), (SU3, None, float), (SP3, None, float),
+], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", "default"))
+def test_ensemble_reports_its_reference_effective_size(capsys, action, statistic, kind):
+    # null for the direct sums' exact laws and the rank-one grid, which carry
+    # no noise of their own, n_ref for the direct sums' equal-weight draws,
+    # Kish's (sum w)^2 / sum w^2 for the weighted torus draws above rank one;
+    # chi2 is divided by 1 + n / n_eff where there is one, else by 1.0
     from sectint.ensembles import EnsembleSpec
     from sectint.mc import subseed
 
-    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "400", "--bins", "10", "--seed", "9"])
-    spec = EnsembleSpec(action_from_json(json.loads(action)))
+    argv = ["ensemble", "--action", action, "--n", "400", "--bins", "10", "--seed", "9"]
+    code, rep = run_cli(capsys, argv + (["--statistic", statistic] if statistic else []))
+    spec = EnsembleSpec(action_from_json(json.loads(action)), 1.0, statistic)
     n_eff = rep["results"]["reference_n_eff"]
-    assert type(n_eff) is kind and n_eff == spec.action.ensemble_reference(spec, 400, subseed(9, 1))[3]
+    assert type(n_eff) is kind and n_eff == spec.action.ensemble_reference(spec, 400, subseed(9, 1))[2]
+    divisor = rep["results"]["chi2_divisor"]
+    assert type(divisor) is float and divisor == (1.0 + 400 / n_eff if n_eff else 1.0)
 
 
 # --- ensemble -----------------------------------------------------------------------
@@ -1067,9 +1074,31 @@ def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, actio
     assert not ratio["pass"] and ratio["value"] > 1e-3
 
 
+@pytest.mark.parametrize("statistic", ["coordinate_det", "coordinate_norm", "singular_value"])
+@pytest.mark.parametrize("action", [a for a in KIND_ROWS if isinstance(a, DirectSumAction)], ids=str)
+def test_ensemble_fails_on_a_weight_exponent_off_by_a_millionth(capsys, monkeypatch, action, statistic):
+    # one row block of draws is the whole check, for every statistic: |det B|
+    # spans several e-folds over it, so |det B|^(1e-6) on top of the paper's
+    # weight moves the ratio by about 1e-6, far above the rounding threshold
+    import sys
+
+    import sectint.weights
+
+    original = sectint.weights.section_weight_batch
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sectint") and getattr(module, "section_weight_batch", None) is original:
+            monkeypatch.setattr(module, "section_weight_batch",
+                                lambda a, z: original(a, z) * _wrong_power(a, z) ** 1e-6)
+    code, rep = run_cli(capsys, ["ensemble", "--action", json.dumps(action.to_json()), "--statistic", statistic,
+                                 "--seed", "3", "--n", "300", "--bins", "10"])
+    ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]
+    assert code == 1 and rep["pass"] is False
+    assert not ratio["pass"] and ratio["value"] > 1e-7
+
+
 def test_ensemble_with_more_bins_than_reference_draws(capsys):
     # 100000 bins over 60000 reference draws: the empty bins' edges repeat, and merging leaves the test
-    argv = ["ensemble", "--action", SO3K2, "--n", "1000", "--bins", "100000"]
+    argv = ["ensemble", "--action", SO3K2, "--statistic", "singular_value", "--n", "1000", "--bins", "100000"]
     code, rep = run_cli(capsys, argv)
     assert code == 0 and rep["pass"] is True and rep["results"]["dof"] >= 1
 
@@ -1086,9 +1115,7 @@ def test_ensemble_p_value_above_a_thousand_dof(capsys):
 
 @pytest.mark.parametrize("seed", [None, "1", "2"])
 def test_ensemble_weight_check_passes_at_the_readme_size(capsys, seed):
-    # the README's R(3,2) run at n = 1e5 takes 3e6 reference draws; some have
-    # nearly dependent columns, where gram_det in the weight takes the det by
-    # QR, so the spread over every draw stays at rounding level as n_ref grows
+    # the README's R(3,2) run at n = 1e5 passes both checks
     argv = ["ensemble", "--action", SO3K2, "--statistic", "coordinate_det", "--n", "100000", "--bins", "30"]
     code, rep = run_cli(capsys, argv + (["--seed", seed] if seed else []))
     ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]

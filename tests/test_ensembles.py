@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import sys
 import tracemalloc
@@ -22,7 +23,9 @@ from sectint.actions import (
     random_regular_section_point,
     reduce_to_section,
     section_coordinate,
+    _bartlett_axes,
     bartlett_draws,
+    section_weight_batch,
     torus_canonical_angles,
 )
 from sectint.ensembles import (
@@ -33,6 +36,7 @@ from sectint.ensembles import (
     reference_bins,
     sample_ensemble,
 )
+from sectint.laws import ChiProductLaw
 from sectint.mc import BATCH_DRAWS, subseed
 from bin_merge_oracle import merge_small_bins_rescanning
 from mc_oracle import oracle_batches
@@ -206,7 +210,7 @@ def test_det_second_moment_two_sided():
     stats = sample_ensemble(spec, seed=3, n=50_000)
     m_mean = np.mean(stats ** 2)
     m_se = np.std(stats ** 2, ddof=1) / np.sqrt(stats.size)
-    rs, _ = spec.action.reference_sample(spec, 4, 2_000_000)
+    rs = spec.action.reference_sample(spec, 4, 2_000_000)
     s_mean = np.mean(rs ** 2)
     assert abs(m_mean - s_mean) <= 4 * m_se
 
@@ -216,7 +220,7 @@ def test_polar_reference_det_second_moment(field, n):
     # k = 1: |det| of the real section coordinate is |x|, whose second
     # moment under the standard Gaussian on K^n is the real dimension d n
     spec = EnsembleSpec(DirectSumAction(field, n, 1), 1.0, "coordinate_det")
-    rs, _ = spec.action.reference_sample(spec, 0, 200_000)
+    rs = spec.action.reference_sample(spec, 0, 200_000)
     assert np.mean(rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
 
 
@@ -227,11 +231,11 @@ DIRECT_ROWS = [SO3K2] + [DirectSumAction(f, n, k) for f, n, k in
 @pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
 @pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
 def test_reference_draws_follow_the_weighted_density(action, scale):
-    # the weight ratio of every draw is one constant, and the second moment
-    # of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
+    # the weight ratio of the check's draws is one constant, and the second
+    # moment of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
     spec = EnsembleSpec(action, scale, "coordinate_det")
-    rs, spread = action.reference_sample(spec, 5, 100_000)
-    assert spread <= 1e-10
+    rs = action.reference_sample(spec, 5, 100_000)
+    assert action.ensemble_reference(spec, 100, 5)[1] <= 1e-10
     d, n, k = action.field.dim, action.n, action.k
     exact = scale ** (2 * k) * np.prod([d * (n - i) for i in range(k)])
     stderr = np.std(rs ** 2, ddof=1) / np.sqrt(rs.size)
@@ -250,14 +254,119 @@ def test_bartlett_draws_are_triangular_with_a_positive_diagonal(action):
     assert np.all(comps[:, range(k), range(k), 0] > 0.0) and np.all(comps[:, range(k), range(k), 1:] == 0.0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_section_weight_ratio_is_one_constant_over_three_million_draws(seed):
+    # 3e6 R(3,2) draws from the reference seeds of the README's run at seeds
+    # 0, 1 and 2; some have nearly dependent columns, where gram_det in the
+    # weight takes the det by QR, so weight / |det R|^p stays one constant to
+    # rounding level (the closed form alone fails at seed 2)
+    action = SO3K2
+    axes, power, _ = _bartlett_axes(action)
+    diagonal = [col for col, b in axes if b is not None]
+    rng, lo, hi = np.random.default_rng(subseed(seed, 1)), np.inf, -np.inf
+    for _ in range(0, 3_000_000, 1 << 16):
+        z = bartlett_draws(action, rng, 1 << 16)
+        log_ratio = np.log(section_weight_batch(action, z)) - power * np.sum(np.log(z[:, diagonal]), axis=1)
+        lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
+    assert np.expm1(hi - lo) <= 1e-10
+
+
+def _bartlett_statistics(action, count, seed, scales, block=1 << 16):
+    """coordinate_det and coordinate_norm of count bartlett_draws scaled by each
+    |scale|, keyed by (scale, statistic): the product of R's diagonal and R's
+    norm, drawn block by block from one generator."""
+    diagonal = [col for col, b in _bartlett_axes(action)[0] if b is not None]
+    rng, stats = np.random.default_rng(seed), {}
+    for start in range(0, count, block):
+        drawn = bartlett_draws(action, rng, min(block, count - start))
+        for scale in scales:
+            z = abs(scale) * drawn
+            stats.setdefault((scale, "coordinate_det"), []).append(np.prod(z[:, diagonal], axis=1))
+            stats.setdefault((scale, "coordinate_norm"), []).append(np.linalg.norm(z, axis=1))
+    return {key: np.concatenate(parts) for key, parts in stats.items()}
+
+
+@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
+def test_exact_masses_match_two_million_bartlett_draws(action):
+    # the exact law's bin masses hold the draws of the section density that
+    # the weight check reads, scaled as the ambient samples are, at scale 1
+    # and -2: every bin's count is within 4.5 binomial standard errors of its mass
+    count = 2_000_000
+    for (scale, statistic), stats in _bartlett_statistics(action, count, 17, (1.0, -2.0)).items():
+        law, _, n_eff = action.ensemble_reference(EnsembleSpec(action, scale, statistic), 1000, 1)
+        assert n_eff is None
+        edges, masses = reference_bins(stats, law, 30)
+        assert abs(masses.sum() - 1.0) <= 1e-14 and np.all(masses > 0.02)
+        counts = np.histogram(stats, bins=edges)[0]
+        z = (counts - count * masses) / np.sqrt(count * masses * (1.0 - masses))
+        assert np.max(np.abs(z)) <= 4.5, (scale, statistic, z)
+
+
+@pytest.mark.parametrize("statistic", ["coordinate_det", "coordinate_norm"])
+@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
+def test_exact_comparison_does_not_depend_on_the_scale(action, statistic):
+    # the samples' det carries |scale|^k and their norm |scale|, and so does
+    # the exact law, so every scale bins the same samples alike: the same
+    # chi2 to rounding.  A det law scaled by |scale| alone read p = 0.0 on
+    # C(4,2) at scale -7
+    base = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=4, n=2000, bins=20)
+    for scale in (-2.0, 0.5, 10.0):
+        scaled = compare_densities(EnsembleSpec(action, scale, statistic), seed=4, n=2000, bins=20)
+        assert scaled.dof == base.dof and scaled.chi2 == pytest.approx(base.chi2, rel=1e-9, abs=1e-12), scale
+
+
+#: (action, statistic, nu) of every single-chi law: |B| ~ chi_(dnk), and t ~ chi_(dn) on the polar line
+SINGLE_CHI = [(DirectSumAction(R, 3, 1), "coordinate_det", 3), (DirectSumAction(R, 4, 1), "coordinate_det", 4),
+              (DirectSumAction(C, 3, 1), "coordinate_det", 6), (DirectSumAction(H, 3, 1), "coordinate_det", 12),
+              (SO3K2, "coordinate_norm", 6), (DirectSumAction(R, 7, 5), "coordinate_norm", 35),
+              (DirectSumAction(H, 3, 2), "coordinate_norm", 24), (DirectSumAction(C, 6, 4), "coordinate_norm", 48)]
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.0])
+@pytest.mark.parametrize("action, statistic, nu", SINGLE_CHI, ids=str)
+def test_single_chi_masses_match_scipy(action, statistic, nu, scale):
+    # odd and even nu: the masses are differences of scipy's chi CDF at the edges
+    from scipy import stats
+
+    law, _, _ = action.ensemble_reference(EnsembleSpec(action, scale, statistic), 1000, 1)
+    edges, masses = reference_bins(np.array([1e-3]), law, 40)
+    cdf = stats.chi.cdf(edges[1:-1] / abs(scale), nu)
+    np.testing.assert_allclose(masses, np.diff(np.concatenate([[0.0], cdf, [1.0]])), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.0])
+@pytest.mark.parametrize("action", [SO3K2, DirectSumAction(C, 4, 2), DirectSumAction(H, 3, 2)], ids=str)
+def test_chi_product_masses_match_quadrature(action, scale):
+    # k = 2: P(s^2 r_11 r_22 <= y) = integral of chi_(dn) pdf(r) chi_(d(n-1))
+    # cdf(y / (s^2 r)), by scipy's adaptive quadrature
+    from scipy import integrate, stats
+
+    d, n = action.field.dim, action.n
+    law, _, _ = action.ensemble_reference(EnsembleSpec(action, scale, "coordinate_det"), 1000, 1)
+    edges, masses = reference_bins(np.array([1e-3]), law, 30)
+
+    def cdf(y):
+        f = lambda r: stats.chi.pdf(r, d * n) * stats.chi.cdf(y / (scale * scale * r), d * (n - 1))
+        return integrate.quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+    oracle = np.diff(np.concatenate([[0.0], [cdf(y) for y in edges[1:-1]], [1.0]]))
+    np.testing.assert_allclose(masses, oracle, rtol=0, atol=1e-10)
+
+
+def test_chi_product_law_needs_an_even_factor():
+    # the closed form is the even chi's; every direct sum has one
+    with pytest.raises(ValueError, match="even degree of freedom"):
+        ChiProductLaw((3, 5))
+
+
 def test_reference_blocks_extend_the_stream():
     # the row blocks draw from one generator in turn, so a longer reference
     # keeps the whole row blocks of the shorter one as its prefix
     from sectint.actions import _ROW_BLOCK
 
     spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "coordinate_norm")
-    short, _ = spec.action.reference_sample(spec, 7, _ROW_BLOCK + 10)
-    long, _ = spec.action.reference_sample(spec, 7, 2 * _ROW_BLOCK + 3)
+    short = spec.action.reference_sample(spec, 7, _ROW_BLOCK + 10)
+    long = spec.action.reference_sample(spec, 7, 2 * _ROW_BLOCK + 3)
     assert long.shape == (2 * _ROW_BLOCK + 3,)
     np.testing.assert_array_equal(long[:_ROW_BLOCK], short[:_ROW_BLOCK])
 
@@ -269,7 +378,7 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
     from sectint.matrices import from_real_vector
 
     spec = EnsembleSpec(action, 1.5, stat)
-    rs, _ = spec.action.reference_sample(spec, 3, 40)
+    rs = spec.action.reference_sample(spec, 3, 40)
     draws = bartlett_draws(action, np.random.default_rng(3), 40)
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
               for p in action.section_points(1.5 * draws)]
@@ -330,7 +439,7 @@ def test_su2_second_angle_is_binned_on_its_own_range(seed):
     # Both cut the same grid by cumulative weight, from opposite ends, so the
     # inner edges mirror to within half a grid step
     specs = [EnsembleSpec(SU2CONJ, 1.0, "torus_angle", index) for index in (0, 1)]
-    ref_first, ref_second = (SU2CONJ.ensemble_reference(spec, 2000, subseed(seed, 1))[0] for spec in specs)
+    ref_first, ref_second = (SU2CONJ.ensemble_reference(spec, 2000, subseed(seed, 1))[0][0] for spec in specs)
     np.testing.assert_allclose(ref_second, -ref_first, rtol=0, atol=4e-15)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -364,6 +473,7 @@ def test_p_value_is_chi2_survival(action, statistic):
         (SO3K2, "coordinate_det", 2000),
         (DirectSumAction(ScalarField.COMPLEX, 4, 2), "coordinate_det", 3000),
         (DirectSumAction(H, 3, 1), "coordinate_norm", 1000),
+        (DirectSumAction(H, 3, 2), "singular_value", 1000),
         (ConjugationAction(GroupSpec(Family.SU, 3)), "torus_angle", 2000),
     ],
     ids=str,
@@ -372,17 +482,22 @@ def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n):
     # drawn reference points add about n / n_eff to each bin's variance, so
     # the statistic is the plain one over 1 + n / n_eff: n_eff = n_ref =
     # max(30 n, 60000) for the equal direct-sum draws, and Kish's effective
-    # size (sum w)^2 / sum w^2 for the weighted torus draws above rank one
+    # size (sum w)^2 / sum w^2 for the weighted torus draws above rank one;
+    # exact masses have no n_eff and no divisor
     spec = EnsembleSpec(action, 1.0, statistic)
     cmp_ = compare_densities(spec, seed=7, n=n, bins=20)
-    _, weights, _, n_eff = action.ensemble_reference(spec, n, subseed(7, 1))
-    if weights is None:
+    reference, _, n_eff = action.ensemble_reference(spec, n, subseed(7, 1))
+    if not isinstance(reference, tuple):
+        assert n_eff is None
+    elif reference[1] is None:
         assert n_eff == max(30 * n, 60_000)
     else:
+        weights = reference[1]
         assert n_eff == pytest.approx(np.sum(weights) ** 2 / np.sum(weights ** 2), rel=1e-12)
     obs, exp = _merge_small_bins(np.rint(cmp_.empirical * n), n * cmp_.reference)
     plain = float(np.sum((obs - exp) ** 2 / exp))
-    scale = 1.0 + n / n_eff
+    scale = 1.0 + n / n_eff if n_eff else 1.0
+    assert cmp_.chi2_divisor == scale and cmp_.reference_n_eff == n_eff
     assert cmp_.dof == len(obs) - 1
     assert cmp_.chi2 == pytest.approx(plain / scale, rel=1e-12, abs=0)
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
@@ -421,9 +536,9 @@ def test_equal_draw_bins_hold_equal_draw_counts(n_ref, bins):
     # The bins run from the smallest statistic of either side to just past
     # the largest
     spec = EnsembleSpec(DirectSumAction(C, 4, 2))
-    ref_stats, _ = spec.action.reference_sample(spec, 2, n_ref)
+    ref_stats = spec.action.reference_sample(spec, 2, n_ref)
     lo, top = ref_stats.min() - 0.5, ref_stats.max()
-    edges, masses = reference_bins(np.array([lo]), ref_stats, None, bins)
+    edges, masses = reference_bins(np.array([lo]), (ref_stats, None), bins)
     counts = np.rint(masses * n_ref)
     assert edges.shape == (bins + 1,) and (edges[0], edges[-1]) == (lo, top + 1e-12 * max(1.0, top))
     assert np.all(np.diff(edges) >= 0)
@@ -431,7 +546,7 @@ def test_equal_draw_bins_hold_equal_draw_counts(n_ref, bins):
     assert set(np.unique(counts)) <= {n_ref // bins, n_ref // bins + 1} and counts.sum() == n_ref
     np.testing.assert_array_equal(np.histogram(ref_stats, bins=edges)[0], counts)
     # unit weights, given, take the weighted path to the same bins
-    weighted = reference_bins(np.array([lo]), ref_stats, np.ones(n_ref), bins)
+    weighted = reference_bins(np.array([lo]), (ref_stats, np.ones(n_ref)), bins)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(weighted, (edges, masses)))
 
 
@@ -443,7 +558,7 @@ def test_weighted_bins_close_at_their_share_of_the_weight(bins):
     # points between its edges
     rng = np.random.default_rng(3)
     ref_stats, weights = rng.standard_normal(4000), rng.exponential(size=4000)
-    edges, masses = reference_bins(rng.standard_normal(50), ref_stats, weights, bins)
+    edges, masses = reference_bins(rng.standard_normal(50), (ref_stats, weights), bins)
     share = (np.arange(1, bins + 1) / bins)[:-1] - np.cumsum(masses)[:-1]
     assert np.all(share >= -1e-12) and np.all(share < weights.max() / weights.sum() + 1e-12)
     np.testing.assert_allclose(np.histogram(ref_stats, bins=edges, weights=weights)[0] / weights.sum(), masses,
@@ -467,7 +582,8 @@ MOST_LOW_P_VALUES = _most_low_p_values(CALIBRATION_SEEDS)  # 4 of 30
 
 CALIBRATION_SPECS = [EnsembleSpec(action) for action in KIND_ROWS] + [
     EnsembleSpec(ConjugationAction(GroupSpec(family, n)), 1.0, "torus_angle", 1)
-    for family, n in [(Family.SO, 4), (Family.SU, 3)]]
+    for family, n in [(Family.SO, 4), (Family.SU, 3)]] + [
+    EnsembleSpec(DirectSumAction(R, 7, 5), 1.0, "coordinate_norm")]
 
 
 @pytest.mark.parametrize("spec", CALIBRATION_SPECS, ids=lambda spec: f"{spec.action}[{spec.stat_index}]")
@@ -485,6 +601,27 @@ def test_rank_one_reference_memory_does_not_grow_with_the_bins():
     from sectint.cli import main
 
     argv = ["ensemble", "--action", '{"kind": "conjugation", "family": "SO", "n": 3}', "--bins", "20000", "--n", "1000"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 20e6, peak
+
+
+@pytest.mark.parametrize("action, statistic", [(DirectSumAction(R, 7, 5), "coordinate_det"),
+                                               (DirectSumAction(H, 3, 2), "coordinate_det"),
+                                               (DirectSumAction(R, 7, 5), "coordinate_norm")], ids=str)
+def test_exact_reference_memory_does_not_grow_with_the_bins(action, statistic):
+    # the chi-product CDF evaluates its edges in blocks, so 20 000 bins hold
+    # no (bins, lattice) array; the odd chi_35 goes point by point
+    from sectint.cli import main
+
+    argv = ["ensemble", "--action", json.dumps(action.to_json()), "--statistic", statistic,
+            "--bins", "20000", "--n", "1000"]
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)  # imports and caches outside the trace
         tracemalloc.start()

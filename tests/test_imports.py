@@ -76,11 +76,13 @@ print({LOADED_SCIPY})
 
 @pytest.mark.parametrize("action, statistic", [
     ('{"kind":"direct_sum","field":"R","n":3,"k":2}', "coordinate_det"),
+    ('{"kind":"direct_sum","field":"R","n":7,"k":5}', "coordinate_norm"),
     ('{"kind":"conjugation","family":"SU","n":2}', "torus_angle"),
     ('{"kind":"conjugation","family":"SU","n":3}', "torus_angle"),
 ])
 def test_ensemble_loads_no_scipy(action, statistic):
-    # the p-value is the closed-form chi-square tail
+    # the p-value is the closed-form chi-square tail, and the direct-sum laws
+    # (a chi product, the odd chi_35) are numpy and math
     code = f"""
 import contextlib, io, sys
 from sectint.cli import main

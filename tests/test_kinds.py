@@ -193,10 +193,16 @@ def test_every_kind_operation(action):
     assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic, 1.0) >= 1
     stats = action.ensemble_statistics(spec, rng, 50)
     assert stats.shape == (50,)
-    ref_stats, weights, _, n_eff = action.ensemble_reference(spec, 50, 1)
-    assert ref_stats.ndim == 1 and (weights is None or (weights.shape == ref_stats.shape and np.all(weights >= 0)))
-    assert n_eff is None or 1.0 <= n_eff <= len(ref_stats)
-    edges, freq = reference_bins(stats, ref_stats, weights, 5)
+    reference, _, n_eff = action.ensemble_reference(spec, 50, 1)
+    if isinstance(reference, tuple):  # weighted points
+        ref_stats, weights = reference
+        assert ref_stats.ndim == 1 and (weights is None or (weights.shape == ref_stats.shape and np.all(weights >= 0)))
+        assert n_eff is None or 1.0 <= n_eff <= len(ref_stats)
+    else:  # an exact law: its CDF rises from about 0 to about 1 across its grid
+        cdf = reference.cdf(reference.grid)
+        assert n_eff is None and np.all(np.diff(reference.grid) > 0) and np.all(np.diff(cdf) >= -1e-15)
+        assert cdf[0] < 1e-4 and cdf[-1] > 1.0 - 1e-4
+    edges, freq = reference_bins(stats, reference, 5)
     assert edges.shape == (6,) and freq.shape == (5,) and abs(np.sum(freq) - 1.0) < 1e-12
 
 

@@ -391,17 +391,23 @@ class DirectSumAction(ActionSpec):
         comps = spec.scale * rng.standard_normal((size, self.n, self.k, self.field.dim))
         return _coordinate_statistics(spec, self.field, comps)
 
-    def reference_sample(self, spec, seed: int, n_ref: int) -> np.ndarray:
-        """Statistics of n_ref exact draws of p * weight: bartlett_draws from
-        one generator of seed, _ROW_BLOCK rows at a time, each block scaled by
-        |scale| and read alone, so no array holds more than one block of R."""
-        k = self.k
-        field = self.field if k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
-        stats, rng = [], np.random.default_rng(seed)
+    def reference_draws(self, spec, seed: int, n_ref: int):
+        """n_ref exact draws of p * weight, scaled as the ambient samples are:
+        bartlett_draws from one generator of seed, _ROW_BLOCK rows at a time,
+        each block times |scale|, yielded alone, so no array holds more than
+        one block of R."""
+        rng = np.random.default_rng(seed)
         for start in range(0, n_ref, _ROW_BLOCK):
-            z = abs(spec.scale) * bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
-            stats.append(_coordinate_statistics(spec, field, z.reshape(len(z), k, k, field.dim)))
-        return np.concatenate(stats)
+            yield abs(spec.scale) * bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
+
+    def _draw_statistics(self, spec, z: np.ndarray) -> np.ndarray:
+        """The spec's statistic of a block of reference_draws."""
+        field = self.field if self.k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
+        return _coordinate_statistics(spec, field, z.reshape(len(z), self.k, self.k, field.dim))
+
+    def reference_sample(self, spec, seed: int, n_ref: int) -> np.ndarray:
+        """Statistics of the n_ref reference_draws of seed."""
+        return np.concatenate([self._draw_statistics(spec, z) for z in self.reference_draws(spec, seed, n_ref)])
 
     def ensemble_reference(self, spec, n: int, seed: int):
         """The reference, the weight check's spread and the reference's n_eff.
@@ -411,26 +417,23 @@ class DirectSumAction(ActionSpec):
         |det R| is prod r_ii, r_ii ~ chi_(b_i + p + 1) on the axes of
         _bartlett_axes (chi_(dn) on the polar line), so the det of k factors
         carries |scale|^k, and |B| = |x| ~ chi_D carries |scale|.  singular_value
-        is n_ref = max(30 n, 60000) reference_sample draws of equal weight,
-        whose own noise adds n / n_ref to the variance of each bin's count.
-        The check, for every statistic, is one _ROW_BLOCK of bartlett_draws
-        from seed, scaled by |scale|: the weight is a constant times
-        |det R|^p (p of _bartlett_axes), and |det R| is the product of R's
-        diagonal, so section_weight_batch / |det R|^p is one constant; the
-        spread is max / min - 1 of that ratio, at rounding level (gram_det
-        keeps its digits at nearly dependent columns)."""
+        is the statistics of n_ref = max(30 n, 60000) reference_draws of seed,
+        of equal weight, whose own noise adds n / n_ref to the variance of each
+        bin's count.  The check, for every statistic, is the spread max / min - 1
+        of weight_log_ratio's ratio over the first _ROW_BLOCK of those draws,
+        the only block that the exact laws draw."""
+        singular = spec.statistic == "singular_value"
+        n_ref = max(30 * n, 60_000) if singular else _ROW_BLOCK
+        blocks = self.reference_draws(spec, seed, n_ref)
+        first = next(blocks)
+        spread = float(np.expm1(np.ptp(weight_log_ratio(self, first))))
+        if singular:
+            stats = [self._draw_statistics(spec, first)] + [self._draw_statistics(spec, z) for z in blocks]
+            return (np.concatenate(stats), None), spread, n_ref
         axes, power, _ = _bartlett_axes(self)
-        scale = abs(spec.scale)
-        z = scale * bartlett_draws(self, np.random.default_rng(seed), _ROW_BLOCK)
-        diagonal = [col for col, b in axes if b is not None]
-        log_ratio = np.log(section_weight_batch(self, z)) - power * np.sum(np.log(z[:, diagonal]), axis=1)
-        spread = float(np.expm1(log_ratio.max() - log_ratio.min()))
-        if spec.statistic == "singular_value":
-            n_ref = max(30 * n, 60_000)
-            return (self.reference_sample(spec, seed, n_ref), None), spread, n_ref
         nus = ((self.ambient_dim,) if spec.statistic == "coordinate_norm"
                else tuple(b + power + 1 for _, b in axes if b is not None))
-        return ChiProductLaw(nus, scale ** len(nus)), spread, None
+        return ChiProductLaw(nus, abs(spec.scale) ** len(nus)), spread, None
 
 
 def polar_root_data(field: ScalarField, n: int) -> RootData:
@@ -1074,6 +1077,18 @@ def section_weight_batch(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
         return const * polar_root_data(action.field, n).weight(z)
     dets = gram_det(action.field, z.reshape(z.shape[0], k, k, d))
     return 2.0 ** (-d * k * (n - k) / 2.0) * dets ** (d * (n - k) / 2.0)
+
+
+def weight_log_ratio(action: DirectSumAction, z: np.ndarray) -> np.ndarray:
+    """log(section_weight_batch / |det R|^p) at draws z of R (bartlett_draws,
+    any positive scale).  The weight is a constant times |det R|^p (p of
+    _bartlett_axes), and |det R| is the product of R's diagonal, so this is
+    one constant to rounding level however many draws (gram_det keeps its
+    digits at nearly dependent columns); a weight off the paper's closed
+    form spreads it."""
+    axes, power, _ = _bartlett_axes(action)
+    diagonal = [col for col, b in axes if b is not None]
+    return np.log(section_weight_batch(action, z)) - power * np.sum(np.log(z[:, diagonal]), axis=1)
 
 
 def _golub_welsch(alpha: np.ndarray, offdiag: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:

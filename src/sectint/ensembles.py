@@ -16,10 +16,11 @@ equal reference mass.  On a direct sum the section density is
 Bartlett's law, so coordinate_det and coordinate_norm have exact laws,
 chi products (``laws.ChiProductLaw``), and singular_value is exact
 draws of equal weight (``actions.bartlett_draws``, one row block at a
-time from one generator).  For every statistic one row block of those
-draws checks the paper's closed-form weight
+time from one generator).  For every statistic the first row block of
+those draws checks the paper's closed-form weight
 ``weights.section_weight_batch``: the draws are the triangular R of
-B = wR, and weight / |det R|^p must be one constant, up to rounding.
+B = wR, and weight / |det R|^p (``actions.weight_log_ratio``) must be
+one constant, up to rounding.
 On conjugation the reference is torus angles, a uniform grid at rank
 one and uniform draws above it, weighted by Weyl's closed-form weight
 ``weights.torus_weight_batch``.  The p-value is the chi-square tail at

@@ -29,39 +29,34 @@ GRID_SIGMAS = 8.0  # the grid spans log Y's mean plus or minus this many of its 
 BLOCK_CELLS = 1 << 16
 
 
-def chi2_tail(dof: int, x: float) -> float:
+def chi2_tail(dof: int, x, xp=math):
     """P(X >= x) for X chi-square with an integer dof >= 1 (Abramowitz and
     Stegun 26.4.4-26.4.5): erfc(sqrt(x/2)) for odd dof, plus dof // 2
     terms (x/2)^j / j! e^(-x/2), or sqrt(2x/pi) x^j / (3 5 ... (2j+1))
     e^(-x/2) for odd dof.  Each term is carried as its logarithm, from
     -x/2 on, so no term underflows where e^(-x/2) does; a huge x gives 0.
+    x is a float, or, with xp = numpy, an array of x > 0 at an even dof
+    (math has the erfc of the odd series, numpy does not).
     """
-    if x == 0.0:
+    if xp is math and x == 0.0:
         return 1.0
     odd = dof % 2
     total = math.erfc(math.sqrt(0.5 * x)) if odd else 0.0
     log_term = -0.5 * x + (0.5 * math.log(2.0 * x / math.pi) if odd else 0.0)
     for j in range(dof // 2):
-        total += math.exp(log_term)
-        log_term += math.log(0.5 * x / (j + 1 + 0.5 * odd))
+        if j:
+            log_term = log_term + xp.log(0.5 * x / (j + 0.5 * odd))
+        total = total + xp.exp(log_term)
     return total
 
 
 def chi_cdf(nu: int, t: np.ndarray) -> np.ndarray:
-    """P(chi_nu <= t) at an array of t > 0.  For even nu this is chi2_tail's
-    even branch at x = t^2, vectorized: 1 - e^(-x/2) sum_(j < nu/2)
-    (x/2)^j / j!, each term carried as its logarithm.  For odd nu it is
-    1 - chi2_tail(nu, t^2) at each point."""
+    """P(chi_nu <= t) = 1 - chi2_tail(nu, t^2) at an array of t > 0: one
+    array-valued series for even nu, chi2_tail at each point for odd nu."""
     t = np.asarray(t, dtype=float)
     if nu % 2:
         return np.array([1.0 - chi2_tail(nu, v * v) for v in t.ravel().tolist()]).reshape(t.shape)
-    half = 0.5 * t * t
-    log_half, log_term = np.log(half), -half
-    total = np.exp(log_term)
-    for j in range(1, nu // 2):
-        log_term = log_term + log_half - math.log(j)
-        total += np.exp(log_term)
-    return 1.0 - total
+    return 1.0 - chi2_tail(nu, t * t, np)
 
 
 def _log_chi_lattice(nu: int, step: float) -> tuple[int, np.ndarray]:
@@ -86,8 +81,9 @@ class ChiProductLaw:
     and scale > 0.
 
     One factor is a chi law, whose CDF is chi_cdf.  Above one, an even nu_e
-    (the smallest) is taken out: with u the log of the product of the other
-    factors, of density g,
+    (the smallest) is taken out (a direct sum always has one: every nu_i is
+    even over C and H, and nu_1, nu_2 are consecutive over R).  With u the
+    log of the product of the other factors, of density g,
 
         F(y) = integral g(u) P(chi_(nu_e) <= y e^(-u) / scale) du,
 
@@ -101,10 +97,6 @@ class ChiProductLaw:
 
     nus: tuple[int, ...]
     scale: float = 1.0
-
-    def __post_init__(self):
-        if len(self.nus) > 1 and not any(nu % 2 == 0 for nu in self.nus):
-            raise ValueError(f"a chi product needs an even degree of freedom, got {self.nus}")
 
     @functools.cached_property
     def _step(self) -> float:

@@ -25,8 +25,8 @@ from sectint.actions import (
     section_coordinate,
     _bartlett_axes,
     bartlett_draws,
-    section_weight_batch,
     torus_canonical_angles,
+    weight_log_ratio,
 )
 from sectint.ensembles import (
     EnsembleSpec,
@@ -36,7 +36,6 @@ from sectint.ensembles import (
     reference_bins,
     sample_ensemble,
 )
-from sectint.laws import ChiProductLaw
 from sectint.mc import BATCH_DRAWS, subseed
 from bin_merge_oracle import merge_small_bins_rescanning
 from mc_oracle import oracle_batches
@@ -231,11 +230,12 @@ DIRECT_ROWS = [SO3K2] + [DirectSumAction(f, n, k) for f, n, k in
 @pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
 @pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
 def test_reference_draws_follow_the_weighted_density(action, scale):
-    # the weight ratio of the check's draws is one constant, and the second
-    # moment of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
+    # the weight ratio of the 100k reference draws is one constant, and the
+    # second moment of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
     spec = EnsembleSpec(action, scale, "coordinate_det")
+    z = np.concatenate(list(action.reference_draws(spec, 5, 100_000)))
+    assert np.expm1(np.ptp(weight_log_ratio(action, z))) <= 1e-10
     rs = action.reference_sample(spec, 5, 100_000)
-    assert action.ensemble_reference(spec, 100, 5)[1] <= 1e-10
     d, n, k = action.field.dim, action.n, action.k
     exact = scale ** (2 * k) * np.prod([d * (n - i) for i in range(k)])
     stderr = np.std(rs ** 2, ddof=1) / np.sqrt(rs.size)
@@ -254,19 +254,17 @@ def test_bartlett_draws_are_triangular_with_a_positive_diagonal(action):
     assert np.all(comps[:, range(k), range(k), 0] > 0.0) and np.all(comps[:, range(k), range(k), 1:] == 0.0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_section_weight_ratio_is_one_constant_over_three_million_draws(seed):
-    # 3e6 R(3,2) draws from the reference seeds of the README's run at seeds
-    # 0, 1 and 2; some have nearly dependent columns, where gram_det in the
-    # weight takes the det by QR, so weight / |det R|^p stays one constant to
-    # rounding level (the closed form alone fails at seed 2)
-    action = SO3K2
-    axes, power, _ = _bartlett_axes(action)
-    diagonal = [col for col, b in axes if b is not None]
+@pytest.mark.parametrize("action, seed", [(SO3K2, 0), (SO3K2, 1), (SO3K2, 2)] + [
+    (DirectSumAction(f, n, k), 22) for f, n, k in [(C, 4, 2), (H, 3, 2), (C, 6, 4), (R, 7, 5)]], ids=str)
+def test_section_weight_ratio_is_one_constant_over_three_million_draws(action, seed):
+    # 3e6 draws from the reference seeds of the README's R(3,2) run at seeds
+    # 0, 1 and 2 and of criterion 8's direct sums at seed 22; some have nearly
+    # dependent columns, where gram_det in the weight takes the det by QR, so
+    # weight / |det R|^p stays one constant to rounding level (the closed form
+    # alone fails on R(3,2) at seed 2)
     rng, lo, hi = np.random.default_rng(subseed(seed, 1)), np.inf, -np.inf
     for _ in range(0, 3_000_000, 1 << 16):
-        z = bartlett_draws(action, rng, 1 << 16)
-        log_ratio = np.log(section_weight_batch(action, z)) - power * np.sum(np.log(z[:, diagonal]), axis=1)
+        log_ratio = weight_log_ratio(action, bartlett_draws(action, rng, 1 << 16))
         lo, hi = min(lo, log_ratio.min()), max(hi, log_ratio.max())
     assert np.expm1(hi - lo) <= 1e-10
 
@@ -351,12 +349,6 @@ def test_chi_product_masses_match_quadrature(action, scale):
 
     oracle = np.diff(np.concatenate([[0.0], [cdf(y) for y in edges[1:-1]], [1.0]]))
     np.testing.assert_allclose(masses, oracle, rtol=0, atol=1e-10)
-
-
-def test_chi_product_law_needs_an_even_factor():
-    # the closed form is the even chi's; every direct sum has one
-    with pytest.raises(ValueError, match="even degree of freedom"):
-        ChiProductLaw((3, 5))
 
 
 def test_reference_blocks_extend_the_stream():

@@ -20,7 +20,7 @@ from sectint import (
 )
 
 action = DirectSumAction(ScalarField.REAL, 3, 2)
-spec = EnsembleSpec(action, scale=1.0, statistic="coordinate_det")
+spec = EnsembleSpec(action, statistic="coordinate_det")
 
 stats = sample_ensemble(spec, seed=0, n=20_000)
 print(f"determinant statistic over 20k reduced samples:")

@@ -13,7 +13,6 @@ from .matrices import (
     DimensionError,
     MatK,
     abs_det_between,
-    det_modulus,
     eye,
     from_real_vector,
     gaussian,

@@ -380,51 +380,45 @@ class DirectSumAction(ActionSpec):
                  for (col, b), (x, w) in zip(axes, rules)],
                 lambda z: section_weight_batch(self, z), const * sigma ** self.section_dim)
 
-    def statistic_columns(self, statistic: str, scale: float) -> int:
+    def statistic_columns(self, statistic: str) -> int:
         """Columns of an ensemble statistic; ValueError for one outside the table."""
         if statistic not in self.statistics:
             raise ValueError(f"statistic {statistic!r} not defined for direct sums")
         return self.k if statistic == "singular_value" else 1
 
     def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The statistic, invariant under the whole group, of a batch's size ambient Gaussian draws from rng."""
-        comps = spec.scale * rng.standard_normal((size, self.n, self.k, self.field.dim))
+        """The statistic, invariant under the whole group, of a batch's size standard Gaussian draws from rng."""
+        comps = rng.standard_normal((size, self.n, self.k, self.field.dim))
         return _coordinate_statistics(spec, self.field, comps)
 
-    def reference_draws(self, spec, seed: int, n_ref: int):
-        """n_ref exact draws of p * weight, scaled as the ambient samples are:
-        bartlett_draws from one generator of seed, _ROW_BLOCK rows at a time,
-        each block times |scale|, yielded alone, so no array holds more than
-        one block of R."""
+    def reference_draws(self, seed: int, n_ref: int):
+        """n_ref exact draws of p * weight: bartlett_draws from one generator
+        of seed, _ROW_BLOCK rows at a time, each block yielded alone, so no
+        array holds more than one block of R."""
         rng = np.random.default_rng(seed)
         for start in range(0, n_ref, _ROW_BLOCK):
-            yield abs(spec.scale) * bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
+            yield bartlett_draws(self, rng, min(_ROW_BLOCK, n_ref - start))
 
     def _draw_statistics(self, spec, z: np.ndarray) -> np.ndarray:
         """The spec's statistic of a block of reference_draws."""
         field = self.field if self.k > 1 else ScalarField.REAL  # the k = 1 section is the real line: a real 1 x 1
         return _coordinate_statistics(spec, field, z.reshape(len(z), self.k, self.k, field.dim))
 
-    def reference_sample(self, spec, seed: int, n_ref: int) -> np.ndarray:
-        """Statistics of the n_ref reference_draws of seed."""
-        return np.concatenate([self._draw_statistics(spec, z) for z in self.reference_draws(spec, seed, n_ref)])
-
     def ensemble_reference(self, spec, n: int, seed: int):
         """The reference, the weight check's spread and the reference's n_eff.
 
         coordinate_det and coordinate_norm have exact laws, chi products
-        (laws.ChiProductLaw) with |scale| on each factor, with no n_eff:
-        |det R| is prod r_ii, r_ii ~ chi_(b_i + p + 1) on the axes of
-        _bartlett_axes (chi_(dn) on the polar line), so the det of k factors
-        carries |scale|^k, and |B| = |x| ~ chi_D carries |scale|.  singular_value
-        is the statistics of n_ref = max(30 n, 60000) reference_draws of seed,
-        of equal weight, whose own noise adds n / n_ref to the variance of each
+        (laws.ChiProductLaw), with no n_eff: |det R| is prod r_ii,
+        r_ii ~ chi_(b_i + p + 1) on the axes of _bartlett_axes (chi_(dn) on
+        the polar line), and |B| = |x| ~ chi_D.  singular_value is the
+        statistics of n_ref = max(30 n, 60000) reference_draws of seed, of
+        equal weight, whose own noise adds n / n_ref to the variance of each
         bin's count.  The check, for every statistic, is the spread max / min - 1
         of weight_log_ratio's ratio over the first _ROW_BLOCK of those draws,
         the only block that the exact laws draw."""
         singular = spec.statistic == "singular_value"
         n_ref = max(30 * n, 60_000) if singular else _ROW_BLOCK
-        blocks = self.reference_draws(spec, seed, n_ref)
+        blocks = self.reference_draws(seed, n_ref)
         first = next(blocks)
         spread = float(np.expm1(np.ptp(weight_log_ratio(self, first))))
         if singular:
@@ -433,7 +427,7 @@ class DirectSumAction(ActionSpec):
         axes, power, _ = _bartlett_axes(self)
         nus = ((self.ambient_dim,) if spec.statistic == "coordinate_norm"
                else tuple(b + power + 1 for _, b in axes if b is not None))
-        return ChiProductLaw(nus, abs(spec.scale) ** len(nus)), spread, None
+        return ChiProductLaw(nus), spread, None
 
 
 def polar_root_data(field: ScalarField, n: int) -> RootData:
@@ -626,12 +620,10 @@ class ConjugationAction(ActionSpec):
         return ([(col, nodes, weights) for col in range(self.group.rank)],
                 lambda angles: torus_weight_batch(self.group, angles), torus_volume(self.group))
 
-    def statistic_columns(self, statistic: str, scale: float) -> int:
-        """Columns of torus_angle; ValueError for another statistic, or a scale, which Haar measure lacks."""
+    def statistic_columns(self, statistic: str) -> int:
+        """Columns of torus_angle; ValueError for another statistic."""
         if statistic not in self.statistics:
             raise ValueError(f"statistic {statistic!r} not defined for conjugation; it has torus_angle")
-        if scale != 1.0:
-            raise ValueError(f"ensemble scale {scale:g} has no meaning on {self}, whose density is Haar measure")
         return len(root_data(self.group).roots)  # the full angles: all n on SU(n)
 
     def ensemble_statistics(self, spec, rng: np.random.Generator, size: int) -> np.ndarray:

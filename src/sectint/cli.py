@@ -174,7 +174,7 @@ def cmd_ensemble(args) -> int:
     action = _parse_action(args.action)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
-    spec = EnsembleSpec(action, args.scale, args.statistic, args.stat_index)
+    spec = EnsembleSpec(action, args.statistic, args.stat_index)
     cmp_ = compare_densities(spec, args.seed, args.n, args.bins)
     if args.out_csv:
         _write_output(args.out_csv, cmp_.write_csv)
@@ -217,7 +217,6 @@ _OPTIONS = {
     "--tol-abs": dict(type=float, default=1e-10),
     "--statistic": dict(default=None, help="default: torus_angle on conjugation, coordinate_det on direct sums"),
     "--stat-index": dict(type=int, default=0),
-    "--scale": dict(type=float, default=1.0),
     "--bins": dict(type=int, default=30),
     "--p-threshold": dict(type=float, default=0.01),
     "--n-sigma": dict(type=float, default=3.0),
@@ -237,7 +236,7 @@ _SUBCOMMANDS = {
                   "--functions --seed --n --workers --n-sigma", ""),
     "verify": (cmd_verify, "structural check suite", "--seed --points --tol-rel --tol-abs", "--n-sigma"),
     "ensemble": (cmd_ensemble, "reduced-density histogram comparison",
-                 "--seed --n --statistic --stat-index --scale --bins --p-threshold --out-csv", "--n-sigma"),
+                 "--seed --n --statistic --stat-index --bins --p-threshold --out-csv", "--n-sigma"),
     "volumes": (cmd_volumes, "quotient volume table", "--functions --seed --n --workers --n-sigma", ""),
 }
 
@@ -303,8 +302,8 @@ def main(argv=None) -> int:
                          "p_threshold": ("in [0, 1]", 0 <= value <= 1)}.get(name, ("nonnegative", value >= 0))
             if not ok:
                 raise ValueError(f"{flag} must be {bound}, got {value}")
-        # a scale that overflows (or divides by an underflowed 0) stops the run
-        # here instead of printing NaN; mc_run's helper threads take this state too
+        # a sigma or point that overflows (or divides by an underflowed 0) stops
+        # the run here instead of printing NaN; mc_run's helper threads take this state too
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit

@@ -46,20 +46,21 @@ WEIGHT_RATIO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Invariant sampling density plus a Weyl-invariant section statistic."""
+    """A Weyl-invariant section statistic of the kind's invariant ambient
+    density: the standard Gaussian on a direct sum, Haar measure on
+    conjugation.  A Gaussian of scale s is the push-forward of the standard
+    one by x -> s x, which moves the statistic and its reference alike and
+    leaves the test's verdict as it is."""
 
     action: ActionSpec
-    scale: float = 1.0            # gaussian scale of the ambient density
     statistic: str | None = None  # None: the kind's default, the first of its statistics
     stat_index: int = 0
 
     def __post_init__(self):
-        if self.scale == 0.0 or not np.isfinite(self.scale):
-            raise ValueError(f"ensemble scale must be finite and nonzero, got {self.scale}")
         if self.statistic is None:
             object.__setattr__(self, "statistic", self.action.statistics[0])
         # the kind refuses a statistic outside its table; stat_index picks a column
-        columns = self.action.statistic_columns(self.statistic, self.scale)
+        columns = self.action.statistic_columns(self.statistic)
         if not 0 <= self.stat_index < columns:
             raise ValueError(
                 f"stat_index {self.stat_index} out of range: {self.statistic} on {self.action} has {columns} column(s)"
@@ -95,7 +96,7 @@ class HistogramComparison:
     def to_json(self) -> dict:
         """The test's outcome, the statistic it read (the kind's default resolved),
         the reference's effective size and the divisor it put on chi2; the action,
-        scale, bins and draws are the config."""
+        bins and draws are the config."""
         return {"statistic": self.spec.statistic, "chi2": self.chi2, "dof": self.dof, "p_value": self.p_value,
                 "reference_n_eff": self.reference_n_eff, "chi2_divisor": self.chi2_divisor}
 

@@ -63,7 +63,7 @@ class TestFunction:
 
     name: str
     params: dict = field(default_factory=dict)
-    invariant: bool = True
+    invariant: bool = True  # every family is; a custom fn may not be
     fn: object = None  # custom callable (points, action) -> values
 
     def to_json(self) -> dict:
@@ -93,7 +93,7 @@ def make_test_function(name: str, **params) -> TestFunction:
         sigma = float(params["sigma"])
         if sigma == 0.0 or not math.isfinite(sigma):
             raise ValueError(f"{name}: sigma must be finite and nonzero, got {sigma}")
-    return TestFunction(name, params, name != "first_coordinate")
+    return TestFunction(name, params)
 
 
 def _stacked_values(action: ActionSpec, fs, pts: np.ndarray, norms_sq: np.ndarray | None = None) -> np.ndarray:
@@ -148,12 +148,7 @@ def _fam_trace_power(action, pts, f, norms_sq):
 
 
 def _fam_const(action, pts, f, norms_sq):
-    return np.full(pts.shape[0], f.param("value"))
-
-
-def _fam_first_coordinate(action, pts, f, norms_sq):
-    # deliberately not invariant; used as a negative control
-    return pts[:, 0]
+    return np.ones(pts.shape[0])
 
 
 #: each family's function, its parameters with their defaults (make_test_function refuses
@@ -165,8 +160,7 @@ _FAMILIES = {
     "gaussian_sq_norm": IntegrandFamily(_fam_gaussian_sq_norm, {"sigma": 1.0}, 2),
     "gaussian_det": IntegrandFamily(_fam_gaussian_det, {"sigma": 1.0, "power": 1.0}, "power", DirectSumAction),
     "trace_power": IntegrandFamily(_fam_trace_power, {"power": 2.0}, "power", ConjugationAction),
-    "const": IntegrandFamily(_fam_const, {"value": 1.0}, 0),
-    "first_coordinate": IntegrandFamily(_fam_first_coordinate, {}, None),
+    "const": IntegrandFamily(_fam_const, {}, 0),
 }
 
 
@@ -203,9 +197,8 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, workers: int | N
     integrand is evaluated on those draws, so the estimates share their
     samples, and each one is bit-identical to the run of
     integrate_direct(action, [f], seed, n) on its own.
-    A const integrand reads no point: its average is its value with
-    stderr 0, and the points are drawn only if some other integrand
-    reads them.
+    A const integrand, 1, reads no point: its average is 1 with stderr
+    0, and the points are drawn only if some other integrand reads them.
     """
     fs = list(fs)
     _require_integrable(action, fs)
@@ -213,7 +206,7 @@ def integrate_direct(action: ActionSpec, fs, seed: int, n: int, workers: int | N
     drawn = [f for f in fs if not _is_const(f)]
     sample, vol = action.direct_sampler(lambda pts, norms_sq: _stacked_values(action, drawn, pts, norms_sq))
     means = iter(mc_run(sample, n, seed, workers) if drawn else ())
-    ests = [McEstimate(f.param("value"), 0.0, n) if _is_const(f) else next(means) for f in fs]
+    ests = [McEstimate(1.0, 0.0, n) if _is_const(f) else next(means) for f in fs]
     return [product(est, vol) for est in ests]
 
 

@@ -77,15 +77,14 @@ def _log_chi_lattice(nu: int, step: float) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class ChiProductLaw:
-    """The law of Y = scale * prod_i chi_(nu_i), the chi variables independent
-    and scale > 0.
+    """The law of Y = prod_i chi_(nu_i), the chi variables independent.
 
     One factor is a chi law, whose CDF is chi_cdf.  Above one, an even nu_e
     (the smallest) is taken out (a direct sum always has one: every nu_i is
     even over C and H, and nu_1, nu_2 are consecutive over R).  With u the
     log of the product of the other factors, of density g,
 
-        F(y) = integral g(u) P(chi_(nu_e) <= y e^(-u) / scale) du,
+        F(y) = integral g(u) P(chi_(nu_e) <= y e^(-u)) du,
 
     a trapezoid sum on the lattice u = j h, where g is the other factors'
     log-chi densities, convolved (each discrete convolution times h is the
@@ -96,7 +95,6 @@ class ChiProductLaw:
     """
 
     nus: tuple[int, ...]
-    scale: float = 1.0
 
     @functools.cached_property
     def _step(self) -> float:
@@ -123,7 +121,7 @@ class ChiProductLaw:
     def grid(self) -> np.ndarray:
         """GRID_POINTS values of Y, evenly spaced in log Y over its mean plus
         or minus GRID_SIGMAS standard deviations, from the factors' lattices."""
-        h, mean, var = self._step, math.log(self.scale), 0.0
+        h, mean, var = self._step, 0.0, 0.0
         for nu in self.nus:
             j0, g = _log_chi_lattice(nu, h)
             u = (j0 + np.arange(len(g))) * h
@@ -134,7 +132,7 @@ class ChiProductLaw:
     def cdf(self, y: np.ndarray) -> np.ndarray:
         """P(Y <= y) at a 1-D array of y > 0; a product evaluates blocks of
         points whose (block, lattice) arrays hold at most BLOCK_CELLS cells."""
-        t = np.asarray(y, dtype=float) / self.scale
+        t = np.asarray(y, dtype=float)
         if len(self.nus) == 1:
             return chi_cdf(self.nus[0], t)
         u, hg = self._rest

@@ -365,14 +365,6 @@ def gram_det(field: ScalarField, comps: np.ndarray) -> np.ndarray:
     return det
 
 
-def det_modulus(x: MatK) -> float:
-    """|det x|; the Dieudonne determinant modulus for quaternions."""
-    if not x.is_square():
-        raise DimensionError("det_modulus requires a square matrix")
-    det = float(np.abs(np.linalg.det(x.data)))
-    return float(np.sqrt(det)) if x.field is QUATERNION else det
-
-
 def abs_det_between(images: np.ndarray, codomain_dim: int, scale=1.0) -> float | np.ndarray:
     """|det| of a linear map given by images of an orthonormal basis.
 

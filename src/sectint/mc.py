@@ -92,18 +92,17 @@ def require_samples(n: int) -> None:
         raise ValueError(f"a Monte Carlo estimate needs n >= 2 samples for its standard error, got {n}")
 
 
-def mc_run(sample_fn, n: int, seed: int, workers: int | None = None):
-    """Estimate the mean of the values of sample_fn over n draws.
+def mc_run(sample_fn, n: int, seed: int, workers: int | None = None) -> list[McEstimate]:
+    """Estimate the means of the values of sample_fn over n draws.
 
     sample_fn(rng, size) gets a batch's generator and size.  It must draw
     size samples from rng, as a pure function of the generator state, and
-    return their values: a (size,) array of per-sample values, or an
-    (m, size) array whose rows are m integrands evaluated on one draw.
-    Each row of a batch is reduced on its own, in one reduction per
-    batch, so a row's estimate is bit-identical to the run of a 1-D
-    sample_fn returning that row.  A 1-D sample_fn gives one McEstimate,
-    a 2-D one a list of m.  Fewer than two samples give no standard error
-    and are rejected.  workers None means default_workers(); fewer than
+    return their values: an (m, size) array whose rows are m integrands
+    evaluated on one draw.  Each row of a batch is reduced on its own, in
+    one reduction per batch, so a row's estimate is bit-identical to the
+    run of a sample_fn returning that row alone; the m estimates come as
+    a list.  Fewer than two samples give no standard error and are
+    rejected.  workers None means default_workers(); fewer than
     one is rejected.  The caller and min(workers, batches) - 1 persistent
     helper threads claim batches from one counter; helper tasks still
     queued when the caller runs out are cancelled (so a sample_fn may
@@ -124,11 +123,10 @@ def mc_run(sample_fn, n: int, seed: int, workers: int | None = None):
         with np.errstate(**errstate):
             while (i := next(claim)) < count:
                 rng, size = batch(seed, n, i)
-                values = np.asarray(sample_fn(rng, size), dtype=float)
-                rows = np.ascontiguousarray(np.atleast_2d(values))
+                rows = np.ascontiguousarray(sample_fn(rng, size), dtype=float)
                 mean = np.sum(rows, axis=1) / size  # np.mean's sum / count, row by row
                 m2 = np.sum((rows - mean[:, None]) ** 2, axis=1)
-                parts[i] = values.ndim, [(size, m, s) for m, s in zip(mean.tolist(), m2.tolist())]
+                parts[i] = [(size, m, s) for m, s in zip(mean.tolist(), m2.tolist())]
 
     helpers = min(workers, count) - 1
     _HELPERS.extend(ThreadPoolExecutor(1, "sectint-mc") for _ in range(helpers - len(_HELPERS)))
@@ -142,10 +140,10 @@ def mc_run(sample_fn, n: int, seed: int, workers: int | None = None):
         task.result()
 
     estimates = []
-    for row in zip(*(stats for _, stats in parts)):
+    for row in zip(*parts):
         total, mean, m2 = functools.reduce(_combine, row)  # index order keeps the reduction bit-identical
         estimates.append(McEstimate(mean, float(np.sqrt(m2 / (total - 1) / total)), total))
-    return estimates if parts[0][0] == 2 else estimates[0]
+    return estimates
 
 
 # --- error propagation helpers ----------------------------------------------

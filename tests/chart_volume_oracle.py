@@ -68,6 +68,7 @@ def chart_volume(group: GroupSpec, n_samples: int, seed: int, rows: np.ndarray |
             mask = np.abs(eigs).max(axis=-1) < np.pi
         ad_eigs = np.linalg.eigvalsh(1j * (z @ cstruct).reshape(len(z), q, q))
         log_density = -0.5 * np.sum((z / sigma) ** 2, axis=1) - log_norm
-        return np.where(mask, dexp_factors(ad_eigs) * np.exp(-log_density), 0.0)
+        return np.where(mask, dexp_factors(ad_eigs) * np.exp(-log_density), 0.0)[None]
 
-    return mc_run(sample, n_samples, seed, None)
+    [est] = mc_run(sample, n_samples, seed, None)
+    return est

@@ -5,7 +5,9 @@ and H in the field's own arithmetic; it shares no code with the
 batched Householder kernel of ``matrices.qr`` and
 ``matrices.householder_q`` that it checks.
 ``realified_det`` assembles the real matrix of left multiplication
-column by column.  The oracles compute over H with complex pairs
+column by column, and ``det_modulus`` is the LU determinant (numpy's
+``det`` of the stored data, its square root over H) that the batched
+``matrices.gram_det`` is checked against.  The oracles compute over H with complex pairs
 (C1, C2), q = C1 + C2 j, which ``pair_data`` and ``from_pair`` read off
 and write back to the stored adjoint matrices, and ``pair_to_quat`` /
 ``quat_components`` read quaternions as real components.
@@ -126,6 +128,14 @@ def _completion_column(field: ScalarField, n: int, qcols: list[np.ndarray]) -> n
     if best_norm < 1e-8:
         raise np.linalg.LinAlgError("failed to complete orthonormal basis")
     return best / best_norm
+
+
+def det_modulus(x: MatK) -> float:
+    """|det x|; the Dieudonne determinant modulus for quaternions."""
+    if not x.is_square():
+        raise DimensionError("det_modulus requires a square matrix")
+    det = float(np.abs(np.linalg.det(x.data)))
+    return float(np.sqrt(det)) if x.field is QUATERNION else det
 
 
 def realified_det(x: MatK) -> float:

@@ -27,9 +27,9 @@ def oracle_batches(seed: int, n: int) -> list[tuple[np.random.Generator, int]]:
 
 
 def mc_run_per_batch(fn, n: int, seed: int) -> list[McEstimate]:
-    """One estimate per row of fn(rng, size), a (size,) or (m, size) array
-    drawn from each batch's generator in turn, combined in batch order."""
-    parts = [[batch_stats(row) for row in np.atleast_2d(np.asarray(fn(rng, size), dtype=float))]
+    """One estimate per row of fn(rng, size), an (m, size) array drawn from
+    each batch's generator in turn, combined in batch order."""
+    parts = [[batch_stats(row) for row in np.asarray(fn(rng, size), dtype=float)]
              for rng, size in oracle_batches(seed, n)]
     estimates = []
     for row in zip(*parts):

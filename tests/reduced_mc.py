@@ -34,6 +34,7 @@ def reduced_importance_sampling(action: DirectSumAction, f: TestFunction, seed: 
         pts = np.zeros((len(z), action.ambient_dim))
         pts[:, :dim] = z
         vals = evaluate_test_function(action, f, pts) * section_weight_batch(action, z)
-        return vals * np.exp(0.5 * np.sum(z * z, axis=1) + log_norm)
+        return (vals * np.exp(0.5 * np.sum(z * z, axis=1) + log_norm))[None]
 
-    return mc_run(sample, n, seed, workers)
+    [est] = mc_run(sample, n, seed, workers)
+    return est

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sectint.fields import ScalarField
-from sectint.matrices import det_modulus, gaussian, to_real_vector
+from sectint.matrices import gaussian, to_real_vector
 from sectint.groups import Family, GroupSpec, adjoint, torus_point
 from sectint.actions import (
     ConjugationAction,
@@ -32,7 +32,7 @@ from sectint.mc import agree, product
 from sectint.ensembles import EnsembleSpec, compare_densities
 from algebra_oracle import matrices
 from lp_isometry import lp_isometry_check
-from matrix_oracles import realified_det
+from matrix_oracles import det_modulus, realified_det
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 
@@ -191,11 +191,11 @@ def test_criterion_07_lp_isometry():
 def test_criterion_08_ensemble_densities():
     t0 = time.time()
     det_cmp = compare_densities(
-        EnsembleSpec(SO3K2, 1.0, "coordinate_det"), seed=22, n=100_000, bins=30
+        EnsembleSpec(SO3K2, "coordinate_det"), seed=22, n=100_000, bins=30
     )
     assert det_cmp.p_value >= 0.01
     ang_cmp = compare_densities(
-        EnsembleSpec(SU2CONJ, 1.0, "torus_angle"), seed=22, n=100_000, bins=30
+        EnsembleSpec(SU2CONJ, "torus_angle"), seed=22, n=100_000, bins=30
     )
     assert ang_cmp.p_value >= 0.01
     elapsed = time.time() - t0
@@ -210,7 +210,7 @@ def test_criterion_08_direct_sum_ensemble_densities(field, n, k):
     # criterion 8 on the larger direct sums, against the exact Bartlett reference
     t0 = time.time()
     action = DirectSumAction(field, n, k)
-    cmp_ = compare_densities(EnsembleSpec(action, 1.0, "coordinate_det"), seed=22, n=100_000, bins=30)
+    cmp_ = compare_densities(EnsembleSpec(action, "coordinate_det"), seed=22, n=100_000, bins=30)
     assert cmp_.p_value >= 0.01
     assert cmp_.weight_ratio_spread <= 1e-10
     elapsed = time.time() - t0

@@ -386,12 +386,24 @@ def test_su_torus_points_keep_accepting_n_angles():
     np.testing.assert_allclose(torus_angles(su3, torus_points(su3, np.array([[0.1, 0.2, 0.3]]))), [[0.1, 0.2, 0.3]])
 
 
-@pytest.mark.parametrize("scale", ["7", "-1", "0.5"])
-def test_ensemble_scale_on_conjugation_exits_2(capsys, scale):
-    # Haar measure has no scale: a scale other than 1 was echoed in the payload and ignored
-    err = _exits_2_with_one_line(capsys, ["ensemble", "--action", SU2, "--n", "300", "--bins", "10",
-                                          f"--scale={scale}"])
-    assert "scale" in err
+#: (command, argv, the name its error line gives) of each input that could not change an answer:
+#: the ensemble's Gaussian scale, at any value the old check refused or passed and on the
+#: subcommands that never took it, const's value and the non-invariant first_coordinate family
+REMOVED_INPUTS = [
+    *(("ensemble", argv, "--scale") for argv in (["--scale", "2"], ["--scale", "0"], ["--scale", "nan"],
+                                                 ["--scale=-inf"], ["--scale", "1e308"])),
+    *((command, ["--scale", "2"], "--scale") for command in ("integrate", "volumes")),
+    *((command, ["--functions", "const:value=2,gaussian_radial"], "value") for command in ("integrate", "volumes")),
+    *((command, ["--functions", "first_coordinate,gaussian_radial"], "first_coordinate")
+      for command in ("integrate", "volumes")),
+]
+
+
+@pytest.mark.parametrize("command, argv, name", REMOVED_INPUTS, ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("action", [SO3K2, C42, SU3], ids=["R(3,2)", "C(4,2)", "SU(3)"])
+def test_removed_inputs_exit_2_naming_them(capsys, action, command, argv, name):
+    err = _exits_2_with_one_line(capsys, [command, "--action", action, "--n", "300", *argv])
+    assert name in err
 
 
 @pytest.mark.parametrize("action, statistic", [(SU2, "coordinate_det"), (SO3K2, "torus_angle"), (SO3K2, "nope")])
@@ -463,8 +475,8 @@ OPTION_TABLE = {
     "delta": ("--point --tol-rel --tol-abs --seed --n-sigma", "point tol_rel tol_abs"),
     "integrate": ("--functions --seed --n --workers --n-sigma", "functions seed n n_sigma"),
     "verify": ("--seed --points --tol-rel --tol-abs --n-sigma", "seed points tol_rel tol_abs"),
-    "ensemble": ("--seed --n --statistic --stat-index --scale --bins --p-threshold --out-csv --n-sigma",
-                 "seed n statistic stat_index scale bins p_threshold"),
+    "ensemble": ("--seed --n --statistic --stat-index --bins --p-threshold --out-csv --n-sigma",
+                 "seed n statistic stat_index bins p_threshold"),
     "volumes": ("--functions --seed --n --workers --n-sigma", "functions seed n n_sigma"),
 }
 #: a quick run of each subcommand, less the action
@@ -489,7 +501,8 @@ def test_each_subcommand_takes_the_options_of_the_table():
     options = {command: _option_strings(command) for command in OPTION_TABLE}
     for command, (own, _) in OPTION_TABLE.items():
         assert options[command] == {"--action", "--out", *own.split()}, command
-    assert sum(map(len, options.values())) == 39  # 42 before --chunks left integrate, ensemble and volumes
+    # 42 before --chunks left integrate, ensemble and volumes, 39 before --scale left ensemble
+    assert sum(map(len, options.values())) == 38
 
 
 @pytest.mark.parametrize("command", list(OPTION_TABLE))
@@ -755,9 +768,6 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["integrate", "--functions", "gaussian_radial:sigma=0"], "sigma"),
         (["integrate", "--functions", "gaussian_radial:sigma=nan"], "sigma"),
         (["volumes", "--functions", "gaussian_radial:sigma=inf,gaussian_sq_norm"], "sigma"),
-        (["ensemble", "--scale", "0"], "scale"),
-        (["ensemble", "--scale", "nan"], "scale"),
-        (["ensemble", "--scale=-inf"], "scale"),
         (["integrate", "--workers", "0"], "--workers"),
         (["delta", "--point", "[[1,0],[0,1]]", "--workers=-1"], "--workers"),
         (["integrate", "--n-sigma", "nan"], "--n-sigma"),
@@ -771,10 +781,9 @@ def test_unwritable_out_csv_exits_2(capsys, tmp_path):
         (["delta", "--point", "[[1,0],[0,1]]", "--tol-abs", "-1"], "--tol-abs"),
         (["ensemble", "--p-threshold", "-0.5"], "--p-threshold"),
         (["ensemble", "--p-threshold", "1.5"], "--p-threshold"),
-        # finite scales whose arithmetic overflows, or divides by an underflowed 0
+        # finite sigmas whose arithmetic overflows, or divides by an underflowed 0
         (["integrate", "--functions", "gaussian_radial:sigma=1e-300"], "floating-point range"),
         (["integrate", "--functions", "gaussian_radial:sigma=1e100"], "floating-point range"),
-        (["ensemble", "--scale", "1e308"], "floating-point range"),
         # sigma^16, the Bartlett rule's scale on H(3,2), overflows a Python float: it raised OverflowError
         (["integrate", "--action", H32, "--functions", "gaussian_radial:sigma=1e20"], "floating-point range"),
         (["volumes", "--action", H32, "--functions", "gaussian_radial:sigma=1e20,gaussian_sq_norm:sigma=1e30"],
@@ -964,7 +973,7 @@ def test_integrate_payload_keys(capsys, action):
     (SU3, [], "torus_angle"),
 ])
 def test_ensemble_payload_keys(capsys, action, argv, statistic):
-    # the test's outcome and the statistic it read; the action, scale, bins and n are config's alone
+    # the test's outcome and the statistic it read; the action, bins and n are config's alone
     code, rep = run_cli(capsys, ["ensemble", "--action", action, "--n", "300", "--bins", "10", *argv])
     assert set(rep["results"]) == {"chi2", "dof", "p_value", "statistic", "reference_n_eff", "chi2_divisor"}
     assert rep["results"]["statistic"] == statistic
@@ -984,7 +993,7 @@ def test_ensemble_reports_its_reference_effective_size(capsys, action, statistic
 
     argv = ["ensemble", "--action", action, "--n", "400", "--bins", "10", "--seed", "9"]
     code, rep = run_cli(capsys, argv + (["--statistic", statistic] if statistic else []))
-    spec = EnsembleSpec(action_from_json(json.loads(action)), 1.0, statistic)
+    spec = EnsembleSpec(action_from_json(json.loads(action)), statistic)
     n_eff = rep["results"]["reference_n_eff"]
     assert type(n_eff) is kind and n_eff == spec.action.ensemble_reference(spec, 400, subseed(9, 1))[2]
     divisor = rep["results"]["chi2_divisor"]
@@ -1052,9 +1061,8 @@ def _wrong_power(action, z):
 
 
 @pytest.mark.parametrize("corruption", ["shifted", "wrong_power"])
-@pytest.mark.parametrize("scale", ["1", "-2", "0.5"])
 @pytest.mark.parametrize("action", DIRECT_ROWS)
-def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, action, scale, corruption):
+def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, action, corruption):
     # a weight off the paper's by the factor 1 + |z_0|, or by one more power
     # of |det B|, leaves the exact draws off its density, and the reference
     # check fails the run
@@ -1067,8 +1075,7 @@ def test_ensemble_fails_on_a_corrupted_section_weight(capsys, monkeypatch, actio
     for name, module in list(sys.modules.items()):
         if name.startswith("sectint") and getattr(module, "section_weight_batch", None) is original:
             monkeypatch.setattr(module, "section_weight_batch", lambda a, z: original(a, z) * factor(a, z))
-    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--seed", "3", "--n", "300", "--bins", "10",
-                                 f"--scale={scale}"])
+    code, rep = run_cli(capsys, ["ensemble", "--action", action, "--seed", "3", "--n", "300", "--bins", "10"])
     ratio = {c["name"]: c for c in rep["checks"]}["reference_weight_ratio"]
     assert code == 1 and rep["pass"] is False
     assert not ratio["pass"] and ratio["value"] > 1e-3

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sectint.fields import ScalarField
-from sectint.matrices import MatK, data_from_components, det_modulus
+from sectint.matrices import MatK, data_from_components
 from sectint.groups import Family, GroupSpec, torus_point, torus_points
 from sectint.actions import (
     REF_GRID,
+    _ROW_BLOCK,
     ConjugationAction,
     DirectSumAction,
     act,
@@ -24,7 +25,9 @@ from sectint.actions import (
     reduce_to_section,
     section_coordinate,
     _bartlett_axes,
+    _coordinate_statistics,
     bartlett_draws,
+    section_weight_batch,
     torus_canonical_angles,
     weight_log_ratio,
 )
@@ -39,7 +42,7 @@ from sectint.ensembles import (
 from sectint.mc import BATCH_DRAWS, subseed
 from bin_merge_oracle import merge_small_bins_rescanning
 from mc_oracle import oracle_batches
-from matrix_oracles import gram_schmidt_qr
+from matrix_oracles import det_modulus, gram_schmidt_qr
 from schur_reduction import reduce_with_witness, su_alcove_angles, torus_angles
 from test_groups import torus_grid
 from test_kinds import ROWS as KIND_ROWS
@@ -47,6 +50,12 @@ from test_kinds import ROWS as KIND_ROWS
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 SO3K2 = DirectSumAction(R, 3, 2)
 SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
+
+
+def reference_sample(spec, seed, n_ref):
+    """The spec's statistic of the n_ref reference_draws of seed, block by block."""
+    action = spec.action
+    return np.concatenate([action._draw_statistics(spec, z) for z in action.reference_draws(seed, n_ref)])
 
 
 def _stat_from_coordinate(spec, b):
@@ -97,7 +106,7 @@ def test_reduction_preserves_norm():
 
 
 def test_norm_statistic_equals_ambient_norm():
-    spec = EnsembleSpec(SO3K2, 1.0, "coordinate_norm")
+    spec = EnsembleSpec(SO3K2, "coordinate_norm")
     stats = sample_ensemble(spec, seed=5, n=2000)
     # redo the sampling stream to recover the ambient samples
     norms = []
@@ -111,7 +120,7 @@ def test_norm_statistic_equals_ambient_norm():
 def test_statistics_weyl_invariant():
     rng = np.random.default_rng(1)
     for action, stat in [(SO3K2, "coordinate_det"), (SO3K2, "coordinate_norm")]:
-        spec = EnsembleSpec(action, 1.0, stat)
+        spec = EnsembleSpec(action, stat)
         s = random_regular_section_point(action, rng)
         base = _stat_from_coordinate(spec, section_coordinate(action, s))
         for _ in range(10):
@@ -129,11 +138,11 @@ def test_batched_statistics_match_per_sample_reduction(action, stat):
     # the section and read the statistic off its coordinate
     from sectint.matrices import gaussian
 
-    spec = EnsembleSpec(action, 1.5, stat, stat_index=1 if stat == "singular_value" else 0)
+    spec = EnsembleSpec(action, stat, stat_index=1 if stat == "singular_value" else 0)
     oracle = []
     for rng, size in oracle_batches(8, 50):
         for _ in range(size):
-            s = reduce_to_section(action, 1.5 * gaussian(action.field, action.n, action.k, rng))
+            s = reduce_to_section(action, gaussian(action.field, action.n, action.k, rng))
             oracle.append(_stat_from_coordinate(spec, section_coordinate(action, s)))
     np.testing.assert_allclose(sample_ensemble(spec, seed=8, n=50), oracle, rtol=1e-10, atol=0)
 
@@ -168,7 +177,7 @@ def test_conjugation_samples_match_per_draw_reduction(action):
             oracle.append(_per_point_angles(action, q))
     oracle = np.array(oracle)
     for i in range(oracle.shape[1]):
-        stats = sample_ensemble(EnsembleSpec(action, 1.0, "torus_angle", i), seed=8, n=60)
+        stats = sample_ensemble(EnsembleSpec(action, "torus_angle", i), seed=8, n=60)
         np.testing.assert_allclose(stats, oracle[:, i], rtol=0, atol=1e-12)
 
 
@@ -205,11 +214,11 @@ def test_torus_grid_angles_match_eigensolve(group):
 
 
 def test_det_second_moment_two_sided():
-    spec = EnsembleSpec(SO3K2, 1.0, "coordinate_det")
+    spec = EnsembleSpec(SO3K2, "coordinate_det")
     stats = sample_ensemble(spec, seed=3, n=50_000)
     m_mean = np.mean(stats ** 2)
     m_se = np.std(stats ** 2, ddof=1) / np.sqrt(stats.size)
-    rs = spec.action.reference_sample(spec, 4, 2_000_000)
+    rs = reference_sample(spec, 4, 2_000_000)
     s_mean = np.mean(rs ** 2)
     assert abs(m_mean - s_mean) <= 4 * m_se
 
@@ -218,8 +227,8 @@ def test_det_second_moment_two_sided():
 def test_polar_reference_det_second_moment(field, n):
     # k = 1: |det| of the real section coordinate is |x|, whose second
     # moment under the standard Gaussian on K^n is the real dimension d n
-    spec = EnsembleSpec(DirectSumAction(field, n, 1), 1.0, "coordinate_det")
-    rs = spec.action.reference_sample(spec, 0, 200_000)
+    spec = EnsembleSpec(DirectSumAction(field, n, 1), "coordinate_det")
+    rs = reference_sample(spec, 0, 200_000)
     assert np.mean(rs ** 2) == pytest.approx(field.dim * n, rel=0.05)  # about 5 sigma
 
 
@@ -227,17 +236,16 @@ DIRECT_ROWS = [SO3K2] + [DirectSumAction(f, n, k) for f, n, k in
                           [(C, 4, 2), (H, 3, 2), (C, 6, 4), (R, 7, 5), (R, 4, 1), (C, 3, 1), (H, 3, 1)]]
 
 
-@pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
 @pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
-def test_reference_draws_follow_the_weighted_density(action, scale):
+def test_reference_draws_follow_the_weighted_density(action):
     # the weight ratio of the 100k reference draws is one constant, and the
-    # second moment of |det| is the product of the chi axes' ones, scale^2 d(n - i + 1)
-    spec = EnsembleSpec(action, scale, "coordinate_det")
-    z = np.concatenate(list(action.reference_draws(spec, 5, 100_000)))
+    # second moment of |det| is the product of the chi axes' ones, d(n - i + 1)
+    spec = EnsembleSpec(action, "coordinate_det")
+    z = np.concatenate(list(action.reference_draws(5, 100_000)))
     assert np.expm1(np.ptp(weight_log_ratio(action, z))) <= 1e-10
-    rs = action.reference_sample(spec, 5, 100_000)
+    rs = reference_sample(spec, 5, 100_000)
     d, n, k = action.field.dim, action.n, action.k
-    exact = scale ** (2 * k) * np.prod([d * (n - i) for i in range(k)])
+    exact = np.prod([d * (n - i) for i in range(k)])
     stderr = np.std(rs ** 2, ddof=1) / np.sqrt(rs.size)
     assert abs(np.mean(rs ** 2) - exact) <= 4 * stderr
 
@@ -269,48 +277,63 @@ def test_section_weight_ratio_is_one_constant_over_three_million_draws(action, s
     assert np.expm1(hi - lo) <= 1e-10
 
 
-def _bartlett_statistics(action, count, seed, scales, block=1 << 16):
-    """coordinate_det and coordinate_norm of count bartlett_draws scaled by each
-    |scale|, keyed by (scale, statistic): the product of R's diagonal and R's
-    norm, drawn block by block from one generator."""
+@pytest.mark.parametrize("s", [1e-3, 0.5, 2.0, 1e3])
+@pytest.mark.parametrize("action", [a for a in KIND_ROWS if isinstance(a, DirectSumAction)], ids=str)
+def test_section_weight_is_homogeneous_of_its_degree(action, s):
+    # a Gaussian ensemble of scale s is the standard one pushed forward by
+    # x -> s x, so its test is the standard one's: the weight carries s^deg,
+    # deg = d k (n - k), the degree of |det B|^(d(n - k)), or dn - 1 of |t|^(dn - 1)
+    # on the polar line, and the weight check reads one constant at s z too
+    d, n, k = action.field.dim, action.n, action.k
+    deg = d * n - 1 if k == 1 else d * k * (n - k)
+    z = bartlett_draws(action, np.random.default_rng(subseed(23, 1)), _ROW_BLOCK)
+    np.testing.assert_allclose(section_weight_batch(action, s * z), s ** deg * section_weight_batch(action, z),
+                               rtol=1e-12, atol=0)
+    assert np.expm1(np.ptp(weight_log_ratio(action, s * z))) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [-2.0, 0.5, 10.0])
+@pytest.mark.parametrize("statistic", DirectSumAction.statistics)
+@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
+def test_statistics_are_homogeneous_in_the_gaussian_scale(action, statistic, scale):
+    # under x -> s x each statistic of an ambient sample carries |s|^p, p = k
+    # on the det of k factors and 1 on the norm and the singular values, as
+    # the chi factors of its law each carry |s|: samples and reference move
+    # alike, so the chi2 verdict of a scaled Gaussian is the standard one's
+    spec = EnsembleSpec(action, statistic, stat_index=action.k - 1 if statistic == "singular_value" else 0)
+    comps = np.random.default_rng(subseed(24, 1)).standard_normal((500, action.n, action.k, action.field.dim))
+    p = action.k if statistic == "coordinate_det" else 1
+    np.testing.assert_allclose(_coordinate_statistics(spec, action.field, scale * comps),
+                               abs(scale) ** p * _coordinate_statistics(spec, action.field, comps), rtol=1e-12, atol=0)
+
+
+def _bartlett_statistics(action, count, seed, block=1 << 16):
+    """coordinate_det and coordinate_norm of count bartlett_draws, keyed by
+    statistic: the product of R's diagonal and R's norm, drawn block by
+    block from one generator."""
     diagonal = [col for col, b in _bartlett_axes(action)[0] if b is not None]
     rng, stats = np.random.default_rng(seed), {}
     for start in range(0, count, block):
-        drawn = bartlett_draws(action, rng, min(block, count - start))
-        for scale in scales:
-            z = abs(scale) * drawn
-            stats.setdefault((scale, "coordinate_det"), []).append(np.prod(z[:, diagonal], axis=1))
-            stats.setdefault((scale, "coordinate_norm"), []).append(np.linalg.norm(z, axis=1))
+        z = bartlett_draws(action, rng, min(block, count - start))
+        stats.setdefault("coordinate_det", []).append(np.prod(z[:, diagonal], axis=1))
+        stats.setdefault("coordinate_norm", []).append(np.linalg.norm(z, axis=1))
     return {key: np.concatenate(parts) for key, parts in stats.items()}
 
 
 @pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
 def test_exact_masses_match_two_million_bartlett_draws(action):
     # the exact law's bin masses hold the draws of the section density that
-    # the weight check reads, scaled as the ambient samples are, at scale 1
-    # and -2: every bin's count is within 4.5 binomial standard errors of its mass
+    # the weight check reads: every bin's count is within 4.5 binomial
+    # standard errors of its mass
     count = 2_000_000
-    for (scale, statistic), stats in _bartlett_statistics(action, count, 17, (1.0, -2.0)).items():
-        law, _, n_eff = action.ensemble_reference(EnsembleSpec(action, scale, statistic), 1000, 1)
+    for statistic, stats in _bartlett_statistics(action, count, 17).items():
+        law, _, n_eff = action.ensemble_reference(EnsembleSpec(action, statistic), 1000, 1)
         assert n_eff is None
         edges, masses = reference_bins(stats, law, 30)
         assert abs(masses.sum() - 1.0) <= 1e-14 and np.all(masses > 0.02)
         counts = np.histogram(stats, bins=edges)[0]
         z = (counts - count * masses) / np.sqrt(count * masses * (1.0 - masses))
-        assert np.max(np.abs(z)) <= 4.5, (scale, statistic, z)
-
-
-@pytest.mark.parametrize("statistic", ["coordinate_det", "coordinate_norm"])
-@pytest.mark.parametrize("action", DIRECT_ROWS, ids=str)
-def test_exact_comparison_does_not_depend_on_the_scale(action, statistic):
-    # the samples' det carries |scale|^k and their norm |scale|, and so does
-    # the exact law, so every scale bins the same samples alike: the same
-    # chi2 to rounding.  A det law scaled by |scale| alone read p = 0.0 on
-    # C(4,2) at scale -7
-    base = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=4, n=2000, bins=20)
-    for scale in (-2.0, 0.5, 10.0):
-        scaled = compare_densities(EnsembleSpec(action, scale, statistic), seed=4, n=2000, bins=20)
-        assert scaled.dof == base.dof and scaled.chi2 == pytest.approx(base.chi2, rel=1e-9, abs=1e-12), scale
+        assert np.max(np.abs(z)) <= 4.5, (statistic, z)
 
 
 #: (action, statistic, nu) of every single-chi law: |B| ~ chi_(dnk), and t ~ chi_(dn) on the polar line
@@ -320,31 +343,29 @@ SINGLE_CHI = [(DirectSumAction(R, 3, 1), "coordinate_det", 3), (DirectSumAction(
               (DirectSumAction(H, 3, 2), "coordinate_norm", 24), (DirectSumAction(C, 6, 4), "coordinate_norm", 48)]
 
 
-@pytest.mark.parametrize("scale", [1.0, -2.0])
 @pytest.mark.parametrize("action, statistic, nu", SINGLE_CHI, ids=str)
-def test_single_chi_masses_match_scipy(action, statistic, nu, scale):
+def test_single_chi_masses_match_scipy(action, statistic, nu):
     # odd and even nu: the masses are differences of scipy's chi CDF at the edges
     from scipy import stats
 
-    law, _, _ = action.ensemble_reference(EnsembleSpec(action, scale, statistic), 1000, 1)
+    law, _, _ = action.ensemble_reference(EnsembleSpec(action, statistic), 1000, 1)
     edges, masses = reference_bins(np.array([1e-3]), law, 40)
-    cdf = stats.chi.cdf(edges[1:-1] / abs(scale), nu)
+    cdf = stats.chi.cdf(edges[1:-1], nu)
     np.testing.assert_allclose(masses, np.diff(np.concatenate([[0.0], cdf, [1.0]])), rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("scale", [1.0, -2.0])
 @pytest.mark.parametrize("action", [SO3K2, DirectSumAction(C, 4, 2), DirectSumAction(H, 3, 2)], ids=str)
-def test_chi_product_masses_match_quadrature(action, scale):
-    # k = 2: P(s^2 r_11 r_22 <= y) = integral of chi_(dn) pdf(r) chi_(d(n-1))
-    # cdf(y / (s^2 r)), by scipy's adaptive quadrature
+def test_chi_product_masses_match_quadrature(action):
+    # k = 2: P(r_11 r_22 <= y) = integral of chi_(dn) pdf(r) chi_(d(n-1))
+    # cdf(y / r), by scipy's adaptive quadrature
     from scipy import integrate, stats
 
     d, n = action.field.dim, action.n
-    law, _, _ = action.ensemble_reference(EnsembleSpec(action, scale, "coordinate_det"), 1000, 1)
+    law, _, _ = action.ensemble_reference(EnsembleSpec(action, "coordinate_det"), 1000, 1)
     edges, masses = reference_bins(np.array([1e-3]), law, 30)
 
     def cdf(y):
-        f = lambda r: stats.chi.pdf(r, d * n) * stats.chi.cdf(y / (scale * scale * r), d * (n - 1))
+        f = lambda r: stats.chi.pdf(r, d * n) * stats.chi.cdf(y / r, d * (n - 1))
         return integrate.quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
 
     oracle = np.diff(np.concatenate([[0.0], [cdf(y) for y in edges[1:-1]], [1.0]]))
@@ -354,11 +375,9 @@ def test_chi_product_masses_match_quadrature(action, scale):
 def test_reference_blocks_extend_the_stream():
     # the row blocks draw from one generator in turn, so a longer reference
     # keeps the whole row blocks of the shorter one as its prefix
-    from sectint.actions import _ROW_BLOCK
-
-    spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "coordinate_norm")
-    short = spec.action.reference_sample(spec, 7, _ROW_BLOCK + 10)
-    long = spec.action.reference_sample(spec, 7, 2 * _ROW_BLOCK + 3)
+    spec = EnsembleSpec(DirectSumAction(H, 3, 2), "coordinate_norm")
+    short = reference_sample(spec, 7, _ROW_BLOCK + 10)
+    long = reference_sample(spec, 7, 2 * _ROW_BLOCK + 3)
     assert long.shape == (2 * _ROW_BLOCK + 3,)
     np.testing.assert_array_equal(long[:_ROW_BLOCK], short[:_ROW_BLOCK])
 
@@ -369,11 +388,11 @@ def test_reference_statistics_match_per_draw_coordinates(action, stat):
     # the batched statistics of the draws equal those of each coordinate R read as a matrix
     from sectint.matrices import from_real_vector
 
-    spec = EnsembleSpec(action, 1.5, stat)
-    rs = spec.action.reference_sample(spec, 3, 40)
+    spec = EnsembleSpec(action, stat)
+    rs = reference_sample(spec, 3, 40)
     draws = bartlett_draws(action, np.random.default_rng(3), 40)
     oracle = [_stat_from_coordinate(spec, section_coordinate(action, from_real_vector(action.field, *action.shape, p)))
-              for p in action.section_points(1.5 * draws)]
+              for p in action.section_points(draws)]
     np.testing.assert_allclose(rs, oracle, rtol=1e-10, atol=0)
 
 
@@ -394,19 +413,19 @@ def test_conjugation_references_use_the_closed_form(monkeypatch, group):
     calls = []
     original = sectint.actions.torus_weight_batch
     monkeypatch.setattr(sectint.actions, "torus_weight_batch", lambda *a: calls.append(1) or original(*a))
-    cmp_ = compare_densities(EnsembleSpec(ConjugationAction(group), 1.0, "torus_angle"), seed=5, n=2000, bins=10)
+    cmp_ = compare_densities(EnsembleSpec(ConjugationAction(group), "torus_angle"), seed=5, n=2000, bins=10)
     assert len(calls) == 1 and 0.0 <= cmp_.p_value <= 1.0
 
 
 def test_chi2_direct_sum_det():
-    cmp_ = compare_densities(EnsembleSpec(SO3K2, 1.0, "coordinate_det"), seed=22, n=50_000, bins=30)
+    cmp_ = compare_densities(EnsembleSpec(SO3K2, "coordinate_det"), seed=22, n=50_000, bins=30)
     assert abs(cmp_.empirical.sum() - 1.0) < 1e-12
     assert abs(cmp_.reference.sum() - 1.0) < 1e-12
     assert cmp_.p_value >= 0.01
 
 
 def test_chi2_su2_angle():
-    cmp_ = compare_densities(EnsembleSpec(SU2CONJ, 1.0, "torus_angle"), seed=22, n=50_000, bins=30)
+    cmp_ = compare_densities(EnsembleSpec(SU2CONJ, "torus_angle"), seed=22, n=50_000, bins=30)
     assert cmp_.p_value >= 0.01
 
 
@@ -430,7 +449,7 @@ def test_su2_second_angle_is_binned_on_its_own_range(seed):
     # minus the first's, so its bins cover [-pi, 0] as the first's cover [0, pi].
     # Both cut the same grid by cumulative weight, from opposite ends, so the
     # inner edges mirror to within half a grid step
-    specs = [EnsembleSpec(SU2CONJ, 1.0, "torus_angle", index) for index in (0, 1)]
+    specs = [EnsembleSpec(SU2CONJ, "torus_angle", index) for index in (0, 1)]
     ref_first, ref_second = (SU2CONJ.ensemble_reference(spec, 2000, subseed(seed, 1))[0][0] for spec in specs)
     np.testing.assert_allclose(ref_second, -ref_first, rtol=0, atol=4e-15)
     with warnings.catch_warnings():
@@ -453,7 +472,7 @@ def test_su2_second_angle_is_binned_on_its_own_range(seed):
 def test_p_value_is_chi2_survival(action, statistic):
     from scipy import stats
 
-    cmp_ = compare_densities(EnsembleSpec(action, 1.0, statistic), seed=5, n=2000, bins=20)
+    cmp_ = compare_densities(EnsembleSpec(action, statistic), seed=5, n=2000, bins=20)
     # the closed-form tail agrees with scipy's to rounding level
     assert cmp_.p_value == chi2_tail(cmp_.dof, cmp_.chi2)
     assert cmp_.p_value == pytest.approx(float(stats.chi2.sf(cmp_.chi2, cmp_.dof)), rel=1e-12, abs=0)
@@ -476,7 +495,7 @@ def test_chi2_statistic_from_the_returned_frequencies(action, statistic, n):
     # max(30 n, 60000) for the equal direct-sum draws, and Kish's effective
     # size (sum w)^2 / sum w^2 for the weighted torus draws above rank one;
     # exact masses have no n_eff and no divisor
-    spec = EnsembleSpec(action, 1.0, statistic)
+    spec = EnsembleSpec(action, statistic)
     cmp_ = compare_densities(spec, seed=7, n=n, bins=20)
     reference, _, n_eff = action.ensemble_reference(spec, n, subseed(7, 1))
     if not isinstance(reference, tuple):
@@ -528,7 +547,7 @@ def test_equal_draw_bins_hold_equal_draw_counts(n_ref, bins):
     # The bins run from the smallest statistic of either side to just past
     # the largest
     spec = EnsembleSpec(DirectSumAction(C, 4, 2))
-    ref_stats = spec.action.reference_sample(spec, 2, n_ref)
+    ref_stats = reference_sample(spec, 2, n_ref)
     lo, top = ref_stats.min() - 0.5, ref_stats.max()
     edges, masses = reference_bins(np.array([lo]), (ref_stats, None), bins)
     counts = np.rint(masses * n_ref)
@@ -573,9 +592,9 @@ MOST_LOW_P_VALUES = _most_low_p_values(CALIBRATION_SEEDS)  # 4 of 30
 
 
 CALIBRATION_SPECS = [EnsembleSpec(action) for action in KIND_ROWS] + [
-    EnsembleSpec(ConjugationAction(GroupSpec(family, n)), 1.0, "torus_angle", 1)
+    EnsembleSpec(ConjugationAction(GroupSpec(family, n)), "torus_angle", 1)
     for family, n in [(Family.SO, 4), (Family.SU, 3)]] + [
-    EnsembleSpec(DirectSumAction(R, 7, 5), 1.0, "coordinate_norm")]
+    EnsembleSpec(DirectSumAction(R, 7, 5), "coordinate_norm")]
 
 
 @pytest.mark.parametrize("spec", CALIBRATION_SPECS, ids=lambda spec: f"{spec.action}[{spec.stat_index}]")
@@ -658,22 +677,14 @@ def test_constant_statistic_gives_p_one():
     # a constant statistic puts every sample in one bin, where a chi-square
     # test says nothing, so it is not a statistic of the ensembles
     with pytest.raises(ValueError, match="statistic 'constant' not defined for direct sums"):
-        compare_densities(EnsembleSpec(SO3K2, 1.0, "constant"), seed=1, n=2000, bins=10)
+        compare_densities(EnsembleSpec(SO3K2, "constant"), seed=1, n=2000, bins=10)
 
 
 @pytest.mark.parametrize("action, statistic", [(SU2CONJ, "coordinate_det"), (SO3K2, "torus_angle")], ids=str)
 def test_statistic_refused_when_the_spec_is_built(action, statistic):
     # the kind's statistic table is read before any draw
     with pytest.raises(ValueError, match=f"statistic {statistic!r} not defined"):
-        EnsembleSpec(action, 1.0, statistic)
-
-
-@pytest.mark.parametrize("scale", [7.0, -1.0, 0.5])
-def test_conjugation_refuses_a_scale(scale):
-    # a scale was ignored on conjugation, whose density is Haar measure
-    with pytest.raises(ValueError, match="Haar"):
-        EnsembleSpec(SU2CONJ, scale)
-    assert EnsembleSpec(SU2CONJ, 1.0).scale == 1.0
+        EnsembleSpec(action, statistic)
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -684,15 +695,15 @@ def test_too_few_samples_for_two_bins_rejected(n):
 
 
 def test_histograms_seed_reproducible():
-    a = compare_densities(EnsembleSpec(SO3K2, 1.0, "coordinate_det"), seed=9, n=5000, bins=12)
-    b = compare_densities(EnsembleSpec(SO3K2, 1.0, "coordinate_det"), seed=9, n=5000, bins=12)
+    a = compare_densities(EnsembleSpec(SO3K2, "coordinate_det"), seed=9, n=5000, bins=12)
+    b = compare_densities(EnsembleSpec(SO3K2, "coordinate_det"), seed=9, n=5000, bins=12)
     np.testing.assert_array_equal(a.empirical, b.empirical)
     np.testing.assert_array_equal(a.reference, b.reference)
     assert a.chi2 == b.chi2
 
 
 def test_csv_output(tmp_path):
-    cmp_ = compare_densities(EnsembleSpec(SO3K2, 1.0, "coordinate_det"), seed=2, n=4000, bins=8)
+    cmp_ = compare_densities(EnsembleSpec(SO3K2, "coordinate_det"), seed=2, n=4000, bins=8)
     path = tmp_path / "hist.csv"
     cmp_.write_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -704,7 +715,7 @@ def test_csv_output(tmp_path):
 
 
 def test_singular_value_statistic():
-    spec = EnsembleSpec(DirectSumAction(H, 3, 2), 1.0, "singular_value", stat_index=0)
+    spec = EnsembleSpec(DirectSumAction(H, 3, 2), "singular_value", stat_index=0)
     stats = sample_ensemble(spec, seed=7, n=200)
     assert np.all(stats > 0)
     # largest quaternionic singular value bounded by the ambient norm

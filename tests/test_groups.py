@@ -4,12 +4,11 @@ import scipy.linalg
 from scipy import stats as sps
 
 from algebra_oracle import matrices as basis_matrices
-from matrix_oracles import gram_schmidt_qr
+from matrix_oracles import det_modulus, gram_schmidt_qr
 from sectint.fields import ScalarField
 from sectint import matrices
 from sectint.matrices import (
     MatK,
-    det_modulus,
     eye,
     gaussian_batch,
     householder_q,

@@ -55,20 +55,23 @@ QUADRATURE_ACTIONS = [
     DirectSumAction(R, 10, 2),
 ]
 SU2CONJ = ConjugationAction(GroupSpec(Family.SU, 2))
+#: the negative control of the invariance contract: the first flat coordinate, which the group moves
+FIRST_COORDINATE = integrate.TestFunction("first_coordinate", {}, invariant=False,
+                                          fn=lambda pts, action: pts[:, 0])
 
 
 # --- the batched runner -------------------------------------------------------
 
 def _square(rng, size):
-    return rng.standard_normal(size) ** 2
+    return rng.standard_normal((1, size)) ** 2
 
 
 def test_mc_run_matches_flat_statistics():
     def fn(rng, size):
-        return rng.standard_normal(size) * 2.0 + 1.0
+        return rng.standard_normal((1, size)) * 2.0 + 1.0
 
-    est = mc_run(fn, 9000, seed=3)
-    flat = np.concatenate([fn(*batch(3, 9000, i)) for i in range(batch_count(9000))])
+    [est] = mc_run(fn, 9000, seed=3)
+    flat = np.concatenate([fn(*batch(3, 9000, i))[0] for i in range(batch_count(9000))])
     assert est.mean == pytest.approx(np.mean(flat), abs=1e-13)
     assert est.stderr == pytest.approx(np.std(flat, ddof=1) / np.sqrt(9000), rel=1e-10)
 
@@ -151,7 +154,7 @@ def test_mc_run_helpers_start_lazily_and_persist():
     code = """
 import threading
 from sectint.mc import BATCH_DRAWS, mc_run
-fn = lambda rng, size: rng.standard_normal(size)
+fn = lambda rng, size: rng.standard_normal((1, size))
 counts = [threading.active_count()]
 big = 3 * BATCH_DRAWS
 for n, workers in [(BATCH_DRAWS, 8), (big, 1), (big, 17), (big, 17), (big, 2), (big, 2)]:
@@ -174,8 +177,8 @@ def test_mc_run_nested_in_a_batch_finishes():
     n = 3 * BATCH_DRAWS + 1
 
     def outer(rng, size):
-        inner = mc_run(_square, n, seed=int(rng.integers(2**31)), workers=2)
-        return rng.standard_normal(size) + inner.mean
+        [inner] = mc_run(_square, n, seed=int(rng.integers(2**31)), workers=2)
+        return rng.standard_normal((1, size)) + inner.mean
 
     assert batch_count(n) == 4
     out = {}
@@ -200,7 +203,7 @@ def test_mc_run_batch_error_propagates_after_running_batches_return(bad, workers
             if rng.bit_generator.state == key:
                 raise RuntimeError(f"batch {bad}")
             time.sleep(0.002)
-            return rng.standard_normal(size)
+            return rng.standard_normal((1, size))
         finally:
             in_flight.pop()
 
@@ -223,7 +226,7 @@ def test_mc_run_helpers_take_the_callers_floating_point_state():
     def records_state(rng, size):
         seen.append((threading.get_ident(), np.geterr()["over"]))
         time.sleep(0.02)
-        return np.zeros(size)
+        return np.zeros((1, size))
 
     n = 3 * BATCH_DRAWS + 1
     mc_run(_square, n, 0, workers=2)  # start the helper
@@ -233,9 +236,9 @@ def test_mc_run_helpers_take_the_callers_floating_point_state():
     assert {state for _, state in seen} == {"raise"}
 
 
-def test_mc_run_rows_match_one_dimensional_runs():
+def test_mc_run_rows_match_one_row_runs():
     # an (m, size) sample reduces each row on its own: row i of the batch run
-    # is bit-identical to the 1-D run returning that row
+    # is bit-identical to the run returning that row alone
     def rows(rng, size):
         z = rng.standard_normal(size)
         return np.stack([z, z * z, np.exp(z)])
@@ -244,7 +247,7 @@ def test_mc_run_rows_match_one_dimensional_runs():
         estimates = mc_run(rows, n, seed=3)
         assert len(estimates) == 3
         for i, est in enumerate(estimates):
-            assert est == mc_run(lambda rng, size: rows(rng, size)[i], n, seed=3)
+            assert [est] == mc_run(lambda rng, size: rows(rng, size)[i:i + 1], n, seed=3)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -260,15 +263,15 @@ def _rows(rng, size):
 
 @pytest.mark.parametrize("n", [3, 1000, 30_000, 16 * (BATCH_DRAWS + 1)])
 @pytest.mark.parametrize("fn", [
-    lambda rng, size: rng.standard_normal(size) ** 2 + 0.5,
+    lambda rng, size: rng.standard_normal((1, size)) ** 2 + 0.5,
     _rows,
     lambda rng, size: np.ascontiguousarray(_rows(rng, size).T).T,  # rows with a strided last axis
-], ids=["1-D", "2-D", "2-D-strided"])
+], ids=["one-row", "rows", "rows-strided"])
 def test_mc_run_statistics_match_the_per_batch_oracle(n, fn):
     # 1, 1, 8 and 17 batches: every batch's one reduction of all its rows
     # gives each row's statistics bit for bit
     est = mc_run(fn, n, seed=17, workers=1)
-    assert (est if isinstance(est, list) else [est]) == mc_run_per_batch(fn, n, seed=17)
+    assert est == mc_run_per_batch(fn, n, seed=17)
 
 
 def test_ratio_keeps_the_numerators_error_at_a_zero_mean():
@@ -315,9 +318,8 @@ def test_named_families_are_invariant():
 
 def test_invariance_check_rejects_moving_function():
     rng = np.random.default_rng(1)
-    bad = make_test_function("first_coordinate")
-    assert not bad.invariant
-    lying = integrate.TestFunction("first_coordinate", {}, invariant=True)
+    assert check_invariance(SO3K2, FIRST_COORDINATE, rng, n_pairs=60) > 1e-3  # the control moves
+    lying = integrate.TestFunction("first_coordinate", {}, invariant=True, fn=FIRST_COORDINATE.fn)
     with pytest.raises(ContractViolation):
         check_invariance(SO3K2, lying, rng, n_pairs=60)
 
@@ -341,7 +343,7 @@ def test_unknown_family_rejected():
 
 def test_section_coordinate_det_matches_reduction():
     from sectint.actions import reduce_to_section, section_coordinate
-    from sectint.matrices import det_modulus
+    from matrix_oracles import det_modulus
 
     rng = np.random.default_rng(2)
     for action in [SO3K2, DirectSumAction(ScalarField.QUATERNION, 3, 2)]:
@@ -371,8 +373,7 @@ def test_direct_zero_function_is_zero():
 
 
 @pytest.mark.parametrize("group", [GroupSpec(Family.SU, 3), GroupSpec(Family.SO, 4), GroupSpec(Family.SP, 1)], ids=str)
-@pytest.mark.parametrize("value", [1.0, 2.5])
-def test_const_direct_estimate_draws_nothing(monkeypatch, group, value):
+def test_const_direct_estimate_draws_nothing(monkeypatch, group):
     # a constant reads no point: its average is exact, and the group is not drawn
     import sectint.actions as actions_module
 
@@ -381,9 +382,8 @@ def test_const_direct_estimate_draws_nothing(monkeypatch, group, value):
 
     monkeypatch.setattr(actions_module, "gaussian_batch", refuse)
     monkeypatch.setattr(actions_module, "haar_sample_batch", refuse)
-    f = make_test_function("const", value=value)
-    [est] = integrate_direct(ConjugationAction(group), [f], seed=4, n=3000)
-    assert est == McEstimate(value * group_volume(group), 0.0, 3000)
+    [est] = integrate_direct(ConjugationAction(group), [make_test_function("const")], seed=4, n=3000)
+    assert est == McEstimate(group_volume(group), 0.0, 3000)
 
 
 def test_direct_su2_volume():
@@ -396,9 +396,10 @@ def test_direct_su2_volume():
 
 # --- reduced integrals ------------------------------------------------------------
 
-def test_reduced_requires_invariance():
-    with pytest.raises(ContractViolation):
-        integrate_reduced(SO3K2, [make_test_function("first_coordinate")], 1.0)
+@pytest.mark.parametrize("action", [SO3K2, SU2CONJ], ids=str)
+def test_reduced_requires_invariance(action):
+    with pytest.raises(ContractViolation, match="group-invariant"):
+        integrate_reduced(action, [FIRST_COORDINATE], 1.0)
 
 
 def test_two_sided_identity_so3():
@@ -503,8 +504,7 @@ SAMPLER_ROWS += [DirectSumAction(field, n, k) for field, n, k in
 
 def _sampler_functions(action):
     """Every integrand family that applies to the action, some at two parameter sets."""
-    fs = [make_test_function("gaussian_radial", sigma=0.7), make_test_function("gaussian_sq_norm"),
-          make_test_function("first_coordinate")]
+    fs = [make_test_function("gaussian_radial", sigma=0.7), make_test_function("gaussian_sq_norm"), FIRST_COORDINATE]
     if isinstance(action, DirectSumAction):
         return fs + [make_test_function("gaussian_det", power=p, sigma=1.3) for p in (-0.5, 1.0, 2.0)]
     return fs + [make_test_function("trace_power", power=p) for p in (2, 3)] + [make_test_function("const")]
@@ -860,8 +860,8 @@ def test_reduced_rule_node_budget():
     (make_test_function("gaussian_det", power=-1.0), None),
     (make_test_function("trace_power"), 2),
     (make_test_function("trace_power", power=5), 5),
-    (make_test_function("const", value=3.0), 0),
-    (make_test_function("first_coordinate"), None),
+    (make_test_function("const"), 0),
+    (FIRST_COORDINATE, None),
     (FIRST_SQ, None),
 ], ids=lambda v: getattr(v, "name", str(v)))
 def test_declared_degrees(f, degree):

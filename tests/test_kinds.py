@@ -190,7 +190,7 @@ def test_every_kind_operation(action):
 
     # ensembles
     spec = EnsembleSpec(action)
-    assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic, 1.0) >= 1
+    assert spec.statistic == action.statistics[0] and action.statistic_columns(spec.statistic) >= 1
     stats = action.ensemble_statistics(spec, rng, 50)
     assert stats.shape == (50,)
     reference, _, n_eff = action.ensemble_reference(spec, 50, 1)
@@ -224,7 +224,7 @@ def _batch_statistic(spec, rng, size):
     if isinstance(action, ConjugationAction):
         return canonical_angles(action.group, haar_sample_batch(action.group, rng, size))[:, spec.stat_index]
     comps = rng.standard_normal((size, action.n, action.k, action.field.dim))
-    return _coordinate_statistics(spec, action.field, spec.scale * comps)
+    return _coordinate_statistics(spec, action.field, comps)
 
 
 @pytest.mark.parametrize("action", ROWS, ids=str)
@@ -247,10 +247,9 @@ def test_a_batch_is_drawn_from_its_generator(action):
 def test_ensemble_statistics_of_a_batch_are_its_draws_statistics(action):
     # every statistic and column; the kind's batch call against the batch's
     # own draws and kernels, bit for bit
-    scale = 1.0 if isinstance(action, ConjugationAction) else 1.5
     for statistic in action.statistics:
-        for index in range(action.statistic_columns(statistic, scale)):
-            spec = EnsembleSpec(action, scale, statistic, index)
+        for index in range(action.statistic_columns(statistic)):
+            spec = EnsembleSpec(action, statistic, index)
             for size in BATCH_SIZES:
                 batch = action.ensemble_statistics(spec, np.random.default_rng(5), size)
                 alone = _batch_statistic(spec, np.random.default_rng(5), size)

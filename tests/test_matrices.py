@@ -8,7 +8,6 @@ from sectint.matrices import (
     MatK,
     abs_det_between,
     batch_to_real,
-    det_modulus,
     eye,
     from_real_vector,
     gaussian,
@@ -21,7 +20,7 @@ from sectint.matrices import (
     zeros,
 )
 
-from matrix_oracles import entries, gram_schmidt_qr, quat_components, realified_det
+from matrix_oracles import det_modulus, entries, gram_schmidt_qr, quat_components, realified_det
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION
 FIELDS = (R, C, H)
@@ -484,6 +483,6 @@ def test_direct_sums_read_the_one_gaussian_stream(field):
     assert batch_to_real(field, points).tobytes() == np.random.default_rng(4).standard_normal((6, action.ambient_dim)).tobytes()
     coords = action.section_coords(np.random.default_rng(4), 6)
     assert coords.tobytes() == np.random.default_rng(4).standard_normal((6, action.section_dim)).tobytes()
-    spec = EnsembleSpec(action, 1.5, "coordinate_norm")
-    norms = np.linalg.norm(1.5 * np.random.default_rng(9).standard_normal((11, action.ambient_dim)), axis=1)
+    spec = EnsembleSpec(action, "coordinate_norm")
+    norms = np.linalg.norm(np.random.default_rng(9).standard_normal((11, action.ambient_dim)), axis=1)
     assert action.ensemble_statistics(spec, np.random.default_rng(9), 11).tobytes() == norms.tobytes()
